@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench bench-parallel bench-virtualtime bench-dataplane bench-chaos-dataplane bench-scale bench-wire race-dataplane timecheck test-experiments profile chaos check print-staticcheck-version print-govulncheck-version
+.PHONY: build test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-parallel bench-virtualtime bench-dataplane bench-chaos-dataplane bench-scale bench-wire race-dataplane timecheck test-experiments profile chaos check print-staticcheck-version print-govulncheck-version
 
 build:
 	$(GO) build ./...
@@ -90,12 +90,21 @@ lint:
 	$(GO) run ./cmd/asaplint ./internal/...
 
 # allocgate re-runs the allocation-regression tests (TestEncodeAllocs,
-# TestDecodeAllocs*, TestClusterStatsBatchAllocs) in a plain build: the
-# race runs above skip them because -race instruments allocations, so
-# without this target `check` would never enforce the zero-alloc wire
-# path (DESIGN.md §15).
+# TestDecodeAllocs*, TestClusterStatsBatchAllocs, TestClockAllocs,
+# TestBufPoolAllocs, TestVoicePacketAllocs) in a plain build: the race
+# runs above skip them because -race instruments allocations, so without
+# this target `check` would never enforce the zero-alloc wire path
+# (DESIGN.md §15), the zero-alloc virtual-clock event (§10) or the
+# zero-alloc voice packet (§12).
 allocgate:
-	$(GO) test -run 'Allocs' -count=1 ./internal/transport/ ./internal/netmodel/
+	$(GO) test -run 'Allocs' -count=1 ./internal/transport/ ./internal/netmodel/ ./internal/sim/ ./internal/transport/udp/
+
+# bench-smoke runs the benchmark module's own tests (~3 s): registry
+# against BENCHMARK.json, a smoke run of every workload, span-tree
+# well-formedness. bench/ is a module of its own, so the root
+# `go test ./...` never sees it.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 0.2s .
@@ -189,6 +198,7 @@ chaos:
 # iteration, lock/I/O discipline, pool ownership, task/timer
 # accounting, protocol-enum sync, lock ordering, retry error
 # classification), pass the full test suite under the race detector,
-# hold the zero-alloc wire path, and carry no known-vulnerable
-# dependencies.
-check: build vet fmt staticcheck lint race allocgate govulncheck
+# hold the zero-alloc wire, clock-event and voice-packet paths, keep the
+# benchmark module building and self-consistent, and carry no
+# known-vulnerable dependencies.
+check: build vet fmt staticcheck lint race allocgate bench-smoke govulncheck

@@ -14,14 +14,22 @@ import (
 // zero.
 //
 // Execution model: every scheduled callback (After, AfterFunc, Go, Join)
-// runs as a *task* — a goroutine that holds the clock's single virtual
-// CPU. Exactly one task runs at a time; it yields only at scheduler
-// calls (Sleep, SleepCtx, Join, Waiter.Wait) or by finishing, at which
-// point the event loop resumes the next event in (time, schedule-order)
-// sequence. Because interleaving points are explicit and the event order
-// is a pure function of the schedule, a whole-stack run over the virtual
-// clock is deterministic: same seed, same byte-identical trace — no
-// matter the host, GOMAXPROCS, or run count.
+// runs as a *task* — a body executed on a worker goroutine that holds
+// the clock's single virtual CPU. Exactly one task runs at a time; it
+// yields only at scheduler calls (Sleep, SleepCtx, Join, Waiter.Wait) or
+// by finishing, at which point the event loop resumes the next event in
+// (time, schedule-order) sequence. Because interleaving points are
+// explicit and the event order is a pure function of the schedule, a
+// whole-stack run over the virtual clock is deterministic: same seed,
+// same byte-identical trace — no matter the host, GOMAXPROCS, or run
+// count.
+//
+// Steady state allocates nothing per event: a worker whose body finished
+// parks in a bounded idle list and is re-armed with the next body, and
+// events whose handle never leaves the clock are recycled through a free
+// list (DESIGN.md §10). Idle workers exit when the outermost drive call
+// (Step, Run, RunUntil, RunTask, ShardRunner.Run) returns, so a Clock
+// that is dropped between drives leaves no goroutine behind.
 //
 // Clock methods are safe for concurrent use, but the blocking calls
 // (Sleep, Join, Waiter.Wait) must come from scheduler tasks; calling
@@ -35,17 +43,26 @@ type Clock struct {
 	executed uint64
 	current  *task // task holding the virtual CPU (nil while the loop runs)
 	tasks    int   // live tasks: started (or queued to start) and not finished
+
+	free    []*event // fired recyclable events, at most maxFreeEvents
+	idle    []*task  // workers parked between bodies, at most maxIdleWorkers
+	driving int      // nesting depth of drive calls; idle workers exit at 0
 }
+
+const (
+	// maxIdleWorkers bounds the workers kept parked between bodies. A
+	// join burst can have tens of thousands of tasks asleep at once; when
+	// they finish, all but this many exit instead of pinning their stacks
+	// for the rest of the drive.
+	maxIdleWorkers = 64
+	// maxFreeEvents bounds the event free list the same way: a drained
+	// burst of pending events is garbage, not a permanent reserve.
+	maxFreeEvents = 1024
+)
 
 // NewClock returns a virtual clock at time zero, backed by the
 // hierarchical timer-wheel event store (wheel.go).
 func NewClock() *Clock { return &Clock{events: newWheelStore()} }
-
-// NewReferenceClock returns a virtual clock backed by the original
-// single binary-heap event store. It is the executable specification the
-// timer wheel is differentially tested against (wheel_test.go): for any
-// schedule, both clocks must produce byte-identical event orders.
-func NewReferenceClock() *Clock { return &Clock{events: &heapStore{}} }
 
 // storeLocked returns the event store, initializing the default wheel
 // for zero-value Clocks. Called with c.mu held.
@@ -56,21 +73,32 @@ func (c *Clock) storeLocked() eventStore {
 	return c.events
 }
 
-// task is one tracked goroutine. The loop and the task hand the virtual
+// task is one worker goroutine. The loop and the worker hand the virtual
 // CPU back and forth over the two unbuffered channels: wake means "you
-// run now", park means "I blocked or finished".
+// run now", park means "I blocked or finished". fn is the next body,
+// set by the loop before it wakes an idle worker.
 type task struct {
 	wake chan struct{}
 	park chan struct{}
+	fn   func()
 }
 
-// event is a scheduled callback, run by the event loop.
+// event is one scheduled action of the event loop. Its payload is a
+// field, not a closure: a task body to start (fn), a parked task to
+// resume (t), or a waiter whose deadline this is (w) — exactly one is
+// set.
 type event struct {
 	at       time.Duration
 	id       uint64 // tie-break so equal-time events run in schedule order
-	call     func()
+	fn       func()
+	t        *task
+	w        *clockWaiter
 	canceled bool
 	fired    bool
+	// held marks an event whose pointer a Timer or Waiter keeps: it may
+	// be asked about (Stop after fire, Wake after timeout) long after it
+	// ran, so it is never recycled.
+	held bool
 }
 
 type eventQueue []*event
@@ -100,15 +128,33 @@ func (c *Clock) Now() time.Duration {
 	return c.now
 }
 
-// scheduleLocked enqueues a raw loop callback at absolute time at.
-func (c *Clock) scheduleLocked(at time.Duration, call func()) *event {
+// scheduleLocked enqueues an event at absolute time at and returns it
+// for the caller to set the payload. The event comes from the free list
+// when one is there; callers that keep the pointer must set held.
+func (c *Clock) scheduleLocked(at time.Duration) *event {
 	if at < c.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, c.now))
 	}
+	var e *event
+	if n := len(c.free); n > 0 {
+		e = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		e = new(event)
+	}
 	c.nextID++
-	e := &event{at: at, id: c.nextID, call: call}
+	e.at, e.id = at, c.nextID
 	c.storeLocked().push(e)
 	c.live++
+	return e
+}
+
+// startLocked schedules body fn to start as a task at absolute time at.
+func (c *Clock) startLocked(at time.Duration, fn func()) *event {
+	c.tasks++
+	e := c.scheduleLocked(at)
+	e.fn = fn
 	return e
 }
 
@@ -125,8 +171,7 @@ func (c *Clock) cancelLocked(e *event) {
 func (c *Clock) At(at time.Duration, fn func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tasks++
-	c.scheduleLocked(at, func() { c.startTask(fn) })
+	c.startLocked(at, fn)
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -136,8 +181,7 @@ func (c *Clock) After(d time.Duration, fn func()) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tasks++
-	c.scheduleLocked(c.now+d, func() { c.startTask(fn) })
+	c.startLocked(c.now+d, fn)
 }
 
 // AfterFunc implements Scheduler: After with a cancelable handle.
@@ -147,8 +191,8 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) Timer {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tasks++
-	e := c.scheduleLocked(c.now+d, func() { c.startTask(fn) })
+	e := c.startLocked(c.now+d, fn)
+	e.held = true
 	return &clockTimer{c: c, e: e}
 }
 
@@ -174,32 +218,78 @@ func (t *clockTimer) Stop() bool {
 func (c *Clock) Go(fn func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tasks++
-	c.scheduleLocked(c.now, func() { c.startTask(fn) })
+	c.startLocked(c.now, fn)
 }
 
-// startTask spawns the goroutine for a task event and hands it the CPU.
-// Runs on the loop goroutine.
-func (c *Clock) startTask(fn func()) {
+// workerLocked returns a worker to run the next body: the most recently
+// parked idle one, or a fresh goroutine when none is idle. Called with
+// c.mu held.
+func (c *Clock) workerLocked() *task {
+	if n := len(c.idle); n > 0 {
+		t := c.idle[n-1]
+		c.idle[n-1] = nil
+		c.idle = c.idle[:n-1]
+		return t
+	}
 	t := &task{wake: make(chan struct{}), park: make(chan struct{})}
-	go func() {
+	go c.work(t)
+	return t
+}
+
+// work is a worker goroutine: run the body it was armed with, park idle,
+// repeat. It exits when the idle list is full, or when endDrive closes
+// its wake channel (which reads as a wake with no body).
+func (c *Clock) work(t *task) {
+	for {
 		<-t.wake
+		fn := t.fn
+		if fn == nil {
+			return
+		}
+		t.fn = nil
 		fn()
 		c.mu.Lock()
 		c.current = nil
 		c.tasks--
+		keep := len(c.idle) < maxIdleWorkers
+		if keep {
+			c.idle = append(c.idle, t)
+		}
 		c.mu.Unlock()
 		t.park <- struct{}{}
-	}()
-	c.resume(t)
+		if !keep {
+			return
+		}
+	}
 }
 
-// resume hands the virtual CPU to t and blocks until t parks or
-// finishes. Runs on the loop goroutine.
-func (c *Clock) resume(t *task) {
+// beginDrive and endDrive bracket every call that runs the event loop.
+// When the outermost one returns, nothing will wake an idle worker until
+// the next drive — and if the Clock is dropped, nothing ever will — so
+// the idle workers are told to exit.
+func (c *Clock) beginDrive() {
 	c.mu.Lock()
-	c.current = t
+	c.driving++
 	c.mu.Unlock()
+}
+
+func (c *Clock) endDrive() {
+	c.mu.Lock()
+	c.driving--
+	var idle []*task
+	if c.driving == 0 {
+		idle, c.idle = c.idle, nil
+	}
+	c.mu.Unlock()
+	for _, t := range idle {
+		close(t.wake)
+	}
+}
+
+// handoff gives the virtual CPU to t — which the caller has already made
+// c.current — and blocks until t parks or finishes. Runs on the loop
+// goroutine.
+func (c *Clock) handoff(t *task) {
 	t.wake <- struct{}{}
 	<-t.park
 }
@@ -232,7 +322,7 @@ func (c *Clock) Sleep(d time.Duration) {
 	}
 	c.mu.Lock()
 	t := c.mustCurrentLocked("Sleep")
-	c.scheduleLocked(c.now+d, func() { c.resume(t) })
+	c.scheduleLocked(c.now + d).t = t
 	c.yieldLocked(t)
 }
 
@@ -308,7 +398,7 @@ func (w *clockWaiter) Wake() {
 		c.cancelLocked(w.deadline)
 		w.deadline = nil
 	}
-	c.scheduleLocked(c.now, func() { c.resume(t) })
+	c.scheduleLocked(c.now).t = t
 }
 
 func (w *clockWaiter) Wait(timeout time.Duration) bool {
@@ -325,17 +415,9 @@ func (w *clockWaiter) Wait(timeout time.Duration) bool {
 	t := c.mustCurrentLocked("Waiter.Wait")
 	w.waiting = t
 	if timeout >= 0 {
-		w.deadline = c.scheduleLocked(c.now+timeout, func() {
-			c.mu.Lock()
-			tt := w.waiting
-			w.waiting = nil
-			w.timedOut = true
-			w.deadline = nil
-			c.mu.Unlock()
-			if tt != nil {
-				c.resume(tt)
-			}
-		})
+		e := c.scheduleLocked(c.now + timeout)
+		e.w, e.held = w, true
+		w.deadline = e
 	}
 	c.yieldLocked(t)
 	c.mu.Lock()
@@ -343,10 +425,33 @@ func (w *clockWaiter) Wait(timeout time.Duration) bool {
 	return w.woken
 }
 
+// timeout fires the waiter's deadline: it loses to an earlier Wake by
+// event order. Runs on the loop goroutine.
+func (w *clockWaiter) timeout() {
+	c := w.c
+	c.mu.Lock()
+	t := w.waiting
+	w.waiting = nil
+	w.timedOut = true
+	w.deadline = nil
+	c.current = t
+	c.mu.Unlock()
+	if t != nil {
+		c.handoff(t)
+	}
+}
+
 // Step runs the earliest pending event, advancing the clock to its time
 // and blocking until the stack quiesces again (the event's task parked
 // or finished). It reports whether an event ran.
 func (c *Clock) Step() bool {
+	c.beginDrive()
+	defer c.endDrive()
+	return c.step()
+}
+
+// step is Step inside an open drive.
+func (c *Clock) step() bool {
 	c.mu.Lock()
 	if c.current != nil {
 		c.mu.Unlock()
@@ -357,12 +462,30 @@ func (c *Clock) Step() bool {
 		c.mu.Unlock()
 		return false
 	}
-	e.fired = true
 	c.now = e.at
 	c.live--
 	c.executed++
+	fn, t, w := e.fn, e.t, e.w
+	if e.held {
+		e.fired = true
+		e.fn, e.t, e.w = nil, nil, nil // the handle outlives the payload; do not pin it
+	} else {
+		*e = event{}
+		if len(c.free) < maxFreeEvents {
+			c.free = append(c.free, e)
+		}
+	}
+	if fn != nil {
+		t = c.workerLocked()
+		t.fn = fn
+	}
+	c.current = t
 	c.mu.Unlock()
-	e.call()
+	if t != nil {
+		c.handoff(t)
+	} else {
+		w.timeout()
+	}
 	return true
 }
 
@@ -371,8 +494,10 @@ func (c *Clock) Step() bool {
 // parked with nothing left to wake them — a deadlock in the simulated
 // protocol.
 func (c *Clock) Run() int {
+	c.beginDrive()
+	defer c.endDrive()
 	n := 0
-	for c.Step() {
+	for c.step() {
 		n++
 	}
 	c.mu.Lock()
@@ -389,6 +514,8 @@ func (c *Clock) Run() int {
 // unrun (background loops simply stop ticking when the workload ends).
 // It returns the number of events executed.
 func (c *Clock) RunTask(fn func()) int {
+	c.beginDrive()
+	defer c.endDrive()
 	done := false
 	c.Go(func() {
 		fn()
@@ -396,7 +523,7 @@ func (c *Clock) RunTask(fn func()) int {
 	})
 	n := 0
 	for !done {
-		if !c.Step() {
+		if !c.step() {
 			panic("sim: RunTask: root task parked with an empty event queue (deadlock)")
 		}
 		n++
@@ -407,6 +534,8 @@ func (c *Clock) RunTask(fn func()) int {
 // RunUntil drains events with time <= deadline, advancing the clock to
 // exactly deadline afterwards. It returns the number of events executed.
 func (c *Clock) RunUntil(deadline time.Duration) int {
+	c.beginDrive()
+	defer c.endDrive()
 	n := 0
 	for {
 		c.mu.Lock()
@@ -419,7 +548,7 @@ func (c *Clock) RunUntil(deadline time.Duration) int {
 			return n
 		}
 		c.mu.Unlock()
-		if !c.Step() {
+		if !c.step() {
 			return n
 		}
 		n++

@@ -96,6 +96,12 @@ func (r *ShardRunner) Post(from, to int, at time.Duration, fn func()) {
 // anywhere are skipped by jumping straight to the earliest pending
 // event, so idle stretches cost nothing.
 func (r *ShardRunner) Run(until time.Duration) {
+	// One drive per clock around all the windows, so each shard's idle
+	// workers survive from window to window and exit when Run returns.
+	for _, c := range r.clocks {
+		c.beginDrive()
+		defer c.endDrive()
+	}
 	for {
 		// Outboxes are empty between windows, so the earliest pending
 		// event across all clocks is the true global frontier.

@@ -1,17 +1,13 @@
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // eventStore holds a Clock's pending events in (time, schedule-id) order.
-// Two implementations exist: heapStore, the original binary heap kept as
-// the executable reference, and wheelStore (wheel.go), the hierarchical
-// timer wheel the Clock uses by default. Both deliver the exact same
-// total order — the differential tests in wheel_test.go push millions of
-// randomized schedules through the pair and require byte-identical pop
-// sequences.
+// The Clock runs on wheelStore (wheel.go), the hierarchical timer wheel;
+// the tests keep heapStore, the original binary heap, as the executable
+// reference. Both deliver the exact same total order — the differential
+// tests in wheel_test.go push millions of randomized schedules through
+// the pair and require byte-identical pop sequences.
 //
 // Stores are not safe for concurrent use; the Clock serializes access
 // under its mutex. Canceled events are discarded lazily whenever a store
@@ -25,35 +21,4 @@ type eventStore interface {
 	pop() *event
 	// next returns the earliest live event's time without removing it.
 	next() (time.Duration, bool)
-}
-
-// heapStore is the reference implementation: one binary heap ordered by
-// (at, id). Correct at any scale, but every operation costs O(log n) in
-// the total pending-event count — the bottleneck the timer wheel removes
-// for million-node deployments.
-type heapStore struct {
-	q eventQueue
-}
-
-func (h *heapStore) push(e *event) { heap.Push(&h.q, e) }
-
-func (h *heapStore) pop() *event {
-	for len(h.q) > 0 {
-		e := heap.Pop(&h.q).(*event)
-		if !e.canceled {
-			return e
-		}
-	}
-	return nil
-}
-
-func (h *heapStore) next() (time.Duration, bool) {
-	for len(h.q) > 0 {
-		if h.q[0].canceled {
-			heap.Pop(&h.q)
-			continue
-		}
-		return h.q[0].at, true
-	}
-	return 0, false
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 )
@@ -44,6 +46,19 @@ const (
 	wheelMapWords  = wheelSlots / 64
 )
 
+// Slabs. A slot's events live in a backing array (a slab) that the slot
+// gives back to the store's spare list when it drains and the next slot
+// to fill takes over, so the steady trickle of a running deployment is
+// filed without allocating however its timestamps walk across the 8192
+// slots. Both bounds keep a burst from becoming a permanent reserve: a
+// slab that grew past wheelKeepCap goes to the collector, and so does
+// one more than wheelSpareSlabs — enough for every bucket of a level-0
+// segment to be occupied at once, which a population-scale run is.
+const (
+	wheelKeepCap    = 256
+	wheelSpareSlabs = wheelSlots
+)
+
 // wheelBucket is one level-0 per-tick bucket. Events append unsorted;
 // the first drain sorts the bucket by (at, id) and later same-tick
 // pushes keep the undrained tail ordered.
@@ -67,6 +82,36 @@ type wheelStore struct {
 	l1pos int   // scan cursor for level 1
 
 	far eventQueue // (at, id) min-heap of events beyond the level-1 window
+
+	spare [][]*event // emptied slabs of drained slots, at most wheelSpareSlabs
+}
+
+// takeSlab returns an empty slab for a slot that is filling, nil (append
+// allocates) when none is spare.
+func (w *wheelStore) takeSlab() []*event {
+	n := len(w.spare)
+	if n == 0 {
+		return nil
+	}
+	evs := w.spare[n-1]
+	w.spare[n-1] = nil
+	w.spare = w.spare[:n-1]
+	return evs
+}
+
+// giveSlab takes back the slab of a drained slot. Every element must
+// already be nil: a fired event must not stay reachable from the wheel.
+func (w *wheelStore) giveSlab(evs []*event) {
+	if cap(evs) == 0 || cap(evs) > wheelKeepCap || len(w.spare) == wheelSpareSlabs {
+		return
+	}
+	w.spare = append(w.spare, evs[:0])
+}
+
+// drained resets a level-0 bucket whose last event was just consumed.
+func (w *wheelStore) drained(b *wheelBucket) {
+	w.giveSlab(b.evs)
+	*b = wheelBucket{}
 }
 
 func newWheelStore() *wheelStore { return &wheelStore{} }
@@ -78,6 +123,15 @@ func eventLess(a, b *event) bool {
 		return a.at < b.at
 	}
 	return a.id < b.id
+}
+
+// eventCompare is eventLess as a three-way comparison. Ids are unique,
+// so the order is total and any correct sort yields the same sequence.
+func eventCompare(a, b *event) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 func (w *wheelStore) push(e *event) {
@@ -103,8 +157,8 @@ func (w *wheelStore) place(e *event) {
 			copy(b.evs[b.head+i+1:], b.evs[b.head+i:])
 			b.evs[b.head+i] = e
 		} else {
-			if b.head == len(b.evs) {
-				b.evs, b.head, b.sorted = b.evs[:0], 0, false
+			if b.evs == nil {
+				b.evs = w.takeSlab()
 			}
 			b.evs = append(b.evs, e)
 		}
@@ -114,6 +168,9 @@ func (w *wheelStore) place(e *event) {
 		}
 	case t>>(2*wheelSlotBits) == w.l1win && t>>wheelSlotBits > w.l0seg:
 		s := int((t >> wheelSlotBits) & wheelSlotMask)
+		if w.l1[s] == nil {
+			w.l1[s] = w.takeSlab()
+		}
 		w.l1[s] = append(w.l1[s], e)
 		w.l1map[s>>6] |= 1 << uint(s&63)
 		if s < w.l1pos {
@@ -152,23 +209,23 @@ func (w *wheelStore) findMin() (*event, *wheelBucket) {
 		}
 		// Drop canceled overflow heads so far[0] is always comparable.
 		for len(w.far) > 0 && w.far[0].canceled {
-			heap.Pop(&w.far)
+			w.popFar()
 			w.size--
 		}
 		if s := scanBitmap(&w.l0map, w.l0pos); s >= 0 {
 			w.l0pos = s
 			b := &w.l0[s]
 			if !b.sorted {
-				evs := b.evs
-				sort.Slice(evs, func(i, j int) bool { return eventLess(evs[i], evs[j]) })
+				slices.SortFunc(b.evs, eventCompare)
 				b.sorted = true
 			}
 			for b.head < len(b.evs) && b.evs[b.head].canceled {
+				b.evs[b.head] = nil
 				b.head++
 				w.size--
 			}
 			if b.head == len(b.evs) {
-				b.evs, b.head, b.sorted = b.evs[:0], 0, false
+				w.drained(b)
 				w.l0map[s>>6] &^= 1 << uint(s&63)
 				continue
 			}
@@ -186,9 +243,11 @@ func (w *wheelStore) findMin() (*event, *wheelBucket) {
 			evs := w.l1[s]
 			w.l1[s] = nil
 			w.l1map[s>>6] &^= 1 << uint(s&63)
-			for _, e := range evs {
+			for i, e := range evs {
+				evs[i] = nil
 				w.place(e)
 			}
+			w.giveSlab(evs)
 			continue
 		}
 		if len(w.far) == 0 {
@@ -206,9 +265,18 @@ func (w *wheelStore) findMin() (*event, *wheelBucket) {
 			if et>>(2*wheelSlotBits) != w.l1win {
 				break
 			}
-			heap.Pop(&w.far)
+			w.popFar()
 			w.place(e)
 		}
+	}
+}
+
+// popFar removes the overflow heap's minimum, dropping a burst-sized
+// backing array once the heap is empty.
+func (w *wheelStore) popFar() {
+	heap.Pop(&w.far)
+	if len(w.far) == 0 && cap(w.far) > wheelKeepCap {
+		w.far = nil
 	}
 }
 
@@ -219,11 +287,12 @@ func (w *wheelStore) pop() *event {
 			return nil
 		}
 		if b == nil {
-			heap.Pop(&w.far)
+			w.popFar()
 		} else {
+			b.evs[b.head] = nil // a fired event must not stay reachable from the wheel
 			b.head++
 			if b.head == len(b.evs) {
-				b.evs, b.head, b.sorted = b.evs[:0], 0, false
+				w.drained(b)
 				s := w.l0pos
 				w.l0map[s>>6] &^= 1 << uint(s&63)
 			}

@@ -86,13 +86,13 @@ func (p *chaosPacketConn) WriteTo(to Addr, data []byte) error {
 	}
 	c.mu.Unlock()
 	if extra > 0 {
-		// Delay delivery, not the sender: the datagram is copied (the
-		// caller may reuse the buffer immediately, per the PacketConn
-		// contract) and forwarded from a scheduler task after the extra
-		// latency has elapsed.
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		c.sched().After(extra, func() { _ = p.inner.WriteTo(to, buf) })
+		// Delay delivery, not the sender: the datagram is copied into a
+		// pooled in-flight record (the caller may reuse the buffer
+		// immediately, per the PacketConn contract) and forwarded from a
+		// scheduler task after the extra latency has elapsed.
+		dg := newInflight("", to, data)
+		dg.fwd = p.inner
+		c.sched().After(extra, dg.run)
 		return nil
 	}
 	return p.inner.WriteTo(to, data)

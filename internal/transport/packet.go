@@ -18,9 +18,12 @@ import (
 // stream causes head-of-line blocking (a lesson the related NAT-relay
 // repos learned the hard way).
 
-// PacketHandler consumes one inbound datagram. The data slice is only
-// valid for the duration of the call; implementations that retain it
-// must copy.
+// PacketHandler consumes one inbound datagram. The handler borrows data:
+// the slice is valid only until the handler returns, after which the
+// network reuses its backing array for another datagram (Mem's in-flight
+// copies are pooled, Live reads every datagram of a socket into one
+// buffer). An implementation that keeps any part of it — a parsed
+// payload included — must copy.
 type PacketHandler func(from Addr, data []byte)
 
 // PacketConn is one bound datagram socket.
@@ -90,12 +93,13 @@ func (m *Mem) ListenPacket(addr Addr, h PacketHandler) (PacketConn, error) {
 }
 
 // WriteTo implements PacketConn: fire-and-forget delivery. The datagram
-// is copied immediately (the caller may reuse the buffer, e.g. return it
-// to a pool) and handed to the destination handler as a scheduler task
-// after the one-way link latency — never blocking the sender, unlike
-// Call, which sleeps a full round trip. An unbound destination drops the
-// datagram silently: unreliability is the contract, and the traversal
-// ladder's retries are built on top of it.
+// is copied immediately into a pooled in-flight record (the caller may
+// reuse the buffer, e.g. return it to a pool) and handed to the
+// destination handler as a scheduler task after the one-way link latency
+// — never blocking the sender, unlike Call, which sleeps a full round
+// trip. An unbound destination drops the datagram silently:
+// unreliability is the contract, and the traversal ladder's retries are
+// built on top of it.
 func (c *memPacketConn) WriteTo(to Addr, data []byte) error {
 	c.mu.Lock()
 	closed := c.closed
@@ -118,23 +122,73 @@ func (c *memPacketConn) WriteTo(to Addr, data []byte) error {
 	if lat != nil {
 		d = lat(c.addr, to)
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	from := c.addr
+	dg := newInflight(c.addr, to, data)
+	dg.mem = m
 	// Deliver as a scheduler task so handlers may block on the
 	// scheduler; the handler is looked up at delivery time, so a socket
 	// bound (or closed) in flight behaves like the real network.
-	m.sched().After(d, func() {
+	m.sched().After(d, dg.run)
+	return nil
+}
+
+// inflight is one datagram between WriteTo and its handler: the copy of
+// the sender's bytes plus where it is going. Records are pooled, and run
+// is bound to the record once, when the pool first builds it, so
+// scheduling a delivery allocates neither a buffer nor a closure.
+// Handlers only borrow data (PacketHandler), which is what makes handing
+// the same backing array to the next datagram safe.
+type inflight struct {
+	from, to Addr
+	data     []byte
+	// Exactly one sink is set: mem delivers to the handler bound at to
+	// on arrival; fwd (a chaos-delayed send) writes on to the inner
+	// socket.
+	mem *Mem
+	fwd PacketConn
+	run func() // in.arrive, bound at construction
+}
+
+// inflightKeepCap bounds the buffer a recycled record keeps, so one
+// jumbo datagram does not pin memory forever.
+const inflightKeepCap = 4096
+
+// inflightPool has no New: arrive puts records back, so a New that
+// bound arrive would be an initialization cycle. newInflight builds.
+var inflightPool sync.Pool
+
+// newInflight returns a pooled record holding a copy of data. The caller
+// sets the sink and schedules in.run exactly once; arrive recycles it.
+func newInflight(from, to Addr, data []byte) *inflight {
+	in, _ := inflightPool.Get().(*inflight)
+	if in == nil {
+		in = new(inflight)
+		in.run = in.arrive
+	}
+	in.from, in.to = from, to
+	in.data = append(in.data[:0], data...)
+	return in
+}
+
+// arrive runs as the delivery task: hand the datagram to its sink, then
+// recycle the record.
+func (in *inflight) arrive() {
+	if in.fwd != nil {
+		_ = in.fwd.WriteTo(in.to, in.data)
+	} else {
+		m := in.mem
 		m.mu.RLock()
-		h := m.packets[to]
+		h := m.packets[in.to]
 		closed := m.closed
 		m.mu.RUnlock()
-		if closed || h == nil {
-			return // dropped on the floor, as UDP would
-		}
-		h(from, buf)
-	})
-	return nil
+		if !closed && h != nil {
+			h(in.from, in.data)
+		} // else dropped on the floor, as UDP would
+	}
+	in.mem, in.fwd = nil, nil
+	if cap(in.data) > inflightKeepCap {
+		in.data = nil
+	}
+	inflightPool.Put(in)
 }
 
 // LocalAddr implements PacketConn.

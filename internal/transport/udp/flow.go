@@ -730,17 +730,53 @@ type rxState struct {
 	duplicates  int64
 	lastTransit time.Duration
 	jitter      time.Duration
-	seen        map[uint32]bool // late-arrival dedup over a bounded window
+	// seen is the late-arrival dedup memory: a ring bitmap over the
+	// rxDedupWindow sequence numbers ending at highestSeq, bit
+	// seq%rxDedupWindow set when seq was heard.
+	seen [rxDedupWindow / 64]uint64
 }
 
-// rxDedupWindow bounds the duplicate-detection memory.
+// rxDedupWindow bounds the duplicate-detection memory. It must divide
+// 2^32 so that seq%rxDedupWindow stays contiguous across uint32 wrap.
 const rxDedupWindow = 512
 
-func (r *rxState) account(p Packet, arrival time.Duration) {
-	if r.seen == nil {
-		r.seen = make(map[uint32]bool, rxDedupWindow)
+// heard reports whether seq (at or below highestSeq) is remembered. A
+// datagram older than the window is not: it re-counts as a late arrival
+// at worst.
+func (r *rxState) heard(seq uint32) bool {
+	if r.highestSeq-seq >= rxDedupWindow {
+		return false
 	}
-	if r.started && p.Seq <= r.highestSeq && r.seen[p.Seq] {
+	i := seq % rxDedupWindow
+	return r.seen[i>>6]&(1<<(i&63)) != 0
+}
+
+// mark remembers seq, which must lie inside the window ending at
+// highestSeq.
+func (r *rxState) mark(seq uint32) {
+	i := seq % rxDedupWindow
+	r.seen[i>>6] |= 1 << (i & 63)
+}
+
+// advance slides the window's top up to seq, forgetting the sequence
+// numbers whose ring slots the new ones take over. The loop counts the
+// gap instead of comparing sequence numbers, so it terminates across
+// uint32 wrap.
+func (r *rxState) advance(seq uint32) {
+	gap := seq - r.highestSeq
+	if gap >= rxDedupWindow {
+		r.seen = [rxDedupWindow / 64]uint64{}
+	} else {
+		for k := uint32(1); k <= gap; k++ {
+			i := (r.highestSeq + k) % rxDedupWindow
+			r.seen[i>>6] &^= 1 << (i & 63)
+		}
+	}
+	r.highestSeq = seq
+}
+
+func (r *rxState) account(p Packet, arrival time.Duration) {
+	if r.started && p.Seq <= r.highestSeq && r.heard(p.Seq) {
 		// A pure duplicate carries no new timing information: count it
 		// and keep it out of the jitter estimator.
 		r.duplicates++
@@ -760,26 +796,18 @@ func (r *rxState) account(p Packet, arrival time.Duration) {
 	case !r.started:
 		r.started = true
 		r.highestSeq = p.Seq
-	case p.Seq == r.highestSeq+1:
-		r.highestSeq = p.Seq
-	case p.Seq > r.highestSeq:
-		r.lost += int64(p.Seq - r.highestSeq - 1)
-		r.highestSeq = p.Seq
+	case p.Seq == r.highestSeq+1, p.Seq > r.highestSeq:
+		// The first form also takes the step across uint32 wrap.
+		r.lost += int64(p.Seq - r.highestSeq - 1) // 0 when next in sequence
+		r.advance(p.Seq)
 	default: // p.Seq < highestSeq and unseen: a late (reordered) arrival
 		r.reordered++
 		if r.lost > 0 {
 			r.lost-- // a frame previously counted lost arrived after all
 		}
 	}
-	r.seen[p.Seq] = true
-	if len(r.seen) > rxDedupWindow {
-		// Forget far-past sequence numbers; a datagram older than the
-		// window re-counts as a duplicate miss at worst.
-		for s := range r.seen {
-			if s+rxDedupWindow < r.highestSeq {
-				delete(r.seen, s)
-			}
-		}
+	if r.highestSeq-p.Seq < rxDedupWindow {
+		r.mark(p.Seq) // a late arrival from beyond the window has no slot
 	}
 	r.packets++
 	r.bytes += int64(len(p.Payload))
@@ -810,12 +838,16 @@ func (s RxStats) Loss() float64 {
 func (f *Flow) Stats() RxStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.rx.stats()
+}
+
+func (r *rxState) stats() RxStats {
 	return RxStats{
-		Packets:    f.rx.packets,
-		Bytes:      f.rx.bytes,
-		Lost:       f.rx.lost,
-		Reordered:  f.rx.reordered,
-		Duplicates: f.rx.duplicates,
-		Jitter:     f.rx.jitter,
+		Packets:    r.packets,
+		Bytes:      r.bytes,
+		Lost:       r.lost,
+		Reordered:  r.reordered,
+		Duplicates: r.duplicates,
+		Jitter:     r.jitter,
 	}
 }

@@ -148,26 +148,29 @@ func Parse(data []byte) (Packet, error) {
 	return p, nil
 }
 
-// bufPool recycles encode and socket-read buffers. Voice streams at 50
-// packets per second per flow; without pooling every packet costs a
-// fresh allocation on both the send and receive paths.
+// bufCap is the capacity of every pooled buffer: room for a typical
+// voice packet with a wide margin.
+const bufCap = 2048
+
+// bufPool recycles encode buffers. Voice streams at 50 packets per
+// second per flow; without pooling every packet costs a fresh allocation
+// on the send path. The pool holds pointers to fixed-size arrays: a
+// pointer fits an interface word, so neither Get nor Put allocates,
+// where a pooled *[]byte cost one slice header per PutBuf.
 var bufPool = sync.Pool{
-	New: func() interface{} {
-		b := make([]byte, 0, 2048)
-		return &b
-	},
+	New: func() interface{} { return new([bufCap]byte) },
 }
 
 // GetBuf returns an empty pooled buffer with room for a typical voice
 // packet. Return it with PutBuf when the datagram has been handed off.
-func GetBuf() []byte { return (*bufPool.Get().(*[]byte))[:0] }
+func GetBuf() []byte { return bufPool.Get().(*[bufCap]byte)[:0] }
 
-// PutBuf recycles a buffer obtained from GetBuf. Oversized buffers are
-// dropped so one jumbo datagram does not pin memory forever.
+// PutBuf recycles a buffer obtained from GetBuf; neither call allocates.
+// A buffer that append grew past bufCap is a different array and is left
+// to the collector, so one jumbo datagram does not pin memory forever.
 func PutBuf(b []byte) {
-	if cap(b) > 64<<10 {
+	if cap(b) != bufCap {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	bufPool.Put((*[bufCap]byte)(b[:bufCap]))
 }
