@@ -91,11 +91,12 @@ lint:
 
 # allocgate re-runs the allocation-regression tests (TestEncodeAllocs,
 # TestDecodeAllocs*, TestClusterStatsBatchAllocs, TestClockAllocs,
-# TestBufPoolAllocs, TestVoicePacketAllocs) in a plain build: the race
-# runs above skip them because -race instruments allocations, so without
-# this target `check` would never enforce the zero-alloc wire path
-# (DESIGN.md §15), the zero-alloc virtual-clock event (§10) or the
-# zero-alloc voice packet (§12).
+# TestBufPoolAllocs, TestVoicePacketAllocs, TestTCPCallAllocs) in a
+# plain build: the race runs above skip them because -race instruments
+# allocations, so without this target `check` would never enforce the
+# zero-alloc wire path and kept-connection TCP round trip (DESIGN.md
+# §15), the zero-alloc virtual-clock event (§10) or the zero-alloc voice
+# packet (§12).
 allocgate:
 	$(GO) test -run 'Allocs' -count=1 ./internal/transport/ ./internal/netmodel/ ./internal/sim/ ./internal/transport/udp/
 
@@ -165,9 +166,12 @@ bench-wire:
 # race-dataplane runs the media-plane packages (transport, NAT
 # emulation, session monitoring) under the race detector — the layers
 # that juggle keepalive timers, re-establishment and relay expiry
-# concurrently.
+# concurrently — then stresses the TCP transport's connection hand-off
+# (Call, the park list, Close) twenty times over: its races are between
+# a handful of goroutines and one pass rarely lines them up.
 race-dataplane:
 	$(GO) test -race -count=1 ./internal/transport/... ./internal/nat/... ./internal/session/...
+	$(GO) test -race -count=20 -run 'TCP' ./internal/transport/
 
 # timecheck is kept as an alias for muscle memory: the old grep gate was
 # replaced by the schedtime analyzer in asaplint, which also catches

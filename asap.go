@@ -124,7 +124,8 @@ var NewBootstrap = core.NewBootstrap
 // NewPeer builds and serves a peer node, joining via its bootstrap.
 var NewPeer = core.NewNode
 
-// NewTCPTransport returns a gob-over-TCP transport for live deployments.
+// NewTCPTransport returns the transport for live deployments: binary-codec
+// frames over TCP connections it keeps between calls.
 func NewTCPTransport() Transport { return transport.NewTCP() }
 
 // NewMemTransport returns the in-memory transport used in tests and

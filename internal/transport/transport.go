@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -252,26 +253,55 @@ func (m *Mem) Close() error {
 
 // --- TCP transport ---
 
-// TCP is a length-prefixed binary-codec transport over real sockets. Each Call
-// opens a fresh connection: simple, correct, and adequate for control
-// traffic (voice forwarding batches packets per message).
+// TCP is a length-prefixed binary-codec transport over real sockets
+// that keeps its connections, HTTP/1.1 keep-alive style: a Call takes an
+// idle connection to the peer (or dials one), runs exactly one
+// request/response exchange on it and parks it again, and the serving
+// side answers request after request on one connection until the peer
+// hangs up or stays silent for CallTimeout. The frames carry no request
+// id, so a connection is used by one exchange at a time and is parked
+// only after a complete reply was read; after any failure it is closed,
+// which is what keeps a late reply from ever reaching the next caller.
+// A parked connection the peer has closed in the meantime costs a
+// redial and a resend, not an error (see Call).
 type TCP struct {
 	mu        sync.Mutex
 	listeners []net.Listener
+	idle      []idleConn            // parked client connections, oldest first
+	serving   map[net.Conn]struct{} // open server-side connections
+	closed    bool
 	wg        sync.WaitGroup
-	// Sched spawns the accept-loop and per-connection goroutines. Nil
-	// means the shared wall adapter: the TCP transport only exists in
-	// live deployments, but routing through a Scheduler keeps every
-	// goroutine in internal/ accounted for (DESIGN.md §9).
+	// Sched spawns the accept-loop and per-connection goroutines and
+	// ages the parked connections. Nil means the shared wall adapter: the
+	// TCP transport only exists in live deployments, but routing through
+	// a Scheduler keeps every goroutine in internal/ accounted for
+	// (DESIGN.md §9).
 	Sched sim.Scheduler
 	// DialTimeout bounds connection setup (default 5s).
 	DialTimeout time.Duration
-	// CallTimeout bounds the full request/response exchange after connect
-	// (default 10s). Without it, a peer that accepts and then stalls —
-	// never reading the request or never writing a response — blocks the
-	// caller forever. Zero disables the deadline.
+	// CallTimeout bounds one full request/response exchange (default
+	// 10s), and on the serving side the wait for a connection's next
+	// request. Without it, a peer that accepts and then stalls — never
+	// reading the request or never writing a response — blocks the caller
+	// forever. Zero disables the deadline.
 	CallTimeout time.Duration
 }
+
+// idleConn is a client connection parked between two Calls.
+type idleConn struct {
+	to    Addr
+	conn  net.Conn
+	since time.Duration // sched().Now() when it was parked
+}
+
+// Bounds on the parked client connections: a burst of concurrent Calls
+// to one peer keeps at most maxIdlePerPeer of the connections it opened,
+// and a node that talks to many peers keeps the maxIdleTotal most
+// recently used (which also bounds the scan in takeIdle and park).
+const (
+	maxIdlePerPeer = 4
+	maxIdleTotal   = 64
+)
 
 // NewTCP returns a TCP transport.
 func NewTCP() *TCP {
@@ -285,6 +315,14 @@ func (t *TCP) sched() sim.Scheduler {
 	return wallFallback
 }
 
+// arm gives conn CallTimeout from now for whatever comes next.
+func (t *TCP) arm(conn net.Conn) {
+	if t.CallTimeout > 0 {
+		//lint:allow schedtime net.Conn deadlines are absolute wall-clock instants; the Scheduler's relative clock cannot express them
+		_ = conn.SetDeadline(time.Now().Add(t.CallTimeout))
+	}
+}
+
 // Serve implements Transport: it listens on addr (e.g. "127.0.0.1:0")
 // and dispatches each inbound request to h.
 func (t *TCP) Serve(addr Addr, h Handler) (Addr, error) {
@@ -293,6 +331,11 @@ func (t *TCP) Serve(addr Addr, h Handler) (Addr, error) {
 		return "", fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		_ = ln.Close()
+		return "", errors.New("transport: closed")
+	}
 	t.listeners = append(t.listeners, ln)
 	t.mu.Unlock()
 
@@ -307,77 +350,218 @@ func (t *TCP) Serve(addr Addr, h Handler) (Addr, error) {
 			t.wg.Add(1)
 			t.sched().Go(func() {
 				defer t.wg.Done()
-				defer func() { _ = conn.Close() }()
-				// A client that connects and never sends (or never drains
-				// the response) must not pin this goroutine past Close.
-				if t.CallTimeout > 0 {
-					//lint:allow schedtime net.Conn deadlines are absolute wall-clock instants; the Scheduler's relative clock cannot express them
-					_ = conn.SetDeadline(time.Now().Add(t.CallTimeout))
-				}
-				req, err := readFrame(conn)
-				if err != nil {
-					return
-				}
-				resp, err := h(req.From, req)
-				if err != nil {
-					resp = &Message{Type: MsgError, Error: err.Error()}
-				}
-				_ = writeFrame(conn, resp)
-				// The request envelope came from the pool (readFrame) and
-				// handlers never retain it; the response is recycled too
-				// unless the handler echoed the request back.
-				if resp != req {
-					ReleaseMessage(resp)
-				}
-				ReleaseMessage(req)
+				t.serveConn(conn, h)
 			})
 		}
 	})
 	return Addr(ln.Addr().String()), nil
 }
 
-// Call implements Transport.
+// serveConn answers the requests arriving on one accepted connection,
+// one at a time, until the peer hangs up, a frame fails, or no request
+// arrives within CallTimeout: a client that connects and never sends —
+// or parks the connection and never comes back — pins this task exactly
+// that long, and Close cuts it short.
+func (t *TCP) serveConn(conn net.Conn, h Handler) {
+	defer func() { _ = conn.Close() }()
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return
+	}
+	if t.serving == nil {
+		t.serving = make(map[net.Conn]struct{})
+	}
+	t.serving[conn] = struct{}{}
+	t.mu.Unlock()
+	defer func() {
+		t.mu.Lock()
+		delete(t.serving, conn)
+		t.mu.Unlock()
+	}()
+	for {
+		t.arm(conn)
+		req, err := readFrame(conn)
+		if err != nil {
+			return
+		}
+		resp, err := h(req.From, req)
+		if err != nil {
+			resp = errorReply(err)
+		}
+		// The wait for the request must not eat into the reply's time.
+		t.arm(conn)
+		err = writeFrame(conn, resp)
+		// The request envelope came from the pool (readFrame) and
+		// handlers never retain it; the response is recycled too
+		// unless the handler echoed the request back.
+		if resp != req {
+			ReleaseMessage(resp)
+		}
+		ReleaseMessage(req)
+		if err != nil {
+			return
+		}
+	}
+}
+
+// errorReply is the frame a failed handler answers with; the caller's
+// side turns it back into an error.
+func errorReply(err error) *Message {
+	m := AcquireMessage()
+	m.Type, m.Error = MsgError, err.Error()
+	return m
+}
+
+// Call implements Transport: one exchange on a kept connection to the
+// peer, or on a fresh one when none is parked. Handlers may see a
+// request twice — the same at-least-once contract RetryPolicy.Do already
+// imposes — because a parked connection can be one the peer has closed
+// since (it restarted, or its idle deadline fired): when the exchange on
+// a reused connection fails before a reply was read, and not by running
+// into CallTimeout, Call dials and resends once. Every other failure
+// surfaces exactly as it does on a connection dialled for the call.
 func (t *TCP) Call(to Addr, req *Message) (*Message, error) {
+	conn := t.takeIdle(to)
+	if conn != nil {
+		resp, stale, err := t.exchange(conn, to, req)
+		if !stale {
+			return resp, err
+		}
+	}
 	conn, err := net.DialTimeout("tcp", string(to), t.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
 	}
-	defer func() { _ = conn.Close() }()
-	if t.CallTimeout > 0 {
-		//lint:allow schedtime net.Conn deadlines are absolute wall-clock instants; the Scheduler's relative clock cannot express them
-		_ = conn.SetDeadline(time.Now().Add(t.CallTimeout))
+	resp, _, err := t.exchange(conn, to, req)
+	return resp, err
+}
+
+// exchange runs one request/response exchange on conn, which the caller
+// holds exclusively, within CallTimeout. A connection that carried a
+// complete reply is parked; after any failure it is closed, never parked
+// dirty. stale reports a failure that a connection closed by the peer
+// while it was parked would produce — anything but a deadline timeout or
+// an oversize request — which on a reused connection earns one redial.
+func (t *TCP) exchange(conn net.Conn, to Addr, req *Message) (resp *Message, stale bool, err error) {
+	t.arm(conn)
+	err = writeFrame(conn, req)
+	if errors.Is(err, ErrFrameTooLarge) {
+		// Re-sending the same message can never fit, so this surfaces
+		// as-is and the retry layer gives up.
+		_ = conn.Close()
+		return nil, false, err
 	}
-	// Frame-level failures (peer died mid-exchange, deadline hit) count as
-	// unreachable: the control-plane retry layer treats them as transient.
-	// An oversize frame is the one exception — re-sending the same message
-	// can never fit, so it surfaces as-is and the retry layer gives up.
-	if err := writeFrame(conn, req); err != nil {
-		if errors.Is(err, ErrFrameTooLarge) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
+	if err == nil {
+		resp, err = readFrame(conn)
 	}
-	resp, err := readFrame(conn)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
+		// Frame-level failures (peer died mid-exchange, deadline hit)
+		// count as unreachable: the control-plane retry layer treats them
+		// as transient.
+		_ = conn.Close()
+		stale = !errors.Is(err, os.ErrDeadlineExceeded)
+		return nil, stale, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
 	}
+	t.park(to, conn)
 	if resp.Type == MsgError {
 		err = fmt.Errorf("transport: remote error: %s", resp.Error)
 		ReleaseMessage(resp)
-		return nil, err
+		return nil, false, err
 	}
-	return resp, nil
+	return resp, false, nil
 }
 
-// Close implements Transport: stops all listeners and waits for inflight
-// handlers.
+// takeIdle hands out the most recently parked connection to the peer,
+// or nil. Connections parked for more than half of CallTimeout are
+// closed on the way: the peer's serving side gives up on a silent
+// connection after its own CallTimeout, and one about to be cut is not
+// worth a resend.
+func (t *TCP) takeIdle(to Addr) net.Conn {
+	now := t.sched().Now()
+	var conn net.Conn
+	var expired []net.Conn
+	t.mu.Lock()
+	if ttl := t.CallTimeout / 2; ttl > 0 {
+		for len(t.idle) > 0 && now-t.idle[0].since > ttl {
+			expired = append(expired, t.unparkLocked(0))
+		}
+	}
+	for i := len(t.idle) - 1; i >= 0; i-- {
+		if t.idle[i].to == to {
+			conn = t.unparkLocked(i)
+			break
+		}
+	}
+	t.mu.Unlock()
+	for _, c := range expired {
+		_ = c.Close()
+	}
+	return conn
+}
+
+// unparkLocked removes and returns the i-th parked connection.
+func (t *TCP) unparkLocked(i int) net.Conn {
+	conn := t.idle[i].conn
+	last := len(t.idle) - 1
+	copy(t.idle[i:], t.idle[i+1:])
+	t.idle[last] = idleConn{}
+	t.idle = t.idle[:last]
+	return conn
+}
+
+// park returns a connection that just carried a complete exchange to
+// the idle list, closing the peer's oldest — or the oldest of all — when
+// that puts the list over its bounds.
+func (t *TCP) park(to Addr, conn net.Conn) {
+	now := t.sched().Now()
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		_ = conn.Close()
+		return
+	}
+	t.idle = append(t.idle, idleConn{to: to, conn: conn, since: now})
+	n, oldest := 0, 0
+	for i := len(t.idle) - 1; i >= 0; i-- {
+		if t.idle[i].to == to {
+			n, oldest = n+1, i
+		}
+	}
+	var evicted net.Conn
+	switch {
+	case n > maxIdlePerPeer:
+		evicted = t.unparkLocked(oldest)
+	case len(t.idle) > maxIdleTotal:
+		evicted = t.unparkLocked(0)
+	}
+	t.mu.Unlock()
+	if evicted != nil {
+		_ = evicted.Close()
+	}
+}
+
+// Close implements Transport: it stops all listeners, closes the parked
+// client connections and the open server-side ones — an idle keep-alive
+// connection would otherwise hold its task until the read deadline —
+// and waits for the accept loops and inflight handlers (a handler still
+// running finishes; its reply goes down with the connection). A closed
+// transport serves nothing further and keeps no connection.
 func (t *TCP) Close() error {
 	t.mu.Lock()
-	for _, ln := range t.listeners {
+	t.closed = true
+	listeners, idle, serving := t.listeners, t.idle, t.serving
+	t.listeners, t.idle, t.serving = nil, nil, nil
+	t.mu.Unlock()
+	for _, ln := range listeners {
 		_ = ln.Close()
 	}
-	t.listeners = nil
-	t.mu.Unlock()
+	for _, ic := range idle {
+		_ = ic.conn.Close()
+	}
+	for conn := range serving {
+		_ = conn.Close()
+	}
 	t.wg.Wait()
 	return nil
 }
@@ -417,16 +601,19 @@ func writeFrame(w io.Writer, m *Message) error {
 // decodes it into a pooled Message. The caller owns the returned
 // Message and should ReleaseMessage it when done.
 func readFrame(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	bp := acquireBuf()
+	// The header is read into the pooled buffer too: a local array would
+	// escape through the io.Reader interface, one allocation per frame.
+	b := (*bp)[:4]
+	if _, err := io.ReadFull(r, b); err != nil {
+		releaseBuf(bp)
 		return nil, fmt.Errorf("transport: read header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(b)
 	if n > maxFrame {
+		releaseBuf(bp)
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	bp := acquireBuf()
-	b := *bp
 	if uint32(cap(b)) < n {
 		b = make([]byte, n)
 	}

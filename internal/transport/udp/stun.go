@@ -14,16 +14,20 @@ import (
 // deployments; tests run one on the public side of the NAT emulator.
 type STUNServer struct {
 	conn transport.PacketConn
+	// bound is closed once conn is set: a live socket's reader runs from
+	// inside ListenPacket, so handle must not read conn before then.
+	bound chan struct{}
 }
 
 // NewSTUNServer binds a discovery server on addr over net.
 func NewSTUNServer(pnet transport.PacketNetwork, addr transport.Addr) (*STUNServer, error) {
-	s := &STUNServer{}
+	s := &STUNServer{bound: make(chan struct{})}
 	conn, err := pnet.ListenPacket(addr, s.handle)
 	if err != nil {
 		return nil, fmt.Errorf("udp: stun listen: %w", err)
 	}
 	s.conn = conn
+	close(s.bound)
 	return s, nil
 }
 
@@ -41,6 +45,7 @@ func (s *STUNServer) handle(from transport.Addr, data []byte) {
 	if err != nil || p.Type != PTStunReq {
 		return // not ours; datagrams from strangers are dropped silently
 	}
+	<-s.bound
 	buf := GetBuf()
 	resp := Packet{Type: PTStunResp, Seq: p.Seq, SSRC: p.SSRC, Payload: []byte(from)}
 	buf = resp.AppendTo(buf)
