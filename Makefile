@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-parallel bench-virtualtime bench-dataplane bench-chaos-dataplane bench-scale bench-wire race-dataplane timecheck test-experiments profile chaos check print-staticcheck-version print-govulncheck-version
+.PHONY: build test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-scale race-dataplane test-experiments profile chaos check print-staticcheck-version print-govulncheck-version
 
 build:
 	$(GO) build ./...
@@ -107,39 +107,12 @@ allocgate:
 bench-smoke:
 	cd bench && $(GO) test ./...
 
+# bench runs the repo's one benchmark (BENCHMARK.json): five workloads,
+# end-to-end call metrics and the per-layer ledger. `bash bench/run.sh
+# -list` names every metric; -workload, -seconds, -runs/-out and
+# -compare are passed the same way.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 0.2s .
-
-# bench-parallel measures the parallel evaluation harness against its
-# single-worker baseline (the output is identical by construction; the
-# ratio is pure wall-clock speedup and scales with core count).
-bench-parallel:
-	$(GO) test -run '^$$' -bench 'ComparisonSerial|ComparisonParallel|RoutingStudySerial|RoutingStudyParallel' -benchtime 5x -count 3 .
-
-# bench-virtualtime measures the wall-clock cost of the churn and
-# stabilization experiments under the injected virtual clock (one
-# iteration = one full two-arm experiment). Before the scheduler
-# refactor the churn experiment alone slept ~8 s of real time; the
-# tracked numbers live in results/BENCH_virtualtime.md.
-bench-virtualtime:
-	$(GO) test -run '^$$' -bench 'ChurnVirtualTime|StabilizationVirtualTime' -benchtime 5x -count 3 .
-
-# bench-dataplane measures the voice data plane (DESIGN.md §12):
-# datagram throughput through the in-memory packet network (packets/s)
-# and the full 4x4 NAT traversal matrix, which reports punch success
-# rate and p99 punch latency as benchmark metrics. The latency metrics
-# run on the virtual clock and are identical on every machine; CI
-# publishes the output as the BENCH_dataplane.json artifact.
-bench-dataplane:
-	$(GO) test -run '^$$' -bench 'DataplaneVoiceThroughput|DataplaneTraversalMatrix' -benchtime 1000x -count 3 .
-
-# bench-chaos-dataplane sweeps the 4x4 NAT traversal matrix under seeded
-# packet loss (5%/15%/30%), reporting the punch-success degradation
-# curve, relay-fallback fraction and p99 establishment latency — all on
-# the virtual clock, so everything except ns/op is deterministic. CI
-# publishes the output as the BENCH_chaosdataplane.json artifact.
-bench-chaos-dataplane:
-	$(GO) test -run '^$$' -bench 'ChaosDataplaneTraversal' -benchtime 20x -count 3 .
+	bash bench/run.sh -seed 1
 
 # bench-scale climbs the million-node deployment ladder (DESIGN.md §14):
 # 10^4, 10^5 and 10^6 live protocol nodes joining, churning and calling
@@ -154,15 +127,6 @@ SCALE_NODES ?= 1000000
 bench-scale:
 	$(GO) run ./cmd/asapsim -scale -nodes $(SCALE_NODES) -parallel 4 -benchout BENCH_scale.json
 
-# bench-wire measures the zero-alloc wire path (DESIGN.md §15): binary
-# codec encode/decode against the gob encoding it replaced (msgs/s and
-# allocs/op), the framed loopback-TCP round trip, and the batched probe
-# protocol's roundtrips-per-tick economy on the virtual clock. CI
-# publishes the output as the BENCH_wire.json artifact; the tracked
-# numbers live in results/BENCH_wire.json.
-bench-wire:
-	$(GO) test -run '^$$' -bench 'Wire' -benchtime 10000x -count 3 .
-
 # race-dataplane runs the media-plane packages (transport, NAT
 # emulation, session monitoring) under the race detector — the layers
 # that juggle keepalive timers, re-establishment and relay expiry
@@ -172,12 +136,6 @@ bench-wire:
 race-dataplane:
 	$(GO) test -race -count=1 ./internal/transport/... ./internal/nat/... ./internal/session/...
 	$(GO) test -race -count=20 -run 'TCP' ./internal/transport/
-
-# timecheck is kept as an alias for muscle memory: the old grep gate was
-# replaced by the schedtime analyzer in asaplint, which also catches
-# aliased time imports, time.Now/time.Since, and wrapped calls the grep
-# missed. The same exemptions apply (internal/sim/wall.go, _test.go).
-timecheck: lint
 
 # test-experiments runs the virtual-time experiment suite with a tight
 # timeout: everything in internal/eval runs on the simulated clock, so

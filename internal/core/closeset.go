@@ -44,10 +44,6 @@ func (n *Node) Ping(to transport.Addr) (time.Duration, error) {
 // under the virtual clock the winner is decided by event order, not by a
 // racing wall timer.
 func (n *Node) pingWithTimeout(to transport.Addr) (time.Duration, error) {
-	timeout := n.cfg.PingTimeout
-	if timeout <= 0 {
-		timeout = 2 * n.cfg.Params.LatT
-	}
 	var (
 		mu  sync.Mutex
 		rtt time.Duration
@@ -61,7 +57,8 @@ func (n *Node) pingWithTimeout(to transport.Addr) (time.Duration, error) {
 		mu.Unlock()
 		w.Wake()
 	})
-	if !w.Wait(timeout) {
+	// A surrogate slower than twice LatT is no close-set candidate anyway.
+	if !w.Wait(2 * n.cfg.Params.LatT) {
 		// The stalled ping task is abandoned; it resolves into a dead
 		// Waiter whenever the transport finally answers.
 		return 0, fmt.Errorf("core: ping %s: %w", to, context.DeadlineExceeded)
@@ -70,6 +67,9 @@ func (n *Node) pingWithTimeout(to transport.Addr) (time.Duration, error) {
 	defer mu.Unlock()
 	return rtt, err
 }
+
+// closeSetPingWorkers bounds the close-set probe worker pool.
+const closeSetPingWorkers = 8
 
 // RefreshCloseSet rebuilds the close cluster set by asking the bootstrap
 // for surrogates within K valley-free AS hops and pinging each
@@ -95,10 +95,6 @@ func (n *Node) RefreshCloseSet() error {
 			cands = append(cands, e)
 		}
 	}
-	workers := n.cfg.PingWorkers
-	if workers <= 0 {
-		workers = 8
-	}
 	rtts := make([]time.Duration, len(cands))
 	oks := make([]bool, len(cands))
 	probes := make([]func(), len(cands))
@@ -111,7 +107,7 @@ func (n *Node) RefreshCloseSet() error {
 			}
 		}
 	}
-	n.sched.Join(workers, probes...)
+	n.sched.Join(closeSetPingWorkers, probes...)
 	var set []transport.CloseEntry
 	for i, e := range cands {
 		if oks[i] {

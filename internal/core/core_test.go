@@ -66,7 +66,6 @@ func TestParamsValidate(t *testing.T) {
 		{K: 4, LatT: time.Second, LossT: 0, SizeT: 1},
 		{K: 4, LatT: time.Second, LossT: 1.5, SizeT: 1},
 		{K: 4, LatT: time.Second, LossT: 0.1, SizeT: -1},
-		{K: 4, LatT: time.Second, LossT: 0.1, SizeT: 1, MaxTwoHopFetch: -1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

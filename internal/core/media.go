@@ -53,9 +53,6 @@ type MediaConfig struct {
 	// KeepaliveMisses is the silence threshold in intervals (min 1;
 	// default 3 when KeepaliveInterval is set).
 	KeepaliveMisses int
-	// UDP tunes the traversal ladder; the zero value means
-	// udp.DefaultConfig.
-	UDP udp.Config
 }
 
 // EnableMedia attaches the voice data plane to the node. Must be called
@@ -67,12 +64,7 @@ func (n *Node) EnableMedia(cfg MediaConfig) error {
 	if cfg.ListenHost == "" {
 		return fmt.Errorf("core: media needs a listen host")
 	}
-	ucfg := cfg.UDP
-	if ucfg == (udp.Config{}) {
-		ucfg = udp.DefaultConfig()
-	}
-	cfg.UDP = ucfg
-	ep, err := udp.NewEndpoint(cfg.Net, n.sched, ucfg)
+	ep, err := udp.NewEndpoint(cfg.Net, n.sched, udp.DefaultConfig())
 	if err != nil {
 		return err
 	}

@@ -34,10 +34,6 @@ type NodeConfig struct {
 	// Retry schedules control-plane retries; the zero value means
 	// DefaultRetryPolicy.
 	Retry RetryPolicy
-	// PingTimeout bounds each close-set probe ping (0 = 2x LatT).
-	PingTimeout time.Duration
-	// PingWorkers bounds the close-set probe worker pool (0 = 8).
-	PingWorkers int
 	// Sched is the node's time source: a *sim.Clock in simulation, the
 	// wall adapter in the live daemon. Nil means real time.
 	Sched sim.Scheduler
@@ -461,6 +457,14 @@ func (n *Node) asyncReelect() {
 	})
 }
 
+// maxProbeBatch bounds the far legs one MsgProbeBatch may ask a node to
+// ping. Each leg becomes a concurrent ping task, so without a bound a
+// single frame could turn a relay into a ping amplifier. ProbePaths
+// sends one leg per distinct callee this caller reaches through the
+// relay — one per live session, four on the benchmark's live_tcp — so
+// 64 is far above honest traffic.
+const maxProbeBatch = 64
+
 func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.Message, error) {
 	switch req.Type {
 	case transport.MsgPing:
@@ -506,12 +510,7 @@ func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.M
 			n.members = make(map[transport.Addr]transport.NodalInfo)
 		}
 		n.members[from] = req.Nodal
-		better := req.Nodal.BandwidthKbps/1000+req.Nodal.OnlineFor.Hours()+req.Nodal.CPUScore >
-			n.cfg.Nodal.BandwidthKbps/1000+n.cfg.Nodal.OnlineFor.Hours()+n.cfg.Nodal.CPUScore
 		n.mu.Unlock()
-		// Surrogates recommend better-equipped members (duty 5); the
-		// recommendation is advisory in this implementation.
-		_ = better
 		return &transport.Message{Type: transport.MsgPublishNodalInfoReply}, nil
 
 	case transport.MsgKeepalive:
@@ -528,22 +527,18 @@ func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.M
 		resp.FlowID = req.FlowID
 		return resp, nil
 
-	case transport.MsgRelayProbe:
-		// Relay role: measure our leg to the probe's destination so the
-		// caller's round trip spans the whole relayed path.
-		rtt, err := n.Ping(req.Dst)
-		if err != nil {
-			return nil, fmt.Errorf("core: relay probe: callee leg: %w", err)
-		}
-		return &transport.Message{Type: transport.MsgRelayProbeReply, RTT: rtt}, nil
-
 	case transport.MsgProbeBatch:
 		// Relay role, batched: measure our leg to every probe destination
 		// in one round trip. Legs run concurrently, so the caller recovers
 		// its own leg as elapsed - max(leg RTTs); an empty destination
 		// means "the path ends here" and costs nothing. An unreachable
 		// destination answers -1 rather than failing the whole batch, so
-		// each path degrades individually (DESIGN.md §15).
+		// each path degrades individually (DESIGN.md §15). The batch
+		// size comes straight off the wire, so it is bounded before any
+		// ping task exists.
+		if len(req.ProbeDsts) > maxProbeBatch {
+			return nil, fmt.Errorf("core: probe batch of %d destinations exceeds the limit of %d", len(req.ProbeDsts), maxProbeBatch)
+		}
 		rtts := make([]time.Duration, len(req.ProbeDsts))
 		fns := make([]func(), 0, len(req.ProbeDsts))
 		for i, dst := range req.ProbeDsts {

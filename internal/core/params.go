@@ -41,10 +41,6 @@ type Params struct {
 	// two-hop selection starts ("We set sizeT in select-close-relay() of
 	// ASAP to 300").
 	SizeT int
-	// MaxTwoHopFetch caps how many one-hop clusters a session fetches
-	// close sets from during two-hop expansion ("the end host can choose
-	// a fraction of candidate relay nodes to probe"). Zero means no cap.
-	MaxTwoHopFetch int
 }
 
 // DefaultParams returns the paper's evaluation parameters.
@@ -68,8 +64,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: LossT must be in (0,1], got %g", p.LossT)
 	case p.SizeT < 0:
 		return fmt.Errorf("core: SizeT must be >= 0, got %d", p.SizeT)
-	case p.MaxTwoHopFetch < 0:
-		return fmt.Errorf("core: MaxTwoHopFetch must be >= 0, got %d", p.MaxTwoHopFetch)
 	}
 	return nil
 }

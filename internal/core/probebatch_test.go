@@ -10,16 +10,17 @@ import (
 	"asap/internal/transport"
 )
 
-// These tests pin the batched probe path (ProbePaths / MsgProbeBatch) to
-// the scalar ProbePath it replaces: under a virtual clock with synthetic
-// link latency, the batched measurements must be the exact durations the
-// scalar calls would have observed, and unreachable legs must degrade
-// per path instead of failing the whole batch.
+// These tests pin the probe path (ProbePaths / MsgProbeBatch) to the
+// link latencies the world is configured with: on a virtual clock a
+// path's measured round trip must be exactly twice its own leg plus
+// twice its far leg, unreachable legs must degrade per path instead of
+// failing the whole batch, and an oversized batch must be refused
+// before the relay pings anyone.
 
 // probeBatchWorld builds a latency-emulated Mem deployment on a virtual
 // clock: a bootstrap, two relays, a caller and two callees. Bootstrap
 // links are free so node construction can run outside clock tasks.
-func probeBatchWorld(t *testing.T) (*sim.Clock, *Node, map[string]*Node) {
+func probeBatchWorld(t *testing.T) (*sim.Clock, *transport.Mem, map[string]*Node) {
 	t.Helper()
 	clk := &sim.Clock{}
 	lat := map[[2]transport.Addr]time.Duration{
@@ -72,64 +73,58 @@ func probeBatchWorld(t *testing.T) (*sim.Clock, *Node, map[string]*Node) {
 		}
 		return lat[[2]transport.Addr{to, from}]
 	}
-	return clk, nodes["c"], nodes
+	return clk, mem, nodes
 }
 
-func TestProbePathsMatchesScalarProbePath(t *testing.T) {
-	clk, caller, nodes := probeBatchWorld(t)
+func TestProbePathsMeasuresOwnPlusFarLeg(t *testing.T) {
+	clk, _, nodes := probeBatchWorld(t)
+	caller := nodes["c"]
 
-	// The callee reports in-call quality so the loss fan-in is exercised
-	// on both the scalar and batched paths. The report crosses a
-	// latency-emulated link, so it must run as a clock task.
+	// The callee reports in-call quality so the loss fan-in is exercised.
+	// The report crosses a latency-emulated link, so it must run as a
+	// clock task.
 	clk.RunTask(func() {
 		if err := nodes["d1"].SendQualityReport(caller.Addr(), 1, 70*time.Millisecond, 0.03); err != nil {
 			t.Fatal(err)
 		}
 	})
 
-	reqs := []session.PathRequest{
-		{Relay: "r1", Callee: "d1"},
-		{Relay: "r1", Callee: "d2"},
-		{Relay: "r2", Callee: "d1"},
-		{Relay: "", Callee: "d1"},
-		{Relay: "r1", Callee: "d1"}, // duplicate: shares the first leg
+	// Each want is 2 x own leg + 2 x far leg from probeBatchWorld's table.
+	const ms = time.Millisecond
+	cases := []struct {
+		req      session.PathRequest
+		wantRTT  time.Duration
+		wantLoss float64
+	}{
+		{session.PathRequest{Relay: "r1", Callee: "d1"}, 2*10*ms + 2*15*ms, 0.03},
+		{session.PathRequest{Relay: "r1", Callee: "d2"}, 2*10*ms + 2*30*ms, 0}, // shares r1's batch
+		{session.PathRequest{Relay: "r2", Callee: "d1"}, 2*25*ms + 2*5*ms, 0.03},
+		{session.PathRequest{Relay: "", Callee: "d1"}, 2 * 40 * ms, 0.03},         // direct: no far leg
+		{session.PathRequest{Relay: "r1", Callee: "d1"}, 2*10*ms + 2*15*ms, 0.03}, // duplicate: shares the first leg
 	}
-
-	// Scalar reference: each path measured on its own, sequentially, so
-	// every sample is a clean virtual-clock round trip.
-	want := make([]session.PathResult, len(reqs))
-	clk.RunTask(func() {
-		for i, r := range reqs {
-			want[i].RTT, want[i].Loss, want[i].Err = caller.ProbePath(r.Relay, r.Callee)
-		}
-	})
-
+	reqs := make([]session.PathRequest, len(cases))
+	for i, c := range cases {
+		reqs[i] = c.req
+	}
 	var got []session.PathResult
 	clk.RunTask(func() { got = caller.ProbePaths(reqs) })
 
-	for i := range reqs {
-		if (want[i].Err == nil) != (got[i].Err == nil) {
-			t.Fatalf("req %d: scalar err %v vs batched err %v", i, want[i].Err, got[i].Err)
+	for i, c := range cases {
+		if got[i].Err != nil {
+			t.Fatalf("req %d (%+v): %v", i, c.req, got[i].Err)
 		}
-		if got[i].RTT != want[i].RTT {
-			t.Errorf("req %d (%+v): batched RTT %v, scalar %v", i, reqs[i], got[i].RTT, want[i].RTT)
+		if got[i].RTT != c.wantRTT {
+			t.Errorf("req %d (%+v): RTT %v, want %v", i, c.req, got[i].RTT, c.wantRTT)
 		}
-		if got[i].Loss != want[i].Loss {
-			t.Errorf("req %d: batched loss %.3f, scalar %.3f", i, got[i].Loss, want[i].Loss)
+		if got[i].Loss != c.wantLoss {
+			t.Errorf("req %d (%+v): loss %.3f, want %.3f", i, c.req, got[i].Loss, c.wantLoss)
 		}
-	}
-	// Sanity-pin one value so the latency emulation itself is trusted:
-	// c->r1->d1 is 2*(10ms) + 2*(15ms) = 50ms.
-	if want[0].RTT != 50*time.Millisecond {
-		t.Errorf("scalar c->r1->d1 RTT = %v, want 50ms", want[0].RTT)
-	}
-	if want[0].Loss != 0.03 {
-		t.Errorf("scalar loss = %.3f, want the reported 0.03", want[0].Loss)
 	}
 }
 
 func TestProbePathsUnreachableLegDegradesAlone(t *testing.T) {
-	clk, caller, _ := probeBatchWorld(t)
+	clk, _, nodes := probeBatchWorld(t)
+	caller := nodes["c"]
 
 	reqs := []session.PathRequest{
 		{Relay: "r1", Callee: "d1"},
@@ -150,5 +145,50 @@ func TestProbePathsUnreachableLegDegradesAlone(t *testing.T) {
 	}
 	if got[2].Err == nil || !errors.Is(got[2].Err, transport.ErrUnreachable) {
 		t.Errorf("dead direct target error = %v, want ErrUnreachable", got[2].Err)
+	}
+}
+
+// TestProbeBatchOverCapRefused aims probe batches at a counting endpoint
+// through a relay: the largest allowed batch pings every destination;
+// with one destination more the relay refuses the request and pings none.
+func TestProbeBatchOverCapRefused(t *testing.T) {
+	clk, mem, _ := probeBatchWorld(t)
+	pings := 0 // written only by clock tasks, which run one at a time
+	if _, err := mem.Serve("sink", func(_ transport.Addr, m *transport.Message) (*transport.Message, error) {
+		pings++
+		return &transport.Message{Type: transport.MsgPong, SentAt: m.SentAt}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	batch := func(n int) (*transport.Message, error) {
+		dsts := make([]transport.Addr, n)
+		for i := range dsts {
+			dsts[i] = "sink"
+		}
+		var resp *transport.Message
+		var err error
+		clk.RunTask(func() {
+			resp, err = mem.Call("r1", &transport.Message{Type: transport.MsgProbeBatch, From: "c", ProbeDsts: dsts})
+		})
+		return resp, err
+	}
+
+	resp, err := batch(maxProbeBatch)
+	if err != nil {
+		t.Fatalf("batch at the cap: %v", err)
+	}
+	if len(resp.ProbeRTTs) != maxProbeBatch || pings != maxProbeBatch {
+		t.Fatalf("batch at the cap: %d RTTs, %d pings, want %d of each", len(resp.ProbeRTTs), pings, maxProbeBatch)
+	}
+
+	pings = 0
+	if _, err = batch(maxProbeBatch + 1); err == nil {
+		t.Fatal("over-cap batch was accepted")
+	}
+	if transport.IsTransient(err) {
+		t.Errorf("over-cap refusal %q is transient: a retry would resend the same oversized batch", err)
+	}
+	if pings != 0 {
+		t.Errorf("over-cap batch sent %d pings before it was refused, want 0", pings)
 	}
 }

@@ -53,20 +53,6 @@ func (sel *Selection) QualityPaths() int64 {
 	return int64(sel.OneHopHosts) + sel.TwoHopPairs
 }
 
-// BestEstimate returns the lowest estimated relay RTT across candidates
-// and whether any candidate exists.
-func (sel *Selection) BestEstimate() (time.Duration, bool) {
-	best := time.Duration(1<<62 - 1)
-	ok := false
-	if len(sel.OneHop) > 0 {
-		best, ok = sel.OneHop[0].EstRTT, true
-	}
-	if len(sel.TwoHop) > 0 && sel.TwoHop[0].EstRTT < best {
-		best, ok = sel.TwoHop[0].EstRTT, true
-	}
-	return best, ok
-}
-
 // SelectCloseRelay runs the Fig. 10 algorithm for a calling session from
 // h1 to h2:
 //
@@ -144,11 +130,7 @@ func (s *System) SelectCloseRelayWith(h1, h2 cluster.HostID, prober *netmodel.Pr
 
 	// Step 4: two-hop expansion when the one-hop set is small.
 	if sel.OneHopHosts < s.params.SizeT {
-		fetch := sel.OneHop
-		if s.params.MaxTwoHopFetch > 0 && len(fetch) > s.params.MaxTwoHopFetch {
-			fetch = fetch[:s.params.MaxTwoHopFetch]
-		}
-		for _, oc := range fetch {
+		for _, oc := range sel.OneHop {
 			r1 := oc.Cluster
 			// h1 obtains r1's close cluster set: 2 messages.
 			sel.Messages += 2

@@ -79,31 +79,11 @@ func (n *Node) SendVoice(choice *RelayChoice, callee transport.Addr, frames []by
 
 // ProbePath measures the full voice-path round trip through relay to
 // callee (relay == "" probes the direct path) and pairs it with the
-// latest listener-reported loss, implementing session.Driver. The relay
-// leg uses MsgRelayProbe: the relay pings the callee before answering,
-// so the caller's wall-clock round trip covers caller->relay->callee.
+// latest listener-reported loss, implementing session.Driver: it is
+// ProbePaths of one request.
 func (n *Node) ProbePath(relay, callee transport.Addr) (time.Duration, float64, error) {
-	start := n.sched.Now()
-	var err error
-	if relay == "" {
-		_, err = n.Ping(callee)
-	} else {
-		var resp *transport.Message
-		resp, err = n.tr.Call(relay, &transport.Message{
-			Type: transport.MsgRelayProbe, From: n.addr, Dst: callee,
-		})
-		if err == nil && resp.Type != transport.MsgRelayProbeReply {
-			err = fmt.Errorf("core: unexpected relay probe reply type %d", resp.Type)
-		}
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	loss := 0.0
-	if q, ok := n.PeerQuality(callee); ok {
-		loss = q.Loss
-	}
-	return n.sched.Now() - start, loss, nil
+	r := n.ProbePaths([]session.PathRequest{{Relay: relay, Callee: callee}})[0]
+	return r.RTT, r.Loss, r.Err
 }
 
 // probeGroup is one wire destination's share of a batched probe tick:
@@ -121,9 +101,8 @@ type probeGroup struct {
 // trip instead of one call per path. The receiver measures its far
 // legs concurrently and replies with per-leg RTTs; since the legs
 // overlap in time, this node's own leg is elapsed - max(leg RTTs), and
-// each path's total is own leg + its far leg — the same sample the
-// scalar ProbePath would have measured (DESIGN.md §15). Groups are
-// built in first-seen order, so the wire schedule is deterministic.
+// each path's total is own leg + its far leg (DESIGN.md §15). Groups
+// are built in first-seen order, so the wire schedule is deterministic.
 func (n *Node) ProbePaths(reqs []session.PathRequest) []session.PathResult {
 	out := make([]session.PathResult, len(reqs))
 	var groups []probeGroup

@@ -31,13 +31,6 @@ import (
 type ChurnConfig struct {
 	// Calls is the number of calls placed (sequentially) by the workload.
 	Calls int
-	// CallGap is the pause between consecutive calls.
-	CallGap time.Duration
-	// OutageAfter is the call index before which the bootstrap enters its
-	// outage window.
-	OutageAfter int
-	// BootstrapOutage is how long the bootstrap stays unreachable.
-	BootstrapOutage time.Duration
 	// KillAfter is the call index before which the callee cluster's
 	// surrogate is killed.
 	KillAfter int
@@ -53,16 +46,20 @@ type ChurnConfig struct {
 // DefaultChurnConfig returns the standard churn workload.
 func DefaultChurnConfig() ChurnConfig {
 	return ChurnConfig{
-		Calls:           20,
-		CallGap:         5 * time.Millisecond,
-		OutageAfter:     3,
-		BootstrapOutage: 150 * time.Millisecond,
-		KillAfter:       7,
-		LeaseTTL:        120 * time.Millisecond,
-		Drop:            0.02,
-		Seed:            1,
+		Calls:     20,
+		KillAfter: 7,
+		LeaseTTL:  120 * time.Millisecond,
+		Drop:      0.02,
+		Seed:      1,
 	}
 }
+
+// The fixed part of the churn fault schedule.
+const (
+	churnCallGap         = 5 * time.Millisecond   // pause between consecutive calls
+	churnOutageAfter     = 3                      // call index at which the bootstrap outage starts
+	churnBootstrapOutage = 150 * time.Millisecond // how long the bootstrap stays unreachable
+)
 
 func (c ChurnConfig) validate() error {
 	if c.Calls < 1 {
@@ -284,8 +281,8 @@ func runChurnArm(cfg ChurnConfig, ttl time.Duration, method string) (ChurnArm, e
 		killedAt := notKilled
 		payload := []byte("churn-voice-frames")
 		for i := 0; i < cfg.Calls; i++ {
-			if i == cfg.OutageAfter {
-				chaos.OutageFor(bs.Addr(), cfg.BootstrapOutage)
+			if i == churnOutageAfter {
+				chaos.OutageFor(bs.Addr(), churnBootstrapOutage)
 			}
 			if i == cfg.KillAfter {
 				b0.Close()
@@ -320,7 +317,7 @@ func runChurnArm(cfg ChurnConfig, ttl time.Duration, method string) (ChurnArm, e
 				arm.Reelected = true
 				arm.ReelectLatency = clk.Now() - killedAt
 			}
-			clk.Sleep(cfg.CallGap)
+			clk.Sleep(churnCallGap)
 		}
 		// A re-election that lands after the last call still counts, with the
 		// latency measured at observation time.

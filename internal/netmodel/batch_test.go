@@ -99,6 +99,33 @@ func TestHostStatsBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// Scalar reference probes: the one-pair-at-a-time measurements that
+// ProbeClusterSet replaced in production. They live here as the oracle
+// for TestProbeClusterSetMatchesScalarSequence (and TestProberNonResponse).
+
+// ClusterRTT measures delegate-to-delegate RTT between clusters.
+func (p *Prober) ClusterRTT(a, b cluster.ClusterID) (time.Duration, bool) {
+	p.counters.Add("probe.cluster_rtt", p.MessagesPerProbe)
+	if !p.rng.Bool(p.ResponseProb) {
+		return 0, false
+	}
+	rtt, ok := p.m.ClusterRTT(a, b)
+	if !ok {
+		return 0, false
+	}
+	return p.noisy(rtt), true
+}
+
+// ClusterLoss samples the loss rate between two clusters with a short
+// ping train.
+func (p *Prober) ClusterLoss(a, b cluster.ClusterID) (float64, bool) {
+	p.counters.Add("probe.cluster_loss", p.MessagesPerProbe)
+	if !p.rng.Bool(p.ResponseProb) {
+		return 0, false
+	}
+	return p.m.ClusterLoss(a, b)
+}
+
 // TestProbeClusterSetMatchesScalarSequence pins the RNG contract: with
 // identical streams, the batched probe round produces bit-identical
 // measurements and identical message accounting to the scalar

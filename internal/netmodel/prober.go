@@ -148,29 +148,6 @@ func (p *Prober) HostRTT(a, b cluster.HostID) (time.Duration, bool) {
 	return p.noisy(rtt), true
 }
 
-// ClusterRTT measures delegate-to-delegate RTT between clusters.
-func (p *Prober) ClusterRTT(a, b cluster.ClusterID) (time.Duration, bool) {
-	p.counters.Add("probe.cluster_rtt", p.MessagesPerProbe)
-	if !p.rng.Bool(p.ResponseProb) {
-		return 0, false
-	}
-	rtt, ok := p.m.ClusterRTT(a, b)
-	if !ok {
-		return 0, false
-	}
-	return p.noisy(rtt), true
-}
-
-// ClusterLoss samples the loss rate between two clusters with a short
-// ping train.
-func (p *Prober) ClusterLoss(a, b cluster.ClusterID) (float64, bool) {
-	p.counters.Add("probe.cluster_loss", p.MessagesPerProbe)
-	if !p.rng.Bool(p.ResponseProb) {
-		return 0, false
-	}
-	return p.m.ClusterLoss(a, b)
-}
-
 // ClusterProbe is one result of a batched close-set measurement round:
 // the RTT measurement toward one target and, when the RTT came back
 // under the round's latency threshold, the follow-up loss sample.
@@ -187,11 +164,10 @@ type ClusterProbe struct {
 // never worth a loss train. The ground truth for the whole set is
 // fetched in one vectorized cache visit (ClusterStatsBatch) before any
 // noise is drawn, and the per-target draw order — response Bool, noise
-// Normal, then the conditional loss-response Bool — is exactly the
-// sequence the scalar ClusterRTT/ClusterLoss calls consume, so a given
-// RNG stream produces bit-identical results either way. Message
-// counters are charged the same totals in two bulk adds. out must be
-// at least len(targets) long.
+// Normal, then the conditional loss-response Bool — is the sequence a
+// per-target RTT probe followed by a loss probe would consume (the
+// reference in batch_test.go pins it). Message counters are charged in
+// two bulk adds. out must be at least len(targets) long.
 func (p *Prober) ProbeClusterSet(owner cluster.ClusterID, targets []cluster.ClusterID, latT time.Duration, out []ClusterProbe) {
 	sc := batchScratchPool.Get().(*batchScratch)
 	if cap(sc.pairs) < len(targets) {

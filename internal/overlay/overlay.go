@@ -164,16 +164,17 @@ func combineLoss(a, b float64) float64 {
 type OptConfig struct {
 	// TwoHop enables the two-hop phase.
 	TwoHop bool
-	// TwoHopBeam is the number of best clusters kept per side for the
-	// two-hop pairing phase. The full quadratic sweep is intractable at
-	// paper scale; a generous beam is within measurement noise of exact
-	// (the best two-hop relays are always near-best one-hop endpoints).
-	TwoHopBeam int
 }
 
-// DefaultOptConfig enables two-hop with a 64-cluster beam.
+// twoHopBeam is the number of best clusters kept per side for the
+// two-hop pairing phase. The full quadratic sweep is intractable at
+// paper scale; a generous beam is within measurement noise of exact
+// (the best two-hop relays are always near-best one-hop endpoints).
+const twoHopBeam = 64
+
+// DefaultOptConfig enables two-hop.
 func DefaultOptConfig() OptConfig {
-	return OptConfig{TwoHop: true, TwoHopBeam: 64}
+	return OptConfig{TwoHop: true}
 }
 
 // Optimal exhaustively searches relay clusters for the lowest-RTT path
@@ -220,14 +221,14 @@ func (e *Engine) Optimal(a, b cluster.HostID, cfg OptConfig) (Path, bool) {
 		}
 	}
 
-	if cfg.TwoHop && cfg.TwoHopBeam > 0 {
+	if cfg.TwoHop {
 		sort.Slice(fromA, func(i, j int) bool { return fromA[i].rtt < fromA[j].rtt })
 		sort.Slice(toB, func(i, j int) bool { return toB[i].rtt < toB[j].rtt })
-		if len(fromA) > cfg.TwoHopBeam {
-			fromA = fromA[:cfg.TwoHopBeam]
+		if len(fromA) > twoHopBeam {
+			fromA = fromA[:twoHopBeam]
 		}
-		if len(toB) > cfg.TwoHopBeam {
-			toB = toB[:cfg.TwoHopBeam]
+		if len(toB) > twoHopBeam {
+			toB = toB[:twoHopBeam]
 		}
 		for _, s1 := range fromA {
 			for _, s2 := range toB {

@@ -44,9 +44,6 @@ type Config struct {
 	SwitchConsecutive int
 	// Backups is how many backup paths are probed per tick.
 	Backups int
-	// DegradedMOS is the active-path MOS below which the session is
-	// marked Degraded.
-	DegradedMOS float64
 	// Codec scores probes through the E-Model.
 	Codec netmodel.Codec
 	// HistoryLimit bounds the per-session probe history ring.
@@ -63,7 +60,6 @@ func DefaultConfig() Config {
 		SwitchMargin:      0.3,
 		SwitchConsecutive: 3,
 		Backups:           3,
-		DegradedMOS:       netmodel.SatisfactionMOS,
 		Codec:             netmodel.CodecG729A,
 		HistoryLimit:      120,
 	}
@@ -243,17 +239,6 @@ func (m *Manager) Snapshot() []Status {
 		out = append(out, s.statusLocked())
 	}
 	return out
-}
-
-// CloseSession ends one session and returns its final report.
-func (m *Manager) CloseSession(id uint64) (Report, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.sessions[id]
-	if !ok {
-		return Report{}, fmt.Errorf("session: unknown session %d", id)
-	}
-	return m.closeLocked(s), nil
 }
 
 // Close ends every open session and stops the loops, returning the final

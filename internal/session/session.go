@@ -270,9 +270,13 @@ func (s *Session) statusLocked() Status {
 	}
 }
 
+// degradedMOS is the active-path MOS below which a session is marked
+// Degraded: the listener is no longer satisfied.
+const degradedMOS = netmodel.SatisfactionMOS
+
 // stateForMOS maps an active-path MOS onto Active/Degraded.
 func (m *Manager) stateForMOS(mos float64) State {
-	if mos < m.cfg.DegradedMOS {
+	if mos < degradedMOS {
 		return StateDegraded
 	}
 	return StateActive

@@ -94,45 +94,71 @@ func (c *Chaos) Serve(addr Addr, h Handler) (Addr, error) { return c.inner.Serve
 // Close implements Transport.
 func (c *Chaos) Close() error { return c.inner.Close() }
 
-// Call implements Transport: it consults the fault tables and either
-// fails with ErrUnreachable, delays, or passes through to the inner
-// transport.
-func (c *Chaos) Call(to Addr, req *Message) (*Message, error) {
+// The faults decide can report; the empty string means the send passes.
+// Call quotes them in its errors.
+const (
+	chaosBlackhole = "blackhole"
+	chaosOneShot   = "one-shot failure"
+	chaosOutage    = "outage window"
+	chaosDrop      = "drop"
+)
+
+// decide walks the fault tables for one send to `to` — blackhole, then
+// fail budget, then outage window, then the seeded drop draw — and
+// counts it, as a datagram when packet is set and as a call otherwise.
+// It returns the fault that hit (or ""), the drop probability that
+// applied, and for a send that passes the latency to add. Both planes
+// go through here, so they consume one RNG stream in send order.
+func (c *Chaos) decide(to Addr, packet bool) (fault string, p float64, extra time.Duration) {
 	now := c.sched().Now()
 	c.mu.Lock()
-	c.stats.Calls++
+	if packet {
+		c.stats.Packets++
+	} else {
+		c.stats.Calls++
+	}
 	switch {
 	case c.black[to]:
 		c.stats.Blackholed++
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s (chaos: blackhole)", ErrUnreachable, to)
+		fault = chaosBlackhole
 	case c.failNext[to] > 0:
 		c.failNext[to]--
 		if c.failNext[to] == 0 {
 			delete(c.failNext, to)
 		}
 		c.stats.Failed++
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s (chaos: one-shot failure)", ErrUnreachable, to)
+		fault = chaosOneShot
 	case now < c.outage[to]:
 		c.stats.Outaged++
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s (chaos: outage window)", ErrUnreachable, to)
-	}
-	p, ok := c.drop[to]
-	if !ok {
-		p = c.dropAll
-	}
-	if p > 0 && c.rng.Float64() < p {
-		c.stats.Dropped++
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s (chaos: drop p=%g)", ErrUnreachable, to, p)
-	}
-	extra, ok := c.lat[to]
-	if !ok {
-		extra = c.latAll
+		fault = chaosOutage
+	default:
+		var ok bool
+		if p, ok = c.drop[to]; !ok {
+			p = c.dropAll
+		}
+		if p > 0 && c.rng.Float64() < p {
+			c.stats.Dropped++
+			fault = chaosDrop
+		} else if extra, ok = c.lat[to]; !ok {
+			extra = c.latAll
+		}
 	}
 	c.mu.Unlock()
+	return fault, p, extra
+}
+
+// Call implements Transport: it consults the fault tables and either
+// fails with ErrUnreachable, delays, or passes through to the inner
+// transport.
+func (c *Chaos) Call(to Addr, req *Message) (*Message, error) {
+	fault, p, extra := c.decide(to, false)
+	switch fault {
+	case "":
+	case chaosDrop:
+		return nil, fmt.Errorf("%w: %s (chaos: drop p=%g)", ErrUnreachable, to, p)
+	default:
+		return nil, fmt.Errorf("%w: %s (chaos: %s)", ErrUnreachable, to, fault)
+	}
 	if extra > 0 {
 		c.sched().Sleep(extra)
 	}

@@ -50,41 +50,10 @@ type chaosPacketConn struct {
 // and the retry/accounting layers above must cope — that is the point.
 func (p *chaosPacketConn) WriteTo(to Addr, data []byte) error {
 	c := p.c
-	now := c.sched().Now()
-	c.mu.Lock()
-	c.stats.Packets++
-	switch {
-	case c.black[to]:
-		c.stats.Blackholed++
-		c.mu.Unlock()
-		return nil
-	case c.failNext[to] > 0:
-		c.failNext[to]--
-		if c.failNext[to] == 0 {
-			delete(c.failNext, to)
-		}
-		c.stats.Failed++
-		c.mu.Unlock()
-		return nil
-	case now < c.outage[to]:
-		c.stats.Outaged++
-		c.mu.Unlock()
+	fault, _, extra := c.decide(to, true)
+	if fault != "" {
 		return nil
 	}
-	prob, ok := c.drop[to]
-	if !ok {
-		prob = c.dropAll
-	}
-	if prob > 0 && c.rng.Float64() < prob {
-		c.stats.Dropped++
-		c.mu.Unlock()
-		return nil
-	}
-	extra, ok := c.lat[to]
-	if !ok {
-		extra = c.latAll
-	}
-	c.mu.Unlock()
 	if extra > 0 {
 		// Delay delivery, not the sender: the datagram is copied into a
 		// pooled in-flight record (the caller may reuse the buffer

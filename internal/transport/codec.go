@@ -187,12 +187,13 @@ func DecodeMessage(data []byte, m *Message) error {
 	if data[0] != CodecVersion {
 		return fmt.Errorf("transport: decode: unsupported codec version %d", data[0])
 	}
-	// Reject unknown message types up front, mirroring the unknown-field
-	// rule below: a frame this build cannot dispatch must fail loudly at
-	// the wire, not surface as a zero-value handler mystery. protosync
-	// (`make lint`) checks this bound stays tied to the enum.
+	// Reject unknown and retired message types up front, mirroring the
+	// unknown-field rule below: a frame this build cannot dispatch must
+	// fail loudly at the wire, not surface as a zero-value handler
+	// mystery. protosync (`make lint`) checks this bound stays tied to
+	// the enum.
 	t := MsgType(int8(data[1]))
-	if t <= 0 || t >= msgTypeLimit {
+	if t <= 0 || t >= msgTypeLimit || retiredMsgType(t) {
 		return fmt.Errorf("transport: decode: unknown message type %d", data[1])
 	}
 	m.Type = t

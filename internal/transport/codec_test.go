@@ -50,8 +50,8 @@ func TestMessageCodecCoversAllTypes(t *testing.T) {
 	for _, m := range sampleMessages() {
 		covered[m.Type] = true
 	}
-	for mt := MsgError; mt <= MsgProbeBatchReply; mt++ {
-		if !covered[mt] {
+	for mt := MsgError; mt < msgTypeLimit; mt++ {
+		if !covered[mt] && !retiredMsgType(mt) {
 			t.Errorf("no sample message for MsgType %d — add one to sampleMessages", mt)
 		}
 	}
@@ -67,6 +67,10 @@ func TestDecodeMessageRejectsCorruptFrames(t *testing.T) {
 		{"empty", nil, "truncated"},
 		{"version only", []byte{CodecVersion}, "truncated"},
 		{"bad version", []byte{99, byte(MsgPing)}, "unsupported codec version"},
+		// 22 and 23 were the scalar relay probe and its reply: a frame an
+		// old build could still send, refused rather than dispatched.
+		{"retired type 22", []byte{CodecVersion, 22, fldFrom, 1, 'a'}, "unknown message type"},
+		{"retired type 23", []byte{CodecVersion, 23, fldRTT, 2}, "unknown message type"},
 		{"unknown field", []byte{CodecVersion, byte(MsgPing), 200}, "unknown field id"},
 		{"zero field id", []byte{CodecVersion, byte(MsgPing), 0}, "unknown field id"},
 		{"truncated value", valid[:len(valid)-1], "truncated"},
@@ -123,7 +127,6 @@ func TestDecodeAllocs(t *testing.T) {
 		AppendMessage(nil, &Message{Type: MsgPing, From: "node-17", SentAt: 123 * time.Millisecond}),
 		AppendMessage(nil, &Message{Type: MsgKeepalive, From: "node-17", FlowID: 42}),
 		AppendMessage(nil, &Message{Type: MsgQualityReport, From: "node-18", SessionID: 9, RTT: 80 * time.Millisecond, Loss: 0.02}),
-		AppendMessage(nil, &Message{Type: MsgRelayProbeReply, From: "relay-3", RTT: 20 * time.Millisecond}),
 	}
 	var m Message
 	for _, f := range frames { // warm the intern table

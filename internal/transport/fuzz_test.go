@@ -29,6 +29,9 @@ func FuzzMessageCodec(f *testing.F) {
 	f.Add([]byte{CodecVersion})
 	f.Add([]byte{99, 1})
 	f.Add([]byte{CodecVersion, 1, 200})
+	// The two retired type bytes (message.go), well-formed otherwise.
+	f.Add([]byte{CodecVersion, 22, fldFrom, 1, 'a', fldDst, 1, 'b'})
+	f.Add([]byte{CodecVersion, 23, fldRTT, 2})
 	f.Add([]byte{CodecVersion, byte(MsgGetSurrogates), fldASNs, 0xFF, 0xFF, 0x7F})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := AcquireMessage()

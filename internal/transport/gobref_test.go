@@ -83,8 +83,6 @@ func sampleMessages() []*Message {
 		{Type: MsgVoiceAck, Seq: 7},
 		{Type: MsgKeepalive, From: "a", FlowID: 42},
 		{Type: MsgKeepaliveAck, From: "r"},
-		{Type: MsgRelayProbe, From: "a", Dst: "callee"},
-		{Type: MsgRelayProbeReply, RTT: 20 * time.Millisecond},
 		{Type: MsgQualityReport, From: "b", SessionID: 9, RTT: 80 * time.Millisecond, Loss: 0.02},
 		{Type: MsgQualityReportAck},
 		{Type: MsgSurrogateHeartbeat, From: "s1", ClusterKey: "10.0.0.0/24"},

@@ -64,11 +64,12 @@ const (
 	MsgKeepalive
 	MsgKeepaliveAck
 
-	// MsgRelayProbe: caller -> relay. The relay pings Dst and answers, so
-	// the caller's measured round trip covers the full relayed voice path
-	// (caller -> relay -> callee -> relay -> caller).
-	MsgRelayProbe
-	MsgRelayProbeReply
+	// Wire numbers 22 and 23 are retired: they carried the scalar relay
+	// probe that MsgProbeBatch replaced. The slots stay reserved so every
+	// later type keeps its number, and the decoder rejects a frame that
+	// carries one (retiredMsgType).
+	_
+	_
 
 	// MsgQualityReport: callee -> caller. Periodic listener-side quality
 	// (observed loss and delay) feeding the caller's session monitor.
@@ -125,6 +126,12 @@ const (
 	msgTypeLimit
 )
 
+// retiredMsgType reports whether t is one of the reserved slots between
+// MsgKeepaliveAck and MsgQualityReport that no build sends any more.
+func retiredMsgType(t MsgType) bool {
+	return t > MsgKeepaliveAck && t < MsgQualityReport
+}
+
 // String names t for logs, error messages and protocol diagnostics.
 // Every declared message type needs a case here: the protosync analyzer
 // fails `make lint` when the enum and this switch drift apart.
@@ -172,10 +179,6 @@ func (t MsgType) String() string {
 		return "MsgKeepalive"
 	case MsgKeepaliveAck:
 		return "MsgKeepaliveAck"
-	case MsgRelayProbe:
-		return "MsgRelayProbe"
-	case MsgRelayProbeReply:
-		return "MsgRelayProbeReply"
 	case MsgQualityReport:
 		return "MsgQualityReport"
 	case MsgQualityReportAck:
@@ -265,8 +268,8 @@ type Message struct {
 	Seq uint32
 	// Frames is the opaque voice payload batch.
 	Frames []byte
-	// RTT carries a measured round trip (MsgRelayProbeReply reports the
-	// relay->callee leg; MsgQualityReport reports the listener's view).
+	// RTT carries a measured round trip (MsgQualityReport reports the
+	// listener's view).
 	RTT time.Duration
 	// Loss is an observed packet loss rate in [0,1] (MsgQualityReport).
 	Loss float64
