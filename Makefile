@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-scale race-dataplane test-experiments profile chaos check print-staticcheck-version print-govulncheck-version
+.PHONY: build test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-scale race-dataplane test-experiments goldens profile chaos check print-staticcheck-version print-govulncheck-version
 
 build:
 	$(GO) build ./...
@@ -90,15 +90,16 @@ lint:
 	$(GO) run ./cmd/asaplint ./internal/...
 
 # allocgate re-runs the allocation-regression tests (TestEncodeAllocs,
-# TestDecodeAllocs*, TestClusterStatsBatchAllocs, TestClockAllocs,
-# TestBufPoolAllocs, TestVoicePacketAllocs, TestTCPCallAllocs) in a
+# TestDecodeAllocs*, TestClusterStatsBatchAllocs, TestOneHopBatchAllocs,
+# TestClockAllocs, TestBufPoolAllocs, TestVoicePacketAllocs,
+# TestTCPCallAllocs) in a
 # plain build: the race runs above skip them because -race instruments
 # allocations, so without this target `check` would never enforce the
 # zero-alloc wire path and kept-connection TCP round trip (DESIGN.md
 # §15), the zero-alloc virtual-clock event (§10) or the zero-alloc voice
 # packet (§12).
 allocgate:
-	$(GO) test -run 'Allocs' -count=1 ./internal/transport/ ./internal/netmodel/ ./internal/sim/ ./internal/transport/udp/
+	$(GO) test -run 'Allocs' -count=1 ./internal/transport/ ./internal/netmodel/ ./internal/overlay/ ./internal/sim/ ./internal/transport/udp/
 
 # bench-smoke runs the benchmark module's own tests (~3 s): registry
 # against BENCHMARK.json, a smoke run of every workload, span-tree
@@ -142,6 +143,16 @@ race-dataplane:
 # a wall-clock stall is a determinism bug, not a slow test.
 test-experiments:
 	$(GO) test -race -count=1 -timeout 60s ./internal/eval/
+
+# goldens regenerates the small-profile figures (~15 s) and fails if the
+# set of CSVs or any byte in them differs from the tracked
+# results/small/: a figure that moved must be re-tracked in the PR that
+# moved it. The CSVs are identical for any -parallel value;
+# results/small_run.txt carries timings and is not compared.
+goldens:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/asapsim -profile small -figs all -csv "$$dir" >/dev/null && \
+	diff -rq results/small "$$dir" && echo "goldens: results/small matches"
 
 # profile regenerates the small-profile comparison figures with CPU and
 # heap profiling enabled; inspect with `go tool pprof cpu.prof`.

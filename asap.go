@@ -121,6 +121,10 @@ type (
 // NewBootstrap builds and serves a bootstrap node.
 var NewBootstrap = core.NewBootstrap
 
+// DemoBootstrapConfig returns the built-in demo deployment: two distant
+// stub clusters and a multi-homed middle one (Figure 4 in miniature).
+var DemoBootstrapConfig = core.DemoBootstrapConfig
+
 // NewPeer builds and serves a peer node, joining via its bootstrap.
 var NewPeer = core.NewNode
 

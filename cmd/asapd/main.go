@@ -302,23 +302,7 @@ func run(args []string) error {
 // demo world: two distant stubs and a multi-homed middle cluster.
 func bootstrapConfig(prefixes, links string) (core.BootstrapConfig, error) {
 	if prefixes == "" {
-		b := asgraph.NewBuilder()
-		b.AddEdge(1, 2, asgraph.RelP2P)
-		b.AddEdge(10, 1, asgraph.RelC2P)
-		b.AddEdge(20, 2, asgraph.RelC2P)
-		b.AddEdge(100, 10, asgraph.RelC2P)
-		b.AddEdge(200, 20, asgraph.RelC2P)
-		b.AddEdge(300, 10, asgraph.RelC2P)
-		b.AddEdge(300, 20, asgraph.RelC2P)
-		return core.BootstrapConfig{
-			Graph: b.Build(),
-			K:     4,
-			Prefixes: []core.PrefixOrigin{
-				{Prefix: "10.100.0.0/16", ASN: 100},
-				{Prefix: "10.200.0.0/16", ASN: 200},
-				{Prefix: "10.30.0.0/16", ASN: 300},
-			},
-		}, nil
+		return core.DemoBootstrapConfig(), nil
 	}
 	cfg := core.BootstrapConfig{K: 4}
 	for _, pair := range strings.Split(prefixes, ",") {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"asap"
-	"asap/internal/asgraph"
 )
 
 func main() {
@@ -28,24 +27,7 @@ func run() error {
 
 	// The demo AS world: two distant stubs (AS100, AS200) and a
 	// multi-homed middle AS300 — Figure 4's shortcut in miniature.
-	b := asgraph.NewBuilder()
-	b.AddEdge(1, 2, asgraph.RelP2P)
-	b.AddEdge(10, 1, asgraph.RelC2P)
-	b.AddEdge(20, 2, asgraph.RelC2P)
-	b.AddEdge(100, 10, asgraph.RelC2P)
-	b.AddEdge(200, 20, asgraph.RelC2P)
-	b.AddEdge(300, 10, asgraph.RelC2P)
-	b.AddEdge(300, 20, asgraph.RelC2P)
-
-	bs, err := asap.NewBootstrap(tr, "127.0.0.1:0", asap.BootstrapConfig{
-		Graph: b.Build(),
-		K:     4,
-		Prefixes: []asap.PrefixOrigin{
-			{Prefix: "10.100.0.0/16", ASN: 100},
-			{Prefix: "10.200.0.0/16", ASN: 200},
-			{Prefix: "10.30.0.0/16", ASN: 300},
-		},
-	})
+	bs, err := asap.NewBootstrap(tr, "127.0.0.1:0", asap.DemoBootstrapConfig())
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package asgraph
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -209,5 +210,16 @@ func TestValleyFreeBFSRevisitWithBetterPhase(t *testing.T) {
 	reach := g.ValleyFreeBFS(1000, 3)
 	if h, ok := reach.Hops[1003]; !ok || h != 2 {
 		t.Errorf("hops(s->d) = %d,%v, want 2,true (via up-phase state of b)", h, ok)
+	}
+	// b is reached twice, at 1 hop climbing and at 2 hops descending
+	// through a: the shared traverse loop visits each AS once, so the
+	// count it records must be the first (minimum) one.
+	want := map[ASN]int{1000: 0, 1001: 1, 1002: 1, 1003: 2}
+	if !reflect.DeepEqual(reach.Hops, want) {
+		t.Errorf("hops = %v, want %v", reach.Hops, want)
+	}
+	// One hop short of d, the horizon still cuts it off.
+	if got := g.ValleyFreeBFS(1000, 1).Hops; !reflect.DeepEqual(got, map[ASN]int{1000: 0, 1001: 1, 1002: 1}) {
+		t.Errorf("k=1 hops = %v, want s, a and b only", got)
 	}
 }

@@ -241,9 +241,15 @@ type tableCall struct {
 	t    *RouteTable
 }
 
-// routerShard is one stripe of the Router's table cache, with its own
-// lock, FIFO eviction order and in-flight build registry.
-type routerShard struct {
+// Router caches per-destination routing tables. It is safe for concurrent
+// use: one RWMutex guards the cache (it is read only on a cluster-pair
+// miss in netmodel, so striping it measured no different, DESIGN.md §9),
+// and concurrent misses for the same destination are coalesced
+// singleflight-style — exactly one goroutine builds the table while the
+// rest wait for its result.
+type Router struct {
+	g *Graph
+
 	mu       sync.RWMutex
 	tables   map[ASN]*RouteTable
 	order    []ASN // insertion order for FIFO eviction
@@ -251,117 +257,79 @@ type routerShard struct {
 	inflight map[ASN]*tableCall
 }
 
-// Router caches per-destination routing tables. It is safe for concurrent
-// use: the cache is striped across shards so readers on different
-// destinations never contend, and concurrent misses for the same
-// destination are coalesced singleflight-style — exactly one goroutine
-// builds the table while the rest wait for its result.
-type Router struct {
-	g      *Graph
-	shards []routerShard
-}
-
-// routerShards caps the stripe count; the effective count also never
-// exceeds the table budget so per-shard capacity stays >= 1.
-const routerShards = 16
-
 // NewRouter returns a Router over g caching up to maxTables routing
-// tables (0 means a generous default). The budget is divided evenly
-// across shards, so the total cached count never exceeds maxTables.
+// tables (0 means a generous default).
 func NewRouter(g *Graph, maxTables int) *Router {
 	if maxTables <= 0 {
 		maxTables = 4096
 	}
-	n := routerShards
-	if maxTables < n {
-		n = maxTables
+	return &Router{
+		g:        g,
+		tables:   make(map[ASN]*RouteTable),
+		max:      maxTables,
+		inflight: make(map[ASN]*tableCall),
 	}
-	r := &Router{g: g, shards: make([]routerShard, n)}
-	for i := range r.shards {
-		r.shards[i] = routerShard{
-			tables:   make(map[ASN]*RouteTable),
-			max:      maxTables / n,
-			inflight: make(map[ASN]*tableCall),
-		}
-	}
-	return r
-}
-
-func (r *Router) shard(dst ASN) *routerShard {
-	h := uint64(dst)
-	h ^= h >> 16
-	h *= 0x9e3779b97f4a7c15
-	return &r.shards[(h>>32)%uint64(len(r.shards))]
 }
 
 // Table returns the routing table toward dst, building and caching it on
 // first use. It returns nil for an unknown destination.
 func (r *Router) Table(dst ASN) *RouteTable {
-	sh := r.shard(dst)
-	sh.mu.RLock()
-	t := sh.tables[dst]
-	sh.mu.RUnlock()
+	r.mu.RLock()
+	t := r.tables[dst]
+	r.mu.RUnlock()
 	if t != nil {
 		return t
 	}
 
-	sh.mu.Lock()
-	if t := sh.tables[dst]; t != nil {
-		sh.mu.Unlock()
+	r.mu.Lock()
+	if t := r.tables[dst]; t != nil {
+		r.mu.Unlock()
 		return t
 	}
-	if c, ok := sh.inflight[dst]; ok {
+	if c, ok := r.inflight[dst]; ok {
 		// Another goroutine is building this table; wait for it.
-		sh.mu.Unlock()
+		r.mu.Unlock()
 		<-c.done
 		return c.t
 	}
 	c := &tableCall{done: make(chan struct{})}
-	sh.inflight[dst] = c
-	sh.mu.Unlock()
+	r.inflight[dst] = c
+	r.mu.Unlock()
 
 	// Build outside the lock: table construction is the expensive part and
-	// other destinations in this shard must not stall behind it.
+	// other destinations must not stall behind it.
 	t = r.g.BuildRouteTable(dst)
 
-	sh.mu.Lock()
-	delete(sh.inflight, dst)
+	r.mu.Lock()
+	delete(r.inflight, dst)
 	if t != nil {
-		if len(sh.order) >= sh.max {
-			evict := sh.order[0]
-			sh.order = sh.order[1:]
-			delete(sh.tables, evict)
+		if len(r.order) >= r.max {
+			evict := r.order[0]
+			r.order = r.order[1:]
+			delete(r.tables, evict)
 		}
-		sh.tables[dst] = t
-		sh.order = append(sh.order, dst)
+		r.tables[dst] = t
+		r.order = append(r.order, dst)
 	}
-	sh.mu.Unlock()
+	r.mu.Unlock()
 	c.t = t
 	close(c.done)
 	return t
 }
 
 // HasTable reports whether a routing table for dst is already cached.
-// Latency models use it to pick whichever endpoint of a pair already has a
-// table, avoiding needless table builds.
 func (r *Router) HasTable(dst ASN) bool {
-	sh := r.shard(dst)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.tables[dst] != nil
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.tables[dst] != nil
 }
 
 // CachedTables returns the number of routing tables currently cached
-// across all shards (for tests and capacity monitoring).
+// (for tests and capacity monitoring).
 func (r *Router) CachedTables() int {
-	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		n += len(sh.tables)
-		sh.mu.RUnlock()
-	}
-	return n
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.tables)
 }
 
 // Path returns the policy AS path from src to dst. To maximize cache

@@ -59,57 +59,15 @@ type VFReach struct {
 // of at most maxHops AS hops. It returns the minimum hop count per reached
 // AS. An unknown src yields an empty result.
 //
-// The search runs over (AS, phase) states so that, for example, an AS first
-// reached in the descending phase can still be passed through later by a
-// shorter climbing path.
+// It is ValleyFreeTraverse with a visitor that always expands: the queue
+// runs in non-decreasing hop order, so the first visit of an AS carries
+// its minimum hop count.
 func (g *Graph) ValleyFreeBFS(src ASN, maxHops int) VFReach {
 	reach := VFReach{Hops: make(map[ASN]int)}
-	srcIdx, ok := g.idx[src]
-	if !ok || maxHops < 0 {
-		return reach
-	}
-	n := len(g.asns)
-	const unvisited = int32(-1)
-	dist := make([]int32, n*numPhases)
-	for i := range dist {
-		dist[i] = unvisited
-	}
-	state := func(node int32, p vfPhase) int32 { return node*numPhases + int32(p) }
-
-	type qent struct {
-		node int32
-		p    vfPhase
-	}
-	queue := make([]qent, 0, 64)
-	dist[state(srcIdx, phaseUp)] = 0
-	queue = append(queue, qent{srcIdx, phaseUp})
-	reach.Hops[src] = 0
-
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		d := dist[state(cur.node, cur.p)]
-		if int(d) >= maxHops {
-			continue
-		}
-		asn := g.asns[cur.node]
-		for _, e := range g.adj[asn] {
-			np, allowed := vfNext(cur.p, e.Rel)
-			if !allowed {
-				continue
-			}
-			ni := g.idx[e.To]
-			s := state(ni, np)
-			if dist[s] != unvisited {
-				continue
-			}
-			dist[s] = d + 1
-			queue = append(queue, qent{ni, np})
-			if prev, seen := reach.Hops[e.To]; !seen || int(d+1) < prev {
-				reach.Hops[e.To] = int(d + 1)
-			}
-		}
-	}
+	g.ValleyFreeTraverse(src, maxHops, func(asn ASN, hops int) bool {
+		reach.Hops[asn] = hops
+		return true
+	})
 	return reach
 }
 
@@ -120,8 +78,10 @@ func (g *Graph) ValleyFreeBFS(src ASN, maxHops int) VFReach {
 // where ASes whose surrogates already exceed the latency or loss
 // thresholds are not explored further.
 //
-// Pruning is remembered per AS: a pruned AS reached again later through
-// another phase is still not expanded.
+// The search runs over (AS, phase) states so that, for example, an AS first
+// reached in the descending phase can still be passed through later by a
+// shorter climbing path. Pruning is remembered per AS: a pruned AS reached
+// again later through another phase is still not expanded.
 func (g *Graph) ValleyFreeTraverse(src ASN, maxHops int, visit func(asn ASN, hops int) bool) {
 	srcIdx, ok := g.idx[src]
 	if !ok || maxHops < 0 {

@@ -5,49 +5,18 @@ import (
 	"testing"
 	"time"
 
-	"asap/internal/asgraph"
 	"asap/internal/transport"
 )
 
-// actorWorld is a hand-built 5-cluster deployment over the fixture-style
-// AS topology:
-//
-//	AS1 -p2p- AS2; AS10 c2p AS1; AS20 c2p AS2;
-//	AS100 c2p AS10; AS200 c2p AS20; AS300 c2p {AS10, AS20}
-//
-// with prefixes 10.100/16 -> AS100, 10.200/16 -> AS200, 10.30/16 -> AS300,
-// 10.10/16 -> AS10, 10.20/16 -> AS20.
-func actorGraph() *asgraph.Graph {
-	b := asgraph.NewBuilder()
-	b.AddNode(asgraph.Node{ASN: 1, Tier: asgraph.TierT1, X: 0, Y: 0})
-	b.AddNode(asgraph.Node{ASN: 2, Tier: asgraph.TierT1, X: 1000, Y: 0})
-	b.AddNode(asgraph.Node{ASN: 10, Tier: asgraph.TierTransit, X: 0, Y: 500})
-	b.AddNode(asgraph.Node{ASN: 20, Tier: asgraph.TierTransit, X: 1000, Y: 500})
-	b.AddNode(asgraph.Node{ASN: 100, Tier: asgraph.TierStub, X: 0, Y: 1000})
-	b.AddNode(asgraph.Node{ASN: 200, Tier: asgraph.TierStub, X: 1000, Y: 1000})
-	b.AddNode(asgraph.Node{ASN: 300, Tier: asgraph.TierStub, X: 500, Y: 800})
-	b.AddEdge(1, 2, asgraph.RelP2P)
-	b.AddEdge(10, 1, asgraph.RelC2P)
-	b.AddEdge(20, 2, asgraph.RelC2P)
-	b.AddEdge(100, 10, asgraph.RelC2P)
-	b.AddEdge(200, 20, asgraph.RelC2P)
-	b.AddEdge(300, 10, asgraph.RelC2P)
-	b.AddEdge(300, 20, asgraph.RelC2P)
-	return b.Build()
-}
-
+// actorBootstrapConfig is the demo deployment (DemoBootstrapConfig) with
+// the two transit ASes populated as well, five clusters in all:
+// 10.10/16 -> AS10 and 10.20/16 -> AS20 beside the three stub prefixes.
 func actorBootstrapConfig() BootstrapConfig {
-	return BootstrapConfig{
-		Graph: actorGraph(),
-		K:     4,
-		Prefixes: []PrefixOrigin{
-			{Prefix: "10.100.0.0/16", ASN: 100},
-			{Prefix: "10.200.0.0/16", ASN: 200},
-			{Prefix: "10.30.0.0/16", ASN: 300},
-			{Prefix: "10.10.0.0/16", ASN: 10},
-			{Prefix: "10.20.0.0/16", ASN: 20},
-		},
-	}
+	cfg := DemoBootstrapConfig()
+	cfg.Prefixes = append(cfg.Prefixes,
+		PrefixOrigin{Prefix: "10.10.0.0/16", ASN: 10},
+		PrefixOrigin{Prefix: "10.20.0.0/16", ASN: 20})
+	return cfg
 }
 
 // latencyFor models the underlay: the multi-homed AS300 sits close to

@@ -64,6 +64,41 @@ type PrefixOrigin struct {
 	ASN    asgraph.ASN
 }
 
+// DemoBootstrapConfig returns the built-in demo deployment, Figure 4's
+// shortcut in miniature: stub clusters AS100 (10.100/16) and AS200
+// (10.200/16) sit far apart under different tier-1s, and multi-homed
+// AS300 (10.30/16) is close to both, so its surrogate is the natural
+// relay.
+//
+//	AS1 -p2p- AS2; AS10 c2p AS1; AS20 c2p AS2;
+//	AS100 c2p AS10; AS200 c2p AS20; AS300 c2p {AS10, AS20}
+func DemoBootstrapConfig() BootstrapConfig {
+	b := asgraph.NewBuilder()
+	b.AddNode(asgraph.Node{ASN: 1, Tier: asgraph.TierT1, X: 0, Y: 0})
+	b.AddNode(asgraph.Node{ASN: 2, Tier: asgraph.TierT1, X: 1000, Y: 0})
+	b.AddNode(asgraph.Node{ASN: 10, Tier: asgraph.TierTransit, X: 0, Y: 500})
+	b.AddNode(asgraph.Node{ASN: 20, Tier: asgraph.TierTransit, X: 1000, Y: 500})
+	b.AddNode(asgraph.Node{ASN: 100, Tier: asgraph.TierStub, X: 0, Y: 1000})
+	b.AddNode(asgraph.Node{ASN: 200, Tier: asgraph.TierStub, X: 1000, Y: 1000})
+	b.AddNode(asgraph.Node{ASN: 300, Tier: asgraph.TierStub, X: 500, Y: 800})
+	b.AddEdge(1, 2, asgraph.RelP2P)
+	b.AddEdge(10, 1, asgraph.RelC2P)
+	b.AddEdge(20, 2, asgraph.RelC2P)
+	b.AddEdge(100, 10, asgraph.RelC2P)
+	b.AddEdge(200, 20, asgraph.RelC2P)
+	b.AddEdge(300, 10, asgraph.RelC2P)
+	b.AddEdge(300, 20, asgraph.RelC2P)
+	return BootstrapConfig{
+		Graph: b.Build(),
+		K:     4,
+		Prefixes: []PrefixOrigin{
+			{Prefix: "10.100.0.0/16", ASN: 100},
+			{Prefix: "10.200.0.0/16", ASN: 200},
+			{Prefix: "10.30.0.0/16", ASN: 300},
+		},
+	}
+}
+
 // surrogateLease is one cluster's registration: who serves it and until
 // when (a scheduler offset). A zero expiry never expires (leases
 // disabled; scheduler time starts positive only after the first tick, so

@@ -121,11 +121,12 @@ func TestCloseSetRespectsThresholdsAndValleyFreedom(t *testing.T) {
 			t.Errorf("close cluster %d in AS%d outside the k=%d valley-free horizon",
 				rc, rcAS, params.K)
 		}
-		gt, ok := w.model.ClusterLoss(cid, rc)
-		if !ok || gt >= 2*params.LossT {
+		var gt [1]netmodel.PairStat
+		w.model.ClusterStatsBatch(cid, []cluster.ClusterID{rc}, gt[:])
+		if !gt[0].OK || gt[0].Loss >= 2*params.LossT {
 			// Measurements are noiseless for loss, so ground truth must be
 			// comfortably under the threshold.
-			t.Errorf("close cluster %d has ground-truth loss %v", rc, gt)
+			t.Errorf("close cluster %d has ground-truth loss %v", rc, gt[0].Loss)
 		}
 	}
 	if cs.BuildMessages == 0 {

@@ -76,8 +76,8 @@ type Node struct {
 	// members tracks nodal info published by cluster members (surrogate
 	// role).
 	members map[transport.Addr]transport.NodalInfo
-	// flows maps relay flow IDs to their forwarding destinations.
-	flows      map[uint64]transport.Addr
+	// flows is the control-plane relay table (relay role), by flow ID.
+	flows      map[uint64]relayFlow
 	nextFlowID uint64
 	// received collects voice payload sizes per sending peer (callee
 	// role). Keyed by sender address: the terminal hop always carries
@@ -97,6 +97,38 @@ type Node struct {
 	mediaPorts int
 	mediaCalls map[uint32]*MediaCall
 	mediaSeq   uint32
+}
+
+// relayFlow is one relay-table entry: where the flow forwards to, and
+// when it last carried a keepalive or a voice batch (a scheduler offset).
+type relayFlow struct {
+	dst      transport.Addr
+	lastSeen time.Duration
+}
+
+// The relay table is something a stranger can make this node hold, so it
+// is bounded: at maxRelayFlows an open first reclaims flows idle longer
+// than relayFlowIdle and is refused if none were. The cap sits well
+// above honest traffic (the 10^6-node ladder puts a few thousand live
+// flows on one surrogate); relayFlowIdle is many keepalive intervals, so
+// a monitored call is never the one reclaimed.
+const (
+	maxRelayFlows = 65536
+	relayFlowIdle = 30 * time.Second
+)
+
+// touchFlow refreshes a relay flow's idle clock and returns where it
+// forwards to; ok is false for a flow this node does not hold.
+func (n *Node) touchFlow(id uint64) (dst transport.Addr, ok bool) {
+	now := n.sched.Now()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	f, ok := n.flows[id]
+	if ok {
+		f.lastSeen = now
+		n.flows[id] = f
+	}
+	return f.dst, ok
 }
 
 // flowKey identifies an outbound relay flow: which relay, toward whom.
@@ -515,10 +547,7 @@ func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.M
 
 	case transport.MsgKeepalive:
 		if req.FlowID != 0 {
-			n.mu.Lock()
-			_, ok := n.flows[req.FlowID]
-			n.mu.Unlock()
-			if !ok {
+			if _, ok := n.touchFlow(req.FlowID); !ok {
 				return nil, fmt.Errorf("core: keepalive for unknown flow %d", req.FlowID)
 			}
 		}
@@ -581,21 +610,31 @@ func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.M
 		return resp, nil
 
 	case transport.MsgRelayOpen:
+		now := n.sched.Now()
 		n.mu.Lock()
+		if len(n.flows) >= maxRelayFlows {
+			for id, f := range n.flows {
+				if now-f.lastSeen > relayFlowIdle {
+					delete(n.flows, id)
+				}
+			}
+		}
+		if len(n.flows) >= maxRelayFlows {
+			n.mu.Unlock()
+			return nil, fmt.Errorf("core: relay table full (%d flows)", maxRelayFlows)
+		}
 		n.nextFlowID++
 		id := n.nextFlowID
 		if n.flows == nil {
-			n.flows = make(map[uint64]transport.Addr)
+			n.flows = make(map[uint64]relayFlow)
 		}
-		n.flows[id] = req.Dst
+		n.flows[id] = relayFlow{dst: req.Dst, lastSeen: now}
 		n.mu.Unlock()
 		return &transport.Message{Type: transport.MsgRelayOpenReply, FlowID: id}, nil
 
 	case transport.MsgVoice:
 		if req.FlowID != 0 {
-			n.mu.Lock()
-			dst, ok := n.flows[req.FlowID]
-			n.mu.Unlock()
+			dst, ok := n.touchFlow(req.FlowID)
 			if ok && dst != n.addr {
 				// Relay role: forward and propagate the ack. From stays the
 				// original caller so the callee's per-peer accounting

@@ -266,11 +266,11 @@ func (s *System) constructCloseClusterSet(cid cluster.ClusterID) *CloseSet {
 	probe := s.prober.WithRNG(sim.NewRNG(sim.SubSeed(s.seed, uint64(cid)))).WithCounters(ctr)
 
 	// Per-AS probe rounds travel batched: the AS's candidate clusters go
-	// through one vectorized ground-truth visit (and, in the deployed
-	// protocol, one MsgProbeBatch round trip) instead of two scalar
-	// probes per cluster. ProbeClusterSet consumes the RNG stream in
-	// exactly the scalar order, so sets are bit-identical per seed. The
-	// scratch slices grow once and persist across the traversal.
+	// through one ProbeClusterSet round (in the deployed protocol, one
+	// MsgProbeBatch round trip) instead of two scalar probes per
+	// cluster. ProbeClusterSet consumes the RNG stream in exactly the
+	// scalar order, so sets are bit-identical per seed. The scratch
+	// slices grow once and persist across the traversal.
 	var targets []cluster.ClusterID
 	var probes []netmodel.ClusterProbe
 	s.model.Graph().ValleyFreeTraverse(owner.AS, s.params.K, func(asn asgraph.ASN, hops int) bool {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"asap/internal/asgraph"
 	"asap/internal/core"
 	"asap/internal/sim"
 	"asap/internal/transport"
@@ -125,28 +124,6 @@ type ChurnResult struct {
 	NoLease ChurnArm
 }
 
-// churnGraph is the experiment's AS topology: stub clusters AS100 and
-// AS200 sit far apart; multi-homed AS300 is close to both, so its
-// surrogate is the natural relay.
-func churnGraph() *asgraph.Graph {
-	b := asgraph.NewBuilder()
-	b.AddNode(asgraph.Node{ASN: 1, Tier: asgraph.TierT1, X: 0, Y: 0})
-	b.AddNode(asgraph.Node{ASN: 2, Tier: asgraph.TierT1, X: 1000, Y: 0})
-	b.AddNode(asgraph.Node{ASN: 10, Tier: asgraph.TierTransit, X: 0, Y: 500})
-	b.AddNode(asgraph.Node{ASN: 20, Tier: asgraph.TierTransit, X: 1000, Y: 500})
-	b.AddNode(asgraph.Node{ASN: 100, Tier: asgraph.TierStub, X: 0, Y: 1000})
-	b.AddNode(asgraph.Node{ASN: 200, Tier: asgraph.TierStub, X: 1000, Y: 1000})
-	b.AddNode(asgraph.Node{ASN: 300, Tier: asgraph.TierStub, X: 500, Y: 800})
-	b.AddEdge(1, 2, asgraph.RelP2P)
-	b.AddEdge(10, 1, asgraph.RelC2P)
-	b.AddEdge(20, 2, asgraph.RelC2P)
-	b.AddEdge(100, 10, asgraph.RelC2P)
-	b.AddEdge(200, 20, asgraph.RelC2P)
-	b.AddEdge(300, 10, asgraph.RelC2P)
-	b.AddEdge(300, 20, asgraph.RelC2P)
-	return b.Build()
-}
-
 // RunChurn runs the lease and no-lease arms over the identical fault
 // schedule and returns their measurements.
 func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
@@ -209,17 +186,13 @@ func runChurnArm(cfg ChurnConfig, ttl time.Duration, method string) (ChurnArm, e
 	// abandoning whatever background ticks are still scheduled.
 	var runErr error
 	clk.RunTask(func() {
-		bs, err := core.NewBootstrap(chaos, "bs", core.BootstrapConfig{
-			Graph: churnGraph(),
-			K:     4,
-			Prefixes: []core.PrefixOrigin{
-				{Prefix: "10.100.0.0/16", ASN: 100},
-				{Prefix: "10.200.0.0/16", ASN: 200},
-				{Prefix: "10.30.0.0/16", ASN: 300},
-			},
-			LeaseTTL: ttl,
-			Sched:    clk,
-		})
+		// The demo world: stub clusters AS100 and AS200 sit far apart;
+		// multi-homed AS300 is close to both, so its surrogate is the
+		// natural relay.
+		bsCfg := core.DemoBootstrapConfig()
+		bsCfg.LeaseTTL = ttl
+		bsCfg.Sched = clk
+		bs, err := core.NewBootstrap(chaos, "bs", bsCfg)
 		if err != nil {
 			runErr = err
 			return

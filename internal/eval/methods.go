@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"asap/internal/baseline"
-	"asap/internal/cluster"
 	"asap/internal/core"
 	"asap/internal/netmodel"
 	"asap/internal/overlay"
@@ -68,16 +67,9 @@ func (m *baselineMethod) Run(s Session, rng *sim.RNG) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("eval: %s: %w", m.sel.Name(), err)
 	}
 	out := Outcome{Method: m.sel.Name(), Messages: res.Messages, ShortestRTT: noPath}
-	// Score the whole candidate set through one vectorized ground-truth
-	// visit per endpoint instead of two cache visits per candidate.
-	relays := make([]cluster.HostID, len(res.Candidates))
-	for i, c := range res.Candidates {
-		relays[i] = c.Relay
-	}
-	paths := make([]overlay.Path, len(relays))
-	m.eng.OneHopBatch(s.A, relays, s.B, paths)
-	for _, p := range paths {
-		if p.Kind == 0 {
+	for _, c := range res.Candidates {
+		p, ok := m.eng.OneHop(s.A, c.Relay, s.B)
+		if !ok {
 			continue
 		}
 		if p.Quality() {
@@ -126,22 +118,16 @@ func (m *asapMethod) Run(s Session, rng *sim.RNG) (Outcome, error) {
 		Messages:     sel.Messages,
 		ShortestRTT:  noPath,
 	}
-	relays := make([]cluster.HostID, 0, m.verifyTop)
 	for i, oc := range sel.OneHop {
 		if i >= m.verifyTop {
 			break
 		}
-		if r, ok := m.sys.Surrogate(oc.Cluster); ok {
-			relays = append(relays, r)
+		r, ok := m.sys.Surrogate(oc.Cluster)
+		if !ok {
+			continue
 		}
-	}
-	if len(relays) > 0 {
-		paths := make([]overlay.Path, len(relays))
-		m.eng.OneHopBatch(s.A, relays, s.B, paths)
-		for _, p := range paths {
-			if p.Kind != 0 && p.RTT < out.ShortestRTT {
-				out.ShortestRTT = p.RTT
-			}
+		if p, ok := m.eng.OneHop(s.A, r, s.B); ok && p.RTT < out.ShortestRTT {
+			out.ShortestRTT = p.RTT
 		}
 	}
 	for i, tc := range sel.TwoHop {

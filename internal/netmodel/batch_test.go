@@ -10,7 +10,37 @@ import (
 
 // The batch lookups must be drop-in equivalents of the scalar calls:
 // same values pair for pair, cold cache or warm, before and after a
-// condition mutation — and allocation-free at steady state.
+// condition mutation — and allocation-free at steady state. The batch is
+// a loop over the scalar path today; these tests guard a future
+// re-vectorisation.
+
+// Scalar loss accessors nothing outside the tests calls any more; they
+// live here as the references the equivalence tests compare against.
+
+// ClusterLoss returns the ground-truth loss rate between two clusters.
+func (m *Model) ClusterLoss(c1, c2 cluster.ClusterID) (float64, bool) {
+	if c1 == c2 {
+		return 0, true
+	}
+	st := m.clusterPath(c1, c2)
+	return st.loss, st.ok
+}
+
+// HostLoss returns the ground-truth end-to-end loss rate between hosts.
+func (m *Model) HostLoss(h1, h2 cluster.HostID) (float64, bool) {
+	if h1 == h2 {
+		return 0, true
+	}
+	a, b := m.pop.Host(h1), m.pop.Host(h2)
+	if a.Cluster == b.Cluster {
+		return 0, true
+	}
+	st := m.clusterPath(a.Cluster, b.Cluster)
+	if !st.ok {
+		return 0, false
+	}
+	return st.loss, true
+}
 
 func batchTargets(m *Model, rng *sim.RNG, owner cluster.ClusterID, n int) []cluster.ClusterID {
 	pop := m.Population()
@@ -66,7 +96,11 @@ func TestClusterStatsBatchMatchesScalar(t *testing.T) {
 	assertClusterBatchMatches(t, m, owner, targets)
 }
 
-func TestHostStatsBatchMatchesScalar(t *testing.T) {
+// TestHostStatsMatchesRTTAndLoss pins HostStats against the cluster-level
+// lookups it is built from: cluster-pair RTT plus both access delays in
+// each direction, cluster-pair loss, and the same-host / same-cluster
+// shortcuts.
+func TestHostStatsMatchesRTTAndLoss(t *testing.T) {
 	m, rng := testModel(t, 200, 1500, 91, DefaultConfig())
 	pop := m.Population()
 	for round := 0; round < 10; round++ {
@@ -81,19 +115,35 @@ func TestHostStatsBatchMatchesScalar(t *testing.T) {
 		if sib := pop.Cluster(pop.Host(a).Cluster).Hosts[0]; sib != a {
 			bs = append(bs, sib)
 		}
-		out := make([]PairStat, len(bs))
-		m.HostStatsBatch(a, bs, out)
+		ha := pop.Host(a)
 		for i, b := range bs {
-			rtt, rok := m.HostRTT(a, b)
-			loss, lok := m.HostLoss(a, b)
-			if out[i].OK != rok || out[i].OK != lok {
-				t.Fatalf("pair %d (%d->%d): batch ok=%v, scalar rtt ok=%v loss ok=%v", i, a, b, out[i].OK, rok, lok)
+			hb := pop.Host(b)
+			var rtt time.Duration
+			rok := true
+			switch {
+			case a == b:
+			case ha.Cluster == hb.Cluster:
+				rtt = 2 * (ha.AccessDelay + hb.AccessDelay)
+			default:
+				rtt, rok = m.ClusterRTT(ha.Cluster, hb.Cluster)
+				rtt += 2 * (ha.AccessDelay + hb.AccessDelay)
 			}
-			if !out[i].OK {
+			loss, lok := m.HostLoss(a, b)
+			got := m.HostStats(a, b)
+			if got.OK != rok || got.OK != lok {
+				t.Fatalf("pair %d (%d->%d): stats ok=%v, rtt ok=%v loss ok=%v", i, a, b, got.OK, rok, lok)
+			}
+			if !got.OK {
+				if got != (PairStat{}) {
+					t.Errorf("pair %d (%d->%d): disconnected pair carries %+v", i, a, b, got)
+				}
 				continue
 			}
-			if out[i].RTT != rtt || out[i].Loss != loss {
-				t.Errorf("pair %d (%d->%d): batch (%v, %g), scalar (%v, %g)", i, a, b, out[i].RTT, out[i].Loss, rtt, loss)
+			if got.RTT != rtt || got.Loss != loss {
+				t.Errorf("pair %d (%d->%d): stats (%v, %g), want (%v, %g)", i, a, b, got.RTT, got.Loss, rtt, loss)
+			}
+			if r, ok := m.HostRTT(a, b); r != got.RTT || ok != got.OK {
+				t.Errorf("pair %d (%d->%d): HostRTT (%v, %v) is not HostStats' projection (%v, %v)", i, a, b, r, ok, got.RTT, got.OK)
 			}
 		}
 	}
@@ -188,7 +238,7 @@ func TestClusterStatsBatchAllocs(t *testing.T) {
 	owner := cluster.ClusterID(rng.Intn(pop.NumClusters()))
 	targets := batchTargets(m, rng, owner, 40)
 	out := make([]PairStat, len(targets))
-	m.ClusterStatsBatch(owner, targets, out) // warm the cache and the scratch pool
+	m.ClusterStatsBatch(owner, targets, out) // warm the cache
 
 	if n := testing.AllocsPerRun(200, func() {
 		m.ClusterStatsBatch(owner, targets, out)
@@ -201,10 +251,11 @@ func TestClusterStatsBatchAllocs(t *testing.T) {
 	for i, tc := range targets {
 		bs[i] = pop.Cluster(tc).Hosts[0]
 	}
-	m.HostStatsBatch(a, bs, out)
 	if n := testing.AllocsPerRun(200, func() {
-		m.HostStatsBatch(a, bs, out)
+		for _, b := range bs {
+			out[0] = m.HostStats(a, b)
+		}
 	}); n != 0 {
-		t.Errorf("warm HostStatsBatch allocates %.1f per run, want 0", n)
+		t.Errorf("warm HostStats allocates %.1f per %d pairs, want 0", n, len(bs))
 	}
 }

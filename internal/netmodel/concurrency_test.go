@@ -64,25 +64,36 @@ func TestModelConcurrentLookups(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			targets := make([]cluster.ClusterID, 0, len(pairs))
+			for _, p := range pairs {
+				targets = append(targets, pop.Host(p.b).Cluster)
+			}
+			out := make([]PairStat, len(targets))
 			for rep := 0; rep < 5; rep++ {
 				for _, p := range pairs {
 					if _, ok := m.HostRTT(p.a, p.b); !ok {
 						continue
 					}
 					m.HostLoss(p.a, p.b)
+					m.HostStats(p.a, p.b)
 				}
+				m.ClusterStatsBatch(pop.Host(pairs[r].a).Cluster, targets, out)
 			}
 		}(r)
 	}
 	wg.Wait()
 
-	// After churn: cached answers must equal a fresh computation.
+	// After churn: cached answers must equal an uncached computation.
 	m.ResetConditions()
 	for _, p := range pairs[:64] {
-		r1, ok1 := m.HostRTT(p.a, p.b)
-		r2, ok2 := m.HostRTT(p.a, p.b)
-		if ok1 != ok2 || r1 != r2 {
-			t.Fatalf("cache diverged for %d-%d: %v,%v vs %v,%v", p.a, p.b, r1, ok1, r2, ok2)
+		a, b := pop.Host(p.a), pop.Host(p.b)
+		if a.Cluster == b.Cluster {
+			continue
+		}
+		want := m.asPath(a.AS, b.AS)
+		got, ok := m.HostRTT(p.a, p.b)
+		if wantRTT := want.rtt + 2*(a.AccessDelay+b.AccessDelay); ok != want.ok || (ok && got != wantRTT) {
+			t.Fatalf("cache diverged for %d-%d: cached %v,%v, uncached %v,%v", p.a, p.b, got, ok, wantRTT, want.ok)
 		}
 	}
 }

@@ -115,7 +115,8 @@ func (c Config) Validate() error {
 // cacheShards stripes the cluster-pair RTT cache so concurrent lookups
 // from many goroutines contend on independent locks. 64 shards keeps
 // contention negligible at GOMAXPROCS-scale worker pools while the
-// fixed-size array stays cheap to allocate per Model.
+// fixed-size array stays cheap to allocate per Model (one stripe cost
+// two workers ~16 % of their throughput, DESIGN.md §9).
 const cacheShards = 64
 
 // rttShard is one stripe of the cluster-pair cache.
@@ -430,21 +431,12 @@ func (m *Model) clusterPath(c1, c2 cluster.ClusterID) pathStats {
 
 // asPath computes path stats between two ASes. It holds condMu for
 // reading so the condition map is observed as one consistent snapshot
-// across the whole path walk.
+// across the whole path walk. The table is always keyed on the smaller
+// ASN: forward and reverse policy paths can legitimately differ, and RTT
+// ground truth must not depend on router-cache state.
 func (m *Model) asPath(a, b asgraph.ASN) pathStats {
 	m.condMu.RLock()
 	defer m.condMu.RUnlock()
-	return m.asPathLocked(a, b)
-}
-
-// asPathLocked is asPath's body, for callers that already hold condMu
-// (the batch lookups compute many paths under one condition snapshot —
-// re-acquiring the read lock per path would both cost a lock round
-// trip each and risk writer starvation between recursive RLocks). The
-// table is always keyed on the smaller ASN: forward and reverse policy
-// paths can legitimately differ, and RTT ground truth must not depend
-// on router-cache state.
-func (m *Model) asPathLocked(a, b asgraph.ASN) pathStats {
 	if a == b {
 		oneWay := m.cfg.IntraASOneWay
 		var loss float64
@@ -470,69 +462,51 @@ func (m *Model) asPathLocked(a, b asgraph.ASN) pathStats {
 	return pathStats{rtt: 2 * oneWay, loss: loss, hops: len(path) - 1, ok: true}
 }
 
-// ASPathRTT returns the ground-truth RTT between two ASes and whether
-// they are connected.
-func (m *Model) ASPathRTT(a, b asgraph.ASN) (time.Duration, bool) {
-	st := m.asPath(a, b)
-	return st.rtt, st.ok
-}
-
 // ASPathHops returns the policy AS-hop count between two ASes.
 func (m *Model) ASPathHops(a, b asgraph.ASN) (int, bool) {
 	st := m.asPath(a, b)
 	return st.hops, st.ok
 }
 
-// HostRTT returns the ground-truth RTT between two hosts: the cluster-pair
-// path RTT plus both hosts' access delays in each direction. Same-host
-// queries return ~0.
-func (m *Model) HostRTT(h1, h2 cluster.HostID) (time.Duration, bool) {
+// HostStats returns the ground-truth RTT and loss between two hosts from
+// one cache visit: the cluster-pair path RTT plus both hosts' access
+// delays in each direction, and the cluster-pair loss. Same-host queries
+// return zero RTT; same-cluster pairs pay access delay only.
+func (m *Model) HostStats(h1, h2 cluster.HostID) PairStat {
 	if h1 == h2 {
-		return 0, true
+		return PairStat{OK: true}
 	}
 	a, b := m.pop.Host(h1), m.pop.Host(h2)
 	access := 2 * (a.AccessDelay + b.AccessDelay)
 	if a.Cluster == b.Cluster {
-		return access, true
+		return PairStat{RTT: access, OK: true}
 	}
 	st := m.clusterPath(a.Cluster, b.Cluster)
 	if !st.ok {
-		return 0, false
+		return PairStat{}
 	}
-	return st.rtt + access, true
+	return PairStat{RTT: st.rtt + access, Loss: st.loss, OK: true}
 }
 
-// HostLoss returns the ground-truth end-to-end loss rate between hosts.
-func (m *Model) HostLoss(h1, h2 cluster.HostID) (float64, bool) {
-	if h1 == h2 {
-		return 0, true
+// HostRTT returns the ground-truth RTT between two hosts.
+func (m *Model) HostRTT(h1, h2 cluster.HostID) (time.Duration, bool) {
+	st := m.HostStats(h1, h2)
+	return st.RTT, st.OK
+}
+
+// clusterStats returns the ground-truth delegate-to-delegate stats
+// between two clusters.
+func (m *Model) clusterStats(c1, c2 cluster.ClusterID) PairStat {
+	if c1 == c2 {
+		return PairStat{RTT: 2 * m.cfg.IntraASOneWay, OK: true}
 	}
-	a, b := m.pop.Host(h1), m.pop.Host(h2)
-	if a.Cluster == b.Cluster {
-		return 0, true
-	}
-	st := m.clusterPath(a.Cluster, b.Cluster)
-	if !st.ok {
-		return 0, false
-	}
-	return st.loss, true
+	st := m.clusterPath(c1, c2)
+	return PairStat{RTT: st.rtt, Loss: st.loss, OK: st.ok}
 }
 
 // ClusterRTT returns the ground-truth delegate-to-delegate RTT between two
 // clusters.
 func (m *Model) ClusterRTT(c1, c2 cluster.ClusterID) (time.Duration, bool) {
-	if c1 == c2 {
-		return 2 * m.cfg.IntraASOneWay, true
-	}
-	st := m.clusterPath(c1, c2)
-	return st.rtt, st.ok
-}
-
-// ClusterLoss returns the ground-truth loss rate between two clusters.
-func (m *Model) ClusterLoss(c1, c2 cluster.ClusterID) (float64, bool) {
-	if c1 == c2 {
-		return 0, true
-	}
-	st := m.clusterPath(c1, c2)
-	return st.loss, st.ok
+	st := m.clusterStats(c1, c2)
+	return st.RTT, st.OK
 }

@@ -171,7 +171,7 @@ func TestHopLatencyCorrelation(t *testing.T) {
 		if !ok {
 			continue
 		}
-		rtt, _ := m.ASPathRTT(a.AS, b.AS)
+		rtt := m.asPath(a.AS, b.AS).rtt
 		samples = append(samples, sample{hops, rtt})
 	}
 	if len(samples) < 100 {

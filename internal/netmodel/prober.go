@@ -161,25 +161,16 @@ type ClusterProbe struct {
 // ProbeClusterSet measures owner→targets[i] RTT for every target, and
 // loss for the targets whose measured RTT landed under latT — the
 // close-set construction pattern (Fig. 9): a cluster too far away is
-// never worth a loss train. The ground truth for the whole set is
-// fetched in one vectorized cache visit (ClusterStatsBatch) before any
-// noise is drawn, and the per-target draw order — response Bool, noise
-// Normal, then the conditional loss-response Bool — is the sequence a
-// per-target RTT probe followed by a loss probe would consume (the
-// reference in batch_test.go pins it). Message counters are charged in
-// two bulk adds. out must be at least len(targets) long.
+// never worth a loss train. The per-target draw order — response Bool,
+// noise Normal, then the conditional loss-response Bool — is the
+// sequence a per-target RTT probe followed by a loss probe would consume
+// (the reference in batch_test.go pins it). Message counters are charged
+// in two bulk adds. out must be at least len(targets) long.
 func (p *Prober) ProbeClusterSet(owner cluster.ClusterID, targets []cluster.ClusterID, latT time.Duration, out []ClusterProbe) {
-	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.pairs) < len(targets) {
-		sc.pairs = make([]PairStat, len(targets))
-	}
-	sc.pairs = sc.pairs[:len(targets)]
-	p.m.ClusterStatsBatch(owner, targets, sc.pairs)
-	var nRTT, nLoss int64
-	for i := range targets {
-		st := sc.pairs[i]
+	var nLoss int64
+	for i, t := range targets {
+		st := p.m.clusterStats(owner, t)
 		pr := ClusterProbe{}
-		nRTT++
 		if p.rng.Bool(p.ResponseProb) && st.OK {
 			pr.RTT = p.noisy(st.RTT)
 			pr.RTTOK = true
@@ -193,8 +184,7 @@ func (p *Prober) ProbeClusterSet(owner cluster.ClusterID, targets []cluster.Clus
 		}
 		out[i] = pr
 	}
-	batchScratchPool.Put(sc)
-	p.counters.Add("probe.cluster_rtt", nRTT*p.MessagesPerProbe)
+	p.counters.Add("probe.cluster_rtt", int64(len(targets))*p.MessagesPerProbe)
 	if nLoss > 0 {
 		p.counters.Add("probe.cluster_loss", nLoss*p.MessagesPerProbe)
 	}

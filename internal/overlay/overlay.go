@@ -87,72 +87,55 @@ func (e *Engine) Model() *netmodel.Model { return e.m }
 
 // Direct returns the direct IP path between two hosts.
 func (e *Engine) Direct(a, b cluster.HostID) (Path, bool) {
-	rtt, ok := e.m.HostRTT(a, b)
-	if !ok {
+	st := e.m.HostStats(a, b)
+	if !st.OK {
 		return Path{}, false
 	}
-	loss, _ := e.m.HostLoss(a, b)
-	return Path{Kind: KindDirect, RTT: rtt, Loss: loss}, true
+	return Path{Kind: KindDirect, RTT: st.RTT, Loss: st.Loss}, true
 }
 
 // OneHop returns the relayed path a -> r -> b.
 func (e *Engine) OneHop(a, r, b cluster.HostID) (Path, bool) {
-	r1, ok1 := e.m.HostRTT(a, r)
-	r2, ok2 := e.m.HostRTT(r, b)
-	if !ok1 || !ok2 {
-		return Path{}, false
+	p, _, _, ok := e.oneHop(a, r, b)
+	return p, ok
+}
+
+// oneHop is OneHop that also hands back the two leg RTTs, which Optimal
+// ranks its two-hop beam by.
+func (e *Engine) oneHop(a, r, b cluster.HostID) (p Path, ra, rb time.Duration, ok bool) {
+	l1, l2 := e.m.HostStats(a, r), e.m.HostStats(r, b)
+	if !l1.OK || !l2.OK {
+		return Path{}, 0, 0, false
 	}
-	l1, _ := e.m.HostLoss(a, r)
-	l2, _ := e.m.HostLoss(r, b)
 	return Path{
 		Kind:   KindOneHop,
 		Relays: []cluster.HostID{r},
-		RTT:    r1 + r2 + RelayRTT,
-		Loss:   combineLoss(l1, l2),
-	}, true
+		RTT:    l1.RTT + l2.RTT + RelayRTT,
+		Loss:   combineLoss(l1.Loss, l2.Loss),
+	}, l1.RTT, l2.RTT, true
 }
 
 // TwoHop returns the relayed path a -> r1 -> r2 -> b.
 func (e *Engine) TwoHop(a, r1, r2, b cluster.HostID) (Path, bool) {
-	x1, ok1 := e.m.HostRTT(a, r1)
-	x2, ok2 := e.m.HostRTT(r1, r2)
-	x3, ok3 := e.m.HostRTT(r2, b)
-	if !ok1 || !ok2 || !ok3 {
+	l1, l2, l3 := e.m.HostStats(a, r1), e.m.HostStats(r1, r2), e.m.HostStats(r2, b)
+	if !l1.OK || !l2.OK || !l3.OK {
 		return Path{}, false
 	}
-	l1, _ := e.m.HostLoss(a, r1)
-	l2, _ := e.m.HostLoss(r1, r2)
-	l3, _ := e.m.HostLoss(r2, b)
 	return Path{
 		Kind:   KindTwoHop,
 		Relays: []cluster.HostID{r1, r2},
-		RTT:    x1 + x2 + x3 + 2*RelayRTT,
-		Loss:   combineLoss(combineLoss(l1, l2), l3),
+		RTT:    l1.RTT + l2.RTT + l3.RTT + 2*RelayRTT,
+		Loss:   combineLoss(combineLoss(l1.Loss, l2.Loss), l3.Loss),
 	}, true
 }
 
-// OneHopBatch fills out[i] with the relayed path a -> relays[i] -> b,
-// resolving the shared legs with two vectorized ground-truth visits
-// (a→relays and b→relays — the model is symmetric) instead of two
-// scalar cache visits per relay. out[i].Kind is zero where either leg
-// is disconnected, the same condition under which OneHop reports
-// ok == false. out must be at least len(relays) long.
+// OneHopBatch fills out[i] with the relayed path a -> relays[i] -> b.
+// out[i].Kind is zero where either leg is disconnected, the same
+// condition under which OneHop reports ok == false. out must be at least
+// len(relays) long.
 func (e *Engine) OneHopBatch(a cluster.HostID, relays []cluster.HostID, b cluster.HostID, out []Path) {
-	legs := make([]netmodel.PairStat, 2*len(relays))
-	aLegs, bLegs := legs[:len(relays)], legs[len(relays):]
-	e.m.HostStatsBatch(a, relays, aLegs)
-	e.m.HostStatsBatch(b, relays, bLegs)
 	for i, r := range relays {
-		if !aLegs[i].OK || !bLegs[i].OK {
-			out[i] = Path{}
-			continue
-		}
-		out[i] = Path{
-			Kind:   KindOneHop,
-			Relays: []cluster.HostID{r},
-			RTT:    aLegs[i].RTT + bLegs[i].RTT + RelayRTT,
-			Loss:   combineLoss(aLegs[i].Loss, bLegs[i].Loss),
-		}
+		out[i], _ = e.OneHop(a, r, b)
 	}
 }
 
@@ -202,7 +185,7 @@ func (e *Engine) Optimal(a, b cluster.HostID, cfg OptConfig) (Path, bool) {
 			continue
 		}
 		r := c.Delegate
-		p, ok := e.OneHop(a, r, b)
+		p, ra, rb, ok := e.oneHop(a, r, b)
 		if !ok {
 			continue
 		}
@@ -210,14 +193,8 @@ func (e *Engine) Optimal(a, b cluster.HostID, cfg OptConfig) (Path, bool) {
 			best, haveBest = p, true
 		}
 		if cfg.TwoHop {
-			ra, ok1 := e.m.HostRTT(a, r)
-			rb, ok2 := e.m.HostRTT(r, b)
-			if ok1 {
-				fromA = append(fromA, side{c.ID, ra})
-			}
-			if ok2 {
-				toB = append(toB, side{c.ID, rb})
-			}
+			fromA = append(fromA, side{c.ID, ra})
+			toB = append(toB, side{c.ID, rb})
 		}
 	}
 

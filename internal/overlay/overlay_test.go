@@ -188,3 +188,31 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestOneHopBatchAllocs holds the batch form to what its paths are made
+// of: one Relays slice per connected path and nothing else.
+func TestOneHopBatchAllocs(t *testing.T) {
+	e, rng := testEngine(t, 200, 1500, 74)
+	pop := e.Model().Population()
+	a, b := randHosts(e, rng)
+	relays := make([]cluster.HostID, 40)
+	for i := range relays {
+		relays[i] = cluster.HostID(rng.Intn(pop.NumHosts()))
+	}
+	out := make([]Path, len(relays))
+	e.OneHopBatch(a, relays, b, out) // warm the cache
+	connected := 0
+	for i, p := range out {
+		if want, ok := e.OneHop(a, relays[i], b); ok != (p.Kind != 0) || p.RTT != want.RTT || p.Loss != want.Loss {
+			t.Fatalf("relay %d: batch %+v, OneHop %+v (ok=%v)", i, p, want, ok)
+		}
+		if p.Kind != 0 {
+			connected++
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		e.OneHopBatch(a, relays, b, out)
+	}); n != float64(connected) {
+		t.Errorf("warm OneHopBatch allocates %.1f per run, want %d (one Relays slice per path)", n, connected)
+	}
+}
