@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-scale race-dataplane test-experiments goldens profile chaos check print-staticcheck-version print-govulncheck-version
+.PHONY: build test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench digests bench-scale race-dataplane test-experiments goldens profile chaos check print-staticcheck-version print-govulncheck-version
 
 build:
 	$(GO) build ./...
@@ -114,6 +114,20 @@ bench-smoke:
 # -compare are passed the same way.
 bench:
 	bash bench/run.sh -seed 1
+
+# digests prints, per workload, the benchmark readings that depend on the
+# seed alone: the outcome digest plus msgs_per_call, setup_virtual_ms_p50
+# and _p99 and rescued_ratio where the workload has them (the pinned
+# repetitions make them independent of -seconds). Two commits that print
+# the same lines behave byte-identically on the benchmark's inputs. With
+# BENCH_JSON=<file> it reads a summary that already exists (the CI bench
+# job's BENCH.json, one group per run) instead of running the benchmark.
+digests:
+	@$(if $(BENCH_JSON),cat $(BENCH_JSON),bash bench/run.sh -seed 1 -seconds 1 -trace 0) | awk ' \
+		/"workload":/ { gsub(/[",]/, ""); w = $$2 } \
+		/"(msgs_per_call|setup_virtual_ms_p50|setup_virtual_ms_p99|rescued_ratio)": \{/ { \
+			gsub(/[":{]/, ""); k = $$1; getline; gsub(/,/, ""); print w, k, $$2 } \
+		/"outcome_digest":/ { gsub(/[",:]/, ""); print w, $$1, $$2 }'
 
 # bench-scale climbs the million-node deployment ladder (DESIGN.md §14):
 # 10^4, 10^5 and 10^6 live protocol nodes joining, churning and calling

@@ -28,9 +28,10 @@
 // session gracefully and prints its final report.
 //
 // Churn tolerance: the bootstrap grants surrogate registrations as
-// leases (-lease, default 30s) that surrogates renew by heartbeat, so a
-// crashed surrogate's cluster re-elects once its lease expires; with
-// -lease 0 registrations never expire. Call setup degrades to a direct
+// leases (-lease, default 30s) that surrogates claim and renew by
+// heartbeat, so a crashed surrogate's cluster re-elects once its lease
+// expires, and a peer restarted on its port inside its lease takes its
+// surrogate role back up; with -lease 0 registrations never expire. Call setup degrades to a direct
 // call (reported "degraded") instead of failing when the control plane
 // is unreachable. The -chaos flag wraps the TCP transport in a seeded
 // fault injector for resilience drills, e.g.

@@ -317,21 +317,6 @@ func (r *Router) Table(dst ASN) *RouteTable {
 	return t
 }
 
-// HasTable reports whether a routing table for dst is already cached.
-func (r *Router) HasTable(dst ASN) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.tables[dst] != nil
-}
-
-// CachedTables returns the number of routing tables currently cached
-// (for tests and capacity monitoring).
-func (r *Router) CachedTables() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.tables)
-}
-
 // Path returns the policy AS path from src to dst. To maximize cache
 // reuse, the table is keyed on the smaller ASN of the pair and reversed
 // when needed: modelled policy paths are symmetric enough for RTT

@@ -279,7 +279,7 @@ func TestBootstrapRejectsUnknownMessages(t *testing.T) {
 		t.Error("bootstrap should reject voice messages")
 	}
 	if _, err := mem.Call(bs.Addr(), &transport.Message{
-		Type: transport.MsgRegisterSurrogate, ClusterKey: "1.2.3.0/24",
+		Type: transport.MsgSurrogateHeartbeat, ClusterKey: "1.2.3.0/24",
 	}); err == nil {
 		t.Error("register for unknown cluster should fail")
 	}

@@ -27,8 +27,8 @@ import (
 //
 // Control-plane churn tolerance (Section 6.1's failure duties):
 //
-//   - Surrogate registrations are leases: they expire unless renewed by
-//     heartbeat, and registration is compare-and-swap — a live incumbent
+//   - Surrogate registrations are leases, claimed and renewed by one
+//     heartbeat message; the claim is compare-and-swap — a live incumbent
 //     wins, so concurrent joiners converge on one surrogate per cluster.
 //   - Every control call retries with capped exponential backoff
 //     (RetryPolicy); only transport-level failures are retried.
@@ -184,30 +184,29 @@ func (b *Bootstrap) liveSurrogateLocked(key string) (transport.Addr, bool) {
 	return l.addr, true
 }
 
-// registerSurrogate is the shared compare-and-swap body of
-// MsgRegisterSurrogate and MsgSurrogateHeartbeat: the registration is
-// granted (or renewed) only when the cluster has no live incumbent or the
-// incumbent is the requester itself. The reply always names the cluster's
-// current lease holder, so a loser learns whom to follow.
-func (b *Bootstrap) registerSurrogate(req *transport.Message, reply transport.MsgType) (*transport.Message, error) {
+// registerSurrogate is the compare-and-swap body of
+// MsgSurrogateHeartbeat: the lease is granted — a first registration, a
+// renewal, or a re-acquisition after a bootstrap restart wiped the table —
+// only when the cluster has no live incumbent or the incumbent is the
+// requester itself. The reply always names the cluster's current lease
+// holder, so a loser learns whom to follow.
+func (b *Bootstrap) registerSurrogate(req *transport.Message) (*transport.Message, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, ok := b.known[req.ClusterKey]; !ok {
 		return nil, fmt.Errorf("core: register for unknown cluster %q", req.ClusterKey)
 	}
-	cur, live := b.liveSurrogateLocked(req.ClusterKey)
-	if live && cur != req.SurrogateAddr {
-		return &transport.Message{
-			Type: reply, SurrogateAddr: cur, LeaseTTL: b.cfg.LeaseTTL,
-		}, nil
+	holder, live := b.liveSurrogateLocked(req.ClusterKey)
+	if !live || holder == req.SurrogateAddr {
+		holder = req.SurrogateAddr
+		var exp time.Duration
+		if b.cfg.LeaseTTL > 0 {
+			exp = b.sched.Now() + b.cfg.LeaseTTL
+		}
+		b.surro[req.ClusterKey] = surrogateLease{addr: holder, expires: exp}
 	}
-	var exp time.Duration
-	if b.cfg.LeaseTTL > 0 {
-		exp = b.sched.Now() + b.cfg.LeaseTTL
-	}
-	b.surro[req.ClusterKey] = surrogateLease{addr: req.SurrogateAddr, expires: exp}
 	return &transport.Message{
-		Type: reply, SurrogateAddr: req.SurrogateAddr, LeaseTTL: b.cfg.LeaseTTL,
+		Type: transport.MsgSurrogateHeartbeatReply, SurrogateAddr: holder, LeaseTTL: b.cfg.LeaseTTL,
 	}, nil
 }
 
@@ -236,14 +235,8 @@ func (b *Bootstrap) handle(from transport.Addr, req *transport.Message) (*transp
 			SurrogateAddr: sur, // empty => caller becomes surrogate
 		}, nil
 
-	case transport.MsgRegisterSurrogate:
-		return b.registerSurrogate(req, transport.MsgRegisterSurrogateReply)
-
 	case transport.MsgSurrogateHeartbeat:
-		// Renewal piggybacks the heartbeat: the same CAS body renews a held
-		// lease and re-acquires a lost one (e.g. after a bootstrap restart
-		// wiped the table).
-		return b.registerSurrogate(req, transport.MsgSurrogateHeartbeatReply)
+		return b.registerSurrogate(req)
 
 	case transport.MsgGetSurrogates:
 		// Return the surrogates of every cluster whose AS lies within K

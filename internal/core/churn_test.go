@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"asap/internal/sim"
 	"asap/internal/transport"
 )
 
@@ -393,4 +394,132 @@ func TestChaosSoak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutines leaked: %d now vs %d at start", runtime.NumGoroutine(), baseline)
+}
+
+// restartWorld is the demo deployment on the virtual clock with a 30 s
+// lease, for the restart tests below. Inside clk.RunTask a t.Fatal would
+// end the root task without ending the drive loop (renewal timers keep it
+// fed), so mk reports a failed join with t.Error and a nil node.
+func restartWorld(t *testing.T, clk *sim.Clock, mem *transport.Mem) (mk func(addr transport.Addr, ip string) *Node, holder func() transport.Addr) {
+	t.Helper()
+	cfg := DemoBootstrapConfig()
+	cfg.LeaseTTL = restartLeaseTTL
+	cfg.Sched = clk
+	bs, err := NewBootstrap(mem, "bs", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk = func(addr transport.Addr, ip string) *Node {
+		n, err := NewNode(mem, addr, NodeConfig{
+			IP: ip, Bootstrap: bs.Addr(), Params: testParams(), Sched: clk, Seed: 1,
+		})
+		if err != nil {
+			t.Errorf("node %s: %v", addr, err)
+			return nil
+		}
+		return n
+	}
+	// holder asks the bootstrap who holds cluster A's lease right now.
+	holder = func() transport.Addr {
+		resp, err := mem.Call(bs.Addr(), &transport.Message{Type: transport.MsgJoin, From: "probe", IP: "10.100.0.200"})
+		if err != nil {
+			t.Errorf("lease probe: %v", err)
+			return ""
+		}
+		return resp.SurrogateAddr
+	}
+	return mk, holder
+}
+
+const restartLeaseTTL = 30 * time.Second
+
+// TestSurrogateRestartInPlace closes a cluster's only surrogate and
+// rebuilds it on the same address one second later, inside its own lease
+// — an asapd peer restarted on its port. The bootstrap names the joiner's
+// own address as lease holder; the join must take the role back up
+// (serve, renew, build a close set) rather than follow itself as a member
+// with no relays, which nothing would ever correct.
+func TestSurrogateRestartInPlace(t *testing.T) {
+	clk := sim.NewClock()
+	mem := transport.NewMem()
+	mem.Sched = clk
+	defer func() { _ = mem.Close() }()
+	mk, holder := restartWorld(t, clk, mem)
+
+	clk.RunTask(func() {
+		first := mk("a0", "10.100.0.1")
+		if first == nil {
+			return
+		}
+		if !first.IsSurrogate() {
+			t.Error("a0 is cluster A's first member and must serve it")
+		}
+		first.Close()
+		mem.Unbind("a0")
+		clk.Sleep(time.Second)
+
+		a0, c0 := mk("a0", "10.100.0.1"), mk("c0", "10.30.0.1")
+		if a0 == nil || c0 == nil {
+			return
+		}
+		defer a0.Close()
+		defer c0.Close()
+		if !a0.IsSurrogate() {
+			t.Errorf("restarted a0 follows %q as a plain member; it holds the lease and must serve", a0.Surrogate())
+		}
+
+		// Only a running renewal keeps the lease past its TTL.
+		clk.Sleep(2 * restartLeaseTTL)
+		if got := holder(); got != a0.Addr() {
+			t.Errorf("lease holder after 2 x TTL is %q, want the restarted a0: its renewal is not running", got)
+		}
+		if a0.IsSurrogate() {
+			if err := a0.RefreshCloseSet(); err != nil {
+				t.Error(err)
+			}
+		}
+		if set, err := a0.CloseSet(); err != nil || len(set) == 0 {
+			t.Errorf("restarted surrogate's close set = %v (err %v), want cluster C in it", set, err)
+		}
+	})
+}
+
+// TestRestartUnderLiveIncumbent is the mirror case: by the time a0 comes
+// back its lease ran out and a1 took the cluster over. The joiner is a
+// member of a1, and a1 keeps the lease.
+func TestRestartUnderLiveIncumbent(t *testing.T) {
+	clk := sim.NewClock()
+	mem := transport.NewMem()
+	mem.Sched = clk
+	defer func() { _ = mem.Close() }()
+	mk, holder := restartWorld(t, clk, mem)
+
+	clk.RunTask(func() {
+		first := mk("a0", "10.100.0.1")
+		if first == nil {
+			return
+		}
+		first.Close()
+		mem.Unbind("a0")
+		clk.Sleep(restartLeaseTTL + time.Second)
+		a1, a0 := mk("a1", "10.100.0.2"), mk("a0", "10.100.0.1")
+		if a1 == nil || a0 == nil {
+			return
+		}
+		defer a1.Close()
+		defer a0.Close()
+		if !a1.IsSurrogate() {
+			t.Error("a1 joined a vacant cluster and must serve it")
+		}
+		if a0.IsSurrogate() || a0.Surrogate() != a1.Addr() {
+			t.Errorf("restarted a0: surrogate=%v following %q, want a member of a1", a0.IsSurrogate(), a0.Surrogate())
+		}
+		clk.Sleep(2 * restartLeaseTTL)
+		if got := holder(); got != a1.Addr() {
+			t.Errorf("lease holder after 2 x TTL is %q, want the incumbent a1", got)
+		}
+		if !a1.IsSurrogate() || a0.IsSurrogate() {
+			t.Errorf("roles after 2 x TTL: a1 surrogate=%v, a0 surrogate=%v", a1.IsSurrogate(), a0.IsSurrogate())
+		}
+	})
 }

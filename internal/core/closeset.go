@@ -128,42 +128,27 @@ func (n *Node) RefreshCloseSet() error {
 // the cluster surrogate when the node is a plain member. An unresponsive
 // surrogate triggers one re-election round before giving up.
 func (n *Node) CloseSet() ([]transport.CloseEntry, error) {
-	n.mu.Lock()
-	isSurro := n.isSurro
-	sur := n.surrogate
-	cached := n.closeSet
-	n.mu.Unlock()
-	if isSurro {
-		return cached, nil
-	}
-	resp, err := n.retryCall(sur, &transport.Message{
-		Type: transport.MsgGetCloseSet, From: n.addr,
-	})
-	if err == nil {
-		return resp.CloseSet, nil
-	}
-	// Surrogate gone after retries: re-elect and try the replacement.
-	if _, rerr := n.reelect(); rerr != nil {
+	for try := 0; ; try++ {
+		n.mu.Lock()
+		isSurro, sur, cached := n.isSurro, n.surrogate, n.closeSet
+		n.mu.Unlock()
+		if isSurro {
+			return cached, nil
+		}
+		resp, err := n.retryCall(sur, &transport.Message{
+			Type: transport.MsgGetCloseSet, From: n.addr,
+		})
+		if err == nil {
+			return resp.CloseSet, nil
+		}
+		// Surrogate gone after retries: re-elect once and ask the
+		// replacement — unless the bootstrap still leases the unresponsive
+		// incumbent, in which case there is nothing new to ask.
+		if try == 0 {
+			if next, rerr := n.reelect(); rerr == nil && next != sur {
+				continue
+			}
+		}
 		return nil, fmt.Errorf("core: fetch close set: %w", err)
 	}
-	n.mu.Lock()
-	isSurro = n.isSurro
-	next := n.surrogate
-	cached = n.closeSet
-	n.mu.Unlock()
-	if isSurro {
-		return cached, nil
-	}
-	if next == sur {
-		// The bootstrap still leases the unresponsive incumbent; nothing
-		// new to ask.
-		return nil, fmt.Errorf("core: fetch close set: %w", err)
-	}
-	resp, err = n.retryCall(next, &transport.Message{
-		Type: transport.MsgGetCloseSet, From: n.addr,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: fetch close set: %w", err)
-	}
-	return resp.CloseSet, nil
 }

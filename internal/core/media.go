@@ -18,6 +18,7 @@ import (
 // opens one UDP flow per call, discovers its external address via STUN,
 // exchanges addresses with the callee over MsgMediaSetup, and both sides
 // climb the traversal ladder (direct -> hole-punched -> relayed). The
+// same handshake, at the next epoch, re-runs the ladder mid-call. The
 // flow's receiver-side accounting then feeds the session monitor through
 // MediaCall.MediaSource, so MOS-driven switchover reacts to what the
 // voice path actually delivers.
@@ -74,7 +75,7 @@ func (n *Node) EnableMedia(cfg MediaConfig) error {
 		return fmt.Errorf("core: node closed")
 	}
 	n.media = ep
-	n.mediaCfg = cfg
+	n.mediaCfg = &cfg
 	if n.mediaCalls == nil {
 		n.mediaCalls = make(map[uint32]*MediaCall)
 	}
@@ -109,17 +110,18 @@ func (n *Node) newMediaToken() uint32 {
 // external address.
 type MediaCall struct {
 	node     *Node
+	cfg      *MediaConfig // the node's media wiring when the call was opened
 	flow     *udp.Flow
 	peer     transport.Addr // control-plane peer address
 	isCaller bool           // callers drive re-establishment; callees follow
 
-	mu    sync.Mutex
-	ext   transport.Addr // our STUN-discovered external media address
-	relay transport.Addr // current voice relay (moves on re-establish)
-	epoch uint32         // re-establishment round (MsgMediaReestablish)
-	path  udp.PathKind
-	err   error
-	done  sim.Waiter
+	mu     sync.Mutex
+	ext    transport.Addr // our STUN-discovered external media address
+	relay  transport.Addr // current voice relay (moves on re-establish)
+	rounds uint32         // handshake rounds begun: MsgMediaSetup epochs 0..rounds-1
+	path   udp.PathKind
+	err    error
+	done   sim.Waiter
 }
 
 // Flow exposes the call's voice flow (send, stats, voice handler).
@@ -185,18 +187,6 @@ func (mc *MediaCall) WaitEstablished(timeout time.Duration) (udp.PathKind, error
 	return mc.path, mc.err
 }
 
-// finish records the ladder outcome and wakes any waiter.
-func (mc *MediaCall) finish(k udp.PathKind, err error) {
-	mc.mu.Lock()
-	mc.path, mc.err = k, err
-	w := mc.done
-	mc.done = nil
-	mc.mu.Unlock()
-	if w != nil {
-		w.Wake()
-	}
-}
-
 // Close tears the call down: forgets it on the node and shuts the flow's
 // socket.
 func (mc *MediaCall) Close() error {
@@ -238,17 +228,47 @@ func (n *Node) MediaCallWith(peer transport.Addr) *MediaCall {
 // SetupMedia establishes the voice data plane toward callee: open a
 // fresh media socket, discover its external address, exchange addresses
 // over the control plane (which starts the callee's half of the ladder),
-// and climb the ladder ourselves. Blocks the calling scheduler task
-// until the call lands on a rung — direct, punched or relayed — and
-// returns the live call.
+// and climb the ladder ourselves — handshake round 0 of the call. Blocks
+// the calling scheduler task until the call lands on a rung — direct,
+// punched or relayed — and returns the live call.
 func (n *Node) SetupMedia(callee transport.Addr) (*MediaCall, error) {
+	mc, err := n.openMediaCall(n.newMediaToken(), callee, true)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := mc.negotiate(""); err != nil {
+		_ = mc.Close()
+		return nil, err
+	}
+	return mc, nil
+}
+
+// Reestablish re-runs the traversal ladder mid-call against relay — the
+// caller-side driver of media-plane resilience, and the call's next
+// handshake round. It is invoked when the session monitor switches or
+// fails over relays (Session.OnPathChange) or when keepalive silence
+// declares the media path dead. The flow, its SSRC and its receive
+// accounting survive: the peer sees one continuous stream and RFC 3550
+// stats span the switch. Blocks the calling scheduler task until the
+// ladder lands or fails (the call stays open). Only the caller drives.
+func (mc *MediaCall) Reestablish(relay transport.Addr) (udp.PathKind, error) {
+	if !mc.isCaller {
+		return udp.PathNone, fmt.Errorf("core: only the calling side drives media re-establishment")
+	}
+	return mc.negotiate(relay)
+}
+
+// openMediaCall opens and registers this node's half of call token: a
+// fresh media socket, its relay proof, its external address. If a
+// concurrent duplicate of the offer registered the token meanwhile, that
+// call is returned and the spare socket closed.
+func (n *Node) openMediaCall(token uint32, peer transport.Addr, isCaller bool) (*MediaCall, error) {
 	n.mu.Lock()
 	ep, cfg := n.media, n.mediaCfg
 	n.mu.Unlock()
 	if ep == nil {
 		return nil, fmt.Errorf("core: media plane not enabled")
 	}
-	token := n.newMediaToken()
 	flow, err := ep.Open(n.nextMediaAddr(), token)
 	if err != nil {
 		return nil, fmt.Errorf("core: media socket: %w", err)
@@ -261,210 +281,113 @@ func (n *Node) SetupMedia(callee transport.Addr) (*MediaCall, error) {
 		_ = flow.Close()
 		return nil, fmt.Errorf("core: media discovery: %w", err)
 	}
-	mc := &MediaCall{node: n, flow: flow, peer: callee, isCaller: true, ext: ext, relay: cfg.Relay}
+	mc := &MediaCall{node: n, cfg: cfg, flow: flow, peer: peer, isCaller: isCaller, ext: ext}
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	closed, other := n.closed, n.mediaCalls[token]
+	if !closed && other == nil {
+		n.mediaCalls[token] = mc
+	}
+	n.mu.Unlock()
+	switch {
+	case closed:
 		_ = flow.Close()
 		return nil, fmt.Errorf("core: node closed")
+	case other != nil:
+		_ = flow.Close()
+		return other, nil
 	}
-	n.mediaCalls[token] = mc
-	n.mu.Unlock()
-
-	resp, err := n.retryCall(callee, &transport.Message{
-		Type: transport.MsgMediaSetup, From: n.addr,
-		MediaAddr: ext, MediaToken: token,
-	})
-	if err != nil {
-		_ = mc.Close()
-		return nil, fmt.Errorf("core: media setup: %w", err)
-	}
-	kind, err := flow.Establish(resp.MediaAddr, cfg.Relay, true)
-	mc.finish(kind, err)
-	if err != nil {
-		_ = mc.Close()
-		return nil, fmt.Errorf("core: media path: %w", err)
-	}
-	n.startMediaKeepalive(mc)
 	return mc, nil
 }
 
-// handleMediaSetup is the callee half of SetupMedia: open our own media
-// socket, discover its external address, start our half of the ladder in
-// the background, and answer with the address. The handler blocks only
-// for the STUN round trip, so the caller's reply is not delayed by the
-// ladder itself — which is the point: both sides must climb
-// simultaneously for hole punching to work, and the caller starts as
-// soon as it has our address.
-func (n *Node) handleMediaSetup(from transport.Addr, req *transport.Message) (*transport.Message, error) {
-	n.mu.Lock()
-	ep, cfg := n.media, n.mediaCfg
-	prior := n.mediaCalls[req.MediaToken]
-	n.mu.Unlock()
-	if ep == nil {
-		return nil, fmt.Errorf("core: media plane not enabled")
+// offerAddr returns the external address to offer in round epoch: the
+// one discovered at open in round 0, a fresh discovery later — the very
+// failure that forced the round may have been a NAT rebind.
+func (mc *MediaCall) offerAddr(epoch uint32) (transport.Addr, error) {
+	if epoch == 0 {
+		return mc.External(), nil
 	}
-	if prior != nil {
-		// The caller's control-plane retry re-delivered the setup: the
-		// ladder is already running; just re-answer.
-		return &transport.Message{Type: transport.MsgMediaSetupReply, MediaAddr: prior.External()}, nil
-	}
-	flow, err := ep.Open(n.nextMediaAddr(), req.MediaToken)
+	ext, err := mc.flow.Discover(mc.cfg.STUN)
 	if err != nil {
-		return nil, fmt.Errorf("core: media socket: %w", err)
-	}
-	if len(cfg.RelayKey) > 0 {
-		flow.SetRelayAuth(udp.RelayProof(cfg.RelayKey, req.MediaToken))
-	}
-	ext, err := flow.Discover(cfg.STUN)
-	if err != nil {
-		_ = flow.Close()
-		return nil, fmt.Errorf("core: media discovery: %w", err)
-	}
-	mc := &MediaCall{node: n, flow: flow, peer: from, ext: ext, relay: cfg.Relay}
-	n.mu.Lock()
-	if other := n.mediaCalls[req.MediaToken]; other != nil {
-		// A concurrent retry beat us while we were discovering.
-		n.mu.Unlock()
-		_ = flow.Close()
-		return &transport.Message{Type: transport.MsgMediaSetupReply, MediaAddr: other.External()}, nil
-	}
-	n.mediaCalls[req.MediaToken] = mc
-	n.mu.Unlock()
-
-	peerExt := req.MediaAddr
-	if n.bgStart() {
-		n.sched.Go(func() {
-			defer n.bgDone()
-			kind, err := flow.Establish(peerExt, cfg.Relay, false)
-			mc.finish(kind, err)
-			if err == nil {
-				n.startMediaKeepalive(mc)
-			}
-		})
-	}
-	return &transport.Message{Type: transport.MsgMediaSetupReply, MediaAddr: ext}, nil
-}
-
-// --- Mid-call re-establishment ---
-
-// Reestablish re-runs the traversal ladder mid-call against relay — the
-// caller-side driver of media-plane resilience. It is invoked when the
-// session monitor switches or fails over relays (Session.OnPathChange)
-// or when keepalive silence declares the media path dead. The flow, its
-// SSRC and its receive accounting survive: the peer sees one continuous
-// stream and RFC 3550 stats span the switch. Blocks the calling
-// scheduler task until the ladder lands (or fails). Only the caller
-// drives — the callee's half runs from handleMediaReestablish.
-func (mc *MediaCall) Reestablish(relay transport.Addr) (udp.PathKind, error) {
-	if !mc.isCaller {
-		return udp.PathNone, fmt.Errorf("core: only the calling side drives media re-establishment")
-	}
-	n := mc.node
-	n.mu.Lock()
-	cfg := n.mediaCfg
-	n.mu.Unlock()
-
-	// One epoch per attempt: control-plane retries of this round carry
-	// the same number, so the callee acts once and re-answers duplicates.
-	mc.mu.Lock()
-	mc.epoch++
-	epoch := mc.epoch
-	mc.mu.Unlock()
-
-	// Re-discover our external address — the very failure that brought us
-	// here may have been a NAT rebind.
-	ext, err := mc.flow.Discover(cfg.STUN)
-	if err != nil {
-		return udp.PathNone, fmt.Errorf("core: media re-discovery: %w", err)
+		return "", fmt.Errorf("core: media re-discovery: %w", err)
 	}
 	mc.mu.Lock()
 	mc.ext = ext
 	mc.mu.Unlock()
+	return ext, nil
+}
 
-	resp, err := n.retryCall(mc.peer, &transport.Message{
-		Type: transport.MsgMediaReestablish, From: n.addr,
+// negotiate is the caller half of one handshake round: offer our
+// external address at the next epoch, learn the callee's, and climb the
+// ladder against relay (empty = each side's configured relay). Control
+// retries of a round carry the same epoch, so the callee acts once per
+// round and re-answers duplicates.
+func (mc *MediaCall) negotiate(relay transport.Addr) (udp.PathKind, error) {
+	mc.mu.Lock()
+	epoch := mc.rounds
+	mc.rounds++
+	mc.mu.Unlock()
+	ext, err := mc.offerAddr(epoch)
+	if err != nil {
+		return udp.PathNone, err
+	}
+	resp, err := mc.node.retryCall(mc.peer, &transport.Message{
+		Type: transport.MsgMediaSetup, From: mc.node.addr,
 		MediaAddr: ext, MediaToken: mc.flow.SSRC(),
 		MediaRelay: relay, MediaEpoch: epoch,
 	})
 	if err != nil {
-		return udp.PathNone, fmt.Errorf("core: media re-establish: %w", err)
+		return udp.PathNone, fmt.Errorf("core: media setup: %w", err)
 	}
-	kind, err := mc.flow.Reestablish(resp.MediaAddr, relay, true)
-	mc.finish(kind, err)
+	return mc.climb(epoch, resp.MediaAddr, relay, true)
+}
+
+// climb runs this side's half of round epoch's ladder — round 0
+// establishes the flow, later rounds re-establish it in place — records
+// the outcome, wakes any waiter and, on success, arms the keepalive.
+func (mc *MediaCall) climb(epoch uint32, peerExt, relay transport.Addr, caller bool) (udp.PathKind, error) {
+	if relay == "" {
+		relay = mc.cfg.Relay
+	}
+	var kind udp.PathKind
+	var err error
+	if epoch == 0 {
+		kind, err = mc.flow.Establish(peerExt, relay, caller)
+	} else {
+		kind, err = mc.flow.Reestablish(peerExt, relay, caller)
+	}
+	mc.mu.Lock()
+	mc.path, mc.err = kind, err
 	if err == nil {
-		mc.mu.Lock()
 		mc.relay = relay
-		mc.mu.Unlock()
 	}
-	return kind, err
-}
-
-// handleMediaReestablish is the callee half of Reestablish: bump the
-// call's epoch (ignoring rounds already acted on — the idempotency the
-// control plane's retries demand), re-discover our external address,
-// restart our half of the ladder in the background against the new
-// relay, and answer with the address. Like setup, the handler blocks
-// only for the STUN round trip so both sides climb simultaneously.
-func (n *Node) handleMediaReestablish(from transport.Addr, req *transport.Message) (*transport.Message, error) {
-	n.mu.Lock()
-	ep, cfg := n.media, n.mediaCfg
-	mc := n.mediaCalls[req.MediaToken]
-	n.mu.Unlock()
-	if ep == nil {
-		return nil, fmt.Errorf("core: media plane not enabled")
-	}
-	if mc == nil {
-		return nil, fmt.Errorf("core: no media call for token %08x", req.MediaToken)
-	}
-	mc.mu.Lock()
-	if req.MediaEpoch <= mc.epoch {
-		// A retry of a round we already started (or an out-of-order
-		// older round): our ladder half is running; just re-answer.
-		ext := mc.ext
-		mc.mu.Unlock()
-		return &transport.Message{Type: transport.MsgMediaReestablishReply, MediaAddr: ext}, nil
-	}
-	mc.epoch = req.MediaEpoch
-	mc.relay = req.MediaRelay
+	w := mc.done
+	mc.done = nil
 	mc.mu.Unlock()
-
-	ext, err := mc.flow.Discover(cfg.STUN)
+	if w != nil {
+		w.Wake()
+	}
 	if err != nil {
-		return nil, fmt.Errorf("core: media re-discovery: %w", err)
+		return kind, fmt.Errorf("core: media path: %w", err)
 	}
-	mc.mu.Lock()
-	mc.ext = ext
-	mc.mu.Unlock()
-
-	peerExt, relay := req.MediaAddr, req.MediaRelay
-	if n.bgStart() {
-		n.sched.Go(func() {
-			defer n.bgDone()
-			kind, err := mc.flow.Reestablish(peerExt, relay, false)
-			mc.finish(kind, err)
-		})
-	}
-	return &transport.Message{Type: transport.MsgMediaReestablishReply, MediaAddr: ext}, nil
+	mc.armKeepalive()
+	return kind, nil
 }
 
-// startMediaKeepalive arms the flow's liveness beacon per MediaConfig.
-// Both endpoints beacon; only the caller reacts to silence, by
-// re-running the ladder against the call's current relay — one driver
+// armKeepalive arms the flow's liveness beacon per MediaConfig (a no-op
+// once armed). Both endpoints beacon; only the caller reacts to silence,
+// by running another round against the call's current relay — one driver
 // per call, so the two sides cannot fight over the ladder.
-func (n *Node) startMediaKeepalive(mc *MediaCall) {
-	n.mu.Lock()
-	cfg := n.mediaCfg
-	n.mu.Unlock()
-	if cfg.KeepaliveInterval <= 0 {
+func (mc *MediaCall) armKeepalive() {
+	if mc.cfg.KeepaliveInterval <= 0 {
 		return
 	}
-	misses := cfg.KeepaliveMisses
+	misses := mc.cfg.KeepaliveMisses
 	if misses < 1 {
 		misses = 3
 	}
 	var onSilent func()
 	if mc.isCaller {
+		n := mc.node
 		onSilent = func() {
 			if !n.bgStart() {
 				return
@@ -475,5 +398,46 @@ func (n *Node) startMediaKeepalive(mc *MediaCall) {
 			})
 		}
 	}
-	mc.flow.StartKeepalive(cfg.KeepaliveInterval, misses, onSilent)
+	mc.flow.StartKeepalive(mc.cfg.KeepaliveInterval, misses, onSilent)
+}
+
+// handleMediaSetup is the callee half of a handshake round. Epoch 0 of
+// an unknown token opens the call; a round already begun — a control
+// retry, an older round, a concurrent retry that lost the race to open —
+// is re-answered without touching the ladder, the idempotency retries
+// demand. Otherwise our half of the ladder starts in the background and
+// the handler blocks only for the STUN round trip: both sides must climb
+// simultaneously for hole punching to work, and the caller starts as
+// soon as it has our address.
+func (n *Node) handleMediaSetup(from transport.Addr, req *transport.Message) (*transport.Message, error) {
+	n.mu.Lock()
+	mc := n.mediaCalls[req.MediaToken]
+	n.mu.Unlock()
+	if mc == nil {
+		if req.MediaEpoch > 0 {
+			return nil, fmt.Errorf("core: no media call for token %08x", req.MediaToken)
+		}
+		var err error
+		if mc, err = n.openMediaCall(req.MediaToken, from, false); err != nil {
+			return nil, err
+		}
+	}
+	mc.mu.Lock()
+	ext, begun := mc.ext, req.MediaEpoch < mc.rounds
+	mc.rounds = max(mc.rounds, req.MediaEpoch+1)
+	mc.mu.Unlock()
+	if !begun {
+		var err error
+		if ext, err = mc.offerAddr(req.MediaEpoch); err != nil {
+			return nil, err
+		}
+		epoch, peerExt, relay := req.MediaEpoch, req.MediaAddr, req.MediaRelay
+		if n.bgStart() {
+			n.sched.Go(func() {
+				defer n.bgDone()
+				_, _ = mc.climb(epoch, peerExt, relay, false)
+			})
+		}
+	}
+	return &transport.Message{Type: transport.MsgMediaSetupReply, MediaAddr: ext}, nil
 }

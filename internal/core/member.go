@@ -70,22 +70,23 @@ type Node struct {
 	surrogate  transport.Addr // my cluster's surrogate (may be self)
 	isSurro    bool
 	leaseTTL   time.Duration // bootstrap's lease lifetime (0 = no leases)
-	renewing   bool          // lease-renewal loop running
 	rejoining  bool          // background re-election running
 	closeSet   []transport.CloseEntry
 	// members tracks nodal info published by cluster members (surrogate
 	// role).
 	members map[transport.Addr]transport.NodalInfo
-	// flows is the control-plane relay table (relay role), by flow ID.
+	// flows is the control-plane relay table (relay role), by flow ID;
+	// flowIdx finds the flow a repeated open already has.
 	flows      map[uint64]relayFlow
+	flowIdx    map[relayKey]uint64
 	nextFlowID uint64
 	// received collects voice payload sizes per sending peer (callee
 	// role). Keyed by sender address: the terminal hop always carries
 	// FlowID 0, so a flow-keyed map would merge concurrent callers.
 	received map[transport.Addr]int
-	// outFlows caches the flow ID opened on each relay per callee, so
-	// voice sends and keepalives share one relay flow per call.
-	outFlows map[flowKey]uint64
+	// outFlows caches the flow opened on each relay per callee, so voice
+	// sends and keepalives share one relay flow per call.
+	outFlows map[flowKey]outFlow
 	// quality holds the latest in-call quality report from each peer
 	// (listener-observed RTT and loss), feeding the session monitor.
 	quality map[transport.Addr]QualityReport
@@ -93,16 +94,19 @@ type Node struct {
 	// next media port offset, live calls by flow token, and the token
 	// sequence.
 	media      *udp.Endpoint
-	mediaCfg   MediaConfig
+	mediaCfg   *MediaConfig // never written through: each call keeps the one it was opened under
 	mediaPorts int
 	mediaCalls map[uint32]*MediaCall
 	mediaSeq   uint32
 }
 
-// relayFlow is one relay-table entry: where the flow forwards to, and
-// when it last carried a keepalive or a voice batch (a scheduler offset).
+// relayKey identifies a relay flow by who opened it and where it forwards.
+type relayKey struct{ from, dst transport.Addr }
+
+// relayFlow is one relay-table entry, and when it last carried an open,
+// a keepalive or a voice batch (a scheduler offset).
 type relayFlow struct {
-	dst      transport.Addr
+	relayKey
 	lastSeen time.Duration
 }
 
@@ -116,6 +120,46 @@ const (
 	maxRelayFlows = 65536
 	relayFlowIdle = 30 * time.Second
 )
+
+// handleRelayOpen answers with from's relay flow toward req.Dst, opening
+// it if need be. MsgRelayOpen is delivered at least once, so a repeat
+// open refreshes the flow it already made rather than leaving an orphan
+// that nothing keepalives. req.FlowID names a flow the caller dropped: if
+// it is the one held, it is released for a fresh one — which is what a
+// duplicate of that request then finds.
+func (n *Node) handleRelayOpen(from transport.Addr, req *transport.Message) (*transport.Message, error) {
+	now := n.sched.Now()
+	key := relayKey{from: from, dst: req.Dst}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	id, ok := n.flowIdx[key]
+	if ok && id == req.FlowID {
+		delete(n.flows, id)
+		ok = false
+	}
+	if !ok {
+		if len(n.flows) >= maxRelayFlows {
+			for id, f := range n.flows {
+				if now-f.lastSeen > relayFlowIdle {
+					delete(n.flows, id)
+					delete(n.flowIdx, f.relayKey)
+				}
+			}
+		}
+		if len(n.flows) >= maxRelayFlows {
+			return nil, fmt.Errorf("core: relay table full (%d flows)", maxRelayFlows)
+		}
+		if n.flows == nil {
+			n.flows = make(map[uint64]relayFlow)
+			n.flowIdx = make(map[relayKey]uint64)
+		}
+		n.nextFlowID++
+		id = n.nextFlowID
+		n.flowIdx[key] = id
+	}
+	n.flows[id] = relayFlow{relayKey: key, lastSeen: now}
+	return &transport.Message{Type: transport.MsgRelayOpenReply, FlowID: id}, nil
+}
 
 // touchFlow refreshes a relay flow's idle clock and returns where it
 // forwards to; ok is false for a flow this node does not hold.
@@ -137,6 +181,13 @@ type flowKey struct {
 	callee transport.Addr
 }
 
+// outFlow is a cached outbound relay flow. dropped marks one given up
+// (DropFlow); its ID is kept for the next open to name as replaced.
+type outFlow struct {
+	id      uint64
+	dropped bool
+}
+
 // QualityReport is a peer's listener-side view of an ongoing call. At is
 // the receive time as an offset on this node's scheduler.
 type QualityReport struct {
@@ -145,10 +196,9 @@ type QualityReport struct {
 	At   time.Duration
 }
 
-// NewNode builds and serves a peer on addr, then joins via the bootstrap
-// (end-host duty 1). If the cluster has no surrogate yet, the node
-// volunteers (duty 2) and registers with compare-and-swap semantics, so
-// concurrent joiners converge on a single surrogate.
+// NewNode builds and serves a peer on addr, then joins: the join is the
+// node's first re-election (end-host duties 1-3, see reelect), so a
+// joiner and a member whose surrogate died take the same path.
 func NewNode(tr transport.Transport, addr transport.Addr, cfg NodeConfig) (*Node, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
@@ -176,36 +226,8 @@ func NewNode(tr transport.Transport, addr transport.Addr, cfg NodeConfig) (*Node
 	// address, so every node retries on its own reproducible schedule.
 	n.jitterRNG = sim.NewRNG(sim.SubSeed(cfg.Seed,
 		sim.StringLabel("retry-jitter"), sim.StringLabel(string(bound))))
-
-	// Join (with backoff — a bootstrap missing one beat must not abort).
-	resp, err := n.retryCall(cfg.Bootstrap, &transport.Message{
-		Type: transport.MsgJoin, From: n.addr, IP: cfg.IP,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: join: %w", err)
-	}
-	n.mu.Lock()
-	n.asn = asgraph.ASN(resp.ASN)
-	n.clusterKey = resp.ClusterKey
-	n.surrogate = resp.SurrogateAddr
-	n.mu.Unlock()
-
-	if resp.SurrogateAddr == "" {
-		if err := n.tryBecomeSurrogate(); err != nil {
-			return nil, err
-		}
-	} else if resp.SurrogateAddr != n.addr {
-		// Publish nodal info to the incumbent (end-host duty 3).
-		if err := n.publishNodal(); err != nil {
-			// Incumbent unreachable even after retries. A transient publish
-			// failure must not hijack the surrogate role: re-check the
-			// bootstrap's lease state and volunteer only if the incumbent
-			// is confirmed gone (lease expired). While the lease is live we
-			// stay a member and re-elect on demand later.
-			if _, rerr := n.reelect(); rerr != nil {
-				return nil, fmt.Errorf("core: publish nodal info: %w", err)
-			}
-		}
+	if _, err := n.reelect(); err != nil {
+		return nil, err
 	}
 	return n, nil
 }
@@ -311,107 +333,27 @@ func (n *Node) retryCall(to transport.Addr, req *transport.Message) (*transport.
 	return resp, err
 }
 
-// publishNodal publishes this node's capability information to its
-// surrogate (end-host duty 3). A no-op when the node serves itself.
-func (n *Node) publishNodal() error {
+// follow makes sur the surrogate this node is a plain member of, and
+// publishes the node's capability information to a new one (end-host
+// duty 3; best effort — it is republished on every change of surrogate).
+func (n *Node) follow(sur transport.Addr) {
 	n.mu.Lock()
-	sur := n.surrogate
-	self := n.isSurro
+	changed := n.surrogate != sur
+	n.surrogate, n.isSurro = sur, false
 	n.mu.Unlock()
-	if self || sur == "" || sur == n.addr {
-		return nil
+	if changed {
+		_, _ = n.retryCall(sur, &transport.Message{
+			Type: transport.MsgPublishNodalInfo, From: n.addr, Nodal: n.cfg.Nodal,
+		})
 	}
-	_, err := n.retryCall(sur, &transport.Message{
-		Type: transport.MsgPublishNodalInfo, From: n.addr, Nodal: n.cfg.Nodal,
-	})
-	return err
 }
 
-// tryBecomeSurrogate volunteers for the cluster with CAS semantics: if a
-// live incumbent already holds the lease, the node adopts it as a member
-// instead. On success the node starts lease renewal and builds its close
-// set (a failed initial build leaves the set empty — degraded but
-// serving; RefreshCloseSet can repair it any time).
-func (n *Node) tryBecomeSurrogate() error {
-	n.mu.Lock()
-	key := n.clusterKey
-	n.mu.Unlock()
-	resp, err := n.retryCall(n.cfg.Bootstrap, &transport.Message{
-		Type: transport.MsgRegisterSurrogate, From: n.addr,
-		ClusterKey: key, SurrogateAddr: n.addr,
-	})
-	if err != nil {
-		return fmt.Errorf("core: register surrogate: %w", err)
-	}
-	if resp.SurrogateAddr != "" && resp.SurrogateAddr != n.addr {
-		// Lost the registration race: a live surrogate beat us. Serve as a
-		// plain member of the winner.
-		n.mu.Lock()
-		n.isSurro = false
-		n.surrogate = resp.SurrogateAddr
-		n.mu.Unlock()
-		return n.publishNodal()
-	}
-	n.mu.Lock()
-	n.isSurro = true
-	n.surrogate = n.addr
-	n.leaseTTL = resp.LeaseTTL
-	n.mu.Unlock()
-	n.startRenewal(resp.LeaseTTL)
-	_ = n.RefreshCloseSet()
-	return nil
-}
-
-// startRenewal starts the lease-renewal heartbeat (no-op when leases are
-// disabled or one is already running). Instead of a goroutine blocked on
-// a ticker, each tick is a scheduler task that re-arms itself — the shape
-// that runs identically on the virtual clock and the wall adapter.
-func (n *Node) startRenewal(ttl time.Duration) {
-	if ttl <= 0 {
-		return
-	}
-	n.mu.Lock()
-	if n.renewing || n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.renewing = true
-	n.mu.Unlock()
-	interval := ttl / 3
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	n.armRenew(interval)
-}
-
-// armRenew schedules the next renewal tick, unless the node closed.
-func (n *Node) armRenew(interval time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		n.renewing = false
-		return
-	}
-	n.renewTimer = n.sched.AfterFunc(interval, func() { n.renewTick(interval) })
-}
-
-// renewTick is one heartbeat: renew the lease, demote on a lost lease,
-// re-arm otherwise.
-func (n *Node) renewTick(interval time.Duration) {
-	stop := func() {
-		n.mu.Lock()
-		n.renewing = false
-		n.mu.Unlock()
-	}
-	if !n.bgStart() {
-		stop()
-		return
-	}
-	defer n.bgDone()
-	if n.ctx.Err() != nil || !n.IsSurrogate() {
-		stop()
-		return
-	}
+// claimLease sends the one lease message — registration is the first
+// heartbeat, renewal every later one — and applies the bootstrap's
+// compare-and-swap verdict: granted (or renewed, or re-acquired after a
+// bootstrap restart) unless a live rival holds the lease, whom the node
+// then follows as a plain member. An error leaves its role untouched.
+func (n *Node) claimLease() (held bool, err error) {
 	n.mu.Lock()
 	key := n.clusterKey
 	n.mu.Unlock()
@@ -420,52 +362,83 @@ func (n *Node) renewTick(interval time.Duration) {
 		ClusterKey: key, SurrogateAddr: n.addr,
 	})
 	if err != nil {
-		// Bootstrap outage: keep serving and retry next tick — the
-		// heartbeat re-acquires the lease once the bootstrap heals.
-		n.armRenew(interval)
-		return
+		return false, fmt.Errorf("core: claim surrogate lease: %w", err)
 	}
 	if resp.SurrogateAddr != "" && resp.SurrogateAddr != n.addr {
-		// Lease lost to a live rival (e.g. it registered during our own
-		// outage): demote and follow it.
-		n.mu.Lock()
-		n.isSurro = false
-		n.surrogate = resp.SurrogateAddr
-		n.mu.Unlock()
-		_ = n.publishNodal()
-		stop()
-		return
+		n.follow(resp.SurrogateAddr)
+		return false, nil
 	}
-	n.armRenew(interval)
+	n.mu.Lock()
+	n.surrogate, n.isSurro, n.leaseTTL = n.addr, true, resp.LeaseTTL
+	n.mu.Unlock()
+	return true, nil
 }
 
-// reelect re-runs the join to learn the bootstrap's current lease state
-// after the surrogate stopped answering: it adopts a fresh incumbent, or
-// volunteers when the cluster is vacant (end-host duty 2), republishing
-// nodal info either way. It returns the surrogate the node now follows.
+// armRenew schedules the next lease heartbeat a third of a lease away,
+// unless one is pending, leases are disabled or the node closed. Instead
+// of a goroutine blocked on a ticker, each tick is a scheduler task that
+// re-arms itself — the shape that runs identically on the virtual clock
+// and the wall adapter.
+func (n *Node) armRenew() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.renewTimer == nil && n.leaseTTL > 0 && !n.closed {
+		n.renewTimer = n.sched.AfterFunc(max(n.leaseTTL/3, 5*time.Millisecond), n.renewTick)
+	}
+}
+
+// renewTick is one heartbeat: claim the lease again and re-arm while it
+// is held. A failed claim is a bootstrap outage: keep serving and retry
+// next tick — the heartbeat re-acquires the lease once the bootstrap
+// heals. The chain ends once a rival holds the lease.
+func (n *Node) renewTick() {
+	n.mu.Lock()
+	n.renewTimer = nil // fired
+	n.mu.Unlock()
+	if !n.bgStart() {
+		return
+	}
+	defer n.bgDone()
+	if n.ctx.Err() != nil || !n.IsSurrogate() {
+		return
+	}
+	if held, err := n.claimLease(); held || err != nil {
+		n.armRenew()
+	}
+}
+
+// reelect asks the bootstrap who serves this node's cluster and takes up
+// the matching role — the join, and every re-join after the surrogate
+// stopped answering. It follows a live incumbent and publishes nodal info
+// to it (end-host duty 3); a lease holder that does not answer is still
+// followed, never displaced, until its lease runs out. It volunteers
+// (duty 2) when the cluster is vacant or the lease names this very
+// address — a surrogate restarted in place — then renews the lease and
+// builds its close set (a failed build leaves it empty: degraded but
+// serving). It returns the surrogate the node now follows.
 func (n *Node) reelect() (transport.Addr, error) {
 	resp, err := n.retryCall(n.cfg.Bootstrap, &transport.Message{
 		Type: transport.MsgJoin, From: n.addr, IP: n.cfg.IP,
 	})
 	if err != nil {
-		return "", fmt.Errorf("core: rejoin: %w", err)
-	}
-	sur := resp.SurrogateAddr
-	if sur == "" || sur == n.addr {
-		if err := n.tryBecomeSurrogate(); err != nil {
-			return "", err
-		}
-		return n.Surrogate(), nil
+		return "", fmt.Errorf("core: join: %w", err)
 	}
 	n.mu.Lock()
-	changed := n.surrogate != sur
-	n.surrogate = sur
-	n.isSurro = false
+	n.asn, n.clusterKey = asgraph.ASN(resp.ASN), resp.ClusterKey
 	n.mu.Unlock()
-	if changed {
-		_ = n.publishNodal()
+	if sur := resp.SurrogateAddr; sur != "" && sur != n.addr {
+		n.follow(sur)
+		return sur, nil
 	}
-	return sur, nil
+	held, err := n.claimLease()
+	if err != nil {
+		return "", err
+	}
+	if held {
+		n.armRenew()
+		_ = n.RefreshCloseSet()
+	}
+	return n.Surrogate(), nil
 }
 
 // asyncReelect triggers reelect in the background, at most one at a time.
@@ -594,9 +567,6 @@ func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.M
 	case transport.MsgMediaSetup:
 		return n.handleMediaSetup(from, req)
 
-	case transport.MsgMediaReestablish:
-		return n.handleMediaReestablish(from, req)
-
 	case transport.MsgQualityReport:
 		n.mu.Lock()
 		if n.quality == nil {
@@ -610,27 +580,7 @@ func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.M
 		return resp, nil
 
 	case transport.MsgRelayOpen:
-		now := n.sched.Now()
-		n.mu.Lock()
-		if len(n.flows) >= maxRelayFlows {
-			for id, f := range n.flows {
-				if now-f.lastSeen > relayFlowIdle {
-					delete(n.flows, id)
-				}
-			}
-		}
-		if len(n.flows) >= maxRelayFlows {
-			n.mu.Unlock()
-			return nil, fmt.Errorf("core: relay table full (%d flows)", maxRelayFlows)
-		}
-		n.nextFlowID++
-		id := n.nextFlowID
-		if n.flows == nil {
-			n.flows = make(map[uint64]relayFlow)
-		}
-		n.flows[id] = relayFlow{dst: req.Dst, lastSeen: now}
-		n.mu.Unlock()
-		return &transport.Message{Type: transport.MsgRelayOpenReply, FlowID: id}, nil
+		return n.handleRelayOpen(from, req)
 
 	case transport.MsgVoice:
 		if req.FlowID != 0 {

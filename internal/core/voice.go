@@ -14,35 +14,40 @@ import (
 
 // EnsureFlow opens a forwarding flow on relay toward callee, reusing a
 // previously opened one. Voice sends and session keepalives share the
-// returned flow ID for the life of the call.
+// returned flow ID for the life of the call. After a DropFlow the open
+// names the dropped flow, so the relay releases it and opens a fresh one.
 func (n *Node) EnsureFlow(relay, callee transport.Addr) (uint64, error) {
 	key := flowKey{relay: relay, callee: callee}
 	n.mu.Lock()
-	id, ok := n.outFlows[key]
+	f, ok := n.outFlows[key]
 	n.mu.Unlock()
-	if ok {
-		return id, nil
+	if ok && !f.dropped {
+		return f.id, nil
 	}
 	open, err := n.retryCall(relay, &transport.Message{
-		Type: transport.MsgRelayOpen, From: n.addr, Dst: callee,
+		Type: transport.MsgRelayOpen, From: n.addr, Dst: callee, FlowID: f.id,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("core: relay open: %w", err)
 	}
 	n.mu.Lock()
 	if n.outFlows == nil {
-		n.outFlows = make(map[flowKey]uint64)
+		n.outFlows = make(map[flowKey]outFlow)
 	}
-	n.outFlows[key] = open.FlowID
+	n.outFlows[key] = outFlow{id: open.FlowID}
 	n.mu.Unlock()
 	return open.FlowID, nil
 }
 
-// DropFlow forgets the cached flow on relay toward callee (after a
+// DropFlow gives up the cached flow on relay toward callee (after a
 // failover the dead relay's flow must not be reused).
 func (n *Node) DropFlow(relay, callee transport.Addr) {
+	key := flowKey{relay: relay, callee: callee}
 	n.mu.Lock()
-	delete(n.outFlows, flowKey{relay: relay, callee: callee})
+	if f, ok := n.outFlows[key]; ok {
+		f.dropped = true
+		n.outFlows[key] = f
+	}
 	n.mu.Unlock()
 }
 

@@ -33,9 +33,6 @@ func (c *Counters) Add(name string, n int64) {
 	c.m[name] += n
 }
 
-// Inc increments the named counter by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
 // Get returns the named counter's value.
 func (c *Counters) Get(name string) int64 {
 	c.mu.Lock()
@@ -63,13 +60,6 @@ func (c *Counters) Snapshot() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = make(map[string]int64)
 }
 
 // String renders the counters sorted by name, for logs and test failures.

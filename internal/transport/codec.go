@@ -32,8 +32,10 @@ import (
 // Zero-valued fields are skipped entirely; decoding into a zeroed
 // Message therefore round-trips exactly. Unknown field ids and version
 // bytes are decode errors: the protocol has a single deployed version
-// at a time, and failing loudly beats silently dropping fields.
-const CodecVersion = 1
+// at a time, and failing loudly beats silently dropping fields. The
+// version moves whenever the MsgType numbering does (2: renumbered
+// compactly), so an old frame is rejected at byte 0, not misdispatched.
+const CodecVersion = 2
 
 // Field ids. Append only — reusing an id changes the meaning of old
 // frames. The order is also the canonical encode order.
@@ -187,13 +189,12 @@ func DecodeMessage(data []byte, m *Message) error {
 	if data[0] != CodecVersion {
 		return fmt.Errorf("transport: decode: unsupported codec version %d", data[0])
 	}
-	// Reject unknown and retired message types up front, mirroring the
-	// unknown-field rule below: a frame this build cannot dispatch must
-	// fail loudly at the wire, not surface as a zero-value handler
-	// mystery. protosync (`make lint`) checks this bound stays tied to
-	// the enum.
+	// Reject unknown message types up front, mirroring the unknown-field
+	// rule below: a frame this build cannot dispatch must fail loudly at
+	// the wire, not surface as a zero-value handler mystery. protosync
+	// (`make lint`) checks this bound stays tied to the enum.
 	t := MsgType(int8(data[1]))
-	if t <= 0 || t >= msgTypeLimit || retiredMsgType(t) {
+	if t <= 0 || t >= msgTypeLimit {
 		return fmt.Errorf("transport: decode: unknown message type %d", data[1])
 	}
 	m.Type = t

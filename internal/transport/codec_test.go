@@ -51,7 +51,7 @@ func TestMessageCodecCoversAllTypes(t *testing.T) {
 		covered[m.Type] = true
 	}
 	for mt := MsgError; mt < msgTypeLimit; mt++ {
-		if !covered[mt] && !retiredMsgType(mt) {
+		if !covered[mt] {
 			t.Errorf("no sample message for MsgType %d — add one to sampleMessages", mt)
 		}
 	}
@@ -67,10 +67,11 @@ func TestDecodeMessageRejectsCorruptFrames(t *testing.T) {
 		{"empty", nil, "truncated"},
 		{"version only", []byte{CodecVersion}, "truncated"},
 		{"bad version", []byte{99, byte(MsgPing)}, "unsupported codec version"},
-		// 22 and 23 were the scalar relay probe and its reply: a frame an
-		// old build could still send, refused rather than dispatched.
-		{"retired type 22", []byte{CodecVersion, 22, fldFrom, 1, 'a'}, "unknown message type"},
-		{"retired type 23", []byte{CodecVersion, 23, fldRTT, 2}, "unknown message type"},
+		// Version 2 renumbered the enum, so a frame an old build could still
+		// send is refused at byte 0 rather than dispatched as another type.
+		{"version 1 frame", []byte{1, 22, fldFrom, 1, 'a'}, "unsupported codec version"},
+		{"type zero", []byte{CodecVersion, 0, fldFrom, 1, 'a'}, "unknown message type"},
+		{"type at the sentinel", []byte{CodecVersion, byte(msgTypeLimit), fldFrom, 1, 'a'}, "unknown message type"},
 		{"unknown field", []byte{CodecVersion, byte(MsgPing), 200}, "unknown field id"},
 		{"zero field id", []byte{CodecVersion, byte(MsgPing), 0}, "unknown field id"},
 		{"truncated value", valid[:len(valid)-1], "truncated"},

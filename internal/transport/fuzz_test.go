@@ -29,9 +29,15 @@ func FuzzMessageCodec(f *testing.F) {
 	f.Add([]byte{CodecVersion})
 	f.Add([]byte{99, 1})
 	f.Add([]byte{CodecVersion, 1, 200})
-	// The two retired type bytes (message.go), well-formed otherwise.
-	f.Add([]byte{CodecVersion, 22, fldFrom, 1, 'a', fldDst, 1, 'b'})
-	f.Add([]byte{CodecVersion, 23, fldRTT, 2})
+	// A version-1 frame, well-formed otherwise; the two type bytes just
+	// outside the enum; a duplicated and a truncated field section.
+	f.Add([]byte{1, 22, fldFrom, 1, 'a', fldDst, 1, 'b'})
+	f.Add([]byte{CodecVersion, 0, fldFrom, 1, 'a'})
+	f.Add([]byte{CodecVersion, byte(msgTypeLimit), fldFrom, 1, 'a'})
+	f.Add([]byte{CodecVersion, byte(MsgPing), fldFrom, 1, 'a', fldFrom, 1, 'a'})
+	f.Add([]byte{CodecVersion, byte(MsgPing), fldFrom, 9, 'a'})
+	// The media offer that opens a call: epoch 0 is a skipped zero field.
+	f.Add(AppendMessage(nil, &Message{Type: MsgMediaSetup, From: "a", MediaAddr: "203.0.113.1:5000", MediaToken: 0xdeadbeef}))
 	f.Add([]byte{CodecVersion, byte(MsgGetSurrogates), fldASNs, 0xFF, 0xFF, 0x7F})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := AcquireMessage()

@@ -60,8 +60,6 @@ func sampleMessages() []*Message {
 		{Type: MsgError, From: "a", Error: "handler exploded"},
 		{Type: MsgJoin, From: "h1", IP: "10.0.0.1"},
 		{Type: MsgJoinReply, ASN: 64512, ClusterKey: "10.0.0.0/24", SurrogateAddr: "s1"},
-		{Type: MsgRegisterSurrogate, From: "s1", ClusterKey: "10.0.0.0/24", SurrogateAddr: "s1"},
-		{Type: MsgRegisterSurrogateReply, SurrogateAddr: "s1", LeaseTTL: 30 * time.Second},
 		{Type: MsgGetSurrogates, From: "s1", ASNs: []uint32{64512, 64513, 1}},
 		{Type: MsgGetSurrogatesReply, CloseSet: []CloseEntry{
 			{ClusterKey: "10.1.0.0/24", SurrogateAddr: "s2"},
@@ -85,12 +83,10 @@ func sampleMessages() []*Message {
 		{Type: MsgKeepaliveAck, From: "r"},
 		{Type: MsgQualityReport, From: "b", SessionID: 9, RTT: 80 * time.Millisecond, Loss: 0.02},
 		{Type: MsgQualityReportAck},
-		{Type: MsgSurrogateHeartbeat, From: "s1", ClusterKey: "10.0.0.0/24"},
+		{Type: MsgSurrogateHeartbeat, From: "s1", ClusterKey: "10.0.0.0/24", SurrogateAddr: "s1"},
 		{Type: MsgSurrogateHeartbeatReply, SurrogateAddr: "s1", LeaseTTL: 30 * time.Second},
-		{Type: MsgMediaSetup, From: "a", MediaAddr: "203.0.113.1:5000", MediaToken: 0xdeadbeef},
+		{Type: MsgMediaSetup, From: "a", MediaAddr: "203.0.113.1:5002", MediaToken: 0xdeadbeef, MediaRelay: "relay:7000", MediaEpoch: 3},
 		{Type: MsgMediaSetupReply, MediaAddr: "198.51.100.2:6000"},
-		{Type: MsgMediaReestablish, From: "a", MediaAddr: "203.0.113.1:5002", MediaToken: 0xdeadbeef, MediaRelay: "relay:7000", MediaEpoch: 3},
-		{Type: MsgMediaReestablishReply, MediaAddr: "198.51.100.2:6002"},
 		{Type: MsgProbeBatch, From: "a", ProbeDsts: []Addr{"", "callee", "other"}},
 		{Type: MsgProbeBatchReply, ProbeRTTs: []time.Duration{3 * time.Millisecond, -1, 40 * time.Millisecond}},
 		// Kitchen sink: every field set at once, including negative

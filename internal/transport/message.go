@@ -19,11 +19,6 @@ const (
 	MsgJoin
 	MsgJoinReply
 
-	// MsgRegisterSurrogate: surrogate -> bootstrap. Announces that the
-	// sender serves a prefix cluster.
-	MsgRegisterSurrogate
-	MsgRegisterSurrogateReply
-
 	// MsgGetSurrogates: surrogate/end host -> bootstrap. Resolves the
 	// surrogate addresses of clusters in the given ASes (used during
 	// close-cluster-set construction).
@@ -50,7 +45,9 @@ const (
 	MsgCallSetupReply
 
 	// MsgRelayOpen: endpoint -> relay. Asks the relay to forward a voice
-	// flow to the given destination.
+	// flow to the given destination. Idempotent: a repeat open from the
+	// same endpoint for the same destination gets the flow it already has,
+	// unless FlowID names that flow as dropped and to be replaced.
 	MsgRelayOpen
 	MsgRelayOpenReply
 
@@ -64,46 +61,31 @@ const (
 	MsgKeepalive
 	MsgKeepaliveAck
 
-	// Wire numbers 22 and 23 are retired: they carried the scalar relay
-	// probe that MsgProbeBatch replaced. The slots stay reserved so every
-	// later type keeps its number, and the decoder rejects a frame that
-	// carries one (retiredMsgType).
-	_
-	_
-
 	// MsgQualityReport: callee -> caller. Periodic listener-side quality
 	// (observed loss and delay) feeding the caller's session monitor.
 	MsgQualityReport
 	MsgQualityReportAck
 
-	// MsgSurrogateHeartbeat: surrogate -> bootstrap. Renews the sender's
-	// surrogate lease (and re-acquires it after a bootstrap restart). The
-	// reply names the cluster's current lease holder, so a surrogate that
-	// lost its lease learns the incumbent and demotes itself.
+	// MsgSurrogateHeartbeat: surrogate -> bootstrap. Claims the surrogate
+	// lease of the sender's prefix cluster: the first heartbeat registers,
+	// later ones renew (and re-acquire it after a bootstrap restart). The
+	// reply names the cluster's current lease holder, so a volunteer or
+	// surrogate that lost the lease learns whom to follow.
 	MsgSurrogateHeartbeat
 	MsgSurrogateHeartbeatReply
 
-	// MsgMediaSetup: caller -> callee. Starts the voice data plane for a
-	// call: carries the caller's STUN-discovered external media address
-	// and the flow token both sides will bind. The reply returns the
-	// callee's own external media address, after which both sides run the
-	// traversal ladder (direct -> punched -> relayed) simultaneously.
+	// MsgMediaSetup: caller -> callee. One round of the media handshake.
+	// Carries the caller's STUN-discovered external media address, the
+	// flow token both sides bind (identifying which call), the voice
+	// relay's media address (empty = each side's configured relay), and
+	// an epoch: the callee acts once per epoch and re-answers one it has
+	// begun, so control retries are idempotent. Epoch 0 starts the call's
+	// voice data plane; every later epoch re-runs the traversal ladder
+	// mid-call on the same flow (same SSRC, receive stats continuous).
+	// The reply returns the callee's external media address, after which
+	// both sides climb direct -> punched -> relayed simultaneously.
 	MsgMediaSetup
 	MsgMediaSetupReply
-
-	// MsgMediaReestablish: caller -> callee. Re-runs the traversal ladder
-	// for an already-established media flow, mid-call — after the session
-	// monitor switched relays or keepalive silence declared the media
-	// path dead. Carries the caller's freshly re-discovered external
-	// address, the flow token (identifying which call), the new relay's
-	// media address, and a monotonically increasing epoch so control
-	// retries are idempotent: the callee re-answers an epoch it has
-	// already acted on without restarting its ladder. The reply returns
-	// the callee's re-discovered external address, after which both sides
-	// climb direct -> punched -> relayed again on the same flow (same
-	// SSRC, same sockets, receive stats continuous).
-	MsgMediaReestablish
-	MsgMediaReestablishReply
 
 	// MsgProbeBatch: caller -> relay (or callee). One coalesced
 	// measurement round trip for every path that shares this wire
@@ -126,12 +108,6 @@ const (
 	msgTypeLimit
 )
 
-// retiredMsgType reports whether t is one of the reserved slots between
-// MsgKeepaliveAck and MsgQualityReport that no build sends any more.
-func retiredMsgType(t MsgType) bool {
-	return t > MsgKeepaliveAck && t < MsgQualityReport
-}
-
 // String names t for logs, error messages and protocol diagnostics.
 // Every declared message type needs a case here: the protosync analyzer
 // fails `make lint` when the enum and this switch drift apart.
@@ -143,10 +119,6 @@ func (t MsgType) String() string {
 		return "MsgJoin"
 	case MsgJoinReply:
 		return "MsgJoinReply"
-	case MsgRegisterSurrogate:
-		return "MsgRegisterSurrogate"
-	case MsgRegisterSurrogateReply:
-		return "MsgRegisterSurrogateReply"
 	case MsgGetSurrogates:
 		return "MsgGetSurrogates"
 	case MsgGetSurrogatesReply:
@@ -191,10 +163,6 @@ func (t MsgType) String() string {
 		return "MsgMediaSetup"
 	case MsgMediaSetupReply:
 		return "MsgMediaSetupReply"
-	case MsgMediaReestablish:
-		return "MsgMediaReestablish"
-	case MsgMediaReestablishReply:
-		return "MsgMediaReestablishReply"
 	case MsgProbeBatch:
 		return "MsgProbeBatch"
 	case MsgProbeBatchReply:
@@ -246,7 +214,7 @@ type Message struct {
 	// ClusterKey identifies a prefix cluster (join/register/close-set).
 	ClusterKey string
 	// SurrogateAddr is a surrogate's transport address (MsgJoinReply,
-	// MsgRegisterSurrogate).
+	// MsgSurrogateHeartbeat and its reply).
 	SurrogateAddr Addr
 	// ASNs carries the AS list of MsgGetSurrogates.
 	ASNs []uint32
@@ -262,7 +230,8 @@ type Message struct {
 	SentAt time.Duration
 	// Dst is the forwarding destination (MsgRelayOpen, MsgVoice).
 	Dst Addr
-	// FlowID identifies a relayed voice flow.
+	// FlowID identifies a relayed voice flow (in MsgRelayOpen: the flow
+	// the caller dropped and this open replaces, if any).
 	FlowID uint64
 	// Seq is the first frame sequence number in a voice batch.
 	Seq uint32
@@ -276,8 +245,8 @@ type Message struct {
 	// SessionID identifies a live call session (MsgQualityReport).
 	SessionID uint64
 	// LeaseTTL is the bootstrap's surrogate-lease lifetime
-	// (MsgRegisterSurrogateReply, MsgSurrogateHeartbeatReply). Zero means
-	// leases are disabled: registrations never expire.
+	// (MsgSurrogateHeartbeatReply). Zero means leases are disabled:
+	// registrations never expire.
 	LeaseTTL time.Duration
 	// Degraded marks a MsgCallSetupReply produced without the answerer's
 	// surrogate (close set unavailable): the caller should fall back to a
@@ -292,12 +261,14 @@ type Message struct {
 	// the ladder falls through to its relay rung (MsgMediaSetup).
 	MediaToken uint32
 	// MediaRelay is the voice-relay media address both endpoints should
-	// bind when re-running the ladder (MsgMediaReestablish) — the media
-	// plane of the relay the session monitor switched to.
+	// bind on the ladder's last rung (MsgMediaSetup) — the media plane of
+	// the relay the session monitor switched to. Empty means each side's
+	// configured relay.
 	MediaRelay Addr
-	// MediaEpoch orders re-establishment rounds for one media flow
-	// (MsgMediaReestablish): the callee acts once per epoch and re-answers
-	// duplicates, making the handshake idempotent under control retries.
+	// MediaEpoch orders the handshake rounds of one media flow
+	// (MsgMediaSetup; 0 is the call's first): the callee acts once per
+	// epoch and re-answers duplicates, making the handshake idempotent
+	// under control retries.
 	MediaEpoch uint32
 	// ProbeDsts lists the far-leg destinations of a MsgProbeBatch; an
 	// empty Addr measures the path to the receiver itself.

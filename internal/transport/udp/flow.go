@@ -146,7 +146,7 @@ type Flow struct {
 	mu          sync.Mutex
 	closed      bool
 	established bool
-	climbing    bool // an Establish/Reestablish ladder is running
+	climbing    bool // a ladder run (enterLadder) is in progress
 	path        PathKind
 	phase       PathKind       // ladder rung currently being attempted
 	peer        transport.Addr // voice destination (peer or relay)
@@ -312,10 +312,31 @@ func (f *Flow) Discover(stun transport.Addr) (transport.Addr, error) {
 // external addresses over the control plane; only the caller actively
 // Syns during the direct phase (the callee answers), then both punch
 // simultaneously, then both bind relay (empty relay = skip that rung).
-// It returns the rung the flow landed on.
+// It returns the rung the flow landed on — at once when an early Syn
+// already established the passive side.
 func (f *Flow) Establish(peer, relay transport.Addr, caller bool) (PathKind, error) {
+	return f.enterLadder(peer, relay, caller, false)
+}
+
+// Reestablish re-runs the traversal ladder mid-call — after the session
+// monitor switched relays, or after keepalive silence — without tearing
+// the flow down: the socket, SSRC, send sequence and receive accounting
+// all survive, so RFC 3550 stats span the switch and the receiver sees
+// one continuous stream. peer is the peer's freshly re-discovered
+// external address; relay the (possibly new) relay. Callers re-exchange
+// addresses over the control plane first (MsgMediaSetup at the next
+// epoch), exactly as at setup.
+func (f *Flow) Reestablish(peer, relay transport.Addr, caller bool) (PathKind, error) {
+	return f.enterLadder(peer, relay, caller, true)
+}
+
+// enterLadder is the one guarded entry to climb. again (Reestablish)
+// drops the flow back to PathNone first, unbinds a replaced relay and
+// counts a successful climb. A concurrent run is refused rather than
+// queued — control retries re-invoke on their own cadence.
+func (f *Flow) enterLadder(peer, relay transport.Addr, caller, again bool) (PathKind, error) {
 	f.mu.Lock()
-	if f.established {
+	if f.established && !again {
 		p := f.path
 		f.mu.Unlock()
 		return p, nil
@@ -329,65 +350,37 @@ func (f *Flow) Establish(peer, relay transport.Addr, caller bool) (PathKind, err
 		return PathNone, fmt.Errorf("udp: flow %d establishment already in progress", f.ssrc)
 	}
 	f.climbing = true
-	f.peer = peer
-	f.relay = relay
-	f.relayReject = false
-	f.mu.Unlock()
-	defer f.climbDone()
-	return f.climb(peer, relay, caller)
-}
-
-// Reestablish re-runs the traversal ladder mid-call — after the session
-// monitor switched relays, or after keepalive silence — without tearing
-// the flow down: the socket, SSRC, send sequence and receive accounting
-// all survive, so RFC 3550 stats span the switch and the receiver sees
-// one continuous stream. peer is the peer's freshly re-discovered
-// external address; relay the (possibly new) relay. Callers re-exchange
-// addresses over the control plane first (MsgMediaReestablish), exactly
-// as at setup. A concurrent ladder run is refused rather than queued —
-// control retries re-invoke on their own cadence.
-func (f *Flow) Reestablish(peer, relay transport.Addr, caller bool) (PathKind, error) {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return PathNone, transport.ErrPacketClosed
-	}
-	if f.climbing {
-		f.mu.Unlock()
-		return PathNone, fmt.Errorf("udp: flow %d re-establishment already in progress", f.ssrc)
-	}
-	f.climbing = true
 	oldRelay := transport.Addr("")
-	if f.path == PathRelayed && f.relay != "" && f.relay != relay {
-		oldRelay = f.relay // release the dead rung's binding, best-effort
+	if again {
+		if f.path == PathRelayed && f.relay != "" && f.relay != relay {
+			oldRelay = f.relay // release the dead rung's binding, best-effort
+		}
+		f.established = false
+		f.path = PathNone
+		f.phase = PathNone
+		f.silentFired = false
+		f.lastRecv = f.sched.Now() // silence clock restarts with the ladder
 	}
-	f.established = false
-	f.path = PathNone
-	f.phase = PathNone
 	f.relayReject = false
-	f.silentFired = false
-	f.lastRecv = f.sched.Now() // silence clock restarts with the ladder
 	f.peer = peer
 	f.relay = relay
 	f.mu.Unlock()
-	defer f.climbDone()
+	defer func() {
+		f.mu.Lock()
+		f.climbing = false
+		f.mu.Unlock()
+	}()
 
 	if oldRelay != "" {
 		f.sendUnbind(oldRelay)
 	}
 	kind, err := f.climb(peer, relay, caller)
-	if err == nil {
+	if again && err == nil {
 		f.mu.Lock()
 		f.reest++
 		f.mu.Unlock()
 	}
 	return kind, err
-}
-
-func (f *Flow) climbDone() {
-	f.mu.Lock()
-	f.climbing = false
-	f.mu.Unlock()
 }
 
 // climb runs the three-rung ladder. Callers hold the climbing guard.

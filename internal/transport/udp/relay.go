@@ -43,8 +43,8 @@ import (
 //     sweep is off and only explicit unbinds reclaim state.
 //
 // In ASAP terms the relay is the chosen close-relay surrogate: the
-// control plane (MsgMediaSetup / MsgMediaReestablish) distributes the
-// token and proof; the data plane here only verifies and forwards.
+// control plane (MsgMediaSetup) distributes the token and proof; the
+// data plane here only verifies and forwards.
 type RelayServer struct {
 	conn  transport.PacketConn
 	sched sim.Scheduler
