@@ -90,9 +90,9 @@ lint:
 	$(GO) run ./cmd/asaplint ./internal/...
 
 # allocgate re-runs the allocation-regression tests (TestEncodeAllocs,
-# TestDecodeAllocs*, TestClusterStatsBatchAllocs, TestOneHopBatchAllocs,
-# TestClockAllocs, TestBufPoolAllocs, TestVoicePacketAllocs,
-# TestTCPCallAllocs) in a
+# TestDecodeAllocs*, TestClusterStatsBatchAllocs,
+# TestProberDiscardViewAllocs, TestOneHopBatchAllocs, TestClockAllocs,
+# TestBufPoolAllocs, TestVoicePacketAllocs, TestTCPCallAllocs) in a
 # plain build: the race runs above skip them because -race instruments
 # allocations, so without this target `check` would never enforce the
 # zero-alloc wire path and kept-connection TCP round trip (DESIGN.md
@@ -136,8 +136,8 @@ digests:
 # relay-quality extension per rung into BENCH_scale.json; protocol
 # outcomes are byte-identical for any -parallel value. SCALE_NODES
 # overrides the ladder ceiling (CI uses 100000 to stay under the job
-# clock; the tracked full-ladder numbers live in
-# results/BENCH_scale.json).
+# clock, and results/BENCH_scale.json tracks that depth: the 10^6 rung
+# peaks above 11 GB resident).
 SCALE_NODES ?= 1000000
 bench-scale:
 	$(GO) run ./cmd/asapsim -scale -nodes $(SCALE_NODES) -parallel 4 -benchout BENCH_scale.json
@@ -158,7 +158,7 @@ race-dataplane:
 test-experiments:
 	$(GO) test -race -count=1 -timeout 60s ./internal/eval/
 
-# goldens regenerates the small-profile figures (~15 s) and fails if the
+# goldens regenerates the small-profile figures (~5 s) and fails if the
 # set of CSVs or any byte in them differs from the tracked
 # results/small/: a figure that moved must be re-tracked in the PR that
 # moved it. The CSVs are identical for any -parallel value;

@@ -380,7 +380,7 @@ func runMonitoredCall(node *core.Node, callee transport.Addr, choice *core.Relay
 			if err != nil {
 				return nil, err
 			}
-			cands := toCandidates(fresh.Ranked)
+			cands := fresh.Ranked
 			if len(cands) == 0 {
 				// Degraded reselect: no relay is findable right now, but
 				// the callee still answers — keep the call alive direct.
@@ -400,7 +400,7 @@ func runMonitoredCall(node *core.Node, callee transport.Addr, choice *core.Relay
 	}
 	var backups []session.Candidate
 	if len(choice.Ranked) > 1 {
-		backups = toCandidates(choice.Ranked[1:])
+		backups = choice.Ranked[1:]
 	}
 	sess, err := mgr.Open(callee, session.Candidate{Relay: choice.Relay, Est: choice.EstRTT}, backups, flowID)
 	if err != nil {
@@ -505,14 +505,6 @@ func printMediaStats(mc *core.MediaCall) {
 	fmt.Printf("  media %s: sent %d, received %d (%d bytes), lost %d (%.1f%%), reordered %d, jitter %v, reestablished %d\n",
 		mc.Path(), mc.Flow().Sent(), st.Packets, st.Bytes, st.Lost, 100*st.Loss(), st.Reordered,
 		st.Jitter.Round(time.Microsecond), mc.Reestablishments())
-}
-
-func toCandidates(ranked []core.RelayCandidate) []session.Candidate {
-	out := make([]session.Candidate, 0, len(ranked))
-	for _, c := range ranked {
-		out = append(out, session.Candidate{Relay: c.Relay, Est: c.Est})
-	}
-	return out
 }
 
 func printReports(reports []session.Report) {

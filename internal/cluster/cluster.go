@@ -171,9 +171,9 @@ func Generate(alloc *bgp.Allocation, cfg GenConfig, rng *sim.RNG) (*Population, 
 	full := func(ci int) bool {
 		return uint64(nextOffset[ci]) >= p.clusters[ci].Prefix.NumAddrs()
 	}
+	zipf := sim.NewZipfTable(nPop, cfg.SizeSkew)
 	for len(p.hosts) < cfg.NumHosts {
-		rank := rng.Zipf(nPop, cfg.SizeSkew)
-		ci := rankOf[rank-1]
+		ci := rankOf[zipf.Sample(rng)-1]
 		if full(ci) {
 			// Small prefix filled up: scan for a non-full cluster from a
 			// random start so the overflow spreads instead of aborting.

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
+	"time"
 
 	"asap/internal/asgraph"
 	"asap/internal/bgp"
@@ -80,16 +83,61 @@ func TestGeneratePopulationInvariants(t *testing.T) {
 	}
 }
 
-func TestGenerateDeterministic(t *testing.T) {
-	_, _, p1 := testWorld(t, 200, 1000, 33)
-	_, _, p2 := testWorld(t, 200, 1000, 33)
-	if p1.NumClusters() != p2.NumClusters() {
-		t.Fatal("same seed, different cluster count")
+// popDigest hashes a population host by host and cluster by cluster.
+func popDigest(p *Population) string {
+	h := sha256.New()
+	for _, x := range p.Hosts() {
+		fmt.Fprintf(h, "%+v\n", x)
 	}
-	for i := range p1.Hosts() {
-		if p1.Hosts()[i].Addr != p2.Hosts()[i].Addr {
-			t.Fatal("same seed, different hosts")
+	for _, c := range p.Clusters() {
+		fmt.Fprintf(h, "%+v\n", c)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+func TestGenerateDeterministic(t *testing.T) {
+	for _, size := range []struct{ ases, hosts int }{
+		{200, 1000},
+		{2000, 12000}, // eval.Small
+	} {
+		_, _, p1 := testWorld(t, size.ases, size.hosts, 33)
+		_, _, p2 := testWorld(t, size.ases, size.hosts, 33)
+		if p1.NumClusters() != p2.NumClusters() {
+			t.Fatal("same seed, different cluster count")
 		}
+		if popDigest(p1) != popDigest(p2) {
+			t.Fatalf("%d hosts: same seed, different population", size.hosts)
+		}
+	}
+}
+
+// TestGeneratePaperSizeIsFast builds the paper profile's population
+// (eval.Paper: 23,366 hosts over ~7,170 populated prefixes of a
+// 20,955-AS allocation) and bounds the wall time of Generate alone: it is
+// ~12 ms when each host costs a binary search, and was 6.3 s when each
+// host re-summed the Zipf series over every cluster. The digest is
+// logged so two commits can be compared with -v.
+func TestGeneratePaperSizeIsFast(t *testing.T) {
+	rng := sim.NewRNG(1)
+	g, err := asgraph.Generate(asgraph.DefaultGenConfig(20955), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := bgp.Allocate(g, bgp.DefaultAllocConfig(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultGenConfig(23366)
+	cfg.PopulatedFrac = 0.16
+	start := time.Now()
+	pop, err := Generate(alloc, cfg, rng)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d hosts in %d clusters in %v, digest %s", pop.NumHosts(), pop.NumClusters(), took, popDigest(pop))
+	if took > time.Second {
+		t.Errorf("Generate took %v at the paper profile's size, want < 1s", took)
 	}
 }
 

@@ -315,3 +315,84 @@ func TestManyNodesJoinOverMem(t *testing.T) {
 		t.Errorf("%d surrogates for 3 clusters", surrogates)
 	}
 }
+
+// TestCloseSetIsPublishedNotCopied pins the invariant that lets a
+// surrogate hand its close set out without copying: the set is replaced
+// whole, never written through. A slice fetched from a surrogate — its
+// own CloseSet, a member's, a raw MsgGetCloseSet — is the very slice the
+// surrogate holds, stays as it was while the surrogate rebuilds (read
+// here concurrently with the rebuilds, for the race detector), and the
+// fetches leave the surrogate's set as it was.
+func TestCloseSetIsPublishedNotCopied(t *testing.T) {
+	mem := transport.NewMem()
+	defer func() { _ = mem.Close() }()
+	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := func(addr transport.Addr, ip string) *Node {
+		t.Helper()
+		n, err := NewNode(mem, addr, NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: testParams()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	join("h3", "10.30.0.1")
+	sur := join("h1", "10.100.0.1") // joins after h3, so its set holds h3's cluster
+	member := join("h2", "10.100.0.2")
+
+	own, err := sur.CloseSet()
+	if err != nil || len(own) != 1 {
+		t.Fatalf("surrogate close set = %v, %v; want one entry", own, err)
+	}
+	before := append([]transport.CloseEntry(nil), own...)
+	fetched, err := member.CloseSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := mem.Call(sur.Addr(), &transport.Message{Type: transport.MsgGetCloseSet, From: "probe"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]transport.CloseEntry{"member": fetched, "raw": resp.CloseSet} {
+		if len(got) != 1 || &got[0] != &own[0] {
+			t.Errorf("%s fetch is not the surrogate's own slice: %v", name, got)
+		}
+	}
+	if again, _ := sur.CloseSet(); len(again) != 1 || &again[0] != &own[0] || again[0] != before[0] {
+		t.Errorf("the fetches changed the surrogate's set: %v, was %v", again, before)
+	}
+
+	// A second close cluster appears and the surrogate rebuilds while the
+	// fetched slices are being read.
+	join("h4", "10.10.0.1")
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 20; i++ {
+			if err := sur.RefreshCloseSet(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for reading := true; reading; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			reading = false
+		default:
+		}
+		for _, got := range [][]transport.CloseEntry{own, fetched, resp.CloseSet} {
+			if len(got) != 1 || got[0] != before[0] {
+				t.Fatalf("a fetched close set changed under a rebuild: %v, was %v", got, before)
+			}
+		}
+	}
+	if now, _ := sur.CloseSet(); len(now) != 2 {
+		t.Errorf("rebuilt close set = %v, want two entries", now)
+	}
+}

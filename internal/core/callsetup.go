@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"asap/internal/overlay"
+	"asap/internal/session"
 	"asap/internal/transport"
 )
 
@@ -15,11 +16,8 @@ import (
 
 // RelayCandidate is one usable relay from a call setup, with its
 // estimated voice-path RTT. The session monitor probes the top few as
-// backup paths during the call.
-type RelayCandidate struct {
-	Relay transport.Addr
-	Est   time.Duration
-}
+// backup paths during the call, so it is the monitor's own path type.
+type RelayCandidate = session.Candidate
 
 // RelayChoice is the outcome of a live call setup.
 type RelayChoice struct {

@@ -126,7 +126,8 @@ func (n *Node) RefreshCloseSet() error {
 
 // CloseSet returns the node's current close cluster set, fetching it from
 // the cluster surrogate when the node is a plain member. An unresponsive
-// surrogate triggers one re-election round before giving up.
+// surrogate triggers one re-election round before giving up. The slice is
+// the one the surrogate holds: callers must not modify it.
 func (n *Node) CloseSet() ([]transport.CloseEntry, error) {
 	for try := 0; ; try++ {
 		n.mu.Lock()

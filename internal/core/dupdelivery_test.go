@@ -66,8 +66,9 @@ type demoLifeOutcome struct {
 // lease renewals, close-set builds, a relayed SetupCall, EnsureFlow and a
 // voice batch, SetupMedia between symmetric NATs plus one Reestablish,
 // control and media keepalives, a probe tick, a quality report, teardown.
-// Failures inside the task are t.Error + return: a t.Fatal there would end
-// the root task but not the drive loop the renewal timers keep fed.
+// Failures inside the task are t.Error + return, from when a t.Fatal in a
+// task left the drive loop waiting on it forever; it now ends RunTask
+// (sim.TestTaskThatExitsItsGoroutine).
 func demoLife(t *testing.T, wrap func(transport.Transport) transport.Transport) (out demoLifeOutcome) {
 	t.Helper()
 	clk := sim.NewClock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asap/internal/asgraph"
@@ -54,11 +55,7 @@ type Node struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// jitterRNG is the node's seeded retry-jitter stream (sim.SubSeed of
-	// cfg.Seed and the bound address); the mutex covers wall-mode
-	// concurrent retries.
-	jitterMu  sync.Mutex
-	jitterRNG *sim.RNG
+	jitterDraws atomic.Uint64 // retry-jitter draws taken so far (see jitter)
 
 	mu         sync.Mutex
 	closed     bool
@@ -71,10 +68,9 @@ type Node struct {
 	isSurro    bool
 	leaseTTL   time.Duration // bootstrap's lease lifetime (0 = no leases)
 	rejoining  bool          // background re-election running
-	closeSet   []transport.CloseEntry
-	// members tracks nodal info published by cluster members (surrogate
-	// role).
-	members map[transport.Addr]transport.NodalInfo
+	// closeSet is replaced whole by RefreshCloseSet and never written
+	// through, so handlers and CloseSet hand it out without copying.
+	closeSet []transport.CloseEntry
 	// flows is the control-plane relay table (relay role), by flow ID;
 	// flowIdx finds the flow a repeated open already has.
 	flows      map[uint64]relayFlow
@@ -113,9 +109,10 @@ type relayFlow struct {
 // The relay table is something a stranger can make this node hold, so it
 // is bounded: at maxRelayFlows an open first reclaims flows idle longer
 // than relayFlowIdle and is refused if none were. The cap sits well
-// above honest traffic (the 10^6-node ladder puts a few thousand live
-// flows on one surrogate); relayFlowIdle is many keepalive intervals, so
-// a monitored call is never the one reclaimed.
+// above honest traffic (the busiest node held 456 flows on call_sim and
+// 105 on the ladder's 10^5-node rung, each until it idled out);
+// relayFlowIdle is many keepalive intervals, so a monitored call is
+// never the one reclaimed.
 const (
 	maxRelayFlows = 65536
 	relayFlowIdle = 30 * time.Second
@@ -203,10 +200,10 @@ func NewNode(tr transport.Transport, addr transport.Addr, cfg NodeConfig) (*Node
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	// Role maps (members, flows, received, outFlows, quality) stay nil
-	// until first written: most of a million-node deployment's residents
-	// never relay, never serve a cluster and never take a call, and five
-	// empty maps per node is ~0.5 KB of dead weight at that scale.
+	// Role maps (flows, received, outFlows, quality) stay nil until first
+	// written, and retry jitter holds no generator (see jitter): most of a
+	// million-node deployment's residents never relay, take a call or
+	// retry, and four empty maps and a math/rand source are 5.3 KB a node.
 	n := &Node{
 		cfg:   cfg,
 		tr:    tr,
@@ -222,10 +219,6 @@ func NewNode(tr transport.Transport, addr transport.Addr, cfg NodeConfig) (*Node
 		return nil, err
 	}
 	n.addr = bound
-	// The jitter stream is derived from the configured seed and the bound
-	// address, so every node retries on its own reproducible schedule.
-	n.jitterRNG = sim.NewRNG(sim.SubSeed(cfg.Seed,
-		sim.StringLabel("retry-jitter"), sim.StringLabel(string(bound))))
 	if _, err := n.reelect(); err != nil {
 		return nil, err
 	}
@@ -311,11 +304,15 @@ func (n *Node) bgDone() {
 	}
 }
 
-// jitter draws from the node's seeded retry-jitter stream.
+// jitter returns the node's next retry-jitter draw in [0,1): a hash of
+// the configured seed, the bound address and the draw's number, so every
+// node retries on its own reproducible schedule without holding a
+// generator. It is drawn only in a backoff after a transient failure
+// under a policy that sets Jitter, which no deployment here does.
 func (n *Node) jitter() float64 {
-	n.jitterMu.Lock()
-	defer n.jitterMu.Unlock()
-	return n.jitterRNG.Float64()
+	h := sim.SubSeed(n.cfg.Seed, sim.StringLabel("retry-jitter"),
+		sim.StringLabel(string(n.addr)), n.jitterDraws.Add(1))
+	return float64(h>>10) / (1 << 53) // SubSeed is 63 bits wide
 }
 
 // retryCall performs one control-plane request under the node's retry
@@ -466,8 +463,8 @@ func (n *Node) asyncReelect() {
 // ping. Each leg becomes a concurrent ping task, so without a bound a
 // single frame could turn a relay into a ping amplifier. ProbePaths
 // sends one leg per distinct callee this caller reaches through the
-// relay — one per live session, four on the benchmark's live_tcp — so
-// 64 is far above honest traffic.
+// relay — one per live session: every one of call_sim's batches carries
+// one leg, live_tcp's four — so 64 is far above honest traffic.
 const maxProbeBatch = 64
 
 func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.Message, error) {
@@ -483,10 +480,7 @@ func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.M
 
 	case transport.MsgGetCloseSet, transport.MsgCallSetup:
 		n.mu.Lock()
-		isSurro := n.isSurro
-		set := make([]transport.CloseEntry, len(n.closeSet))
-		copy(set, n.closeSet)
-		sur := n.surrogate
+		isSurro, sur, set := n.isSurro, n.surrogate, n.closeSet
 		n.mu.Unlock()
 		if req.Type == transport.MsgCallSetup && !isSurro {
 			// A plain member answers call setup with its surrogate's set.
@@ -510,12 +504,8 @@ func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.M
 		return &transport.Message{Type: reply, CloseSet: set}, nil
 
 	case transport.MsgPublishNodalInfo:
-		n.mu.Lock()
-		if n.members == nil {
-			n.members = make(map[transport.Addr]transport.NodalInfo)
-		}
-		n.members[from] = req.Nodal
-		n.mu.Unlock()
+		// Acknowledged, not stored: the actor election seats whoever wins
+		// the lease, so nothing reads nodal info yet (DESIGN.md §8).
 		return &transport.Message{Type: transport.MsgPublishNodalInfoReply}, nil
 
 	case transport.MsgKeepalive:

@@ -151,3 +151,37 @@ func TestRetryVirtualBackoffDeterministic(t *testing.T) {
 		t.Error("different seeds produced identical jittered schedules")
 	}
 }
+
+// TestNodeJitterIsAFunctionOfSeedAddressAndDraw: a node's retry jitter
+// needs no generator — the same seed and address give the same draws in
+// [0,1), another address or seed different ones.
+func TestNodeJitterIsAFunctionOfSeedAddressAndDraw(t *testing.T) {
+	draws := func(seed int64, addr transport.Addr) []float64 {
+		n := &Node{cfg: NodeConfig{Seed: seed}, addr: addr}
+		out := make([]float64, 64)
+		for i := range out {
+			out[i] = n.jitter()
+			if out[i] < 0 || out[i] >= 1 {
+				t.Fatalf("draw %d = %g, want [0,1)", i, out[i])
+			}
+		}
+		return out
+	}
+	a := draws(42, "h1")
+	if fmt.Sprint(a) != fmt.Sprint(draws(42, "h1")) {
+		t.Error("same seed and address, different jitter")
+	}
+	if a[0] == a[1] {
+		t.Error("consecutive draws are equal")
+	}
+	if fmt.Sprint(a) == fmt.Sprint(draws(42, "h2")) || fmt.Sprint(a) == fmt.Sprint(draws(7, "h1")) {
+		t.Error("jitter does not depend on the address and the seed")
+	}
+	var mean float64
+	for _, x := range a {
+		mean += x / float64(len(a))
+	}
+	if mean < 0.3 || mean > 0.7 {
+		t.Errorf("mean of 64 draws = %.2f, want about 0.5", mean)
+	}
+}

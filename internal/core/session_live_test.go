@@ -269,11 +269,7 @@ func TestLiveSessionFailover(t *testing.T) {
 	}
 	defer mgr.Close()
 
-	var backups []session.Candidate
-	for _, c := range choice.Ranked[1:] {
-		backups = append(backups, session.Candidate{Relay: c.Relay, Est: c.Est})
-	}
-	sess, err := mgr.Open(h2.Addr(), session.Candidate{Relay: choice.Relay, Est: choice.EstRTT}, backups, flowID)
+	sess, err := mgr.Open(h2.Addr(), session.Candidate{Relay: choice.Relay, Est: choice.EstRTT}, choice.Ranked[1:], flowID)
 	if err != nil {
 		t.Fatal(err)
 	}

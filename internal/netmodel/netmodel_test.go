@@ -366,6 +366,35 @@ func TestProberNoiseAndAccounting(t *testing.T) {
 	}
 }
 
+// TestProberDiscardViewAllocs pins the view core's direct ping uses
+// (WithCounters(nil)): it measures, charges the prober it came from
+// nothing, and costs no allocation — the copy stays on the caller's stack.
+func TestProberDiscardViewAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	m, rng := testModel(t, 200, 500, 64, DefaultConfig())
+	ctr := sim.NewCounters()
+	p, err := NewProber(m, DefaultProberConfig(), rng, ctr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := 0
+	if n := testing.AllocsPerRun(200, func() {
+		if _, ok := p.WithCounters(nil).HostRTT(0, 1); ok {
+			answered++
+		}
+	}); n != 0 {
+		t.Errorf("a discarded direct ping allocates %.1f per run, want 0", n)
+	}
+	if answered == 0 {
+		t.Error("the discard view measured nothing")
+	}
+	if got := ctr.Total(); got != 0 {
+		t.Errorf("the discard view charged its parent %d messages, want 0", got)
+	}
+}
+
 func TestProberNonResponse(t *testing.T) {
 	m, rng := testModel(t, 200, 500, 65, DefaultConfig())
 	cfg := DefaultProberConfig()

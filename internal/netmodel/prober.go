@@ -103,11 +103,9 @@ func (p *Prober) Counters() *sim.Counters { return p.counters }
 
 // WithCounters returns a prober sharing this one's model, noise model and
 // random stream but charging messages to ctr — used to attribute probe
-// cost to a specific session or surrogate.
+// cost to a session or surrogate; a nil ctr discards the charge, for a
+// caller that accounts for its probe itself.
 func (p *Prober) WithCounters(ctr *sim.Counters) *Prober {
-	if ctr == nil {
-		ctr = sim.NewCounters()
-	}
 	cp := *p
 	cp.counters = ctr
 	return &cp

@@ -240,27 +240,35 @@ func (c *Clock) workerLocked() *task {
 // repeat. It exits when the idle list is full, or when endDrive closes
 // its wake channel (which reads as a wake with no body).
 func (c *Clock) work(t *task) {
-	for {
-		<-t.wake
-		fn := t.fn
-		if fn == nil {
-			return
-		}
-		t.fn = nil
-		fn()
+	for c.runNext(t) {
+	}
+}
+
+// runNext runs the body t was armed with and gives the virtual CPU back,
+// reporting whether t parked idle for another. The hand-back is deferred:
+// a body that ends its goroutine (runtime.Goexit, i.e. t.Fatal) must
+// still release the loop, and is not parked for reuse.
+func (c *Clock) runNext(t *task) (parked bool) {
+	<-t.wake
+	fn := t.fn
+	if fn == nil {
+		return false
+	}
+	t.fn = nil
+	returned := false
+	defer func() {
 		c.mu.Lock()
 		c.current = nil
 		c.tasks--
-		keep := len(c.idle) < maxIdleWorkers
-		if keep {
+		if parked = returned && len(c.idle) < maxIdleWorkers; parked {
 			c.idle = append(c.idle, t)
 		}
 		c.mu.Unlock()
 		t.park <- struct{}{}
-		if !keep {
-			return
-		}
-	}
+	}()
+	fn()
+	returned = true
+	return
 }
 
 // beginDrive and endDrive bracket every call that runs the event loop.
@@ -340,8 +348,7 @@ func (c *Clock) SleepCtx(ctx context.Context, d time.Duration) error {
 // Join implements Scheduler: each fn runs as a task (serially, in
 // argument order — virtual tasks never overlap) and Join returns when
 // the last one finishes. limit is ignored under the virtual clock.
-func (c *Clock) Join(limit int, fns ...func()) {
-	_ = limit
+func (c *Clock) Join(_ int, fns ...func()) {
 	switch len(fns) {
 	case 0:
 		return
@@ -352,17 +359,20 @@ func (c *Clock) Join(limit int, fns ...func()) {
 	w := c.NewWaiter()
 	var mu sync.Mutex
 	remaining := len(fns)
+	done := func() {
+		mu.Lock()
+		remaining--
+		last := remaining == 0
+		mu.Unlock()
+		if last {
+			w.Wake()
+		}
+	}
 	for _, fn := range fns {
 		fn := fn
 		c.Go(func() {
+			defer done() // also when fn exits its goroutine
 			fn()
-			mu.Lock()
-			remaining--
-			last := remaining == 0
-			mu.Unlock()
-			if last {
-				w.Wake()
-			}
 		})
 	}
 	w.Wait(-1)
@@ -518,8 +528,8 @@ func (c *Clock) RunTask(fn func()) int {
 	defer c.endDrive()
 	done := false
 	c.Go(func() {
+		defer func() { done = true }() // also when fn exits its goroutine
 		fn()
-		done = true
 	})
 	n := 0
 	for !done {

@@ -23,8 +23,11 @@ func NewCounters() *Counters {
 	return &Counters{m: make(map[string]int64)}
 }
 
-// Add increments the named counter by n.
+// Add increments the named counter by n. A nil *Counters discards it.
 func (c *Counters) Add(name string, n int64) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m == nil {

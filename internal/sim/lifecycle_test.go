@@ -260,3 +260,55 @@ func TestClockAllocs(t *testing.T) {
 		t.Fatalf("bodies ran %d times", ran)
 	}
 }
+
+// TestTaskThatExitsItsGoroutine: a task that ends the goroutine under it
+// — runtime.Goexit, which is what t.Fatal does — still gives the virtual
+// CPU back, whether it is a RunTask root, a Go task or a Join member. The
+// loop used to wait for the exited worker to park, forever.
+func TestTaskThatExitsItsGoroutine(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drive func(c *Clock, after *bool)
+	}{
+		{"RunTask root", func(c *Clock, after *bool) {
+			c.RunTask(func() { runtime.Goexit() })
+			c.RunTask(func() { *after = true })
+		}},
+		{"Go task", func(c *Clock, after *bool) {
+			c.RunTask(func() {
+				c.Go(func() { runtime.Goexit() })
+				c.Sleep(time.Millisecond)
+				*after = true
+			})
+		}},
+		{"Join member", func(c *Clock, after *bool) {
+			c.RunTask(func() {
+				c.Join(0, func() { runtime.Goexit() }, func() { c.Sleep(time.Millisecond) })
+				*after = true
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			c := NewClock()
+			after := false
+			finished := make(chan struct{})
+			go func() {
+				defer close(finished)
+				tc.drive(c, &after)
+				c.Run() // panics if an exited task is still counted as live
+			}()
+			select {
+			case <-finished:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the clock hung on a task that exited its goroutine")
+			}
+			if !after {
+				t.Error("the work after the exited task did not run")
+			}
+			if n := settleGoroutines(base); n > base {
+				t.Errorf("goroutines: %d before, %d after", base, n)
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sort"
 )
 
 // RNG is a deterministic random number generator. It wraps math/rand with
@@ -69,28 +70,35 @@ func (g *RNG) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// Zipf returns integers in [1, n] with Zipf-like frequency (rank-1 most
-// frequent). s is the skew parameter; s=0 degenerates to uniform.
-func (g *RNG) Zipf(n int, s float64) int {
+// ZipfTable samples ranks [1, n] with Zipf-like frequency (rank 1 most
+// frequent; skew s, s=0 uniform) by inverse CDF: the weights 1/i^s are
+// summed once, in rank order, and a sample is one draw and a binary
+// search — a population takes tens of thousands over thousands of ranks.
+type ZipfTable []float64
+
+// NewZipfTable sums the series for n ranks with skew s.
+func NewZipfTable(n int, s float64) ZipfTable {
+	t := make(ZipfTable, max(n, 0))
+	var acc float64
+	for i := range t {
+		acc += 1 / math.Pow(float64(i+1), s)
+		t[i] = acc
+	}
+	return t
+}
+
+// Sample returns the first rank whose cumulative weight reaches a uniform
+// target below the total; with at most one rank it is 1 and draws nothing.
+func (t ZipfTable) Sample(g *RNG) int {
+	n := len(t)
 	if n <= 1 {
 		return 1
 	}
-	// Inverse-CDF sampling over the truncated harmonic series. n is small
-	// (cluster counts), so a linear scan is acceptable and allocation free.
-	var total float64
-	for i := 1; i <= n; i++ {
-		total += 1 / math.Pow(float64(i), s)
-	}
-	target := g.r.Float64() * total
-	var cum float64
-	for i := 1; i <= n; i++ {
-		cum += 1 / math.Pow(float64(i), s)
-		if cum >= target {
-			return i
-		}
-	}
-	return n
+	return min(sort.SearchFloat64s(t, g.r.Float64()*t[n-1])+1, n)
 }
+
+// Zipf returns one sample of NewZipfTable(n, s).
+func (g *RNG) Zipf(n int, s float64) int { return NewZipfTable(n, s).Sample(g) }
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

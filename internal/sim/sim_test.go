@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -74,6 +75,68 @@ func TestRNGZipfSkew(t *testing.T) {
 	}
 	if g.Zipf(1, 1.0) != 1 || g.Zipf(0, 1.0) != 1 {
 		t.Error("Zipf(n<=1) should return 1")
+	}
+}
+
+// zipfLinear is the sampler RNG.Zipf was before the cumulative table: the
+// series summed and rescanned on every draw. Kept verbatim as the
+// reference ZipfTable must match draw for draw.
+func zipfLinear(g *RNG, n int, s float64) int {
+	if n <= 1 {
+		return 1
+	}
+	var total float64
+	for i := 1; i <= n; i++ {
+		total += 1 / math.Pow(float64(i), s)
+	}
+	target := g.r.Float64() * total
+	var cum float64
+	for i := 1; i <= n; i++ {
+		cum += 1 / math.Pow(float64(i), s)
+		if cum >= target {
+			return i
+		}
+	}
+	return n
+}
+
+// constSource is a rand.Source stuck on one value.
+type constSource int64
+
+func (c constSource) Int63() int64 { return int64(c) }
+func (constSource) Seed(int64)     {}
+
+func TestZipfTableMatchesLinearScan(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 10, 1937, 7173} {
+		for _, s := range []float64{0, 0.75, 1, 2} {
+			table := NewZipfTable(n, s)
+			for seed := int64(1); seed <= 3; seed++ {
+				ref, tab, one := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+				for i := 0; i < 200; i++ {
+					want := zipfLinear(ref, n, s)
+					if got := table.Sample(tab); got != want {
+						t.Fatalf("n=%d s=%g seed=%d draw %d: table %d, linear scan %d", n, s, seed, i, got, want)
+					}
+					if got := one.Zipf(n, s); got != want {
+						t.Fatalf("n=%d s=%g seed=%d draw %d: Zipf %d, linear scan %d", n, s, seed, i, got, want)
+					}
+				}
+				// Same draws consumed: the streams are still in step.
+				if ref.Int63() != tab.Int63() {
+					t.Fatalf("n=%d s=%g seed=%d: table and linear scan consumed different draws", n, s, seed)
+				}
+			}
+		}
+	}
+	// Float64 of the draw 1<<62 is exactly 0.5; at s=0 the weights are all
+	// 1, so the target lands exactly on the cumulative value n/2 and the
+	// first rank that reaches it — not the one after — is the sample.
+	for _, n := range []int{2, 10, 1938} {
+		half := func() *RNG { return &RNG{r: rand.New(constSource(1 << 62))} }
+		want := zipfLinear(half(), n, 0)
+		if got := NewZipfTable(n, 0).Sample(half()); got != want || got != n/2 {
+			t.Errorf("n=%d target on a cumulative value: table %d, linear scan %d, want %d", n, got, want, n/2)
+		}
 	}
 }
 

@@ -54,8 +54,8 @@ type PacketNetwork interface {
 // ErrPacketClosed is returned by WriteTo on a closed packet socket.
 var ErrPacketClosed = errors.New("transport: packet socket closed")
 
-// MaxDatagram bounds one datagram's size (voice packets are tiny; this
-// is a sanity limit, not a protocol constant).
+// MaxDatagram bounds one datagram's size (voice packets are tiny, 177
+// bytes at most on the benchmark: a sanity limit, not a protocol constant).
 const MaxDatagram = 64 << 10
 
 // --- Mem datagram plane ---

@@ -149,7 +149,7 @@ func Parse(data []byte) (Packet, error) {
 }
 
 // bufCap is the capacity of every pooled buffer: room for a typical
-// voice packet with a wide margin.
+// voice packet (37 to 177 bytes on the benchmark) with a wide margin.
 const bufCap = 2048
 
 // bufPool recycles encode buffers. Voice streams at 50 packets per
