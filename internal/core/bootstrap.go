@@ -21,9 +21,9 @@ import (
 // The actor layer implements join, surrogate registration, close-cluster-
 // set construction by live pinging, nodal-info publication, call setup
 // with one-hop select-close-relay, and voice forwarding through the
-// chosen relay. (Two-hop expansion lives in the algorithmic layer; the
-// daemon uses one-hop selection, which Section 7.3 shows costs only two
-// messages per call.)
+// chosen relay. Call setup runs System's merge (mergeClose) with two
+// declared differences: it also admits a relay that beats the call's own
+// direct path, and it has no two-hop, as a voice path carries one relay.
 //
 // Control-plane churn tolerance (Section 6.1's failure duties):
 //
@@ -262,6 +262,7 @@ func (b *Bootstrap) handle(from transport.Addr, req *transport.Message) (*transp
 			}
 		}
 		b.mu.Unlock()
+		// Close sets travel in this key order from here on (DESIGN.md §15).
 		sort.Slice(entries, func(i, j int) bool { return entries[i].ClusterKey < entries[j].ClusterKey })
 		return &transport.Message{Type: transport.MsgGetSurrogatesReply, CloseSet: entries}, nil
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"asap/internal/overlay"
@@ -27,11 +29,11 @@ type RelayChoice struct {
 	EstRTT time.Duration
 	// Direct is the measured direct RTT.
 	Direct time.Duration
-	// Candidates is the number of one-hop candidates considered.
+	// Candidates is the number of one-hop candidates admitted, len(Ranked).
 	Candidates int
-	// Ranked is every considered candidate ordered by estimated RTT
-	// (Ranked[0] is the chosen relay when one was selected). The live
-	// session layer draws its backup paths from this list.
+	// Ranked is every admitted candidate ordered by estimated RTT, then
+	// cluster key (Ranked[0] is the chosen relay when one was selected).
+	// The live session layer draws its backup paths from this list.
 	Ranked []RelayCandidate
 	// Degraded marks a direct fallback forced by a control-plane failure
 	// (close set or callee surrogate unreachable) rather than chosen on
@@ -42,9 +44,9 @@ type RelayChoice struct {
 
 // SetupCall performs the Fig. 10 one-hop selection against a live callee:
 // measure direct, fetch the callee's close set (2 messages), intersect
-// with ours, and pick the lowest-estimate relay under latT. Control-plane
-// failures degrade to a direct call (Degraded set) instead of erroring;
-// only an unreachable callee fails the setup.
+// with ours, admit every relay under max(latT, direct) and pick the
+// lowest-estimate one. Control-plane failures degrade to a direct call
+// (Degraded set) instead of erroring; only an unreachable callee fails.
 func (n *Node) SetupCall(callee transport.Addr) (*RelayChoice, error) {
 	var direct time.Duration
 	err := n.retry.Do(n.ctx, n.sched, n.jitter, func() error {
@@ -82,33 +84,36 @@ func (n *Node) SetupCall(callee transport.Addr) (*RelayChoice, error) {
 		// empty set.
 		choice.Degraded = true
 	}
-	theirs := make(map[string]transport.CloseEntry, len(resp.CloseSet))
-	for _, e := range resp.CloseSet {
-		theirs[e.ClusterKey] = e
-	}
-	for _, e := range mine {
-		o, ok := theirs[e.ClusterKey]
-		if !ok {
-			continue
-		}
-		est := e.RTT + o.RTT + overlay.RelayRTT
-		if est >= n.cfg.Params.LatT && est >= choice.EstRTT {
-			continue
-		}
-		choice.Candidates++
-		choice.Ranked = append(choice.Ranked, RelayCandidate{
-			Relay: e.SurrogateAddr, Est: est,
-		})
-		if est < choice.EstRTT {
-			choice.EstRTT = est
-			choice.Relay = e.SurrogateAddr
-		}
-	}
-	sort.Slice(choice.Ranked, func(i, j int) bool {
-		return choice.Ranked[i].Est < choice.Ranked[j].Est
+	// System's one-hop merge, with no endpoint skip (no set holds its owner)
+	// and no two-hop (RelayChoice, EnsureFlow, session.Candidate: one relay).
+	ours := sortedByKey(mine)
+	mergeClose(ours, sortedByKey(resp.CloseSet), wireLeg, overlay.RelayRTT, max(n.cfg.Params.LatT, direct), func(i int, est time.Duration) {
+		choice.Ranked = append(choice.Ranked, RelayCandidate{Relay: ours[i].SurrogateAddr, Est: est})
 	})
-	if choice.Relay != "" {
+	// Emitted in key order, so a stable sort ranks by (estimate, key).
+	slices.SortStableFunc(choice.Ranked, func(a, b RelayCandidate) int { return cmp.Compare(a.Est, b.Est) })
+	choice.Candidates = len(choice.Ranked)
+	if len(choice.Ranked) > 0 {
+		choice.Relay, choice.EstRTT = choice.Ranked[0].Relay, choice.Ranked[0].Est
 		choice.Degraded = false
 	}
 	return choice, nil
+}
+
+func wireLeg(e transport.CloseEntry) (string, time.Duration) { return e.ClusterKey, e.RTT }
+
+// sortedByKey returns set as mergeClose needs it: set itself when its keys
+// strictly ascend, the order every surrogate serves, else a private copy
+// sorted by key with each key's first entry kept. A set off the wire is
+// outside input, and over Mem a surrogate's published slice (DESIGN.md
+// §15), so it is never sorted in place.
+func sortedByKey(set []transport.CloseEntry) []transport.CloseEntry {
+	for i := 1; i < len(set); i++ {
+		if set[i-1].ClusterKey >= set[i].ClusterKey {
+			cp := slices.Clone(set)
+			slices.SortStableFunc(cp, func(a, b transport.CloseEntry) int { return strings.Compare(a.ClusterKey, b.ClusterKey) })
+			return slices.CompactFunc(cp, func(a, b transport.CloseEntry) bool { return a.ClusterKey == b.ClusterKey })
+		}
+	}
+	return set
 }

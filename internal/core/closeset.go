@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -95,29 +96,20 @@ func (n *Node) RefreshCloseSet() error {
 			cands = append(cands, e)
 		}
 	}
-	rtts := make([]time.Duration, len(cands))
-	oks := make([]bool, len(cands))
+	// Each probe writes its entry's RTT, -1 when not close; the close ones
+	// keep the bootstrap's key order.
 	probes := make([]func(), len(cands))
 	for i := range cands {
-		i := i
 		probes[i] = func() {
 			rtt, err := n.pingWithTimeout(cands[i].SurrogateAddr)
-			if err == nil && rtt < n.cfg.Params.LatT {
-				rtts[i], oks[i] = rtt, true
+			if err != nil || rtt >= n.cfg.Params.LatT {
+				rtt = -1
 			}
+			cands[i].RTT = rtt
 		}
 	}
 	n.sched.Join(closeSetPingWorkers, probes...)
-	var set []transport.CloseEntry
-	for i, e := range cands {
-		if oks[i] {
-			set = append(set, transport.CloseEntry{
-				ClusterKey:    e.ClusterKey,
-				SurrogateAddr: e.SurrogateAddr,
-				RTT:           rtts[i],
-			})
-		}
-	}
+	set := slices.DeleteFunc(cands, func(e transport.CloseEntry) bool { return e.RTT < 0 })
 	n.mu.Lock()
 	n.closeSet = set
 	n.mu.Unlock()

@@ -112,7 +112,8 @@ func TestCloseSetRespectsThresholdsAndValleyFreedom(t *testing.T) {
 	}
 	ownAS := w.pop.Cluster(cid).AS
 	reach := w.g.ValleyFreeBFS(ownAS, params.K)
-	for rc, lat := range cs.Lat {
+	for _, e := range cs.Clusters {
+		rc, lat := e.Cluster, e.RTT
 		if lat >= params.LatT {
 			t.Errorf("close cluster %d with RTT %v >= latT", rc, lat)
 		}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"asap/internal/cluster"
@@ -52,6 +53,32 @@ type Selection struct {
 func (sel *Selection) QualityPaths() int64 {
 	return int64(sel.OneHopHosts) + sel.TwoHopPairs
 }
+
+// mergeClose is the intersection of select-close-relay (Fig. 10), for
+// System's one- and two-hop and Node.SetupCall alike. It walks a and b,
+// each sorted by key with every key once, in one pass; for every shared
+// key skip does not name whose estimate base + leg(a) + leg(b) is under
+// limit, it calls emit with the index into a and the estimate, in key order.
+func mergeClose[E any, K cmp.Ordered](a, b []E, leg func(E) (K, time.Duration), base, limit time.Duration, emit func(i int, est time.Duration), skip ...K) {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		ka, la := leg(a[i])
+		kb, lb := leg(b[j])
+		switch {
+		case ka < kb:
+			i++
+		case kb < ka:
+			j++
+		default:
+			if est := base + la + lb; est < limit && !slices.Contains(skip, ka) {
+				emit(i, est)
+			}
+			i++
+			j++
+		}
+	}
+}
+
+func clusterLeg(e CloseCluster) (cluster.ClusterID, time.Duration) { return e.Cluster, e.RTT }
 
 // SelectCloseRelay runs the Fig. 10 algorithm for a calling session from
 // h1 to h2:
@@ -106,29 +133,17 @@ func (s *System) SelectCloseRelayWith(h1, h2 cluster.HostID, prober *netmodel.Pr
 	}
 
 	// Step 3: one-hop intersection.
-	for rc, lat1 := range s1.Lat {
-		if rc == ha.Cluster || rc == hb.Cluster {
-			continue
-		}
-		lat2, ok := s2.Lat[rc]
-		if !ok {
-			continue
-		}
-		est := lat1 + lat2 + overlay.RelayRTT
-		if est >= s.params.LatT {
-			continue
-		}
+	mergeClose(s1.Clusters, s2.Clusters, clusterLeg, overlay.RelayRTT, s.params.LatT, func(i int, est time.Duration) {
+		rc := s1.Clusters[i].Cluster
 		sel.OneHop = append(sel.OneHop, OneHopCandidate{Cluster: rc, EstRTT: est})
 		sel.OneHopHosts += len(s.pop.Cluster(rc).Hosts)
-	}
-	sort.Slice(sel.OneHop, func(i, j int) bool {
-		if sel.OneHop[i].EstRTT != sel.OneHop[j].EstRTT {
-			return sel.OneHop[i].EstRTT < sel.OneHop[j].EstRTT
-		}
-		return sel.OneHop[i].Cluster < sel.OneHop[j].Cluster
+	}, ha.Cluster, hb.Cluster)
+	slices.SortFunc(sel.OneHop, func(a, b OneHopCandidate) int {
+		return cmp.Or(cmp.Compare(a.EstRTT, b.EstRTT), cmp.Compare(a.Cluster, b.Cluster))
 	})
 
-	// Step 4: two-hop expansion when the one-hop set is small.
+	// Step 4: two-hop expansion when the one-hop set is small: one-hop from
+	// each winner r1 (OS1 merged with S2), on the S1[r1] leg and a relay.
 	if sel.OneHopHosts < s.params.SizeT {
 		for _, oc := range sel.OneHop {
 			r1 := oc.Cluster
@@ -138,32 +153,17 @@ func (s *System) SelectCloseRelayWith(h1, h2 cluster.HostID, prober *netmodel.Pr
 			if err != nil {
 				continue // r1's cluster lost its surrogate; skip it
 			}
-			lat1 := s1.Lat[r1]
-			for r2, latMid := range os1.Lat {
-				if r2 == r1 || r2 == ha.Cluster || r2 == hb.Cluster {
-					continue
-				}
-				lat2, ok := s2.Lat[r2]
-				if !ok {
-					continue
-				}
-				est := lat1 + latMid + lat2 + 2*overlay.RelayRTT
-				if est >= s.params.LatT {
-					continue
-				}
+			i, _ := slices.BinarySearchFunc(s1.Clusters, r1, func(e CloseCluster, c cluster.ClusterID) int { return cmp.Compare(e.Cluster, c) })
+			base := s1.Clusters[i].RTT + 2*overlay.RelayRTT
+			mergeClose(os1.Clusters, s2.Clusters, clusterLeg, base, s.params.LatT, func(i int, est time.Duration) {
+				r2 := os1.Clusters[i].Cluster
 				sel.TwoHop = append(sel.TwoHop, TwoHopCandidate{First: r1, Second: r2, EstRTT: est})
 				sel.TwoHopPairs += int64(len(s.pop.Cluster(r1).Hosts)) *
 					int64(len(s.pop.Cluster(r2).Hosts))
-			}
+			}, r1, ha.Cluster, hb.Cluster)
 		}
-		sort.Slice(sel.TwoHop, func(i, j int) bool {
-			if sel.TwoHop[i].EstRTT != sel.TwoHop[j].EstRTT {
-				return sel.TwoHop[i].EstRTT < sel.TwoHop[j].EstRTT
-			}
-			if sel.TwoHop[i].First != sel.TwoHop[j].First {
-				return sel.TwoHop[i].First < sel.TwoHop[j].First
-			}
-			return sel.TwoHop[i].Second < sel.TwoHop[j].Second
+		slices.SortFunc(sel.TwoHop, func(a, b TwoHopCandidate) int {
+			return cmp.Or(cmp.Compare(a.EstRTT, b.EstRTT), cmp.Compare(a.First, b.First), cmp.Compare(a.Second, b.Second))
 		})
 	}
 	return sel, nil

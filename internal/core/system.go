@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,20 +21,20 @@ import (
 // needs no probing at call time.
 type CloseSet struct {
 	Owner cluster.ClusterID
-	// Lat maps each close cluster to the measured surrogate RTT.
-	Lat map[cluster.ClusterID]time.Duration
+	// Clusters holds the close clusters, sorted by cluster (mergeClose).
+	Clusters []CloseCluster
 	// BuildMessages is the probe-message cost paid to construct the set.
 	BuildMessages int64
 }
 
-// Has reports whether c is in the set.
-func (s *CloseSet) Has(c cluster.ClusterID) bool {
-	_, ok := s.Lat[c]
-	return ok
+// CloseCluster is one close-set entry: a cluster and the RTT to its surrogate.
+type CloseCluster struct {
+	Cluster cluster.ClusterID
+	RTT     time.Duration
 }
 
 // Size returns the number of close clusters.
-func (s *CloseSet) Size() int { return len(s.Lat) }
+func (s *CloseSet) Size() int { return len(s.Clusters) }
 
 // System is the algorithmic view of a running ASAP deployment: surrogate
 // assignments per cluster, cached close cluster sets, and the
@@ -255,10 +257,7 @@ func (s *System) CloseSet(cid cluster.ClusterID) (*CloseSet, error) {
 // nothing to measure there and transit ASes mostly host no peers.
 func (s *System) constructCloseClusterSet(cid cluster.ClusterID) *CloseSet {
 	owner := s.pop.Cluster(cid)
-	cs := &CloseSet{
-		Owner: cid,
-		Lat:   make(map[cluster.ClusterID]time.Duration),
-	}
+	cs := &CloseSet{Owner: cid}
 	ctr := sim.NewCounters()
 	// Probe noise comes from a stream sub-seeded by (system seed, cluster):
 	// the set's contents are a pure function of the cluster, independent of
@@ -303,7 +302,7 @@ func (s *System) constructCloseClusterSet(cid cluster.ClusterID) *CloseSet {
 			if !pr.LossOK || pr.Loss >= s.params.LossT {
 				continue
 			}
-			cs.Lat[rc] = pr.RTT
+			cs.Clusters = append(cs.Clusters, CloseCluster{Cluster: rc, RTT: pr.RTT})
 			anyClose = true
 		}
 		// Prune expansion when every probed cluster in this AS missed the
@@ -311,6 +310,7 @@ func (s *System) constructCloseClusterSet(cid cluster.ClusterID) *CloseSet {
 		return anyClose
 	})
 
+	slices.SortFunc(cs.Clusters, func(a, b CloseCluster) int { return cmp.Compare(a.Cluster, b.Cluster) })
 	cs.BuildMessages = ctr.Total()
 	return cs
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -98,13 +99,8 @@ func TestCloseSetSeedIndependentOfBuildOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := sets1[cids[i]]
-		if len(cs.Lat) != len(ref.Lat) {
-			t.Fatalf("cluster %d: set sizes differ: %d vs %d", cids[i], len(cs.Lat), len(ref.Lat))
-		}
-		for rc, lat := range ref.Lat {
-			if got, ok := cs.Lat[rc]; !ok || got != lat {
-				t.Fatalf("cluster %d: entry %d = %v,%v, want %v", cids[i], rc, got, ok, lat)
-			}
+		if !slices.Equal(cs.Clusters, ref.Clusters) {
+			t.Fatalf("cluster %d: sets differ:\n%v\nvs\n%v", cids[i], cs.Clusters, ref.Clusters)
 		}
 		if cs.BuildMessages != ref.BuildMessages {
 			t.Fatalf("cluster %d: build cost %d vs %d", cids[i], cs.BuildMessages, ref.BuildMessages)
