@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench digests bench-scale race-dataplane test-experiments goldens profile chaos check print-staticcheck-version print-govulncheck-version
+.PHONY: build test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate digests bench-scale race-dataplane test-experiments goldens profile chaos check print-staticcheck-version print-govulncheck-version
 
 build:
 	$(GO) build ./...
@@ -115,6 +115,24 @@ bench-smoke:
 # -compare are passed the same way.
 bench:
 	bash bench/run.sh -seed 1
+
+# bench-gate compares a run set (BENCH_JSON=<file>, e.g. CI's BENCH.json)
+# against the tracked results/bench_baseline.seed1.json and prints the
+# table. It fails only when an allocs_per_op or bytes_per_op row reads
+# `worse`: counted metrics repeat across machines, timed ones do not (a
+# 2-vCPU guest is bimodal), so timed and `unresolved` rows print without
+# failing. The outcome digests have their own gate (digests). A PR that
+# moves a counted metric on purpose re-tracks the baseline
+# (`bash bench/run.sh -seed 1 -runs 3 -out results/bench_baseline.seed1.json`).
+bench-gate:
+	@test -n "$(BENCH_JSON)" || { echo "bench-gate: usage: make bench-gate BENCH_JSON=<file>"; exit 2; }
+	@out=$$(bash bench/run.sh -compare results/bench_baseline.seed1.json $(BENCH_JSON)); st=$$?; \
+	echo "$$out"; \
+	if [ $$st -gt 1 ]; then exit $$st; fi; \
+	if echo "$$out" | grep -qE '^ +(allocs_per_op|bytes_per_op) .* worse$$'; then \
+		echo "bench-gate: a counted metric is worse than the baseline"; exit 1; \
+	fi; \
+	echo "bench-gate: counted metrics within their bounds"
 
 # digests prints, per workload, the benchmark readings that depend on the
 # seed alone: the outcome digest plus msgs_per_call, setup_virtual_ms_p50

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,6 +29,19 @@ type twice struct{ transport.Transport }
 func (d twice) Serve(addr transport.Addr, h transport.Handler) (transport.Addr, error) {
 	return d.Transport.Serve(addr, func(from transport.Addr, req *transport.Message) (*transport.Message, error) {
 		_, _ = h(from, req)
+		return h(from, req)
+	})
+}
+
+// typeCounter counts the requests its handlers are served, by type.
+type typeCounter struct {
+	transport.Transport
+	handled *[256]atomic.Int64
+}
+
+func (c typeCounter) Serve(addr transport.Addr, h transport.Handler) (transport.Addr, error) {
+	return c.Transport.Serve(addr, func(from transport.Addr, req *transport.Message) (*transport.Message, error) {
+		c.handled[byte(req.Type)].Add(1)
 		return h(from, req)
 	})
 }
@@ -65,7 +79,9 @@ type demoLifeOutcome struct {
 // wrap(Mem): five joins (three lease claims, two nodal publishes), two
 // lease renewals, close-set builds, a relayed SetupCall, EnsureFlow and a
 // voice batch, SetupMedia between symmetric NATs plus one Reestablish,
-// control and media keepalives, a probe tick, a quality report, teardown.
+// control and media keepalives, a probe tick, teardown. It calls no verb
+// that lacks a caller outside tests, and it sends every request type
+// (TestDeploymentSendsEveryRequestType).
 // Failures inside the task are t.Error + return, from when a t.Fatal in a
 // task left the drive loop waiting on it forever; it now ends RunTask
 // (sim.TestTaskThatExitsItsGoroutine).
@@ -211,9 +227,6 @@ func demoLife(t *testing.T, wrap func(transport.Transport) transport.Transport) 
 				t.Errorf("probe tick: %v", r.Err)
 			}
 		}
-		if err := b1.SendQualityReport(a1.Addr(), 1, 60*time.Millisecond, 0.01); err != nil {
-			t.Errorf("quality report: %v", err)
-		}
 
 		out.holders = make(map[string]int)
 		out.leases = make(map[string]transport.Addr)
@@ -293,5 +306,34 @@ func TestDuplicatedRequestsAreIdempotent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(dup.leases, plain.leases) {
 		t.Errorf("lease holders under duplicate delivery = %v, want the plain run's %v", dup.leases, plain.leases)
+	}
+}
+
+// TestDeploymentSendsEveryRequestType is the runtime twin of protosync's
+// static "constructed outside tests" check: a request type that only a
+// test helper constructs passes that check, but no deployment ever sends
+// it. demoLife drives only verbs with callers outside tests, so every
+// request type must reach a handler during its run. Replies, acks, pongs
+// and errors answer requests and are not counted.
+func TestDeploymentSendsEveryRequestType(t *testing.T) {
+	var handled [256]atomic.Int64
+	demoLife(t, func(tr transport.Transport) transport.Transport { return typeCounter{tr, &handled} })
+	if t.Failed() {
+		return
+	}
+	requests := 0
+	for typ := transport.MsgType(1); !strings.HasPrefix(typ.String(), "MsgType("); typ++ {
+		name := typ.String()
+		if typ == transport.MsgError || typ == transport.MsgPong ||
+			strings.HasSuffix(name, "Reply") || strings.HasSuffix(name, "Ack") {
+			continue
+		}
+		requests++
+		if handled[byte(typ)].Load() == 0 {
+			t.Errorf("%s: no handler saw one; a request type with no deployment sender should leave the wire", name)
+		}
+	}
+	if requests != 12 {
+		t.Errorf("%d request types on the wire, want 12", requests)
 	}
 }

@@ -83,9 +83,6 @@ type Node struct {
 	// outFlows caches the flow opened on each relay per callee, so voice
 	// sends and keepalives share one relay flow per call.
 	outFlows map[flowKey]outFlow
-	// quality holds the latest in-call quality report from each peer
-	// (listener-observed RTT and loss), feeding the session monitor.
-	quality map[transport.Addr]QualityReport
 	// Voice data plane (media.go): per-call UDP endpoint, its wiring, the
 	// next media port offset, live calls by flow token, and the token
 	// sequence.
@@ -185,14 +182,6 @@ type outFlow struct {
 	dropped bool
 }
 
-// QualityReport is a peer's listener-side view of an ongoing call. At is
-// the receive time as an offset on this node's scheduler.
-type QualityReport struct {
-	RTT  time.Duration
-	Loss float64
-	At   time.Duration
-}
-
 // NewNode builds and serves a peer on addr, then joins: the join is the
 // node's first re-election (end-host duties 1-3, see reelect), so a
 // joiner and a member whose surrogate died take the same path.
@@ -200,10 +189,11 @@ func NewNode(tr transport.Transport, addr transport.Addr, cfg NodeConfig) (*Node
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	// Role maps (flows, received, outFlows, quality) stay nil until first
-	// written, and retry jitter holds no generator (see jitter): most of a
+	// Role maps (flows, received, outFlows) stay nil until first written,
+	// and retry jitter holds no generator (see jitter): most of a
 	// million-node deployment's residents never relay, take a call or
-	// retry, and four empty maps and a math/rand source are 5.3 KB a node.
+	// retry, and three empty maps and a math/rand source are 5.6 KB a node
+	// (48 B a map, 5.4 KB the source, go 1.24).
 	n := &Node{
 		cfg:   cfg,
 		tr:    tr,
@@ -470,9 +460,9 @@ const maxProbeBatch = 64
 func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.Message, error) {
 	switch req.Type {
 	case transport.MsgPing:
-		// The four hot-path acks (pong, keepalive, quality, voice) come
-		// from the envelope pool; the caller-side helpers (Ping,
-		// Keepalive, SendQualityReport, SendVoice) release them.
+		// The three hot-path acks (pong, keepalive, voice) come from the
+		// envelope pool; the caller-side helpers (Ping, Keepalive,
+		// SendVoice) release them.
 		resp := transport.AcquireMessage()
 		resp.Type = transport.MsgPong
 		resp.SentAt = req.SentAt
@@ -556,18 +546,6 @@ func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.M
 
 	case transport.MsgMediaSetup:
 		return n.handleMediaSetup(from, req)
-
-	case transport.MsgQualityReport:
-		n.mu.Lock()
-		if n.quality == nil {
-			n.quality = make(map[transport.Addr]QualityReport)
-		}
-		n.quality[from] = QualityReport{RTT: req.RTT, Loss: req.Loss, At: n.sched.Now()}
-		n.mu.Unlock()
-		resp := transport.AcquireMessage()
-		resp.Type = transport.MsgQualityReportAck
-		resp.SessionID = req.SessionID
-		return resp, nil
 
 	case transport.MsgRelayOpen:
 		return n.handleRelayOpen(from, req)

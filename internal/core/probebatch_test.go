@@ -80,27 +80,17 @@ func TestProbePathsMeasuresOwnPlusFarLeg(t *testing.T) {
 	clk, _, nodes := probeBatchWorld(t)
 	caller := nodes["c"]
 
-	// The callee reports in-call quality so the loss fan-in is exercised.
-	// The report crosses a latency-emulated link, so it must run as a
-	// clock task.
-	clk.RunTask(func() {
-		if err := nodes["d1"].SendQualityReport(caller.Addr(), 1, 70*time.Millisecond, 0.03); err != nil {
-			t.Fatal(err)
-		}
-	})
-
 	// Each want is 2 x own leg + 2 x far leg from probeBatchWorld's table.
 	const ms = time.Millisecond
 	cases := []struct {
-		req      session.PathRequest
-		wantRTT  time.Duration
-		wantLoss float64
+		req     session.PathRequest
+		wantRTT time.Duration
 	}{
-		{session.PathRequest{Relay: "r1", Callee: "d1"}, 2*10*ms + 2*15*ms, 0.03},
-		{session.PathRequest{Relay: "r1", Callee: "d2"}, 2*10*ms + 2*30*ms, 0}, // shares r1's batch
-		{session.PathRequest{Relay: "r2", Callee: "d1"}, 2*25*ms + 2*5*ms, 0.03},
-		{session.PathRequest{Relay: "", Callee: "d1"}, 2 * 40 * ms, 0.03},         // direct: no far leg
-		{session.PathRequest{Relay: "r1", Callee: "d1"}, 2*10*ms + 2*15*ms, 0.03}, // duplicate: shares the first leg
+		{session.PathRequest{Relay: "r1", Callee: "d1"}, 2*10*ms + 2*15*ms},
+		{session.PathRequest{Relay: "r1", Callee: "d2"}, 2*10*ms + 2*30*ms}, // shares r1's batch
+		{session.PathRequest{Relay: "r2", Callee: "d1"}, 2*25*ms + 2*5*ms},
+		{session.PathRequest{Relay: "", Callee: "d1"}, 2 * 40 * ms},         // direct: no far leg
+		{session.PathRequest{Relay: "r1", Callee: "d1"}, 2*10*ms + 2*15*ms}, // duplicate: shares the first leg
 	}
 	reqs := make([]session.PathRequest, len(cases))
 	for i, c := range cases {
@@ -116,8 +106,8 @@ func TestProbePathsMeasuresOwnPlusFarLeg(t *testing.T) {
 		if got[i].RTT != c.wantRTT {
 			t.Errorf("req %d (%+v): RTT %v, want %v", i, c.req, got[i].RTT, c.wantRTT)
 		}
-		if got[i].Loss != c.wantLoss {
-			t.Errorf("req %d (%+v): loss %.3f, want %.3f", i, c.req, got[i].Loss, c.wantLoss)
+		if got[i].Loss != 0 {
+			t.Errorf("req %d (%+v): loss %.3f, want 0: a probe reports no loss it did not measure", i, c.req, got[i].Loss)
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Voice role: the in-call data path — relay flow management, voice frame
-// forwarding, path probing, keepalives and quality reporting. ProbePath
-// and Keepalive implement session.Driver for the live session monitor.
+// forwarding, path probing and keepalives. ProbePath and Keepalive
+// implement session.Driver for the live session monitor.
 
 // EnsureFlow opens a forwarding flow on relay toward callee, reusing a
 // previously opened one. Voice sends and session keepalives share the
@@ -83,9 +83,10 @@ func (n *Node) SendVoice(choice *RelayChoice, callee transport.Addr, frames []by
 }
 
 // ProbePath measures the full voice-path round trip through relay to
-// callee (relay == "" probes the direct path) and pairs it with the
-// latest listener-reported loss, implementing session.Driver: it is
-// ProbePaths of one request.
+// callee (relay == "" probes the direct path), implementing
+// session.Driver: it is ProbePaths of one request. A probe measures
+// delay only and reports loss 0; listener-side loss reaches the session
+// monitor through MediaCall.MediaSource.
 func (n *Node) ProbePath(relay, callee transport.Addr) (time.Duration, float64, error) {
 	r := n.ProbePaths([]session.PathRequest{{Relay: relay, Callee: callee}})[0]
 	return r.RTT, r.Loss, r.Err
@@ -149,13 +150,6 @@ func (n *Node) ProbePaths(reqs []session.PathRequest) []session.PathResult {
 			fns[i] = func() { n.runProbeGroup(g, out) }
 		}
 		n.sched.Join(0, fns...)
-	}
-	for i := range out {
-		if out[i].Err == nil {
-			if q, ok := n.PeerQuality(reqs[i].Callee); ok {
-				out[i].Loss = q.Loss
-			}
-		}
 	}
 	return out
 }
@@ -230,35 +224,6 @@ func (n *Node) Keepalive(target transport.Addr, flowID uint64) error {
 	}
 	transport.ReleaseMessage(resp)
 	return nil
-}
-
-// SendQualityReport publishes this node's listener-side call quality to
-// the peer (callee -> caller in the usual flow).
-func (n *Node) SendQualityReport(peer transport.Addr, sessionID uint64, rtt time.Duration, loss float64) error {
-	req := transport.AcquireMessage()
-	req.Type = transport.MsgQualityReport
-	req.From = n.addr
-	req.SessionID = sessionID
-	req.RTT = rtt
-	req.Loss = loss
-	resp, err := n.tr.Call(peer, req)
-	transport.ReleaseMessage(req)
-	if err != nil {
-		return err
-	}
-	if resp.Type != transport.MsgQualityReportAck {
-		return fmt.Errorf("core: unexpected quality report reply type %d", resp.Type)
-	}
-	transport.ReleaseMessage(resp)
-	return nil
-}
-
-// PeerQuality returns the latest quality report received from peer.
-func (n *Node) PeerQuality(peer transport.Addr) (QualityReport, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	q, ok := n.quality[peer]
-	return q, ok
 }
 
 // ReceivedBytes reports how many voice payload bytes this node has

@@ -11,7 +11,7 @@ import (
 
 // Binary wire codec for Message (DESIGN.md §15). The format is a
 // versioned tagged union, tuned for the envelope's access pattern: most
-// messages set three or four of the ~26 fields, so zero fields cost
+// messages set three or four of the 23 fields, so zero fields cost
 // nothing on the wire and the encoder touches only what is set.
 //
 // Layout:
@@ -33,12 +33,13 @@ import (
 // Message therefore round-trips exactly. Unknown field ids and version
 // bytes are decode errors: the protocol has a single deployed version
 // at a time, and failing loudly beats silently dropping fields. The
-// version moves whenever the MsgType numbering does (2: renumbered
-// compactly), so an old frame is rejected at byte 0, not misdispatched.
-const CodecVersion = 2
+// version moves whenever the MsgType or field numbering does (2:
+// renumbered compactly; 3: the quality report and its three fields
+// left), so an old frame is rejected at byte 0, not misdispatched.
+const CodecVersion = 3
 
-// Field ids. Append only — reusing an id changes the meaning of old
-// frames. The order is also the canonical encode order.
+// Field ids. Append only within a version — reusing an id changes the
+// meaning of old frames. The order is also the canonical encode order.
 const (
 	fldFrom = iota + 1
 	fldVia
@@ -55,9 +56,6 @@ const (
 	fldFlowID
 	fldSeq
 	fldFrames
-	fldRTT
-	fldLoss
-	fldSessionID
 	fldLeaseTTL
 	fldDegraded
 	fldMediaAddr
@@ -130,18 +128,6 @@ func AppendMessage(dst []byte, m *Message) []byte {
 		dst = append(dst, fldFrames)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Frames)))
 		dst = append(dst, m.Frames...)
-	}
-	if m.RTT != 0 {
-		dst = append(dst, fldRTT)
-		dst = binary.AppendVarint(dst, int64(m.RTT))
-	}
-	if m.Loss != 0 {
-		dst = append(dst, fldLoss)
-		dst = appendFloat(dst, m.Loss)
-	}
-	if m.SessionID != 0 {
-		dst = append(dst, fldSessionID)
-		dst = binary.AppendUvarint(dst, m.SessionID)
 	}
 	if m.LeaseTTL != 0 {
 		dst = append(dst, fldLeaseTTL)
@@ -315,15 +301,6 @@ func DecodeMessage(data []byte, m *Message) error {
 			if b, d, err = readBytes(d); err == nil {
 				m.Frames = append(m.Frames[:0], b...)
 			}
-		case fldRTT:
-			var v int64
-			if v, d, err = readSvarint(d); err == nil {
-				m.RTT = time.Duration(v)
-			}
-		case fldLoss:
-			m.Loss, d, err = readFloat(d)
-		case fldSessionID:
-			m.SessionID, d, err = readUvarint(d)
 		case fldLeaseTTL:
 			var v int64
 			if v, d, err = readSvarint(d); err == nil {

@@ -70,6 +70,10 @@ func TestDecodeMessageRejectsCorruptFrames(t *testing.T) {
 		// Version 2 renumbered the enum, so a frame an old build could still
 		// send is refused at byte 0 rather than dispatched as another type.
 		{"version 1 frame", []byte{1, 22, fldFrom, 1, 'a'}, "unsupported codec version"},
+		// Version 3 dropped the quality report (type 20 at version 2), so
+		// type 20 now names MsgSurrogateHeartbeat: an old report must stop
+		// at byte 0 too.
+		{"version 2 frame", []byte{2, 20, fldFrom, 1, 'a'}, "unsupported codec version"},
 		{"type zero", []byte{CodecVersion, 0, fldFrom, 1, 'a'}, "unknown message type"},
 		{"type at the sentinel", []byte{CodecVersion, byte(msgTypeLimit), fldFrom, 1, 'a'}, "unknown message type"},
 		{"unknown field", []byte{CodecVersion, byte(MsgPing), 200}, "unknown field id"},
@@ -116,10 +120,11 @@ func TestEncodeAllocs(t *testing.T) {
 }
 
 // TestDecodeAllocs asserts the steady-state decode path for scalar
-// control messages (ping, keepalive, quality report — the overwhelming
-// majority of wire traffic) allocates nothing once the identity strings
-// are interned. Slice-carrying messages (close sets, voice frames)
-// legitimately allocate their payloads and are gated separately below.
+// control messages (ping, keepalive — the overwhelming majority of wire
+// traffic — and a float-carrying nodal publish) allocates nothing once
+// the identity strings are interned. Slice-carrying messages (close
+// sets, voice frames) legitimately allocate their payloads and are gated
+// separately below.
 func TestDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -127,7 +132,7 @@ func TestDecodeAllocs(t *testing.T) {
 	frames := [][]byte{
 		AppendMessage(nil, &Message{Type: MsgPing, From: "node-17", SentAt: 123 * time.Millisecond}),
 		AppendMessage(nil, &Message{Type: MsgKeepalive, From: "node-17", FlowID: 42}),
-		AppendMessage(nil, &Message{Type: MsgQualityReport, From: "node-18", SessionID: 9, RTT: 80 * time.Millisecond, Loss: 0.02}),
+		AppendMessage(nil, &Message{Type: MsgPublishNodalInfo, From: "node-18", Nodal: NodalInfo{BandwidthKbps: 512, OnlineFor: time.Hour, CPUScore: 0.75}}),
 	}
 	var m Message
 	for _, f := range frames { // warm the intern table

@@ -29,9 +29,18 @@ func FuzzMessageCodec(f *testing.F) {
 	f.Add([]byte{CodecVersion})
 	f.Add([]byte{99, 1})
 	f.Add([]byte{CodecVersion, 1, 200})
-	// A version-1 frame, well-formed otherwise; the two type bytes just
-	// outside the enum; a duplicated and a truncated field section.
+	// Version-1 and version-2 frames, well-formed otherwise; the two type
+	// bytes just outside the enum; a duplicated and a truncated field
+	// section.
 	f.Add([]byte{1, 22, fldFrom, 1, 'a', fldDst, 1, 'b'})
+	f.Add([]byte{2, 20, fldFrom, 1, 'a'})
+	// A whole version-2 quality report (RTT 80 ms, loss 0.02, session 9):
+	// its field ids 16-18 are LeaseTTL, Degraded and MediaAddr at
+	// version 3, so only the version byte keeps it from being misread.
+	f.Add([]byte{2, 20, fldFrom, 1, 'b',
+		fldLeaseTTL, 0x80, 0xd0, 0xa5, 0x4c,
+		fldDegraded, 0x7b, 0x14, 0xae, 0x47, 0xe1, 0x7a, 0x94, 0x3f,
+		fldMediaAddr, 9})
 	f.Add([]byte{CodecVersion, 0, fldFrom, 1, 'a'})
 	f.Add([]byte{CodecVersion, byte(msgTypeLimit), fldFrom, 1, 'a'})
 	f.Add([]byte{CodecVersion, byte(MsgPing), fldFrom, 1, 'a', fldFrom, 1, 'a'})

@@ -81,8 +81,6 @@ func sampleMessages() []*Message {
 		{Type: MsgVoiceAck, Seq: 7},
 		{Type: MsgKeepalive, From: "a", FlowID: 42},
 		{Type: MsgKeepaliveAck, From: "r"},
-		{Type: MsgQualityReport, From: "b", SessionID: 9, RTT: 80 * time.Millisecond, Loss: 0.02},
-		{Type: MsgQualityReportAck},
 		{Type: MsgSurrogateHeartbeat, From: "s1", ClusterKey: "10.0.0.0/24", SurrogateAddr: "s1"},
 		{Type: MsgSurrogateHeartbeatReply, SurrogateAddr: "s1", LeaseTTL: 30 * time.Second},
 		{Type: MsgMediaSetup, From: "a", MediaAddr: "203.0.113.1:5002", MediaToken: 0xdeadbeef, MediaRelay: "relay:7000", MediaEpoch: 3},
@@ -98,8 +96,7 @@ func sampleMessages() []*Message {
 			CloseSet: []CloseEntry{{ClusterKey: "c", SurrogateAddr: "s", RTT: -time.Second}},
 			Nodal:    NodalInfo{BandwidthKbps: -1.5, OnlineFor: -time.Minute, CPUScore: 1e300},
 			SentAt:   -time.Hour, Dst: "dst", FlowID: 1<<64 - 1, Seq: 1<<32 - 1,
-			Frames: []byte{0}, RTT: time.Duration(1<<63 - 1), Loss: 1,
-			SessionID: 1, LeaseTTL: time.Nanosecond, Degraded: true,
+			Frames: []byte{0}, LeaseTTL: time.Duration(1<<63 - 1), Degraded: true,
 			MediaAddr: "ma", MediaToken: 1<<32 - 1, MediaRelay: "mr", MediaEpoch: 2,
 			ProbeDsts: []Addr{"x"}, ProbeRTTs: []time.Duration{0},
 		},

@@ -61,11 +61,6 @@ const (
 	MsgKeepalive
 	MsgKeepaliveAck
 
-	// MsgQualityReport: callee -> caller. Periodic listener-side quality
-	// (observed loss and delay) feeding the caller's session monitor.
-	MsgQualityReport
-	MsgQualityReportAck
-
 	// MsgSurrogateHeartbeat: surrogate -> bootstrap. Claims the surrogate
 	// lease of the sender's prefix cluster: the first heartbeat registers,
 	// later ones renew (and re-acquire it after a bootstrap restart). The
@@ -151,10 +146,6 @@ func (t MsgType) String() string {
 		return "MsgKeepalive"
 	case MsgKeepaliveAck:
 		return "MsgKeepaliveAck"
-	case MsgQualityReport:
-		return "MsgQualityReport"
-	case MsgQualityReportAck:
-		return "MsgQualityReportAck"
 	case MsgSurrogateHeartbeat:
 		return "MsgSurrogateHeartbeat"
 	case MsgSurrogateHeartbeatReply:
@@ -207,7 +198,7 @@ type Message struct {
 	// Error is set with MsgError.
 	Error string
 
-	// IP is the joining host's address (MsgJoin) or ping payload marker.
+	// IP is the joining host's address (MsgJoin).
 	IP string
 	// ASN is the origin AS number (MsgJoinReply).
 	ASN uint32
@@ -237,13 +228,6 @@ type Message struct {
 	Seq uint32
 	// Frames is the opaque voice payload batch.
 	Frames []byte
-	// RTT carries a measured round trip (MsgQualityReport reports the
-	// listener's view).
-	RTT time.Duration
-	// Loss is an observed packet loss rate in [0,1] (MsgQualityReport).
-	Loss float64
-	// SessionID identifies a live call session (MsgQualityReport).
-	SessionID uint64
 	// LeaseTTL is the bootstrap's surrogate-lease lifetime
 	// (MsgSurrogateHeartbeatReply). Zero means leases are disabled:
 	// registrations never expire.
