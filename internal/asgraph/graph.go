@@ -110,14 +110,24 @@ type Node struct {
 
 // Graph is an annotated AS-level topology. It is immutable after Build and
 // therefore safe for concurrent readers.
+//
+// Nodes live in one dense index space [0, NumNodes), ascending by ASN, and
+// the adjacency is one compressed sparse row: node i's half-edges are
+// edges[off[i]:off[i+1]], sorted by neighbour (index order is ASN order).
+// Half-edges are numbered by that flat position, so walking ASNs() and each
+// Edges(asn) in order visits half-edge 0, 1, 2, ... — the numbering
+// RouteTable.Step reports and per-link tables (netmodel's delays) index.
 type Graph struct {
-	nodes map[ASN]*Node
-	adj   map[ASN][]Edge
-	// asns caches the sorted ASN list for deterministic iteration.
-	asns []ASN
-	// idx maps each ASN to its position in asns, giving routing code a
-	// dense [0, NumNodes) index space for flat arrays.
-	idx map[ASN]int32
+	nodes []Node // nodes[i] is the AS at index i
+	asns  []ASN  // asns[i] == nodes[i].ASN, for callers that want the list
+	// idx maps each ASN to its dense index.
+	idx   map[ASN]int32
+	off   []int32 // len NumNodes+1
+	edges []Edge
+	// nbr[k] is the dense index of edges[k].To; rev[k] is the half-edge
+	// that runs back along the same link.
+	nbr []int32
+	rev []int32
 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
@@ -166,20 +176,42 @@ func (b *Builder) AddEdge(a, c ASN, rel Relationship) {
 // Build freezes the builder into an immutable Graph. The builder must not
 // be used afterwards.
 func (b *Builder) Build() *Graph {
-	g := &Graph{nodes: b.nodes, adj: b.adj}
-	g.asns = make([]ASN, 0, len(g.nodes))
-	for asn := range g.nodes {
+	n := len(b.nodes)
+	g := &Graph{
+		nodes: make([]Node, 0, n),
+		asns:  make([]ASN, 0, n),
+		idx:   make(map[ASN]int32, n),
+		off:   make([]int32, 1, n+1),
+	}
+	for asn := range b.nodes {
 		g.asns = append(g.asns, asn)
 	}
 	sort.Slice(g.asns, func(i, j int) bool { return g.asns[i] < g.asns[j] })
-	g.idx = make(map[ASN]int32, len(g.asns))
+	half := 0
 	for i, asn := range g.asns {
 		g.idx[asn] = int32(i)
+		g.nodes = append(g.nodes, *b.nodes[asn])
+		half += len(b.adj[asn])
 	}
-	// Sort adjacency lists for deterministic traversal order.
-	for asn := range g.adj {
-		es := g.adj[asn]
+	g.edges = make([]Edge, 0, half)
+	g.nbr = make([]int32, 0, half)
+	for _, asn := range g.asns {
+		es := b.adj[asn]
 		sort.Slice(es, func(i, j int) bool { return es[i].To < es[j].To })
+		for _, e := range es {
+			g.edges = append(g.edges, e)
+			g.nbr = append(g.nbr, g.idx[e.To])
+		}
+		g.off = append(g.off, int32(len(g.edges)))
+	}
+	g.rev = make([]int32, half)
+	for u := range g.asns {
+		for k := g.off[u]; k < g.off[u+1]; k++ {
+			v := g.nbr[k]
+			run := g.nbr[g.off[v]:g.off[v+1]]
+			j := sort.Search(len(run), func(j int) bool { return run[j] >= int32(u) })
+			g.rev[k] = g.off[v] + int32(j)
+		}
 	}
 	b.nodes = nil
 	b.adj = nil
@@ -190,25 +222,35 @@ func (b *Builder) Build() *Graph {
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the number of undirected AS links.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, es := range g.adj {
-		n += len(es)
-	}
-	return n / 2
-}
+func (g *Graph) NumEdges() int { return len(g.edges) / 2 }
 
 // Node returns the AS with the given number, or nil if absent.
-func (g *Graph) Node(asn ASN) *Node { return g.nodes[asn] }
+func (g *Graph) Node(asn ASN) *Node {
+	i, ok := g.idx[asn]
+	if !ok {
+		return nil
+	}
+	return &g.nodes[i]
+}
 
 // Has reports whether the graph contains asn.
-func (g *Graph) Has(asn ASN) bool { return g.nodes[asn] != nil }
+func (g *Graph) Has(asn ASN) bool {
+	_, ok := g.idx[asn]
+	return ok
+}
 
-// Edges returns the adjacency list of asn. Callers must not mutate it.
-func (g *Graph) Edges(asn ASN) []Edge { return g.adj[asn] }
+// Edges returns the adjacency list of asn, sorted by neighbour ASN.
+// Callers must not mutate it.
+func (g *Graph) Edges(asn ASN) []Edge {
+	i, ok := g.idx[asn]
+	if !ok {
+		return nil
+	}
+	return g.edges[g.off[i]:g.off[i+1]:g.off[i+1]]
+}
 
 // Degree returns the number of neighbors of asn.
-func (g *Graph) Degree(asn ASN) int { return len(g.adj[asn]) }
+func (g *Graph) Degree(asn ASN) int { return len(g.Edges(asn)) }
 
 // ASNs returns all AS numbers in ascending order. Callers must not mutate
 // the returned slice.
@@ -226,7 +268,7 @@ func (g *Graph) ByIndex(i int32) ASN { return g.asns[i] }
 
 // Rel returns the relationship of edge a->b and whether the edge exists.
 func (g *Graph) Rel(a, b ASN) (Relationship, bool) {
-	for _, e := range g.adj[a] {
+	for _, e := range g.Edges(a) {
 		if e.To == b {
 			return e.Rel, true
 		}
@@ -241,7 +283,7 @@ func (g *Graph) TopDegreeASNs(n int) []ASN {
 	all := make([]ASN, len(g.asns))
 	copy(all, g.asns)
 	sort.Slice(all, func(i, j int) bool {
-		di, dj := len(g.adj[all[i]]), len(g.adj[all[j]])
+		di, dj := g.Degree(all[i]), g.Degree(all[j])
 		if di != dj {
 			return di > dj
 		}

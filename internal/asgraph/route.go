@@ -1,8 +1,8 @@
 package asgraph
 
 import (
-	"container/heap"
 	"sync"
+	"sync/atomic"
 )
 
 // BGP-style policy routing.
@@ -37,11 +37,12 @@ const (
 // RouteTable holds, for one destination AS, the policy route from every
 // source AS that can reach it.
 type RouteTable struct {
-	g   *Graph
-	dst ASN
-	// nextHop[i] is the dense index of the next AS on the path from
-	// g.asns[i] toward dst, or -1 when unreachable (or i is dst).
-	nextHop []int32
+	g      *Graph
+	dst    ASN
+	dstIdx int32
+	// via[i] is the half-edge g.asns[i]'s route leaves by (its head is the
+	// next AS toward dst), or -1 when unreachable (or i is dst).
+	via []int32
 	// hops[i] is the AS-path length (edge count) from g.asns[i] to dst;
 	// -1 when unreachable.
 	hops []int32
@@ -62,6 +63,18 @@ func (t *RouteTable) Hops(src ASN) (int, bool) {
 	return int(t.hops[i]), true
 }
 
+// Step is one hop of the route from the AS at dense index i: the
+// half-edge it leaves by (see Graph) and the dense index of the next AS.
+// ok is false at the destination and where no route exists. Walking Step
+// from a source to the destination visits Path's ASes without building it.
+func (t *RouteTable) Step(i int32) (edge, next int32, ok bool) {
+	e := t.via[i]
+	if e < 0 {
+		return 0, 0, false
+	}
+	return e, t.g.nbr[e], true
+}
+
 // Path returns the full policy AS path from src to the destination,
 // inclusive of both endpoints, and whether a route exists.
 func (t *RouteTable) Path(src ASN) ([]ASN, bool) {
@@ -70,14 +83,14 @@ func (t *RouteTable) Path(src ASN) ([]ASN, bool) {
 		return nil, false
 	}
 	path := make([]ASN, 0, t.hops[i]+1)
-	cur := int32(i)
-	path = append(path, t.g.asns[cur])
-	for t.g.asns[cur] != t.dst {
-		cur = t.nextHop[cur]
-		if cur < 0 {
+	path = append(path, t.g.asns[i])
+	for i != t.dstIdx {
+		_, next, ok := t.Step(i)
+		if !ok {
 			return nil, false // corrupt table; treat as unreachable
 		}
-		path = append(path, t.g.asns[cur])
+		i = next
+		path = append(path, t.g.asns[i])
 	}
 	return path, true
 }
@@ -89,27 +102,74 @@ type routeItem struct {
 	hops  int32
 }
 
-type routePQ []routeItem
+// routeHeap is a binary min-heap on hops. Its init, push and pop are
+// container/heap's Init, Push and Pop with the interface calls inlined:
+// the same sift steps, so equal-hop entries leave in the same order and
+// nextHop ties resolve as they always have.
+type routeHeap []routeItem
 
-func (q routePQ) Len() int { return len(q) }
-func (q routePQ) Less(i, j int) bool {
+func (h routeHeap) less(i, j int) bool {
 	// Settle in increasing hop count; class is fixed per node before
 	// insertion so hops ordering is sufficient for correctness of the
 	// relaxation (a provider's chosen route length only grows downstream).
-	return q[i].hops < q[j].hops
+	return h[i].hops < h[j].hops
 }
-func (q routePQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *routePQ) Push(x interface{}) { *q = append(*q, x.(routeItem)) }
-func (q *routePQ) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+
+func (h routeHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h *routeHeap) push(it routeItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+func (h *routeHeap) pop() routeItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	q.down(0, n)
+	*h = q[:n]
+	return q[n]
+}
+
+func (h routeHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h routeHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // BuildRouteTable computes the policy routing table toward dst. It returns
-// nil if dst is not in the graph.
+// nil if dst is not in the graph. Its allocations do not depend on the
+// graph's size: the BFS queue and the heap each get one slice of NumNodes
+// entries, enough because every AS enters each at most once (heap entries
+// are pushed in non-decreasing hop order, so no route is improved twice).
 func (g *Graph) BuildRouteTable(dst ASN) *RouteTable {
 	dstIdx, ok := g.idx[dst]
 	if !ok {
@@ -117,14 +177,15 @@ func (g *Graph) BuildRouteTable(dst ASN) *RouteTable {
 	}
 	n := len(g.asns)
 	t := &RouteTable{
-		g:       g,
-		dst:     dst,
-		nextHop: make([]int32, n),
-		hops:    make([]int32, n),
-		class:   make([]routeClass, n),
+		g:      g,
+		dst:    dst,
+		dstIdx: dstIdx,
+		via:    make([]int32, n),
+		hops:   make([]int32, n),
+		class:  make([]routeClass, n),
 	}
 	for i := 0; i < n; i++ {
-		t.nextHop[i] = -1
+		t.via[i] = -1
 		t.hops[i] = -1
 		t.class[i] = classNone
 	}
@@ -133,45 +194,40 @@ func (g *Graph) BuildRouteTable(dst ASN) *RouteTable {
 
 	// Stage 1: customer routes — BFS from dst climbing provider and
 	// sibling edges. A node u on the frontier advertises to its providers
-	// and siblings; their route to dst descends through u.
-	queue := []int32{dstIdx}
-	for len(queue) > 0 {
-		ui := queue[0]
-		queue = queue[1:]
-		u := g.asns[ui]
-		for _, e := range g.adj[u] {
-			if e.Rel != RelC2P && e.Rel != RelS2S {
+	// and siblings; their route to dst descends through u, leaving by the
+	// reverse of the half-edge u reached them on.
+	queue := make([]int32, 1, n)
+	queue[0] = dstIdx
+	for head := 0; head < len(queue); head++ {
+		ui := queue[head]
+		for k := g.off[ui]; k < g.off[ui+1]; k++ {
+			if rel := g.edges[k].Rel; rel != RelC2P && rel != RelS2S {
 				continue
 			}
-			vi := g.idx[e.To]
+			vi := g.nbr[k]
 			if t.class[vi] == classCustomer {
 				continue
 			}
 			t.class[vi] = classCustomer
 			t.hops[vi] = t.hops[ui] + 1
-			t.nextHop[vi] = ui
+			t.via[vi] = g.rev[k]
 			queue = append(queue, vi)
 		}
 	}
 
-	// Stage 2: peer routes — one peer edge into a customer route.
-	// Collect first, assign after, so a peer route never feeds another
-	// peer route.
-	type peerRoute struct {
-		vi, ui int32
-		hops   int32
-	}
-	var peers []peerRoute
-	for ui := 0; ui < n; ui++ {
+	// Stage 2: peer routes — one peer edge into a customer route. Only
+	// customer-route ASes advertise and a peer route never becomes one, so
+	// a peer route cannot feed another; among a node's offers the first
+	// shortest one (in index order) wins.
+	for ui := int32(0); ui < int32(n); ui++ {
 		if t.class[ui] != classCustomer {
 			continue
 		}
-		u := g.asns[ui]
-		for _, e := range g.adj[u] {
-			if e.Rel != RelP2P {
+		for k := g.off[ui]; k < g.off[ui+1]; k++ {
+			if g.edges[k].Rel != RelP2P {
 				continue
 			}
-			vi := g.idx[e.To]
+			vi := g.nbr[k]
 			if t.class[vi] == classCustomer {
 				continue
 			}
@@ -179,44 +235,37 @@ func (g *Graph) BuildRouteTable(dst ASN) *RouteTable {
 			if t.class[vi] == classPeer && t.hops[vi] <= h {
 				continue
 			}
-			peers = append(peers, peerRoute{vi: vi, ui: int32(ui), hops: h})
+			t.class[vi] = classPeer
+			t.hops[vi] = h
+			t.via[vi] = g.rev[k]
 		}
-	}
-	for _, p := range peers {
-		if t.class[p.vi] == classPeer && t.hops[p.vi] <= p.hops {
-			continue
-		}
-		t.class[p.vi] = classPeer
-		t.hops[p.vi] = p.hops
-		t.nextHop[p.vi] = p.ui
 	}
 
 	// Stage 3: provider routes — Dijkstra in increasing chosen-route
 	// length. Every node with a customer or peer route is a seed; settling
 	// a node relaxes its customers (and siblings without any route).
-	pq := make(routePQ, 0, n/4)
+	pq := make(routeHeap, 0, n)
 	for i := 0; i < n; i++ {
 		if t.class[i] != classNone {
 			pq = append(pq, routeItem{node: int32(i), class: t.class[i], hops: t.hops[i]})
 		}
 	}
-	heap.Init(&pq)
+	pq.init()
 	settled := make([]bool, n)
-	for pq.Len() > 0 {
-		it := heap.Pop(&pq).(routeItem)
+	for len(pq) > 0 {
+		it := pq.pop()
 		ui := it.node
 		if settled[ui] || t.hops[ui] != it.hops || t.class[ui] != it.class {
 			continue // stale entry
 		}
 		settled[ui] = true
-		u := g.asns[ui]
-		for _, e := range g.adj[u] {
+		for k := g.off[ui]; k < g.off[ui+1]; k++ {
 			// u advertises its chosen route to its customers regardless of
 			// the route's class, and to siblings lacking better routes.
-			if e.Rel != RelP2C && e.Rel != RelS2S {
+			if rel := g.edges[k].Rel; rel != RelP2C && rel != RelS2S {
 				continue
 			}
-			vi := g.idx[e.To]
+			vi := g.nbr[k]
 			// Customer/peer routes always beat provider routes.
 			if t.class[vi] == classCustomer || t.class[vi] == classPeer {
 				continue
@@ -227,8 +276,8 @@ func (g *Graph) BuildRouteTable(dst ASN) *RouteTable {
 			}
 			t.class[vi] = classProvider
 			t.hops[vi] = h
-			t.nextHop[vi] = ui
-			heap.Push(&pq, routeItem{node: vi, class: classProvider, hops: h})
+			t.via[vi] = g.rev[k]
+			pq.push(routeItem{node: vi, class: classProvider, hops: h})
 		}
 	}
 	return t
@@ -242,19 +291,19 @@ type tableCall struct {
 }
 
 // Router caches per-destination routing tables. It is safe for concurrent
-// use: one RWMutex guards the cache (it is read only on a cluster-pair
-// miss in netmodel, so striping it measured no different, DESIGN.md §9),
-// and concurrent misses for the same destination are coalesced
-// singleflight-style — exactly one goroutine builds the table while the
-// rest wait for its result.
+// use. A hit is one atomic load of the destination's slot; mu guards only
+// the miss path: the FIFO budget, and the singleflight that coalesces
+// concurrent misses for one destination — exactly one goroutine builds
+// the table while the rest wait for its result.
 type Router struct {
 	g *Graph
+	// tables[i] is the cached table toward the AS at dense index i, or nil.
+	tables []atomic.Pointer[RouteTable]
 
-	mu       sync.RWMutex
-	tables   map[ASN]*RouteTable
-	order    []ASN // insertion order for FIFO eviction
+	mu       sync.Mutex
+	order    []int32 // cached destinations in insertion order, for FIFO eviction
 	max      int
-	inflight map[ASN]*tableCall
+	inflight map[int32]*tableCall
 }
 
 // NewRouter returns a Router over g caching up to maxTables routing
@@ -265,52 +314,55 @@ func NewRouter(g *Graph, maxTables int) *Router {
 	}
 	return &Router{
 		g:        g,
-		tables:   make(map[ASN]*RouteTable),
+		tables:   make([]atomic.Pointer[RouteTable], g.NumNodes()),
 		max:      maxTables,
-		inflight: make(map[ASN]*tableCall),
+		inflight: make(map[int32]*tableCall),
 	}
 }
 
 // Table returns the routing table toward dst, building and caching it on
 // first use. It returns nil for an unknown destination.
 func (r *Router) Table(dst ASN) *RouteTable {
-	r.mu.RLock()
-	t := r.tables[dst]
-	r.mu.RUnlock()
-	if t != nil {
+	i, ok := r.g.idx[dst]
+	if !ok {
+		return nil
+	}
+	return r.TableByIndex(i)
+}
+
+// TableByIndex is Table for the AS at dense index i (see Graph.Index).
+func (r *Router) TableByIndex(i int32) *RouteTable {
+	if t := r.tables[i].Load(); t != nil {
 		return t
 	}
 
 	r.mu.Lock()
-	if t := r.tables[dst]; t != nil {
+	if t := r.tables[i].Load(); t != nil {
 		r.mu.Unlock()
 		return t
 	}
-	if c, ok := r.inflight[dst]; ok {
+	if c, ok := r.inflight[i]; ok {
 		// Another goroutine is building this table; wait for it.
 		r.mu.Unlock()
 		<-c.done
 		return c.t
 	}
 	c := &tableCall{done: make(chan struct{})}
-	r.inflight[dst] = c
+	r.inflight[i] = c
 	r.mu.Unlock()
 
 	// Build outside the lock: table construction is the expensive part and
 	// other destinations must not stall behind it.
-	t = r.g.BuildRouteTable(dst)
+	t := r.g.BuildRouteTable(r.g.asns[i])
 
 	r.mu.Lock()
-	delete(r.inflight, dst)
-	if t != nil {
-		if len(r.order) >= r.max {
-			evict := r.order[0]
-			r.order = r.order[1:]
-			delete(r.tables, evict)
-		}
-		r.tables[dst] = t
-		r.order = append(r.order, dst)
+	delete(r.inflight, i)
+	if len(r.order) >= r.max {
+		r.tables[r.order[0]].Store(nil)
+		r.order = r.order[1:]
 	}
+	r.tables[i].Store(t)
+	r.order = append(r.order, i)
 	r.mu.Unlock()
 	c.t = t
 	close(c.done)

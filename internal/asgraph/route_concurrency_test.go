@@ -8,11 +8,12 @@ import (
 	"asap/internal/sim"
 )
 
-// TestRouterConcurrentTableAccess hammers the sharded table cache from
-// many goroutines mixing hits, misses and evictions (the cache budget is
-// far smaller than the destination set, so entries churn constantly).
-// Under -race this proves the shard locking; the path checks prove results
-// stay correct while tables are being evicted and rebuilt around them.
+// TestRouterConcurrentTableAccess hammers the table cache from many
+// goroutines mixing hits, misses and evictions (the cache budget is far
+// smaller than the destination set, so entries churn constantly). Under
+// -race this proves the hand-off between lock-free hits and the locked
+// miss path; the path checks prove results stay correct while tables are
+// being evicted and rebuilt around them.
 func TestRouterConcurrentTableAccess(t *testing.T) {
 	rng := sim.NewRNG(43)
 	g, err := Generate(DefaultGenConfig(300), rng)

@@ -1,6 +1,7 @@
 package asgraph
 
 import (
+	"container/heap"
 	"testing"
 
 	"asap/internal/sim"
@@ -129,9 +130,13 @@ func TestRouterPathSymmetryAndCache(t *testing.T) {
 
 // cachedTables returns the number of routing tables r currently caches.
 func cachedTables(r *Router) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.tables)
+	n := 0
+	for i := range r.tables {
+		if r.tables[i].Load() != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func TestRouterEviction(t *testing.T) {
@@ -192,4 +197,177 @@ func equalPath(a, b []ASN) bool {
 		}
 	}
 	return true
+}
+
+// refTable is the reference route table: the three-stage construction
+// over the per-ASN adjacency, with its provider-route Dijkstra on
+// container/heap. BuildRouteTable's typed heap copies container/heap's
+// sift steps, so the two must agree on every next hop, tie included.
+type refTable struct {
+	nextHop, hops []int32
+	class         []routeClass
+}
+
+type routePQ []routeItem
+
+func (q routePQ) Len() int           { return len(q) }
+func (q routePQ) Less(i, j int) bool { return q[i].hops < q[j].hops }
+func (q routePQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *routePQ) Push(x any)        { *q = append(*q, x.(routeItem)) }
+func (q *routePQ) Pop() any {
+	old := *q
+	n := len(old)
+	it := old[n-1]
+	*q = old[:n-1]
+	return it
+}
+
+func buildRouteTableRef(g *Graph, dst ASN) refTable {
+	dstIdx := g.idx[dst]
+	n := len(g.asns)
+	t := refTable{nextHop: make([]int32, n), hops: make([]int32, n), class: make([]routeClass, n)}
+	for i := 0; i < n; i++ {
+		t.nextHop[i] = -1
+		t.hops[i] = -1
+		t.class[i] = classNone
+	}
+	t.hops[dstIdx] = 0
+	t.class[dstIdx] = classCustomer
+
+	queue := []int32{dstIdx}
+	for len(queue) > 0 {
+		ui := queue[0]
+		queue = queue[1:]
+		for _, e := range g.Edges(g.asns[ui]) {
+			if e.Rel != RelC2P && e.Rel != RelS2S {
+				continue
+			}
+			vi := g.idx[e.To]
+			if t.class[vi] == classCustomer {
+				continue
+			}
+			t.class[vi] = classCustomer
+			t.hops[vi] = t.hops[ui] + 1
+			t.nextHop[vi] = ui
+			queue = append(queue, vi)
+		}
+	}
+
+	type peerRoute struct {
+		vi, ui int32
+		hops   int32
+	}
+	var peers []peerRoute
+	for ui := 0; ui < n; ui++ {
+		if t.class[ui] != classCustomer {
+			continue
+		}
+		for _, e := range g.Edges(g.asns[ui]) {
+			if e.Rel != RelP2P {
+				continue
+			}
+			vi := g.idx[e.To]
+			if t.class[vi] == classCustomer {
+				continue
+			}
+			h := t.hops[ui] + 1
+			if t.class[vi] == classPeer && t.hops[vi] <= h {
+				continue
+			}
+			peers = append(peers, peerRoute{vi: vi, ui: int32(ui), hops: h})
+		}
+	}
+	for _, p := range peers {
+		if t.class[p.vi] == classPeer && t.hops[p.vi] <= p.hops {
+			continue
+		}
+		t.class[p.vi] = classPeer
+		t.hops[p.vi] = p.hops
+		t.nextHop[p.vi] = p.ui
+	}
+
+	pq := make(routePQ, 0, n/4)
+	for i := 0; i < n; i++ {
+		if t.class[i] != classNone {
+			pq = append(pq, routeItem{node: int32(i), class: t.class[i], hops: t.hops[i]})
+		}
+	}
+	heap.Init(&pq)
+	settled := make([]bool, n)
+	for pq.Len() > 0 {
+		it := heap.Pop(&pq).(routeItem)
+		ui := it.node
+		if settled[ui] || t.hops[ui] != it.hops || t.class[ui] != it.class {
+			continue
+		}
+		settled[ui] = true
+		for _, e := range g.Edges(g.asns[ui]) {
+			if e.Rel != RelP2C && e.Rel != RelS2S {
+				continue
+			}
+			vi := g.idx[e.To]
+			if t.class[vi] == classCustomer || t.class[vi] == classPeer {
+				continue
+			}
+			h := t.hops[ui] + 1
+			if t.class[vi] == classProvider && t.hops[vi] <= h {
+				continue
+			}
+			t.class[vi] = classProvider
+			t.hops[vi] = h
+			t.nextHop[vi] = ui
+			heap.Push(&pq, routeItem{node: vi, class: classProvider, hops: h})
+		}
+	}
+	return t
+}
+
+// TestBuildRouteTableMatchesHeapReference requires the CSR build to
+// reproduce the reference table for every destination of the tiny and
+// small evaluation worlds' topologies (each world's generator draws first
+// from its seed): the same next hop, hop count and class at every AS.
+func TestBuildRouteTableMatchesHeapReference(t *testing.T) {
+	for _, ases := range []int{200, 2000} {
+		g, err := Generate(DefaultGenConfig(ases), sim.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dst := range g.ASNs() {
+			got, want := g.BuildRouteTable(dst), buildRouteTableRef(g, dst)
+			for i := range want.hops {
+				nh := int32(-1)
+				if _, next, ok := got.Step(int32(i)); ok {
+					nh = next
+				}
+				if nh != want.nextHop[i] || got.hops[i] != want.hops[i] || got.class[i] != want.class[i] {
+					t.Fatalf("%d ASes, dst %d, src %d: (next %d, hops %d, class %d), reference (%d, %d, %d)",
+						ases, dst, g.asns[i], nh, got.hops[i], got.class[i], want.nextHop[i], want.hops[i], want.class[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBuildRouteTableAllocs pins BuildRouteTable's allocations: the table
+// and its three arrays, the BFS queue, the heap and the settled marks —
+// the same count at every graph size, so nothing grows on the way.
+func TestBuildRouteTableAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const want = 7
+	for _, ases := range []int{200, 2000} {
+		g, err := Generate(DefaultGenConfig(ases), sim.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		asns := g.ASNs()
+		i := 0
+		if n := testing.AllocsPerRun(50, func() {
+			g.BuildRouteTable(asns[i%len(asns)])
+			i += 37
+		}); n != want {
+			t.Errorf("%d ASes: BuildRouteTable allocates %.1f per table, want %d", ases, n, want)
+		}
+	}
 }

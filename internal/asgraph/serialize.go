@@ -25,12 +25,11 @@ import (
 func (g *Graph) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# asap asgraph: %d nodes, %d links\n", g.NumNodes(), g.NumEdges())
-	for _, asn := range g.asns {
-		n := g.nodes[asn]
+	for _, n := range g.nodes {
 		fmt.Fprintf(bw, "node %d %s %g %g\n", n.ASN, n.Tier, n.X, n.Y)
 	}
 	for _, asn := range g.asns {
-		for _, e := range g.adj[asn] {
+		for _, e := range g.Edges(asn) {
 			if e.To < asn {
 				continue // emit each link once, from the smaller ASN
 			}

@@ -130,13 +130,12 @@ func (g *Graph) ValleyFreeTraverse(src ASN, maxHops int, visit func(asn ASN, hop
 		if int(d) >= maxHops {
 			continue
 		}
-		asn := g.asns[cur.node]
-		for _, e := range g.adj[asn] {
-			np, allowed := vfNext(cur.p, e.Rel)
+		for k := g.off[cur.node]; k < g.off[cur.node+1]; k++ {
+			np, allowed := vfNext(cur.p, g.edges[k].Rel)
 			if !allowed {
 				continue
 			}
-			ni := g.idx[e.To]
+			ni := g.nbr[k]
 			s := state(ni, np)
 			if dist[s] != unvisited {
 				continue

@@ -11,14 +11,23 @@ import (
 	"asap/internal/sim"
 )
 
-// TestModelConcurrentLookups hammers the sharded cluster-pair cache from
-// many goroutines while cache-dropping mutations interleave: misses, hits,
-// SetCondition and ResetConditions all race. Run under -race this proves
-// the striped locking; the final pass proves the cache converges back to
-// ground truth after the churn stops.
+// TestModelConcurrentLookups hammers the sharded cluster-pair cache and
+// the lock-free path walk from many goroutines while condition writers
+// publish new snapshots and drop the cache: misses, hits, uncached probe
+// rounds, SetCondition and ResetConditions all race. Run under -race
+// (`go test -race -count=10 -run TestModelConcurrentLookups`) this proves
+// the striped locking and the snapshot hand-off; the final pass proves
+// the cache and the walk converge back to the reference after the churn
+// stops.
 func TestModelConcurrentLookups(t *testing.T) {
 	m, rng := testModel(t, 250, 2000, 77, DefaultConfig())
 	pop := m.Population()
+	// A noiseless prober that always answers reports ground truth, so its
+	// probe rounds can be checked against the reference too.
+	exact, err := NewProber(m, ProberConfig{NoiseFrac: 0, ResponseProb: 1, MessagesPerProbe: 1}, rng.Split(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Pre-pick host pairs and a transit AS to impair so goroutines don't
 	// share the test RNG.
@@ -69,6 +78,8 @@ func TestModelConcurrentLookups(t *testing.T) {
 				targets = append(targets, pop.Host(p.b).Cluster)
 			}
 			out := make([]PairStat, len(targets))
+			probes := make([]ClusterProbe, len(targets))
+			prober := exact.WithRNG(sim.NewRNG(int64(r)))
 			for rep := 0; rep < 5; rep++ {
 				for _, p := range pairs {
 					if _, ok := m.HostRTT(p.a, p.b); !ok {
@@ -77,23 +88,41 @@ func TestModelConcurrentLookups(t *testing.T) {
 					m.HostLoss(p.a, p.b)
 					m.HostStats(p.a, p.b)
 				}
-				m.ClusterStatsBatch(pop.Host(pairs[r].a).Cluster, targets, out)
+				owner := pop.Host(pairs[r].a).Cluster
+				m.ClusterStatsBatch(owner, targets, out)
+				prober.ProbeClusterSet(owner, targets, time.Hour, probes)
 			}
 		}(r)
 	}
 	wg.Wait()
 
-	// After churn: cached answers must equal an uncached computation.
+	// After churn: cached answers, and the uncached walk behind a probe
+	// round, must equal the reference path computation.
 	m.ResetConditions()
+	owner := pop.Host(pairs[0].a).Cluster
+	targets := make([]cluster.ClusterID, 0, 64)
 	for _, p := range pairs[:64] {
 		a, b := pop.Host(p.a), pop.Host(p.b)
+		targets = append(targets, b.Cluster)
 		if a.Cluster == b.Cluster {
 			continue
 		}
-		want := m.asPath(a.AS, b.AS)
-		got, ok := m.HostRTT(p.a, p.b)
-		if wantRTT := want.rtt + 2*(a.AccessDelay+b.AccessDelay); ok != want.ok || (ok && got != wantRTT) {
-			t.Fatalf("cache diverged for %d-%d: cached %v,%v, uncached %v,%v", p.a, p.b, got, ok, wantRTT, want.ok)
+		want := m.refASPath(a.AS, b.AS)
+		got := m.HostStats(p.a, p.b)
+		if wantRTT := want.rtt + 2*(a.AccessDelay+b.AccessDelay); got.OK != want.ok || (got.OK && (got.RTT != wantRTT || got.Loss != want.loss)) {
+			t.Fatalf("cache diverged for %d-%d: cached %+v, reference %v,%g,%v", p.a, p.b, got, wantRTT, want.loss, want.ok)
+		}
+	}
+	probes := make([]ClusterProbe, len(targets))
+	exact.ProbeClusterSet(owner, targets, time.Hour, probes)
+	for i, tc := range targets {
+		want := PairStat{RTT: 2 * m.cfg.IntraASOneWay, OK: true}
+		if tc != owner {
+			st := m.refASPath(pop.Cluster(owner).AS, pop.Cluster(tc).AS)
+			want = PairStat{RTT: st.rtt, Loss: st.loss, OK: st.ok}
+		}
+		if got := probes[i]; got.RTTOK != want.OK || got.RTT != want.RTT || got.LossOK != want.OK || got.Loss != want.Loss {
+			t.Fatalf("probe round diverged for %d-%d: probed %+v, reference %+v", owner, tc, got, want)
 		}
 	}
 }

@@ -12,7 +12,6 @@ package netmodel
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,22 +125,37 @@ type rttShard struct {
 }
 
 // Model is the omniscient ground-truth network. All methods are safe for
-// concurrent use: the cluster-pair cache is striped across cacheShards
-// locks, and the mutable condition map has its own RWMutex.
+// concurrent use: a path walk takes no lock (the link delays are fixed
+// and the conditions are an immutable published snapshot), the
+// cluster-pair cache is striped across cacheShards locks, and condition
+// writers serialize on condMu.
 //
-// Lock ordering: condMu before any shard mutex. Readers never hold both;
-// SetCondition/ResetConditions take condMu then drop each shard in turn.
+// Lock ordering: condMu before any shard mutex. Readers never hold
+// condMu; SetCondition/ResetConditions take it, then drop each shard in
+// turn.
 type Model struct {
 	cfg    Config
 	g      *asgraph.Graph
 	router *asgraph.Router
 	pop    *cluster.Population
 
-	condMu     sync.RWMutex
-	conditions map[asgraph.ASN]Condition
-	// condGen increments on every condition mutation; cache fills started
-	// under an older generation are discarded instead of stored, so a
-	// concurrent SetCondition can never leave a stale entry behind.
+	// linkDelay[k] is the one-way delay of half-edge k in the graph's
+	// numbering (asgraph.Graph): linkOneWay, computed once per link in New.
+	linkDelay []time.Duration
+	// clusterAS[c] is the dense index of cluster c's AS, so a cluster-pair
+	// lookup starts its walk without a map lookup.
+	clusterAS []int32
+
+	condMu sync.Mutex
+	// conds is the published condition snapshot: element i is the
+	// impairment on the AS at dense index i, zero for none. A published
+	// slice is never written; writers copy it, edit the copy and publish
+	// that, so a walk sees one consistent snapshot from one atomic load.
+	conds atomic.Pointer[[]Condition]
+	// condGen increments on every condition mutation, after the new
+	// snapshot is published; cache fills started under an older
+	// generation are discarded instead of stored, so a concurrent
+	// SetCondition can never leave a stale entry behind.
 	condGen atomic.Uint64
 
 	// tivSeed randomizes the deterministic per-link circuitousness hash.
@@ -167,8 +181,21 @@ func (m *Model) initShards() {
 	}
 }
 
-// dropCacheLocked empties every shard. Callers must hold condMu (write)
-// and must have bumped condGen first, so in-flight fills observe the new
+// indexClusters fills clusterAS. The population is allocated over this
+// graph (bgp.Allocate hands out its ASes' prefixes), so every cluster's AS
+// has an index.
+func (m *Model) indexClusters() {
+	if m.pop == nil {
+		return
+	}
+	m.clusterAS = make([]int32, m.pop.NumClusters())
+	for c := range m.clusterAS {
+		m.clusterAS[c], _ = m.g.Index(m.pop.Cluster(cluster.ClusterID(c)).AS)
+	}
+}
+
+// dropCacheLocked empties every shard. Callers must hold condMu and must
+// have bumped condGen first, so in-flight fills observe the new
 // generation and discard their results.
 func (m *Model) dropCacheLocked() {
 	for i := range m.shards {
@@ -186,14 +213,20 @@ func New(g *asgraph.Graph, router *asgraph.Router, pop *cluster.Population, cfg 
 		return nil, err
 	}
 	m := &Model{
-		cfg:        cfg,
-		g:          g,
-		router:     router,
-		pop:        pop,
-		conditions: make(map[asgraph.ASN]Condition),
-		tivSeed:    uint64(rng.Int63()),
+		cfg:     cfg,
+		g:       g,
+		router:  router,
+		pop:     pop,
+		tivSeed: uint64(rng.Int63()),
 	}
 	m.initShards()
+	m.indexClusters()
+	m.linkDelay = make([]time.Duration, 0, 2*g.NumEdges())
+	for _, asn := range g.ASNs() {
+		for _, e := range g.Edges(asn) {
+			m.linkDelay = append(m.linkDelay, m.linkOneWay(asn, e.To))
+		}
+	}
 	// Impairments land on transit infrastructure that paths can route
 	// around (Fig. 4's congested AS H), never on an AS that is some
 	// stub's only uplink: congestion there is unbypassable by any relay,
@@ -213,7 +246,8 @@ func New(g *asgraph.Graph, router *asgraph.Router, pop *cluster.Population, cfg 
 			soleUplink[providers[0]] = true
 		}
 	}
-	for _, asn := range g.ASNs() {
+	conds := make([]Condition, g.NumNodes())
+	for i, asn := range g.ASNs() {
 		n := g.Node(asn)
 		if n.Tier == asgraph.TierStub {
 			continue
@@ -223,7 +257,7 @@ func New(g *asgraph.Graph, router *asgraph.Router, pop *cluster.Population, cfg 
 			// distribution, not enough to strand its captive stubs above
 			// the quality threshold on its own.
 			if rng.Bool(cfg.CongestedFrac) {
-				m.conditions[asn] = Condition{
+				conds[i] = Condition{
 					ExtraOneWay: time.Duration(rng.Uniform(
 						float64(cfg.CongestedMinOneWay),
 						float64(cfg.CongestedMinOneWay)+
@@ -235,59 +269,58 @@ func New(g *asgraph.Graph, router *asgraph.Router, pop *cluster.Population, cfg 
 		}
 		switch {
 		case rng.Bool(cfg.SevereFrac):
-			m.conditions[asn] = Condition{
+			conds[i] = Condition{
 				ExtraOneWay: time.Duration(rng.Uniform(
 					float64(cfg.SevereMinOneWay), float64(cfg.SevereMaxOneWay))),
 				LossRate: rng.Uniform(0.02, 0.15),
 			}
 		case rng.Bool(cfg.CongestedFrac):
-			m.conditions[asn] = Condition{
+			conds[i] = Condition{
 				ExtraOneWay: time.Duration(rng.Uniform(
 					float64(cfg.CongestedMinOneWay), float64(cfg.CongestedMaxOneWay))),
 				LossRate: rng.Uniform(0, cfg.CongestedLossMax),
 			}
 		}
 	}
+	m.conds.Store(&conds)
 	return m, nil
 }
 
 // WithPopulation returns a model over the same graph, conditions and
-// link circuitousness but a different host population — the paired
-// scalability experiment of Figure 17 densifies the population while
-// holding the network fixed. The cluster-pair cache starts empty (cluster
-// IDs belong to the population).
+// link delays but a different host population — the paired scalability
+// experiment of Figure 17 densifies the population while holding the
+// network fixed. The cluster-pair cache starts empty (cluster IDs belong
+// to the population). The two models share the current condition
+// snapshot and then diverge: a later SetCondition on either publishes a
+// copy.
 func (m *Model) WithPopulation(pop *cluster.Population) *Model {
-	m.condMu.RLock()
-	defer m.condMu.RUnlock()
 	cp := &Model{
-		cfg:        m.cfg,
-		g:          m.g,
-		router:     m.router,
-		pop:        pop,
-		conditions: make(map[asgraph.ASN]Condition, len(m.conditions)),
-		tivSeed:    m.tivSeed,
+		cfg:       m.cfg,
+		g:         m.g,
+		router:    m.router,
+		pop:       pop,
+		linkDelay: m.linkDelay,
+		tivSeed:   m.tivSeed,
 	}
 	cp.initShards()
-	for k, v := range m.conditions {
-		cp.conditions[k] = v
-	}
+	cp.indexClusters()
+	cp.conds.Store(m.conds.Load())
 	return cp
 }
 
 // SetCondition injects or replaces an impairment on an AS (used by tests
-// and the churn example). Passing a zero Condition clears it.
+// and the churn example). Passing a zero Condition clears it. An AS
+// outside the graph lies on no path and carries no condition.
 func (m *Model) SetCondition(asn asgraph.ASN, c Condition) {
+	i, ok := m.g.Index(asn)
+	if !ok {
+		return
+	}
 	m.condMu.Lock()
 	defer m.condMu.Unlock()
-	if c == (Condition{}) {
-		delete(m.conditions, asn)
-	} else {
-		m.conditions[asn] = c
-	}
-	// Conditions affect cached paths; invalidate in-flight fills, then
-	// drop the cache.
-	m.condGen.Add(1)
-	m.dropCacheLocked()
+	conds := append([]Condition(nil), *m.conds.Load()...)
+	conds[i] = c
+	m.publishLocked(conds)
 }
 
 // ResetConditions removes every injected impairment and drops the
@@ -297,31 +330,39 @@ func (m *Model) SetCondition(asn asgraph.ASN, c Condition) {
 func (m *Model) ResetConditions() {
 	m.condMu.Lock()
 	defer m.condMu.Unlock()
-	m.conditions = make(map[asgraph.ASN]Condition)
+	m.publishLocked(make([]Condition, m.g.NumNodes()))
+}
+
+// publishLocked makes conds the condition snapshot and invalidates the
+// cache. Callers hold condMu. The snapshot goes out before the generation
+// moves: a fill that read the old generation is discarded at its store,
+// and one that read the new generation also reads the new snapshot.
+func (m *Model) publishLocked(conds []Condition) {
+	m.conds.Store(&conds)
 	m.condGen.Add(1)
 	m.dropCacheLocked()
 }
 
 // Condition returns the impairment on asn, if any.
 func (m *Model) Condition(asn asgraph.ASN) (Condition, bool) {
-	m.condMu.RLock()
-	defer m.condMu.RUnlock()
-	c, ok := m.conditions[asn]
-	return c, ok
+	i, ok := m.g.Index(asn)
+	if !ok {
+		return Condition{}, false
+	}
+	c := (*m.conds.Load())[i]
+	return c, c != (Condition{})
 }
 
 // CongestedASes returns every AS with an injected impairment, in
-// ascending ASN order: the set lives in a map, and handing callers the
-// randomized iteration order would leak nondeterminism into any report
-// or decision built from it.
+// ascending ASN order (the snapshot's index order).
 func (m *Model) CongestedASes() []asgraph.ASN {
-	m.condMu.RLock()
-	defer m.condMu.RUnlock()
-	out := make([]asgraph.ASN, 0, len(m.conditions))
-	for asn := range m.conditions {
-		out = append(out, asn)
+	conds := *m.conds.Load()
+	out := make([]asgraph.ASN, 0)
+	for i, c := range conds {
+		if c != (Condition{}) {
+			out = append(out, m.g.ByIndex(int32(i)))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -359,6 +400,9 @@ func (m *Model) linkTIV(a, b asgraph.ASN) float64 {
 	return 1 + m.cfg.TIVSpread*u*u*u
 }
 
+// linkOneWay is the one-way delay of the link a-b: propagation over the
+// link's (possibly detoured) length plus per-hop processing. It is
+// symmetric in a and b; New tabulates it per half-edge.
 func (m *Model) linkOneWay(a, b asgraph.ASN) time.Duration {
 	na, nb := m.g.Node(a), m.g.Node(b)
 	dx, dy := na.X-nb.X, na.Y-nb.Y
@@ -369,25 +413,6 @@ func (m *Model) linkOneWay(a, b asgraph.ASN) time.Duration {
 	}
 	prop := time.Duration(km / m.cfg.PropagationKmPerMs * mult * float64(time.Millisecond))
 	return prop + m.cfg.PerHopOneWay
-}
-
-// pathOneWay computes one-way delay and loss along an AS path, applying
-// the conditions of every AS on it (endpoints included: an impaired edge
-// AS hurts its own hosts too).
-func (m *Model) pathOneWay(path []asgraph.ASN) (time.Duration, float64) {
-	d := m.cfg.IntraASOneWay * time.Duration(len(path))
-	success := 1.0
-	for i, asn := range path {
-		if i+1 < len(path) {
-			d += m.linkOneWay(asn, path[i+1])
-			success *= 1 - m.cfg.BaseLossRate
-		}
-		if c, ok := m.conditions[asn]; ok {
-			d += c.ExtraOneWay
-			success *= 1 - c.LossRate
-		}
-	}
-	return d, 1 - success
 }
 
 func pairKey(a, b cluster.ClusterID) uint64 {
@@ -412,16 +437,14 @@ func (m *Model) clusterPath(c1, c2 cluster.ClusterID) pathStats {
 
 	// Compute outside any shard lock; concurrent misses for the same pair
 	// duplicate work but arrive at identical values (asPath is a pure
-	// function of the route tables and the condition map).
+	// function of the route tables and the condition snapshot).
 	gen := m.condGen.Load()
-	a := m.pop.Cluster(c1).AS
-	b := m.pop.Cluster(c2).AS
-	st = m.asPath(a, b)
+	st = m.indexPath(m.clusterAS[c1], m.clusterAS[c2])
 
 	sh.mu.Lock()
 	// Store only if no condition mutation raced with the fill: SetCondition
-	// bumps condGen before it empties the shards, so a matching generation
-	// here proves the value is still current.
+	// publishes its snapshot, bumps condGen and then empties the shards, so
+	// a matching generation here proves the value is still current.
 	if m.condGen.Load() == gen {
 		sh.m[key] = st
 	}
@@ -429,37 +452,57 @@ func (m *Model) clusterPath(c1, c2 cluster.ClusterID) pathStats {
 	return st
 }
 
-// asPath computes path stats between two ASes. It holds condMu for
-// reading so the condition map is observed as one consistent snapshot
-// across the whole path walk. The table is always keyed on the smaller
-// ASN: forward and reverse policy paths can legitimately differ, and RTT
-// ground truth must not depend on router-cache state.
+// asPath computes path stats between two ASes from one condition
+// snapshot. The table is always keyed on the smaller ASN: forward and
+// reverse policy paths can legitimately differ, and RTT ground truth must
+// not depend on router-cache state.
+//
+// The walk runs from the larger ASN's index to the smaller's over the
+// route table, summing the tabulated link delays and each AS's condition
+// and multiplying the per-hop and per-AS success factors in path order —
+// the arithmetic, and so every bit of the result, of summing linkOneWay
+// over RouteTable.Path.
 func (m *Model) asPath(a, b asgraph.ASN) pathStats {
-	m.condMu.RLock()
-	defer m.condMu.RUnlock()
-	if a == b {
-		oneWay := m.cfg.IntraASOneWay
-		var loss float64
-		if c, ok := m.conditions[a]; ok {
-			oneWay += c.ExtraOneWay
-			loss = c.LossRate
+	ia, okA := m.g.Index(a)
+	ib, okB := m.g.Index(b)
+	switch {
+	case okA && okB:
+		return m.indexPath(ia, ib)
+	case a == b:
+		return pathStats{rtt: 2 * m.cfg.IntraASOneWay, ok: true}
+	default:
+		return pathStats{}
+	}
+}
+
+// indexPath is asPath between the ASes at dense indexes ia and ib. Index
+// order is ASN order, so the smaller index is the smaller ASN.
+func (m *Model) indexPath(ia, ib int32) pathStats {
+	conds := *m.conds.Load()
+	if ia == ib {
+		oneWay := m.cfg.IntraASOneWay + conds[ia].ExtraOneWay
+		return pathStats{rtt: 2 * oneWay, loss: conds[ia].LossRate, hops: 0, ok: true}
+	}
+	dst, src := min(ia, ib), max(ia, ib)
+	t := m.router.TableByIndex(dst)
+	var d time.Duration
+	success := 1.0
+	hops := 0
+	for i := src; i != dst; hops++ {
+		e, next, ok := t.Step(i)
+		if !ok {
+			return pathStats{}
 		}
-		return pathStats{rtt: 2 * oneWay, loss: loss, hops: 0, ok: true}
+		d += m.linkDelay[e]
+		success *= 1 - m.cfg.BaseLossRate
+		d += conds[i].ExtraOneWay
+		success *= 1 - conds[i].LossRate
+		i = next
 	}
-	dst, src := a, b
-	if dst > src {
-		dst, src = src, dst
-	}
-	t := m.router.Table(dst)
-	if t == nil {
-		return pathStats{}
-	}
-	path, ok := t.Path(src)
-	if !ok {
-		return pathStats{}
-	}
-	oneWay, loss := m.pathOneWay(path)
-	return pathStats{rtt: 2 * oneWay, loss: loss, hops: len(path) - 1, ok: true}
+	d += conds[dst].ExtraOneWay
+	success *= 1 - conds[dst].LossRate
+	d += m.cfg.IntraASOneWay * time.Duration(hops+1)
+	return pathStats{rtt: 2 * d, loss: 1 - success, hops: hops, ok: true}
 }
 
 // ASPathHops returns the policy AS-hop count between two ASes.
@@ -501,6 +544,18 @@ func (m *Model) clusterStats(c1, c2 cluster.ClusterID) PairStat {
 		return PairStat{RTT: 2 * m.cfg.IntraASOneWay, OK: true}
 	}
 	st := m.clusterPath(c1, c2)
+	return PairStat{RTT: st.rtt, Loss: st.loss, OK: st.ok}
+}
+
+// clusterStatsUncached is clusterStats without the pair cache: one walk,
+// nothing read or stored. A close-set probe round asks for each
+// owner→target pair once per build, so a fill there bought nothing and
+// cost a miss lookup, an insert and a shard write lock (DESIGN.md §9).
+func (m *Model) clusterStatsUncached(c1, c2 cluster.ClusterID) PairStat {
+	if c1 == c2 {
+		return PairStat{RTT: 2 * m.cfg.IntraASOneWay, OK: true}
+	}
+	st := m.indexPath(m.clusterAS[c1], m.clusterAS[c2])
 	return PairStat{RTT: st.rtt, Loss: st.loss, OK: st.ok}
 }
 

@@ -163,11 +163,13 @@ type ClusterProbe struct {
 // noise Normal, then the conditional loss-response Bool — is the
 // sequence a per-target RTT probe followed by a loss probe would consume
 // (the reference in batch_test.go pins it). Message counters are charged
-// in two bulk adds. out must be at least len(targets) long.
+// in two bulk adds. Ground truth comes straight from the route walk and
+// stays out of the model's pair cache: the close set this round builds is
+// itself the cache of these pairs. out must be at least len(targets) long.
 func (p *Prober) ProbeClusterSet(owner cluster.ClusterID, targets []cluster.ClusterID, latT time.Duration, out []ClusterProbe) {
 	var nLoss int64
 	for i, t := range targets {
-		st := p.m.clusterStats(owner, t)
+		st := p.m.clusterStatsUncached(owner, t)
 		pr := ClusterProbe{}
 		if p.rng.Bool(p.ResponseProb) && st.OK {
 			pr.RTT = p.noisy(st.RTT)
