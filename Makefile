@@ -89,20 +89,18 @@ govulncheck:
 lint:
 	$(GO) run ./cmd/asaplint ./internal/...
 
-# allocgate re-runs the allocation-regression tests (TestEncodeAllocs,
-# TestDecodeAllocs*, TestClusterStatsBatchAllocs,
-# TestProberDiscardViewAllocs, TestProbeClusterSetAllocs,
-# TestBuildRouteTableAllocs, TestOneHopBatchAllocs, TestClockAllocs,
-# TestBufPoolAllocs, TestVoicePacketAllocs, TestTCPCallAllocs,
-# TestMergeCloseAllocs, TestSelectCloseRelayAllocs) in a plain build: the
-# race runs above skip most of them because -race instruments
-# allocations, so without this target `check` would never enforce the
-# zero-alloc wire path and kept-connection TCP round trip (DESIGN.md
-# §15), the zero-alloc virtual-clock event (§10), the zero-alloc voice
-# packet (§12), the map-free select-close-relay merge (§5), or the
-# fixed-count route-table build and zero-alloc close-set probe round (§9).
+# allocgate re-runs every allocation-regression test in the tree (each
+# test whose name contains `Allocs`; its budget lives in the test, next
+# to the code it bounds) in a plain build: the race runs above skip most
+# of them because -race instruments allocations, so without this target
+# `check` would never enforce the zero-alloc wire path and
+# kept-connection TCP round trip (DESIGN.md §15), the zero-alloc
+# virtual-clock event (§10), the zero-alloc voice packet (§12), the
+# map-free select-close-relay merge (§5), or the fixed-count route-table
+# build and zero-alloc close-set probe round (§9). A new alloc test joins
+# the gate by its name alone.
 allocgate:
-	$(GO) test -run 'Allocs' -count=1 ./internal/transport/ ./internal/netmodel/ ./internal/overlay/ ./internal/sim/ ./internal/transport/udp/ ./internal/core/ ./internal/asgraph/
+	$(GO) test -run 'Allocs' -count=1 ./...
 
 # bench-smoke runs the benchmark module's own tests (~3 s): registry
 # against BENCHMARK.json, a smoke run of every workload, span-tree

@@ -32,8 +32,10 @@ type RetryPolicy struct {
 	Jitter float64
 }
 
-// DefaultRetryPolicy returns the schedule the daemon uses: four attempts
-// spanning roughly 50 + 100 + 200 ms plus jitter.
+// DefaultRetryPolicy returns four attempts spanning roughly 50 + 100 +
+// 200 ms, plus up to 20 % jitter. The daemon passes a zero RetryPolicy,
+// so it runs these attempts and delays without jitter: withDefaults
+// leaves a zero Jitter at 0.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		Attempts:   4,

@@ -151,12 +151,11 @@ func (m *asapMethod) Run(s Session, rng *sim.RNG) (Outcome, error) {
 // accounting (the paper reports no overhead for OPT).
 type optMethod struct {
 	eng *overlay.Engine
-	cfg overlay.OptConfig
 }
 
 // NewOPTMethod builds the OPT reference method.
 func NewOPTMethod(eng *overlay.Engine) Method {
-	return &optMethod{eng: eng, cfg: overlay.DefaultOptConfig()}
+	return &optMethod{eng: eng}
 }
 
 func (m *optMethod) Name() string { return "OPT" }
@@ -164,7 +163,7 @@ func (m *optMethod) Name() string { return "OPT" }
 // Run ignores rng: OPT is a ground-truth sweep with no randomness.
 func (m *optMethod) Run(s Session, _ *sim.RNG) (Outcome, error) {
 	out := Outcome{Method: "OPT", ShortestRTT: noPath}
-	if p, ok := m.eng.Optimal(s.A, s.B, m.cfg); ok {
+	if p, ok := m.eng.Optimal(s.A, s.B); ok {
 		out.ShortestRTT = p.RTT
 		if p.Quality() {
 			out.QualityPaths = 1

@@ -165,8 +165,8 @@ func RunStabilization(cfg StabilizationConfig) (StabilizationResult, error) {
 	return StabilizationResult{ASAP: asap, Baseline: runBaselineArm(cfg)}, nil
 }
 
-func mosOfGround(p PathGround, codec netmodel.Codec) float64 {
-	return netmodel.MOSFromRTT(p.RTT, p.Loss, codec)
+func mosOfGround(p PathGround) float64 {
+	return netmodel.MOSFromRTT(p.RTT, p.Loss, netmodel.CodecG729A)
 }
 
 func runSessionArm(cfg StabilizationConfig) (ArmResult, error) {
@@ -204,7 +204,7 @@ func runSessionArm(cfg StabilizationConfig) (ArmResult, error) {
 	}
 	mgr.Start()
 
-	res.PreMOS = mosOfGround(cfg.Paths[0], cfg.Session.Codec)
+	res.PreMOS = mosOfGround(cfg.Paths[0])
 	// Step the clock event by event so recovery is timed at the probe
 	// that achieved it, not at a coarse sampling boundary.
 	for clk.Now() < cfg.Horizon {
@@ -235,9 +235,8 @@ func runSessionArm(cfg StabilizationConfig) (ArmResult, error) {
 // during stabilization.
 func runBaselineArm(cfg StabilizationConfig) ArmResult {
 	rng := sim.NewRNG(cfg.Seed)
-	codec := cfg.Session.Codec
 	res := ArmResult{Method: "skype-like", DetectAfter: -1, RecoverAfter: -1}
-	res.PreMOS = mosOfGround(cfg.Paths[0], codec)
+	res.PreMOS = mosOfGround(cfg.Paths[0])
 
 	// probeNoise is the per-measurement MOS estimation error.
 	const probeNoise = 0.15
@@ -249,7 +248,7 @@ func runBaselineArm(cfg StabilizationConfig) ArmResult {
 		if !alive(i, now) {
 			return 1
 		}
-		return mosOfGround(cfg.Paths[i], codec)
+		return mosOfGround(cfg.Paths[i])
 	}
 
 	for now := cfg.BaselineProbeInterval; now <= cfg.Horizon; now += cfg.BaselineProbeInterval {

@@ -10,18 +10,20 @@
 // snapshot the state the request needs, unlock, do the I/O, re-lock,
 // validate and commit.
 //
-// The analysis is a per-function, source-order over-approximation: a
-// lock counts as held from a Lock/RLock call until the matching
-// Unlock/RUnlock in the same function; a deferred Unlock holds to the
-// end. Function literals are not entered — a closure handed to the
-// scheduler runs later, outside the critical section. *_test.go files
-// are exempt.
+// The analysis is the shared per-function may-held walk
+// (lintutil.Walk): a lock counts as held from a Lock/RLock call until
+// the matching Unlock/RUnlock on the same path, and a deferred Unlock
+// holds to the end. Branches run on their own copies of the held set
+// and are joined by union; a branch that returns ends its path, so an
+// early-return guard (`Lock(); if c { Unlock(); return }`) does not
+// release the lock for the code after it. Function literals are not
+// entered — a closure handed to the scheduler runs later, outside the
+// critical section. *_test.go files are exempt.
 package lockio
 
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 
 	"asap/internal/lint/analysis"
@@ -34,18 +36,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "forbid transport I/O (Call/Probe/Serve) while a sync.Mutex/RWMutex is held; " +
 		"snapshot under the lock, release it, then probe (DESIGN.md §9)",
 	Run: run,
-}
-
-var lockMethods = map[string]bool{
-	"(*sync.Mutex).Lock":    true,
-	"(*sync.RWMutex).Lock":  true,
-	"(*sync.RWMutex).RLock": true,
-}
-
-var unlockMethods = map[string]bool{
-	"(*sync.Mutex).Unlock":    true,
-	"(*sync.RWMutex).Unlock":  true,
-	"(*sync.RWMutex).RUnlock": true,
 }
 
 // ioMethods are the transport-layer entry points that perform network
@@ -67,146 +57,26 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			held := make(map[string]bool)
-			walkStmts(pass, fd.Body.List, held)
+			lintutil.WalkLocks(pass.TypesInfo, fd.Body, recvKey, func(call *ast.CallExpr, acquires string, held lintutil.Held) {
+				if acquires == "" && len(held) > 0 && isTransportIO(pass, call) {
+					pass.Reportf(call.Pos(),
+						"transport I/O while holding a mutex (%s): snapshot under the lock, release it, then probe (DESIGN.md §9)",
+						strings.Join(held.Sorted(), ", "))
+				}
+			})
 		}
 	}
 	return nil, nil
 }
 
-// walkStmts scans statements in source order, tracking which mutexes are
-// held (keyed by the receiver expression's text) and reporting transport
-// I/O performed while any is held.
-func walkStmts(pass *analysis.Pass, stmts []ast.Stmt, held map[string]bool) {
-	for _, s := range stmts {
-		walkStmt(pass, s, held)
-	}
-}
-
-func walkStmt(pass *analysis.Pass, s ast.Stmt, held map[string]bool) {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		walkExpr(pass, st.X, held)
-	case *ast.DeferStmt:
-		// A deferred Unlock runs at function exit: the lock stays held
-		// for the rest of the scan. Any other deferred call runs outside
-		// the critical section; skip it.
-		if call := st.Call; !isUnlock(pass, call) {
-			return
-		}
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			walkExpr(pass, e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			walkExpr(pass, e, held)
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			walkStmt(pass, st.Init, held)
-		}
-		walkExpr(pass, st.Cond, held)
-		walkStmts(pass, st.Body.List, held)
-		if st.Else != nil {
-			walkStmt(pass, st.Else, held)
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			walkStmt(pass, st.Init, held)
-		}
-		walkStmts(pass, st.Body.List, held)
-	case *ast.RangeStmt:
-		walkExpr(pass, st.X, held)
-		walkStmts(pass, st.Body.List, held)
-	case *ast.BlockStmt:
-		walkStmts(pass, st.List, held)
-	case *ast.SwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				walkStmts(pass, cc.Body, held)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				walkStmts(pass, cc.Body, held)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				walkStmts(pass, cc.Body, held)
-			}
-		}
-	case *ast.GoStmt:
-		// The spawned body runs concurrently, not under this frame's
-		// locks; do not descend.
-	case *ast.LabeledStmt:
-		walkStmt(pass, st.Stmt, held)
-	}
-}
-
-// walkExpr handles lock bookkeeping and I/O detection for the calls in
-// one expression, without descending into function literals.
-func walkExpr(pass *analysis.Pass, e ast.Expr, held map[string]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch {
-		case isLock(pass, call):
-			held[recvKey(call)] = true
-		case isUnlock(pass, call):
-			delete(held, recvKey(call))
-		case len(held) > 0 && isTransportIO(pass, call):
-			pass.Reportf(call.Pos(),
-				"transport I/O while holding a mutex (%s): snapshot under the lock, release it, then probe (DESIGN.md §9)",
-				heldNames(held))
-		}
-		return true
-	})
-}
-
-func fullName(pass *analysis.Pass, call *ast.CallExpr) string {
-	fn := lintutil.Callee(pass.TypesInfo, call)
-	if fn == nil {
-		return ""
-	}
-	return fn.FullName()
-}
-
-func isLock(pass *analysis.Pass, call *ast.CallExpr) bool {
-	return lockMethods[fullName(pass, call)]
-}
-
-func isUnlock(pass *analysis.Pass, call *ast.CallExpr) bool {
-	return unlockMethods[fullName(pass, call)]
-}
-
 // recvKey identifies a mutex by the source text of its receiver
 // expression (e.g. "n.mu"), which is how one function refers to one lock.
-func recvKey(call *ast.CallExpr) string {
+func recvKey(call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return ""
+		return "", true
 	}
-	return types.ExprString(sel.X)
-}
-
-func heldNames(held map[string]bool) string {
-	names := make([]string, 0, len(held))
-	for k := range held {
-		names = append(names, k)
-	}
-	// Deterministic diagnostic text: the linter itself must not leak map
-	// order into its output.
-	sort.Strings(names)
-	return strings.Join(names, ", ")
+	return types.ExprString(sel.X), true
 }
 
 // isTransportIO reports whether call is one of the I/O methods on the

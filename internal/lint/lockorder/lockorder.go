@@ -12,9 +12,13 @@
 //     the field it lives in (pkg.Type.field) or the package-level
 //     variable holding it (pkg.var). Every *Node.mu is one graph node.
 //   - Within a function, a lock counts as held from Lock/RLock to the
-//     matching Unlock/RUnlock in source order; a deferred unlock holds
-//     to the end (the lockio model). Read and write locks are not
-//     distinguished — an R-W crossing deadlocks just as well.
+//     matching Unlock/RUnlock on the same path of the shared may-held
+//     walk (lintutil.Walk, the lockio model): branches run on their own
+//     copies of the held set and are joined by union, a branch that
+//     returns ends its path, and a deferred unlock holds to the end. So
+//     `Lock(); if c { Unlock(); return }` still holds the lock for the
+//     code after the guard. Read and write locks are not distinguished —
+//     an R-W crossing deadlocks just as well.
 //   - Acquiring v while u is held adds the edge u→v. Calling a function
 //     (resolvable, with a body in the analyzed program) while u is held
 //     adds u→v for every v that callee may acquire transitively.
@@ -53,28 +57,9 @@ var Analyzer = &analysis.Analyzer{
 	RunProgram: run,
 }
 
-var lockMethods = map[string]bool{
-	"(*sync.Mutex).Lock":    true,
-	"(*sync.RWMutex).Lock":  true,
-	"(*sync.RWMutex).RLock": true,
-}
-
-var unlockMethods = map[string]bool{
-	"(*sync.Mutex).Unlock":    true,
-	"(*sync.RWMutex).Unlock":  true,
-	"(*sync.RWMutex).RUnlock": true,
-}
-
-// edge is one observed nesting: to was acquired while from was held.
-type edge struct {
-	from, to string
-	pos      token.Position
-}
-
 // funcInfo is the per-function summary used for the interprocedural
 // pass.
 type funcInfo struct {
-	decl     *ast.FuncDecl
 	pkg      *analysis.PackageInfo
 	acquires map[string]bool          // locks acquired anywhere in the body
 	callees  map[*types.Func]struct{} // resolvable program callees
@@ -119,9 +104,11 @@ func run(prog *analysis.Program) (interface{}, error) {
 				if fn == nil {
 					continue
 				}
-				fi := &funcInfo{decl: fd, pkg: pkg, acquires: make(map[string]bool), callees: make(map[*types.Func]struct{})}
+				fi := &funcInfo{pkg: pkg, acquires: make(map[string]bool), callees: make(map[*types.Func]struct{})}
 				st.funcs[fn] = fi
-				st.walkStmts(fi, fd.Body.List, make(map[string]bool))
+				lintutil.WalkLocks(pkg.TypesInfo, fd.Body, fi.lockKey, func(call *ast.CallExpr, acquires string, held lintutil.Held) {
+					st.visit(fi, call, acquires, held)
+				})
 			}
 		}
 	}
@@ -138,151 +125,34 @@ func run(prog *analysis.Program) (interface{}, error) {
 	return nil, nil
 }
 
-// --- pass 1: statement walk ---
+// --- pass 1: per-function walk ---
 
-func (st *state) walkStmts(fi *funcInfo, stmts []ast.Stmt, held map[string]bool) {
-	for _, s := range stmts {
-		st.walkStmt(fi, s, held)
+// visit records one call of the may-held walk: an acquisition adds an
+// edge from every held lock, and a call to a program function under
+// held locks is kept for the interprocedural pass.
+func (st *state) visit(fi *funcInfo, call *ast.CallExpr, acquires string, held lintutil.Held) {
+	if acquires != "" {
+		fi.acquires[acquires] = true
+		for h := range held {
+			st.addEdge(h, acquires, st.prog.Fset.Position(call.Pos()))
+		}
+		return
 	}
-}
-
-func (st *state) walkStmt(fi *funcInfo, s ast.Stmt, held map[string]bool) {
-	switch stmt := s.(type) {
-	case *ast.ExprStmt:
-		st.walkExpr(fi, stmt.X, held)
-	case *ast.DeferStmt:
-		// A deferred unlock holds to the end of the function; any other
-		// deferred call runs outside the critical section.
-		if !st.isUnlock(fi, stmt.Call) {
-			return
-		}
-	case *ast.AssignStmt:
-		for _, e := range stmt.Rhs {
-			st.walkExpr(fi, e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := stmt.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						st.walkExpr(fi, e, held)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range stmt.Results {
-			st.walkExpr(fi, e, held)
-		}
-	case *ast.IfStmt:
-		if stmt.Init != nil {
-			st.walkStmt(fi, stmt.Init, held)
-		}
-		st.walkExpr(fi, stmt.Cond, held)
-		st.walkStmts(fi, stmt.Body.List, held)
-		if stmt.Else != nil {
-			st.walkStmt(fi, stmt.Else, held)
-		}
-	case *ast.ForStmt:
-		if stmt.Init != nil {
-			st.walkStmt(fi, stmt.Init, held)
-		}
-		st.walkStmts(fi, stmt.Body.List, held)
-	case *ast.RangeStmt:
-		st.walkExpr(fi, stmt.X, held)
-		st.walkStmts(fi, stmt.Body.List, held)
-	case *ast.BlockStmt:
-		st.walkStmts(fi, stmt.List, held)
-	case *ast.SwitchStmt:
-		for _, c := range stmt.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				st.walkStmts(fi, cc.Body, held)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range stmt.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				st.walkStmts(fi, cc.Body, held)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range stmt.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				st.walkStmts(fi, cc.Body, held)
-			}
-		}
-	case *ast.GoStmt:
-		// The spawned body runs concurrently, not under this frame's
-		// locks; schedgo forbids bare go statements anyway.
-	case *ast.LabeledStmt:
-		st.walkStmt(fi, stmt.Stmt, held)
+	callee := lintutil.Callee(fi.pkg.TypesInfo, call)
+	if callee == nil {
+		return
 	}
-}
-
-// walkExpr processes the calls of one expression in source order:
-// lock/unlock bookkeeping, edge recording, and held-call collection.
-// Function literals are not entered.
-func (st *state) walkExpr(fi *funcInfo, e ast.Expr, held map[string]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name := st.calleeFullName(fi, call)
-		switch {
-		case lockMethods[name]:
-			key, ok := st.lockKey(fi, call)
-			if !ok {
-				return true
-			}
-			fi.acquires[key] = true
-			for h := range held {
-				st.addEdge(h, key, st.prog.Fset.Position(call.Pos()))
-			}
-			held[key] = true
-		case unlockMethods[name]:
-			if key, ok := st.lockKey(fi, call); ok {
-				delete(held, key)
-			}
-		default:
-			callee := lintutil.Callee(fi.pkg.TypesInfo, call)
-			if callee == nil {
-				return true
-			}
-			fi.callees[callee] = struct{}{}
-			if len(held) > 0 {
-				hc := heldCall{callee: callee, pos: st.prog.Fset.Position(call.Pos())}
-				for h := range held {
-					hc.held = append(hc.held, h)
-				}
-				sort.Strings(hc.held)
-				st.heldCalls = append(st.heldCalls, hc)
-			}
-		}
-		return true
-	})
-}
-
-func (st *state) calleeFullName(fi *funcInfo, call *ast.CallExpr) string {
-	fn := lintutil.Callee(fi.pkg.TypesInfo, call)
-	if fn == nil {
-		return ""
+	fi.callees[callee] = struct{}{}
+	if len(held) > 0 {
+		st.heldCalls = append(st.heldCalls, heldCall{callee: callee, held: held.Sorted(), pos: st.prog.Fset.Position(call.Pos())})
 	}
-	return fn.FullName()
-}
-
-func (st *state) isUnlock(fi *funcInfo, call *ast.CallExpr) bool {
-	return unlockMethods[st.calleeFullName(fi, call)]
 }
 
 // lockKey names the mutex being locked by its declaration site: the
 // struct field holding it (pkg.Type.field) or the package-level
 // variable embedding it (pkg.var). Local mutexes return !ok — they
 // cannot participate in cross-function cycles.
-func (st *state) lockKey(fi *funcInfo, call *ast.CallExpr) (string, bool) {
+func (fi *funcInfo) lockKey(call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
@@ -310,12 +180,8 @@ func (st *state) lockKey(fi *funcInfo, call *ast.CallExpr) (string, bool) {
 			return "", false
 		}
 		return shortPkg(v.Pkg()) + "." + v.Name(), true
-	default:
-		// Indexed shard access and friends: type the inner expression.
-		recvT := info.TypeOf(sel.X)
-		_ = recvT
-		return "", false
 	}
+	return "", false
 }
 
 // shortPkg renders a package for lock keys and traces: the import path

@@ -46,6 +46,18 @@ func Sequential() {
 	outer.mu.Unlock()
 }
 
+// EarlyOut holds inner to the end of the branch that returns; the
+// fall-through path takes outer alone, so inner -> outer is no edge.
+func EarlyOut(fast bool) {
+	if fast {
+		inner.mu.Lock()
+		defer inner.mu.Unlock()
+		return
+	}
+	outer.mu.Lock()
+	outer.mu.Unlock()
+}
+
 // Shards locks two instances of the same type in index order; a
 // self-edge on one lock key is not a reportable cycle.
 type Shard struct {

@@ -7,24 +7,22 @@
 // exist to prevent, and the error paths (early returns after a failed
 // decode or an oversize frame) are where leaks hide.
 //
-// The analysis is a per-function, source-order walk with branch-local
-// held sets: an acquire adds the assigned variable to the held set; a
-// release call removes it. Ownership also transfers — ending the
-// obligation — when the value is returned, stored into a field, slice
-// element or dereference, sent on a channel, or placed in a composite
-// literal. A path that returns (or falls off the end of the function)
-// with a pooled value still held is a finding. If/switch/select bodies
-// are walked with cloned sets so a release on a terminating error path
-// does not count for the fall-through path, and vice versa. Function
-// literals are analyzed as their own scopes. *_test.go files are
-// exempt.
+// The analysis is the shared per-function may-held walk
+// (lintutil.Walk): an acquire bound by `:=`, `=` or `var` adds the
+// variable to the held set; a release call removes it. Ownership also
+// transfers — ending the obligation — when the value is returned,
+// stored into a field, slice element or dereference, sent on a channel,
+// passed to a go statement, or placed in a composite literal. A path
+// that returns (or falls off the end of the function) with a pooled
+// value still held is a finding. Branches run on their own copies of
+// the held set, so a release on a terminating error path does not count
+// for the fall-through path, and vice versa. Function literals are
+// analyzed as their own scopes. *_test.go files are exempt.
 package poolreturn
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"asap/internal/lint/analysis"
@@ -40,12 +38,12 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// acquirers maps pool-acquire function names to the release that ends
-// the obligation. Both live in the transport package; the unexported
-// pair is only reachable from inside it.
-var acquirers = map[string]string{
-	"AcquireMessage": "ReleaseMessage",
-	"acquireBuf":     "releaseBuf",
+// acquirers and releasers name the pool pairs. Both live in the
+// transport package; the unexported pair is only reachable from inside
+// it. Any release ends the obligation of the variable it is passed.
+var acquirers = map[string]bool{
+	"AcquireMessage": true,
+	"acquireBuf":     true,
 }
 
 var releasers = map[string]bool{
@@ -69,15 +67,64 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// checkBody analyzes one function (or function literal) body, then
-// recurses into the literals it contains — each is its own scope with
-// its own obligations.
+// checkBody analyzes one function (or function literal) body with the
+// shared may-held walk, then recurses into the literals it contains —
+// each is its own scope with its own obligations.
 func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	held := make(map[string]bool)
-	terminated := walkStmts(pass, body.List, held)
-	if !terminated {
-		reportHeld(pass, body.Rbrace, held, "the end of the function")
+	w := &lintutil.Walk{
+		Eval: func(n ast.Node, held lintutil.Held) {
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				if name, ok := releaseCall(pass, x); ok {
+					delete(held, name)
+				}
+			case *ast.CompositeLit:
+				// Embedding a pooled value in a literal hands it to whatever
+				// owns the literal.
+				for _, el := range x.Elts {
+					transferIdents(el, held)
+				}
+			}
+		},
+		Bind: func(lhs, rhs ast.Expr, held lintutil.Held) {
+			// m := transport.AcquireMessage() (or var m = ...) starts an
+			// obligation on m.
+			if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && acquireCall(pass, call) {
+				if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
+					held[id.Name] = true
+				}
+				return
+			}
+			// x.field = m (or s[i] = m, *p = m) stores the value past this
+			// frame: ownership transfers.
+			if id, ok := ast.Unparen(rhs).(*ast.Ident); ok && held[id.Name] {
+				if _, plain := lhs.(*ast.Ident); !plain {
+					delete(held, id.Name)
+				}
+			}
+		},
+		Defer: func(call *ast.CallExpr, held lintutil.Held) {
+			// A deferred release covers every path from here on.
+			if name, ok := releaseCall(pass, call); ok {
+				delete(held, name)
+			}
+		},
+		HandOff: transferIdents,
+		Exit: func(at ast.Node, held lintutil.Held) {
+			if len(held) == 0 {
+				return
+			}
+			pos, where := at.Pos(), "this return"
+			if b, ok := at.(*ast.BlockStmt); ok {
+				pos, where = b.Rbrace, "the end of the function"
+			}
+			pass.Reportf(pos,
+				"pooled value %s reaches %s without being released or handed off: "+
+					"release it on every path (DESIGN.md §15)",
+				strings.Join(held.Sorted(), ", "), where)
+		},
 	}
+	w.Func(body)
 	ast.Inspect(body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
 			checkBody(pass, lit.Body)
@@ -87,233 +134,20 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	})
 }
 
-// walkStmts scans statements in source order, updating held, and
-// reports whether the path terminates (return or panic) before falling
-// through.
-func walkStmts(pass *analysis.Pass, stmts []ast.Stmt, held map[string]bool) bool {
-	for _, s := range stmts {
-		if walkStmt(pass, s, held) {
-			return true
-		}
-	}
-	return false
-}
-
-func walkStmt(pass *analysis.Pass, s ast.Stmt, held map[string]bool) bool {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		scanExpr(pass, st.X, held)
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.AssignStmt:
-		walkAssign(pass, st, held)
-	case *ast.DeferStmt:
-		// A deferred release covers every path from here on.
-		if name, ok := releaseCall(pass, st.Call); ok {
-			delete(held, name)
-		}
-	case *ast.SendStmt:
-		// Sending a pooled value hands it to the receiver.
-		transferIdents(st.Value, held)
-		scanExpr(pass, st.Value, held)
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			transferIdents(e, held)
-			scanExpr(pass, e, held)
-		}
-		reportHeld(pass, st.Pos(), held, "this return")
-		return true
-	case *ast.IfStmt:
-		if st.Init != nil {
-			walkStmt(pass, st.Init, held)
-		}
-		scanExpr(pass, st.Cond, held)
-		branches := []*ast.BlockStmt{st.Body}
-		exhaustive := false
-		var elseStmt ast.Stmt = st.Else
-		for elseStmt != nil {
-			switch e := elseStmt.(type) {
-			case *ast.BlockStmt:
-				branches = append(branches, e)
-				exhaustive = true // an if/else-if chain ending in a plain else
-				elseStmt = nil
-			case *ast.IfStmt:
-				if e.Init != nil {
-					walkStmt(pass, e.Init, held)
-				}
-				scanExpr(pass, e.Cond, held)
-				branches = append(branches, e.Body)
-				elseStmt = e.Else
-			default:
-				elseStmt = nil
-			}
-		}
-		mergeBranchWalk(pass, branches, exhaustive, held)
-	case *ast.ForStmt:
-		if st.Init != nil {
-			walkStmt(pass, st.Init, held)
-		}
-		if st.Cond != nil {
-			scanExpr(pass, st.Cond, held)
-		}
-		walkStmts(pass, st.Body.List, held)
-	case *ast.RangeStmt:
-		scanExpr(pass, st.X, held)
-		walkStmts(pass, st.Body.List, held)
-	case *ast.BlockStmt:
-		return walkStmts(pass, st.List, held)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		var clauses []*ast.BlockStmt
-		hasDefault := false
-		var body *ast.BlockStmt
-		switch sw := s.(type) {
-		case *ast.SwitchStmt:
-			if sw.Init != nil {
-				walkStmt(pass, sw.Init, held)
-			}
-			if sw.Tag != nil {
-				scanExpr(pass, sw.Tag, held)
-			}
-			body = sw.Body
-		case *ast.TypeSwitchStmt:
-			body = sw.Body
-		case *ast.SelectStmt:
-			body = sw.Body
-		}
-		for _, c := range body.List {
-			switch cc := c.(type) {
-			case *ast.CaseClause:
-				if cc.List == nil {
-					hasDefault = true
-				}
-				clauses = append(clauses, &ast.BlockStmt{List: cc.Body, Rbrace: cc.End()})
-			case *ast.CommClause:
-				if cc.Comm == nil {
-					hasDefault = true
-				}
-				clauses = append(clauses, &ast.BlockStmt{List: cc.Body, Rbrace: cc.End()})
-			}
-		}
-		mergeBranchWalk(pass, clauses, hasDefault, held)
-	case *ast.GoStmt:
-		// The spawned call runs later; its body is analyzed as its own
-		// function literal. A pooled value captured by it is handed off.
-		for _, arg := range st.Call.Args {
-			transferIdents(arg, held)
-		}
-	case *ast.LabeledStmt:
-		return walkStmt(pass, st.Stmt, held)
-	}
-	return false
-}
-
-// mergeBranchWalk walks each branch with a cloned held set and joins
-// the survivors: after the construct, a value is considered held if any
-// non-terminating branch (or the implicit fall-through when the
-// construct is not exhaustive) still holds it. Releases on paths that
-// return inside their branch are checked there and do not leak out.
-func mergeBranchWalk(pass *analysis.Pass, branches []*ast.BlockStmt, exhaustive bool, held map[string]bool) {
-	merged := make(map[string]bool)
-	if !exhaustive {
-		for k := range held {
-			merged[k] = true
-		}
-	}
-	for _, b := range branches {
-		clone := make(map[string]bool, len(held))
-		for k := range held {
-			clone[k] = true
-		}
-		if !walkStmts(pass, b.List, clone) {
-			for k := range clone {
-				merged[k] = true
-			}
-		}
-	}
-	for k := range held {
-		delete(held, k)
-	}
-	for k := range merged {
-		held[k] = true
-	}
-}
-
-// walkAssign tracks acquires bound to plain variables and ownership
-// transfers into longer-lived storage.
-func walkAssign(pass *analysis.Pass, st *ast.AssignStmt, held map[string]bool) {
-	for _, e := range st.Rhs {
-		scanExpr(pass, e, held)
-	}
-	if len(st.Lhs) == len(st.Rhs) {
-		for i, rhs := range st.Rhs {
-			// m := transport.AcquireMessage() starts an obligation on m.
-			if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-				if _, isAcq := acquireCall(pass, call); isAcq {
-					if id, ok := st.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
-						held[id.Name] = true
-					}
-					continue
-				}
-			}
-			// x.field = m (or s[i] = m, *p = m) stores the value past this
-			// frame: ownership transfers.
-			if id, ok := ast.Unparen(rhs).(*ast.Ident); ok && held[id.Name] {
-				if _, plain := st.Lhs[i].(*ast.Ident); !plain {
-					delete(held, id.Name)
-				}
-			}
-		}
-	}
-}
-
-// scanExpr finds release calls and composite-literal transfers inside
-// one expression, without descending into function literals.
-func scanExpr(pass *analysis.Pass, e ast.Expr, held map[string]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if name, ok := releaseCall(pass, x); ok {
-				delete(held, name)
-			}
-		case *ast.CompositeLit:
-			// Embedding a pooled value in a literal hands it to whatever
-			// owns the literal.
-			for _, el := range x.Elts {
-				transferIdents(el, held)
-			}
-		}
-		return true
-	})
-}
-
 // transferIdents drops the obligation for every held identifier
 // appearing in e: the value is being handed off.
-func transferIdents(e ast.Expr, held map[string]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
+func transferIdents(e ast.Expr, held lintutil.Held) {
+	lintutil.Inspect(e, func(n ast.Node) {
 		if id, ok := n.(*ast.Ident); ok {
 			delete(held, id.Name)
 		}
-		return true
 	})
 }
 
-// acquireCall reports whether call is a transport pool acquire, and the
-// matching release name.
-func acquireCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+// acquireCall reports whether call is a transport pool acquire.
+func acquireCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := lintutil.Callee(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil || !isTransportPkg(fn.Pkg()) {
-		return "", false
-	}
-	rel, ok := acquirers[fn.Name()]
-	return rel, ok
+	return fn != nil && fn.Pkg() != nil && isTransportPkg(fn.Pkg()) && acquirers[fn.Name()]
 }
 
 // releaseCall reports whether call is a transport pool release, and the
@@ -332,21 +166,4 @@ func releaseCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 func isTransportPkg(pkg *types.Package) bool {
 	p := pkg.Path()
 	return p == "transport" || strings.HasSuffix(p, "/transport")
-}
-
-func reportHeld(pass *analysis.Pass, pos token.Pos, held map[string]bool, where string) {
-	if len(held) == 0 {
-		return
-	}
-	names := make([]string, 0, len(held))
-	for k := range held {
-		names = append(names, k)
-	}
-	// Deterministic diagnostic text: the linter itself must not leak map
-	// order into its output.
-	sort.Strings(names)
-	pass.Reportf(pos,
-		"pooled value %s reaches %s without being released or handed off: "+
-			"release it on every path (DESIGN.md §15)",
-		strings.Join(names, ", "), where)
 }

@@ -78,11 +78,35 @@ func goodSwitch(k int) {
 	}
 }
 
+// goodSelect hands the message off in one clause and releases it in the
+// other; a select without default always runs one of them.
+func goodSelect(n *node, done chan struct{}) {
+	m := transport.AcquireMessage()
+	select {
+	case n.out <- m:
+	case <-done:
+		transport.ReleaseMessage(m)
+	}
+}
+
 // bad forgets the release entirely.
 func bad() {
 	m := transport.AcquireMessage()
 	m.Type = 3
 } // want "pooled value m reaches the end of the function"
+
+// badVar binds the acquire in a var declaration and forgets it.
+func badVar() {
+	var m = transport.AcquireMessage()
+	m.Type = 4
+} // want "pooled value m reaches the end of the function"
+
+// goodVar is badVar's released twin.
+func goodVar() {
+	var m = transport.AcquireMessage()
+	m.Type = 4
+	transport.ReleaseMessage(m)
+}
 
 // badErrorPath releases on the happy path only.
 func badErrorPath(fail bool) error {

@@ -143,22 +143,11 @@ func combineLoss(a, b float64) float64 {
 	return 1 - (1-a)*(1-b)
 }
 
-// OptConfig bounds the offline-optimal search.
-type OptConfig struct {
-	// TwoHop enables the two-hop phase.
-	TwoHop bool
-}
-
 // twoHopBeam is the number of best clusters kept per side for the
 // two-hop pairing phase. The full quadratic sweep is intractable at
 // paper scale; a generous beam is within measurement noise of exact
 // (the best two-hop relays are always near-best one-hop endpoints).
 const twoHopBeam = 64
-
-// DefaultOptConfig enables two-hop.
-func DefaultOptConfig() OptConfig {
-	return OptConfig{TwoHop: true}
-}
 
 // Optimal exhaustively searches relay clusters for the lowest-RTT path
 // between a and b (the paper's OPT method: "always chooses relay nodes
@@ -167,7 +156,7 @@ func DefaultOptConfig() OptConfig {
 // iterations"). Relays are evaluated at cluster-delegate granularity, the
 // same granularity the paper measured. The endpoints' own clusters are
 // excluded as relays.
-func (e *Engine) Optimal(a, b cluster.HostID, cfg OptConfig) (Path, bool) {
+func (e *Engine) Optimal(a, b cluster.HostID) (Path, bool) {
 	pop := e.m.Population()
 	ha, hb := pop.Host(a), pop.Host(b)
 
@@ -192,35 +181,31 @@ func (e *Engine) Optimal(a, b cluster.HostID, cfg OptConfig) (Path, bool) {
 		if !haveBest || p.RTT < best.RTT {
 			best, haveBest = p, true
 		}
-		if cfg.TwoHop {
-			fromA = append(fromA, side{c.ID, ra})
-			toB = append(toB, side{c.ID, rb})
-		}
+		fromA = append(fromA, side{c.ID, ra})
+		toB = append(toB, side{c.ID, rb})
 	}
 
-	if cfg.TwoHop {
-		sort.Slice(fromA, func(i, j int) bool { return fromA[i].rtt < fromA[j].rtt })
-		sort.Slice(toB, func(i, j int) bool { return toB[i].rtt < toB[j].rtt })
-		if len(fromA) > twoHopBeam {
-			fromA = fromA[:twoHopBeam]
-		}
-		if len(toB) > twoHopBeam {
-			toB = toB[:twoHopBeam]
-		}
-		for _, s1 := range fromA {
-			for _, s2 := range toB {
-				if s1.c == s2.c {
-					continue
-				}
-				r1 := pop.Cluster(s1.c).Delegate
-				r2 := pop.Cluster(s2.c).Delegate
-				p, ok := e.TwoHop(a, r1, r2, b)
-				if !ok {
-					continue
-				}
-				if !haveBest || p.RTT < best.RTT {
-					best, haveBest = p, true
-				}
+	sort.Slice(fromA, func(i, j int) bool { return fromA[i].rtt < fromA[j].rtt })
+	sort.Slice(toB, func(i, j int) bool { return toB[i].rtt < toB[j].rtt })
+	if len(fromA) > twoHopBeam {
+		fromA = fromA[:twoHopBeam]
+	}
+	if len(toB) > twoHopBeam {
+		toB = toB[:twoHopBeam]
+	}
+	for _, s1 := range fromA {
+		for _, s2 := range toB {
+			if s1.c == s2.c {
+				continue
+			}
+			r1 := pop.Cluster(s1.c).Delegate
+			r2 := pop.Cluster(s2.c).Delegate
+			p, ok := e.TwoHop(a, r1, r2, b)
+			if !ok {
+				continue
+			}
+			if !haveBest || p.RTT < best.RTT {
+				best, haveBest = p, true
 			}
 		}
 	}

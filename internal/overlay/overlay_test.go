@@ -108,7 +108,7 @@ func TestOptimalNeverWorseThanDirect(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a, b := randHosts(e, rng)
 		direct, okD := e.Direct(a, b)
-		opt, okO := e.Optimal(a, b, DefaultOptConfig())
+		opt, okO := e.Optimal(a, b)
 		if !okO {
 			t.Fatal("Optimal found nothing")
 		}
@@ -143,13 +143,17 @@ func TestOptimalOneHopMatchesBruteForce(t *testing.T) {
 }
 
 func TestOptimalTwoHopCanBeatOneHop(t *testing.T) {
-	// With two-hop disabled vs enabled, enabled must never be worse.
+	// The two-hop search must never be worse than the best of direct and
+	// one-hop alone.
 	e, rng := testEngine(t, 300, 1500, 74)
 	worse := 0
 	for i := 0; i < 10; i++ {
 		a, b := randHosts(e, rng)
-		oneOnly, ok1 := e.Optimal(a, b, OptConfig{TwoHop: false})
-		both, ok2 := e.Optimal(a, b, DefaultOptConfig())
+		oneOnly, ok1 := e.OptimalOneHop(a, b)
+		if direct, ok := e.Direct(a, b); ok && (!ok1 || direct.RTT < oneOnly.RTT) {
+			oneOnly, ok1 = direct, true
+		}
+		both, ok2 := e.Optimal(a, b)
 		if !ok1 || !ok2 {
 			continue
 		}

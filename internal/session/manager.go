@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"asap/internal/netmodel"
 	"asap/internal/sim"
 	"asap/internal/transport"
 )
@@ -44,11 +43,10 @@ type Config struct {
 	SwitchConsecutive int
 	// Backups is how many backup paths are probed per tick.
 	Backups int
-	// Codec scores probes through the E-Model.
-	Codec netmodel.Codec
-	// HistoryLimit bounds the per-session probe history ring.
-	HistoryLimit int
 }
+
+// historyLimit bounds the per-session probe history ring.
+const historyLimit = 120
 
 // DefaultConfig returns the monitor parameters used by asapd.
 func DefaultConfig() Config {
@@ -60,8 +58,6 @@ func DefaultConfig() Config {
 		SwitchMargin:      0.3,
 		SwitchConsecutive: 3,
 		Backups:           3,
-		Codec:             netmodel.CodecG729A,
-		HistoryLimit:      120,
 	}
 }
 
@@ -82,8 +78,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("session: SwitchConsecutive must be >= 1")
 	case c.Backups < 0:
 		return fmt.Errorf("session: Backups must be >= 0")
-	case c.HistoryLimit < 0:
-		return fmt.Errorf("session: HistoryLimit must be >= 0")
 	}
 	return nil
 }
@@ -470,11 +464,8 @@ func (m *Manager) scoreProbeLocked(s *Session, pp pathProbe, now time.Duration) 
 }
 
 func (m *Manager) recordLocked(s *Session, sample Sample) {
-	if m.cfg.HistoryLimit == 0 {
-		return
-	}
 	s.history = append(s.history, sample)
-	if over := len(s.history) - m.cfg.HistoryLimit; over > 0 {
+	if over := len(s.history) - historyLimit; over > 0 {
 		s.history = s.history[over:]
 	}
 }

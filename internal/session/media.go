@@ -95,7 +95,7 @@ func (m *Manager) scoreActiveLocked(s *Session, p *probePlan, now time.Duration)
 			sample.Jitter = jit
 		}
 	}
-	mos := netmodel.MOS(oneWay, loss, m.cfg.Codec)
+	mos := netmodel.MOS(oneWay, loss, netmodel.CodecG729A)
 	sample.RTT, sample.Loss, sample.MOS, sample.OK = pp.rtt, loss, mos, true
 	m.recordLocked(s, sample)
 	s.lastMOS[pp.cand.Relay] = mos

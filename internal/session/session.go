@@ -284,5 +284,5 @@ func (m *Manager) stateForMOS(mos float64) State {
 
 // mosOf converts one probe measurement into a MOS under the session codec.
 func (m *Manager) mosOf(rtt time.Duration, loss float64) float64 {
-	return netmodel.MOSFromRTT(rtt, loss, m.cfg.Codec)
+	return netmodel.MOSFromRTT(rtt, loss, netmodel.CodecG729A)
 }

@@ -441,7 +441,6 @@ func TestConfigValidateAndDetectionWindow(t *testing.T) {
 		func(c *Config) { c.SwitchMargin = -1 },
 		func(c *Config) { c.SwitchConsecutive = 0 },
 		func(c *Config) { c.Backups = -1 },
-		func(c *Config) { c.HistoryLimit = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -468,7 +467,6 @@ func TestHistoryBounded(t *testing.T) {
 		probe: steadyProbe(map[transport.Addr]time.Duration{"r0": 100 * time.Millisecond}, nil),
 	}
 	cfg := testConfig()
-	cfg.HistoryLimit = 5
 	m, err := NewManager(cfg, clk, drv)
 	if err != nil {
 		t.Fatal(err)
@@ -478,9 +476,10 @@ func TestHistoryBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Start()
-	clk.RunUntil(60 * time.Second)
-	if h := s.History(); len(h) != 5 {
-		t.Errorf("history length = %d, want bounded at 5", len(h))
+	// One probe per tick: twice the ring's worth of ticks overfills it.
+	clk.RunUntil(2 * historyLimit * cfg.ProbeInterval)
+	if h := s.History(); len(h) != historyLimit {
+		t.Errorf("history length = %d, want bounded at %d", len(h), historyLimit)
 	}
 }
 
