@@ -165,11 +165,13 @@ bench-scale:
 # emulation, session monitoring) under the race detector — the layers
 # that juggle keepalive timers, re-establishment and relay expiry
 # concurrently — then stresses the TCP transport's connection hand-off
-# (Call, the park list, Close) twenty times over: its races are between
-# a handful of goroutines and one pass rarely lines them up.
+# (Call, the park list, Close) twenty times over and System's close-set
+# scratch free list ten times over: their races are between a handful
+# of goroutines and one pass rarely lines them up.
 race-dataplane:
 	$(GO) test -race -count=1 ./internal/transport/... ./internal/nat/... ./internal/session/...
 	$(GO) test -race -count=20 -run 'TCP' ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestCloseSet' ./internal/core/
 
 # test-experiments runs the virtual-time experiment suite with a tight
 # timeout: everything in internal/eval runs on the simulated clock, so

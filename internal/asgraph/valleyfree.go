@@ -59,92 +59,114 @@ type VFReach struct {
 // of at most maxHops AS hops. It returns the minimum hop count per reached
 // AS. An unknown src yields an empty result.
 //
-// It is ValleyFreeTraverse with a visitor that always expands: the queue
-// runs in non-decreasing hop order, so the first visit of an AS carries
-// its minimum hop count.
+// It is VFWalk.Traverse on a zero walk with a visitor that always
+// expands: the queue runs in non-decreasing hop order, so the first visit
+// of an AS carries its minimum hop count.
 func (g *Graph) ValleyFreeBFS(src ASN, maxHops int) VFReach {
 	reach := VFReach{Hops: make(map[ASN]int)}
-	g.ValleyFreeTraverse(src, maxHops, func(asn ASN, hops int) bool {
-		reach.Hops[asn] = hops
+	var w VFWalk
+	w.Traverse(g, src, maxHops, func(ai int32, hops int) bool {
+		reach.Hops[g.asns[ai]] = hops
 		return true
 	})
 	return reach
 }
 
-// ValleyFreeTraverse runs the bounded valley-free BFS calling visit the
-// first time each AS is reached (the source included, at 0 hops). If visit
-// returns false, the search does not expand through that AS — the "stop
-// path expansion" pruning of construct-close-cluster-set() (Fig. 9),
-// where ASes whose surrogates already exceed the latency or loss
-// thresholds are not explored further.
+// Per-AS walk state: one bit per phase the AS has been reached in, and
+// the visitor's expand-or-prune verdict once it has been asked.
+const (
+	seenExpand uint8 = 1 << (numPhases + iota)
+	seenPruned
+)
+
+// vfState is one queued (AS, phase) state.
+type vfState struct {
+	node int32
+	p    vfPhase
+}
+
+// VFWalk is a bounded valley-free BFS whose state outlives one search: a
+// caller that walks many times (one close-set build per cluster) keeps a
+// VFWalk and pays for its arrays once. The zero value is ready to use. A
+// VFWalk is not safe for concurrent use; give each goroutine its own.
+type VFWalk struct {
+	seen  []uint8 // per dense AS index: phase bits | seenExpand | seenPruned
+	queue []vfState
+}
+
+// Traverse runs the bounded valley-free BFS from src over g, calling
+// visit with the dense index (Graph.ByIndex) of each AS the first time it
+// is reached, the source included at 0 hops. If visit returns false, the
+// search does not expand through that AS — the "stop path expansion"
+// pruning of construct-close-cluster-set() (Fig. 9), where ASes whose
+// surrogates already exceed the latency or loss thresholds are not
+// explored further. An unknown src or a negative maxHops visits nothing.
 //
 // The search runs over (AS, phase) states so that, for example, an AS first
 // reached in the descending phase can still be passed through later by a
 // shorter climbing path. Pruning is remembered per AS: a pruned AS reached
 // again later through another phase is still not expanded.
-func (g *Graph) ValleyFreeTraverse(src ASN, maxHops int, visit func(asn ASN, hops int) bool) {
+func (w *VFWalk) Traverse(g *Graph, src ASN, maxHops int, visit func(ai int32, hops int) bool) {
 	srcIdx, ok := g.idx[src]
 	if !ok || maxHops < 0 {
 		return
 	}
-	n := len(g.asns)
-	const unvisited = int32(-1)
-	dist := make([]int32, n*numPhases)
-	for i := range dist {
-		dist[i] = unvisited
+	if n := len(g.asns); len(w.seen) != n {
+		// A walk reaches each AS in up to three phases; one state per AS
+		// covers most walks without regrowing the queue.
+		w.seen = make([]uint8, n)
+		w.queue = make([]vfState, 0, n)
+	} else {
+		clear(w.seen)
+		w.queue = w.queue[:0]
 	}
-	state := func(node int32, p vfPhase) int32 { return node*numPhases + int32(p) }
 
-	// expand[i]: 0 unknown, 1 expand, 2 pruned.
-	expand := make([]uint8, n)
 	decide := func(ni int32, hops int) bool {
-		switch expand[ni] {
-		case 1:
+		switch s := w.seen[ni]; {
+		case s&seenExpand != 0:
 			return true
-		case 2:
+		case s&seenPruned != 0:
 			return false
 		}
-		if visit(g.asns[ni], hops) {
-			expand[ni] = 1
+		if visit(ni, hops) {
+			w.seen[ni] |= seenExpand
 			return true
 		}
-		expand[ni] = 2
+		w.seen[ni] |= seenPruned
 		return false
 	}
 
-	type qent struct {
-		node int32
-		p    vfPhase
-	}
-	queue := make([]qent, 0, 64)
-	dist[state(srcIdx, phaseUp)] = 0
+	w.seen[srcIdx] |= 1 << phaseUp
 	if !decide(srcIdx, 0) {
 		return
 	}
-	queue = append(queue, qent{srcIdx, phaseUp})
+	w.queue = append(w.queue, vfState{srcIdx, phaseUp})
 
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		d := dist[state(cur.node, cur.p)]
-		if int(d) >= maxHops {
-			continue
+	// The queue holds one hop level after another: every state before
+	// levelEnd is hops away from src, and the states after it one more.
+	hops, levelEnd := 0, len(w.queue)
+	for head := 0; head < len(w.queue); head++ {
+		if head == levelEnd {
+			hops, levelEnd = hops+1, len(w.queue)
 		}
+		if hops >= maxHops {
+			return
+		}
+		cur := w.queue[head]
 		for k := g.off[cur.node]; k < g.off[cur.node+1]; k++ {
 			np, allowed := vfNext(cur.p, g.edges[k].Rel)
 			if !allowed {
 				continue
 			}
 			ni := g.nbr[k]
-			s := state(ni, np)
-			if dist[s] != unvisited {
+			if w.seen[ni]&(1<<np) != 0 {
 				continue
 			}
-			dist[s] = d + 1
-			if !decide(ni, int(d+1)) {
+			w.seen[ni] |= 1 << np
+			if !decide(ni, hops+1) {
 				continue // visited but pruned: do not expand
 			}
-			queue = append(queue, qent{ni, np})
+			w.queue = append(w.queue, vfState{ni, np})
 		}
 	}
 }

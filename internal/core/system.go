@@ -1,9 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -59,6 +58,26 @@ type System struct {
 	closeSets  map[cluster.ClusterID]*CloseSet
 	inflight   map[cluster.ClusterID]*closeSetCall
 	buildMsgs  int64 // cumulative close-set construction cost
+	// scratch is a stack of idle close-set build scratches. CloseSet pops
+	// one when it registers a build and pushes it back when it stores the
+	// set, so the stack grows to the most builds that ever ran at once. A
+	// sync.Pool would be emptied by every garbage collection.
+	scratch []*buildScratch
+}
+
+// buildScratch is what one close-set build needs and does not return: the
+// walk, the probe round's slices, the probe-noise stream and its prober,
+// and the entries found so far as an RTT table and a membership bitset,
+// both indexed by cluster.
+type buildScratch struct {
+	walk    asgraph.VFWalk
+	targets []cluster.ClusterID
+	probes  []netmodel.ClusterProbe
+	rng     *sim.RNG
+	ctr     *sim.Counters // cumulative over the scratch's builds
+	probe   *netmodel.Prober
+	rtt     []time.Duration
+	member  []uint64
 }
 
 // closeSetCall is a singleflight handle for one in-progress close-set
@@ -233,16 +252,23 @@ func (s *System) CloseSet(cid cluster.ClusterID) (*CloseSet, error) {
 	}
 	c := &closeSetCall{done: make(chan struct{})}
 	s.inflight[cid] = c
+	var sc *buildScratch
+	if n := len(s.scratch); n > 0 {
+		sc, s.scratch = s.scratch[n-1], s.scratch[:n-1]
+	} else {
+		sc = new(buildScratch)
+	}
 	s.mu.Unlock()
 
 	// Construct outside the lock: the valley-free BFS plus probing is the
 	// expensive part, and other clusters' lookups must not stall behind it.
-	cs = s.constructCloseClusterSet(cid)
+	cs = s.constructCloseClusterSet(cid, sc)
 
 	s.mu.Lock()
 	delete(s.inflight, cid)
 	s.closeSets[cid] = cs
 	s.buildMsgs += cs.BuildMessages
+	s.scratch = append(s.scratch, sc)
 	s.mu.Unlock()
 	c.cs = cs
 	close(c.done)
@@ -253,56 +279,69 @@ func (s *System) CloseSet(cid cluster.ClusterID) (*CloseSet, error) {
 // the surrogate's AS node under valley-free constraints, probing the
 // surrogate of every cluster in each reached AS and pruning expansion
 // through ASes whose clusters all miss the latency/loss thresholds.
-// ASes without any online cluster are passed through freely: there is
-// nothing to measure there and transit ASes mostly host no peers.
-func (s *System) constructCloseClusterSet(cid cluster.ClusterID) *CloseSet {
-	owner := s.pop.Cluster(cid)
-	cs := &CloseSet{Owner: cid}
-	ctr := sim.NewCounters()
+// ASes that hold no cluster at all are passed through freely: there is
+// nothing to measure there and transit ASes mostly host no peers. A
+// cluster whose surrogate is down is still probed like any other, from
+// ground truth. The build runs on sc and allocates only the set it
+// returns.
+func (s *System) constructCloseClusterSet(cid cluster.ClusterID, sc *buildScratch) *CloseSet {
 	// Probe noise comes from a stream sub-seeded by (system seed, cluster):
 	// the set's contents are a pure function of the cluster, independent of
 	// which goroutine constructs it or what other probes ran before.
-	probe := s.prober.WithRNG(sim.NewRNG(sim.SubSeed(s.seed, uint64(cid)))).WithCounters(ctr)
+	seed := sim.SubSeed(s.seed, uint64(cid))
+	if sc.probe == nil {
+		sc.rng = sim.NewRNG(seed)
+		sc.ctr = sim.NewCounters()
+		sc.probe = s.prober.WithRNG(sc.rng).WithCounters(sc.ctr)
+		n := s.pop.NumClusters()
+		sc.rtt = make([]time.Duration, n)
+		sc.member = make([]uint64, (n+63)/64)
+	} else {
+		sc.rng.Reseed(seed)
+	}
+	msgs0 := sc.ctr.Total()
 
 	// Per-AS probe rounds travel batched: the AS's candidate clusters go
 	// through one ProbeClusterSet round (in the deployed protocol, one
 	// MsgProbeBatch round trip) instead of two scalar probes per
 	// cluster. ProbeClusterSet consumes the RNG stream in exactly the
-	// scalar order, so sets are bit-identical per seed. The scratch
-	// slices grow once and persist across the traversal.
-	var targets []cluster.ClusterID
-	var probes []netmodel.ClusterProbe
-	s.model.Graph().ValleyFreeTraverse(owner.AS, s.params.K, func(asn asgraph.ASN, hops int) bool {
-		clusters := s.pop.ClustersInAS(asn)
+	// scalar order, so sets are bit-identical per seed. A close entry
+	// lands in the RTT table and the bitset; the walk visits each AS once
+	// and every cluster sits in one AS, so each bit is set at most once.
+	size := 0
+	sc.walk.Traverse(s.model.Graph(), s.pop.Cluster(cid).AS, s.params.K, func(ai int32, hops int) bool {
+		clusters := s.model.ClustersAtIndex(ai)
 		if len(clusters) == 0 {
 			return true // nothing to probe; keep exploring through it
 		}
 		anyClose := false
-		targets = targets[:0]
+		sc.targets = sc.targets[:0]
 		for _, rc := range clusters {
 			if rc == cid {
 				anyClose = true // own AS is trivially close
 				continue
 			}
-			targets = append(targets, rc)
+			sc.targets = append(sc.targets, rc)
 		}
-		if len(targets) == 0 {
+		if len(sc.targets) == 0 {
 			return anyClose
 		}
-		if cap(probes) < len(targets) {
-			probes = make([]netmodel.ClusterProbe, len(targets))
+		if cap(sc.probes) < len(sc.targets) {
+			sc.probes = make([]netmodel.ClusterProbe, len(sc.targets))
 		}
-		probes = probes[:len(targets)]
-		probe.ProbeClusterSet(cid, targets, s.params.LatT, probes)
-		for i, rc := range targets {
-			pr := probes[i]
+		sc.probes = sc.probes[:len(sc.targets)]
+		sc.probe.ProbeClusterSet(cid, sc.targets, s.params.LatT, sc.probes)
+		for i, rc := range sc.targets {
+			pr := sc.probes[i]
 			if !pr.RTTOK || pr.RTT >= s.params.LatT {
 				continue
 			}
 			if !pr.LossOK || pr.Loss >= s.params.LossT {
 				continue
 			}
-			cs.Clusters = append(cs.Clusters, CloseCluster{Cluster: rc, RTT: pr.RTT})
+			sc.rtt[rc] = pr.RTT
+			sc.member[rc/64] |= 1 << (rc % 64)
+			size++
 			anyClose = true
 		}
 		// Prune expansion when every probed cluster in this AS missed the
@@ -310,7 +349,18 @@ func (s *System) constructCloseClusterSet(cid cluster.ClusterID) *CloseSet {
 		return anyClose
 	})
 
-	slices.SortFunc(cs.Clusters, func(a, b CloseCluster) int { return cmp.Compare(a.Cluster, b.Cluster) })
-	cs.BuildMessages = ctr.Total()
+	cs := &CloseSet{Owner: cid, BuildMessages: sc.ctr.Total() - msgs0}
+	if size > 0 {
+		// One sweep of the bitset yields the entries in cluster order and
+		// leaves it clear for the next build.
+		cs.Clusters = make([]CloseCluster, 0, size)
+		for w, word := range sc.member {
+			for ; word != 0; word &= word - 1 {
+				rc := cluster.ClusterID(w*64 + bits.TrailingZeros64(word))
+				cs.Clusters = append(cs.Clusters, CloseCluster{Cluster: rc, RTT: sc.rtt[rc]})
+			}
+			sc.member[w] = 0
+		}
+	}
 	return cs
 }

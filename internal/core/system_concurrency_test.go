@@ -107,3 +107,108 @@ func TestCloseSetSeedIndependentOfBuildOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseSetConcurrentBuildsMatchSequential: eight goroutines build
+// disjoint clusters' sets on one System, so several build scratches are
+// live at once and each is recycled into other clusters' builds. Every
+// set and its build cost must equal what a sequential System builds over
+// the same world.
+func TestCloseSetConcurrentBuildsMatchSequential(t *testing.T) {
+	w := buildWorld(t, 200, 1200, 93)
+	seq := newSystem(t, w, DefaultParams())
+	par := newSystem(t, w, DefaultParams())
+
+	clusters := w.pop.Clusters()
+	if len(clusters) > 96 {
+		clusters = clusters[:96]
+	}
+	want := make([]*CloseSet, len(clusters))
+	for i, c := range clusters {
+		cs, err := seq.CloseSet(c.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = cs
+	}
+
+	const workers = 8
+	got := make([]*CloseSet, len(clusters))
+	var wg sync.WaitGroup
+	for wkr := 0; wkr < workers; wkr++ {
+		wg.Add(1)
+		go func(wkr int) {
+			defer wg.Done()
+			for i := wkr; i < len(clusters); i += workers {
+				cs, err := par.CloseSet(clusters[i].ID)
+				if err != nil {
+					t.Errorf("worker %d: CloseSet(%d): %v", wkr, clusters[i].ID, err)
+					return
+				}
+				got[i] = cs
+			}
+		}(wkr)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	for i, c := range clusters {
+		if !slices.Equal(got[i].Clusters, want[i].Clusters) {
+			t.Fatalf("cluster %d: concurrent build\n%v\nsequential build\n%v", c.ID, got[i].Clusters, want[i].Clusters)
+		}
+		if got[i].BuildMessages != want[i].BuildMessages {
+			t.Fatalf("cluster %d: concurrent build cost %d messages, sequential %d", c.ID, got[i].BuildMessages, want[i].BuildMessages)
+		}
+	}
+	if seq.BuildMessages() != par.BuildMessages() {
+		t.Errorf("cumulative build cost: concurrent %d, sequential %d", par.BuildMessages(), seq.BuildMessages())
+	}
+	par.mu.RLock()
+	idle := len(par.scratch)
+	par.mu.RUnlock()
+	if idle < 1 || idle > workers {
+		t.Errorf("%d idle build scratches after %d workers finished, want 1..%d", idle, workers, workers)
+	}
+}
+
+// TestCloseSetBuildAllocs: once a System has its build scratch, a
+// cluster's close-set build allocates a fixed budget however large the
+// set and however far the walk reached: four every time (the set, its
+// entries, the singleflight handle and its channel) and up to four more
+// on the builds that grow the set cache's map.
+func TestCloseSetBuildAllocs(t *testing.T) {
+	const budget = 8
+	w := buildWorld(t, 200, 1200, 94)
+	for _, asn := range w.g.ASNs() {
+		w.model.Router().Table(asn) // route tables are the model's, not the build's
+	}
+	s := newSystem(t, w, DefaultParams())
+	clusters := w.pop.Clusters()
+	next := 0
+	build := func() {
+		if _, err := s.CloseSet(clusters[next].ID); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	build() // makes the scratch
+
+	minSize, maxSize := len(clusters), 0
+	for next+1 < len(clusters) && next < 200 {
+		// AllocsPerRun builds one cluster to warm up and measures the next.
+		n := testing.AllocsPerRun(1, build)
+		cs, err := s.CloseSet(clusters[next-1].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > budget {
+			t.Errorf("cluster %d: a build of %d entries allocated %.0f times, budget %d", cs.Owner, cs.Size(), n, budget)
+		}
+		minSize, maxSize = min(minSize, cs.Size()), max(maxSize, cs.Size())
+	}
+	if maxSize < 2*minSize+50 {
+		t.Fatalf("measured sets span %d..%d entries: too narrow to show the budget is size-free", minSize, maxSize)
+	}
+	t.Logf("%d builds of %d..%d entries, each within %d allocations", next, minSize, maxSize, budget)
+}

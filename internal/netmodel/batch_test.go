@@ -51,7 +51,35 @@ func batchTargets(m *Model, rng *sim.RNG, owner cluster.ClusterID, n int) []clus
 	// Edge cases the batch key phase special-cases: the owner itself, and
 	// a duplicate of an earlier target (same cache key twice in one call).
 	targets = append(targets, owner, targets[0])
-	return targets
+	// ProbeClusterSet walks once per run of targets in one AS: a whole
+	// AS's clusters as one run, an A,B,A interleave of that AS with
+	// another, and the owner's own AS, whose clusters run through the
+	// owner itself (its siblings share its AS but not its zero path).
+	for _, asn := range pop.PopulatedASes() {
+		if run := pop.ClustersInAS(asn); len(run) >= 2 && asn != pop.Cluster(owner).AS {
+			targets = append(targets, run...)
+			targets = append(targets, run[0], targets[0], run[1])
+			break
+		}
+	}
+	return append(targets, pop.ClustersInAS(pop.Cluster(owner).AS)...)
+}
+
+// multiClusterOwner draws a cluster whose AS holds other clusters too, so
+// batchTargets gives it siblings.
+func multiClusterOwner(t *testing.T, m *Model, rng *sim.RNG) cluster.ClusterID {
+	t.Helper()
+	pop := m.Population()
+	var owners []cluster.ClusterID
+	for _, asn := range pop.PopulatedASes() {
+		if run := pop.ClustersInAS(asn); len(run) >= 2 {
+			owners = append(owners, run...)
+		}
+	}
+	if len(owners) == 0 {
+		t.Fatal("no AS holds two clusters")
+	}
+	return owners[rng.Intn(len(owners))]
 }
 
 func assertClusterBatchMatches(t *testing.T, m *Model, owner cluster.ClusterID, targets []cluster.ClusterID) {
@@ -189,6 +217,13 @@ func TestProbeClusterSetMatchesScalarSequence(t *testing.T) {
 
 	for round := 0; round < 20; round++ {
 		owner := cluster.ClusterID(rng.Intn(pop.NumClusters()))
+		if round%2 == 1 {
+			// An impaired AS with siblings: only the owner's own entry
+			// skips the AS's condition, so a walk shared across the owner
+			// and its siblings shows.
+			owner = multiClusterOwner(t, m, rng)
+			m.SetCondition(pop.Cluster(owner).AS, Condition{ExtraOneWay: 20 * time.Millisecond, LossRate: 0.01})
+		}
 		targets := batchTargets(m, rng, owner, 25)
 		seed := int64(1000 + round)
 
@@ -223,6 +258,7 @@ func TestProbeClusterSetMatchesScalarSequence(t *testing.T) {
 		if s, b := sCtr.Total(), bCtr.Total(); s != b {
 			t.Errorf("round %d: batched charged %d messages, scalar %d", round, b, s)
 		}
+		m.ResetConditions()
 	}
 }
 

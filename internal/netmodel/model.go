@@ -12,6 +12,7 @@ package netmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,6 +146,11 @@ type Model struct {
 	// clusterAS[c] is the dense index of cluster c's AS, so a cluster-pair
 	// lookup starts its walk without a map lookup.
 	clusterAS []int32
+	// asClusters inverts clusterAS in compressed-sparse-row form: the
+	// clusters of the AS at dense index i are
+	// asClusters[asClusterOff[i]:asClusterOff[i+1]], ascending.
+	asClusterOff []int32
+	asClusters   []cluster.ClusterID
 
 	condMu sync.Mutex
 	// conds is the published condition snapshot: element i is the
@@ -181,17 +187,37 @@ func (m *Model) initShards() {
 	}
 }
 
-// indexClusters fills clusterAS. The population is allocated over this
-// graph (bgp.Allocate hands out its ASes' prefixes), so every cluster's AS
-// has an index.
+// indexClusters fills clusterAS and its inverse. The population is
+// allocated over this graph (bgp.Allocate hands out its ASes' prefixes),
+// so every cluster's AS has an index.
 func (m *Model) indexClusters() {
 	if m.pop == nil {
 		return
 	}
 	m.clusterAS = make([]int32, m.pop.NumClusters())
+	m.asClusterOff = make([]int32, m.g.NumNodes()+1)
 	for c := range m.clusterAS {
-		m.clusterAS[c], _ = m.g.Index(m.pop.Cluster(cluster.ClusterID(c)).AS)
+		ai, _ := m.g.Index(m.pop.Cluster(cluster.ClusterID(c)).AS)
+		m.clusterAS[c] = ai
+		m.asClusterOff[ai+1]++
 	}
+	for i := 1; i < len(m.asClusterOff); i++ {
+		m.asClusterOff[i] += m.asClusterOff[i-1]
+	}
+	m.asClusters = make([]cluster.ClusterID, len(m.clusterAS))
+	next := slices.Clone(m.asClusterOff[:len(m.asClusterOff)-1])
+	for c, ai := range m.clusterAS {
+		m.asClusters[next[ai]] = cluster.ClusterID(c)
+		next[ai]++
+	}
+}
+
+// ClustersAtIndex returns the clusters of the AS at dense index ai
+// (asgraph.Graph.Index), ascending: Population.ClustersInAS without the
+// map lookup, for a walk that already speaks indexes. Callers must not
+// mutate the slice.
+func (m *Model) ClustersAtIndex(ai int32) []cluster.ClusterID {
+	return m.asClusters[m.asClusterOff[ai]:m.asClusterOff[ai+1]]
 }
 
 // dropCacheLocked empties every shard. Callers must hold condMu and must

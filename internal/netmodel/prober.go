@@ -13,7 +13,8 @@ import (
 // its WithCounters views, which share the stream) is safe for concurrent
 // callers. Concurrent callers still interleave nondeterministically on a
 // shared stream; callers that need reproducible parallel measurements
-// derive a private stream per unit of work with WithRNG.
+// derive a private stream per unit of work with WithRNG. A probe round
+// takes mu once and draws from rng directly.
 type proberRNG struct {
 	mu  sync.Mutex
 	rng *sim.RNG
@@ -23,12 +24,6 @@ func (p *proberRNG) Bool(prob float64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.rng.Bool(prob)
-}
-
-func (p *proberRNG) Normal(mean, stddev float64) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rng.Normal(mean, stddev)
 }
 
 // Prober is the measurement interface protocol actors are allowed to use.
@@ -121,11 +116,20 @@ func (p *Prober) WithRNG(rng *sim.RNG) *Prober {
 	return &cp
 }
 
+// noisy applies one draw of measurement noise from the prober's stream.
 func (p *Prober) noisy(rtt time.Duration) time.Duration {
+	p.rng.mu.Lock()
+	defer p.rng.mu.Unlock()
+	return p.noisyFrom(p.rng.rng, rtt)
+}
+
+// noisyFrom applies one draw of measurement noise from g, whose lock the
+// caller holds.
+func (p *Prober) noisyFrom(g *sim.RNG, rtt time.Duration) time.Duration {
 	if p.NoiseFrac == 0 {
 		return rtt
 	}
-	f := 1 + p.rng.Normal(0, p.NoiseFrac)
+	f := 1 + g.Normal(0, p.NoiseFrac)
 	if f < 0.1 {
 		f = 0.1
 	}
@@ -162,28 +166,44 @@ type ClusterProbe struct {
 // never worth a loss train. The per-target draw order — response Bool,
 // noise Normal, then the conditional loss-response Bool — is the
 // sequence a per-target RTT probe followed by a loss probe would consume
-// (the reference in batch_test.go pins it). Message counters are charged
-// in two bulk adds. Ground truth comes straight from the route walk and
-// stays out of the model's pair cache: the close set this round builds is
-// itself the cache of these pairs. out must be at least len(targets) long.
+// (the reference in batch_test.go pins it); the round takes the stream's
+// lock once for all of them. Message counters are charged in two bulk
+// adds. Ground truth comes straight from the route walk and stays out of
+// the model's pair cache: the close set this round builds is itself the
+// cache of these pairs. Ground truth is a function of the AS pair, so
+// consecutive targets in one AS share one walk; a round of one AS's
+// clusters walks once. out must be at least len(targets) long.
 func (p *Prober) ProbeClusterSet(owner cluster.ClusterID, targets []cluster.ClusterID, latT time.Duration, out []ClusterProbe) {
-	var nLoss int64
+	var (
+		nLoss int64
+		st    PairStat
+		runAS = int32(-1) // the AS whose walk st holds; -1 for none
+	)
+	p.rng.mu.Lock()
+	g := p.rng.rng
 	for i, t := range targets {
-		st := p.m.clusterStatsUncached(owner, t)
+		if ai := p.m.clusterAS[t]; t == owner || ai != runAS {
+			st = p.m.clusterStatsUncached(owner, t)
+			runAS = ai
+			if t == owner {
+				runAS = -1 // the owner measures itself, not its AS's path
+			}
+		}
 		pr := ClusterProbe{}
-		if p.rng.Bool(p.ResponseProb) && st.OK {
-			pr.RTT = p.noisy(st.RTT)
+		if g.Bool(p.ResponseProb) && st.OK {
+			pr.RTT = p.noisyFrom(g, st.RTT)
 			pr.RTTOK = true
 		}
 		if pr.RTTOK && pr.RTT < latT {
 			nLoss++
-			if p.rng.Bool(p.ResponseProb) {
+			if g.Bool(p.ResponseProb) {
 				pr.Loss = st.Loss
 				pr.LossOK = true
 			}
 		}
 		out[i] = pr
 	}
+	p.rng.mu.Unlock()
 	p.counters.Add("probe.cluster_rtt", int64(len(targets))*p.MessagesPerProbe)
 	if nLoss > 0 {
 		p.counters.Add("probe.cluster_loss", nLoss*p.MessagesPerProbe)

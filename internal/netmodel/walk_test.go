@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -200,5 +201,25 @@ func TestProbeClusterSetAllocs(t *testing.T) {
 		owner += 7
 	}); n != 0 {
 		t.Errorf("a probe round of %d targets allocates %.1f, want 0", len(targets), n)
+	}
+}
+
+// TestClustersAtIndexMatchesPopulation: the model's per-index inverse of
+// the cluster→AS map lists every AS's clusters in Population.ClustersInAS
+// order — the order a close-set build probes them in, and so draws its
+// noise in.
+func TestClustersAtIndexMatchesPopulation(t *testing.T) {
+	m, _ := testModel(t, 200, 1500, 96, DefaultConfig())
+	pop, g := m.Population(), m.Graph()
+	total := 0
+	for ai, asn := range g.ASNs() {
+		got, want := m.ClustersAtIndex(int32(ai)), pop.ClustersInAS(asn)
+		if !slices.Equal(got, want) {
+			t.Fatalf("AS%d (index %d): ClustersAtIndex %v, ClustersInAS %v", asn, ai, got, want)
+		}
+		total += len(got)
+	}
+	if total != pop.NumClusters() {
+		t.Fatalf("the index lists %d clusters, the population has %d", total, pop.NumClusters())
 	}
 }

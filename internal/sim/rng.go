@@ -24,6 +24,11 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed restarts the generator as NewRNG(seed) would start a new one,
+// without allocating: a caller that needs a fresh stream per unit of work
+// keeps one RNG and reseeds it.
+func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
+
 // Split derives an independent child generator. The child's stream is a
 // deterministic function of the parent's state, so splitting is itself
 // reproducible.

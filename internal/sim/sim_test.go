@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -29,6 +30,41 @@ func TestRNGSplitIndependent(t *testing.T) {
 	}
 	if same > 5 {
 		t.Errorf("split children correlated: %d/50 equal draws", same)
+	}
+}
+
+// TestRNGReseedMatchesNewRNG: a used generator, reseeded, draws exactly
+// the stream a new generator with that seed draws, through every helper
+// a caller reaches.
+func TestRNGReseedMatchesNewRNG(t *testing.T) {
+	g := NewRNG(99)
+	for _, seed := range []int64{1, 0, -5, SubSeed(1, 42), SubSeed(7, 1936)} {
+		for i := 0; i < 37; i++ { // leave the old stream mid-way
+			g.Normal(0, 1)
+			g.Intn(1 + i)
+		}
+		g.Reseed(seed)
+		want := NewRNG(seed)
+		for i := 0; i < 500; i++ {
+			if a, b := g.Int63(), want.Int63(); a != b {
+				t.Fatalf("seed %d draw %d: Int63 %d after Reseed, %d from NewRNG", seed, i, a, b)
+			}
+			if a, b := g.Normal(0, 0.08), want.Normal(0, 0.08); a != b {
+				t.Fatalf("seed %d draw %d: Normal %g after Reseed, %g from NewRNG", seed, i, a, b)
+			}
+			if a, b := g.Bool(0.7), want.Bool(0.7); a != b {
+				t.Fatalf("seed %d draw %d: Bool %v after Reseed, %v from NewRNG", seed, i, a, b)
+			}
+			if a, b := g.Intn(1000), want.Intn(1000); a != b {
+				t.Fatalf("seed %d draw %d: Intn %d after Reseed, %d from NewRNG", seed, i, a, b)
+			}
+			if a, b := g.Exponential(3), want.Exponential(3); a != b {
+				t.Fatalf("seed %d draw %d: Exponential %g after Reseed, %g from NewRNG", seed, i, a, b)
+			}
+		}
+		if a, b := g.Perm(40), want.Perm(40); !slices.Equal(a, b) {
+			t.Fatalf("seed %d: Perm %v after Reseed, %v from NewRNG", seed, a, b)
+		}
 	}
 }
 
