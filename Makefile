@@ -96,9 +96,9 @@ lint:
 # `check` would never enforce the zero-alloc wire path and
 # kept-connection TCP round trip (DESIGN.md §15), the zero-alloc
 # virtual-clock event (§10), the zero-alloc voice packet (§12), the
-# map-free select-close-relay merge (§5), or the fixed-count route-table
-# build and zero-alloc close-set probe round (§9). A new alloc test joins
-# the gate by its name alone.
+# staged select-close-relay and its radix rank (§5), or the fixed-count
+# route-table build and zero-alloc close-set probe round (§9). A new
+# alloc test joins the gate by its name alone.
 allocgate:
 	$(GO) test -run 'Allocs' -count=1 ./...
 
@@ -165,13 +165,14 @@ bench-scale:
 # emulation, session monitoring) under the race detector — the layers
 # that juggle keepalive timers, re-establishment and relay expiry
 # concurrently — then stresses the TCP transport's connection hand-off
-# (Call, the park list, Close) twenty times over and System's close-set
-# scratch free list ten times over: their races are between a handful
-# of goroutines and one pass rarely lines them up.
+# (Call, the park list, Close) twenty times over and System's scratch
+# free list, which close-set builds and selections share, ten times
+# over: their races are between a handful of goroutines and one pass
+# rarely lines them up.
 race-dataplane:
 	$(GO) test -race -count=1 ./internal/transport/... ./internal/nat/... ./internal/session/...
 	$(GO) test -race -count=20 -run 'TCP' ./internal/transport/
-	$(GO) test -race -count=10 -run 'TestCloseSet' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestCloseSet|TestSelectCloseRelayConcurrent' ./internal/core/
 
 # test-experiments runs the virtual-time experiment suite with a tight
 # timeout: everything in internal/eval runs on the simulated clock, so

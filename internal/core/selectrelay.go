@@ -3,6 +3,8 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -35,9 +37,9 @@ type Selection struct {
 	Direct time.Duration
 	// DirectOK reports whether the direct measurement succeeded.
 	DirectOK bool
-	// OneHop candidates, sorted by estimated RTT ascending.
+	// OneHop candidates in ascending (EstRTT, Cluster) order.
 	OneHop []OneHopCandidate
-	// TwoHop candidates, sorted by estimated RTT ascending.
+	// TwoHop candidates in ascending (EstRTT, First, Second) order.
 	TwoHop []TwoHopCandidate
 	// OneHopHosts is |OS| in end-host units.
 	OneHopHosts int
@@ -54,11 +56,11 @@ func (sel *Selection) QualityPaths() int64 {
 	return int64(sel.OneHopHosts) + sel.TwoHopPairs
 }
 
-// mergeClose is the intersection of select-close-relay (Fig. 10), for
-// System's one- and two-hop and Node.SetupCall alike. It walks a and b,
-// each sorted by key with every key once, in one pass; for every shared
-// key skip does not name whose estimate base + leg(a) + leg(b) is under
-// limit, it calls emit with the index into a and the estimate, in key order.
+// mergeClose is the one-hop intersection of select-close-relay (Fig. 10),
+// for System and Node.SetupCall alike. It walks a and b, each sorted by
+// key with every key once, in one pass; for every shared key skip does
+// not name whose estimate base + leg(a) + leg(b) is under limit, it calls
+// emit with the index into a and the estimate, in key order.
 func mergeClose[E any, K cmp.Ordered](a, b []E, leg func(E) (K, time.Duration), base, limit time.Duration, emit func(i int, est time.Duration), skip ...K) {
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		ka, la := leg(a[i])
@@ -79,6 +81,62 @@ func mergeClose[E any, K cmp.Ordered](a, b []E, leg func(E) (K, time.Duration), 
 }
 
 func clusterLeg(e CloseCluster) (cluster.ClusterID, time.Duration) { return e.Cluster, e.RTT }
+
+// rankByEst writes stage into out (of the same length) in ascending order
+// of est, keeping staged order among equal estimates. It is a stable LSD
+// radix sort over the bytes that the spread of the estimates uses (four
+// passes at a 300 ms latT), ping-ponging between out and *buf so that the
+// last pass lands in out; stage is only read. *buf grows when it is
+// shorter than stage and allocates nothing otherwise.
+func rankByEst[T any](out, stage []T, buf *[]T, est func(T) time.Duration) {
+	if len(stage) == 0 {
+		return
+	}
+	lo, hi := est(stage[0]), est(stage[0])
+	for _, e := range stage[1:] {
+		d := est(e)
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	passes := (bits.Len64(uint64(hi)-uint64(lo)) + 7) / 8
+	if passes == 0 {
+		copy(out, stage)
+		return
+	}
+	if cap(*buf) < len(stage) {
+		*buf = make([]T, len(stage))
+	}
+	tmp := (*buf)[:len(stage)]
+	src := stage
+	for p := range passes {
+		dst := out
+		if (passes-p)%2 == 0 {
+			dst = tmp
+		}
+		shift := 8 * uint(p)
+		var at [256]int
+		for _, e := range src {
+			at[byte((uint64(est(e))-uint64(lo))>>shift)]++
+		}
+		sum := 0
+		for b, n := range at {
+			at[b], sum = sum, sum+n
+		}
+		for _, e := range src {
+			b := byte((uint64(est(e)) - uint64(lo)) >> shift)
+			dst[at[b]] = e
+			at[b]++
+		}
+		src = dst
+	}
+}
+
+func oneHopEst(c OneHopCandidate) time.Duration { return c.EstRTT }
+
+func twoHopEst(c TwoHopCandidate) time.Duration { return c.EstRTT }
+
+// noLeg marks a cluster outside S2 in the two-hop leg table. It is above
+// any latT, and a sum of it with two legs under latT cannot overflow.
+const noLeg = time.Duration(math.MaxInt64 / 2)
 
 // SelectCloseRelay runs the Fig. 10 algorithm for a calling session from
 // h1 to h2:
@@ -132,20 +190,40 @@ func (s *System) SelectCloseRelayWith(h1, h2 cluster.HostID, prober *netmodel.Pr
 		return nil, fmt.Errorf("core: callee close set: %w", err)
 	}
 
-	// Step 3: one-hop intersection.
+	// A selection stages its candidates in key order and ranks them into
+	// slices of their exact length, on one scratch for the whole run.
+	sc := s.popScratch()
+	defer s.pushScratch(sc)
+
+	// Step 3: one-hop intersection, staged in cluster order.
+	sc.oneHop = sc.oneHop[:0]
 	mergeClose(s1.Clusters, s2.Clusters, clusterLeg, overlay.RelayRTT, s.params.LatT, func(i int, est time.Duration) {
 		rc := s1.Clusters[i].Cluster
-		sel.OneHop = append(sel.OneHop, OneHopCandidate{Cluster: rc, EstRTT: est})
+		sc.oneHop = append(sc.oneHop, OneHopCandidate{Cluster: rc, EstRTT: est})
 		sel.OneHopHosts += len(s.pop.Cluster(rc).Hosts)
 	}, ha.Cluster, hb.Cluster)
-	slices.SortFunc(sel.OneHop, func(a, b OneHopCandidate) int {
-		return cmp.Or(cmp.Compare(a.EstRTT, b.EstRTT), cmp.Compare(a.Cluster, b.Cluster))
-	})
+	if len(sc.oneHop) > 0 {
+		sel.OneHop = make([]OneHopCandidate, len(sc.oneHop))
+		rankByEst(sel.OneHop, sc.oneHop, &sc.oneHopBuf, oneHopEst)
+	}
 
-	// Step 4: two-hop expansion when the one-hop set is small: one-hop from
-	// each winner r1 (OS1 merged with S2), on the S1[r1] leg and a relay.
+	// Step 4: two-hop expansion when the one-hop set is small: for each
+	// winner r1, in cluster order, pair r1 with every r2 of OS1 ∩ S2 on
+	// the S1[r1] leg and two relays. S2 is the same for every winner, so
+	// it is indexed once as a leg table and each OS1 costs one pass. The
+	// pairs are staged in (First, Second) order.
 	if sel.OneHopHosts < s.params.SizeT {
-		for _, oc := range sel.OneHop {
+		if sc.leg == nil {
+			sc.leg = make([]time.Duration, s.pop.NumClusters())
+			for i := range sc.leg {
+				sc.leg[i] = noLeg
+			}
+		}
+		for _, e := range s2.Clusters {
+			sc.leg[e.Cluster] = e.RTT
+		}
+		sc.twoHop = sc.twoHop[:0]
+		for _, oc := range sc.oneHop {
 			r1 := oc.Cluster
 			// h1 obtains r1's close cluster set: 2 messages.
 			sel.Messages += 2
@@ -155,16 +233,24 @@ func (s *System) SelectCloseRelayWith(h1, h2 cluster.HostID, prober *netmodel.Pr
 			}
 			i, _ := slices.BinarySearchFunc(s1.Clusters, r1, func(e CloseCluster, c cluster.ClusterID) int { return cmp.Compare(e.Cluster, c) })
 			base := s1.Clusters[i].RTT + 2*overlay.RelayRTT
-			mergeClose(os1.Clusters, s2.Clusters, clusterLeg, base, s.params.LatT, func(i int, est time.Duration) {
-				r2 := os1.Clusters[i].Cluster
-				sel.TwoHop = append(sel.TwoHop, TwoHopCandidate{First: r1, Second: r2, EstRTT: est})
-				sel.TwoHopPairs += int64(len(s.pop.Cluster(r1).Hosts)) *
-					int64(len(s.pop.Cluster(r2).Hosts))
-			}, r1, ha.Cluster, hb.Cluster)
+			hosts1 := int64(len(s.pop.Cluster(r1).Hosts))
+			for _, e := range os1.Clusters {
+				r2 := e.Cluster
+				est := base + e.RTT + sc.leg[r2]
+				if est >= s.params.LatT || r2 == r1 || r2 == ha.Cluster || r2 == hb.Cluster {
+					continue
+				}
+				sc.twoHop = append(sc.twoHop, TwoHopCandidate{First: r1, Second: r2, EstRTT: est})
+				sel.TwoHopPairs += hosts1 * int64(len(s.pop.Cluster(r2).Hosts))
+			}
 		}
-		slices.SortFunc(sel.TwoHop, func(a, b TwoHopCandidate) int {
-			return cmp.Or(cmp.Compare(a.EstRTT, b.EstRTT), cmp.Compare(a.First, b.First), cmp.Compare(a.Second, b.Second))
-		})
+		for _, e := range s2.Clusters {
+			sc.leg[e.Cluster] = noLeg
+		}
+		if len(sc.twoHop) > 0 {
+			sel.TwoHop = make([]TwoHopCandidate, len(sc.twoHop))
+			rankByEst(sel.TwoHop, sc.twoHop, &sc.twoHopBuf, twoHopEst)
+		}
 	}
 	return sel, nil
 }

@@ -3,7 +3,10 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,12 +124,15 @@ func selectMapWalk(s *core.System, h1, h2 cluster.HostID, prober *netmodel.Probe
 	return sel, nil
 }
 
-// TestSelectCloseRelayMatchesMapWalk is the differential test for the
-// merge kernel: on every session of the tiny profile and 200 of the small
+// TestSelectCloseRelayMatchesMapWalk is the differential test for
+// selection: on every session of the tiny profile and 200 of the small
 // one, at SizeT 0 (one-hop only) and 300, SelectCloseRelayWith returns
 // what the map walk returns, candidate for candidate and message for
 // message. The sessions include ones where an endpoint's cluster is in
-// the other endpoint's close set, the case the endpoint skip is for.
+// the other endpoint's close set, the case the endpoint skip is for. On
+// small at SizeT 300 the sessions then run again after every host of
+// several one-hop-winner clusters has failed, so two-hop expansion meets
+// winners with no surrogate and must skip them as the map walk does.
 func TestSelectCloseRelayMatchesMapWalk(t *testing.T) {
 	for _, tc := range []struct {
 		profile  eval.Profile
@@ -145,19 +151,11 @@ func TestSelectCloseRelayMatchesMapWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			name := fmt.Sprintf("%s/SizeT=%d", tc.profile.Name, sizeT)
+			got := matchMapWalk(t, name, w, tc.profile.Seed, s, sessions)
 			crossed, twoHop := 0, 0
 			for i, ss := range sessions {
-				prober := func() *netmodel.Prober { return w.Prober.WithRNG(sim.NewRNG(sim.SubSeed(tc.profile.Seed, uint64(i)))) }
-				want, werr := selectMapWalk(s, ss.A, ss.B, prober())
-				got, gerr := s.SelectCloseRelayWith(ss.A, ss.B, prober())
-				if (werr != nil) != (gerr != nil) {
-					t.Fatalf("%s session %d: error %v, map walk %v", name, i, gerr, werr)
-				}
-				if werr != nil {
+				if got[i] == nil {
 					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s session %d (%d -> %d):\n got %+v\nwant %+v", name, i, ss.A, ss.B, got, want)
 				}
 				ca, cb := w.Pop.Host(ss.A).Cluster, w.Pop.Host(ss.B).Cluster
 				s1, _ := s.CloseSet(ca)
@@ -165,7 +163,7 @@ func TestSelectCloseRelayMatchesMapWalk(t *testing.T) {
 				if holds(s1, cb) || holds(s2, ca) {
 					crossed++
 				}
-				if len(got.TwoHop) > 0 {
+				if len(got[i].TwoHop) > 0 {
 					twoHop++
 				}
 			}
@@ -176,8 +174,64 @@ func TestSelectCloseRelayMatchesMapWalk(t *testing.T) {
 				t.Errorf("%s: %d sessions found two-hop candidates", name, twoHop)
 			}
 			t.Logf("%s: %d sessions equal, %d with an endpoint in the other's set, %d with two-hop candidates", name, len(sessions), crossed, twoHop)
+
+			if tc.profile.Name != eval.Small.Name || sizeT == 0 {
+				continue
+			}
+			// Fail every host of each expanding session's best one-hop
+			// winner, in session order, until four clusters are down.
+			var dead []cluster.ClusterID
+			for _, sel := range got {
+				if sel == nil || sel.OneHopHosts >= sizeT || len(sel.OneHop) == 0 || len(dead) == 4 {
+					continue
+				}
+				if c := sel.OneHop[0].Cluster; !slices.Contains(dead, c) {
+					dead = append(dead, c)
+				}
+			}
+			for _, c := range dead {
+				for _, h := range w.Pop.Cluster(c).Hosts {
+					s.FailHost(h)
+				}
+			}
+			name += "/dead-winners"
+			skipped := 0
+			for _, sel := range matchMapWalk(t, name, w, tc.profile.Seed, s, sessions) {
+				if sel == nil || sel.OneHopHosts >= sizeT {
+					continue
+				}
+				if slices.ContainsFunc(sel.OneHop, func(oc core.OneHopCandidate) bool { return slices.Contains(dead, oc.Cluster) }) {
+					skipped++
+				}
+			}
+			if skipped == 0 {
+				t.Errorf("%s: no expanding session has a winner in dead clusters %v", name, dead)
+			}
+			t.Logf("%s: %d expanding sessions skip a winner in dead clusters %v", name, skipped, dead)
 		}
 	}
+}
+
+// matchMapWalk runs every session through SelectCloseRelayWith and the map
+// walk, each with the session's own sub-seeded prober, fails the test on
+// the first difference, and returns the selections (nil where both
+// errored).
+func matchMapWalk(t *testing.T, name string, w *eval.World, seed int64, s *core.System, sessions []eval.Session) []*core.Selection {
+	t.Helper()
+	out := make([]*core.Selection, len(sessions))
+	for i, ss := range sessions {
+		prober := func() *netmodel.Prober { return w.Prober.WithRNG(sim.NewRNG(sim.SubSeed(seed, uint64(i)))) }
+		want, werr := selectMapWalk(s, ss.A, ss.B, prober())
+		got, gerr := s.SelectCloseRelayWith(ss.A, ss.B, prober())
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("%s session %d: error %v, map walk %v", name, i, gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s session %d (%d -> %d):\n got %+v\nwant %+v", name, i, ss.A, ss.B, got, want)
+		}
+		out[i] = got
+	}
+	return out
 }
 
 func holds(cs *core.CloseSet, c cluster.ClusterID) bool {
@@ -189,28 +243,13 @@ func holds(cs *core.CloseSet, c cluster.ClusterID) bool {
 	return false
 }
 
-// appendAllocs is how many allocations appending n elements, one at a
-// time, to a nil slice of T costs: one whenever the slice is full.
-func appendAllocs[T any](n int) int {
-	var s []T
-	var zero T
-	allocs := 0
-	for i := 0; i < n; i++ {
-		if len(s) == cap(s) {
-			allocs++
-		}
-		s = append(s, zero)
-	}
-	return allocs
-}
-
 // TestSelectCloseRelayAllocs is select-close-relay's row of the allocation
 // gate. A warm selection on the tiny profile, one-hop only and with
-// two-hop expansion, allocates the Selection and the growth of its two
-// candidate slices, and nothing else: a map or a staged buffer coming
-// back fails it.
+// two-hop expansion, allocates the Selection and each non-empty candidate
+// slice once, at its exact length, and nothing else: candidates are
+// staged and ranked on the System's scratch, so a map, an append's
+// growth or a sort's buffer coming back fails it.
 func TestSelectCloseRelayAllocs(t *testing.T) {
-	const fixed = 1 // the Selection
 	w, err := eval.BuildWorld(eval.Tiny)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +271,12 @@ func TestSelectCloseRelayAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := fixed + appendAllocs[core.OneHopCandidate](len(sel.OneHop)) + appendAllocs[core.TwoHopCandidate](len(sel.TwoHop))
+			want := 1 // the Selection
+			for _, n := range []int{len(sel.OneHop), len(sel.TwoHop)} {
+				if n > 0 {
+					want++
+				}
+			}
 			if got := testing.AllocsPerRun(20, func() { _, _ = s.SelectCloseRelay(ss.A, ss.B) }); got != float64(want) {
 				t.Fatalf("SizeT=%d session %d -> %d: %.1f allocations, want %d (%d one-hop and %d two-hop candidates)",
 					sizeT, ss.A, ss.B, got, want, len(sel.OneHop), len(sel.TwoHop))
@@ -243,5 +287,62 @@ func TestSelectCloseRelayAllocs(t *testing.T) {
 		if oneHop == 0 || (sizeT > 0) != (twoHop > 0) {
 			t.Errorf("SizeT=%d: %d one-hop and %d two-hop candidates over %d sessions", sizeT, oneHop, twoHop, len(latent))
 		}
+	}
+}
+
+// TestSelectCloseRelayConcurrentMatchesSequential: eight goroutines take
+// 200 small sessions off a shared counter, as eval's parallel harness
+// does, and select on one cold System, so selections hold scratches while
+// the builds nested in them pop and push others. Every selection must
+// equal what a sequential System returns for the same session.
+func TestSelectCloseRelayConcurrentMatchesSequential(t *testing.T) {
+	w, err := eval.BuildWorld(eval.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := w.RandomSessions(200)
+	seq, err := w.NewASAP(core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := w.NewASAP(core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prober := func(i int) *netmodel.Prober {
+		return w.Prober.WithRNG(sim.NewRNG(sim.SubSeed(eval.Small.Seed, uint64(i))))
+	}
+	want := make([]*core.Selection, len(sessions))
+	wantErr := make([]error, len(sessions))
+	for i, ss := range sessions {
+		want[i], wantErr[i] = seq.SelectCloseRelayWith(ss.A, ss.B, prober(i))
+	}
+
+	got := make([]*core.Selection, len(sessions))
+	gotErr := make([]error, len(sessions))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(sessions); i = int(next.Add(1) - 1) {
+				got[i], gotErr[i] = par.SelectCloseRelayWith(sessions[i].A, sessions[i].B, prober(i))
+			}
+		}()
+	}
+	wg.Wait()
+
+	twoHop := 0
+	for i := range sessions {
+		if !reflect.DeepEqual(got[i], want[i]) || !reflect.DeepEqual(gotErr[i], wantErr[i]) {
+			t.Fatalf("session %d (%d -> %d):\nconcurrent %+v, %v\nsequential %+v, %v", i, sessions[i].A, sessions[i].B, got[i], gotErr[i], want[i], wantErr[i])
+		}
+		if want[i] != nil && len(want[i].TwoHop) > 0 {
+			twoHop++
+		}
+	}
+	if twoHop == 0 {
+		t.Fatal("no session expanded to two-hop: the nested builds were not exercised")
 	}
 }

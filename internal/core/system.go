@@ -58,18 +58,25 @@ type System struct {
 	closeSets  map[cluster.ClusterID]*CloseSet
 	inflight   map[cluster.ClusterID]*closeSetCall
 	buildMsgs  int64 // cumulative close-set construction cost
-	// scratch is a stack of idle close-set build scratches. CloseSet pops
-	// one when it registers a build and pushes it back when it stores the
-	// set, so the stack grows to the most builds that ever ran at once. A
-	// sync.Pool would be emptied by every garbage collection.
-	scratch []*buildScratch
+
+	// scratchMu guards scratch, a stack of idle scratches. A close-set
+	// build pops one once it has registered and pushes it back before it
+	// stores the set; a selection holds one for its whole run, and the
+	// builds nested in it pop their own. The stack grows to the most
+	// builds and selections that ever ran at once. A sync.Pool would be
+	// emptied by every garbage collection.
+	scratchMu sync.Mutex
+	scratch   []*scratch
 }
 
-// buildScratch is what one close-set build needs and does not return: the
-// walk, the probe round's slices, the probe-noise stream and its prober,
-// and the entries found so far as an RTT table and a membership bitset,
-// both indexed by cluster.
-type buildScratch struct {
+// scratch is what one close-set build or one selection needs and does
+// not return. A build uses the walk, the probe round's slices, the
+// probe-noise stream and its prober, and the entries found so far as an
+// RTT table and a membership bitset, both indexed by cluster. A
+// selection uses the staged candidates, the radix sort's second buffers
+// and S2 as a leg table indexed by cluster. Each half is made on its
+// first use.
+type scratch struct {
 	walk    asgraph.VFWalk
 	targets []cluster.ClusterID
 	probes  []netmodel.ClusterProbe
@@ -78,6 +85,28 @@ type buildScratch struct {
 	probe   *netmodel.Prober
 	rtt     []time.Duration
 	member  []uint64
+
+	oneHop, oneHopBuf []OneHopCandidate
+	twoHop, twoHopBuf []TwoHopCandidate
+	leg               []time.Duration // noLeg outside a two-hop expansion
+}
+
+func (s *System) popScratch() *scratch {
+	s.scratchMu.Lock()
+	defer s.scratchMu.Unlock()
+	n := len(s.scratch)
+	if n == 0 {
+		return new(scratch)
+	}
+	sc := s.scratch[n-1]
+	s.scratch = s.scratch[:n-1]
+	return sc
+}
+
+func (s *System) pushScratch(sc *scratch) {
+	s.scratchMu.Lock()
+	s.scratch = append(s.scratch, sc)
+	s.scratchMu.Unlock()
 }
 
 // closeSetCall is a singleflight handle for one in-progress close-set
@@ -252,23 +281,18 @@ func (s *System) CloseSet(cid cluster.ClusterID) (*CloseSet, error) {
 	}
 	c := &closeSetCall{done: make(chan struct{})}
 	s.inflight[cid] = c
-	var sc *buildScratch
-	if n := len(s.scratch); n > 0 {
-		sc, s.scratch = s.scratch[n-1], s.scratch[:n-1]
-	} else {
-		sc = new(buildScratch)
-	}
 	s.mu.Unlock()
 
 	// Construct outside the lock: the valley-free BFS plus probing is the
 	// expensive part, and other clusters' lookups must not stall behind it.
+	sc := s.popScratch()
 	cs = s.constructCloseClusterSet(cid, sc)
+	s.pushScratch(sc)
 
 	s.mu.Lock()
 	delete(s.inflight, cid)
 	s.closeSets[cid] = cs
 	s.buildMsgs += cs.BuildMessages
-	s.scratch = append(s.scratch, sc)
 	s.mu.Unlock()
 	c.cs = cs
 	close(c.done)
@@ -284,7 +308,7 @@ func (s *System) CloseSet(cid cluster.ClusterID) (*CloseSet, error) {
 // cluster whose surrogate is down is still probed like any other, from
 // ground truth. The build runs on sc and allocates only the set it
 // returns.
-func (s *System) constructCloseClusterSet(cid cluster.ClusterID, sc *buildScratch) *CloseSet {
+func (s *System) constructCloseClusterSet(cid cluster.ClusterID, sc *scratch) *CloseSet {
 	// Probe noise comes from a stream sub-seeded by (system seed, cluster):
 	// the set's contents are a pure function of the cluster, independent of
 	// which goroutine constructs it or what other probes ran before.

@@ -164,9 +164,9 @@ func TestCloseSetConcurrentBuildsMatchSequential(t *testing.T) {
 	if seq.BuildMessages() != par.BuildMessages() {
 		t.Errorf("cumulative build cost: concurrent %d, sequential %d", par.BuildMessages(), seq.BuildMessages())
 	}
-	par.mu.RLock()
+	par.scratchMu.Lock()
 	idle := len(par.scratch)
-	par.mu.RUnlock()
+	par.scratchMu.Unlock()
 	if idle < 1 || idle > workers {
 		t.Errorf("%d idle build scratches after %d workers finished, want 1..%d", idle, workers, workers)
 	}
