@@ -18,12 +18,15 @@ race:
 race-all:
 	$(GO) test -race -count=1 ./...
 
-# fuzz-smoke gives the wire-codec fuzzer a short budget on every run:
-# ten seconds of FuzzMessageCodec over the corpus plus fresh mutations.
-# Deep fuzzing is a background activity; this gate just keeps the codec
-# honest against the easy classes of malformed frame.
+# fuzz-smoke gives each fuzzer a short budget on every run: ten seconds
+# of FuzzMessageCodec (the control-plane wire codec), then ten of
+# FuzzVoicePacket (the voice datagram parser and the relay behind it),
+# each over its corpus plus fresh mutations. Deep fuzzing is a
+# background activity; this gate just keeps both parsers honest against
+# the easy classes of malformed input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzMessageCodec' -fuzztime 10s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz 'FuzzVoicePacket' -fuzztime 10s ./internal/transport/udp/
 
 vet:
 	$(GO) vet ./...

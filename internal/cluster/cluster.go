@@ -64,11 +64,9 @@ type Cluster struct {
 
 // Population is an immutable set of hosts grouped into clusters.
 type Population struct {
-	hosts     []Host
-	clusters  []Cluster
-	byAddr    map[bgp.Addr]HostID
-	byAS      map[asgraph.ASN][]ClusterID
-	originTab *bgp.Trie
+	hosts    []Host
+	clusters []Cluster
+	byAS     map[asgraph.ASN][]ClusterID
 }
 
 // GenConfig controls population synthesis.
@@ -117,10 +115,7 @@ func Generate(alloc *bgp.Allocation, cfg GenConfig, rng *sim.RNG) (*Population, 
 	populated := rng.Sample(nPrefixes, nPop)
 	sort.Ints(populated)
 
-	p := &Population{
-		byAddr: make(map[bgp.Addr]HostID, cfg.NumHosts),
-		byAS:   make(map[asgraph.ASN][]ClusterID),
-	}
+	p := &Population{byAS: make(map[asgraph.ASN][]ClusterID)}
 	p.clusters = make([]Cluster, nPop)
 	hostsPer := make([][]HostID, nPop)
 	for ci, pi := range populated {
@@ -160,7 +155,6 @@ func Generate(alloc *bgp.Allocation, cfg GenConfig, rng *sim.RNG) (*Population, 
 		}
 		p.hosts = append(p.hosts, h)
 		hostsPer[ci] = append(hostsPer[ci], id)
-		p.byAddr[h.Addr] = id
 		return nil
 	}
 	for ci := 0; ci < nPop && len(p.hosts) < cfg.NumHosts; ci++ {
@@ -223,15 +217,6 @@ func (p *Population) Hosts() []Host { return p.hosts }
 
 // Clusters returns all clusters. Callers must not mutate the slice.
 func (p *Population) Clusters() []Cluster { return p.clusters }
-
-// ByAddr resolves a host by IP address.
-func (p *Population) ByAddr(a bgp.Addr) (*Host, bool) {
-	id, ok := p.byAddr[a]
-	if !ok {
-		return nil, false
-	}
-	return &p.hosts[id], true
-}
 
 // ClustersInAS returns the clusters whose prefix originates in asn.
 func (p *Population) ClustersInAS(asn asgraph.ASN) []ClusterID {

@@ -161,13 +161,28 @@ func TestClusterSizesHeavyTailed(t *testing.T) {
 
 func TestByAddrAndASIndexes(t *testing.T) {
 	_, _, pop := testWorld(t, 200, 1000, 55)
-	h0 := pop.Host(0)
-	got, ok := pop.ByAddr(h0.Addr)
-	if !ok || got.ID != h0.ID {
-		t.Fatalf("ByAddr(%s) = %v,%v", h0.Addr, got, ok)
+	byAddr := func(a bgp.Addr) (*Host, bool) {
+		for i := range pop.Hosts() {
+			if h := &pop.Hosts()[i]; h.Addr == a {
+				return h, true
+			}
+		}
+		return nil, false
 	}
-	if _, ok := pop.ByAddr(bgp.Addr(1)); ok {
-		t.Error("ByAddr on unknown address should miss")
+	h0 := pop.Host(0)
+	got, ok := byAddr(h0.Addr)
+	if !ok || got.ID != h0.ID {
+		t.Fatalf("host by address %s = %v,%v", h0.Addr, got, ok)
+	}
+	if _, ok := byAddr(bgp.Addr(1)); ok {
+		t.Error("host lookup on an unknown address should miss")
+	}
+	seen := make(map[bgp.Addr]HostID, pop.NumHosts())
+	for _, h := range pop.Hosts() {
+		if prev, dup := seen[h.Addr]; dup {
+			t.Fatalf("hosts %d and %d share address %s", prev, h.ID, h.Addr)
+		}
+		seen[h.Addr] = h.ID
 	}
 	for _, asn := range pop.PopulatedASes() {
 		for _, cid := range pop.ClustersInAS(asn) {

@@ -72,7 +72,7 @@ func (n *Node) SetupCall(callee transport.Addr) (*RelayChoice, error) {
 		return choice, nil
 	}
 	resp, err := n.retryCall(callee, &transport.Message{
-		Type: transport.MsgCallSetup, From: n.addr,
+		Type: transport.MsgGetCloseSet, From: n.addr,
 	})
 	if err != nil {
 		// The callee answers pings but not setup (flaky path): degrade.

@@ -134,7 +134,7 @@ func TestSetupCallAdmissionIsOrderIndependent(t *testing.T) {
 }
 
 // TestSetupCallMergesAnUnsortedReplySorted has scripted callees answer
-// MsgCallSetup with one close set, once in key order and once reversed
+// the unkeyed MsgGetCloseSet of call setup with one close set, once in key order and once reversed
 // with a key duplicated. A merge over the raw reply would find almost
 // nothing; the caller must reach the same choice from both, and must not
 // sort the callee's set in place: over Mem the reply is the slice the
@@ -158,7 +158,7 @@ func TestSetupCallMergesAnUnsortedReplySorted(t *testing.T) {
 			if req.Type == transport.MsgPing {
 				return &transport.Message{Type: transport.MsgPong, SentAt: req.SentAt}, nil
 			}
-			return &transport.Message{Type: transport.MsgCallSetupReply, CloseSet: set}, nil
+			return &transport.Message{Type: transport.MsgGetCloseSetReply, CloseSet: set}, nil
 		}
 	}
 	for addr, set := range map[transport.Addr][]transport.CloseEntry{"sorted": sorted, "messy": messy} {
@@ -230,8 +230,8 @@ func servedSorted(set []transport.CloseEntry) bool {
 }
 
 // TestCloseSetsTravelSortedByKey pins the order the merge relies on: every
-// set a surrogate serves after RefreshCloseSet, and every MsgCallSetupReply
-// a member relays for its surrogate, has strictly ascending cluster keys,
+// set a surrogate serves after RefreshCloseSet, and every close set a
+// member relays for its surrogate, has strictly ascending cluster keys,
 // and call setup takes it as it is. The bootstrap gathers surrogates by
 // walking a map, so only its sort puts them in order.
 func TestCloseSetsTravelSortedByKey(t *testing.T) {
@@ -268,7 +268,7 @@ func TestCloseSetsTravelSortedByKey(t *testing.T) {
 				t.Errorf("surrogate %s serves %v (fetched %v), want at least three peers in key order", s.Addr(), set, resp.CloseSet)
 			}
 		}
-		resp, err := mem.Call("10.100.0.2", &transport.Message{Type: transport.MsgCallSetup, From: "probe"})
+		resp, err := mem.Call("10.100.0.2", &transport.Message{Type: transport.MsgGetCloseSet, From: "probe"})
 		if err != nil {
 			t.Fatal(err)
 		}

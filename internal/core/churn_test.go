@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -520,6 +521,111 @@ func TestRestartUnderLiveIncumbent(t *testing.T) {
 		}
 		if !a1.IsSurrogate() || a0.IsSurrogate() {
 			t.Errorf("roles after 2 x TTL: a1 surrogate=%v, a0 surrogate=%v", a1.IsSurrogate(), a0.IsSurrogate())
+		}
+	})
+}
+
+// TestDemotedSurrogateStopsServingItsCloseSet is a lease handover a
+// bootstrap outage forces. Surrogate a0 of cluster A built its close set
+// (cluster C only) before d0 came up in cluster D. Its lease lapses
+// while the bootstrap is down; right after, joiner a3 claims the vacant
+// cluster, and a0's next renewal demotes it. a0 must then stop serving
+// the set it built: its member a1 re-elects once and gets a3's set (C
+// and D), and a call set up toward member a2 is refused a0's old set —
+// answered degraded while a2 re-elects, then from a3.
+func TestDemotedSurrogateStopsServingItsCloseSet(t *testing.T) {
+	clk := sim.NewClock()
+	mem := transport.NewMem()
+	mem.Sched = clk
+	mem.Latency = func(from, to transport.Addr) time.Duration { return time.Millisecond }
+	defer func() { _ = mem.Close() }()
+	cfg := actorBootstrapConfig()
+	cfg.LeaseTTL = restartLeaseTTL
+	cfg.Sched = clk
+	bs, err := NewBootstrap(mem, "bs", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []*Node
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}()
+	mk := func(addr transport.Addr, ip string) *Node {
+		n, err := NewNode(mem, addr, NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: testParams(), Sched: clk, Seed: 1})
+		if err != nil {
+			t.Fatalf("node %s: %v", addr, err)
+		}
+		nodes = append(nodes, n)
+		return n
+	}
+	const keyA = "10.100.0.0/16"
+	callSetup := func(callee transport.Addr) *transport.Message {
+		resp, err := mem.Call(callee, &transport.Message{Type: transport.MsgGetCloseSet, From: "caller"})
+		if err != nil {
+			t.Fatalf("call setup toward %s: %v", callee, err)
+		}
+		return resp
+	}
+
+	clk.RunTask(func() {
+		mk("c0", "10.30.0.1")
+		a0 := mk("a0", "10.100.0.1")
+		a1, a2 := mk("a1", "10.100.0.2"), mk("a2", "10.100.0.3")
+		mk("d0", "10.10.0.1")
+		old, err := a0.CloseSet()
+		if err != nil || len(old) != 1 || old[0].ClusterKey != "10.30.0.0/16" {
+			t.Fatalf("a0 built %v (err %v), want cluster C alone", old, err)
+		}
+
+		mem.Unbind(bs.Addr())
+		clk.Sleep(restartLeaseTTL + time.Second)
+		if !a0.IsSurrogate() {
+			t.Fatal("a0 must keep serving through a bootstrap outage")
+		}
+		if _, err := mem.Serve(bs.Addr(), bs.handle); err != nil {
+			t.Fatal(err)
+		}
+		a3 := mk("a3", "10.100.0.4")
+		if !a3.IsSurrogate() {
+			t.Fatal("a3 joined a cluster whose lease lapsed and must claim it")
+		}
+		clk.Sleep(restartLeaseTTL / 3) // a0 renews and is demoted; C and D renew
+		if a0.IsSurrogate() || a0.Surrogate() != a3.Addr() {
+			t.Fatalf("a0: surrogate=%v following %q, want a member of a3", a0.IsSurrogate(), a0.Surrogate())
+		}
+		if err := a3.RefreshCloseSet(); err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := a3.CloseSet()
+		if len(fresh) != 2 {
+			t.Fatalf("a3 built %v, want clusters C and D", fresh)
+		}
+		a0.mu.Lock()
+		kept := a0.closeSet
+		a0.mu.Unlock()
+		if kept != nil {
+			t.Errorf("demoted a0 still holds the close set %v", kept)
+		}
+		_, err = mem.Call(a0.Addr(), &transport.Message{Type: transport.MsgGetCloseSet, From: "probe", ClusterKey: keyA})
+		if err == nil || transport.IsTransient(err) {
+			t.Errorf("demoted a0 asked for cluster A's set: err %v, want a refusal no retry repeats", err)
+		}
+
+		if resp := callSetup(a2.Addr()); slices.Equal(resp.CloseSet, old) || !resp.Degraded {
+			t.Errorf("call setup toward a2 answered %v (degraded %v), want a degraded empty set, not a0's old one", resp.CloseSet, resp.Degraded)
+		}
+		got, err := a1.CloseSet()
+		if err != nil || !slices.Equal(got, fresh) {
+			t.Errorf("a1 fetched %v (err %v), want a3's set %v", got, err, fresh)
+		}
+		if a1.Surrogate() != a3.Addr() {
+			t.Errorf("a1 follows %q after one re-election, want a3", a1.Surrogate())
+		}
+		clk.Sleep(time.Second) // a2's background re-election
+		if resp := callSetup(a2.Addr()); !slices.Equal(resp.CloseSet, fresh) || resp.Degraded {
+			t.Errorf("call setup toward a2 answered %v (degraded %v), want a3's set %v", resp.CloseSet, resp.Degraded, fresh)
 		}
 	})
 }

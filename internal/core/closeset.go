@@ -123,20 +123,21 @@ func (n *Node) RefreshCloseSet() error {
 func (n *Node) CloseSet() ([]transport.CloseEntry, error) {
 	for try := 0; ; try++ {
 		n.mu.Lock()
-		isSurro, sur, cached := n.isSurro, n.surrogate, n.closeSet
+		isSurro, sur, key, cached := n.isSurro, n.surrogate, n.clusterKey, n.closeSet
 		n.mu.Unlock()
 		if isSurro {
 			return cached, nil
 		}
 		resp, err := n.retryCall(sur, &transport.Message{
-			Type: transport.MsgGetCloseSet, From: n.addr,
+			Type: transport.MsgGetCloseSet, From: n.addr, ClusterKey: key,
 		})
 		if err == nil {
 			return resp.CloseSet, nil
 		}
-		// Surrogate gone after retries: re-elect once and ask the
-		// replacement — unless the bootstrap still leases the unresponsive
-		// incumbent, in which case there is nothing new to ask.
+		// Surrogate gone after retries, or no longer the lease holder:
+		// re-elect once and ask the replacement — unless the bootstrap
+		// still leases the unresponsive incumbent, in which case there is
+		// nothing new to ask.
 		if try == 0 {
 			if next, rerr := n.reelect(); rerr == nil && next != sur {
 				continue

@@ -125,7 +125,7 @@ func demoLife(t *testing.T, wrap func(transport.Transport) transport.Transport) 
 			t.Error(err)
 			return
 		}
-		rly, err := udp.NewRelayServer(pub, "relay.example:5000")
+		rly, err := udp.NewRelayServerWith(pub, "relay.example:5000", clk, udp.RelayConfig{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -333,7 +333,7 @@ func TestDeploymentSendsEveryRequestType(t *testing.T) {
 			t.Errorf("%s: no handler saw one; a request type with no deployment sender should leave the wire", name)
 		}
 	}
-	if requests != 12 {
-		t.Errorf("%d request types on the wire, want 12", requests)
+	if requests != 10 {
+		t.Errorf("%d request types on the wire, want 10", requests)
 	}
 }

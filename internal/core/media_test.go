@@ -49,7 +49,7 @@ func (w *mediaWorld) boot(t *testing.T) {
 	if w.stun, err = udp.NewSTUNServer(w.pub, "stun.example:3478"); err != nil {
 		t.Fatal(err)
 	}
-	if w.rly, err = udp.NewRelayServer(w.pub, "relay.example:5000"); err != nil {
+	if w.rly, err = udp.NewRelayServerWith(w.pub, "relay.example:5000", w.clk, udp.RelayConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if w.bs, err = NewBootstrap(w.ctrl, "bs", actorBootstrapConfig()); err != nil {

@@ -323,10 +323,12 @@ func (n *Node) retryCall(to transport.Addr, req *transport.Message) (*transport.
 // follow makes sur the surrogate this node is a plain member of, and
 // publishes the node's capability information to a new one (end-host
 // duty 3; best effort — it is republished on every change of surrogate).
+// A demoted surrogate drops the close set it built: the set is the lease
+// holder's to serve.
 func (n *Node) follow(sur transport.Addr) {
 	n.mu.Lock()
 	changed := n.surrogate != sur
-	n.surrogate, n.isSurro = sur, false
+	n.surrogate, n.isSurro, n.closeSet = sur, false, nil
 	n.mu.Unlock()
 	if changed {
 		_, _ = n.retryCall(sur, &transport.Message{
@@ -457,57 +459,60 @@ func (n *Node) asyncReelect() {
 // one leg, live_tcp's four — so 64 is far above honest traffic.
 const maxProbeBatch = 64
 
+// handleGetCloseSet answers Fig. 10's step 2 in the two forms
+// MsgGetCloseSet documents. A member forwards an unkeyed request once,
+// keyed, to the surrogate it follows; if that fails it answers an empty
+// Degraded set, so the call proceeds direct, and re-elects in the
+// background. A keyed request for a lease this node does not hold (a
+// demoted surrogate's, say) is refused with a handler error, which no
+// retry repeats, so the asker re-elects instead.
+func (n *Node) handleGetCloseSet(req *transport.Message) (*transport.Message, error) {
+	n.mu.Lock()
+	isSurro, key, sur, set := n.isSurro, n.clusterKey, n.surrogate, n.closeSet
+	n.mu.Unlock()
+	switch {
+	case req.ClusterKey != "":
+		if !isSurro || key != req.ClusterKey {
+			return nil, fmt.Errorf("core: %s does not hold the lease of cluster %s", n.addr, req.ClusterKey)
+		}
+	case !isSurro:
+		resp, err := n.tr.Call(sur, &transport.Message{
+			Type: transport.MsgGetCloseSet, From: n.addr, ClusterKey: key,
+		})
+		if err != nil {
+			n.asyncReelect()
+			return &transport.Message{Type: transport.MsgGetCloseSetReply, Degraded: true}, nil
+		}
+		set = resp.CloseSet
+	}
+	return &transport.Message{Type: transport.MsgGetCloseSetReply, CloseSet: set}, nil
+}
+
 func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.Message, error) {
 	switch req.Type {
 	case transport.MsgPing:
-		// The three hot-path acks (pong, keepalive, voice) come from the
-		// envelope pool; the caller-side helpers (Ping, Keepalive,
-		// SendVoice) release them.
+		// A ping that names a relay flow is the in-call keepalive: it
+		// also asserts this node still holds the flow.
+		if req.FlowID != 0 {
+			if _, ok := n.touchFlow(req.FlowID); !ok {
+				return nil, fmt.Errorf("core: ping for unknown relay flow %d", req.FlowID)
+			}
+		}
+		// The hot-path acks (pong, voice) come from the envelope pool;
+		// the caller-side helpers (Ping, Keepalive, SendVoice) release
+		// them.
 		resp := transport.AcquireMessage()
 		resp.Type = transport.MsgPong
 		resp.SentAt = req.SentAt
 		return resp, nil
 
-	case transport.MsgGetCloseSet, transport.MsgCallSetup:
-		n.mu.Lock()
-		isSurro, sur, set := n.isSurro, n.surrogate, n.closeSet
-		n.mu.Unlock()
-		if req.Type == transport.MsgCallSetup && !isSurro {
-			// A plain member answers call setup with its surrogate's set.
-			resp, err := n.tr.Call(sur, &transport.Message{
-				Type: transport.MsgGetCloseSet, From: n.addr,
-			})
-			if err != nil {
-				// Surrogate gone: degrade to an empty set so the call can
-				// proceed direct, and re-elect in the background.
-				n.asyncReelect()
-				return &transport.Message{
-					Type: transport.MsgCallSetupReply, Degraded: true,
-				}, nil
-			}
-			set = resp.CloseSet
-		}
-		reply := transport.MsgGetCloseSetReply
-		if req.Type == transport.MsgCallSetup {
-			reply = transport.MsgCallSetupReply
-		}
-		return &transport.Message{Type: reply, CloseSet: set}, nil
+	case transport.MsgGetCloseSet:
+		return n.handleGetCloseSet(req)
 
 	case transport.MsgPublishNodalInfo:
 		// Acknowledged, not stored: the actor election seats whoever wins
 		// the lease, so nothing reads nodal info yet (DESIGN.md §8).
 		return &transport.Message{Type: transport.MsgPublishNodalInfoReply}, nil
-
-	case transport.MsgKeepalive:
-		if req.FlowID != 0 {
-			if _, ok := n.touchFlow(req.FlowID); !ok {
-				return nil, fmt.Errorf("core: keepalive for unknown flow %d", req.FlowID)
-			}
-		}
-		resp := transport.AcquireMessage()
-		resp.Type = transport.MsgKeepaliveAck
-		resp.FlowID = req.FlowID
-		return resp, nil
 
 	case transport.MsgProbeBatch:
 		// Relay role, batched: measure our leg to every probe destination

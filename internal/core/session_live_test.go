@@ -18,21 +18,28 @@ import (
 // and — end to end over the in-memory transport — a live relay death
 // followed by failover to the best backup.
 
-func TestNodeKeepaliveHandler(t *testing.T) {
+// keepaliveWorld is a caller and a relay node over Mem, on real time.
+func keepaliveWorld(t *testing.T) (caller, relay *Node) {
+	t.Helper()
 	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
+	t.Cleanup(func() { _ = mem.Close() })
 	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, err := NewNode(mem, "r", NodeConfig{IP: "10.30.0.1", Bootstrap: bs.Addr(), Params: testParams()})
+	relay, err = NewNode(mem, "r", NodeConfig{IP: "10.30.0.1", Bootstrap: bs.Addr(), Params: testParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	caller, err := NewNode(mem, "c", NodeConfig{IP: "10.100.0.1", Bootstrap: bs.Addr(), Params: testParams()})
+	caller, err = NewNode(mem, "c", NodeConfig{IP: "10.100.0.1", Bootstrap: bs.Addr(), Params: testParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return caller, relay
+}
+
+func TestNodeKeepaliveHandler(t *testing.T) {
+	caller, relay := keepaliveWorld(t)
 
 	// Plain liveness (flow ID 0) works against any node.
 	if err := caller.Keepalive(relay.Addr(), 0); err != nil {
@@ -49,6 +56,29 @@ func TestNodeKeepaliveHandler(t *testing.T) {
 	}
 	if err := caller.Keepalive(relay.Addr(), id); err != nil {
 		t.Fatalf("keepalive for open flow: %v", err)
+	}
+}
+
+// TestKeepaliveAllocs is the keepalive's row of the allocation gate: a
+// ping naming an open relay flow is answered with a pooled MsgPong, so a
+// warm keepalive over Mem allocates nothing, both sides counted.
+func TestKeepaliveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	caller, relay := keepaliveWorld(t)
+	id, err := caller.EnsureFlow(relay.Addr(), "somewhere")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keepalive := func() {
+		if err := caller.Keepalive(relay.Addr(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keepalive()
+	if n := testing.AllocsPerRun(200, keepalive); n != 0 {
+		t.Errorf("a warm keepalive allocates %.1f times, want 0", n)
 	}
 }
 

@@ -208,10 +208,10 @@ func (n *Node) runProbeGroup(g *probeGroup, out []session.PathResult) {
 
 // Keepalive checks that target (the active relay, or the callee on a
 // direct path) is alive and, when flowID is nonzero, still holds the
-// relay flow. Implements session.Driver.
+// relay flow: one ping that names the flow. Implements session.Driver.
 func (n *Node) Keepalive(target transport.Addr, flowID uint64) error {
 	req := transport.AcquireMessage()
-	req.Type = transport.MsgKeepalive
+	req.Type = transport.MsgPing
 	req.From = n.addr
 	req.FlowID = flowID
 	resp, err := n.tr.Call(target, req)
@@ -219,7 +219,7 @@ func (n *Node) Keepalive(target transport.Addr, flowID uint64) error {
 	if err != nil {
 		return err
 	}
-	if resp.Type != transport.MsgKeepaliveAck {
+	if resp.Type != transport.MsgPong {
 		return fmt.Errorf("core: unexpected keepalive reply type %d", resp.Type)
 	}
 	transport.ReleaseMessage(resp)

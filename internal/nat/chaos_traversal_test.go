@@ -58,7 +58,7 @@ func chaosTraversalOutcome(t *testing.T, ta, tb Type, loss float64, seed int64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, err := udp.NewRelayServer(lossy, "relay.example:5000")
+	relay, err := udp.NewRelayServerWith(lossy, "relay.example:5000", clk, udp.RelayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestOutageOverPunchFallsToRelay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		relay, err := udp.NewRelayServer(lossy, "relay.example:5000")
+		relay, err := udp.NewRelayServerWith(lossy, "relay.example:5000", clk, udp.RelayConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

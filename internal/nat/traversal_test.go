@@ -43,7 +43,7 @@ func traversalOutcome(t *testing.T, ta, tb Type, seed int64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, err := udp.NewRelayServer(pub, "relay.example:5000")
+	relay, err := udp.NewRelayServerWith(pub, "relay.example:5000", clk, udp.RelayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,10 @@ import (
 // at a time, and failing loudly beats silently dropping fields. The
 // version moves whenever the MsgType or field numbering does (2:
 // renumbered compactly; 3: the quality report and its three fields
-// left), so an old frame is rejected at byte 0, not misdispatched.
-const CodecVersion = 3
+// left; 4: call setup folded into the close-set request and the
+// keepalive into the ping), so an old frame is rejected at byte 0, not
+// misdispatched.
+const CodecVersion = 4
 
 // Field ids. Append only within a version — reusing an id changes the
 // meaning of old frames. The order is also the canonical encode order.

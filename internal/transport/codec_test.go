@@ -74,6 +74,10 @@ func TestDecodeMessageRejectsCorruptFrames(t *testing.T) {
 		// type 20 now names MsgSurrogateHeartbeat: an old report must stop
 		// at byte 0 too.
 		{"version 2 frame", []byte{2, 20, fldFrom, 1, 'a'}, "unsupported codec version"},
+		// Version 4 folded call setup into the close-set request and the
+		// keepalive into the ping, so type 12 (MsgCallSetup at version 3)
+		// now names MsgRelayOpen: an old call setup stops at byte 0 too.
+		{"version 3 frame", []byte{3, 12, fldFrom, 1, 'a'}, "unsupported codec version"},
 		{"type zero", []byte{CodecVersion, 0, fldFrom, 1, 'a'}, "unknown message type"},
 		{"type at the sentinel", []byte{CodecVersion, byte(msgTypeLimit), fldFrom, 1, 'a'}, "unknown message type"},
 		{"unknown field", []byte{CodecVersion, byte(MsgPing), 200}, "unknown field id"},
@@ -131,7 +135,7 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 	frames := [][]byte{
 		AppendMessage(nil, &Message{Type: MsgPing, From: "node-17", SentAt: 123 * time.Millisecond}),
-		AppendMessage(nil, &Message{Type: MsgKeepalive, From: "node-17", FlowID: 42}),
+		AppendMessage(nil, &Message{Type: MsgPing, From: "node-17", FlowID: 42}),
 		AppendMessage(nil, &Message{Type: MsgPublishNodalInfo, From: "node-18", Nodal: NodalInfo{BandwidthKbps: 512, OnlineFor: time.Hour, CPUScore: 0.75}}),
 	}
 	var m Message

@@ -48,6 +48,14 @@ func FuzzMessageCodec(f *testing.F) {
 	// The media offer that opens a call: epoch 0 is a skipped zero field.
 	f.Add(AppendMessage(nil, &Message{Type: MsgMediaSetup, From: "a", MediaAddr: "203.0.113.1:5000", MediaToken: 0xdeadbeef}))
 	f.Add([]byte{CodecVersion, byte(MsgGetSurrogates), fldASNs, 0xFF, 0xFF, 0x7F})
+	// The two questions version 4 folded away, in their new shape: an
+	// unkeyed close-set request (call setup) and its degraded answer, a
+	// ping naming a relay flow (keepalive), and a version-3 call setup,
+	// whose type byte names MsgRelayOpen at version 4.
+	f.Add(AppendMessage(nil, &Message{Type: MsgGetCloseSet, From: "caller"}))
+	f.Add(AppendMessage(nil, &Message{Type: MsgGetCloseSetReply, Degraded: true}))
+	f.Add(AppendMessage(nil, &Message{Type: MsgPing, From: "a", FlowID: 42}))
+	f.Add([]byte{3, 12, fldFrom, 6, 'c', 'a', 'l', 'l', 'e', 'r'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := AcquireMessage()
 		defer ReleaseMessage(m)

@@ -73,14 +73,10 @@ func sampleMessages() []*Message {
 		{Type: MsgPublishNodalInfoReply},
 		{Type: MsgPing, From: "a", SentAt: 123456789 * time.Nanosecond},
 		{Type: MsgPong, From: "b", SentAt: 123456789 * time.Nanosecond},
-		{Type: MsgCallSetup, From: "caller"},
-		{Type: MsgCallSetupReply, Degraded: true},
 		{Type: MsgRelayOpen, From: "a", Dst: "b", FlowID: 42},
 		{Type: MsgRelayOpenReply, FlowID: 42},
 		{Type: MsgVoice, From: "a", Via: "r", Dst: "b", FlowID: 42, Seq: 7, Frames: []byte{1, 2, 3, 4, 5}},
 		{Type: MsgVoiceAck, Seq: 7},
-		{Type: MsgKeepalive, From: "a", FlowID: 42},
-		{Type: MsgKeepaliveAck, From: "r"},
 		{Type: MsgSurrogateHeartbeat, From: "s1", ClusterKey: "10.0.0.0/24", SurrogateAddr: "s1"},
 		{Type: MsgSurrogateHeartbeatReply, SurrogateAddr: "s1", LeaseTTL: 30 * time.Second},
 		{Type: MsgMediaSetup, From: "a", MediaAddr: "203.0.113.1:5002", MediaToken: 0xdeadbeef, MediaRelay: "relay:7000", MediaEpoch: 3},

@@ -25,8 +25,12 @@ const (
 	MsgGetSurrogates
 	MsgGetSurrogatesReply
 
-	// MsgGetCloseSet: end host -> surrogate (or end host). Returns the
-	// cluster's close cluster set.
+	// MsgGetCloseSet: caller -> callee, member -> surrogate. Returns a
+	// close cluster set, Fig. 10's step 2. Without ClusterKey it asks for
+	// the receiver's cluster's set: a lease holder answers with its own,
+	// a member forwards the request once, keyed, to its surrogate. With
+	// ClusterKey it asks for that cluster's set, and only the holder of
+	// that cluster's lease answers; anyone else refuses.
 	MsgGetCloseSet
 	MsgGetCloseSetReply
 
@@ -35,14 +39,12 @@ const (
 	MsgPublishNodalInfo
 	MsgPublishNodalInfoReply
 
-	// MsgPing: any -> any. Latency measurement.
+	// MsgPing: any -> any. Latency measurement and liveness check. A
+	// ping that names a relay flow (FlowID) is the in-call keepalive: the
+	// receiver also confirms it still holds that flow, and refuses the
+	// ping if it does not.
 	MsgPing
 	MsgPong
-
-	// MsgCallSetup: caller -> callee. Requests the callee's close
-	// cluster set to run select-close-relay.
-	MsgCallSetup
-	MsgCallSetupReply
 
 	// MsgRelayOpen: endpoint -> relay. Asks the relay to forward a voice
 	// flow to the given destination. Idempotent: a repeat open from the
@@ -54,12 +56,6 @@ const (
 	// MsgVoice: endpoint -> relay -> endpoint. A batch of voice frames.
 	MsgVoice
 	MsgVoiceAck
-
-	// MsgKeepalive: endpoint -> relay (or callee, on direct paths). An
-	// in-call liveness check; when FlowID is set the relay also confirms
-	// it still holds the flow state.
-	MsgKeepalive
-	MsgKeepaliveAck
 
 	// MsgSurrogateHeartbeat: surrogate -> bootstrap. Claims the surrogate
 	// lease of the sender's prefix cluster: the first heartbeat registers,
@@ -130,10 +126,6 @@ func (t MsgType) String() string {
 		return "MsgPing"
 	case MsgPong:
 		return "MsgPong"
-	case MsgCallSetup:
-		return "MsgCallSetup"
-	case MsgCallSetupReply:
-		return "MsgCallSetupReply"
 	case MsgRelayOpen:
 		return "MsgRelayOpen"
 	case MsgRelayOpenReply:
@@ -142,10 +134,6 @@ func (t MsgType) String() string {
 		return "MsgVoice"
 	case MsgVoiceAck:
 		return "MsgVoiceAck"
-	case MsgKeepalive:
-		return "MsgKeepalive"
-	case MsgKeepaliveAck:
-		return "MsgKeepaliveAck"
 	case MsgSurrogateHeartbeat:
 		return "MsgSurrogateHeartbeat"
 	case MsgSurrogateHeartbeatReply:
@@ -202,16 +190,16 @@ type Message struct {
 	IP string
 	// ASN is the origin AS number (MsgJoinReply).
 	ASN uint32
-	// ClusterKey identifies a prefix cluster (join/register/close-set).
+	// ClusterKey identifies a prefix cluster (join/register; in
+	// MsgGetCloseSet, the cluster whose set is asked for).
 	ClusterKey string
 	// SurrogateAddr is a surrogate's transport address (MsgJoinReply,
 	// MsgSurrogateHeartbeat and its reply).
 	SurrogateAddr Addr
 	// ASNs carries the AS list of MsgGetSurrogates.
 	ASNs []uint32
-	// CloseSet carries close-cluster-set entries
-	// (MsgGetCloseSetReply, MsgGetSurrogatesReply reuses the entry shape
-	// with RTT zero, MsgCallSetupReply).
+	// CloseSet carries close-cluster-set entries (MsgGetCloseSetReply;
+	// MsgGetSurrogatesReply reuses the entry shape with RTT zero).
 	CloseSet []CloseEntry
 	// Nodal carries MsgPublishNodalInfo attributes.
 	Nodal NodalInfo
@@ -222,7 +210,8 @@ type Message struct {
 	// Dst is the forwarding destination (MsgRelayOpen, MsgVoice).
 	Dst Addr
 	// FlowID identifies a relayed voice flow (in MsgRelayOpen: the flow
-	// the caller dropped and this open replaces, if any).
+	// the caller dropped and this open replaces, if any; in MsgPing: the
+	// flow the receiver must still hold).
 	FlowID uint64
 	// Seq is the first frame sequence number in a voice batch.
 	Seq uint32
@@ -232,7 +221,7 @@ type Message struct {
 	// (MsgSurrogateHeartbeatReply). Zero means leases are disabled:
 	// registrations never expire.
 	LeaseTTL time.Duration
-	// Degraded marks a MsgCallSetupReply produced without the answerer's
+	// Degraded marks a MsgGetCloseSetReply a member produced without its
 	// surrogate (close set unavailable): the caller should fall back to a
 	// direct call rather than treating the setup as failed.
 	Degraded bool

@@ -4,8 +4,8 @@ import "sync"
 
 // Message envelope pooling for the in-memory deliver path. At scale the
 // dominant transport allocation is the Message struct itself: every
-// ping, voice batch, keepalive and quality report allocates an envelope
-// that dies as soon as the call returns. Hot-path senders acquire their
+// ping (keepalives included) and voice batch allocates an envelope that
+// dies as soon as the call returns. Hot-path senders acquire their
 // request (and release the response) here instead.
 //
 // Ownership is strictly caller-releases: the party that obtained a

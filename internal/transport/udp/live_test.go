@@ -45,7 +45,7 @@ func TestLiveLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = stun.Close() }()
-	relay, err := NewRelayServer(lnet, "127.0.0.1:0")
+	relay, err := NewRelayServerWith(lnet, "127.0.0.1:0", wallFallback, RelayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

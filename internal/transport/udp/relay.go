@@ -39,7 +39,7 @@ import (
 //   - Keepalive expiry: every bind, voice or keepalive packet refreshes
 //     its flow's expiry clock; a sweep on the injected sim.Scheduler
 //     evicts flows idle longer than FlowTTL (endpoint death, NAT rebind,
-//     or a peer that never sent PTRelayUnbind). Without a scheduler the
+//     or a peer that never sent PTRelayUnbind). With no FlowTTL the
 //     sweep is off and only explicit unbinds reclaim state.
 //
 // In ASAP terms the relay is the chosen close-relay surrogate: the
@@ -62,14 +62,12 @@ type RelayServer struct {
 	onEvent   func(RelayEvent)
 }
 
-// RelayConfig tunes the relay's lifecycle defenses. The zero value is
-// the fully open PR-6 behaviour: no auth, no quota, no expiry.
+// RelayConfig tunes the relay's lifecycle defenses. The zero value is a
+// fully open relay: no auth, no quota, no expiry.
 type RelayConfig struct {
 	// FlowTTL evicts flows that carried no packet for this long
-	// (0 = never expire). Needs a scheduler (NewRelayServerWith).
+	// (0 = never expire); the expiry sweep runs every FlowTTL/2.
 	FlowTTL time.Duration
-	// SweepInterval paces the expiry sweep (0 = FlowTTL/2).
-	SweepInterval time.Duration
 	// MaxFlowsPerSource caps the live flows one source host may bind
 	// (0 = unlimited).
 	MaxFlowsPerSource int
@@ -117,18 +115,12 @@ func RelayProof(secret []byte, ssrc uint32) []byte {
 	return mac.Sum(nil)[:relayProofLen]
 }
 
-// NewRelayServer binds an open voice relay on addr over pnet — no auth,
-// no quota, no expiry. Production paths use NewRelayServerWith.
-func NewRelayServer(pnet transport.PacketNetwork, addr transport.Addr) (*RelayServer, error) {
-	return NewRelayServerWith(pnet, addr, nil, RelayConfig{})
-}
-
-// NewRelayServerWith binds a hardened voice relay: sched drives the
-// expiry sweep (virtual in tests, sim.NewWall() live; nil disables
-// expiry) and cfg sets the lifecycle defenses.
+// NewRelayServerWith binds a voice relay on addr over pnet: sched is its
+// clock (a sim.Clock in tests, sim.NewWall() live), which stamps events
+// and drives the expiry sweep, and cfg sets the lifecycle defenses.
 func NewRelayServerWith(pnet transport.PacketNetwork, addr transport.Addr, sched sim.Scheduler, cfg RelayConfig) (*RelayServer, error) {
-	if cfg.FlowTTL > 0 && sched == nil {
-		return nil, fmt.Errorf("udp: relay FlowTTL needs a scheduler")
+	if sched == nil {
+		return nil, fmt.Errorf("udp: relay needs a scheduler")
 	}
 	r := &RelayServer{
 		sched:    sched,
@@ -142,12 +134,7 @@ func NewRelayServerWith(pnet transport.PacketNetwork, addr transport.Addr, sched
 	}
 	r.conn = conn
 	if cfg.FlowTTL > 0 {
-		ivl := cfg.SweepInterval
-		if ivl <= 0 {
-			ivl = cfg.FlowTTL / 2
-		}
-		r.cfg.SweepInterval = ivl
-		sched.After(ivl, r.sweep)
+		sched.After(cfg.FlowTTL/2, r.sweep)
 	}
 	return r, nil
 }
@@ -162,11 +149,7 @@ func (r *RelayServer) SetEventLog(fn func(RelayEvent)) {
 
 func (r *RelayServer) eventLocked(kind string, token uint32, addr transport.Addr) {
 	if r.onEvent != nil {
-		at := time.Duration(0)
-		if r.sched != nil {
-			at = r.sched.Now()
-		}
-		r.onEvent(RelayEvent{At: at, Kind: kind, Token: token, Addr: addr})
+		r.onEvent(RelayEvent{At: r.sched.Now(), Kind: kind, Token: token, Addr: addr})
 	}
 }
 
@@ -189,11 +172,7 @@ func (r *RelayServer) Allocate() uint32 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextToken++
-	f := &relayFlow{}
-	if r.sched != nil {
-		f.lastSeen = r.sched.Now()
-	}
-	r.flows[r.nextToken] = f
+	r.flows[r.nextToken] = &relayFlow{lastSeen: r.sched.Now()}
 	return r.nextToken
 }
 
@@ -256,7 +235,7 @@ func (r *RelayServer) sweep() {
 		r.expired++
 	}
 	r.mu.Unlock()
-	r.sched.After(r.cfg.SweepInterval, r.sweep)
+	r.sched.After(r.cfg.FlowTTL/2, r.sweep)
 }
 
 // dropLocked removes one flow and releases its quota slots.
@@ -331,9 +310,7 @@ func (r *RelayServer) handle(from transport.Addr, data []byte) {
 			}
 		}
 		if dst != "" {
-			if r.sched != nil {
-				f.lastSeen = r.sched.Now()
-			}
+			f.lastSeen = r.sched.Now()
 			if p.Type == PTVoice {
 				r.forwarded++
 			}
@@ -397,9 +374,7 @@ func (r *RelayServer) handleBind(from transport.Addr, p Packet) {
 	}
 	wasBound := f.bound
 	f.bound = f.a != "" && f.b != ""
-	if r.sched != nil {
-		f.lastSeen = r.sched.Now()
-	}
+	f.lastSeen = r.sched.Now()
 	if f.bound && !wasBound {
 		r.eventLocked("bound", p.SSRC, from)
 	}

@@ -266,8 +266,7 @@ func TestRelayTTLExpiryAndKeepaliveRefresh(t *testing.T) {
 	m.Sched = clk
 	t.Cleanup(func() { _ = m.Close() })
 	relay, err := NewRelayServerWith(m, "relay:1", clk, RelayConfig{
-		FlowTTL:       500 * time.Millisecond,
-		SweepInterval: 100 * time.Millisecond,
+		FlowTTL: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +458,7 @@ func TestFlowCloseRace(t *testing.T) {
 	m := transport.NewMem()
 	m.Sched = wall
 	t.Cleanup(func() { _ = m.Close() })
-	relay, err := NewRelayServer(m, "relay:1")
+	relay, err := NewRelayServerWith(m, "relay:1", wall, RelayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

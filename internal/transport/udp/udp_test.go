@@ -80,7 +80,7 @@ func newWorld(t *testing.T, latency time.Duration) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, err := NewRelayServer(m, "relay:1")
+	relay, err := NewRelayServerWith(m, "relay:1", clk, RelayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
