@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"sync"
 	"time"
 
@@ -91,7 +92,8 @@ func (n *Node) nextMediaAddr() transport.Addr {
 	}
 	port := n.mediaCfg.BasePort + n.mediaPorts
 	n.mediaPorts++
-	return transport.Addr(fmt.Sprintf("%s:%d", n.mediaCfg.ListenHost, port))
+	var buf [32]byte
+	return transport.Addr(strconv.AppendInt(append(append(buf[:0], n.mediaCfg.ListenHost...), ':'), int64(port), 10))
 }
 
 // newMediaToken derives a call token unique across this node's calls and

@@ -81,7 +81,6 @@ type scratch struct {
 	targets []cluster.ClusterID
 	probes  []netmodel.ClusterProbe
 	rng     *sim.RNG
-	ctr     *sim.Counters // cumulative over the scratch's builds
 	probe   *netmodel.Prober
 	rtt     []time.Duration
 	member  []uint64
@@ -315,15 +314,14 @@ func (s *System) constructCloseClusterSet(cid cluster.ClusterID, sc *scratch) *C
 	seed := sim.SubSeed(s.seed, uint64(cid))
 	if sc.probe == nil {
 		sc.rng = sim.NewRNG(seed)
-		sc.ctr = sim.NewCounters()
-		sc.probe = s.prober.WithRNG(sc.rng).WithCounters(sc.ctr)
+		sc.probe = s.prober.WithRNG(sc.rng).WithCounters(nil) // charged via ProbeClusterSet's return
 		n := s.pop.NumClusters()
 		sc.rtt = make([]time.Duration, n)
 		sc.member = make([]uint64, (n+63)/64)
 	} else {
 		sc.rng.Reseed(seed)
 	}
-	msgs0 := sc.ctr.Total()
+	var msgs int64
 
 	// Per-AS probe rounds travel batched: the AS's candidate clusters go
 	// through one ProbeClusterSet round (in the deployed protocol, one
@@ -354,7 +352,7 @@ func (s *System) constructCloseClusterSet(cid cluster.ClusterID, sc *scratch) *C
 			sc.probes = make([]netmodel.ClusterProbe, len(sc.targets))
 		}
 		sc.probes = sc.probes[:len(sc.targets)]
-		sc.probe.ProbeClusterSet(cid, sc.targets, s.params.LatT, sc.probes)
+		msgs += sc.probe.ProbeClusterSet(cid, sc.targets, s.params.LatT, sc.probes)
 		for i, rc := range sc.targets {
 			pr := sc.probes[i]
 			if !pr.RTTOK || pr.RTT >= s.params.LatT {
@@ -373,7 +371,7 @@ func (s *System) constructCloseClusterSet(cid cluster.ClusterID, sc *scratch) *C
 		return anyClose
 	})
 
-	cs := &CloseSet{Owner: cid, BuildMessages: sc.ctr.Total() - msgs0}
+	cs := &CloseSet{Owner: cid, BuildMessages: msgs}
 	if size > 0 {
 		// One sweep of the bitset yields the entries in cluster order and
 		// leaves it clear for the next build.

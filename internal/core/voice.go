@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"asap/internal/session"
@@ -93,12 +94,20 @@ func (n *Node) ProbePath(relay, callee transport.Addr) (time.Duration, float64, 
 }
 
 // probeGroup is one wire destination's share of a batched probe tick:
-// the unique far legs to measure through it, and which result slots
-// each leg feeds.
+// the unique far legs to measure through it.
 type probeGroup struct {
 	target transport.Addr   // where the MsgProbeBatch travels
 	dsts   []transport.Addr // unique far legs ("" = the target itself)
-	slots  [][]int          // slots[j] = result indices fed by dsts[j]
+}
+
+// probeRoute splits a path request into its wire destination and far
+// leg: a relayed path travels to the relay and measures the callee; a
+// direct path travels to the callee and measures nothing beyond it.
+func probeRoute(r session.PathRequest) (target, dst transport.Addr) {
+	if r.Relay == "" {
+		return r.Callee, ""
+	}
+	return r.Relay, r.Callee
 }
 
 // ProbePaths implements session.BatchDriver: the tick's paths are
@@ -108,58 +117,52 @@ type probeGroup struct {
 // legs concurrently and replies with per-leg RTTs; since the legs
 // overlap in time, this node's own leg is elapsed - max(leg RTTs), and
 // each path's total is own leg + its far leg (DESIGN.md §15). Groups
-// are built in first-seen order, so the wire schedule is deterministic.
+// and each group's legs are in first-seen order, so the wire schedule
+// is deterministic. A tick names a handful of destinations, so groups
+// and legs are found by scanning flat slices, and every group's legs
+// are a window of one shared slice.
 func (n *Node) ProbePaths(reqs []session.PathRequest) []session.PathResult {
 	out := make([]session.PathResult, len(reqs))
-	var groups []probeGroup
-	gidx := make(map[transport.Addr]int, len(reqs))
-	for i, r := range reqs {
-		target, dst := r.Relay, r.Callee
-		if target == "" {
-			target, dst = r.Callee, ""
-		}
-		gi, ok := gidx[target]
-		if !ok {
-			gi = len(groups)
-			gidx[target] = gi
+	var buf [4]probeGroup
+	groups := buf[:0]
+	for _, r := range reqs {
+		target, _ := probeRoute(r)
+		if !slices.ContainsFunc(groups, func(g probeGroup) bool { return g.target == target }) {
 			groups = append(groups, probeGroup{target: target})
 		}
+	}
+	dsts := make([]transport.Addr, 0, len(reqs))
+	for gi := range groups {
 		g := &groups[gi]
-		di := -1
-		for j, d := range g.dsts {
-			if d == dst {
-				di = j
-				break
+		lo := len(dsts)
+		for _, r := range reqs {
+			if target, dst := probeRoute(r); target == g.target && !slices.Contains(dsts[lo:], dst) {
+				dsts = append(dsts, dst)
 			}
 		}
-		if di < 0 {
-			di = len(g.dsts)
-			g.dsts = append(g.dsts, dst)
-			g.slots = append(g.slots, nil)
-		}
-		g.slots[di] = append(g.slots[di], i)
+		g.dsts = dsts[lo:len(dsts):len(dsts)]
 	}
 	switch len(groups) {
 	case 0:
 	case 1:
-		n.runProbeGroup(&groups[0], out)
+		n.runProbeGroup(&groups[0], reqs, out)
 	default:
-		fns := make([]func(), len(groups))
-		for i := range groups {
-			g := &groups[i]
-			fns[i] = func() { n.runProbeGroup(g, out) }
+		shared := slices.Clone(groups) // the tasks escape; buf stays on the stack for one group
+		fns := make([]func(), len(shared))
+		for gi := range shared {
+			fns[gi] = func() { n.runProbeGroup(&shared[gi], reqs, out) }
 		}
 		n.sched.Join(0, fns...)
 	}
 	return out
 }
 
-// runProbeGroup sends one MsgProbeBatch and fans its reply out into the
-// result slots the group's paths own.
-func (n *Node) runProbeGroup(g *probeGroup, out []session.PathResult) {
+// runProbeGroup sends g's MsgProbeBatch and fans its reply out into the
+// result slots of the requests g carries.
+func (n *Node) runProbeGroup(g *probeGroup, reqs []session.PathRequest, out []session.PathResult) {
 	fail := func(err error) {
-		for _, idxs := range g.slots {
-			for _, i := range idxs {
+		for i, r := range reqs {
+			if target, _ := probeRoute(r); target == g.target {
 				out[i].Err = err
 			}
 		}
@@ -191,16 +194,15 @@ func (n *Node) runProbeGroup(g *probeGroup, out []session.PathResult) {
 	if own < 0 {
 		own = 0
 	}
-	for j, idxs := range g.slots {
-		leg := resp.ProbeRTTs[j]
-		if leg < 0 {
-			for _, i := range idxs {
-				out[i].Err = fmt.Errorf("core: probe batch via %s: %w: %s", g.target, transport.ErrUnreachable, g.dsts[j])
-			}
+	for i, r := range reqs {
+		target, dst := probeRoute(r)
+		if target != g.target {
 			continue
 		}
-		for _, i := range idxs {
+		if leg := resp.ProbeRTTs[slices.Index(g.dsts, dst)]; leg >= 0 {
 			out[i].RTT = own + leg
+		} else {
+			out[i].Err = fmt.Errorf("core: probe batch via %s: %w: %s", g.target, transport.ErrUnreachable, dst)
 		}
 	}
 	transport.ReleaseMessage(resp)

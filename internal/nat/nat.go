@@ -20,7 +20,8 @@ package nat
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -92,10 +93,8 @@ type Box struct {
 
 	mu       sync.Mutex
 	nextPort int
-	// byPriv finds a socket's mappings: cone NATs keep one per socket,
-	// symmetric NATs one per (socket, destination).
-	byPriv map[*boxConn]map[transport.Addr]*mapping
-	closed bool
+	conns    map[*boxConn]struct{} // open private sockets
+	closed   bool
 }
 
 // mapping is one external port owned by one private socket (for one
@@ -103,11 +102,12 @@ type Box struct {
 type mapping struct {
 	owner *boxConn
 	ext   transport.PacketConn
-	// sentTo records outbound destinations for filtering: full set of
-	// addr:port strings, plus the bare-host set for address-restricted
-	// matching.
-	sentTo      map[transport.Addr]bool
-	sentToHosts map[string]bool
+	// sent is the send history the inbound filter reads: each distinct
+	// destination once, in first-send order, searched most-recent-first.
+	// A mapping sends to a handful (STUN, relay, peer), so the first
+	// few live in sentBuf.
+	sent    []transport.Addr
+	sentBuf [4]transport.Addr
 }
 
 // New builds a NAT box of behaviour typ in front of outer. extHost is
@@ -119,7 +119,7 @@ func New(typ Type, outer transport.PacketNetwork, extHost string, basePort int) 
 		outer:    outer,
 		extHost:  extHost,
 		nextPort: basePort,
-		byPriv:   make(map[*boxConn]map[transport.Addr]*mapping),
+		conns:    make(map[*boxConn]struct{}),
 	}
 }
 
@@ -140,7 +140,7 @@ func (b *Box) ListenPacket(addr transport.Addr, h transport.PacketHandler) (tran
 		return nil, fmt.Errorf("nat: box closed")
 	}
 	c := &boxConn{box: b, local: addr, h: h}
-	b.byPriv[c] = make(map[transport.Addr]*mapping)
+	b.conns[c] = struct{}{}
 	return c, nil
 }
 
@@ -153,12 +153,12 @@ func (b *Box) Close() error {
 	}
 	b.closed = true
 	var exts []transport.PacketConn
-	for _, ms := range b.byPriv {
-		exts = append(exts, extConns(ms)...)
+	for c := range b.conns {
+		exts = c.releaseLocked(exts)
 	}
 	// Deterministic teardown order, like everything else in the emulator.
-	sort.Slice(exts, func(i, j int) bool { return exts[i].LocalAddr() < exts[j].LocalAddr() })
-	b.byPriv = nil
+	slices.SortFunc(exts, byLocalAddr)
+	b.conns = nil
 	b.mu.Unlock()
 	for _, e := range exts {
 		_ = e.Close()
@@ -166,39 +166,21 @@ func (b *Box) Close() error {
 	return nil
 }
 
-// extConns collects one socket's external conns in sorted address order.
-func extConns(ms map[transport.Addr]*mapping) []transport.PacketConn {
-	var out []transport.PacketConn
-	for _, m := range ms {
-		out = append(out, m.ext)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LocalAddr() < out[j].LocalAddr() })
-	return out
-}
-
 // Mappings reports the box's live external addresses in sorted order —
 // a diagnostic for tests and the determinism harness.
 func (b *Box) Mappings() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	var exts []transport.PacketConn
+	for c := range b.conns {
+		exts = c.extsLocked(exts)
+	}
+	slices.SortFunc(exts, byLocalAddr)
 	var out []string
-	for _, ms := range b.byPriv {
-		for _, e := range extConns(ms) {
-			out = append(out, string(e.LocalAddr()))
-		}
+	for _, e := range exts {
+		out = append(out, string(e.LocalAddr()))
 	}
-	sort.Strings(out)
 	return out
-}
-
-// mappingKey picks the map key for a destination: cone NATs reuse one
-// mapping for every destination, symmetric NATs allocate per
-// destination.
-func (b *Box) mappingKey(dst transport.Addr) transport.Addr {
-	if b.typ == Symmetric {
-		return dst
-	}
-	return "" // one shared mapping
 }
 
 // mappingFor returns (allocating if needed) the external mapping conn c
@@ -206,23 +188,19 @@ func (b *Box) mappingKey(dst transport.Addr) transport.Addr {
 // Called with b.mu held; allocation does outer I/O, so the lock is
 // dropped around it and the race re-checked.
 func (b *Box) mappingFor(c *boxConn, dst transport.Addr) (*mapping, error) {
-	key := b.mappingKey(dst)
-	ms := b.byPriv[c]
-	if ms == nil {
+	if c.closed {
 		return nil, transport.ErrPacketClosed
 	}
-	if m := ms[key]; m != nil {
+	if m := b.lookupLocked(c, dst); m != nil {
 		m.noteSent(dst)
 		return m, nil
 	}
 	port := b.nextPort
 	b.nextPort++
-	extAddr := transport.Addr(fmt.Sprintf("%s:%d", b.extHost, port))
-	m := &mapping{
-		owner:       c,
-		sentTo:      make(map[transport.Addr]bool),
-		sentToHosts: make(map[string]bool),
-	}
+	var buf [32]byte
+	extAddr := transport.Addr(strconv.AppendInt(append(append(buf[:0], b.extHost...), ':'), int64(port), 10))
+	m := &mapping{owner: c}
+	m.sent = m.sentBuf[:0]
 	// Bind the external socket on the outer network. Its handler is the
 	// inbound half of the NAT: filter, then deliver to the private
 	// socket. ListenPacket on Mem/Live does no blocking I/O, but drop
@@ -236,8 +214,8 @@ func (b *Box) mappingFor(c *boxConn, dst transport.Addr) (*mapping, error) {
 		return nil, fmt.Errorf("nat: bind external %s: %w", extAddr, err)
 	}
 	m.ext = ext
-	if cur := b.byPriv[c]; cur != nil {
-		if prior := cur[key]; prior != nil {
+	if !c.closed {
+		if prior := b.lookupLocked(c, dst); prior != nil {
 			// Lost the re-bind race; keep the first mapping.
 			b.mu.Unlock()
 			_ = ext.Close()
@@ -245,15 +223,48 @@ func (b *Box) mappingFor(c *boxConn, dst transport.Addr) (*mapping, error) {
 			prior.noteSent(dst)
 			return prior, nil
 		}
-		cur[key] = m
+		if b.typ == Symmetric {
+			if c.perDst == nil {
+				c.perDst = make(map[transport.Addr]*mapping)
+			}
+			c.perDst[dst] = m
+		} else {
+			c.cone = m
+		}
 	}
 	m.noteSent(dst)
 	return m, nil
 }
 
+// lookupLocked returns the mapping c uses toward dst, or nil: cone NATs
+// reuse one mapping for every destination, symmetric NATs keep one per
+// destination. Called with b.mu held.
+func (b *Box) lookupLocked(c *boxConn, dst transport.Addr) *mapping {
+	if b.typ == Symmetric {
+		return c.perDst[dst]
+	}
+	return c.cone
+}
+
 func (m *mapping) noteSent(dst transport.Addr) {
-	m.sentTo[dst] = true
-	m.sentToHosts[host(dst)] = true
+	for i := len(m.sent) - 1; i >= 0; i-- {
+		if m.sent[i] == dst {
+			return
+		}
+	}
+	m.sent = append(m.sent, dst)
+}
+
+// sentTo reports whether m has sent to src exactly (byHost false) or
+// to any port of src's host (byHost true).
+func (m *mapping) sentTo(src transport.Addr, byHost bool) bool {
+	h := host(src)
+	for i := len(m.sent) - 1; i >= 0; i-- {
+		if d := m.sent[i]; d == src || byHost && host(d) == h {
+			return true
+		}
+	}
+	return false
 }
 
 // admit applies the box's inbound filter for a datagram arriving on m
@@ -263,9 +274,9 @@ func (b *Box) admit(m *mapping, src transport.Addr) bool {
 	case FullCone:
 		return true
 	case AddrRestricted:
-		return m.sentToHosts[host(src)]
+		return m.sentTo(src, true)
 	case PortRestricted, Symmetric:
-		return m.sentTo[src]
+		return m.sentTo(src, false)
 	default:
 		return false
 	}
@@ -275,7 +286,7 @@ func (b *Box) admit(m *mapping, src transport.Addr) bool {
 // hand the datagram to the private socket with the public source intact.
 func (b *Box) inbound(m *mapping, from transport.Addr, data []byte) {
 	b.mu.Lock()
-	if b.closed || b.byPriv[m.owner] == nil {
+	if b.closed || m.owner.closed {
 		b.mu.Unlock()
 		return
 	}
@@ -297,11 +308,43 @@ func host(a transport.Addr) string {
 	return s
 }
 
-// boxConn is one private socket behind the box.
+// boxConn is one private socket behind the box. Its mappings and closed
+// flag are guarded by box.mu.
 type boxConn struct {
-	box   *Box
-	local transport.Addr
-	h     transport.PacketHandler
+	box    *Box
+	local  transport.Addr
+	h      transport.PacketHandler
+	cone   *mapping                    // a cone NAT's one mapping
+	perDst map[transport.Addr]*mapping // a symmetric NAT's, per destination
+	closed bool
+}
+
+// releaseLocked marks c closed and appends the external conns of its
+// mappings to exts, for the caller to close once b.mu is released.
+func (c *boxConn) releaseLocked(exts []transport.PacketConn) []transport.PacketConn {
+	if c.closed {
+		return exts
+	}
+	c.closed = true
+	return c.extsLocked(exts)
+}
+
+// extsLocked appends the external conns of c's mappings to exts, in
+// address order.
+func (c *boxConn) extsLocked(exts []transport.PacketConn) []transport.PacketConn {
+	if c.cone != nil {
+		exts = append(exts, c.cone.ext)
+	}
+	sym := len(exts)
+	for _, m := range c.perDst {
+		exts = append(exts, m.ext)
+	}
+	slices.SortFunc(exts[sym:], byLocalAddr)
+	return exts
+}
+
+func byLocalAddr(a, b transport.PacketConn) int {
+	return strings.Compare(string(a.LocalAddr()), string(b.LocalAddr()))
 }
 
 // WriteTo sends a datagram to a public destination through the box: the
@@ -328,11 +371,12 @@ func (c *boxConn) LocalAddr() transport.Addr { return c.local }
 // Close releases the private socket and its external mappings.
 func (c *boxConn) Close() error {
 	c.box.mu.Lock()
-	ms := c.box.byPriv[c]
-	delete(c.box.byPriv, c)
+	delete(c.box.conns, c)
+	var buf [4]transport.PacketConn // a socket holds a handful of mappings
+	exts := c.releaseLocked(buf[:0])
 	c.box.mu.Unlock()
-	for _, m := range ms {
-		_ = m.ext.Close()
+	for _, e := range exts {
+		_ = e.Close()
 	}
 	return nil
 }

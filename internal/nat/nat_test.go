@@ -178,6 +178,49 @@ func TestInboundFiltering(t *testing.T) {
 	}
 }
 
+// TestSendHistoryFilter drives the send history directly: after sends to
+// more distinct destinations than the inline buffer holds (and repeats),
+// an address-restricted mapping admits another port of a host it sent
+// to, a port-restricted one admits only the exact addresses, and neither
+// admits a host that merely shares a prefix.
+func TestSendHistoryFilter(t *testing.T) {
+	sends := []transport.Addr{"stun:3478", "friend:1", "relay:5000", "friend:1", "a:1", "b:1", "c:1", "stun:3478"}
+	cases := []struct {
+		from         transport.Addr
+		addrR, portR bool
+	}{
+		{"friend:1", true, true},
+		{"friend:2", true, false},
+		{"stun:3478", true, true},
+		{"stun:1", true, false},
+		{"c:1", true, true},
+		{"c:2", true, false},
+		{"frien:1", false, false},
+		{"friend2:1", false, false},
+		{"stranger:9", false, false},
+	}
+	for _, typ := range []Type{AddrRestricted, PortRestricted} {
+		b := &Box{typ: typ}
+		m := &mapping{}
+		m.sent = m.sentBuf[:0]
+		for _, d := range sends {
+			m.noteSent(d)
+		}
+		if len(m.sent) != 6 {
+			t.Fatalf("%v: history %v, want the 6 distinct destinations once each", typ, m.sent)
+		}
+		for _, c := range cases {
+			want := c.addrR
+			if typ == PortRestricted {
+				want = c.portR
+			}
+			if got := b.admit(m, c.from); got != want {
+				t.Errorf("%v: admit(%s) = %v, want %v", typ, c.from, got, want)
+			}
+		}
+	}
+}
+
 func TestInboundToUnmappedPortDropped(t *testing.T) {
 	// Without any outbound traffic there is no mapping: the external
 	// port is simply not bound, and the datagram is lost on the outer

@@ -248,7 +248,7 @@ func TestProbeClusterSetMatchesScalarSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := make([]ClusterProbe, len(targets))
-		bp.ProbeClusterSet(owner, targets, latT, got)
+		charged := bp.ProbeClusterSet(owner, targets, latT, got)
 
 		for i := range targets {
 			if got[i] != want[i] {
@@ -257,6 +257,9 @@ func TestProbeClusterSetMatchesScalarSequence(t *testing.T) {
 		}
 		if s, b := sCtr.Total(), bCtr.Total(); s != b {
 			t.Errorf("round %d: batched charged %d messages, scalar %d", round, b, s)
+		}
+		if b := bCtr.Total(); charged != b {
+			t.Errorf("round %d: ProbeClusterSet returned %d messages, charged %d", round, charged, b)
 		}
 		m.ResetConditions()
 	}

@@ -172,8 +172,10 @@ type ClusterProbe struct {
 // the model's pair cache: the close set this round builds is itself the
 // cache of these pairs. Ground truth is a function of the AS pair, so
 // consecutive targets in one AS share one walk; a round of one AS's
-// clusters walks once. out must be at least len(targets) long.
-func (p *Prober) ProbeClusterSet(owner cluster.ClusterID, targets []cluster.ClusterID, latT time.Duration, out []ClusterProbe) {
+// clusters walks once. out must be at least len(targets) long. It
+// returns the messages it charged, so a caller probing through
+// WithCounters(nil) can account for them without a counter map.
+func (p *Prober) ProbeClusterSet(owner cluster.ClusterID, targets []cluster.ClusterID, latT time.Duration, out []ClusterProbe) int64 {
 	var (
 		nLoss int64
 		st    PairStat
@@ -204,8 +206,10 @@ func (p *Prober) ProbeClusterSet(owner cluster.ClusterID, targets []cluster.Clus
 		out[i] = pr
 	}
 	p.rng.mu.Unlock()
-	p.counters.Add("probe.cluster_rtt", int64(len(targets))*p.MessagesPerProbe)
+	rttMsgs, lossMsgs := int64(len(targets))*p.MessagesPerProbe, nLoss*p.MessagesPerProbe
+	p.counters.Add("probe.cluster_rtt", rttMsgs)
 	if nLoss > 0 {
-		p.counters.Add("probe.cluster_loss", nLoss*p.MessagesPerProbe)
+		p.counters.Add("probe.cluster_loss", lossMsgs)
 	}
+	return rttMsgs + lossMsgs
 }

@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"asap/internal/transport"
@@ -33,7 +34,8 @@ type PathResult struct {
 // BatchDriver is an optional Driver extension. ProbePaths measures all
 // requested paths and returns one result per request, in order.
 // Implementations are free to reorder and coalesce the underlying wire
-// traffic; *core.Node groups requests per destination.
+// traffic; *core.Node groups requests per destination. reqs is the
+// manager's buffer, reused next tick: ProbePaths must not keep it.
 type BatchDriver interface {
 	Driver
 	ProbePaths(reqs []PathRequest) []PathResult
@@ -43,20 +45,23 @@ type BatchDriver interface {
 // tick's paths flatten into one request slice, travel as one ProbePaths
 // call, and scatter back into the per-plan result slots the commit
 // phase reads. Media polls are snapshots (no I/O), so they run inline.
-func (m *Manager) runPlansBatched(bd BatchDriver, plans []*probePlan) {
+func (m *Manager) runPlansBatched(bd BatchDriver, plans []probePlan) {
 	total := 0
-	for _, p := range plans {
-		total += len(p.paths)
+	for i := range plans {
+		total += len(plans[i].paths)
 	}
-	reqs := make([]PathRequest, 0, total)
-	for _, p := range plans {
-		for i := range p.paths {
-			reqs = append(reqs, PathRequest{Relay: p.paths[i].cand.Relay, Callee: p.callee})
+	reqs := slices.Grow(m.reqs[:0], total)
+	for i := range plans {
+		p := &plans[i]
+		for j := range p.paths {
+			reqs = append(reqs, PathRequest{Relay: p.paths[j].cand.Relay, Callee: p.callee})
 		}
 	}
+	m.reqs = reqs
 	res := bd.ProbePaths(reqs)
 	k := 0
-	for _, p := range plans {
+	for pi := range plans {
+		p := &plans[pi]
 		for i := range p.paths {
 			pp := &p.paths[i]
 			if k < len(res) {

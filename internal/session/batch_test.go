@@ -109,7 +109,7 @@ func TestBatchDriverShortReplyFailsPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := []*probePlan{{
+	plans := []probePlan{{
 		id:     1,
 		callee: "bob",
 		paths:  []pathProbe{{cand: Candidate{Relay: "r0"}}, {cand: Candidate{Relay: "r1"}}},

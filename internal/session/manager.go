@@ -1,8 +1,9 @@
 package session
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -153,11 +154,23 @@ type Manager struct {
 	onEvent  func(Event)
 	openFlow func(relay, callee transport.Addr) (uint64, error)
 
+	// The loops' method values, bound once: re-arming a tick with
+	// m.probeTick would allocate a fresh closure every interval.
+	probeFn, keepaliveFn func()
+
 	mu       sync.Mutex
 	sessions map[uint64]*Session
 	nextID   uint64
 	started  bool
 	closed   bool
+	order    []*Session // sortedLocked's buffer, reused under mu
+
+	// Tick scratch, owned by the running tick. Ticks never overlap: Start
+	// arms each loop once and a tick arms its successor only after its
+	// commit, so one buffer per loop suffices.
+	plans   []probePlan
+	reqs    []PathRequest
+	kaPlans []kaPlan
 }
 
 // NewManager builds a session manager over the given scheduler and
@@ -171,6 +184,7 @@ func NewManager(cfg Config, clk sim.Scheduler, drv Driver, opts ...Option) (*Man
 		return nil, fmt.Errorf("session: Manager needs a scheduler and a driver")
 	}
 	m := &Manager{cfg: cfg, clk: clk, drv: drv, sessions: make(map[uint64]*Session)}
+	m.probeFn, m.keepaliveFn = m.probeTick, m.keepaliveTick
 	for _, o := range opts {
 		o(m)
 	}
@@ -196,8 +210,6 @@ func (m *Manager) Open(callee transport.Addr, active Candidate, backups []Candid
 		state:    StateActive,
 		active:   active,
 		openedAt: m.clk.Now(),
-		streak:   make(map[transport.Addr]int),
-		lastMOS:  make(map[transport.Addr]float64),
 	}
 	for _, b := range backups {
 		if b.Relay == active.Relay {
@@ -206,7 +218,9 @@ func (m *Manager) Open(callee transport.Addr, active Candidate, backups []Candid
 		s.backups = append(s.backups, b)
 	}
 	m.sessions[s.id] = s
-	m.event(s, "open", active.Relay, fmt.Sprintf("via %s (%d backups)", pathName(active.Relay), len(s.backups)))
+	if m.onEvent != nil {
+		m.event(s, "open", active.Relay, fmt.Sprintf("via %s (%d backups)", pathName(active.Relay), len(s.backups)))
+	}
 	return s, nil
 }
 
@@ -219,8 +233,8 @@ func (m *Manager) Start() {
 	}
 	m.started = true
 	m.mu.Unlock()
-	m.clk.After(m.cfg.ProbeInterval, m.probeTick)
-	m.clk.After(m.cfg.KeepaliveInterval, m.keepaliveTick)
+	m.clk.After(m.cfg.ProbeInterval, m.probeFn)
+	m.clk.After(m.cfg.KeepaliveInterval, m.keepaliveFn)
 }
 
 // Snapshot returns a point-in-time status of every open session, ordered
@@ -261,17 +275,17 @@ func (m *Manager) closeLocked(s *Session) Report {
 	return s.reportLocked(s.closedAt)
 }
 
+// sortedLocked returns the open sessions in ID order. The slice is the
+// manager's own buffer: it is valid only while m.mu stays held, and only
+// until the next call.
 func (m *Manager) sortedLocked() []*Session {
-	ids := make([]uint64, 0, len(m.sessions))
-	for id := range m.sessions {
-		ids = append(ids, id)
+	clear(m.order) // drop the previous call's pointers
+	m.order = m.order[:0]
+	for _, s := range m.sessions {
+		m.order = append(m.order, s)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]*Session, len(ids))
-	for i, id := range ids {
-		out[i] = m.sessions[id]
-	}
-	return out
+	slices.SortFunc(m.order, func(a, b *Session) int { return cmp.Compare(a.id, b.id) })
+	return m.order
 }
 
 func (m *Manager) event(s *Session, kind string, relay transport.Addr, detail string) {
@@ -321,21 +335,22 @@ func (m *Manager) probeTick() {
 		m.mu.Unlock()
 		return
 	}
-	plans := make([]*probePlan, 0, len(m.sessions))
+	plans := slices.Grow(m.plans[:0], len(m.sessions))
 	for _, s := range m.sortedLocked() {
 		if s.state == StateClosed {
 			continue
 		}
-		p := &probePlan{id: s.id, callee: s.callee, media: s.media}
-		p.paths = append(p.paths, pathProbe{cand: s.active})
 		limit := m.cfg.Backups
 		if limit > len(s.backups) {
 			limit = len(s.backups)
 		}
+		plans = plans[:len(plans)+1] // room is there: sized to the sessions above
+		p := &plans[len(plans)-1]
+		*p = probePlan{id: s.id, callee: s.callee, media: s.media, paths: slices.Grow(p.paths[:0], 1+limit)}
+		p.paths = append(p.paths, pathProbe{cand: s.active})
 		for i := 0; i < limit; i++ {
 			p.paths = append(p.paths, pathProbe{cand: s.backups[i]})
 		}
-		plans = append(plans, p)
 	}
 	m.mu.Unlock()
 
@@ -348,13 +363,13 @@ func (m *Manager) probeTick() {
 		// per-plan fan-out is needed here.
 		m.runPlansBatched(bd, plans)
 	case len(plans) == 1:
-		m.runPlan(plans[0])
+		m.runPlan(&plans[0])
 	default:
 		// Fan out via the scheduler: genuinely concurrent on the wall
 		// adapter, deterministically interleaved on the virtual clock.
 		fns := make([]func(), len(plans))
-		for i, p := range plans {
-			p := p
+		for i := range plans {
+			p := &plans[i]
 			fns[i] = func() { m.runPlan(p) }
 		}
 		m.clk.Join(0, fns...)
@@ -363,7 +378,8 @@ func (m *Manager) probeTick() {
 	m.mu.Lock()
 	if !m.closed {
 		now := m.clk.Now()
-		for _, p := range plans { // already in session-ID order
+		for i := range plans { // already in session-ID order
+			p := &plans[i]
 			if s, ok := m.sessions[p.id]; ok && s.state != StateClosed {
 				m.commitProbesLocked(s, p, now)
 			}
@@ -371,10 +387,11 @@ func (m *Manager) probeTick() {
 	}
 	closed := m.closed
 	m.mu.Unlock()
+	m.plans = plans
 	if closed {
 		return
 	}
-	m.clk.After(m.cfg.ProbeInterval, m.probeTick)
+	m.clk.After(m.cfg.ProbeInterval, m.probeFn) // the next tick is armed only now
 }
 
 // runPlan performs one session's driver probes, in path order. Called
@@ -399,6 +416,10 @@ func (m *Manager) commitProbesLocked(s *Session, p *probePlan, now time.Duration
 		// keepalive-retry failover): the measurements describe a path set
 		// that no longer exists, so drop them rather than mis-attribute.
 		return
+	}
+	if s.streak == nil { // the session's first measured tick
+		s.streak = make(map[transport.Addr]int)
+		s.lastMOS = make(map[transport.Addr]float64)
 	}
 	activeMOS, activeOK := m.scoreActiveLocked(s, p, now)
 	s.activeMOS = activeMOS
@@ -480,11 +501,15 @@ func (m *Manager) switchToLocked(s *Session, idx int, quality bool) {
 	if quality {
 		s.backups = append(s.backups, old)
 		s.switches++
-		m.event(s, "switch", next.Relay, fmt.Sprintf("%s -> %s (MOS %.2f vs %.2f)",
-			pathName(old.Relay), pathName(next.Relay), s.lastMOS[next.Relay], s.lastMOS[old.Relay]))
+		if m.onEvent != nil {
+			m.event(s, "switch", next.Relay, fmt.Sprintf("%s -> %s (MOS %.2f vs %.2f)",
+				pathName(old.Relay), pathName(next.Relay), s.lastMOS[next.Relay], s.lastMOS[old.Relay]))
+		}
 	} else {
 		s.failovers++
-		m.event(s, "failover", next.Relay, fmt.Sprintf("%s -> %s", pathName(old.Relay), pathName(next.Relay)))
+		if m.onEvent != nil {
+			m.event(s, "failover", next.Relay, fmt.Sprintf("%s -> %s", pathName(old.Relay), pathName(next.Relay)))
+		}
 	}
 	s.active = next
 	// The old relay's flow dies with the old path: open a flow on the new
@@ -529,13 +554,13 @@ type kaPlan struct {
 
 // kaPlanLocked snapshots the session's current keepalive target: the
 // active relay's flow, or plain callee liveness on a direct path.
-func (m *Manager) kaPlanLocked(s *Session) *kaPlan {
+func (m *Manager) kaPlanLocked(s *Session) kaPlan {
 	target, flowID := s.active.Relay, s.flowID
 	if target == "" {
 		target = s.callee
 		flowID = 0
 	}
-	return &kaPlan{id: s.id, target: target, flowID: flowID}
+	return kaPlan{id: s.id, target: target, flowID: flowID}
 }
 
 // keepaliveTick mirrors probeTick's snapshot-I/O-commit shape: targets
@@ -548,7 +573,7 @@ func (m *Manager) keepaliveTick() {
 		m.mu.Unlock()
 		return
 	}
-	plans := make([]*kaPlan, 0, len(m.sessions))
+	plans := m.kaPlans[:0]
 	for _, s := range m.sortedLocked() {
 		if s.state == StateClosed || s.retryPending {
 			continue
@@ -563,8 +588,8 @@ func (m *Manager) keepaliveTick() {
 		plans[0].err = m.drv.Keepalive(plans[0].target, plans[0].flowID)
 	default:
 		fns := make([]func(), len(plans))
-		for i, p := range plans {
-			p := p
+		for i := range plans {
+			p := &plans[i]
 			fns[i] = func() { p.err = m.drv.Keepalive(p.target, p.flowID) }
 		}
 		m.clk.Join(0, fns...)
@@ -572,7 +597,8 @@ func (m *Manager) keepaliveTick() {
 
 	m.mu.Lock()
 	if !m.closed {
-		for _, p := range plans {
+		for i := range plans {
+			p := &plans[i]
 			if s, ok := m.sessions[p.id]; ok && s.state != StateClosed && !s.retryPending {
 				m.commitKeepaliveLocked(s, p)
 			}
@@ -580,10 +606,11 @@ func (m *Manager) keepaliveTick() {
 	}
 	closed := m.closed
 	m.mu.Unlock()
+	m.kaPlans = plans
 	if closed {
 		return
 	}
-	m.clk.After(m.cfg.KeepaliveInterval, m.keepaliveTick)
+	m.clk.After(m.cfg.KeepaliveInterval, m.keepaliveFn) // the next tick is armed only now
 }
 
 // commitKeepaliveLocked applies one keepalive verdict to the session
@@ -612,7 +639,9 @@ func (m *Manager) commitKeepaliveLocked(s *Session, p *kaPlan) {
 		return
 	}
 	s.kaMisses++
-	m.event(s, "keepalive-miss", s.active.Relay, fmt.Sprintf("%s (%d/%d)", pathName(s.active.Relay), s.kaMisses, m.cfg.KeepaliveMisses))
+	if m.onEvent != nil {
+		m.event(s, "keepalive-miss", s.active.Relay, fmt.Sprintf("%s (%d/%d)", pathName(s.active.Relay), s.kaMisses, m.cfg.KeepaliveMisses))
+	}
 	if s.kaMisses >= m.cfg.KeepaliveMisses {
 		m.failActiveLocked(s)
 		return
@@ -652,7 +681,7 @@ func (m *Manager) retryKeepalive(id uint64) {
 	if !ok || s.state == StateClosed || s.retryPending {
 		return
 	}
-	m.commitKeepaliveLocked(s, p)
+	m.commitKeepaliveLocked(s, &p)
 }
 
 // failActiveLocked declares the active relay dead and fails over to the

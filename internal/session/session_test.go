@@ -77,6 +77,65 @@ func testConfig() Config {
 	return cfg
 }
 
+// constTickDriver serves constant measurements in which the backups beat
+// the active path by more than the switch margin, so streaks build and a
+// switchover fires every SwitchConsecutive ticks: a warm tick walks the
+// whole monitor decision path.
+type constTickDriver struct{}
+
+func (constTickDriver) ProbePath(relay, callee transport.Addr) (time.Duration, float64, error) {
+	if relay == "slow" {
+		return 350 * time.Millisecond, 0.05, nil
+	}
+	return 120 * time.Millisecond, 0.005, nil
+}
+
+func (constTickDriver) Keepalive(target transport.Addr, flowID uint64) error { return nil }
+
+// TestManagerTickAllocs gates a warm monitor tick on a manager with one
+// session (an active path and three backups): a probe interval's probe
+// tick and keepalive ticks, with a switchover every few ticks. The ticks
+// reuse their plans, the sorted-session buffers and the bound loop
+// functions, and format no event detail without an event log.
+func TestManagerTickAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	clk := sim.NewClock()
+	m, err := NewManager(DefaultConfig(), clk, constTickDriver{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.Open("callee", Candidate{Relay: "slow", Est: 350 * time.Millisecond},
+		[]Candidate{{Relay: "fast1", Est: 120 * time.Millisecond},
+			{Relay: "fast2", Est: 125 * time.Millisecond}, {Relay: "fast3", Est: 130 * time.Millisecond}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	cfg := DefaultConfig()
+	var allocs float64
+	// The ticks run as tasks of the drive this RunTask opens, so the
+	// clock's workers stay warm and only the monitor's own allocations
+	// count: one probe tick and its keepalive ticks per Sleep.
+	clk.RunTask(func() {
+		for i := 0; i < 50; i++ {
+			clk.Sleep(cfg.ProbeInterval)
+		}
+		allocs = testing.AllocsPerRun(500, func() { clk.Sleep(cfg.ProbeInterval) })
+	})
+	m.Close()
+	if s.Switches() == 0 {
+		t.Fatal("no switchover: the ticks did not walk the decision path")
+	}
+	// AllocsPerRun counts whole allocations per run: the sample
+	// history's amortized regrowth (one per ~historyLimit samples) stays
+	// below one.
+	if allocs != 0 {
+		t.Errorf("warm probe interval: %.2f allocs, want 0", allocs)
+	}
+}
+
 // TestFailoverOnRelayDeath is the acceptance scenario: kill the active
 // relay mid-call; the manager must detect death via missed keepalives
 // within the configured detection window, fail over to a backup, and

@@ -25,11 +25,12 @@ import (
 // count.
 //
 // Steady state allocates nothing per event: a worker whose body finished
-// parks in a bounded idle list and is re-armed with the next body, and
-// events whose handle never leaves the clock are recycled through a free
-// list (DESIGN.md §10). Idle workers exit when the outermost drive call
-// (Step, Run, RunUntil, RunTask, ShardRunner.Run) returns, so a Clock
-// that is dropped between drives leaves no goroutine behind.
+// parks in a bounded idle list and is re-armed with the next body, events
+// whose handle never leaves the clock are recycled through a free list,
+// and an event a handle keeps lives inside that handle (DESIGN.md §10).
+// Idle workers exit when the outermost drive call (Step, Run, RunUntil,
+// RunTask, ShardRunner.Run) returns, so a Clock that is dropped between
+// drives leaves no goroutine behind.
 //
 // Clock methods are safe for concurrent use, but the blocking calls
 // (Sleep, Join, Waiter.Wait) must come from scheduler tasks; calling
@@ -95,9 +96,9 @@ type event struct {
 	w        *clockWaiter
 	canceled bool
 	fired    bool
-	// held marks an event whose pointer a Timer or Waiter keeps: it may
-	// be asked about (Stop after fire, Wake after timeout) long after it
-	// ran, so it is never recycled.
+	// held marks an event embedded in a Timer or Waiter: it may be asked
+	// about (Stop after fire, Wake after timeout) long after it ran, and
+	// its memory is the handle's, so it is never recycled.
 	held bool
 }
 
@@ -128,13 +129,11 @@ func (c *Clock) Now() time.Duration {
 	return c.now
 }
 
-// scheduleLocked enqueues an event at absolute time at and returns it
-// for the caller to set the payload. The event comes from the free list
-// when one is there; callers that keep the pointer must set held.
+// scheduleLocked enqueues a recyclable event at absolute time at and
+// returns it for the caller to set the payload. The event comes from the
+// free list when one is there; a caller that keeps the pointer must
+// embed its own event and use pushLocked instead.
 func (c *Clock) scheduleLocked(at time.Duration) *event {
-	if at < c.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, c.now))
-	}
 	var e *event
 	if n := len(c.free); n > 0 {
 		e = c.free[n-1]
@@ -143,19 +142,26 @@ func (c *Clock) scheduleLocked(at time.Duration) *event {
 	} else {
 		e = new(event)
 	}
+	c.pushLocked(e, at)
+	return e
+}
+
+// pushLocked enqueues e, whose payload the caller sets, at absolute time
+// at.
+func (c *Clock) pushLocked(e *event, at time.Duration) {
+	if at < c.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, c.now))
+	}
 	c.nextID++
 	e.at, e.id = at, c.nextID
 	c.storeLocked().push(e)
 	c.live++
-	return e
 }
 
 // startLocked schedules body fn to start as a task at absolute time at.
-func (c *Clock) startLocked(at time.Duration, fn func()) *event {
+func (c *Clock) startLocked(at time.Duration, fn func()) {
 	c.tasks++
-	e := c.scheduleLocked(at)
-	e.fn = fn
-	return e
+	c.scheduleLocked(at).fn = fn
 }
 
 // cancelLocked marks a pending event canceled; the store discards it
@@ -184,22 +190,24 @@ func (c *Clock) After(d time.Duration, fn func()) {
 	c.startLocked(c.now+d, fn)
 }
 
-// AfterFunc implements Scheduler: After with a cancelable handle.
+// AfterFunc implements Scheduler: After with a cancelable handle. The
+// handle and its event are one allocation.
 func (c *Clock) AfterFunc(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
+	t := &clockTimer{c: c, e: event{fn: fn, held: true}}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.startLocked(c.now+d, fn)
-	e.held = true
-	return &clockTimer{c: c, e: e}
+	c.tasks++
+	c.pushLocked(&t.e, c.now+d)
+	return t
 }
 
-// clockTimer cancels a pending task event.
+// clockTimer cancels a pending task event: its own, embedded.
 type clockTimer struct {
 	c *Clock
-	e *event
+	e event
 }
 
 func (t *clockTimer) Stop() bool {
@@ -208,7 +216,7 @@ func (t *clockTimer) Stop() bool {
 	if t.e.canceled || t.e.fired {
 		return false
 	}
-	t.c.cancelLocked(t.e)
+	t.c.cancelLocked(&t.e)
 	t.c.tasks-- // the task will never start
 	return true
 }
@@ -283,15 +291,18 @@ func (c *Clock) beginDrive() {
 
 func (c *Clock) endDrive() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.driving--
-	var idle []*task
-	if c.driving == 0 {
-		idle, c.idle = c.idle, nil
+	if c.driving > 0 {
+		return
 	}
-	c.mu.Unlock()
-	for _, t := range idle {
+	// Closing a channel never blocks, so the list is released in place
+	// and keeps its backing array for the next drive.
+	for i, t := range c.idle {
 		close(t.wake)
+		c.idle[i] = nil
 	}
+	c.idle = c.idle[:0]
 }
 
 // handoff gives the virtual CPU to t — which the caller has already made
@@ -382,13 +393,16 @@ func (c *Clock) Join(_ int, fns ...func()) {
 func (c *Clock) NewWaiter() Waiter { return &clockWaiter{c: c} }
 
 // clockWaiter parks one task until woken or timed out; the first of
-// (Wake, deadline) wins deterministically by event order.
+// (Wake, deadline) wins deterministically by event order. A waiter parks
+// at most once — a Wait after Wake or timeout returns at once — so the
+// embedded deadline event is scheduled at most once and never reused.
 type clockWaiter struct {
 	c        *Clock
 	woken    bool
 	timedOut bool
 	waiting  *task
-	deadline *event
+	armed    bool  // dl is pending in the store
+	dl       event // the Wait(timeout) deadline, held
 }
 
 func (w *clockWaiter) Wake() {
@@ -404,9 +418,9 @@ func (w *clockWaiter) Wake() {
 	if t == nil {
 		return // Wake before Wait: remembered by the woken flag
 	}
-	if w.deadline != nil {
-		c.cancelLocked(w.deadline)
-		w.deadline = nil
+	if w.armed {
+		c.cancelLocked(&w.dl)
+		w.armed = false
 	}
 	c.scheduleLocked(c.now).t = t
 }
@@ -425,9 +439,9 @@ func (w *clockWaiter) Wait(timeout time.Duration) bool {
 	t := c.mustCurrentLocked("Waiter.Wait")
 	w.waiting = t
 	if timeout >= 0 {
-		e := c.scheduleLocked(c.now + timeout)
-		e.w, e.held = w, true
-		w.deadline = e
+		w.dl.w, w.dl.held = w, true
+		c.pushLocked(&w.dl, c.now+timeout)
+		w.armed = true
 	}
 	c.yieldLocked(t)
 	c.mu.Lock()
@@ -443,7 +457,7 @@ func (w *clockWaiter) timeout() {
 	t := w.waiting
 	w.waiting = nil
 	w.timedOut = true
-	w.deadline = nil
+	w.armed = false
 	c.current = t
 	c.mu.Unlock()
 	if t != nil {

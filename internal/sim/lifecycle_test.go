@@ -126,7 +126,7 @@ func TestHandlesSurviveRecycling(t *testing.T) {
 	if !timerFired || woken {
 		t.Fatalf("setup: timer fired %v, waiter woken %v", timerFired, woken)
 	}
-	held := tm.(*clockTimer).e
+	held := &tm.(*clockTimer).e
 
 	// Churn the free list: every After below reuses a record.
 	churned := 0
@@ -258,6 +258,71 @@ func TestClockAllocs(t *testing.T) {
 	}
 	if ran < 2100 {
 		t.Fatalf("bodies ran %d times", ran)
+	}
+}
+
+// TestWaiterAllocs gates the handles that keep their event: a
+// Wait(timeout) costs the waiter and nothing else, whether the deadline
+// fires or a Wake beats it, and an AfterFunc timer is one allocation
+// whether it fires or is stopped — the held event lives inside the
+// handle.
+func TestWaiterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c := NewClock()
+	var cur Waiter
+	wake := func() { cur.Wake() }
+	body := func() {}
+	var timedOut, woken, stopped, fired float64
+	okTimeout, okWoken := true, true
+	c.RunTask(func() {
+		for i := 0; i < 100; i++ { // warm the worker, the free list and the wheel
+			cur = c.NewWaiter()
+			c.After(time.Microsecond, wake)
+			cur.Wait(time.Millisecond)
+			c.NewWaiter().Wait(time.Millisecond)
+			c.AfterFunc(time.Millisecond, body).Stop()
+			c.AfterFunc(time.Millisecond, body)
+			c.Sleep(2 * time.Millisecond)
+		}
+		timedOut = testing.AllocsPerRun(2000, func() {
+			if c.NewWaiter().Wait(time.Millisecond) {
+				okTimeout = false
+			}
+		})
+		woken = testing.AllocsPerRun(2000, func() {
+			cur = c.NewWaiter()
+			c.After(time.Microsecond, wake)
+			if !cur.Wait(time.Millisecond) {
+				okWoken = false
+			}
+			c.Sleep(2 * time.Millisecond) // drain the canceled deadline
+		})
+		stopped = testing.AllocsPerRun(2000, func() {
+			c.AfterFunc(time.Millisecond, body).Stop()
+			c.Sleep(2 * time.Millisecond)
+		})
+		fired = testing.AllocsPerRun(2000, func() {
+			c.AfterFunc(time.Millisecond, body)
+			c.Sleep(2 * time.Millisecond)
+		})
+	})
+	if !okTimeout || !okWoken {
+		t.Fatalf("Wait outcomes: timeout case reported woken %v, wake case reported timeout %v", !okTimeout, !okWoken)
+	}
+	for _, tc := range []struct {
+		name string
+		got  float64
+	}{
+		{"Wait(timeout) that times out", timedOut},
+		{"Wait(timeout) that is woken", woken},
+		{"AfterFunc + Stop", stopped},
+		{"AfterFunc that fires", fired},
+	} {
+		if tc.got != 1 {
+			t.Errorf("%s: %.2f allocs, want 1 (the handle)", tc.name, tc.got)
+		}
 	}
 }
 

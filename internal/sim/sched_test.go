@@ -183,6 +183,58 @@ func TestClockWaiterWakeBeforeWait(t *testing.T) {
 	}
 }
 
+// TestClockWaiterWakeRacesDeadline: Wake and Stop from a goroutine
+// outside the clock race the event loop firing the same handles'
+// embedded events. Every waiter resumes exactly once, with nothing left
+// pending, and every timer either fires or is stopped, never both.
+func TestClockWaiterWakeRacesDeadline(t *testing.T) {
+	const n = 300
+	c := NewClock()
+	waiters := make([]Waiter, n)
+	timers := make([]Timer, n)
+	fired := make([]int, n)
+	stopped := make([]bool, n)
+	resumed := make([]int, n)
+	for i := range waiters {
+		waiters[i] = c.NewWaiter()
+		timers[i] = c.AfterFunc(time.Duration(i%7)*time.Millisecond, func() { fired[i]++ })
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := range waiters {
+			waiters[i].Wake()
+			stopped[i] = timers[i].Stop()
+		}
+	}()
+	c.RunTask(func() {
+		for i := range waiters {
+			c.Go(func() {
+				waiters[i].Wait(time.Duration(i%5) * time.Millisecond)
+				resumed[i]++
+			})
+		}
+		close(start)
+		c.Sleep(10 * time.Millisecond)
+	})
+	wg.Wait()
+	c.Run() // resumes the waiters whose Wake landed after the first drive
+	for i := range waiters {
+		if resumed[i] != 1 {
+			t.Errorf("waiter %d resumed %d times, want 1", i, resumed[i])
+		}
+		if stopped[i] == (fired[i] == 1) || fired[i] > 1 {
+			t.Errorf("timer %d: fired %d times, Stop reported %v", i, fired[i], stopped[i])
+		}
+	}
+	if p := c.Pending(); p != 0 {
+		t.Errorf("Pending() = %d after the drain, want 0", p)
+	}
+}
+
 func TestClockBlockingOutsideTaskPanics(t *testing.T) {
 	c := NewClock()
 	defer func() {

@@ -106,13 +106,36 @@ const relayProofLen = 16
 // RelayProof computes the flow-token proof for ssrc under secret: the
 // first relayProofLen bytes of HMAC-SHA256(secret, ssrc). The control
 // plane mints secret, derives the proof per call, and ships it to both
-// endpoints; the relay recomputes and compares.
+// endpoints; the relay recomputes and compares. The returned slice is
+// the only allocation.
 func RelayProof(secret []byte, ssrc uint32) []byte {
-	mac := hmac.New(sha256.New, secret)
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], ssrc)
-	_, _ = mac.Write(b[:])
-	return mac.Sum(nil)[:relayProofLen]
+	mac := relayMAC(secret, ssrc)
+	return append([]byte(nil), mac[:relayProofLen]...)
+}
+
+// relayMAC is HMAC-SHA256(secret, ssrc big-endian) per RFC 2104,
+// computed over fixed-size arrays so nothing escapes: a key longer than
+// the 64-byte SHA-256 block is hashed first, then
+// H((K ^ opad) || H((K ^ ipad) || ssrc)).
+func relayMAC(secret []byte, ssrc uint32) [sha256.Size]byte {
+	const block = 64
+	var key [block]byte
+	if len(secret) > block {
+		sum := sha256.Sum256(secret)
+		copy(key[:], sum[:])
+	} else {
+		copy(key[:], secret)
+	}
+	var inner [block + 4]byte
+	var outer [block + sha256.Size]byte
+	for i, k := range key {
+		inner[i] = k ^ 0x36
+		outer[i] = k ^ 0x5c
+	}
+	binary.BigEndian.PutUint32(inner[block:], ssrc)
+	sum := sha256.Sum256(inner[:])
+	copy(outer[block:], sum[:])
+	return sha256.Sum256(outer[:])
 }
 
 // NewRelayServerWith binds a voice relay on addr over pnet: sched is its
@@ -325,11 +348,18 @@ func (r *RelayServer) handle(from transport.Addr, data []byte) {
 	}
 }
 
+// proofOK checks a bind's flow-token proof in constant time against one
+// recomputed on the stack.
+func (r *RelayServer) proofOK(p Packet) bool {
+	mac := relayMAC(r.cfg.Secret, p.SSRC)
+	return hmac.Equal(p.Payload, mac[:relayProofLen])
+}
+
 // handleBind runs the bind admission pipeline: proof, then quota, then
 // pairing. Rejections answer PTRelayReject so the binder can abandon
 // the relay rung immediately.
 func (r *RelayServer) handleBind(from transport.Addr, p Packet) {
-	if len(r.cfg.Secret) > 0 && !hmac.Equal(p.Payload, RelayProof(r.cfg.Secret, p.SSRC)) {
+	if len(r.cfg.Secret) > 0 && !r.proofOK(p) {
 		r.mu.Lock()
 		r.authRej++
 		r.eventLocked("auth-reject", p.SSRC, from)

@@ -1,6 +1,10 @@
 package udp
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
@@ -43,6 +47,57 @@ func TestRelayProofDeterministic(t *testing.T) {
 	}
 	if string(RelayProof([]byte("other"), 42)) == string(p1) {
 		t.Error("different secrets must yield different proofs")
+	}
+}
+
+// TestRelayProofMatchesHMAC: the stack-array HMAC is byte-equal to
+// crypto/hmac's for keys below, at and above the 64-byte SHA-256 block
+// (a longer key is hashed first) and for several SSRCs.
+func TestRelayProofMatchesHMAC(t *testing.T) {
+	for n := 0; n <= 130; n++ {
+		secret := make([]byte, n)
+		for i := range secret {
+			secret[i] = byte(i*7 + n)
+		}
+		for _, ssrc := range []uint32{0, 1, 42, 0x9e3779b9, 0xffffffff} {
+			mac := hmac.New(sha256.New, secret)
+			var b [4]byte
+			binary.BigEndian.PutUint32(b[:], ssrc)
+			mac.Write(b[:])
+			want := mac.Sum(nil)
+			if got := relayMAC(secret, ssrc); !bytes.Equal(got[:], want) {
+				t.Fatalf("key %d bytes, ssrc %#x: relayMAC %x, crypto/hmac %x", n, ssrc, got, want)
+			}
+			if got := RelayProof(secret, ssrc); !bytes.Equal(got, want[:relayProofLen]) {
+				t.Fatalf("key %d bytes, ssrc %#x: RelayProof %x, want %x", n, ssrc, got, want[:relayProofLen])
+			}
+		}
+	}
+}
+
+// TestRelayProofAllocs: the relay verifies a bind's proof without
+// allocating, and minting one allocates only the returned slice.
+func TestRelayProofAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	secret := []byte("relay-secret")
+	r := &RelayServer{cfg: RelayConfig{Secret: secret}}
+	good := Packet{Type: PTRelayBind, SSRC: 42, Payload: RelayProof(secret, 42)}
+	bad := Packet{Type: PTRelayBind, SSRC: 43, Payload: good.Payload}
+	okGood, okBad := true, false
+	verify := testing.AllocsPerRun(1000, func() {
+		okGood = okGood && r.proofOK(good)
+		okBad = okBad || r.proofOK(bad)
+	})
+	if !okGood || okBad {
+		t.Fatalf("proofOK: valid proof accepted %v, wrong-token proof accepted %v", okGood, okBad)
+	}
+	if verify != 0 {
+		t.Errorf("relay-side verify: %.2f allocs, want 0", verify)
+	}
+	if mint := testing.AllocsPerRun(1000, func() { _ = RelayProof(secret, 42) }); mint != 1 {
+		t.Errorf("RelayProof: %.2f allocs, want 1 (the returned proof)", mint)
 	}
 }
 
