@@ -17,12 +17,15 @@ import (
 // runs as a *task* — a body executed on a worker goroutine that holds
 // the clock's single virtual CPU. Exactly one task runs at a time; it
 // yields only at scheduler calls (Sleep, SleepCtx, Join, Waiter.Wait) or
-// by finishing, at which point the event loop resumes the next event in
-// (time, schedule-order) sequence. Because interleaving points are
-// explicit and the event order is a pure function of the schedule, a
-// whole-stack run over the virtual clock is deterministic: same seed,
-// same byte-identical trace — no matter the host, GOMAXPROCS, or run
-// count.
+// by finishing, at which point the next event in (time, schedule-order)
+// sequence runs. Because interleaving points are explicit and the event
+// order is a pure function of the schedule, a whole-stack run over the
+// virtual clock is deterministic: same seed, same byte-identical trace —
+// no matter the host, GOMAXPROCS, or run count. The CPU passes from task
+// to task: whichever goroutine gives it up fires the next event itself
+// and wakes the task that event names, and the goroutine that called the
+// drive only waits for the drive's stopping rule to end it (DESIGN.md
+// §10).
 //
 // Steady state allocates nothing per event: a worker whose body finished
 // parks in a bounded idle list and is re-armed with the next body, events
@@ -42,12 +45,26 @@ type Clock struct {
 	live     int        // pending events not canceled — Pending() in O(1)
 	nextID   uint64
 	executed uint64
-	current  *task // task holding the virtual CPU (nil while the loop runs)
+	current  *task // task holding the virtual CPU (nil between tasks and drives)
 	tasks    int   // live tasks: started (or queued to start) and not finished
 
 	free    []*event // fired recyclable events, at most maxFreeEvents
 	idle    []*task  // workers parked between bodies, at most maxIdleWorkers
 	driving int      // nesting depth of drive calls; idle workers exit at 0
+
+	rule driveRule     // stopping rule of the drive in progress
+	done chan struct{} // the drive is over; sent by the task that ended it
+}
+
+// driveRule is the stopping rule of one drive: it fires events while
+// left is not zero, the root task (RunTask) has not returned, and — when
+// bounded (RunUntil) — the next event is at or before until.
+type driveRule struct {
+	left    int   // events the drive may still fire; negative: no limit
+	root    *bool // set once the RunTask root has returned; nil otherwise
+	bounded bool
+	until   time.Duration
+	fired   int // events fired so far
 }
 
 const (
@@ -74,17 +91,16 @@ func (c *Clock) storeLocked() eventStore {
 	return c.events
 }
 
-// task is one worker goroutine. The loop and the worker hand the virtual
-// CPU back and forth over the two unbuffered channels: wake means "you
-// run now", park means "I blocked or finished". fn is the next body,
-// set by the loop before it wakes an idle worker.
+// task is one worker goroutine. A task that passes the CPU to another
+// sends on the other's wake channel ("you run now"); it has room for one
+// token, so the sender never waits for the receiver. fn is the next
+// body, set under c.mu by whoever hands the worker its body.
 type task struct {
 	wake chan struct{}
-	park chan struct{}
 	fn   func()
 }
 
-// event is one scheduled action of the event loop. Its payload is a
+// event is one scheduled action of the clock. Its payload is a
 // field, not a closure: a task body to start (fn), a parked task to
 // resume (t), or a waiter whose deadline this is (w) — exactly one is
 // set.
@@ -229,57 +245,57 @@ func (c *Clock) Go(fn func()) {
 	c.startLocked(c.now, fn)
 }
 
-// workerLocked returns a worker to run the next body: the most recently
-// parked idle one, or a fresh goroutine when none is idle. Called with
-// c.mu held.
-func (c *Clock) workerLocked() *task {
+// workerLocked returns a worker for body fn: the most recently parked
+// idle one, or a fresh one whose goroutine the caller starts (fresh) once
+// it has released c.mu. Called with c.mu held.
+func (c *Clock) workerLocked(fn func()) (t *task, fresh bool) {
 	if n := len(c.idle); n > 0 {
-		t := c.idle[n-1]
+		t = c.idle[n-1]
 		c.idle[n-1] = nil
 		c.idle = c.idle[:n-1]
-		return t
+	} else {
+		t, fresh = &task{wake: make(chan struct{}, 1)}, true
 	}
-	t := &task{wake: make(chan struct{}), park: make(chan struct{})}
-	go c.work(t)
-	return t
+	t.fn = fn
+	return t, fresh
 }
 
-// work is a worker goroutine: run the body it was armed with, park idle,
-// repeat. It exits when the idle list is full, or when endDrive closes
-// its wake channel (which reads as a wake with no body).
+// work is a worker goroutine: run the body it holds, park idle, repeat.
+// It exits when the idle list was full, or when endDrive closes its wake
+// channel (which reads as a wake with no body).
 func (c *Clock) work(t *task) {
-	for c.runNext(t) {
+	for c.run(t) {
 	}
 }
 
-// runNext runs the body t was armed with and gives the virtual CPU back,
-// reporting whether t parked idle for another. The hand-back is deferred:
-// a body that ends its goroutine (runtime.Goexit, i.e. t.Fatal) must
-// still release the loop, and is not parked for reuse.
-func (c *Clock) runNext(t *task) (parked bool) {
-	<-t.wake
+// run runs the body t holds and passes the virtual CPU on, reporting
+// whether t holds a next body — one it took from the idle list itself,
+// or one it was woken with. The pass is deferred: a body that ends its
+// goroutine (runtime.Goexit, i.e. t.Fatal) must still pass the CPU on,
+// and is not parked for reuse.
+func (c *Clock) run(t *task) (again bool) {
 	fn := t.fn
-	if fn == nil {
-		return false
-	}
 	t.fn = nil
 	returned := false
 	defer func() {
 		c.mu.Lock()
 		c.current = nil
 		c.tasks--
-		if parked = returned && len(c.idle) < maxIdleWorkers; parked {
+		parked := returned && len(c.idle) < maxIdleWorkers
+		if parked {
 			c.idle = append(c.idle, t)
 		}
-		c.mu.Unlock()
-		t.park <- struct{}{}
+		if c.passLocked(t) != t && parked {
+			<-t.wake
+		}
+		again = parked && t.fn != nil
 	}()
 	fn()
 	returned = true
 	return
 }
 
-// beginDrive and endDrive bracket every call that runs the event loop.
+// beginDrive and endDrive bracket every call that drives the clock.
 // When the outermost one returns, nothing will wake an idle worker until
 // the next drive — and if the Clock is dropped, nothing ever will — so
 // the idle workers are told to exit.
@@ -305,22 +321,108 @@ func (c *Clock) endDrive() {
 	c.idle = c.idle[:0]
 }
 
-// handoff gives the virtual CPU to t — which the caller has already made
-// c.current — and blocks until t parks or finishes. Runs on the loop
-// goroutine.
-func (c *Clock) handoff(t *task) {
-	t.wake <- struct{}{}
-	<-t.park
+// drive runs events under stopping rule r and returns how many fired.
+// The calling goroutine, which must not be a task, passes the CPU on
+// like a task that yields; if it reaches a task, the caller blocks until
+// whichever goroutine ends the drive says so.
+func (c *Clock) drive(r driveRule) int {
+	c.mu.Lock()
+	if c.current != nil {
+		c.mu.Unlock()
+		panic("sim: drive while a task holds the virtual CPU")
+	}
+	if c.done == nil {
+		c.done = make(chan struct{}, 1)
+	}
+	c.rule = r
+	if c.passLocked(nil) != nil {
+		<-c.done
+	}
+	c.mu.Lock()
+	n := c.rule.fired
+	c.rule = driveRule{}
+	c.mu.Unlock()
+	return n
+}
+
+// passLocked gives up the virtual CPU held by self — a task that yielded
+// or finished, or nil for the goroutine starting a drive — and passes it
+// on. While the drive's rule allows, it pops the next event in (time,
+// schedule-id) order and fires it: a body goes to a worker, a resume to
+// its task, and a waiter deadline fires right here and resumes the
+// waiting task. It returns the task now holding the CPU: self when that
+// is self's own resume or a body self took from the idle list (self
+// carries on without a goroutine switch), another task it has woken, or
+// nil when the rule ended the drive. Called with c.mu held; returns with
+// it released.
+func (c *Clock) passLocked(self *task) *task {
+	r := &c.rule
+	for r.left != 0 && (r.root == nil || !*r.root) {
+		store := c.storeLocked()
+		if r.bounded {
+			if at, ok := store.next(); !ok || at > r.until {
+				break
+			}
+		}
+		e := store.pop()
+		if e == nil {
+			break
+		}
+		r.left--
+		r.fired++
+		c.now = e.at
+		c.live--
+		c.executed++
+		fn, t, w := e.fn, e.t, e.w
+		if e.held {
+			e.fired = true
+			e.fn, e.t, e.w = nil, nil, nil // the handle outlives the payload; do not pin it
+		} else {
+			*e = event{}
+			if len(c.free) < maxFreeEvents {
+				c.free = append(c.free, e)
+			}
+		}
+		if w != nil {
+			// The waiter's deadline: it lost to no earlier Wake, which
+			// would have canceled it.
+			t = w.waiting
+			w.waiting, w.timedOut, w.armed = nil, true, false
+			if t == nil {
+				continue
+			}
+		}
+		fresh := false
+		if fn != nil {
+			t, fresh = c.workerLocked(fn)
+		}
+		c.current = t
+		c.mu.Unlock()
+		switch {
+		case t == self:
+		case fresh:
+			go c.work(t)
+		default:
+			t.wake <- struct{}{}
+		}
+		return t
+	}
+	c.mu.Unlock()
+	if self != nil {
+		c.done <- struct{}{}
+	}
+	return nil
 }
 
 // yieldLocked parks the calling task (which must hold the CPU) until a
-// previously scheduled resume event hands it back. Called with c.mu
-// held; returns with it released.
+// previously scheduled resume event hands it back, passing the CPU on
+// meanwhile; when that resume is the next event, the task carries on at
+// once. Called with c.mu held; returns with it released.
 func (c *Clock) yieldLocked(t *task) {
 	c.current = nil
-	c.mu.Unlock()
-	t.park <- struct{}{}
-	<-t.wake
+	if c.passLocked(t) != t {
+		<-t.wake
+	}
 }
 
 // mustCurrentLocked returns the running task or panics with a pointed
@@ -334,7 +436,7 @@ func (c *Clock) mustCurrentLocked(op string) *task {
 }
 
 // Sleep implements Scheduler: the calling task parks for d of virtual
-// time while the event loop keeps draining other events.
+// time while other events run.
 func (c *Clock) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -449,68 +551,13 @@ func (w *clockWaiter) Wait(timeout time.Duration) bool {
 	return w.woken
 }
 
-// timeout fires the waiter's deadline: it loses to an earlier Wake by
-// event order. Runs on the loop goroutine.
-func (w *clockWaiter) timeout() {
-	c := w.c
-	c.mu.Lock()
-	t := w.waiting
-	w.waiting = nil
-	w.timedOut = true
-	w.armed = false
-	c.current = t
-	c.mu.Unlock()
-	if t != nil {
-		c.handoff(t)
-	}
-}
-
 // Step runs the earliest pending event, advancing the clock to its time
 // and blocking until the stack quiesces again (the event's task parked
 // or finished). It reports whether an event ran.
 func (c *Clock) Step() bool {
 	c.beginDrive()
 	defer c.endDrive()
-	return c.step()
-}
-
-// step is Step inside an open drive.
-func (c *Clock) step() bool {
-	c.mu.Lock()
-	if c.current != nil {
-		c.mu.Unlock()
-		panic("sim: Step while a task holds the virtual CPU")
-	}
-	e := c.storeLocked().pop()
-	if e == nil {
-		c.mu.Unlock()
-		return false
-	}
-	c.now = e.at
-	c.live--
-	c.executed++
-	fn, t, w := e.fn, e.t, e.w
-	if e.held {
-		e.fired = true
-		e.fn, e.t, e.w = nil, nil, nil // the handle outlives the payload; do not pin it
-	} else {
-		*e = event{}
-		if len(c.free) < maxFreeEvents {
-			c.free = append(c.free, e)
-		}
-	}
-	if fn != nil {
-		t = c.workerLocked()
-		t.fn = fn
-	}
-	c.current = t
-	c.mu.Unlock()
-	if t != nil {
-		c.handoff(t)
-	} else {
-		w.timeout()
-	}
-	return true
+	return c.drive(driveRule{left: 1}) == 1
 }
 
 // Run drains all pending events, including events scheduled by events.
@@ -520,10 +567,7 @@ func (c *Clock) step() bool {
 func (c *Clock) Run() int {
 	c.beginDrive()
 	defer c.endDrive()
-	n := 0
-	for c.step() {
-		n++
-	}
+	n := c.drive(driveRule{left: -1})
 	c.mu.Lock()
 	stuck := c.tasks
 	c.mu.Unlock()
@@ -534,7 +578,7 @@ func (c *Clock) Run() int {
 }
 
 // RunTask runs fn as a task at the current virtual time and drives the
-// event loop until fn returns, leaving any later-scheduled events
+// clock until fn returns, leaving any later-scheduled events
 // unrun (background loops simply stop ticking when the workload ends).
 // It returns the number of events executed.
 func (c *Clock) RunTask(fn func()) int {
@@ -545,12 +589,9 @@ func (c *Clock) RunTask(fn func()) int {
 		defer func() { done = true }() // also when fn exits its goroutine
 		fn()
 	})
-	n := 0
-	for !done {
-		if !c.step() {
-			panic("sim: RunTask: root task parked with an empty event queue (deadlock)")
-		}
-		n++
+	n := c.drive(driveRule{left: -1, root: &done})
+	if !done {
+		panic("sim: RunTask: root task parked with an empty event queue (deadlock)")
 	}
 	return n
 }
@@ -560,23 +601,13 @@ func (c *Clock) RunTask(fn func()) int {
 func (c *Clock) RunUntil(deadline time.Duration) int {
 	c.beginDrive()
 	defer c.endDrive()
-	n := 0
-	for {
-		c.mu.Lock()
-		at, ok := c.storeLocked().next()
-		if !ok || at > deadline {
-			if c.now < deadline {
-				c.now = deadline
-			}
-			c.mu.Unlock()
-			return n
-		}
-		c.mu.Unlock()
-		if !c.step() {
-			return n
-		}
-		n++
+	n := c.drive(driveRule{left: -1, bounded: true, until: deadline})
+	c.mu.Lock()
+	if c.now < deadline {
+		c.now = deadline
 	}
+	c.mu.Unlock()
+	return n
 }
 
 // Pending returns the number of scheduled events not yet run.

@@ -2,6 +2,7 @@ package udp
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -206,6 +207,32 @@ func TestBufPoolAllocs(t *testing.T) {
 	PutBuf(buf)
 	if got := GetBuf(); cap(got) != bufCap {
 		t.Fatalf("pool handed out a %d-byte buffer, want %d", cap(got), bufCap)
+	}
+}
+
+// TestBufAllocsSurviveGC: a GetBuf/PutBuf pair allocates nothing across
+// garbage collections. A sync.Pool is emptied by two collections in a
+// row (one moves it to the victim cache, the next drops it), so the
+// first GetBuf after them allocated a fresh 2 KB array; the benchmark
+// collects before every repetition.
+func TestBufAllocsSurviveGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	PutBuf(GetBuf())
+	var before, after runtime.MemStats
+	var n uint64
+	for i := 0; i < 20; i++ {
+		runtime.GC() // collections allocate themselves: count outside them
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		PutBuf(GetBuf())
+		runtime.ReadMemStats(&after)
+		n += after.Mallocs - before.Mallocs
+	}
+	if n != 0 {
+		t.Fatalf("GetBuf → PutBuf after two collections: %d allocs in 20 pairs, want 0", n)
 	}
 }
 

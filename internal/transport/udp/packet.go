@@ -152,25 +152,52 @@ func Parse(data []byte) (Packet, error) {
 // voice packet (37 to 177 bytes on the benchmark) with a wide margin.
 const bufCap = 2048
 
-// bufPool recycles encode buffers. Voice streams at 50 packets per
-// second per flow; without pooling every packet costs a fresh allocation
-// on the send path. The pool holds pointers to fixed-size arrays: a
-// pointer fits an interface word, so neither Get nor Put allocates,
-// where a pooled *[]byte cost one slice header per PutBuf.
-var bufPool = sync.Pool{
-	New: func() interface{} { return new([bufCap]byte) },
+// maxFreeBufs bounds the buffer free list. A task holds at most one
+// buffer at a time, and one task runs at a time per clock, so a short
+// list covers every send path; the rest of a burst is garbage.
+const maxFreeBufs = 64
+
+// bufFree recycles encode buffers. Voice streams at 50 packets per
+// second per flow; without recycling every packet costs a fresh 2 KB
+// allocation on the send path. It is a plain free list, not a
+// sync.Pool, for the reasons transport's in-flight records are: a
+// collection empties a Pool, and a buffer put back on one P's cache is
+// not found by a Get on another, so a send path whose task moves between
+// goroutines allocated fresh arrays after every GC. It holds pointers to
+// fixed-size arrays, so neither GetBuf nor PutBuf allocates.
+var bufFree struct {
+	sync.Mutex
+	bufs []*[bufCap]byte
 }
 
-// GetBuf returns an empty pooled buffer with room for a typical voice
+// GetBuf returns an empty recycled buffer with room for a typical voice
 // packet. Return it with PutBuf when the datagram has been handed off.
-func GetBuf() []byte { return bufPool.Get().(*[bufCap]byte)[:0] }
+func GetBuf() []byte {
+	var b *[bufCap]byte
+	bufFree.Lock()
+	if n := len(bufFree.bufs); n > 0 {
+		b = bufFree.bufs[n-1]
+		bufFree.bufs[n-1] = nil
+		bufFree.bufs = bufFree.bufs[:n-1]
+	}
+	bufFree.Unlock()
+	if b == nil {
+		b = new([bufCap]byte)
+	}
+	return b[:0]
+}
 
-// PutBuf recycles a buffer obtained from GetBuf; neither call allocates.
-// A buffer that append grew past bufCap is a different array and is left
-// to the collector, so one jumbo datagram does not pin memory forever.
+// PutBuf recycles a buffer obtained from GetBuf; neither call allocates
+// once the list is warm. A buffer that append grew past bufCap is a
+// different array and is left to the collector, so one jumbo datagram
+// does not pin memory forever.
 func PutBuf(b []byte) {
 	if cap(b) != bufCap {
 		return
 	}
-	bufPool.Put((*[bufCap]byte)(b[:bufCap]))
+	bufFree.Lock()
+	if len(bufFree.bufs) < maxFreeBufs {
+		bufFree.bufs = append(bufFree.bufs, (*[bufCap]byte)(b[:bufCap]))
+	}
+	bufFree.Unlock()
 }
