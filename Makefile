@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: build test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate digests bench-scale race-dataplane test-experiments goldens profile chaos check print-staticcheck-version print-govulncheck-version
+.PHONY: build loc test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate digests bench-scale race-dataplane test-experiments goldens profile chaos check print-staticcheck-version print-govulncheck-version
 
 build:
 	$(GO) build ./...
+
+# loc prints the lines of non-test Go outside bench/ (testdata fixtures
+# excluded): the size CHANGES.md and ROADMAP.md quote, shown in every CI
+# log so a simplification's deletion is visible.
+loc:
+	@git ls-files '*.go' ':!bench' ':!*_test.go' ':!*testdata*' | xargs cat | wc -l
 
 test:
 	$(GO) test ./...

@@ -103,7 +103,7 @@ func run(args []string) error {
 		}
 	}
 	if *infer {
-		edges := asgraph.InferRelationships(bgp.Paths(entries), asgraph.InferConfig{})
+		edges := asgraph.InferRelationships(bgp.Paths(entries))
 		agree, total := asgraph.CompareAnnotations(edges, g)
 		fmt.Printf("Gao inference: %d edges classified, %.1f%% agree with ground truth (paper cites >90%% on real data)\n",
 			total, 100*float64(agree)/float64(max(total, 1)))

@@ -14,18 +14,17 @@ import "sort"
 // provider-customer or sibling; a refinement pass identifies peer edges
 // among those adjacent to top providers.
 
-// InferConfig tunes the inference.
-type InferConfig struct {
-	// SiblingL is Gao's L threshold: an edge with transit counts in both
-	// directions, each <= SiblingL, may be classified sibling; with a
-	// count above SiblingL in one direction it is provider-customer in the
-	// majority direction. Zero means 1.
-	SiblingL int
-	// PeerDegreeRatio is Gao's R threshold: a candidate peer edge is kept
-	// only if the endpoint degree ratio is below it. Zero means 60, the
-	// value Gao reports.
-	PeerDegreeRatio float64
-}
+// Gao's thresholds, at the values Gao reports.
+const (
+	// siblingL is Gao's L: an edge with transit counts in both
+	// directions, each <= siblingL, may be classified sibling; with a
+	// count above siblingL in one direction it is provider-customer in
+	// the majority direction.
+	siblingL = 1
+	// peerDegreeRatio is Gao's R: a candidate peer edge is kept only if
+	// the endpoint degree ratio is below it.
+	peerDegreeRatio = 60
+)
 
 type edgeKey struct{ a, b ASN } // a < b always
 
@@ -47,14 +46,7 @@ type InferredEdge struct {
 // returns annotated edges for every AS link seen in them. Paths shorter
 // than two ASes are ignored; consecutive duplicate ASes (prepending) are
 // collapsed.
-func InferRelationships(paths [][]ASN, cfg InferConfig) []InferredEdge {
-	if cfg.SiblingL <= 0 {
-		cfg.SiblingL = 1
-	}
-	if cfg.PeerDegreeRatio <= 0 {
-		cfg.PeerDegreeRatio = 60
-	}
-
+func InferRelationships(paths [][]ASN) []InferredEdge {
 	// Phase 0: collapse prepending and compute degrees from the paths
 	// themselves (the only view a measurement study has).
 	clean := make([][]ASN, 0, len(paths))
@@ -152,7 +144,7 @@ func InferRelationships(paths [][]ASN, cfg InferConfig) []InferredEdge {
 		ba := transit[dirKey{k.b, k.a}] // b transits for a => b provider
 		var rel Relationship
 		switch {
-		case ab > 0 && ba > 0 && ab <= cfg.SiblingL && ba <= cfg.SiblingL:
+		case ab > 0 && ba > 0 && ab <= siblingL && ba <= siblingL:
 			rel = RelS2S
 		case ab > 0 && ba > 0:
 			// Mixed evidence above the sibling threshold: majority wins.
@@ -184,8 +176,8 @@ func InferRelationships(paths [][]ASN, cfg InferConfig) []InferredEdge {
 			if ratio < 1 {
 				ratio = 1 / ratio
 			}
-			directional := (ab == 0 && ba > cfg.SiblingL) || (ba == 0 && ab > cfg.SiblingL)
-			if ratio < cfg.PeerDegreeRatio && !directional {
+			directional := (ab == 0 && ba > siblingL) || (ba == 0 && ab > siblingL)
+			if ratio < peerDegreeRatio && !directional {
 				rel = RelP2P
 			}
 		}

@@ -22,7 +22,7 @@ func TestInferRelationshipsBasic(t *testing.T) {
 		{200, 20, 1, 40},
 		{30, 1, 40},
 	}
-	edges := InferRelationships(paths, InferConfig{})
+	edges := InferRelationships(paths)
 	rels := relMap(edges)
 	checks := []struct {
 		a, b ASN
@@ -59,7 +59,7 @@ func TestInferRelationshipsPeering(t *testing.T) {
 		{200, 20, 10, 100},
 		{201, 20, 10, 101},
 	}
-	edges := InferRelationships(paths, InferConfig{})
+	edges := InferRelationships(paths)
 	rels := relMap(edges)
 	if got := rels[mkEdge(10, 20)]; got != RelP2P {
 		t.Errorf("edge 10-20 = %v, want p2p", got)
@@ -71,7 +71,7 @@ func TestInferRelationshipsPrependingCollapsed(t *testing.T) {
 		{100, 10, 10, 10, 1},
 		{1, 10, 100},
 	}
-	edges := InferRelationships(paths, InferConfig{})
+	edges := InferRelationships(paths)
 	for _, e := range edges {
 		if e.A == e.B {
 			t.Errorf("self edge %d-%d survived prepend collapse", e.A, e.B)
@@ -84,7 +84,7 @@ func TestInferRelationshipsPrependingCollapsed(t *testing.T) {
 }
 
 func TestInferRelationshipsIgnoresShortPaths(t *testing.T) {
-	edges := InferRelationships([][]ASN{{42}, nil, {}}, InferConfig{})
+	edges := InferRelationships([][]ASN{{42}, nil, {}})
 	if len(edges) != 0 {
 		t.Errorf("got %d edges from degenerate paths, want 0", len(edges))
 	}
@@ -121,7 +121,7 @@ func TestInferOnGeneratedTopology(t *testing.T) {
 		t.Fatalf("only %d observed paths; world too disconnected", len(paths))
 	}
 
-	edges := InferRelationships(paths, InferConfig{})
+	edges := InferRelationships(paths)
 	agree, total := CompareAnnotations(edges, g)
 	if total == 0 {
 		t.Fatal("no edges inferred")

@@ -140,7 +140,7 @@ func NewBootstrap(tr transport.Transport, addr transport.Addr, cfg BootstrapConf
 	b := &Bootstrap{
 		cfg:   cfg,
 		tr:    tr,
-		sched: cfg.Sched,
+		sched: sim.OrWall(cfg.Sched),
 		surro: make(map[string]surrogateLease),
 		byAS:  make(map[asgraph.ASN][]string),
 		known: make(map[string]asgraph.ASN),
@@ -156,9 +156,6 @@ func NewBootstrap(tr transport.Transport, addr transport.Addr, cfg BootstrapConf
 		b.known[key] = po.ASN
 		b.keys[key] = key
 		b.byAS[po.ASN] = append(b.byAS[po.ASN], key)
-	}
-	if b.sched == nil {
-		b.sched = wallSched
 	}
 	bound, err := tr.Serve(addr, b.handle)
 	if err != nil {

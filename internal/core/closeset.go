@@ -18,24 +18,30 @@ import (
 // Ping measures the RTT to another node over the transport. Timestamps
 // come from the node's scheduler, so the measurement is virtual-time
 // exact in simulation.
+func (n *Node) Ping(to transport.Addr) (time.Duration, error) { return n.ping(to, 0) }
+
+// ping is the one MsgPing/MsgPong exchange: Ping measures with it, and
+// Keepalive names a relay flow in it (flowID nonzero). It returns the
+// round trip on the node's scheduler.
 //
 //lint:errclass transport.Call errors pass through unwrapped (IsTransient sees them); the only local error is a fresh fmt.Errorf for a mis-typed reply, terminal by construction
-func (n *Node) Ping(to transport.Addr) (time.Duration, error) {
+func (n *Node) ping(to transport.Addr, flowID uint64) (time.Duration, error) {
 	start := n.sched.Now()
 	req := transport.AcquireMessage()
 	req.Type = transport.MsgPing
 	req.From = n.addr
+	req.FlowID = flowID
 	req.SentAt = start
 	resp, err := n.tr.Call(to, req)
 	transport.ReleaseMessage(req)
 	if err != nil {
 		return 0, err
 	}
-	if got := resp.Type; got != transport.MsgPong {
-		transport.ReleaseMessage(resp)
+	got := resp.Type
+	transport.ReleaseMessage(resp)
+	if got != transport.MsgPong {
 		return 0, fmt.Errorf("core: unexpected ping reply type %v", got)
 	}
-	transport.ReleaseMessage(resp)
 	return n.sched.Now() - start, nil
 }
 

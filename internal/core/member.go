@@ -13,10 +13,6 @@ import (
 	"asap/internal/transport/udp"
 )
 
-// wallSched is the shared real-time scheduler for actors built without an
-// explicit one.
-var wallSched = sim.NewWall()
-
 // Member role: the Node actor's identity, lifecycle and cluster-membership
 // duties — joining via the bootstrap, publishing nodal info, volunteering
 // as surrogate, lease renewal and re-election — plus the inbound message
@@ -198,10 +194,7 @@ func NewNode(tr transport.Transport, addr transport.Addr, cfg NodeConfig) (*Node
 		cfg:   cfg,
 		tr:    tr,
 		retry: cfg.Retry.withDefaults(),
-		sched: cfg.Sched,
-	}
-	if n.sched == nil {
-		n.sched = wallSched
+		sched: sim.OrWall(cfg.Sched),
 	}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	bound, err := tr.Serve(addr, n.handle)

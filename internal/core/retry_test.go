@@ -22,7 +22,7 @@ func fastRetry(attempts int) RetryPolicy {
 
 func TestRetryTransientEventuallySucceeds(t *testing.T) {
 	calls := 0
-	err := fastRetry(4).Do(context.Background(), wallSched, nil, func() error {
+	err := fastRetry(4).Do(context.Background(), sim.OrWall(nil), nil, func() error {
 		calls++
 		if calls < 3 {
 			return fmt.Errorf("%w: x", transport.ErrUnreachable)
@@ -40,7 +40,7 @@ func TestRetryTransientEventuallySucceeds(t *testing.T) {
 func TestRetryNonTransientFailsImmediately(t *testing.T) {
 	calls := 0
 	boom := errors.New("handler rejected")
-	err := fastRetry(4).Do(context.Background(), wallSched, nil, func() error {
+	err := fastRetry(4).Do(context.Background(), sim.OrWall(nil), nil, func() error {
 		calls++
 		return boom
 	})
@@ -54,7 +54,7 @@ func TestRetryNonTransientFailsImmediately(t *testing.T) {
 
 func TestRetryExhaustsAttempts(t *testing.T) {
 	calls := 0
-	err := fastRetry(3).Do(context.Background(), wallSched, nil, func() error {
+	err := fastRetry(3).Do(context.Background(), sim.OrWall(nil), nil, func() error {
 		calls++
 		return fmt.Errorf("%w: down", transport.ErrUnreachable)
 	})
@@ -72,7 +72,7 @@ func TestRetryContextCancelStopsBackoff(t *testing.T) {
 	p := RetryPolicy{Attempts: 10, BaseDelay: time.Hour, MaxDelay: time.Hour, Multiplier: 2}
 	done := make(chan error, 1)
 	go func() {
-		done <- p.Do(ctx, wallSched, nil, func() error {
+		done <- p.Do(ctx, sim.OrWall(nil), nil, func() error {
 			calls++
 			return fmt.Errorf("%w: down", transport.ErrUnreachable)
 		})
@@ -104,7 +104,7 @@ func TestRetryZeroValueUsesDefaults(t *testing.T) {
 	// A zero-value policy must still terminate.
 	calls := 0
 	err := RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}.Do(
-		context.Background(), wallSched, nil, func() error {
+		context.Background(), sim.OrWall(nil), nil, func() error {
 			calls++
 			return fmt.Errorf("%w: down", transport.ErrUnreachable)
 		})

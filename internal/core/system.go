@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"time"
@@ -59,14 +60,13 @@ type System struct {
 	inflight   map[cluster.ClusterID]*closeSetCall
 	buildMsgs  int64 // cumulative close-set construction cost
 
-	// scratchMu guards scratch, a stack of idle scratches. A close-set
-	// build pops one once it has registered and pushes it back before it
-	// stores the set; a selection holds one for its whole run, and the
-	// builds nested in it pop their own. The stack grows to the most
-	// builds and selections that ever ran at once. A sync.Pool would be
-	// emptied by every garbage collection.
+	// scratchMu guards scratch, the idle scratches (a sim.FreeList). A
+	// close-set build gets one once it has registered and puts it back
+	// before it stores the set; a selection holds one for its whole run,
+	// and the builds nested in it get their own. The list is unbounded:
+	// it grows to the most builds and selections that ever ran at once.
 	scratchMu sync.Mutex
-	scratch   []*scratch
+	scratch   sim.FreeList[*scratch]
 }
 
 // scratch is what one close-set build or one selection needs and does
@@ -93,18 +93,15 @@ type scratch struct {
 func (s *System) popScratch() *scratch {
 	s.scratchMu.Lock()
 	defer s.scratchMu.Unlock()
-	n := len(s.scratch)
-	if n == 0 {
-		return new(scratch)
+	if sc, ok := s.scratch.Get(); ok {
+		return sc
 	}
-	sc := s.scratch[n-1]
-	s.scratch = s.scratch[:n-1]
-	return sc
+	return new(scratch)
 }
 
 func (s *System) pushScratch(sc *scratch) {
 	s.scratchMu.Lock()
-	s.scratch = append(s.scratch, sc)
+	s.scratch.Put(sc, math.MaxInt)
 	s.scratchMu.Unlock()
 }
 

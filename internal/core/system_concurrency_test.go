@@ -165,7 +165,7 @@ func TestCloseSetConcurrentBuildsMatchSequential(t *testing.T) {
 		t.Errorf("cumulative build cost: concurrent %d, sequential %d", par.BuildMessages(), seq.BuildMessages())
 	}
 	par.scratchMu.Lock()
-	idle := len(par.scratch)
+	idle := par.scratch.Len()
 	par.scratchMu.Unlock()
 	if idle < 1 || idle > workers {
 		t.Errorf("%d idle build scratches after %d workers finished, want 1..%d", idle, workers, workers)

@@ -212,20 +212,8 @@ func (n *Node) runProbeGroup(g *probeGroup, reqs []session.PathRequest, out []se
 // direct path) is alive and, when flowID is nonzero, still holds the
 // relay flow: one ping that names the flow. Implements session.Driver.
 func (n *Node) Keepalive(target transport.Addr, flowID uint64) error {
-	req := transport.AcquireMessage()
-	req.Type = transport.MsgPing
-	req.From = n.addr
-	req.FlowID = flowID
-	resp, err := n.tr.Call(target, req)
-	transport.ReleaseMessage(req)
-	if err != nil {
-		return err
-	}
-	if resp.Type != transport.MsgPong {
-		return fmt.Errorf("core: unexpected keepalive reply type %d", resp.Type)
-	}
-	transport.ReleaseMessage(resp)
-	return nil
+	_, err := n.ping(target, flowID)
+	return err
 }
 
 // ReceivedBytes reports how many voice payload bytes this node has

@@ -7,13 +7,6 @@ import (
 	"asap/internal/sim"
 )
 
-// harnessSched spawns the harness's worker goroutines. The workers run
-// at wall time by design — they parallelize whole experiment arms, each
-// of which owns a private virtual clock — but they still go through a
-// sim.Scheduler so every goroutine in internal/ is accounted for by the
-// concurrency model (DESIGN.md §9; enforced by the schedgo analyzer).
-var harnessSched sim.Scheduler = sim.NewWall()
-
 // normWorkers resolves a worker-count argument: anything below 1 means
 // "use every available CPU".
 func normWorkers(workers int) int {
@@ -60,5 +53,10 @@ func forEachIndexed(workers, n int, fn func(i int)) {
 	for w := range pool {
 		pool[w] = worker
 	}
-	harnessSched.Join(0, pool...)
+	// The workers run at wall time by design — they parallelize whole
+	// experiment arms, each of which owns a private virtual clock — but
+	// they still go through a sim.Scheduler so every goroutine in
+	// internal/ is accounted for by the concurrency model (DESIGN.md §9;
+	// enforced by the schedgo analyzer).
+	sim.OrWall(nil).Join(0, pool...)
 }

@@ -48,9 +48,9 @@ type Clock struct {
 	current  *task // task holding the virtual CPU (nil between tasks and drives)
 	tasks    int   // live tasks: started (or queued to start) and not finished
 
-	free    []*event // fired recyclable events, at most maxFreeEvents
-	idle    []*task  // workers parked between bodies, at most maxIdleWorkers
-	driving int      // nesting depth of drive calls; idle workers exit at 0
+	free    FreeList[*event] // fired recyclable events, at most maxFreeEvents
+	idle    FreeList[*task]  // workers parked between bodies, at most maxIdleWorkers
+	driving int              // nesting depth of drive calls; idle workers exit at 0
 
 	rule driveRule     // stopping rule of the drive in progress
 	done chan struct{} // the drive is over; sent by the task that ended it
@@ -150,12 +150,8 @@ func (c *Clock) Now() time.Duration {
 // free list when one is there; a caller that keeps the pointer must
 // embed its own event and use pushLocked instead.
 func (c *Clock) scheduleLocked(at time.Duration) *event {
-	var e *event
-	if n := len(c.free); n > 0 {
-		e = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-	} else {
+	e, ok := c.free.Get()
+	if !ok {
 		e = new(event)
 	}
 	c.pushLocked(e, at)
@@ -249,11 +245,8 @@ func (c *Clock) Go(fn func()) {
 // idle one, or a fresh one whose goroutine the caller starts (fresh) once
 // it has released c.mu. Called with c.mu held.
 func (c *Clock) workerLocked(fn func()) (t *task, fresh bool) {
-	if n := len(c.idle); n > 0 {
-		t = c.idle[n-1]
-		c.idle[n-1] = nil
-		c.idle = c.idle[:n-1]
-	} else {
+	t, ok := c.idle.Get()
+	if !ok {
 		t, fresh = &task{wake: make(chan struct{}, 1)}, true
 	}
 	t.fn = fn
@@ -281,10 +274,7 @@ func (c *Clock) run(t *task) (again bool) {
 		c.mu.Lock()
 		c.current = nil
 		c.tasks--
-		parked := returned && len(c.idle) < maxIdleWorkers
-		if parked {
-			c.idle = append(c.idle, t)
-		}
+		parked := returned && c.idle.Put(t, maxIdleWorkers)
 		if c.passLocked(t) != t && parked {
 			<-t.wake
 		}
@@ -312,13 +302,11 @@ func (c *Clock) endDrive() {
 	if c.driving > 0 {
 		return
 	}
-	// Closing a channel never blocks, so the list is released in place
-	// and keeps its backing array for the next drive.
-	for i, t := range c.idle {
+	// Closing a channel never blocks, so the list drains in place and
+	// keeps its backing array for the next drive.
+	for t, ok := c.idle.Get(); ok; t, ok = c.idle.Get() {
 		close(t.wake)
-		c.idle[i] = nil
 	}
-	c.idle = c.idle[:0]
 }
 
 // drive runs events under stopping rule r and returns how many fired.
@@ -379,9 +367,7 @@ func (c *Clock) passLocked(self *task) *task {
 			e.fn, e.t, e.w = nil, nil, nil // the handle outlives the payload; do not pin it
 		} else {
 			*e = event{}
-			if len(c.free) < maxFreeEvents {
-				c.free = append(c.free, e)
-			}
+			c.free.Put(e, maxFreeEvents)
 		}
 		if w != nil {
 			// The waiter's deadline: it lost to no earlier Wake, which

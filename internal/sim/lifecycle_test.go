@@ -66,7 +66,7 @@ func TestIdleWorkersAreBounded(t *testing.T) {
 		// All sleepers are done; this task is the +1.
 		during = settleGoroutines(base + maxIdleWorkers + 1)
 		c.mu.Lock()
-		idle = len(c.idle)
+		idle = c.idle.Len()
 		c.mu.Unlock()
 		// The survivors are reused, not replaced.
 		for k := 0; k < 3*maxIdleWorkers; k++ {
@@ -140,7 +140,7 @@ func TestHandlesSurviveRecycling(t *testing.T) {
 		t.Fatalf("churn ran %d of 10000 events", churned)
 	}
 	c.mu.Lock()
-	for _, e := range c.free {
+	for _, e := range c.free.items {
 		if e == held {
 			t.Fatal("a fired AfterFunc event is on the free list: its Timer still points at it")
 		}
@@ -148,7 +148,7 @@ func TestHandlesSurviveRecycling(t *testing.T) {
 			t.Fatalf("free-list event not reset: %+v", *e)
 		}
 	}
-	nfree := len(c.free)
+	nfree := c.free.Len()
 	c.mu.Unlock()
 	if nfree == 0 {
 		t.Fatal("free list is empty after 10^4 one-shot events: nothing is being recycled")

@@ -22,6 +22,19 @@ type Wall struct {
 // NewWall returns a wall scheduler anchored at the current instant.
 func NewWall() *Wall { return &Wall{start: time.Now()} }
 
+// wall is the one shared real-time scheduler, anchored when the program
+// starts.
+var wall = NewWall()
+
+// OrWall returns s, or the shared real-time Wall when s is nil: what a
+// component built without a Scheduler runs on.
+func OrWall(s Scheduler) Scheduler {
+	if s != nil {
+		return s
+	}
+	return wall
+}
+
 // Now implements Scheduler.
 func (w *Wall) Now() time.Duration { return time.Since(w.start) }
 

@@ -83,29 +83,23 @@ type wheelStore struct {
 
 	far eventQueue // (at, id) min-heap of events beyond the level-1 window
 
-	spare [][]*event // emptied slabs of drained slots, at most wheelSpareSlabs
+	spare FreeList[[]*event] // emptied slabs of drained slots, at most wheelSpareSlabs
 }
 
 // takeSlab returns an empty slab for a slot that is filling, nil (append
 // allocates) when none is spare.
 func (w *wheelStore) takeSlab() []*event {
-	n := len(w.spare)
-	if n == 0 {
-		return nil
-	}
-	evs := w.spare[n-1]
-	w.spare[n-1] = nil
-	w.spare = w.spare[:n-1]
+	evs, _ := w.spare.Get()
 	return evs
 }
 
 // giveSlab takes back the slab of a drained slot. Every element must
 // already be nil: a fired event must not stay reachable from the wheel.
 func (w *wheelStore) giveSlab(evs []*event) {
-	if cap(evs) == 0 || cap(evs) > wheelKeepCap || len(w.spare) == wheelSpareSlabs {
+	if cap(evs) == 0 || cap(evs) > wheelKeepCap {
 		return
 	}
-	w.spare = append(w.spare, evs[:0])
+	w.spare.Put(evs[:0], wheelSpareSlabs)
 }
 
 // drained resets a level-0 bucket whose last event was just consumed.

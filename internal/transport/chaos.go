@@ -44,13 +44,6 @@ type Chaos struct {
 	stats    ChaosStats
 }
 
-func (c *Chaos) sched() sim.Scheduler {
-	if c.Sched != nil {
-		return c.Sched
-	}
-	return wallFallback
-}
-
 // ChaosStats counts injected faults across both planes: the fault
 // counters (Dropped, Blackholed, Failed, Outaged) cover calls and
 // datagrams alike, since both consult the same tables.
@@ -110,7 +103,7 @@ const (
 // applied, and for a send that passes the latency to add. Both planes
 // go through here, so they consume one RNG stream in send order.
 func (c *Chaos) decide(to Addr, packet bool) (fault string, p float64, extra time.Duration) {
-	now := c.sched().Now()
+	now := sim.OrWall(c.Sched).Now()
 	c.mu.Lock()
 	if packet {
 		c.stats.Packets++
@@ -160,7 +153,7 @@ func (c *Chaos) Call(to Addr, req *Message) (*Message, error) {
 		return nil, fmt.Errorf("%w: %s (chaos: %s)", ErrUnreachable, to, fault)
 	}
 	if extra > 0 {
-		c.sched().Sleep(extra)
+		sim.OrWall(c.Sched).Sleep(extra)
 	}
 	return c.inner.Call(to, req)
 }
@@ -230,7 +223,7 @@ func (c *Chaos) FailNext(addr Addr, n int) {
 // the bootstrap-outage-window fault of the churn experiments. Under a
 // virtual clock the window closes at a deterministic virtual instant.
 func (c *Chaos) OutageFor(addr Addr, d time.Duration) {
-	end := c.sched().Now() + d
+	end := sim.OrWall(c.Sched).Now() + d
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.outage[addr] = end

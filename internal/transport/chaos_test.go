@@ -176,7 +176,7 @@ func TestChaosApplySpec(t *testing.T) {
 		c.lat["a"] != 2*time.Millisecond,
 		!c.black["b"],
 		c.failNext["a"] != 3,
-		c.outage["a"] <= c.sched().Now():
+		c.outage["a"] <= sim.OrWall(c.Sched).Now():
 		c.mu.Unlock()
 		t.Fatalf("Apply left unexpected fault tables: %+v", c)
 	}

@@ -13,6 +13,8 @@ package transport
 // stream, drops return nil, and latency is an asynchronous After on the
 // way in to the inner network.
 
+import "asap/internal/sim"
+
 // PacketNetwork returns a view of inner that injects this Chaos
 // instance's faults into every datagram sent through it. The view shares
 // the fault tables and the seeded RNG with the call plane: a -chaos spec
@@ -61,7 +63,7 @@ func (p *chaosPacketConn) WriteTo(to Addr, data []byte) error {
 		// scheduler task after the extra latency has elapsed.
 		dg := newInflight("", to, data)
 		dg.fwd = p.inner
-		c.sched().After(extra, dg.run)
+		sim.OrWall(c.Sched).After(extra, dg.run)
 		return nil
 	}
 	return p.inner.WriteTo(to, data)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"asap/internal/sim"
 )
 
 // Datagram plane. The request/response Transport carries ASAP's control
@@ -127,7 +129,7 @@ func (c *memPacketConn) WriteTo(to Addr, data []byte) error {
 	// Deliver as a scheduler task so handlers may block on the
 	// scheduler; the handler is looked up at delivery time, so a socket
 	// bound (or closed) in flight behaves like the real network.
-	m.sched().After(d, dg.run)
+	sim.OrWall(m.Sched).After(d, dg.run)
 	return nil
 }
 
@@ -156,31 +158,20 @@ const inflightKeepCap = 4096
 // once is garbage once it has drained, not a permanent reserve.
 const maxFreeInflight = 1024
 
-// inflightFree recycles records. It is a plain free list, not a
-// sync.Pool: a collection empties a Pool, so the first datagrams after
-// every GC paid an allocation each, and the Pool's per-P queues grew
-// back by an amount that depended on which P each record was returned
-// on. The list survives collections, and its Get/Put order is the
-// delivery order, so a virtual-clock run allocates the same records on
-// every run.
+// inflightFree recycles records.
 var inflightFree struct {
 	sync.Mutex
-	recs []*inflight
+	sim.FreeList[*inflight]
 }
 
 // newInflight returns a recycled record holding a copy of data. The
 // caller sets the sink and schedules in.run exactly once; arrive
 // recycles it.
 func newInflight(from, to Addr, data []byte) *inflight {
-	var in *inflight
 	inflightFree.Lock()
-	if n := len(inflightFree.recs); n > 0 {
-		in = inflightFree.recs[n-1]
-		inflightFree.recs[n-1] = nil
-		inflightFree.recs = inflightFree.recs[:n-1]
-	}
+	in, ok := inflightFree.Get()
 	inflightFree.Unlock()
-	if in == nil {
+	if !ok {
 		in = new(inflight)
 		in.run = in.arrive
 	}
@@ -209,9 +200,7 @@ func (in *inflight) arrive() {
 		in.data = nil
 	}
 	inflightFree.Lock()
-	if len(inflightFree.recs) < maxFreeInflight {
-		inflightFree.recs = append(inflightFree.recs, in)
-	}
+	inflightFree.Put(in, maxFreeInflight)
 	inflightFree.Unlock()
 }
 

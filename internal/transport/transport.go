@@ -93,17 +93,6 @@ func NewMem() *Mem {
 	return &Mem{handlers: make(map[Addr]Handler)}
 }
 
-// wallFallback is the shared real-time scheduler used by components that
-// were not given one explicitly.
-var wallFallback = sim.NewWall()
-
-func (m *Mem) sched() sim.Scheduler {
-	if m.Sched != nil {
-		return m.Sched
-	}
-	return wallFallback
-}
-
 // Serve implements Transport.
 func (m *Mem) Serve(addr Addr, h Handler) (Addr, error) {
 	m.mu.Lock()
@@ -157,7 +146,7 @@ func (m *Mem) Call(to Addr, req *Message) (*Message, error) {
 	if lat != nil {
 		d = lat(src, to)
 	}
-	sched := m.sched()
+	sched := sim.OrWall(m.Sched)
 	if sh != nil {
 		sFrom, sTo := sh.shardOf(src), sh.shardOf(to)
 		if sFrom != sTo {
@@ -308,13 +297,6 @@ func NewTCP() *TCP {
 	return &TCP{DialTimeout: 5 * time.Second, CallTimeout: 10 * time.Second}
 }
 
-func (t *TCP) sched() sim.Scheduler {
-	if t.Sched != nil {
-		return t.Sched
-	}
-	return wallFallback
-}
-
 // arm gives conn CallTimeout from now for whatever comes next.
 func (t *TCP) arm(conn net.Conn) {
 	if t.CallTimeout > 0 {
@@ -340,7 +322,7 @@ func (t *TCP) Serve(addr Addr, h Handler) (Addr, error) {
 	t.mu.Unlock()
 
 	t.wg.Add(1)
-	t.sched().Go(func() {
+	sim.OrWall(t.Sched).Go(func() {
 		defer t.wg.Done()
 		for {
 			conn, err := ln.Accept()
@@ -348,7 +330,7 @@ func (t *TCP) Serve(addr Addr, h Handler) (Addr, error) {
 				return // listener closed
 			}
 			t.wg.Add(1)
-			t.sched().Go(func() {
+			sim.OrWall(t.Sched).Go(func() {
 				defer t.wg.Done()
 				t.serveConn(conn, h)
 			})
@@ -478,7 +460,7 @@ func (t *TCP) exchange(conn net.Conn, to Addr, req *Message) (resp *Message, sta
 // connection after its own CallTimeout, and one about to be cut is not
 // worth a resend.
 func (t *TCP) takeIdle(to Addr) net.Conn {
-	now := t.sched().Now()
+	now := sim.OrWall(t.Sched).Now()
 	var conn net.Conn
 	var expired []net.Conn
 	t.mu.Lock()
@@ -514,7 +496,7 @@ func (t *TCP) unparkLocked(i int) net.Conn {
 // the idle list, closing the peer's oldest — or the oldest of all — when
 // that puts the list over its bounds.
 func (t *TCP) park(to Addr, conn net.Conn) {
-	now := t.sched().Now()
+	now := sim.OrWall(t.Sched).Now()
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()

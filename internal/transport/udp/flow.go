@@ -260,11 +260,7 @@ func (f *Flow) Close() error {
 // sendUnbind tells relay to drop our half of the flow. I/O only — no
 // flow state is touched (lockio: callers must not hold f.mu).
 func (f *Flow) sendUnbind(relay transport.Addr) {
-	buf := GetBuf()
-	p := Packet{Type: PTRelayUnbind, TS: f.sched.Now(), SSRC: f.ssrc}
-	buf = p.AppendTo(buf)
-	_ = f.conn.WriteTo(relay, buf)
-	PutBuf(buf)
+	_ = writePacket(f.conn, relay, Packet{Type: PTRelayUnbind, TS: f.sched.Now(), SSRC: f.ssrc})
 }
 
 // --- Discovery ---
@@ -284,11 +280,7 @@ func (f *Flow) Discover(stun transport.Addr) (transport.Addr, error) {
 		f.stunW = w
 		f.mu.Unlock()
 
-		buf := GetBuf()
-		req := Packet{Type: PTStunReq, Seq: seq, TS: f.sched.Now(), SSRC: f.ssrc}
-		buf = req.AppendTo(buf)
-		err := f.conn.WriteTo(stun, buf)
-		PutBuf(buf)
+		err := writePacket(f.conn, stun, Packet{Type: PTStunReq, Seq: seq, TS: f.sched.Now(), SSRC: f.ssrc})
 		if err != nil {
 			return "", err
 		}
@@ -452,11 +444,8 @@ func (f *Flow) synLoop(phase PathKind, budget time.Duration, pt PacketType) bool
 		f.mu.Unlock()
 
 		attempt++
-		buf := GetBuf()
 		p := Packet{Type: pt, Seq: attempt, TS: f.sched.Now(), SSRC: f.ssrc, Payload: payload}
-		buf = p.AppendTo(buf)
-		_ = f.conn.WriteTo(to, buf) // loss is the medium's prerogative
-		PutBuf(buf)
+		_ = writePacket(f.conn, to, p) // loss is the medium's prerogative
 
 		remaining := deadline - f.sched.Now()
 		if remaining <= 0 {
@@ -534,12 +523,7 @@ func (f *Flow) SendVoice(payload []byte) error {
 	f.sent++
 	f.mu.Unlock()
 
-	buf := GetBuf()
-	p := Packet{Type: PTVoice, Seq: seq, TS: f.sched.Now(), SSRC: f.ssrc, Payload: payload}
-	buf = p.AppendTo(buf)
-	err := f.conn.WriteTo(to, buf)
-	PutBuf(buf)
-	return err
+	return writePacket(f.conn, to, Packet{Type: PTVoice, Seq: seq, TS: f.sched.Now(), SSRC: f.ssrc, Payload: payload})
 }
 
 // Sent reports the number of voice packets sent.
@@ -602,11 +586,7 @@ func (f *Flow) kaTick() {
 	f.mu.Unlock()
 
 	if to != "" {
-		buf := GetBuf()
-		p := Packet{Type: PTKeepalive, Seq: seq, TS: f.sched.Now(), SSRC: f.ssrc}
-		buf = p.AppendTo(buf)
-		_ = f.conn.WriteTo(to, buf)
-		PutBuf(buf)
+		_ = writePacket(f.conn, to, Packet{Type: PTKeepalive, Seq: seq, TS: f.sched.Now(), SSRC: f.ssrc})
 	}
 	if fire != nil {
 		fire()
@@ -657,11 +637,7 @@ func (f *Flow) dispatch(from transport.Addr, data []byte) {
 		}
 		f.establishLocked(from, kind)
 		f.mu.Unlock()
-		buf := GetBuf()
-		ack := Packet{Type: PTAck, Seq: p.Seq, TS: f.sched.Now(), SSRC: f.ssrc}
-		buf = ack.AppendTo(buf)
-		_ = f.conn.WriteTo(from, buf)
-		PutBuf(buf)
+		_ = writePacket(f.conn, from, Packet{Type: PTAck, Seq: p.Seq, TS: f.sched.Now(), SSRC: f.ssrc})
 
 	case PTAck:
 		f.mu.Lock()

@@ -187,52 +187,52 @@ func TestRxBitmapAcrossWrap(t *testing.T) {
 }
 
 // TestBufPoolAllocs pins the pooled encode buffer at zero allocations:
-// PutBuf used to box a slice header on every call.
+// putBuf used to box a slice header on every call.
 func TestBufPoolAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	p := Packet{Type: PTVoice, Seq: 1, SSRC: 2, Payload: make([]byte, 160)}
 	n := testing.AllocsPerRun(1000, func() {
-		buf := GetBuf()
+		buf := getBuf()
 		buf = p.AppendTo(buf)
-		PutBuf(buf)
+		putBuf(buf)
 	})
 	if n != 0 {
-		t.Fatalf("GetBuf → AppendTo → PutBuf: %.2f allocs, want 0", n)
+		t.Fatalf("getBuf → AppendTo → putBuf: %.2f allocs, want 0", n)
 	}
 	// A buffer append had to grow is not the pool's array any more.
 	big := Packet{Type: PTVoice, Payload: make([]byte, 2*bufCap)}
-	buf := big.AppendTo(GetBuf())
-	PutBuf(buf)
-	if got := GetBuf(); cap(got) != bufCap {
+	buf := big.AppendTo(getBuf())
+	putBuf(buf)
+	if got := getBuf(); cap(got) != bufCap {
 		t.Fatalf("pool handed out a %d-byte buffer, want %d", cap(got), bufCap)
 	}
 }
 
-// TestBufAllocsSurviveGC: a GetBuf/PutBuf pair allocates nothing across
+// TestBufAllocsSurviveGC: a getBuf/putBuf pair allocates nothing across
 // garbage collections. A sync.Pool is emptied by two collections in a
 // row (one moves it to the victim cache, the next drops it), so the
-// first GetBuf after them allocated a fresh 2 KB array; the benchmark
+// first getBuf after them allocated a fresh 2 KB array; the benchmark
 // collects before every repetition.
 func TestBufAllocsSurviveGC(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	PutBuf(GetBuf())
+	putBuf(getBuf())
 	var before, after runtime.MemStats
 	var n uint64
 	for i := 0; i < 20; i++ {
 		runtime.GC() // collections allocate themselves: count outside them
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		PutBuf(GetBuf())
+		putBuf(getBuf())
 		runtime.ReadMemStats(&after)
 		n += after.Mallocs - before.Mallocs
 	}
 	if n != 0 {
-		t.Fatalf("GetBuf → PutBuf after two collections: %d allocs in 20 pairs, want 0", n)
+		t.Fatalf("getBuf → putBuf after two collections: %d allocs in 20 pairs, want 0", n)
 	}
 }
 

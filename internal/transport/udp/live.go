@@ -29,17 +29,6 @@ type Live struct {
 // NewLive returns a real-UDP packet network.
 func NewLive() *Live { return &Live{} }
 
-// wallFallback is the shared real-time scheduler used when none is
-// injected.
-var wallFallback = sim.NewWall()
-
-func (l *Live) sched() sim.Scheduler {
-	if l.Sched != nil {
-		return l.Sched
-	}
-	return wallFallback
-}
-
 // ListenPacket implements transport.PacketNetwork: it binds a UDP socket
 // on addr (e.g. "127.0.0.1:0") and pumps every inbound datagram through
 // h from a dedicated reader goroutine with pooled buffers.
@@ -62,7 +51,7 @@ func (l *Live) ListenPacket(addr transport.Addr, h transport.PacketHandler) (tra
 	l.mu.Unlock()
 
 	l.wg.Add(1)
-	l.sched().Go(func() {
+	sim.OrWall(l.Sched).Go(func() {
 		defer l.wg.Done()
 		buf := make([]byte, MaxDatagramSize)
 		for {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"asap/internal/sim"
 	"asap/internal/transport"
 )
 
@@ -45,14 +46,14 @@ func TestLiveLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = stun.Close() }()
-	relay, err := NewRelayServerWith(lnet, "127.0.0.1:0", wallFallback, RelayConfig{})
+	relay, err := NewRelayServerWith(lnet, "127.0.0.1:0", sim.OrWall(nil), RelayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = relay.Close() }()
 
 	cfg := DefaultConfig()
-	ep, err := NewEndpoint(lnet, wallFallback, cfg)
+	ep, err := NewEndpoint(lnet, sim.OrWall(nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,9 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"asap/internal/sim"
+	"asap/internal/transport"
 )
 
 // PacketType tags one datagram's role on the wire.
@@ -117,7 +120,7 @@ type Packet struct {
 }
 
 // AppendTo appends the packet's wire form to dst and returns the
-// extended slice. With a pooled buffer from GetBuf the hot voice path
+// extended slice. With a recycled buffer from getBuf the hot voice path
 // encodes with zero heap allocations.
 func (p *Packet) AppendTo(dst []byte) []byte {
 	var hdr [headerLen]byte
@@ -148,7 +151,7 @@ func Parse(data []byte) (Packet, error) {
 	return p, nil
 }
 
-// bufCap is the capacity of every pooled buffer: room for a typical
+// bufCap is the capacity of every recycled buffer: room for a typical
 // voice packet (37 to 177 bytes on the benchmark) with a wide margin.
 const bufCap = 2048
 
@@ -157,47 +160,46 @@ const bufCap = 2048
 // list covers every send path; the rest of a burst is garbage.
 const maxFreeBufs = 64
 
-// bufFree recycles encode buffers. Voice streams at 50 packets per
-// second per flow; without recycling every packet costs a fresh 2 KB
-// allocation on the send path. It is a plain free list, not a
-// sync.Pool, for the reasons transport's in-flight records are: a
-// collection empties a Pool, and a buffer put back on one P's cache is
-// not found by a Get on another, so a send path whose task moves between
-// goroutines allocated fresh arrays after every GC. It holds pointers to
-// fixed-size arrays, so neither GetBuf nor PutBuf allocates.
+// bufFree recycles encode buffers (a sim.FreeList). Voice streams at 50
+// packets per second per flow; without recycling every packet costs a
+// fresh 2 KB allocation on the send path. It holds pointers to
+// fixed-size arrays, so neither getBuf nor putBuf allocates.
 var bufFree struct {
 	sync.Mutex
-	bufs []*[bufCap]byte
+	sim.FreeList[*[bufCap]byte]
 }
 
-// GetBuf returns an empty recycled buffer with room for a typical voice
-// packet. Return it with PutBuf when the datagram has been handed off.
-func GetBuf() []byte {
-	var b *[bufCap]byte
+// getBuf returns an empty recycled buffer with room for a typical voice
+// packet. Return it with putBuf when the datagram has been handed off.
+func getBuf() []byte {
 	bufFree.Lock()
-	if n := len(bufFree.bufs); n > 0 {
-		b = bufFree.bufs[n-1]
-		bufFree.bufs[n-1] = nil
-		bufFree.bufs = bufFree.bufs[:n-1]
-	}
+	b, ok := bufFree.Get()
 	bufFree.Unlock()
-	if b == nil {
+	if !ok {
 		b = new([bufCap]byte)
 	}
 	return b[:0]
 }
 
-// PutBuf recycles a buffer obtained from GetBuf; neither call allocates
+// putBuf recycles a buffer obtained from getBuf; neither call allocates
 // once the list is warm. A buffer that append grew past bufCap is a
 // different array and is left to the collector, so one jumbo datagram
 // does not pin memory forever.
-func PutBuf(b []byte) {
+func putBuf(b []byte) {
 	if cap(b) != bufCap {
 		return
 	}
 	bufFree.Lock()
-	if len(bufFree.bufs) < maxFreeBufs {
-		bufFree.bufs = append(bufFree.bufs, (*[bufCap]byte)(b[:bufCap]))
-	}
+	bufFree.Put((*[bufCap]byte)(b[:bufCap]), maxFreeBufs)
 	bufFree.Unlock()
+}
+
+// writePacket encodes p into a recycled buffer, writes it to to and
+// recycles the buffer. WriteTo does not keep the slice (transport.
+// PacketConn), so the buffer is free again as soon as it returns.
+func writePacket(conn transport.PacketConn, to transport.Addr, p Packet) error {
+	buf := p.AppendTo(getBuf())
+	err := conn.WriteTo(to, buf)
+	putBuf(buf)
+	return err
 }

@@ -414,19 +414,12 @@ func (r *RelayServer) handleBind(from transport.Addr, p Packet) {
 		return // first binder waits; its retries keep the bind alive
 	}
 	// Confirm to both parties (idempotent: bind retries re-confirm).
-	buf := GetBuf()
 	resp := Packet{Type: PTRelayBound, Seq: p.Seq, SSRC: p.SSRC}
-	buf = resp.AppendTo(buf)
-	_ = r.conn.WriteTo(a, buf)
-	_ = r.conn.WriteTo(b, buf)
-	PutBuf(buf)
+	_ = writePacket(r.conn, a, resp)
+	_ = writePacket(r.conn, b, resp)
 }
 
 // reject answers one refused bind.
 func (r *RelayServer) reject(to transport.Addr, p Packet) {
-	buf := GetBuf()
-	resp := Packet{Type: PTRelayReject, Seq: p.Seq, SSRC: p.SSRC}
-	buf = resp.AppendTo(buf)
-	_ = r.conn.WriteTo(to, buf)
-	PutBuf(buf)
+	_ = writePacket(r.conn, to, Packet{Type: PTRelayReject, Seq: p.Seq, SSRC: p.SSRC})
 }

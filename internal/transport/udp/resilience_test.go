@@ -233,13 +233,10 @@ func TestRelaySoakChurnQuotaAndSpoof(t *testing.T) {
 		}
 		for j := 0; j < 5; j++ {
 			token := relay.Allocate()
-			buf := GetBuf()
 			p := Packet{Type: PTRelayBind, Seq: 1, SSRC: token, Payload: RelayProof(secret, token)}
-			buf = p.AppendTo(buf)
-			if err := greedy.conn.WriteTo(relay.Addr(), buf); err != nil {
+			if err := writePacket(greedy.conn, relay.Addr(), p); err != nil {
 				t.Fatal(err)
 			}
-			PutBuf(buf)
 			clk.Sleep(10 * time.Millisecond)
 		}
 	})
@@ -255,13 +252,10 @@ func TestRelaySoakChurnQuotaAndSpoof(t *testing.T) {
 			t.Fatal(err)
 		}
 		const token = 0xDEADBEEF // deliberately never allocated
-		buf := GetBuf()
 		p := Packet{Type: PTRelayBind, Seq: 1, SSRC: token, Payload: []byte("not-the-proof-you-want")}
-		buf = p.AppendTo(buf)
-		if err := mallory.conn.WriteTo(relay.Addr(), buf); err != nil {
+		if err := writePacket(mallory.conn, relay.Addr(), p); err != nil {
 			t.Fatal(err)
 		}
-		PutBuf(buf)
 		clk.Sleep(10 * time.Millisecond)
 	})
 	if relay.AuthRejections() == 0 {

@@ -46,9 +46,5 @@ func (s *STUNServer) handle(from transport.Addr, data []byte) {
 		return // not ours; datagrams from strangers are dropped silently
 	}
 	<-s.bound
-	buf := GetBuf()
-	resp := Packet{Type: PTStunResp, Seq: p.Seq, SSRC: p.SSRC, Payload: []byte(from)}
-	buf = resp.AppendTo(buf)
-	_ = s.conn.WriteTo(from, buf)
-	PutBuf(buf)
+	_ = writePacket(s.conn, from, Packet{Type: PTStunResp, Seq: p.Seq, SSRC: p.SSRC, Payload: []byte(from)})
 }

@@ -50,7 +50,7 @@ func TestPacketParseRejects(t *testing.T) {
 
 func TestPacketEmptyPayload(t *testing.T) {
 	p := Packet{Type: PTSyn, Seq: 7, SSRC: 9}
-	got, err := Parse(p.AppendTo(GetBuf()))
+	got, err := Parse(p.AppendTo(getBuf()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,13 +399,9 @@ func TestRelayImpostorIgnored(t *testing.T) {
 	b.SetVoiceHandler(func(Packet, transport.Addr) { heardB++ })
 	mallory.SetVoiceHandler(func(Packet, transport.Addr) { heardM++ })
 	bind := func(f *Flow) {
-		buf := GetBuf()
-		p := Packet{Type: PTRelayBind, Seq: 1, SSRC: token}
-		buf = p.AppendTo(buf)
-		if err := f.conn.WriteTo(w.relay.Addr(), buf); err != nil {
+		if err := writePacket(f.conn, w.relay.Addr(), Packet{Type: PTRelayBind, Seq: 1, SSRC: token}); err != nil {
 			t.Error(err)
 		}
-		PutBuf(buf)
 	}
 	w.clk.RunTask(func() {
 		bind(a)
@@ -414,13 +410,10 @@ func TestRelayImpostorIgnored(t *testing.T) {
 		bind(mallory) // tries to take over the bound flow
 		w.clk.Sleep(50 * time.Millisecond)
 		// Voice from a must forward to b, never to mallory.
-		buf := GetBuf()
 		p := Packet{Type: PTVoice, Seq: 1, TS: w.clk.Now(), SSRC: token, Payload: []byte("x")}
-		buf = p.AppendTo(buf)
-		if err := a.conn.WriteTo(w.relay.Addr(), buf); err != nil {
+		if err := writePacket(a.conn, w.relay.Addr(), p); err != nil {
 			t.Fatal(err)
 		}
-		PutBuf(buf)
 		w.clk.Sleep(50 * time.Millisecond)
 	})
 	if heardB != 1 || heardM != 0 {
@@ -429,14 +422,14 @@ func TestRelayImpostorIgnored(t *testing.T) {
 }
 
 func TestBufPool(t *testing.T) {
-	b := GetBuf()
+	b := getBuf()
 	if len(b) != 0 {
 		t.Errorf("pooled buffer not empty: len %d", len(b))
 	}
 	b = append(b, 1, 2, 3)
-	PutBuf(b)
-	PutBuf(make([]byte, 0, 128<<10)) // oversized: dropped, not pooled
-	b2 := GetBuf()
+	putBuf(b)
+	putBuf(make([]byte, 0, 128<<10)) // oversized: dropped, not pooled
+	b2 := getBuf()
 	if len(b2) != 0 {
 		t.Errorf("recycled buffer not reset: len %d", len(b2))
 	}
