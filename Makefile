@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate digests bench-scale race-dataplane test-experiments goldens profile chaos check print-staticcheck-version print-govulncheck-version
+.PHONY: build loc test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate digests bench-scale race-dataplane test-experiments goldens examples profile chaos check print-staticcheck-version print-govulncheck-version
 
 build:
 	$(GO) build ./...
@@ -202,6 +202,17 @@ goldens:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run ./cmd/asapsim -profile small -figs all -csv "$$dir" >/dev/null && \
 	diff -rq results/small "$$dir" && echo "goldens: results/small matches"
+
+# examples runs the four examples that live on the virtual clock and
+# fails if any prints a byte other than its tracked
+# results/examples/<name>.txt: an example whose output moved must be
+# re-tracked in the PR that moved it. livenet uses real TCP and is not
+# pinned.
+EXAMPLES = quickstart callcenter churn failover
+examples:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for e in $(EXAMPLES); do $(GO) run ./examples/$$e > "$$dir/$$e.txt" || exit 1; done && \
+	diff -r results/examples "$$dir" && echo "examples: results/examples matches"
 
 # profile regenerates the small-profile comparison figures with CPU and
 # heap profiling enabled; inspect with `go tool pprof cpu.prof`.

@@ -279,7 +279,7 @@ func run(args []string) error {
 				if mc != nil {
 					// Short unmonitored calls still prove the media path:
 					// stream one second of voice and report what arrived.
-					streamBurst(mc, []byte(*say), *mediaRate, time.Second)
+					streamVoice(mc, []byte(*say), *mediaRate, time.Second, nil)
 					printMediaStats(mc)
 				}
 				return nil
@@ -421,20 +421,7 @@ func runMonitoredCall(node *core.Node, callee transport.Addr, choice *core.Relay
 		})
 		stopStream := make(chan struct{})
 		defer close(stopStream)
-		go func() {
-			t := time.NewTicker(rate)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopStream:
-					return
-				case <-t.C:
-					if err := mc.Flow().SendVoice(payload); err != nil {
-						return
-					}
-				}
-			}
-		}()
+		go streamVoice(mc, payload, rate, 0, stopStream)
 	}
 	mgr.Start()
 	fmt.Printf("  session %d open (probe %v, keepalive %v, detection window %v)\n",
@@ -479,14 +466,20 @@ func runMonitoredCall(node *core.Node, callee transport.Addr, choice *core.Relay
 	}
 }
 
-// streamBurst sends voice on the media call at the given spacing for
-// roughly the given duration.
-func streamBurst(mc *core.MediaCall, payload []byte, rate, dur time.Duration) {
+// streamVoice sends voice on the media call at the given spacing until
+// stop closes or, when dur > 0, roughly dur has passed. A failed send
+// ends the stream too.
+func streamVoice(mc *core.MediaCall, payload []byte, rate, dur time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(rate)
 	defer t.Stop()
-	end := time.After(dur)
+	var end <-chan time.Time
+	if dur > 0 {
+		end = time.After(dur)
+	}
 	for {
 		select {
+		case <-stop:
+			return
 		case <-end:
 			return
 		case <-t.C:

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"asap/internal/session"
-	"asap/internal/sim"
 	"asap/internal/transport"
 	"asap/internal/transport/udp"
 )
@@ -108,8 +107,9 @@ func (n *Node) newMediaToken() uint32 {
 }
 
 // MediaCall is one live voice flow between this node and a peer: the
-// underlying UDP flow, the traversal outcome, and the discovered
-// external address.
+// underlying UDP flow, which holds the ladder's rung, relay, external
+// address and outcome, and the handshake that drives it — the peer, the
+// token (the flow's SSRC), the epoch counter and which side calls.
 type MediaCall struct {
 	node     *Node
 	cfg      *MediaConfig // the node's media wiring when the call was opened
@@ -118,12 +118,7 @@ type MediaCall struct {
 	isCaller bool           // callers drive re-establishment; callees follow
 
 	mu     sync.Mutex
-	ext    transport.Addr // our STUN-discovered external media address
-	relay  transport.Addr // current voice relay (moves on re-establish)
-	rounds uint32         // handshake rounds begun: MsgMediaSetup epochs 0..rounds-1
-	path   udp.PathKind
-	err    error
-	done   sim.Waiter
+	rounds uint32 // handshake rounds begun: MsgMediaSetup epochs 0..rounds-1
 }
 
 // Flow exposes the call's voice flow (send, stats, voice handler).
@@ -134,37 +129,19 @@ func (mc *MediaCall) Peer() transport.Addr { return mc.peer }
 
 // External returns our discovered external media address (re-discovered
 // on every re-establishment round).
-func (mc *MediaCall) External() transport.Addr {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.ext
-}
+func (mc *MediaCall) External() transport.Addr { return mc.flow.External() }
 
-// Relay returns the voice relay the call currently binds (empty when the
-// ladder has no relay rung).
-func (mc *MediaCall) Relay() transport.Addr {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.relay
-}
+// Relay returns the voice relay of the call's latest ladder run (empty
+// when it had no relay rung).
+func (mc *MediaCall) Relay() transport.Addr { return mc.flow.Relay() }
 
 // Reestablishments reports how many mid-call re-establishments the
 // call's flow has completed.
 func (mc *MediaCall) Reestablishments() int64 { return mc.flow.Reestablishments() }
 
-// Path returns the traversal outcome (PathNone while climbing).
-func (mc *MediaCall) Path() udp.PathKind {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.path
-}
-
-// Established reports whether voice can flow.
-func (mc *MediaCall) Established() bool {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.path != udp.PathNone && mc.err == nil
-}
+// Path returns the rung the call's flow is established on (PathNone
+// while it climbs).
+func (mc *MediaCall) Path() udp.PathKind { return mc.flow.Path() }
 
 // WaitEstablished parks the calling scheduler task until the traversal
 // ladder finishes (or timeout elapses; timeout < 0 waits forever) and
@@ -172,21 +149,11 @@ func (mc *MediaCall) Established() bool {
 // SetupMedia already blocks — but the callee's ladder runs in the
 // background, so callee code waits here before streaming.
 func (mc *MediaCall) WaitEstablished(timeout time.Duration) (udp.PathKind, error) {
-	mc.mu.Lock()
-	if mc.path == udp.PathNone && mc.err == nil {
-		if mc.done == nil {
-			mc.done = mc.node.sched.NewWaiter()
-		}
-		w := mc.done
-		mc.mu.Unlock()
-		w.Wait(timeout)
-		mc.mu.Lock()
-	}
-	defer mc.mu.Unlock()
-	if mc.path == udp.PathNone && mc.err == nil {
+	kind, err := mc.flow.Wait(timeout)
+	if kind == udp.PathNone && err == nil {
 		return udp.PathNone, fmt.Errorf("core: media establishment timed out")
 	}
-	return mc.path, mc.err
+	return kind, err
 }
 
 // Close tears the call down: forgets it on the node and shuts the flow's
@@ -206,7 +173,7 @@ func (mc *MediaCall) Close() error {
 // measured media loss and jitter, not just control-plane probes.
 func (mc *MediaCall) MediaSource() session.MediaSource {
 	return func() (session.MediaStats, bool) {
-		if !mc.Established() {
+		if mc.Path() == udp.PathNone {
 			return session.MediaStats{}, false
 		}
 		st := mc.flow.Stats()
@@ -278,12 +245,11 @@ func (n *Node) openMediaCall(token uint32, peer transport.Addr, isCaller bool) (
 	if len(cfg.RelayKey) > 0 {
 		flow.SetRelayAuth(udp.RelayProof(cfg.RelayKey, token))
 	}
-	ext, err := flow.Discover(cfg.STUN)
-	if err != nil {
+	if _, err := flow.Discover(cfg.STUN); err != nil {
 		_ = flow.Close()
 		return nil, fmt.Errorf("core: media discovery: %w", err)
 	}
-	mc := &MediaCall{node: n, cfg: cfg, flow: flow, peer: peer, isCaller: isCaller, ext: ext}
+	mc := &MediaCall{node: n, cfg: cfg, flow: flow, peer: peer, isCaller: isCaller}
 	n.mu.Lock()
 	closed, other := n.closed, n.mediaCalls[token]
 	if !closed && other == nil {
@@ -312,9 +278,6 @@ func (mc *MediaCall) offerAddr(epoch uint32) (transport.Addr, error) {
 	if err != nil {
 		return "", fmt.Errorf("core: media re-discovery: %w", err)
 	}
-	mc.mu.Lock()
-	mc.ext = ext
-	mc.mu.Unlock()
 	return ext, nil
 }
 
@@ -340,34 +303,18 @@ func (mc *MediaCall) negotiate(relay transport.Addr) (udp.PathKind, error) {
 	if err != nil {
 		return udp.PathNone, fmt.Errorf("core: media setup: %w", err)
 	}
-	return mc.climb(epoch, resp.MediaAddr, relay, true)
+	return mc.climb(resp.MediaAddr, relay)
 }
 
-// climb runs this side's half of round epoch's ladder — round 0
-// establishes the flow, later rounds re-establish it in place — records
-// the outcome, wakes any waiter and, on success, arms the keepalive.
-func (mc *MediaCall) climb(epoch uint32, peerExt, relay transport.Addr, caller bool) (udp.PathKind, error) {
+// climb runs this side's half of the current round's ladder against
+// relay (empty = the configured relay) — the flow tells a first climb
+// from a re-climb and records the outcome — and, on success, arms the
+// keepalive.
+func (mc *MediaCall) climb(peerExt, relay transport.Addr) (udp.PathKind, error) {
 	if relay == "" {
 		relay = mc.cfg.Relay
 	}
-	var kind udp.PathKind
-	var err error
-	if epoch == 0 {
-		kind, err = mc.flow.Establish(peerExt, relay, caller)
-	} else {
-		kind, err = mc.flow.Reestablish(peerExt, relay, caller)
-	}
-	mc.mu.Lock()
-	mc.path, mc.err = kind, err
-	if err == nil {
-		mc.relay = relay
-	}
-	w := mc.done
-	mc.done = nil
-	mc.mu.Unlock()
-	if w != nil {
-		w.Wake()
-	}
+	kind, err := mc.flow.Establish(peerExt, relay, mc.isCaller)
 	if err != nil {
 		return kind, fmt.Errorf("core: media path: %w", err)
 	}
@@ -424,8 +371,9 @@ func (n *Node) handleMediaSetup(from transport.Addr, req *transport.Message) (*t
 			return nil, err
 		}
 	}
+	ext := mc.External()
 	mc.mu.Lock()
-	ext, begun := mc.ext, req.MediaEpoch < mc.rounds
+	begun := req.MediaEpoch < mc.rounds
 	mc.rounds = max(mc.rounds, req.MediaEpoch+1)
 	mc.mu.Unlock()
 	if !begun {
@@ -433,11 +381,11 @@ func (n *Node) handleMediaSetup(from transport.Addr, req *transport.Message) (*t
 		if ext, err = mc.offerAddr(req.MediaEpoch); err != nil {
 			return nil, err
 		}
-		epoch, peerExt, relay := req.MediaEpoch, req.MediaAddr, req.MediaRelay
+		peerExt, relay := req.MediaAddr, req.MediaRelay
 		if n.bgStart() {
 			n.sched.Go(func() {
 				defer n.bgDone()
-				_, _ = mc.climb(epoch, peerExt, relay, false)
+				_, _ = mc.climb(peerExt, relay)
 			})
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -240,6 +241,137 @@ func TestMediaLossFeedsSessionMOS(t *testing.T) {
 		stream() // tick 4: clean again
 		if got := s.LastMOS(); got < cleanMOS-0.3 {
 			t.Errorf("MOS %.2f after loss cleared, want ~%.2f", got, cleanMOS)
+		}
+	})
+}
+
+// plainMediaPair boots w and returns a caller and a callee whose media
+// sockets bind on pub with no NAT between them, and a relay rung. Must
+// run inside a task.
+func plainMediaPair(t *testing.T, w *mediaWorld, pub transport.PacketNetwork) (caller, callee *Node) {
+	t.Helper()
+	w.boot(t)
+	caller = w.node(t, "c", "10.100.0.1", 1)
+	callee = w.node(t, "d", "10.200.0.1", 2)
+	for i, n := range []*Node{caller, callee} {
+		if err := n.EnableMedia(MediaConfig{
+			Net: pub, ListenHost: []string{"10.0.0.2", "10.0.0.3"}[i], BasePort: 6000,
+			STUN: w.stun.Addr(), Relay: w.rly.Addr(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return caller, callee
+}
+
+// calleeCallDuringSetup starts caller.SetupMedia in its own task and
+// returns the callee's half of the call as soon as it exists, while its
+// ladder is still climbing.
+func calleeCallDuringSetup(t *testing.T, w *mediaWorld, caller, callee *Node) *MediaCall {
+	t.Helper()
+	w.clk.Go(func() {
+		if _, err := caller.SetupMedia(callee.Addr()); err != nil {
+			t.Errorf("setup media: %v", err)
+		}
+	})
+	for i := 0; i < 1000; i++ {
+		if cmc := callee.MediaCallWith(caller.Addr()); cmc != nil {
+			return cmc
+		}
+		w.clk.Sleep(time.Millisecond)
+	}
+	t.Fatal("callee never opened its half of the call")
+	return nil
+}
+
+// TestMediaWaitAfterTimeout: a WaitEstablished that timed out does not
+// spoil the next one, which returns the rung the ladder lands on.
+func TestMediaWaitAfterTimeout(t *testing.T) {
+	w := newMediaWorld(t)
+	w.clk.RunTask(func() {
+		caller, callee := plainMediaPair(t, w, w.pub)
+		defer caller.Close()
+		defer callee.Close()
+		cmc := calleeCallDuringSetup(t, w, caller, callee)
+		if k, err := cmc.WaitEstablished(time.Millisecond); err == nil {
+			t.Fatalf("1 ms wait = %v, want a time-out while the ladder climbs", k)
+		}
+		if k, err := cmc.WaitEstablished(5 * time.Second); err != nil || k != udp.PathDirect {
+			t.Errorf("wait after a timed-out wait = %v/%v, want direct", k, err)
+		}
+	})
+}
+
+// TestMediaWaitWakesEveryWaiter: two tasks waiting on one call both wake
+// when the ladder lands, at that instant.
+func TestMediaWaitWakesEveryWaiter(t *testing.T) {
+	w := newMediaWorld(t)
+	w.clk.RunTask(func() {
+		caller, callee := plainMediaPair(t, w, w.pub)
+		defer caller.Close()
+		defer callee.Close()
+		cmc := calleeCallDuringSetup(t, w, caller, callee)
+		start := w.clk.Now()
+		var woke []time.Duration
+		for i := 0; i < 2; i++ {
+			w.clk.Go(func() {
+				if k, err := cmc.WaitEstablished(5 * time.Second); err != nil || k != udp.PathDirect {
+					t.Errorf("waiter %d = %v/%v, want direct", i, k, err)
+				}
+				woke = append(woke, w.clk.Now()-start)
+			})
+		}
+		w.clk.Sleep(6 * time.Second)
+		if len(woke) != 2 || woke[0] != woke[1] || woke[0] >= time.Second {
+			t.Errorf("waiters woke after %v, want both at once when the ladder lands", woke)
+		}
+	})
+}
+
+// TestMediaPathAgreesWithFlow: during a re-climb the call reports what
+// its flow reports — none until the new rung lands, then that rung —
+// because the flow is the one holder of the ladder's state.
+func TestMediaPathAgreesWithFlow(t *testing.T) {
+	w := newMediaWorld(t)
+	ch := transport.NewChaos(nil, 5)
+	ch.Sched = w.clk
+	w.clk.RunTask(func() {
+		caller, callee := plainMediaPair(t, w, ch.PacketNetwork(w.pub))
+		defer caller.Close()
+		defer callee.Close()
+		mc, err := caller.SetupMedia(callee.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmc := callee.MediaCallWith(caller.Addr())
+		// Sever the direct path: the next round can only land on the relay.
+		w.clk.Sleep(100 * time.Millisecond)
+		ch.Blackhole(mc.Flow().LocalAddr())
+		ch.Blackhole(cmc.Flow().LocalAddr())
+		done := false
+		w.clk.Go(func() {
+			if k, err := mc.Reestablish(w.rly.Addr()); err != nil {
+				t.Errorf("reestablish = %v/%v", k, err)
+			}
+			done = true
+		})
+		// The rungs the call reports, each run of equal reads counted once.
+		steps := []udp.PathKind{mc.Path()}
+		for !done {
+			w.clk.Sleep(10 * time.Millisecond)
+			k := mc.Path()
+			if fk := mc.Flow().Path(); k != fk {
+				t.Fatalf("call path %v, flow path %v: they must agree", k, fk)
+			}
+			if k != steps[len(steps)-1] {
+				steps = append(steps, k)
+			}
+		}
+		if want := []udp.PathKind{udp.PathDirect, udp.PathNone, udp.PathRelayed}; !slices.Equal(steps, want) {
+			t.Errorf("path steps %v, want %v", steps, want)
+		}
+		if mc.Relay() != w.rly.Addr() || mc.Reestablishments() != 1 {
+			t.Errorf("relay %q, reestablishments %d: want the relay and 1", mc.Relay(), mc.Reestablishments())
 		}
 	})
 }

@@ -76,7 +76,7 @@ func chaosTraversalOutcome(t *testing.T, ta, tb Type, loss float64, seed int64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	token := relay.Allocate()
+	const token = 1
 	fa, err := epA.Open("10.0.0.2:5000", token)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestOutageOverPunchFallsToRelay(t *testing.T) {
 		cfg := udp.DefaultConfig()
 		epA, _ := udp.NewEndpoint(boxA, clk, cfg)
 		epB, _ := udp.NewEndpoint(boxB, clk, cfg)
-		token := relay.Allocate()
+		const token = 1
 		fa, _ := epA.Open("10.0.0.2:5000", token)
 		fb, _ := epB.Open("192.168.1.2:5000", token)
 

@@ -62,7 +62,7 @@ func traversalOutcome(t *testing.T, ta, tb Type, seed int64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	token := relay.Allocate()
+	const token = 1
 	fa, err := epA.Open("10.0.0.2:5000", token)
 	if err != nil {
 		t.Fatal(err)

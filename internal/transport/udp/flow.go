@@ -126,6 +126,7 @@ func (e *Endpoint) Open(local transport.Addr, ssrc uint32) (*Flow, error) {
 		cfg:   e.cfg,
 		ssrc:  ssrc,
 	}
+	f.waiters = f.waitBuf[:0]
 	conn, err := e.pnet.ListenPacket(local, f.dispatch)
 	if err != nil {
 		return nil, err
@@ -135,8 +136,10 @@ func (e *Endpoint) Open(local transport.Addr, ssrc uint32) (*Flow, error) {
 }
 
 // Flow is one call's voice stream: a socket, a peer (once established),
-// and receiver-side accounting. Establish and Discover block the
-// calling scheduler task; SendVoice never blocks.
+// and receiver-side accounting. It is the one holder of its ladder's
+// state: rung, relay, external address and each run's outcome.
+// Establish, Wait and Discover block the calling scheduler task;
+// SendVoice never blocks.
 type Flow struct {
 	conn  transport.PacketConn
 	sched sim.Scheduler
@@ -145,19 +148,23 @@ type Flow struct {
 
 	mu          sync.Mutex
 	closed      bool
+	entered     bool // Establish was called: every later call re-climbs
 	established bool
-	climbing    bool // a ladder run (enterLadder) is in progress
+	climbing    bool // a ladder run is in progress
 	path        PathKind
 	phase       PathKind       // ladder rung currently being attempted
 	peer        transport.Addr // voice destination (peer or relay)
-	relay       transport.Addr
-	relayProof  []byte     // HMAC flow-token proof carried in PTRelayBind
-	relayReject bool       // relay refused our bind (quota or auth)
-	estW        sim.Waiter // armed by the phase loops, woken on establish
+	relay       transport.Addr // the relay rung of the latest run
+	relayProof  []byte         // HMAC flow-token proof carried in PTRelayBind
+	relayReject bool           // relay refused our bind (quota or auth)
+	runErr      error          // how the latest finished run failed (nil: it landed)
+	estW        sim.Waiter     // armed by the phase loops, woken on establish
+	waiters     []sim.Waiter   // tasks parked in Wait for the ladder's outcome
+	waitBuf     [1]sim.Waiter  // backs waiters: one parked task allocates no slice
 
-	stunW    sim.Waiter
-	stunSeq  uint32
-	stunAddr transport.Addr
+	stunW   sim.Waiter
+	stunSeq uint32
+	ext     transport.Addr // the latest STUN answer: this socket's external address
 
 	seq     uint32 // next voice sequence number
 	sent    int64
@@ -182,11 +189,28 @@ func (f *Flow) LocalAddr() transport.Addr { return f.conn.LocalAddr() }
 // SSRC returns the flow identity.
 func (f *Flow) SSRC() uint32 { return f.ssrc }
 
-// Path returns the established path kind (PathNone before Establish).
+// Path returns the rung the flow is established on: PathNone until the
+// ladder lands, and again for the whole of every re-climb until it does.
 func (f *Flow) Path() PathKind {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.path
+}
+
+// Relay returns the relay rung of the latest ladder run (empty when that
+// run had no relay rung, or before the first).
+func (f *Flow) Relay() transport.Addr {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.relay
+}
+
+// External returns the socket's external address as the latest
+// Discover learned it (empty before the first answer).
+func (f *Flow) External() transport.Addr {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ext
 }
 
 // Peer returns the current voice destination.
@@ -224,9 +248,9 @@ func (f *Flow) Reestablishments() int64 {
 
 // Close shuts the flow down: it releases any relay binding (PTRelayUnbind,
 // so the relay reclaims the flow entry immediately instead of waiting for
-// TTL expiry), stops the keepalive timer, wakes every parked ladder or
-// discovery task, and closes the socket. Close is idempotent and safe to
-// call concurrently with Establish, Reestablish, dispatch and keepalive
+// TTL expiry), stops the keepalive timer, wakes every parked ladder,
+// discovery or Wait task, and closes the socket. Close is idempotent and
+// safe to call concurrently with Establish, dispatch and keepalive
 // ticks: the first caller wins, the rest return nil.
 func (f *Flow) Close() error {
 	f.mu.Lock()
@@ -235,6 +259,9 @@ func (f *Flow) Close() error {
 		return nil
 	}
 	f.closed = true
+	if !f.climbing {
+		f.wakeWaitersLocked() // a run in progress wakes them as it ends
+	}
 	estW, stunW, ka := f.estW, f.stunW, f.kaTimer
 	f.estW, f.stunW, f.kaTimer = nil, nil, nil
 	relay := f.relay
@@ -266,16 +293,15 @@ func (f *Flow) sendUnbind(relay transport.Addr) {
 // --- Discovery ---
 
 // Discover asks the STUN server for this socket's external address,
-// retrying lost datagrams. The answer is only meaningful for this
-// socket: NAT mappings are per-socket (and, behind a symmetric NAT,
-// per-destination — which is exactly why punching fails there and the
-// ladder needs its relay rung).
+// retrying lost datagrams, and keeps the answer for External. The
+// answer is only meaningful for this socket: NAT mappings are
+// per-socket (and, behind a symmetric NAT, per-destination — which is
+// exactly why punching fails there and the ladder needs its relay rung).
 func (f *Flow) Discover(stun transport.Addr) (transport.Addr, error) {
 	for i := 0; i < f.cfg.StunTries; i++ {
 		f.mu.Lock()
 		f.stunSeq++
 		seq := f.stunSeq
-		f.stunAddr = ""
 		w := f.sched.NewWaiter()
 		f.stunW = w
 		f.mu.Unlock()
@@ -285,12 +311,14 @@ func (f *Flow) Discover(stun transport.Addr) (transport.Addr, error) {
 			return "", err
 		}
 		if w.Wait(f.cfg.StunInterval) {
+			// Woken by the answer, or by Close.
 			f.mu.Lock()
-			addr := f.stunAddr
+			ext, closed := f.ext, f.closed
 			f.mu.Unlock()
-			if addr != "" {
-				return addr, nil
+			if closed {
+				return "", transport.ErrPacketClosed
 			}
+			return ext, nil
 		}
 	}
 	return "", fmt.Errorf("udp: discovery via %s timed out after %d tries", stun, f.cfg.StunTries)
@@ -304,32 +332,23 @@ func (f *Flow) Discover(stun transport.Addr) (transport.Addr, error) {
 // external addresses over the control plane; only the caller actively
 // Syns during the direct phase (the callee answers), then both punch
 // simultaneously, then both bind relay (empty relay = skip that rung).
-// It returns the rung the flow landed on — at once when an early Syn
-// already established the passive side.
+//
+// It is the flow's one way into the ladder, and the flow's own state
+// picks the case. The first call on a flow that an early peer Syn
+// already established returns that rung at once, without a run. Every
+// later call re-climbs in place — after a relay switch or keepalive
+// silence — and the socket, SSRC, send sequence, receive accounting and
+// keepalive survive, so RFC 3550 stats span the switch. A replaced relay
+// is unbound, and a re-climb that lands counts in Reestablishments. A
+// call while a run is in progress is refused rather than queued; control
+// retries re-invoke on their own cadence. Every outcome wakes the tasks
+// parked in Wait.
 func (f *Flow) Establish(peer, relay transport.Addr, caller bool) (PathKind, error) {
-	return f.enterLadder(peer, relay, caller, false)
-}
-
-// Reestablish re-runs the traversal ladder mid-call — after the session
-// monitor switched relays, or after keepalive silence — without tearing
-// the flow down: the socket, SSRC, send sequence and receive accounting
-// all survive, so RFC 3550 stats span the switch and the receiver sees
-// one continuous stream. peer is the peer's freshly re-discovered
-// external address; relay the (possibly new) relay. Callers re-exchange
-// addresses over the control plane first (MsgMediaSetup at the next
-// epoch), exactly as at setup.
-func (f *Flow) Reestablish(peer, relay transport.Addr, caller bool) (PathKind, error) {
-	return f.enterLadder(peer, relay, caller, true)
-}
-
-// enterLadder is the one guarded entry to climb. again (Reestablish)
-// drops the flow back to PathNone first, unbinds a replaced relay and
-// counts a successful climb. A concurrent run is refused rather than
-// queued — control retries re-invoke on their own cadence.
-func (f *Flow) enterLadder(peer, relay transport.Addr, caller, again bool) (PathKind, error) {
 	f.mu.Lock()
-	if f.established && !again {
+	if !f.entered && f.established {
+		f.entered = true
 		p := f.path
+		f.wakeWaitersLocked()
 		f.mu.Unlock()
 		return p, nil
 	}
@@ -341,41 +360,85 @@ func (f *Flow) enterLadder(peer, relay transport.Addr, caller, again bool) (Path
 		f.mu.Unlock()
 		return PathNone, fmt.Errorf("udp: flow %d establishment already in progress", f.ssrc)
 	}
-	f.climbing = true
+	reclimb := f.entered
+	f.entered, f.climbing = true, true
 	oldRelay := transport.Addr("")
-	if again {
-		if f.path == PathRelayed && f.relay != "" && f.relay != relay {
-			oldRelay = f.relay // release the dead rung's binding, best-effort
-		}
-		f.established = false
-		f.path = PathNone
-		f.phase = PathNone
-		f.silentFired = false
-		f.lastRecv = f.sched.Now() // silence clock restarts with the ladder
+	if f.path == PathRelayed && f.relay != relay {
+		oldRelay = f.relay // release the dead rung's binding, best-effort
 	}
+	f.established = false
+	f.path = PathNone
+	f.phase = PathNone
+	f.silentFired = false
+	f.lastRecv = f.sched.Now() // silence clock restarts with the ladder
 	f.relayReject = false
 	f.peer = peer
 	f.relay = relay
 	f.mu.Unlock()
-	defer func() {
-		f.mu.Lock()
-		f.climbing = false
-		f.mu.Unlock()
-	}()
 
 	if oldRelay != "" {
 		f.sendUnbind(oldRelay)
 	}
 	kind, err := f.climb(peer, relay, caller)
-	if again && err == nil {
-		f.mu.Lock()
+	f.mu.Lock()
+	f.climbing = false
+	f.runErr = err
+	if reclimb && err == nil {
 		f.reest++
-		f.mu.Unlock()
 	}
+	f.wakeWaitersLocked()
+	f.mu.Unlock()
 	return kind, err
 }
 
-// climb runs the three-rung ladder. Callers hold the climbing guard.
+// Wait parks the calling task until the ladder has an outcome, or until
+// timeout elapses (timeout < 0 waits forever), and returns it: the rung
+// once the flow is established, the error once its latest run failed,
+// transport.ErrPacketClosed once it is closed, and PathNone with a nil
+// error while there is none yet. A run in progress has no outcome, so
+// Wait reports how it ends, not how the run before it did. Any number of
+// tasks may wait at once.
+func (f *Flow) Wait(timeout time.Duration) (PathKind, error) {
+	f.mu.Lock()
+	kind, err := f.outcomeLocked()
+	if kind == PathNone && err == nil {
+		w := f.sched.NewWaiter()
+		f.waiters = append(f.waiters, w)
+		f.mu.Unlock()
+		w.Wait(timeout)
+		f.mu.Lock()
+		kind, err = f.outcomeLocked()
+	}
+	f.mu.Unlock()
+	return kind, err
+}
+
+// outcomeLocked is the ladder's outcome as Wait reports it.
+func (f *Flow) outcomeLocked() (PathKind, error) {
+	switch {
+	case f.climbing:
+		return PathNone, nil
+	case f.established:
+		return f.path, nil
+	case f.runErr != nil:
+		return PathNone, f.runErr
+	case f.closed:
+		return PathNone, transport.ErrPacketClosed
+	}
+	return PathNone, nil
+}
+
+// wakeWaitersLocked hands the ladder's outcome to every task parked in
+// Wait.
+func (f *Flow) wakeWaitersLocked() {
+	for i, w := range f.waiters {
+		w.Wake()
+		f.waiters[i] = nil
+	}
+	f.waiters = f.waiters[:0]
+}
+
+// climb runs the three-rung ladder. Establish holds the climbing guard.
 func (f *Flow) climb(peer, relay transport.Addr, caller bool) (PathKind, error) {
 	// Phase 1 — direct: only the caller sends; a callee that Syn'd too
 	// would already be punching. If the callee's NAT admits unsolicited
@@ -623,7 +686,7 @@ func (f *Flow) dispatch(from transport.Addr, data []byte) {
 	case PTStunResp:
 		f.mu.Lock()
 		if p.Seq == f.stunSeq && f.stunW != nil {
-			f.stunAddr = transport.Addr(p.Payload)
+			f.ext = transport.Addr(p.Payload)
 			f.stunW.Wake()
 			f.stunW = nil
 		}

@@ -44,7 +44,8 @@ import (
 //
 // In ASAP terms the relay is the chosen close-relay surrogate: the
 // control plane (MsgMediaSetup) distributes the token and proof; the
-// data plane here only verifies and forwards.
+// data plane here only verifies and forwards. The relay mints no
+// tokens: a flow entry comes to exist on its token's first bind.
 type RelayServer struct {
 	conn  transport.PacketConn
 	sched sim.Scheduler
@@ -54,7 +55,6 @@ type RelayServer struct {
 	closed    bool
 	flows     map[uint32]*relayFlow
 	bySource  map[string]int // live flows per binder host (quota accounting)
-	nextToken uint32
 	forwarded int64
 	expired   int64
 	quotaRej  int64
@@ -185,18 +185,6 @@ func (r *RelayServer) Close() error {
 	r.closed = true
 	r.mu.Unlock()
 	return r.conn.Close()
-}
-
-// Allocate reserves a fresh flow token. The control plane hands the
-// token to both call endpoints; binds for unallocated tokens are also
-// accepted (subject to proof and quota), so pure data-plane deployments
-// work too. Unclaimed allocations age out with everything else.
-func (r *RelayServer) Allocate() uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.nextToken++
-	r.flows[r.nextToken] = &relayFlow{lastSeen: r.sched.Now()}
-	return r.nextToken
 }
 
 // Forwarded reports the number of voice packets relayed so far.
@@ -379,23 +367,18 @@ func (r *RelayServer) handleBind(from transport.Addr, p Packet) {
 		r.reject(from, p)
 		return
 	}
-	if newFlow {
-		f = &relayFlow{}
-		r.flows[p.SSRC] = f
-	}
 	switch {
-	case f.a == "" || f.a == from:
-		if f.a == "" {
-			r.bySource[sourceHost(from)]++
-			r.eventLocked("bind", p.SSRC, from)
-		}
-		f.a = from
-	case f.b == "" || f.b == from:
-		if f.b == "" {
-			r.bySource[sourceHost(from)]++
-			r.eventLocked("bind", p.SSRC, from)
-		}
+	case newFlow:
+		f = &relayFlow{a: from}
+		r.flows[p.SSRC] = f
+		r.bySource[sourceHost(from)]++
+		r.eventLocked("bind", p.SSRC, from)
+	case rebinding:
+		// A bind retry: refresh below, and re-confirm once bound.
+	case f.b == "":
 		f.b = from
+		r.bySource[sourceHost(from)]++
+		r.eventLocked("bind", p.SSRC, from)
 	default:
 		// Two parties already hold the flow; a third is an impostor
 		// (with a valid proof it is a replaying observer — still out).

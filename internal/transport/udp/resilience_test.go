@@ -105,7 +105,7 @@ func TestFlowCloseUnbindsRelay(t *testing.T) {
 	// Closing a flow must send PTRelayUnbind so the relay reclaims the
 	// entry immediately — the leak fix independent of TTL expiry.
 	w := newWorld(t, time.Millisecond)
-	token := w.relay.Allocate()
+	const token = 1
 	ep := w.endpoint(t)
 	chaos := transport.NewChaos(nil, 3)
 	chaos.Sched = w.clk
@@ -173,7 +173,7 @@ func TestRelaySoakChurnQuotaAndSpoof(t *testing.T) {
 	const calls = 1000
 	clk.RunTask(func() {
 		for i := 0; i < calls; i++ {
-			token := relay.Allocate()
+			token := uint32(i + 1)
 			aAddr := transport.Addr("alice:" + itoa(5000+i))
 			bAddr := transport.Addr("bob:" + itoa(5000+i))
 			chaos.Blackhole(aAddr) // force every call onto the relay rung
@@ -232,7 +232,7 @@ func TestRelaySoakChurnQuotaAndSpoof(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := 0; j < 5; j++ {
-			token := relay.Allocate()
+			token := uint32(calls + 1 + j)
 			p := Packet{Type: PTRelayBind, Seq: 1, SSRC: token, Payload: RelayProof(secret, token)}
 			if err := writePacket(greedy.conn, relay.Addr(), p); err != nil {
 				t.Fatal(err)
@@ -251,7 +251,7 @@ func TestRelaySoakChurnQuotaAndSpoof(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const token = 0xDEADBEEF // deliberately never allocated
+		const token = 0xDEADBEEF // deliberately never bound
 		p := Packet{Type: PTRelayBind, Seq: 1, SSRC: token, Payload: []byte("not-the-proof-you-want")}
 		if err := writePacket(mallory.conn, relay.Addr(), p); err != nil {
 			t.Fatal(err)
@@ -355,8 +355,8 @@ func TestRelayTTLExpiryAndKeepaliveRefresh(t *testing.T) {
 		return a, b
 	}
 
-	idleA, idleB := pair("idle-a:1", "idle-b:1", relay.Allocate())
-	liveA, liveB := pair("live-a:1", "live-b:1", relay.Allocate())
+	idleA, idleB := pair("idle-a:1", "idle-b:1", 1)
+	liveA, liveB := pair("live-a:1", "live-b:1", 2)
 	liveA.StartKeepalive(100*time.Millisecond, 3, nil)
 	liveB.StartKeepalive(100*time.Millisecond, 3, nil)
 	if n := relay.LiveFlows(); n != 2 {
@@ -396,7 +396,7 @@ func TestFlowReestablishContinuity(t *testing.T) {
 	w := newWorld(t, 5*time.Millisecond)
 	chaos := transport.NewChaos(nil, 21)
 	chaos.Sched = w.clk
-	token := w.relay.Allocate()
+	const token = 1
 	ep, err := NewEndpoint(chaos.PacketNetwork(w.net), w.clk, churnConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +427,7 @@ func TestFlowReestablishContinuity(t *testing.T) {
 		done := 0
 		dw := w.clk.NewWaiter()
 		w.clk.Go(func() {
-			if k, err := a.Reestablish("bob:5000", w.relay.Addr(), true); err != nil || k != PathRelayed {
+			if k, err := a.Establish("bob:5000", w.relay.Addr(), true); err != nil || k != PathRelayed {
 				t.Errorf("caller reestablish = %v/%v, want relayed", k, err)
 			}
 			if done++; done == 2 {
@@ -435,7 +435,7 @@ func TestFlowReestablishContinuity(t *testing.T) {
 			}
 		})
 		w.clk.Go(func() {
-			if k, err := b.Reestablish("alice:5000", w.relay.Addr(), false); err != nil || k != PathRelayed {
+			if k, err := b.Establish("alice:5000", w.relay.Addr(), false); err != nil || k != PathRelayed {
 				t.Errorf("callee reestablish = %v/%v, want relayed", k, err)
 			}
 			if done++; done == 2 {
@@ -459,6 +459,165 @@ func TestFlowReestablishContinuity(t *testing.T) {
 	if a.Path() != PathRelayed || a.Peer() != w.relay.Addr() {
 		t.Errorf("caller path = %v via %q, want relayed via relay", a.Path(), a.Peer())
 	}
+}
+
+// TestFlowEstablishOneEntry: Establish is the flow's one way into the
+// ladder, and the flow's own state picks the case.
+func TestFlowEstablishOneEntry(t *testing.T) {
+	t.Run("early Syn returns at once", func(t *testing.T) {
+		w := newWorld(t, 5*time.Millisecond)
+		ep := w.endpoint(t)
+		a, _ := ep.Open("alice:5000", 3)
+		b, _ := ep.Open("bob:5000", 3)
+		w.clk.RunTask(func() {
+			// The caller's Syn lands before the callee's ladder begins.
+			if err := writePacket(a.conn, b.LocalAddr(), Packet{Type: PTSyn, Seq: 1, SSRC: 3}); err != nil {
+				t.Fatal(err)
+			}
+			w.clk.Sleep(20 * time.Millisecond)
+			start := w.clk.Now()
+			k, err := b.Establish(a.LocalAddr(), w.relay.Addr(), false)
+			if err != nil || k != PathDirect {
+				t.Errorf("establish = %v/%v, want direct at once", k, err)
+			}
+			if w.clk.Now() != start {
+				t.Errorf("establish took %v of virtual time, want none (no run)", w.clk.Now()-start)
+			}
+		})
+		if b.Reestablishments() != 0 || b.Relay() != "" {
+			t.Errorf("reestablishments %d, relay %q: want 0 and none (no run)", b.Reestablishments(), b.Relay())
+		}
+	})
+
+	t.Run("second call re-climbs in place", func(t *testing.T) {
+		w := newWorld(t, 5*time.Millisecond)
+		relay2, err := NewRelayServerWith(w.net, "relay:2", w.clk, RelayConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []RelayEvent
+		w.relay.SetEventLog(func(e RelayEvent) { events = append(events, e) })
+		chaos := transport.NewChaos(nil, 4)
+		chaos.Sched = w.clk
+		chaos.Blackhole("alice:5000") // the peers only ever meet on a relay
+		chaos.Blackhole("bob:5000")
+		ep, err := NewEndpoint(chaos.PacketNetwork(w.net), w.clk, churnConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := ep.Open("alice:5000", 5)
+		b, _ := ep.Open("bob:5000", 5)
+		var seqs []uint32
+		b.SetVoiceHandler(func(p Packet, _ transport.Addr) {
+			if p.SSRC != 5 {
+				t.Errorf("voice SSRC %d, want 5", p.SSRC)
+			}
+			seqs = append(seqs, p.Seq)
+		})
+		stream := func() {
+			w.clk.RunTask(func() {
+				for i := 0; i < 10; i++ {
+					if err := a.SendVoice([]byte("frame")); err != nil {
+						t.Fatal(err)
+					}
+					w.clk.Sleep(20 * time.Millisecond)
+				}
+				w.clk.Sleep(100 * time.Millisecond)
+			})
+		}
+		if ka, kb := establishPair(t, w, a, b, w.relay.Addr()); ka != PathRelayed || kb != PathRelayed {
+			t.Fatalf("setup paths = %v/%v, want relayed", ka, kb)
+		}
+		stream()
+		if ka, kb := establishPair(t, w, a, b, relay2.Addr()); ka != PathRelayed || kb != PathRelayed {
+			t.Fatalf("re-climb paths = %v/%v, want relayed", ka, kb)
+		}
+		stream()
+
+		if a.Peer() != relay2.Addr() || a.Relay() != relay2.Addr() {
+			t.Errorf("voice goes to %q (relay %q), want relay:2", a.Peer(), a.Relay())
+		}
+		if a.Reestablishments() != 1 || b.Reestablishments() != 1 {
+			t.Errorf("reestablishments = %d/%d, want 1/1", a.Reestablishments(), b.Reestablishments())
+		}
+		for i, seq := range seqs {
+			if seq != uint32(i+1) {
+				t.Fatalf("voice seqs %v: the send sequence must continue across the re-climb", seqs)
+			}
+		}
+		if st := b.Stats(); st.Packets != 20 || st.Lost != 0 {
+			t.Errorf("stats = %+v, want 20 packets and no loss across the switch", st)
+		}
+		unbinds := 0
+		for _, e := range events {
+			if e.Kind == "unbind" {
+				unbinds++
+			}
+		}
+		if unbinds != 1 || w.relay.LiveFlows() != 0 {
+			t.Errorf("old relay saw %d unbinds and holds %d flows, want 1 and 0", unbinds, w.relay.LiveFlows())
+		}
+	})
+
+	t.Run("concurrent call is refused", func(t *testing.T) {
+		w := newWorld(t, 5*time.Millisecond)
+		ep := w.endpoint(t)
+		a, _ := ep.Open("alice:5000", 6)
+		w.clk.RunTask(func() {
+			w.clk.Go(func() { _, _ = a.Establish("nowhere:1", "", true) })
+			w.clk.Sleep(time.Millisecond)
+			k, err := a.Establish("nowhere:1", "", true)
+			if err == nil || k != PathNone || !strings.Contains(err.Error(), "already in progress") {
+				t.Errorf("concurrent establish = %v/%v, want refused", k, err)
+			}
+			if k, err := a.Wait(-1); err == nil || k != PathNone || !strings.Contains(err.Error(), "no path") {
+				t.Errorf("wait = %v/%v, want the first run's failure", k, err)
+			}
+		})
+	})
+
+	t.Run("path reads none for the whole re-climb", func(t *testing.T) {
+		w := newWorld(t, 5*time.Millisecond)
+		chaos := transport.NewChaos(nil, 8)
+		chaos.Sched = w.clk
+		ep, err := NewEndpoint(chaos.PacketNetwork(w.net), w.clk, churnConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := ep.Open("alice:5000", 9)
+		b, _ := ep.Open("bob:5000", 9)
+		if ka, _ := establishPair(t, w, a, b, w.relay.Addr()); ka != PathDirect {
+			t.Fatalf("setup path = %v, want direct", ka)
+		}
+		w.clk.RunTask(func() { w.clk.Sleep(50 * time.Millisecond) }) // let late Syns land
+		chaos.Blackhole("alice:5000")
+		chaos.Blackhole("bob:5000")
+		var reads []PathKind
+		w.clk.RunTask(func() {
+			done := false
+			w.clk.Go(func() { _, _ = b.Establish(a.LocalAddr(), w.relay.Addr(), false) })
+			w.clk.Go(func() {
+				_, _ = a.Establish(b.LocalAddr(), w.relay.Addr(), true)
+				done = true
+			})
+			for !done {
+				w.clk.Sleep(5 * time.Millisecond)
+				reads = append(reads, a.Path())
+			}
+		})
+		landed := 0
+		for landed < len(reads) && reads[landed] == PathNone {
+			landed++
+		}
+		if landed < 10 || landed == len(reads) {
+			t.Fatalf("path reads %v: want none until the relay rung lands", reads)
+		}
+		for _, k := range reads[landed:] {
+			if k != PathRelayed {
+				t.Fatalf("path reads %v: want relayed once landed", reads)
+			}
+		}
+	})
 }
 
 func TestFlowKeepaliveSilenceEpisodes(t *testing.T) {
@@ -537,7 +696,7 @@ func TestFlowCloseRace(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			_, _ = f.Reestablish("nowhere:2", relay.Addr(), true)
+			_, _ = f.Establish("nowhere:2", relay.Addr(), true)
 		}()
 		go func() {
 			defer wg.Done()
