@@ -27,12 +27,16 @@ race-all:
 # fuzz-smoke gives each fuzzer a short budget on every run: ten seconds
 # of FuzzMessageCodec (the control-plane wire codec), then ten of
 # FuzzVoicePacket (the voice datagram parser and the relay behind it),
+# then ten each of FuzzParseAddr and FuzzParsePrefix (the address
+# parsers a join's IP and the bootstrap's prefix table go through),
 # each over its corpus plus fresh mutations. Deep fuzzing is a
-# background activity; this gate just keeps both parsers honest against
+# background activity; this gate just keeps the parsers honest against
 # the easy classes of malformed input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzMessageCodec' -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz 'FuzzVoicePacket' -fuzztime 10s ./internal/transport/udp/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseAddr$$' -fuzztime 10s ./internal/bgp/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePrefix$$' -fuzztime 10s ./internal/bgp/
 
 vet:
 	$(GO) vet ./...

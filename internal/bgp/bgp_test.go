@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -23,6 +24,79 @@ func TestAddrRoundTrip(t *testing.T) {
 	for _, s := range bad {
 		if _, err := ParseAddr(s); err == nil {
 			t.Errorf("ParseAddr(%q) should fail", s)
+		}
+	}
+}
+
+// TestParseAddrGrammar pins the dotted-quad grammar: four octets of one
+// to three ASCII digits, each at most 255. Signs and over-long octets
+// are refused with the same error as any other bad address; leading
+// zeros are decimal.
+func TestParseAddrGrammar(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Addr
+		ok   bool
+	}{
+		{"0.0.0.0", 0, true},
+		{"255.255.255.255", 0xFFFFFFFF, true},
+		{"010.0.0.1", 10<<24 | 1, true},
+		{"000.001.099.255", 1<<16 | 99<<8 | 255, true},
+		{"+10.-0.0.1", 0, false},
+		{"00000000000000000001.2.3.4", 0, false},
+		{"0001.2.3.4", 0, false},
+		{"1.2.3.+4", 0, false},
+		{"1.2.3.4.", 0, false},
+		{".1.2.3", 0, false},
+		{"1..2.3", 0, false},
+		{"1.2.3.4 ", 0, false},
+		{"1.2.3.256", 0, false},
+		{"999.0.0.0", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseAddr(c.in)
+		if !c.ok {
+			want := fmt.Sprintf("bgp: invalid address %q", c.in)
+			if err == nil || err.Error() != want {
+				t.Errorf("ParseAddr(%q) = %v, %v; want error %q", c.in, got, err, want)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("ParseAddr(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+}
+
+// TestStringMatchesFmt pins Addr.String and Prefix.String byte for byte
+// against fmt's rendering of the same fields, on three fixed prefixes
+// and a generated sample.
+func TestStringMatchesFmt(t *testing.T) {
+	oldAddr := func(a Addr) string {
+		return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	}
+	oldPrefix := func(p Prefix) string { return fmt.Sprintf("%s/%d", oldAddr(p.Addr), p.Len) }
+	for _, c := range []struct {
+		p    Prefix
+		want string
+	}{
+		{MakePrefix(0, 0), "0.0.0.0/0"},
+		{MakePrefix(10<<24|30<<16, 16), "10.30.0.0/16"},
+		{MakePrefix(0xFFFFFFFF, 32), "255.255.255.255/32"},
+	} {
+		if got := c.p.String(); got != c.want || got != oldPrefix(c.p) {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
+	rng := sim.NewRNG(42)
+	for i := 0; i < 2000; i++ {
+		a := Addr(rng.Int63())
+		if got, want := a.String(), oldAddr(a); got != want {
+			t.Errorf("Addr.String() = %q, want %q", got, want)
+		}
+		p := MakePrefix(a, uint8(rng.Intn(33)))
+		if got, want := p.String(), oldPrefix(p); got != want {
+			t.Errorf("Prefix.String() = %q, want %q", got, want)
 		}
 	}
 }
@@ -51,10 +125,14 @@ func TestPrefixParseAndContains(t *testing.T) {
 	if got := p.Nth(5).String(); got != "10.1.0.5" {
 		t.Errorf("Nth(5) = %s", got)
 	}
-	for _, s := range []string{"10.0.0.0", "10.0.0.0/33", "10.0.0.0/x"} {
+	for _, s := range []string{"10.0.0.0", "10.0.0.0/33", "10.0.0.0/x",
+		"10.0.0.0/+8", "10.0.0.0/-0", "10.0.0.0/008", "10.0.0.0/", "10.0.0.0/8/8"} {
 		if _, err := ParsePrefix(s); err == nil {
 			t.Errorf("ParsePrefix(%q) should fail", s)
 		}
+	}
+	if p8, err := ParsePrefix("10.0.0.0/08"); err != nil || p8 != MakePrefix(10<<24, 8) {
+		t.Errorf("ParsePrefix(\"10.0.0.0/08\") = %v, %v", p8, err)
 	}
 }
 

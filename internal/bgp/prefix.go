@@ -21,24 +21,59 @@ type Addr uint32
 
 // String renders the address in dotted quad form.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	var buf [len("255.255.255.255")]byte
+	return string(a.appendTo(buf[:0]))
 }
 
-// ParseAddr parses a dotted-quad IPv4 address.
-func ParseAddr(s string) (Addr, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("bgp: invalid address %q", s)
+// appendTo appends the dotted quad to b.
+func (a Addr) appendTo(b []byte) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		if shift < 24 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(byte(a>>shift)), 10)
 	}
+	return b
+}
+
+// ParseAddr parses a dotted-quad IPv4 address: exactly four octets, each
+// one to three ASCII digits with a value of at most 255. Leading zeros
+// are decimal ("010" is 10); signs are not accepted.
+func ParseAddr(s string) (Addr, error) {
 	var a uint32
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
+	i := 0
+	for octet := 0; octet < 4; octet++ {
+		if octet > 0 {
+			if i == len(s) || s[i] != '.' {
+				return 0, fmt.Errorf("bgp: invalid address %q", s)
+			}
+			i++
+		}
+		v, n := parseDecimal(s[i:], 3)
+		if n == 0 || v > 255 {
 			return 0, fmt.Errorf("bgp: invalid address %q", s)
 		}
-		a = a<<8 | uint32(v)
+		a = a<<8 | v
+		i += n
+	}
+	if i != len(s) {
+		return 0, fmt.Errorf("bgp: invalid address %q", s)
 	}
 	return Addr(a), nil
+}
+
+// parseDecimal reads the run of ASCII digits that starts s and returns
+// its value and length; n is 0 when s does not start with a digit or the
+// run is longer than maxDigits.
+func parseDecimal(s string, maxDigits int) (v uint32, n int) {
+	for n < len(s) && '0' <= s[n] && s[n] <= '9' {
+		if n == maxDigits {
+			return 0, 0
+		}
+		v = v*10 + uint32(s[n]-'0')
+		n++
+	}
+	return v, n
 }
 
 // Prefix is an IPv4 CIDR block.
@@ -49,6 +84,8 @@ type Prefix struct {
 }
 
 // ParsePrefix parses "a.b.c.d/len" CIDR notation, masking host bits.
+// The address follows ParseAddr's grammar; the length is one or two
+// ASCII digits with a value of at most 32.
 func ParsePrefix(s string) (Prefix, error) {
 	slash := strings.IndexByte(s, '/')
 	if slash < 0 {
@@ -58,8 +95,8 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, err
 	}
-	l, err := strconv.Atoi(s[slash+1:])
-	if err != nil || l < 0 || l > 32 {
+	l, n := parseDecimal(s[slash+1:], 2)
+	if n == 0 || slash+1+n != len(s) || l > 32 {
 		return Prefix{}, fmt.Errorf("bgp: invalid prefix length in %q", s)
 	}
 	return MakePrefix(addr, uint8(l)), nil
@@ -82,7 +119,9 @@ func mask(length uint8) Addr {
 
 // String renders CIDR notation.
 func (p Prefix) String() string {
-	return fmt.Sprintf("%s/%d", p.Addr, p.Len)
+	var buf [len("255.255.255.255/255")]byte
+	b := append(p.Addr.appendTo(buf[:0]), '/')
+	return string(strconv.AppendUint(b, uint64(p.Len), 10))
 }
 
 // Contains reports whether a falls inside p.

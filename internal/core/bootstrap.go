@@ -119,11 +119,12 @@ type Bootstrap struct {
 	surro map[string]surrogateLease // cluster key -> surrogate lease
 	byAS  map[asgraph.ASN][]string  // AS -> cluster keys
 	known map[string]asgraph.ASN    // cluster key -> AS
-	// keys interns cluster-key strings: every join re-derives its key by
-	// formatting the matched prefix, and without interning a million
-	// joiners would each retain a private copy of the same few thousand
-	// keys (in their JoinReply, Node.clusterKey, lease table entries).
-	keys map[string]string
+	// keys maps every routed prefix to its cluster key, formatted once
+	// at build: a join looks its key up by the prefix the trie matched,
+	// so it formats nothing and every joiner of a cluster shares one
+	// string (in its JoinReply, Node.clusterKey and the lease table).
+	// Like the trie, it is never written after NewBootstrap.
+	keys map[bgp.Prefix]string
 }
 
 // NewBootstrap builds and serves a bootstrap node on addr.
@@ -144,7 +145,7 @@ func NewBootstrap(tr transport.Transport, addr transport.Addr, cfg BootstrapConf
 		surro: make(map[string]surrogateLease),
 		byAS:  make(map[asgraph.ASN][]string),
 		known: make(map[string]asgraph.ASN),
-		keys:  make(map[string]string),
+		keys:  make(map[bgp.Prefix]string, len(cfg.Prefixes)),
 	}
 	for _, po := range cfg.Prefixes {
 		p, err := bgp.ParsePrefix(po.Prefix)
@@ -152,9 +153,12 @@ func NewBootstrap(tr transport.Transport, addr transport.Addr, cfg BootstrapConf
 			return nil, fmt.Errorf("core: bootstrap prefix %q: %w", po.Prefix, err)
 		}
 		b.trie.Insert(p, po.ASN)
-		key := p.String()
+		key, ok := b.keys[p]
+		if !ok {
+			key = p.String()
+			b.keys[p] = key
+		}
 		b.known[key] = po.ASN
-		b.keys[key] = key
 		b.byAS[po.ASN] = append(b.byAS[po.ASN], key)
 	}
 	bound, err := tr.Serve(addr, b.handle)
@@ -202,9 +206,10 @@ func (b *Bootstrap) registerSurrogate(req *transport.Message) (*transport.Messag
 		}
 		b.surro[req.ClusterKey] = surrogateLease{addr: holder, expires: exp}
 	}
-	return &transport.Message{
-		Type: transport.MsgSurrogateHeartbeatReply, SurrogateAddr: holder, LeaseTTL: b.cfg.LeaseTTL,
-	}, nil
+	resp := transport.AcquireMessage()
+	resp.Type = transport.MsgSurrogateHeartbeatReply
+	resp.SurrogateAddr, resp.LeaseTTL = holder, b.cfg.LeaseTTL
+	return resp, nil
 }
 
 func (b *Bootstrap) handle(from transport.Addr, req *transport.Message) (*transport.Message, error) {
@@ -218,19 +223,18 @@ func (b *Bootstrap) handle(from transport.Addr, req *transport.Message) (*transp
 		if !ok {
 			return nil, fmt.Errorf("core: no route for %s", req.IP)
 		}
-		key := prefix.String()
+		key := b.keys[prefix]
 		b.mu.Lock()
-		if canon, ok := b.keys[key]; ok {
-			key = canon // drop the freshly formatted copy for the interned one
-		}
 		sur, _ := b.liveSurrogateLocked(key)
 		b.mu.Unlock()
-		return &transport.Message{
-			Type:          transport.MsgJoinReply,
-			ASN:           uint32(asn),
-			ClusterKey:    key,
-			SurrogateAddr: sur, // empty => caller becomes surrogate
-		}, nil
+		// The join and lease replies come from the envelope pool; the
+		// joining node (reelect, claimLease) releases them.
+		resp := transport.AcquireMessage()
+		resp.Type = transport.MsgJoinReply
+		resp.ASN = uint32(asn)
+		resp.ClusterKey = key
+		resp.SurrogateAddr = sur // empty => caller becomes surrogate
+		return resp, nil
 
 	case transport.MsgSurrogateHeartbeat:
 		return b.registerSurrogate(req)

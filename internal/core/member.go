@@ -324,9 +324,11 @@ func (n *Node) follow(sur transport.Addr) {
 	n.surrogate, n.isSurro, n.closeSet = sur, false, nil
 	n.mu.Unlock()
 	if changed {
-		_, _ = n.retryCall(sur, &transport.Message{
-			Type: transport.MsgPublishNodalInfo, From: n.addr, Nodal: n.cfg.Nodal,
-		})
+		req := transport.AcquireMessage()
+		req.Type, req.From, req.Nodal = transport.MsgPublishNodalInfo, n.addr, n.cfg.Nodal
+		resp, _ := n.retryCall(sur, req) // nil on failure
+		transport.ReleaseMessage(req)
+		transport.ReleaseMessage(resp)
 	}
 }
 
@@ -339,19 +341,22 @@ func (n *Node) claimLease() (held bool, err error) {
 	n.mu.Lock()
 	key := n.clusterKey
 	n.mu.Unlock()
-	resp, err := n.retryCall(n.cfg.Bootstrap, &transport.Message{
-		Type: transport.MsgSurrogateHeartbeat, From: n.addr,
-		ClusterKey: key, SurrogateAddr: n.addr,
-	})
+	req := transport.AcquireMessage()
+	req.Type, req.From = transport.MsgSurrogateHeartbeat, n.addr
+	req.ClusterKey, req.SurrogateAddr = key, n.addr
+	resp, err := n.retryCall(n.cfg.Bootstrap, req)
+	transport.ReleaseMessage(req)
 	if err != nil {
 		return false, fmt.Errorf("core: claim surrogate lease: %w", err)
 	}
-	if resp.SurrogateAddr != "" && resp.SurrogateAddr != n.addr {
-		n.follow(resp.SurrogateAddr)
+	holder, ttl := resp.SurrogateAddr, resp.LeaseTTL
+	transport.ReleaseMessage(resp)
+	if holder != "" && holder != n.addr {
+		n.follow(holder)
 		return false, nil
 	}
 	n.mu.Lock()
-	n.surrogate, n.isSurro, n.leaseTTL = n.addr, true, resp.LeaseTTL
+	n.surrogate, n.isSurro, n.leaseTTL = n.addr, true, ttl
 	n.mu.Unlock()
 	return true, nil
 }
@@ -399,16 +404,19 @@ func (n *Node) renewTick() {
 // builds its close set (a failed build leaves it empty: degraded but
 // serving). It returns the surrogate the node now follows.
 func (n *Node) reelect() (transport.Addr, error) {
-	resp, err := n.retryCall(n.cfg.Bootstrap, &transport.Message{
-		Type: transport.MsgJoin, From: n.addr, IP: n.cfg.IP,
-	})
+	req := transport.AcquireMessage()
+	req.Type, req.From, req.IP = transport.MsgJoin, n.addr, n.cfg.IP
+	resp, err := n.retryCall(n.cfg.Bootstrap, req)
+	transport.ReleaseMessage(req)
 	if err != nil {
 		return "", fmt.Errorf("core: join: %w", err)
 	}
+	sur := resp.SurrogateAddr
 	n.mu.Lock()
 	n.asn, n.clusterKey = asgraph.ASN(resp.ASN), resp.ClusterKey
 	n.mu.Unlock()
-	if sur := resp.SurrogateAddr; sur != "" && sur != n.addr {
+	transport.ReleaseMessage(resp)
+	if sur != "" && sur != n.addr {
 		n.follow(sur)
 		return sur, nil
 	}
@@ -504,8 +512,11 @@ func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.M
 
 	case transport.MsgPublishNodalInfo:
 		// Acknowledged, not stored: the actor election seats whoever wins
-		// the lease, so nothing reads nodal info yet (DESIGN.md §8).
-		return &transport.Message{Type: transport.MsgPublishNodalInfoReply}, nil
+		// the lease, so nothing reads nodal info yet (DESIGN.md §8). The
+		// ack is pooled; follow releases it.
+		resp := transport.AcquireMessage()
+		resp.Type = transport.MsgPublishNodalInfoReply
+		return resp, nil
 
 	case transport.MsgProbeBatch:
 		// Relay role, batched: measure our leg to every probe destination

@@ -94,7 +94,7 @@ func TestScaleWorkloadShape(t *testing.T) {
 // bytes/node measured against ROADMAP item 6's 2 KB. It exists to catch
 // regressions that reintroduce per-node kilobytes — an eager retry-jitter
 // generator (4.9 KB of the 7,182 this read while NewNode built one),
-// eager role maps, un-interned cluster keys — not to pin an exact size.
+// eager role maps, a cluster key formatted per joiner — not to pin an exact size.
 func TestScaleBytesPerNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10^4-node deployment: skipped under -short")
