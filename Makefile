@@ -26,14 +26,16 @@ race-all:
 
 # fuzz-smoke gives each fuzzer a short budget on every run: ten seconds
 # of FuzzMessageCodec (the control-plane wire codec), then ten of
-# FuzzVoicePacket (the voice datagram parser and the relay behind it),
-# then ten each of FuzzParseAddr and FuzzParsePrefix (the address
+# FuzzReadFrame (the TCP frame reader a kept connection loops on), then
+# ten of FuzzVoicePacket (the voice datagram parser and the relay behind
+# it), then ten each of FuzzParseAddr and FuzzParsePrefix (the address
 # parsers a join's IP and the bootstrap's prefix table go through),
 # each over its corpus plus fresh mutations. Deep fuzzing is a
 # background activity; this gate just keeps the parsers honest against
 # the easy classes of malformed input.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzMessageCodec' -fuzztime 10s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz 'FuzzVoicePacket' -fuzztime 10s ./internal/transport/udp/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAddr$$' -fuzztime 10s ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrefix$$' -fuzztime 10s ./internal/bgp/
@@ -89,16 +91,16 @@ govulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-# lint runs asaplint, the repo's invariant gate (DESIGN.md §11, §16):
-# seven per-package analyzers — time model (schedtime), seed
-# reproducibility (seededrand), scheduler-accounted goroutines
+# lint runs asaplint, the repo's invariant gate (DESIGN.md §11, §16).
+# It loads internal/ as one program, never reading a *_test.go file,
+# and runs ten analyzers of one shape over it: time model (schedtime),
+# seed reproducibility (seededrand), scheduler-accounted goroutines
 # (schedgo), deterministic map iteration in output paths (maporder),
 # the snapshot-probe-commit locking discipline (lockio), transport pool
-# ownership (poolreturn), task/timer accounting (taskleak) — plus three
-# whole-program analyzers: protocol-enum/codec drift (protosync),
-# lock-order cycles (lockorder) and retry error classification
-# (errclass). Suppress a finding with a justified
-# `//lint:allow <analyzer> <why>` comment; see README.md.
+# ownership (poolreturn), task/timer accounting (taskleak),
+# protocol-enum/codec drift (protosync), lock-order cycles (lockorder)
+# and retry error classification (errclass). Suppress a finding with a
+# justified `//lint:allow <analyzer> <why>` comment; see README.md.
 lint:
 	$(GO) run ./cmd/asaplint ./internal/...
 

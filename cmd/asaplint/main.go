@@ -1,8 +1,8 @@
 // Command asaplint is the repo's invariant gate: a static-analysis
 // multichecker enforcing the determinism, time-model and concurrency
 // rules that make experiment runs byte-identical for a given seed
-// (DESIGN.md §11, §16). It runs seven per-package analyzers over
-// internal/:
+// (DESIGN.md §11, §16). It loads every listed package as one program
+// and runs ten analyzers over it, in this order:
 //
 //	schedtime  — no direct time-package scheduling or clock reads
 //	seededrand — no global math/rand, no wall-clock-seeded sources
@@ -12,15 +12,15 @@
 //	poolreturn — no transport pool acquire without a release on every path
 //	taskleak   — every Scheduler.Go task signals completion; every
 //	             AfterFunc timer has a Stop path
-//
-// plus three whole-program analyzers that see every listed package at
-// once, because their invariants span package boundaries:
-//
 //	protosync  — MsgType enum vs String()/dispatch/pairing, Message
 //	             fields vs codec field ids
 //	lockorder  — no cycles in the whole-program lock-acquisition graph
 //	errclass   — errors retried by RetryPolicy.Do trace to classified
 //	             transient/non-transient sources
+//
+// The first seven check one package at a time; the last three span
+// package boundaries. No analyzer sees a *_test.go file: the loader
+// never reads one.
 //
 // Usage:
 //
@@ -67,10 +67,6 @@ var analyzers = []*analysis.Analyzer{
 	lockio.Analyzer,
 	poolreturn.Analyzer,
 	taskleak.Analyzer,
-}
-
-// programAnalyzers run once over the whole set of listed packages.
-var programAnalyzers = []*analysis.Analyzer{
 	protosync.Analyzer,
 	lockorder.Analyzer,
 	errclass.Analyzer,
@@ -150,62 +146,24 @@ func main() {
 	fmt.Printf("asaplint: %d package(s) clean (%s)\n", len(dirs), analyzerNames())
 }
 
-// lintAll runs the per-package analyzers over each package and the
-// whole-program analyzers over the full set, applying //lint:allow
-// suppressions from every loaded file.
+// lintAll runs every analyzer over the packages as one program,
+// applying //lint:allow suppressions from every loaded file.
 func lintAll(pkgs []*loader.Package) ([]finding, error) {
 	allows := make(map[string][]*allow)
 	var findings []finding
 	for _, pkg := range pkgs {
-		fs := collectAllows(pkg, allows)
-		findings = append(findings, fs...)
+		findings = append(findings, collectAllows(pkg, allows)...)
 	}
-	for _, pkg := range pkgs {
-		pkg := pkg
-		for _, a := range analyzers {
-			a := a
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				Report: func(d analysis.Diagnostic) {
-					pos := pkg.Fset.Position(d.Pos)
-					if suppressed(allows, a.Name, pos) {
-						return
-					}
-					findings = append(findings, finding{pos: pos, analyzer: a.Name, message: d.Message})
-				},
-			}
-			if _, err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.Name, err)
+	prog := analysis.NewProgram(pkgs)
+	for _, a := range analyzers {
+		prog.Report = func(d analysis.Diagnostic) {
+			pos := prog.Fset.Position(d.Pos)
+			if !suppressed(allows, a.Name, pos) {
+				findings = append(findings, finding{pos: pos, analyzer: a.Name, message: d.Message})
 			}
 		}
-	}
-	if len(pkgs) > 0 {
-		infos := make([]*analysis.PackageInfo, len(pkgs))
-		for i, pkg := range pkgs {
-			infos[i] = &analysis.PackageInfo{Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info}
-		}
-		fset := pkgs[0].Fset
-		for _, a := range programAnalyzers {
-			a := a
-			prog := &analysis.Program{
-				Analyzer: a,
-				Fset:     fset,
-				Packages: infos,
-				Report: func(d analysis.Diagnostic) {
-					pos := fset.Position(d.Pos)
-					if suppressed(allows, a.Name, pos) {
-						return
-					}
-					findings = append(findings, finding{pos: pos, analyzer: a.Name, message: d.Message})
-				},
-			}
-			if _, err := a.RunProgram(prog); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.Name, err)
-			}
+		if err := a.Run(prog); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	return findings, nil
@@ -220,11 +178,8 @@ func lintAll(pkgs []*loader.Package) ([]finding, error) {
 // directive is parsed independently.
 func collectAllows(pkg *loader.Package, allows map[string][]*allow) []finding {
 	var findings []finding
-	known := make(map[string]bool, len(analyzers)+len(programAnalyzers))
+	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	for _, a := range programAnalyzers {
 		known[a.Name] = true
 	}
 	for _, f := range pkg.Files {
@@ -314,11 +269,8 @@ func expand(args []string) ([]string, error) {
 }
 
 func analyzerNames() string {
-	names := make([]string, 0, len(analyzers)+len(programAnalyzers))
+	names := make([]string, 0, len(analyzers))
 	for _, a := range analyzers {
-		names = append(names, a.Name)
-	}
-	for _, a := range programAnalyzers {
 		names = append(names, a.Name)
 	}
 	return strings.Join(names, ", ")
@@ -329,9 +281,6 @@ func usage() {
 	fmt.Println()
 	for _, a := range analyzers {
 		fmt.Printf("  %-10s %s\n", a.Name, a.Doc)
-	}
-	for _, a := range programAnalyzers {
-		fmt.Printf("  %-10s %s (whole-program)\n", a.Name, a.Doc)
 	}
 	fmt.Println()
 	fmt.Println("Suppress one finding, with a mandatory justification, via a comment on")

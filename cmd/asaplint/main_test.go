@@ -66,6 +66,17 @@ func TestInjectedViolation(t *testing.T) {
 	requireFinding(t, findings, "schedtime", "viol.go", "")
 }
 
+// TestTestFilesAreNotLinted: a package's *_test.go files never reach an
+// analyzer. The fixture's test file holds a bare go statement and a
+// time.Sleep; only the shipped file's bare go statement is a finding.
+func TestTestFilesAreNotLinted(t *testing.T) {
+	findings := loadFixture(t, "withtests")
+	if len(findings) != 1 {
+		t.Fatalf("got %d findings, want 1: %+v", len(findings), findings)
+	}
+	requireFinding(t, findings, "schedgo", "x.go", "bare go statement")
+}
+
 // TestInjectedProtocolDrift: a MsgType constant that no handler
 // dispatches must surface from protosync.
 func TestInjectedProtocolDrift(t *testing.T) {

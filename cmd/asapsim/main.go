@@ -61,7 +61,6 @@ func run(args []string) error {
 		scaleMode   = fs.Bool("scale", false, "run the deployment ladder (10^4..-nodes live protocol nodes with churn on the virtual clock) instead of figures")
 		nodesFlag   = fs.Int("nodes", 1_000_000, "scale mode: ladder ceiling, the largest deployment population")
 		benchOut    = fs.String("benchout", "BENCH_scale.json", "scale mode: write the ladder report as JSON to this file")
-		scaleSeed   = fs.Int64("scale-seed", 7, "scale mode: deployment seed (outcomes are a pure function of it)")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -75,7 +74,7 @@ func run(args []string) error {
 		for _, name := range []string{"profile", "figs", "sessions", "latent", "pairsample", "seed",
 			"dedi", "rand", "mixdedi", "mixrand", "fig17-ratio", "csv", "k"} {
 			if set[name] {
-				return fmt.Errorf("-%s is a figure-mode flag and has no effect with -scale; drop it (scale mode is tuned by -nodes, -parallel, -scale-seed, -benchout)", name)
+				return fmt.Errorf("-%s is a figure-mode flag and has no effect with -scale; drop it (scale mode is tuned by -nodes, -parallel, -benchout)", name)
 			}
 		}
 		if *nodesFlag < 1000 {
@@ -87,9 +86,9 @@ func run(args []string) error {
 		if *parallel < 1 || *parallel > 256 {
 			return fmt.Errorf("-parallel %d is not a usable shard count; pick 1..256 (outcomes are byte-identical for any value, so match your core count)", *parallel)
 		}
-		return runScaleLadder(*nodesFlag, *parallel, *scaleSeed, *benchOut)
+		return runScaleLadder(*nodesFlag, *parallel, *benchOut)
 	}
-	for _, name := range []string{"nodes", "benchout", "scale-seed"} {
+	for _, name := range []string{"nodes", "benchout"} {
 		if set[name] {
 			return fmt.Errorf("-%s only applies to the deployment ladder; add -scale to run it", name)
 		}
@@ -277,7 +276,6 @@ type scaleRung struct {
 
 type scaleBench struct {
 	GeneratedUnix int64       `json:"generated_unix"`
-	Seed          int64       `json:"seed"`
 	MaxNodes      int         `json:"max_nodes"`
 	Rungs         []scaleRung `json:"rungs"`
 }
@@ -296,21 +294,20 @@ func peakRSSBytes() int64 {
 // of the population churns out and rejoins mid-workload, and a call
 // workload exercises direct, relayed, degraded and failed paths. Wall
 // time is real; everything the protocol observes is virtual.
-func runScaleLadder(maxNodes, shards int, seed int64, outPath string) error {
-	bench := scaleBench{GeneratedUnix: time.Now().Unix(), Seed: seed, MaxNodes: maxNodes}
+func runScaleLadder(maxNodes, shards int, outPath string) error {
+	bench := scaleBench{GeneratedUnix: time.Now().Unix(), MaxNodes: maxNodes}
 	var sizes []int
 	for n := 10_000; n < maxNodes; n *= 10 {
 		sizes = append(sizes, n)
 	}
 	sizes = append(sizes, maxNodes)
-	fmt.Printf("== scale ladder: %v nodes, %d shards, seed %d\n", sizes, shards, seed)
+	fmt.Printf("== scale ladder: %v nodes, %d shards\n", sizes, shards)
 	for _, n := range sizes {
 		cfg := eval.ScaleConfig{
 			Nodes:        n,
 			Shards:       shards,
 			Calls:        max(40, n/200),
 			Leavers:      max(8, n/500),
-			Seed:         seed,
 			MeasureBytes: true,
 		}
 		start := time.Now()

@@ -34,9 +34,9 @@ type NodeConfig struct {
 	// Sched is the node's time source: a *sim.Clock in simulation, the
 	// wall adapter in the live daemon. Nil means real time.
 	Sched sim.Scheduler
-	// Seed roots the node's derived randomness (retry jitter); with the
-	// virtual clock it makes the node's whole timing behaviour a pure
-	// function of the seed.
+	// Seed roots the node's retry-jitter stream, which a backoff draws
+	// only under a RetryPolicy that sets Jitter. No deployment here sets
+	// it, so today the seed changes no timing or outcome.
 	Seed int64
 }
 

@@ -88,7 +88,9 @@ type ScaleConfig struct {
 	// LeaseTTL is the bootstrap surrogate lease (0 defaults to 2 s, short
 	// enough that re-election succeeds inside the call window).
 	LeaseTTL time.Duration
-	// Seed roots every node's retry-jitter stream.
+	// Seed roots every node's retry-jitter stream. No deployment draws
+	// jitter (no RetryPolicy sets Jitter), so outcomes do not depend on
+	// it; TestScaleOutcomesIgnoreSeed holds that.
 	Seed int64
 	// RecordOutcomes retains the per-call golden lines in the report.
 	// Ladder runs at 10^6 switch it off to save the strings.

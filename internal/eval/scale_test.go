@@ -55,6 +55,27 @@ func TestScaleGoldenAcrossShards(t *testing.T) {
 	}
 }
 
+// TestScaleOutcomesIgnoreSeed: no deployment draws retry jitter, the
+// only thing ScaleConfig.Seed roots, so two seeds give the same
+// outcomes and the same event count. A change that turns jitter on and
+// so moves an outcome fails here, and has to say so.
+func TestScaleOutcomesIgnoreSeed(t *testing.T) {
+	a, b := scaleTestConfig(1), scaleTestConfig(1)
+	a.Seed, b.Seed = 1, 987654
+	ra, err := RunScale(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := RunScale(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.GoldenDigest() != rb.GoldenDigest() || ra.Events != rb.Events {
+		t.Errorf("seed changed the deployment: %d vs %d events\n--- seed 1 ---\n%s--- seed 987654 ---\n%s",
+			ra.Events, rb.Events, ra.GoldenDigest(), rb.GoldenDigest())
+	}
+}
+
 // TestScaleWorkloadShape checks the deployment exercises what it claims:
 // latent calls exist and most get relay-rescued under LatT, direct calls
 // stay direct, and churn shows up as degraded or failed outcomes without

@@ -1,12 +1,14 @@
 // Package analysis is a minimal, dependency-free stand-in for
 // golang.org/x/tools/go/analysis, carrying just the surface the asaplint
-// analyzers need: an Analyzer with a Run function, a Pass holding one
-// type-checked package, and position-tagged Diagnostics.
+// analyzers need: an Analyzer with a Run function, a Program holding
+// every type-checked package of one asaplint invocation, and
+// position-tagged Diagnostics.
 //
 // The build environment for this repo is offline (no module proxy), so
-// x/tools cannot be vendored; the shim keeps the analyzers written in the
-// upstream idiom — each exports `var Analyzer = &analysis.Analyzer{...}` —
-// so they can migrate to the real framework by swapping one import.
+// x/tools cannot be vendored. Unlike upstream, every analyzer sees the
+// whole program: the conformance checks (protocol-enum drift, lock-order
+// cycles, retry error classification) span package boundaries, and a
+// check of one package at a time is the PerPackage special case.
 package analysis
 
 import (
@@ -14,14 +16,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"asap/internal/lint/loader"
 )
 
-// Analyzer describes one named invariant check. Exactly one of Run and
-// RunProgram must be set: Run analyzers see one package at a time (the
-// upstream x/tools shape), RunProgram analyzers see every package of the
-// asaplint invocation at once — the shape needed by whole-program
-// conformance checks (protocol-enum drift, lock-order cycles) whose
-// invariants span package boundaries.
+// Analyzer describes one named invariant check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //lint:allow suppression comments.
@@ -29,12 +28,9 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the rule the analyzer
 	// enforces, shown by `asaplint -help`.
 	Doc string
-	// Run applies the analyzer to one package and reports findings
-	// through pass.Report. The returned value is unused by the driver
-	// but kept for upstream signature compatibility.
-	Run func(*Pass) (interface{}, error)
-	// RunProgram applies the analyzer once to the whole loaded program.
-	RunProgram func(*Program) (interface{}, error)
+	// Run applies the analyzer to the whole program and reports
+	// findings through prog.Report.
+	Run func(*Program) error
 }
 
 // Diagnostic is one finding at a source position.
@@ -43,51 +39,48 @@ type Diagnostic struct {
 	Message string
 }
 
-// Pass holds a single type-checked package being analyzed plus the
-// reporting callback.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-	Report    func(Diagnostic)
-}
-
-// Reportf reports a formatted diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Filename returns the file name containing pos.
-func (p *Pass) Filename(pos token.Pos) string {
-	return p.Fset.Position(pos).Filename
-}
-
-// PackageInfo is one type-checked package inside a Program.
-type PackageInfo struct {
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-}
-
-// Program holds every package of one asaplint invocation, for
-// whole-program analyzers. Packages are ordered deterministically (by
-// import path) by the driver, so analyzers that iterate them produce
-// stable diagnostics.
+// Program holds every package of one asaplint invocation plus the
+// reporting callback. Packages keep the driver's deterministic order
+// (by import path), so analyzers that iterate them produce stable
+// diagnostics.
 type Program struct {
-	Analyzer *Analyzer
 	Fset     *token.FileSet
-	Packages []*PackageInfo
+	Packages []*Pass
 	Report   func(Diagnostic)
+}
+
+// Pass is one type-checked package of a Program. It embeds its Program,
+// so a check of one package reports through pass.Reportf.
+type Pass struct {
+	*Program
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+}
+
+// NewProgram wraps loaded packages, in the given order, as one Program.
+// The caller sets Report before running an analyzer.
+func NewProgram(pkgs []*loader.Package) *Program {
+	prog := &Program{}
+	for _, p := range pkgs {
+		prog.Fset = p.Fset
+		prog.Packages = append(prog.Packages, &Pass{Program: prog, Files: p.Files, Pkg: p.Types, TypesInfo: p.Info})
+	}
+	return prog
+}
+
+// PerPackage makes a Run function from a check of one package: it
+// applies check to each package of the program in order.
+func PerPackage(check func(*Pass)) func(*Program) error {
+	return func(prog *Program) error {
+		for _, pass := range prog.Packages {
+			check(pass)
+		}
+		return nil
+	}
 }
 
 // Reportf reports a formatted diagnostic at pos.
 func (p *Program) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Filename returns the file name containing pos.
-func (p *Program) Filename(pos token.Pos) string {
-	return p.Fset.Position(pos).Filename
 }

@@ -6,10 +6,8 @@
 // Expectations: a line carrying `// want "pat"` (one or more quoted
 // patterns) must receive one diagnostic per pattern, each matching its
 // regexp. Any diagnostic on a line without a matching expectation, and
-// any expectation left unmatched, fails the test. Fixture files named
-// *_test.go are loaded too, so the analyzers' test-file exemptions are
-// exercised by fixtures that would violate the rule if the exemption
-// broke.
+// any expectation left unmatched, fails the test. Fixtures load through
+// the same loader as asaplint, so *_test.go files are never read.
 package analysistest
 
 import (
@@ -34,8 +32,9 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads each fixture package (a path relative to testdata/src),
-// applies the analyzer, and reports mismatches on t.
+// Run loads the fixture packages (paths relative to testdata/src) as
+// one program, applies the analyzer once across it, and checks the
+// combined diagnostics against the want comments in all of them.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	src := filepath.Join(testdata, "src")
@@ -43,35 +42,9 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	ld := loader.New(loader.Config{
-		ModName:      modName,
-		ModDir:       modDir,
-		SrcDirs:      []string{src},
-		IncludeTests: true,
-	})
-	for _, pkg := range pkgs {
-		runPkg(t, ld, filepath.Join(src, filepath.FromSlash(pkg)), a)
-	}
-}
-
-// RunProgram loads every listed fixture package and applies a
-// whole-program analyzer (RunProgram) once across the set, checking the
-// combined diagnostics against the want comments in all of them.
-func RunProgram(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
-	t.Helper()
-	src := filepath.Join(testdata, "src")
-	modName, modDir, err := loader.FindModule(".")
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	ld := loader.New(loader.Config{
-		ModName:      modName,
-		ModDir:       modDir,
-		SrcDirs:      []string{src},
-		IncludeTests: true,
-	})
+	ld := loader.New(loader.Config{ModName: modName, ModDir: modDir, SrcDirs: []string{src}})
 	want := make(map[string][]*expectation)
-	prog := &analysis.Program{Analyzer: a, Fset: ld.Fset}
+	var loaded []*loader.Package
 	for _, pkgPath := range pkgs {
 		dir := filepath.Join(src, filepath.FromSlash(pkgPath))
 		pkg, err := ld.LoadDir(dir)
@@ -79,41 +52,15 @@ func RunProgram(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...str
 			t.Fatalf("analysistest: load %s: %v", dir, err)
 		}
 		collectWants(t, pkg, want)
-		prog.Packages = append(prog.Packages, &analysis.PackageInfo{
-			Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info,
-		})
+		loaded = append(loaded, pkg)
 	}
 	var diags []analysis.Diagnostic
+	prog := analysis.NewProgram(loaded)
 	prog.Report = func(d analysis.Diagnostic) { diags = append(diags, d) }
-	if _, err := a.RunProgram(prog); err != nil {
+	if err := a.Run(prog); err != nil {
 		t.Fatalf("analysistest: %s: %v", a.Name, err)
 	}
 	matchDiags(t, ld.Fset, diags, want)
-}
-
-func runPkg(t *testing.T, ld *loader.Loader, dir string, a *analysis.Analyzer) {
-	t.Helper()
-	pkg, err := ld.LoadDir(dir)
-	if err != nil {
-		t.Fatalf("analysistest: load %s: %v", dir, err)
-	}
-
-	want := make(map[string][]*expectation)
-	collectWants(t, pkg, want)
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("analysistest: %s: %v", a.Name, err)
-	}
-	matchDiags(t, pkg.Fset, diags, want)
 }
 
 // collectWants gathers the `// want "pat"` expectations of one package,

@@ -48,7 +48,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "every error returned into RetryPolicy.Do must trace to a classified source — the " +
 		"transport layer, a fresh construction, or a //lint:errclass-marked function — so the " +
 		"transient/terminal decision is deliberate, not a guess (DESIGN.md §16)",
-	RunProgram: run,
+	Run: run,
 }
 
 const marker = "//lint:errclass"
@@ -57,7 +57,7 @@ const marker = "//lint:errclass"
 // lookup.
 type declInfo struct {
 	decl *ast.FuncDecl
-	pkg  *analysis.PackageInfo
+	pkg  *analysis.Pass
 }
 
 type state struct {
@@ -65,7 +65,7 @@ type state struct {
 	decls map[*types.Func]*declInfo
 }
 
-func run(prog *analysis.Program) (interface{}, error) {
+func run(prog *analysis.Program) error {
 	st := &state{prog: prog, decls: make(map[*types.Func]*declInfo)}
 	// Pass 1: index every function declaration, and vet the markers
 	// themselves — a justification is mandatory wherever the marker
@@ -98,9 +98,6 @@ func run(prog *analysis.Program) (interface{}, error) {
 	// Pass 2: find the Do calls and audit their ops.
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
-			if lintutil.IsTestFile(prog.Filename(f.Pos())) {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -113,12 +110,12 @@ func run(prog *analysis.Program) (interface{}, error) {
 			})
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // isRetryDo reports whether call is a Do method call on a receiver of a
 // named type RetryPolicy (any package — fixtures declare their own).
-func (st *state) isRetryDo(pkg *analysis.PackageInfo, call *ast.CallExpr) bool {
+func (st *state) isRetryDo(pkg *analysis.Pass, call *ast.CallExpr) bool {
 	fn := lintutil.Callee(pkg.TypesInfo, call)
 	if fn == nil || fn.Name() != "Do" {
 		return false
@@ -137,7 +134,7 @@ func (st *state) isRetryDo(pkg *analysis.PackageInfo, call *ast.CallExpr) bool {
 
 // checkOp audits the op argument: a function literal or a resolvable
 // declaration whose top-level returns all classify.
-func (st *state) checkOp(pkg *analysis.PackageInfo, op ast.Expr) {
+func (st *state) checkOp(pkg *analysis.Pass, op ast.Expr) {
 	switch fun := ast.Unparen(op).(type) {
 	case *ast.FuncLit:
 		st.checkBody(pkg, fun.Body)
@@ -173,7 +170,7 @@ func calleeOf(info *types.Info, e ast.Expr) (*types.Func, bool) {
 // checkBody classifies every error expression returned by the body's
 // top-level return statements (nested function literals are separate
 // tasks, not op returns).
-func (st *state) checkBody(pkg *analysis.PackageInfo, body *ast.BlockStmt) {
+func (st *state) checkBody(pkg *analysis.Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
@@ -199,7 +196,7 @@ func (st *state) checkBody(pkg *analysis.PackageInfo, body *ast.BlockStmt) {
 // classify returns "" when expr traces to a classified source, or the
 // reason it does not. body is the scope searched for assignments when
 // tracing identifiers; depth bounds wrap-chasing.
-func (st *state) classify(pkg *analysis.PackageInfo, body *ast.BlockStmt, expr ast.Expr, depth int) string {
+func (st *state) classify(pkg *analysis.Pass, body *ast.BlockStmt, expr ast.Expr, depth int) string {
 	if depth > 4 {
 		return "the wrap chain is too deep to trace"
 	}
@@ -233,7 +230,7 @@ func (st *state) classify(pkg *analysis.PackageInfo, body *ast.BlockStmt, expr a
 
 // classifyIdent traces a local error variable through its assignments
 // in the op body: every assignment's source must classify.
-func (st *state) classifyIdent(pkg *analysis.PackageInfo, body *ast.BlockStmt, id *ast.Ident, depth int) string {
+func (st *state) classifyIdent(pkg *analysis.Pass, body *ast.BlockStmt, id *ast.Ident, depth int) string {
 	obj := pkg.TypesInfo.Uses[id]
 	if obj == nil {
 		return id.Name + " does not resolve"
@@ -274,7 +271,7 @@ func (st *state) classifyIdent(pkg *analysis.PackageInfo, body *ast.BlockStmt, i
 }
 
 // classifyCall classifies the error produced by a call expression.
-func (st *state) classifyCall(pkg *analysis.PackageInfo, body *ast.BlockStmt, call *ast.CallExpr, depth int) string {
+func (st *state) classifyCall(pkg *analysis.Pass, body *ast.BlockStmt, call *ast.CallExpr, depth int) string {
 	info := pkg.TypesInfo
 	// errors.New and fmt.Errorf construct deliberately non-transient
 	// errors; a %w verb re-raises the wrapped error's classification.

@@ -7,5 +7,5 @@ import (
 )
 
 func TestErrclass(t *testing.T) {
-	analysistest.RunProgram(t, "testdata", Analyzer, "asap/internal/transport", "a")
+	analysistest.Run(t, "testdata", Analyzer, "asap/internal/transport", "a")
 }

@@ -9,13 +9,6 @@ import (
 	"strings"
 )
 
-// IsTestFile reports whether filename is a Go test file. Test files are
-// exempt from the scheduling analyzers: wall-mode regression tests need
-// real sleeps and real goroutines (DESIGN.md §10).
-func IsTestFile(filename string) bool {
-	return strings.HasSuffix(filename, "_test.go")
-}
-
 // IsWallAdapter reports whether filename is the single file allowed to
 // touch the time package: internal/sim/wall.go, the real-time Scheduler
 // adapter. Matched by path suffix so analysistest fixtures can exercise

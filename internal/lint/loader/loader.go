@@ -5,6 +5,11 @@
 // extra source roots (testdata/src); everything else — the standard
 // library — is type-checked from GOROOT source via the stdlib "source"
 // importer, which needs no pre-compiled export data and works offline.
+//
+// The loader never reads a *_test.go file. That is the one place the
+// rule "analyzers check shipped code, not tests" lives: wall-mode
+// regression tests need real sleeps and real goroutines (DESIGN.md §10),
+// and no analyzer has to know they exist.
 package loader
 
 import (
@@ -16,7 +21,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -31,10 +35,6 @@ type Config struct {
 	// mapping; analysistest points one at testdata/src so fixture
 	// packages can shadow real import paths.
 	SrcDirs []string
-	// IncludeTests also parses *_test.go files belonging to the package
-	// under test (fixtures exercise the analyzers' _test.go exemptions).
-	// External test packages (package foo_test) are always skipped.
-	IncludeTests bool
 }
 
 // Package is one parsed, type-checked package.
@@ -160,11 +160,20 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		if isSource(e) {
 			return true
 		}
 	}
 	return false
+}
+
+// isSource reports whether a directory entry is a Go file the loader
+// reads: not a test file, and not hidden from the go tool by a leading
+// "." or "_".
+func isSource(e os.DirEntry) bool {
+	n := e.Name()
+	return !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") &&
+		!strings.HasPrefix(n, ".") && !strings.HasPrefix(n, "_")
 }
 
 func (l *Loader) load(path, dir string) (*Package, error) {
@@ -181,40 +190,19 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loader: %w", err)
 	}
-	names := make([]string, 0, len(entries))
+	var files []*ast.File // os.ReadDir sorts by name
 	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
+		if !isSource(e) {
 			continue
 		}
-		if !l.cfg.IncludeTests && strings.HasSuffix(n, "_test.go") {
-			continue
-		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	pkgName := ""
-	for _, n := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, n), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("loader: %w", err)
-		}
-		// The first non-test file names the package; files from the
-		// external test package (package foo_test) are skipped.
-		if pkgName == "" && !strings.HasSuffix(n, "_test.go") {
-			pkgName = f.Name.Name
-		}
-		if pkgName != "" && f.Name.Name != pkgName {
-			continue
 		}
 		files = append(files, f)
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("loader: no Go files in %s", dir)
-	}
-	if pkgName == "" { // all-test fixture package
-		pkgName = files[0].Name.Name
 	}
 
 	info := &types.Info{

@@ -18,7 +18,7 @@
 // early-return guard (`Lock(); if c { Unlock(); return }`) does not
 // release the lock for the code after it. Function literals are not
 // entered — a closure handed to the scheduler runs later, outside the
-// critical section. *_test.go files are exempt.
+// critical section.
 package lockio
 
 import (
@@ -35,7 +35,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "lockio",
 	Doc: "forbid transport I/O (Call/Probe/Serve) while a sync.Mutex/RWMutex is held; " +
 		"snapshot under the lock, release it, then probe (DESIGN.md §9)",
-	Run: run,
+	Run: analysis.PerPackage(run),
 }
 
 // ioMethods are the transport-layer entry points that perform network
@@ -47,11 +47,8 @@ var ioMethods = map[string]bool{
 	"WriteTo": true, "ReadFrom": true, "ListenPacket": true,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) {
 	for _, f := range pass.Files {
-		if lintutil.IsTestFile(pass.Filename(f.Pos())) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -66,7 +63,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			})
 		}
 	}
-	return nil, nil
 }
 
 // recvKey identifies a mutex by the source text of its receiver

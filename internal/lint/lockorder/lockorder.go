@@ -34,7 +34,6 @@
 // Same-lock self-edges (lock A held while locking another instance of
 // A) are not reported: instance-ordered acquisition — two cache shards
 // taken in index order — is legal and indistinguishable statically.
-// *_test.go files are exempt.
 package lockorder
 
 import (
@@ -54,13 +53,13 @@ var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "forbid cycles in the whole-program lock-acquisition graph: two paths nesting " +
 		"the same locks in opposite orders are a deadlock waiting for its interleaving (DESIGN.md §16)",
-	RunProgram: run,
+	Run: run,
 }
 
 // funcInfo is the per-function summary used for the interprocedural
 // pass.
 type funcInfo struct {
-	pkg      *analysis.PackageInfo
+	pkg      *analysis.Pass
 	acquires map[string]bool          // locks acquired anywhere in the body
 	callees  map[*types.Func]struct{} // resolvable program callees
 }
@@ -81,7 +80,7 @@ type heldCall struct {
 	pos    token.Position
 }
 
-func run(prog *analysis.Program) (interface{}, error) {
+func run(prog *analysis.Program) error {
 	st := &state{
 		prog:  prog,
 		funcs: make(map[*types.Func]*funcInfo),
@@ -92,9 +91,6 @@ func run(prog *analysis.Program) (interface{}, error) {
 	// call sites under held locks.
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
-			if lintutil.IsTestFile(prog.Filename(f.Pos())) {
-				continue
-			}
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -122,7 +118,7 @@ func run(prog *analysis.Program) (interface{}, error) {
 		}
 	}
 	st.reportCycles()
-	return nil, nil
+	return nil
 }
 
 // --- pass 1: per-function walk ---

@@ -7,13 +7,13 @@ import (
 )
 
 func TestDeadlockPair(t *testing.T) {
-	analysistest.RunProgram(t, "testdata", Analyzer, "deadlock")
+	analysistest.Run(t, "testdata", Analyzer, "deadlock")
 }
 
 func TestClean(t *testing.T) {
-	analysistest.RunProgram(t, "testdata", Analyzer, "clean")
+	analysistest.Run(t, "testdata", Analyzer, "clean")
 }
 
 func TestInterprocedural(t *testing.T) {
-	analysistest.RunProgram(t, "testdata", Analyzer, "interproc")
+	analysistest.Run(t, "testdata", Analyzer, "interproc")
 }

@@ -12,7 +12,7 @@
 //	sort.Strings(keys)
 //
 // is not flagged because a sort/slices call on the collected slice
-// follows the loop in the same block. *_test.go files are exempt.
+// follows the loop in the same block.
 package maporder
 
 import (
@@ -29,14 +29,11 @@ var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
 	Doc: "flag range-over-map whose body appends to a slice or writes output without a subsequent sort; " +
 		"map iteration order is randomized and must not reach reports or figures",
-	Run: run,
+	Run: analysis.PerPackage(run),
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) {
 	for _, f := range pass.Files {
-		if lintutil.IsTestFile(pass.Filename(f.Pos())) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			stmts := blockStmts(n)
 			if stmts == nil {
@@ -52,7 +49,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // blockStmts returns the statement list of any block-like node, so range

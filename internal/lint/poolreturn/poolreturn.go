@@ -17,7 +17,7 @@
 // value still held is a finding. Branches run on their own copies of
 // the held set, so a release on a terminating error path does not count
 // for the fall-through path, and vice versa. Function literals are
-// analyzed as their own scopes. *_test.go files are exempt.
+// analyzed as their own scopes.
 package poolreturn
 
 import (
@@ -35,7 +35,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "poolreturn",
 	Doc: "require every transport pool acquire (AcquireMessage/acquireBuf) to be " +
 		"released or handed off on every return path (DESIGN.md §15)",
-	Run: run,
+	Run: analysis.PerPackage(run),
 }
 
 // acquirers and releasers name the pool pairs. Both live in the
@@ -51,11 +51,8 @@ var releasers = map[string]bool{
 	"releaseBuf":     true,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) {
 	for _, f := range pass.Files {
-		if lintutil.IsTestFile(pass.Filename(f.Pos())) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -64,7 +61,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			checkBody(pass, fd.Body)
 		}
 	}
-	return nil, nil
 }
 
 // checkBody analyzes one function (or function literal) body with the

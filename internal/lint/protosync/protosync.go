@@ -27,8 +27,9 @@
 //     for field, and every field id is touched by both AppendMessage and
 //     DecodeMessage.
 //
-// *_test.go files count for neither handling nor construction: a type
-// only a test exercises is dead protocol.
+// The loader never reads *_test.go files, so a type only a test
+// exercises counts as neither handled nor constructed: it is dead
+// protocol.
 package protosync
 
 import (
@@ -39,7 +40,6 @@ import (
 	"strings"
 
 	"asap/internal/lint/analysis"
-	"asap/internal/lint/lintutil"
 )
 
 // Analyzer cross-checks the MsgType enum against its implementations.
@@ -47,7 +47,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "protosync",
 	Doc: "keep the MsgType enum, String(), request/reply pairing, handler dispatch " +
 		"and codec field sections in lockstep (DESIGN.md §16)",
-	RunProgram: run,
+	Run: run,
 }
 
 // msgConst is one declared MsgType constant and what the program does
@@ -61,7 +61,7 @@ type msgConst struct {
 	constructed bool // appears anywhere else (literal, assignment, send)
 }
 
-func run(prog *analysis.Program) (interface{}, error) {
+func run(prog *analysis.Program) error {
 	for _, pkg := range prog.Packages {
 		enumType := pkg.Pkg.Scope().Lookup("MsgType")
 		if _, ok := enumType.(*types.TypeName); !ok {
@@ -70,12 +70,12 @@ func run(prog *analysis.Program) (interface{}, error) {
 		checkEnum(prog, pkg, enumType.(*types.TypeName))
 		checkCodecFields(prog, pkg)
 	}
-	return nil, nil
+	return nil
 }
 
 // checkEnum runs the enum-side checks (String coverage, sentinel,
 // pairing, whole-program usage) for one MsgType declaration.
-func checkEnum(prog *analysis.Program, owner *analysis.PackageInfo, tn *types.TypeName) {
+func checkEnum(prog *analysis.Program, owner *analysis.Pass, tn *types.TypeName) {
 	scope := owner.Pkg.Scope()
 	var consts []*msgConst
 	var sentinel types.Object
@@ -119,9 +119,6 @@ func checkEnum(prog *analysis.Program, owner *analysis.PackageInfo, tn *types.Ty
 	sentinelUsed := false
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
-			if lintutil.IsTestFile(prog.Filename(f.Pos())) {
-				continue
-			}
 			inString := func(n ast.Node) bool {
 				return stringDecl != nil && pkg == owner &&
 					n.Pos() >= stringDecl.Pos() && n.End() <= stringDecl.End()
@@ -270,7 +267,7 @@ func handledContext(stack []ast.Node, id *ast.Ident) bool {
 
 // methodDecl finds the FuncDecl of a value-or-pointer method on the
 // named type in the owning package's files.
-func methodDecl(pkg *analysis.PackageInfo, tn *types.TypeName, name string) *ast.FuncDecl {
+func methodDecl(pkg *analysis.Pass, tn *types.TypeName, name string) *ast.FuncDecl {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -298,7 +295,7 @@ func methodDecl(pkg *analysis.PackageInfo, tn *types.TypeName, name string) *ast
 // constants agree, and that AppendMessage and DecodeMessage both touch
 // every field id. Skipped when the package declares no Message struct
 // or no fld constants (not a codec package).
-func checkCodecFields(prog *analysis.Program, pkg *analysis.PackageInfo) {
+func checkCodecFields(prog *analysis.Program, pkg *analysis.Pass) {
 	scope := pkg.Pkg.Scope()
 	msgObj, ok := scope.Lookup("Message").(*types.TypeName)
 	if !ok {
@@ -365,7 +362,7 @@ func checkCodecFields(prog *analysis.Program, pkg *analysis.PackageInfo) {
 }
 
 // funcDecl finds a top-level function by name in the package's files.
-func funcDecl(pkg *analysis.PackageInfo, name string) *ast.FuncDecl {
+func funcDecl(pkg *analysis.Pass, name string) *ast.FuncDecl {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == name {
@@ -377,7 +374,7 @@ func funcDecl(pkg *analysis.PackageInfo, name string) *ast.FuncDecl {
 }
 
 // declUses collects which objects a declaration's body references.
-func declUses(pkg *analysis.PackageInfo, fd *ast.FuncDecl) map[types.Object]bool {
+func declUses(pkg *analysis.Pass, fd *ast.FuncDecl) map[types.Object]bool {
 	uses := make(map[types.Object]bool)
 	if fd == nil || fd.Body == nil {
 		return uses

@@ -7,9 +7,9 @@ import (
 )
 
 func TestProtosync(t *testing.T) {
-	analysistest.RunProgram(t, "testdata", Analyzer, "asap/internal/transport", "a")
+	analysistest.Run(t, "testdata", Analyzer, "asap/internal/transport", "a")
 }
 
 func TestProtosyncMissingStringAndSentinel(t *testing.T) {
-	analysistest.RunProgram(t, "testdata", Analyzer, "nostring")
+	analysistest.Run(t, "testdata", Analyzer, "nostring")
 }

@@ -5,8 +5,8 @@
 // uncontrolled wall time, and under the simulated clock it races the
 // deterministic event loop.
 //
-// Exemptions: the internal/sim package itself (the schedulers are built
-// out of real goroutines) and *_test.go files.
+// Exemption: the internal/sim package itself (the schedulers are built
+// out of real goroutines). Test files are never loaded.
 package schedgo
 
 import (
@@ -21,17 +21,14 @@ var Analyzer = &analysis.Analyzer{
 	Name: "schedgo",
 	Doc: "forbid bare `go` statements in non-test internal/ code; spawn through Scheduler.Go/Join " +
 		"so the virtual clock accounts for every goroutine (DESIGN.md §9)",
-	Run: run,
+	Run: analysis.PerPackage(run),
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) {
 	if lintutil.IsSchedulerPackage(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
-		if lintutil.IsTestFile(pass.Filename(f.Pos())) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(g.Pos(),
@@ -40,5 +37,4 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }

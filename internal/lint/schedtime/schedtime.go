@@ -6,8 +6,8 @@
 // (`import t "time"; t.Sleep(d)`) and the query/observation functions
 // time.Now / time.Since that the grep never covered.
 //
-// Exemptions: internal/sim/wall.go (it IS the wall-clock adapter) and
-// *_test.go files (wall-mode regression tests sleep for real).
+// Exemption: internal/sim/wall.go (it IS the wall-clock adapter). Test
+// files are never loaded: wall-mode regression tests sleep for real.
 package schedtime
 
 import (
@@ -23,7 +23,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "schedtime",
 	Doc: "forbid time.Sleep/After/AfterFunc/NewTimer/NewTicker/Tick/Now/Since outside internal/sim/wall.go; " +
 		"take time from an injected sim.Scheduler so the same code runs on the virtual clock (DESIGN.md §10)",
-	Run: run,
+	Run: analysis.PerPackage(run),
 }
 
 // banned lists the time-package functions that schedule work or read the
@@ -40,10 +40,9 @@ var banned = map[string]bool{
 	"Since":     true,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) {
 	for _, f := range pass.Files {
-		name := pass.Filename(f.Pos())
-		if lintutil.IsTestFile(name) || lintutil.IsWallAdapter(name) {
+		if lintutil.IsWallAdapter(pass.Fset.Position(f.Pos()).Filename) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -63,5 +62,4 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }

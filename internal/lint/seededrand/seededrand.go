@@ -8,7 +8,6 @@
 //
 // rand.New(rand.NewSource(seed)) with a deterministic seed stays legal;
 // rand.NewSource(time.Now().UnixNano()) and bare rand.Intn(...) do not.
-// *_test.go files are exempt.
 package seededrand
 
 import (
@@ -23,7 +22,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "seededrand",
 	Doc: "forbid top-level math/rand functions and rand.NewSource(time.Now(...)) in internal/; " +
 		"derive RNGs from sim.SubSeed or an injected seeded source",
-	Run: run,
+	Run: analysis.PerPackage(run),
 }
 
 // globalFns are the math/rand package-level functions backed by the
@@ -43,11 +42,8 @@ func isRandPkg(path string) bool {
 	return path == "math/rand" || path == "math/rand/v2"
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) {
 	for _, f := range pass.Files {
-		if lintutil.IsTestFile(pass.Filename(f.Pos())) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -73,7 +69,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // seededFromClock reports whether any argument of call contains a

@@ -24,8 +24,8 @@
 // are the leaks that have no cancellation path at all. Genuine
 // fire-and-forget handoffs carry a //lint:allow taskleak justification.
 //
-// Exemptions: the internal/sim package (the scheduler's own plumbing)
-// and *_test.go files.
+// Exemption: the internal/sim package (the scheduler's own plumbing).
+// Test files are never loaded.
 package taskleak
 
 import (
@@ -43,18 +43,15 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "every Scheduler.Go task must signal completion (Done/Wake/close/send) and every " +
 		"Scheduler.AfterFunc timer must have a Stop path; unaccounted tasks deadlock the virtual " +
 		"clock's run-to-idle loop and leak past shutdown under wall time (DESIGN.md §16)",
-	Run: run,
+	Run: analysis.PerPackage(run),
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *analysis.Pass) {
 	if lintutil.IsSchedulerPackage(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
 	stops := collectFieldStops(pass)
 	for _, f := range pass.Files {
-		if lintutil.IsTestFile(pass.Filename(f.Pos())) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -63,7 +60,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			checkFunc(pass, fd, stops)
 		}
 	}
-	return nil, nil
 }
 
 // schedMethod reports whether call invokes the named method on a type

@@ -16,6 +16,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -550,6 +551,10 @@ func (t *TCP) Close() error {
 
 const maxFrame = 16 << 20
 
+// frameStep bounds how far readFrame grows a body buffer ahead of the
+// bytes received.
+const frameStep = 64 << 10
+
 // ErrFrameTooLarge is returned by the write side when a message encodes
 // past maxFrame. Unlike wire failures it is not transient: a retry
 // re-encodes the same oversize message, so the retry layer must not
@@ -596,14 +601,20 @@ func readFrame(r io.Reader) (*Message, error) {
 		releaseBuf(bp)
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	if uint32(cap(b)) < n {
-		b = make([]byte, n)
-	}
-	b = b[:n]
-	if _, err := io.ReadFull(r, b); err != nil {
-		*bp = b
-		releaseBuf(bp)
-		return nil, fmt.Errorf("transport: read body: %w", err)
+	// The body grows by at most frameStep past the bytes that have
+	// arrived, so a header claiming maxFrame costs memory only as the
+	// peer actually sends; a frame that fits the buffer reads in one go.
+	b = b[:0]
+	for len(b) < int(n) {
+		step := min(int(n)-len(b), frameStep)
+		b = slices.Grow(b, step)
+		k, err := io.ReadFull(r, b[len(b):len(b)+step])
+		b = b[:len(b)+k]
+		if err != nil {
+			*bp = b
+			releaseBuf(bp)
+			return nil, fmt.Errorf("transport: read body: %w", err)
+		}
 	}
 	m := AcquireMessage()
 	err := DecodeMessage(b, m)

@@ -797,3 +797,21 @@ func TestFrameSizeLimit(t *testing.T) {
 		t.Fatalf("readFrame with oversize header: err = %v, want ErrFrameTooLarge", err)
 	}
 }
+
+// TestReadFrameGrowsAsBytesArrive: a header claiming the largest legal
+// frame, followed by ten body bytes and EOF, must fail without the
+// reader allocating what the header claimed.
+func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
+	in := make([]byte, 4+10)
+	binary.BigEndian.PutUint32(in[:4], maxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("readFrame of a truncated body returned no error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+		t.Fatalf("readFrame allocated %d bytes for a 14-byte input, want under 256 KiB", got)
+	}
+}
