@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate digests bench-scale race-dataplane test-experiments goldens examples profile chaos check print-staticcheck-version print-govulncheck-version
+.PHONY: build loc test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate digests bench-scale scale-gate race-dataplane test-experiments goldens examples profile chaos check print-staticcheck-version print-govulncheck-version
 
 build:
 	$(GO) build ./...
@@ -177,6 +177,29 @@ digests:
 SCALE_NODES ?= 1000000
 bench-scale:
 	$(GO) run ./cmd/asapsim -scale -nodes $(SCALE_NODES) -parallel 4 -benchout BENCH_scale.json
+
+# scale-gate checks a ladder run (BENCH_SCALE_JSON=<file>, e.g. the
+# BENCH_scale.json bench-scale writes) against the tracked
+# results/BENCH_scale.json. Every rung whose node count the tracked file
+# holds must match it in shards, clusters, events and the call outcomes:
+# all are functions of the rung's node count and bench-scale's fixed
+# -parallel 4. Wall time, RSS and bytes per node are machine-dependent
+# and not compared. It fails on any difference, or when no rung matched.
+define SCALE_GATE_JQ
+def pick: {shards, clusters, events, calls, latent, relayed, degraded, failed, mean_relay_est_ms};
+[$$got[0].rungs[] as $$g | $$want[0].rungs[] | select(.nodes == $$g.nodes)
+	| {nodes, same: (pick == ($$g | pick)), want: pick, got: ($$g | pick)}] as $$m
+| ($$m[] | if .same then "scale-gate: \(.nodes) nodes match"
+	else "scale-gate: \(.nodes) nodes differ\n  want \(.want | tojson)\n  got  \(.got | tojson)" end),
+  (if ($$m | length) == 0 then "scale-gate: no rung matched a tracked one" else empty end),
+  (($$m | length) > 0 and all($$m[]; .same))
+endef
+export SCALE_GATE_JQ
+scale-gate:
+	@test -n "$(BENCH_SCALE_JSON)" || { echo "scale-gate: usage: make scale-gate BENCH_SCALE_JSON=<file>"; exit 2; }
+	@out=$$(jq -r -n --slurpfile want results/BENCH_scale.json --slurpfile got "$(BENCH_SCALE_JSON)" "$$SCALE_GATE_JQ") || exit 1; \
+	echo "$$out" | sed '$$d'; \
+	test "$$(echo "$$out" | tail -n 1)" = true || { echo "scale-gate: outcomes differ from results/BENCH_scale.json"; exit 1; }
 
 # race-dataplane runs the media-plane packages (transport, NAT
 # emulation, session monitoring) under the race detector — the layers

@@ -69,7 +69,8 @@
 // the monitor. Status lines report the current path rung and the
 // re-establishment count. The bootstrap's relay hardens its lifecycle
 // with -relay-ttl (idle flows expire), -relay-max-flows (per-source
-// allocation quota) and -media-relay-key: when the same key is set on
+// allocation quota; the whole table is capped at 65,536 flows either
+// way) and -media-relay-key: when the same key is set on
 // the bootstrap and the peers, every relay bind must carry an
 // HMAC-derived flow token proof, so off-path spoofers can't capture a
 // flow's relay slot. Expiry, quota and auth rejections are printed as

@@ -7,7 +7,26 @@ import (
 	"asap/internal/sim"
 )
 
-// GenConfig parameterizes the synthetic tiered topology generator.
+// The generator's calibration against the 2005 RouteViews graph
+// (DESIGN.md §2).
+const (
+	// multiHomeProb is the probability that a stub AS is multi-homed to a
+	// second (and with prob/2 a third) provider.
+	multiHomeProb float64 = 0.5
+	// transitPeerProb is the probability that a transit AS establishes a
+	// peer link with another transit AS of similar degree.
+	transitPeerProb float64 = 0.35
+	// siblingProb is the probability a stub AS has a sibling AS link.
+	siblingProb float64 = 0.02
+	// mapSizeKm is the side length of the square world map in kilometers.
+	// Coordinates feed the propagation-delay model.
+	mapSizeKm float64 = 4500
+	// regions is the number of geographic regions (continent analogues).
+	// Tier-1 ASes span regions; lower tiers cluster within one.
+	regions = 5
+)
+
+// GenConfig sizes the synthetic tiered topology generator.
 //
 // The generator reproduces the structural properties of the 2005 measured
 // graph that ASAP depends on:
@@ -15,8 +34,8 @@ import (
 //   - a small transit-free tier-1 clique interconnected by peer links;
 //   - transit ASes attaching to 1-2 providers by preferential attachment
 //     (yielding a power-law degree distribution);
-//   - stub ASes, a configurable fraction of which are multi-homed to two or
-//     more providers — these create the overlay shortcuts of Figure 4;
+//   - stub ASes, a fraction of which are multi-homed to two or more
+//     providers — these create the overlay shortcuts of Figure 4;
 //   - occasional peer links between transit ASes of similar degree;
 //   - sibling links between a small number of AS pairs.
 type GenConfig struct {
@@ -26,20 +45,6 @@ type GenConfig struct {
 	NumTransit int
 	// NumStub is the number of stub (edge) ASes.
 	NumStub int
-	// MultiHomeProb is the probability that a stub AS is multi-homed to a
-	// second (and with prob/2 a third) provider.
-	MultiHomeProb float64
-	// TransitPeerProb is the probability that a transit AS establishes a
-	// peer link with another transit AS of similar degree.
-	TransitPeerProb float64
-	// SiblingProb is the probability a stub AS has a sibling AS link.
-	SiblingProb float64
-	// MapSizeKm is the side length of the square world map in kilometers.
-	// Coordinates feed the propagation-delay model.
-	MapSizeKm float64
-	// Regions is the number of geographic regions (continent analogues).
-	// Tier-1 ASes span regions; lower tiers cluster within one.
-	Regions int
 }
 
 // Validate reports whether the configuration is usable.
@@ -51,12 +56,6 @@ func (c GenConfig) Validate() error {
 		return fmt.Errorf("asgraph: NumTransit must be >= 1, got %d", c.NumTransit)
 	case c.NumStub < 0:
 		return fmt.Errorf("asgraph: NumStub must be >= 0, got %d", c.NumStub)
-	case c.MultiHomeProb < 0 || c.MultiHomeProb > 1:
-		return fmt.Errorf("asgraph: MultiHomeProb must be in [0,1], got %g", c.MultiHomeProb)
-	case c.MapSizeKm <= 0:
-		return fmt.Errorf("asgraph: MapSizeKm must be > 0, got %g", c.MapSizeKm)
-	case c.Regions < 1:
-		return fmt.Errorf("asgraph: Regions must be >= 1, got %d", c.Regions)
 	}
 	return nil
 }
@@ -80,16 +79,7 @@ func DefaultGenConfig(total int) GenConfig {
 	if stub < 0 {
 		stub = 0
 	}
-	return GenConfig{
-		NumT1:           t1,
-		NumTransit:      transit,
-		NumStub:         stub,
-		MultiHomeProb:   0.5,
-		TransitPeerProb: 0.35,
-		SiblingProb:     0.02,
-		MapSizeKm:       4500,
-		Regions:         5,
-	}
+	return GenConfig{NumT1: t1, NumTransit: transit, NumStub: stub}
 }
 
 // Generate synthesizes an annotated AS graph. The same seed always produces
@@ -103,17 +93,17 @@ func Generate(cfg GenConfig, rng *sim.RNG) (*Graph, error) {
 	// Region centers, spread over the map. Region 0 is the map center;
 	// others ring around it, standing in for continents.
 	type point struct{ x, y float64 }
-	centers := make([]point, cfg.Regions)
+	centers := make([]point, regions)
 	for i := range centers {
 		if i == 0 {
-			centers[i] = point{cfg.MapSizeKm / 2, cfg.MapSizeKm / 2}
+			centers[i] = point{mapSizeKm / 2, mapSizeKm / 2}
 			continue
 		}
-		ang := 2 * math.Pi * float64(i-1) / float64(cfg.Regions-1)
-		r := cfg.MapSizeKm * 0.38
+		ang := 2 * math.Pi * float64(i-1) / float64(regions-1)
+		r := mapSizeKm * 0.38
 		centers[i] = point{
-			x: cfg.MapSizeKm/2 + r*math.Cos(ang),
-			y: cfg.MapSizeKm/2 + r*math.Sin(ang),
+			x: mapSizeKm/2 + r*math.Cos(ang),
+			y: mapSizeKm/2 + r*math.Sin(ang),
 		}
 	}
 	regionOf := make(map[ASN]int)
@@ -135,7 +125,7 @@ func Generate(cfg GenConfig, rng *sim.RNG) (*Graph, error) {
 	// Tier-1 clique: every pair peers.
 	t1s := make([]ASN, 0, cfg.NumT1)
 	for i := 0; i < cfg.NumT1; i++ {
-		t1s = append(t1s, newNode(TierT1, i%cfg.Regions, cfg.MapSizeKm*0.1))
+		t1s = append(t1s, newNode(TierT1, i%regions, mapSizeKm*0.1))
 	}
 	for i := 0; i < len(t1s); i++ {
 		for j := i + 1; j < len(t1s); j++ {
@@ -167,8 +157,8 @@ func Generate(cfg GenConfig, rng *sim.RNG) (*Graph, error) {
 	}
 	transits := make([]ASN, 0, cfg.NumTransit)
 	for i := 0; i < cfg.NumTransit; i++ {
-		region := rng.Intn(cfg.Regions)
-		asn := newNode(TierTransit, region, cfg.MapSizeKm*0.06)
+		region := rng.Intn(regions)
+		asn := newNode(TierTransit, region, mapSizeKm*0.06)
 		// Attach to 1-2 providers.
 		nProv := 1
 		if rng.Bool(0.5) {
@@ -186,7 +176,7 @@ func Generate(cfg GenConfig, rng *sim.RNG) (*Graph, error) {
 
 	// Peer links between transits of similar degree, biased to same region.
 	for i, a := range transits {
-		if !rng.Bool(cfg.TransitPeerProb) {
+		if !rng.Bool(transitPeerProb) {
 			continue
 		}
 		j := rng.Intn(len(transits))
@@ -200,15 +190,15 @@ func Generate(cfg GenConfig, rng *sim.RNG) (*Graph, error) {
 	}
 
 	// Stub ASes: attach to providers with preferential attachment, biased
-	// toward same-region transits. A MultiHomeProb fraction multi-home.
-	transitByRegion := make([][]ASN, cfg.Regions)
+	// toward same-region transits. A multiHomeProb fraction multi-home.
+	transitByRegion := make([][]ASN, regions)
 	for _, t := range transits {
 		r := regionOf[t]
 		transitByRegion[r] = append(transitByRegion[r], t)
 	}
 	for i := 0; i < cfg.NumStub; i++ {
-		region := rng.Intn(cfg.Regions)
-		asn := newNode(TierStub, region, cfg.MapSizeKm*0.05)
+		region := rng.Intn(regions)
+		asn := newNode(TierStub, region, mapSizeKm*0.05)
 		local := transitByRegion[region]
 		pickProvider := func() ASN {
 			// 80%: a same-region transit (weighted by nothing — regional
@@ -220,20 +210,20 @@ func Generate(cfg GenConfig, rng *sim.RNG) (*Graph, error) {
 		}
 		p1 := pickProvider()
 		b.AddEdge(asn, p1, RelC2P)
-		if rng.Bool(cfg.MultiHomeProb) {
+		if rng.Bool(multiHomeProb) {
 			p2 := pickProvider()
 			if p2 != p1 {
 				b.AddEdge(asn, p2, RelC2P)
 			}
-			if rng.Bool(cfg.MultiHomeProb / 2) {
+			if rng.Bool(multiHomeProb / 2) {
 				p3 := pickProvider()
 				if p3 != p1 && p3 != p2 {
 					b.AddEdge(asn, p3, RelC2P)
 				}
 			}
 		}
-		if rng.Bool(cfg.SiblingProb) {
-			sib := newNode(TierStub, region, cfg.MapSizeKm*0.05)
+		if rng.Bool(siblingProb) {
+			sib := newNode(TierStub, region, mapSizeKm*0.05)
 			b.AddEdge(asn, sib, RelS2S)
 			// The sibling still needs a provider of its own so it is not
 			// reachable only through its twin.

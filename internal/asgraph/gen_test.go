@@ -120,12 +120,9 @@ func TestGenerateStructure(t *testing.T) {
 func TestGenerateValidation(t *testing.T) {
 	bad := []GenConfig{
 		{},
-		{NumT1: 0, NumTransit: 5, NumStub: 5, MapSizeKm: 100, Regions: 1},
-		{NumT1: 2, NumTransit: 0, NumStub: 5, MapSizeKm: 100, Regions: 1},
-		{NumT1: 2, NumTransit: 5, NumStub: -1, MapSizeKm: 100, Regions: 1},
-		{NumT1: 2, NumTransit: 5, NumStub: 5, MapSizeKm: 0, Regions: 1},
-		{NumT1: 2, NumTransit: 5, NumStub: 5, MapSizeKm: 100, Regions: 0},
-		{NumT1: 2, NumTransit: 5, NumStub: 5, MapSizeKm: 100, Regions: 1, MultiHomeProb: 1.5},
+		{NumT1: 0, NumTransit: 5, NumStub: 5},
+		{NumT1: 2, NumTransit: 0, NumStub: 5},
+		{NumT1: 2, NumTransit: 5, NumStub: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg, sim.NewRNG(1)); err == nil {

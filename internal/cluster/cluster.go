@@ -69,6 +69,11 @@ type Population struct {
 	byAS     map[asgraph.ASN][]ClusterID
 }
 
+// sizeSkew is the Zipf skew of cluster sizes; larger means a few big
+// clusters and many tiny ones. ~0.75 reproduces "90% of clusters hold
+// <= 100 hosts" at paper scale.
+const sizeSkew float64 = 0.75
+
 // GenConfig controls population synthesis.
 type GenConfig struct {
 	// NumHosts is the number of online peer hosts to create.
@@ -76,10 +81,6 @@ type GenConfig struct {
 	// PopulatedFrac is the fraction of allocated prefixes that contain
 	// any online peers (the paper matched 7,171 of all routed prefixes).
 	PopulatedFrac float64
-	// SizeSkew is the Zipf skew of cluster sizes; larger means a few big
-	// clusters and many tiny ones. ~0.75 reproduces "90% of clusters hold
-	// <= 100 hosts" at paper scale.
-	SizeSkew float64
 }
 
 // DefaultGenConfig returns a config for the given host count.
@@ -87,7 +88,6 @@ func DefaultGenConfig(numHosts int) GenConfig {
 	return GenConfig{
 		NumHosts:      numHosts,
 		PopulatedFrac: 0.45,
-		SizeSkew:      0.75,
 	}
 }
 
@@ -165,7 +165,7 @@ func Generate(alloc *bgp.Allocation, cfg GenConfig, rng *sim.RNG) (*Population, 
 	full := func(ci int) bool {
 		return uint64(nextOffset[ci]) >= p.clusters[ci].Prefix.NumAddrs()
 	}
-	zipf := sim.NewZipfTable(nPop, cfg.SizeSkew)
+	zipf := sim.NewZipfTable(nPop, sizeSkew)
 	for len(p.hosts) < cfg.NumHosts {
 		ci := rankOf[zipf.Sample(rng)-1]
 		if full(ci) {

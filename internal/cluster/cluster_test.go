@@ -198,9 +198,9 @@ func TestGenerateValidation(t *testing.T) {
 	g, _ := asgraph.Generate(asgraph.DefaultGenConfig(50), rng)
 	alloc, _ := bgp.Allocate(g, bgp.DefaultAllocConfig(), rng)
 	bad := []GenConfig{
-		{NumHosts: 0, PopulatedFrac: 0.5, SizeSkew: 1},
-		{NumHosts: 10, PopulatedFrac: 0, SizeSkew: 1},
-		{NumHosts: 10, PopulatedFrac: 1.5, SizeSkew: 1},
+		{NumHosts: 0, PopulatedFrac: 0.5},
+		{NumHosts: 10, PopulatedFrac: 0},
+		{NumHosts: 10, PopulatedFrac: 1.5},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(alloc, cfg, rng); err == nil {

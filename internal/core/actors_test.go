@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,6 +179,81 @@ func TestActorEndToEndRelayCall(t *testing.T) {
 	}
 	if h3.ReceivedBytes() != 0 {
 		t.Error("relay must forward, not consume, voice payloads")
+	}
+}
+
+// countingTransport counts the requests sent through it.
+type countingTransport struct {
+	transport.Transport
+	calls atomic.Int64
+}
+
+func (c *countingTransport) Call(to transport.Addr, req *transport.Message) (*transport.Message, error) {
+	c.calls.Add(1)
+	return c.Transport.Call(to, req)
+}
+
+// TestRefreshCloseSetOnlyOnSurrogate: a surrogate's refresh costs one
+// MsgGetSurrogates plus one ping per other surrogate within K hops; a
+// plain member's close set is its surrogate's, so its refresh sends
+// nothing.
+func TestRefreshCloseSetOnlyOnSurrogate(t *testing.T) {
+	mem := transport.NewMem()
+	defer func() { _ = mem.Close() }()
+	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(addr transport.Addr, ip string) (*Node, *countingTransport) {
+		tr := &countingTransport{Transport: mem}
+		n, err := NewNode(tr, addr, NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: testParams()})
+		if err != nil {
+			t.Fatalf("node %s: %v", addr, err)
+		}
+		return n, tr
+	}
+	mk("h3", "10.30.0.1")
+	mk("h2", "10.200.0.1")
+	sur, surTr := mk("h1", "10.100.0.1")
+	member, memberTr := mk("h1b", "10.100.0.2")
+	if !sur.IsSurrogate() || member.IsSurrogate() {
+		t.Fatalf("roles: h1 surrogate=%v, h1b surrogate=%v", sur.IsSurrogate(), member.IsSurrogate())
+	}
+
+	// The other surrogates the bootstrap names for h1's AS.
+	resp, err := mem.Call(bs.Addr(), &transport.Message{
+		Type: transport.MsgGetSurrogates, From: "probe", ASNs: []uint32{100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	others := 0
+	for _, e := range resp.CloseSet {
+		if e.ClusterKey != sur.ClusterKey() {
+			others++
+		}
+	}
+	if others == 0 {
+		t.Fatal("bootstrap names no other surrogate: the test proves nothing")
+	}
+
+	memberTr.calls.Store(0)
+	if err := member.RefreshCloseSet(); err != nil {
+		t.Fatal(err)
+	}
+	if got := memberTr.calls.Load(); got != 0 {
+		t.Errorf("member refresh sent %d messages, want 0", got)
+	}
+	surTr.calls.Store(0)
+	if err := sur.RefreshCloseSet(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := surTr.calls.Load(), int64(1+others); got != want {
+		t.Errorf("surrogate refresh sent %d messages, want %d (1 + %d pings)", got, want, others)
+	}
+	// The member still reads the surrogate's set.
+	if _, err := member.CloseSet(); err != nil {
+		t.Errorf("member close set: %v", err)
 	}
 }
 

@@ -84,11 +84,16 @@ const closeSetPingWorkers = 8
 // thresholding needs multi-packet trains and is left to the algorithmic
 // layer). Pings run through a bounded worker pool with a per-ping
 // timeout, so one slow surrogate delays — not serializes — the rebuild.
+// Only the lease holder builds one: a plain member's close set is its
+// surrogate's, which CloseSet fetches, so on a member it returns nil
+// without sending anything.
 func (n *Node) RefreshCloseSet() error {
 	n.mu.Lock()
-	asn := n.asn
-	key := n.clusterKey
+	asn, key, isSurro := n.asn, n.clusterKey, n.isSurro
 	n.mu.Unlock()
+	if !isSurro {
+		return nil
+	}
 	resp, err := n.retryCall(n.cfg.Bootstrap, &transport.Message{
 		Type: transport.MsgGetSurrogates, From: n.addr,
 		ASNs: []uint32{uint32(asn)},

@@ -37,8 +37,9 @@ type MediaConfig struct {
 	BasePort int
 	// STUN is the external-address discovery server on Net's public side.
 	STUN transport.Addr
-	// Relay is the voice relay for the ladder's last rung (empty = no
-	// relay rung; calls that cannot punch fail).
+	// Relay is the voice relay for the ladder's last rung of the calls
+	// this node places (empty = no relay rung; calls that cannot punch
+	// fail). A callee climbs against the relay its caller names.
 	Relay transport.Addr
 	// RelayKey is the relay's HMAC flow-token secret. When set, every
 	// flow presents udp.RelayProof(RelayKey, token) in its relay binds,
@@ -283,10 +284,14 @@ func (mc *MediaCall) offerAddr(epoch uint32) (transport.Addr, error) {
 
 // negotiate is the caller half of one handshake round: offer our
 // external address at the next epoch, learn the callee's, and climb the
-// ladder against relay (empty = each side's configured relay). Control
-// retries of a round carry the same epoch, so the callee acts once per
-// round and re-answers duplicates.
+// ladder against relay (empty = our configured relay). The offer names
+// the relay, so both sides climb against the same one. Control retries
+// of a round carry the same epoch, so the callee acts once per round and
+// re-answers duplicates.
 func (mc *MediaCall) negotiate(relay transport.Addr) (udp.PathKind, error) {
+	if relay == "" {
+		relay = mc.cfg.Relay
+	}
 	mc.mu.Lock()
 	epoch := mc.rounds
 	mc.rounds++
@@ -307,13 +312,10 @@ func (mc *MediaCall) negotiate(relay transport.Addr) (udp.PathKind, error) {
 }
 
 // climb runs this side's half of the current round's ladder against
-// relay (empty = the configured relay) — the flow tells a first climb
-// from a re-climb and records the outcome — and, on success, arms the
+// relay (empty = no relay rung) — the flow tells a first climb from a
+// re-climb and records the outcome — and, on success, arms the
 // keepalive.
 func (mc *MediaCall) climb(peerExt, relay transport.Addr) (udp.PathKind, error) {
-	if relay == "" {
-		relay = mc.cfg.Relay
-	}
 	kind, err := mc.flow.Establish(peerExt, relay, mc.isCaller)
 	if err != nil {
 		return kind, fmt.Errorf("core: media path: %w", err)

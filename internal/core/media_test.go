@@ -72,16 +72,20 @@ func (w *mediaWorld) node(t *testing.T, addr transport.Addr, ip string, seed int
 
 // TestMediaEscalation: two nodes behind emulated NATs set up a call's
 // media path over the control plane; the ladder must land on the rung
-// the NAT pairing dictates, on both sides, and voice must flow.
+// the NAT pairing dictates, on both sides, and voice must flow. The
+// caller names the relay, so a callee configured with none still meets
+// it on the relay rung.
 func TestMediaEscalation(t *testing.T) {
 	cases := []struct {
-		name   string
-		ta, tb nat.Type
-		want   udp.PathKind
+		name          string
+		ta, tb        nat.Type
+		want          udp.PathKind
+		calleeNoRelay bool
 	}{
-		{"full-cone callee goes direct", nat.PortRestricted, nat.FullCone, udp.PathDirect},
-		{"port-restricted pair punches", nat.PortRestricted, nat.PortRestricted, udp.PathPunched},
-		{"symmetric pair falls back to relay", nat.Symmetric, nat.Symmetric, udp.PathRelayed},
+		{"full-cone callee goes direct", nat.PortRestricted, nat.FullCone, udp.PathDirect, false},
+		{"port-restricted pair punches", nat.PortRestricted, nat.PortRestricted, udp.PathPunched, false},
+		{"symmetric pair falls back to relay", nat.Symmetric, nat.Symmetric, udp.PathRelayed, false},
+		{"symmetric pair meets on the caller's relay", nat.Symmetric, nat.Symmetric, udp.PathRelayed, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -97,13 +101,16 @@ func TestMediaEscalation(t *testing.T) {
 				defer caller.Close()
 				defer callee.Close()
 				for n, box := range map[*Node]*nat.Box{caller: boxA, callee: boxB} {
-					host := "10.0.0.2"
+					host, relay := "10.0.0.2", w.rly.Addr()
 					if n == callee {
 						host = "192.168.1.2"
+						if tc.calleeNoRelay {
+							relay = ""
+						}
 					}
 					if err := n.EnableMedia(MediaConfig{
 						Net: box, ListenHost: host, BasePort: 5000,
-						STUN: w.stun.Addr(), Relay: w.rly.Addr(),
+						STUN: w.stun.Addr(), Relay: relay,
 					}); err != nil {
 						t.Fatal(err)
 					}

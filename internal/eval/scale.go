@@ -28,7 +28,7 @@ import (
 //
 //	          core (AS 1, tier 1)
 //	         /  |  \
-//	   transit ASes (AS 10+t)          — cfg.Transits of them
+//	   transit ASes (AS 10+t)          — scaleTransits of them
 //	    /  |  \       \
 //	 stub clusters   relay clusters    — stub c is a customer of transit
 //	 (AS 100+c)      (AS 100+C+j)        c%T; relay clusters are customers
@@ -58,6 +58,15 @@ const (
 	scaleJitterMask = 1023
 	// scaleLatT makes cross-transit calls latent and relay paths viable.
 	scaleLatT = 90 * time.Millisecond
+	// scaleTransits is the number of transit ASes.
+	scaleTransits = 4
+	// scaleRelayClusters is the number of multihomed relay clusters.
+	// Their seed members join first so every later surrogate's close set
+	// includes them.
+	scaleRelayClusters = 4
+	// scaleLeaseTTL is the bootstrap surrogate lease, short enough that
+	// re-election succeeds inside the call window.
+	scaleLeaseTTL = 2 * time.Second
 )
 
 // ScaleConfig sizes one scale-harness deployment.
@@ -66,16 +75,6 @@ type ScaleConfig struct {
 	Nodes int
 	// Shards is the conservative-runner shard count (1 = sequential).
 	Shards int
-	// Clusters is the number of regular stub clusters (>= Transits+1 so
-	// cross- and same-transit pairs both exist). 0 picks a scale-dependent
-	// default.
-	Clusters int
-	// Transits is the number of transit ASes. 0 defaults to 4.
-	Transits int
-	// RelayClusters is the number of multihomed relay clusters. 0
-	// defaults to 4. Their seed members join first so every later
-	// surrogate's close set includes them.
-	RelayClusters int
 	// Calls is the size of the call workload. Callers and callees are
 	// plain members; 3 of 4 calls are cross-transit (latent), 1 of 4
 	// same-transit (direct-quality).
@@ -85,9 +84,6 @@ type ScaleConfig struct {
 	// fourth leaver is a cluster's founding member — i.e. its surrogate —
 	// forcing lease expiry and member re-election on the live paths.
 	Leavers int
-	// LeaseTTL is the bootstrap surrogate lease (0 defaults to 2 s, short
-	// enough that re-election succeeds inside the call window).
-	LeaseTTL time.Duration
 	// Seed roots every node's retry-jitter stream. No deployment draws
 	// jitter (no RetryPolicy sets Jitter), so outcomes do not depend on
 	// it; TestScaleOutcomesIgnoreSeed holds that.
@@ -100,34 +96,14 @@ type ScaleConfig struct {
 	MeasureBytes bool
 }
 
-func (c *ScaleConfig) defaults() {
-	if c.Transits == 0 {
-		c.Transits = 4
-	}
-	if c.RelayClusters == 0 {
-		c.RelayClusters = 4
-	}
-	if c.Clusters == 0 {
-		c.Clusters = c.Nodes / 250
-		if c.Clusters < 2*c.Transits {
-			c.Clusters = 2 * c.Transits
-		}
-		if c.Clusters > 2048 {
-			c.Clusters = 2048
-		}
-	}
-	// Round clusters up to a transit multiple: the same-transit call
-	// pairing (ca, ca+Transits mod Clusters) needs the wrap to preserve
-	// transit class.
-	if r := c.Clusters % c.Transits; r != 0 {
-		c.Clusters += c.Transits - r
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	if c.LeaseTTL == 0 {
-		c.LeaseTTL = 2 * time.Second
-	}
+// scaleClusters is the number of regular stub clusters for a population
+// of nodes: one per 250 nodes, at least 2*scaleTransits so cross- and
+// same-transit pairs both exist, at most 2048, rounded up to a transit
+// multiple: the same-transit call pairing (ca, ca+scaleTransits mod
+// clusters) needs the wrap to preserve transit class.
+func scaleClusters(nodes int) int {
+	c := min(max(nodes/250, 2*scaleTransits), 2048)
+	return (c + scaleTransits - 1) / scaleTransits * scaleTransits
 }
 
 // ScaleReport is one deployment's outcome.
@@ -157,14 +133,16 @@ type ScaleReport struct {
 // scaleWorld is the precomputed identity plan: every address the
 // deployment will ever bind, with its cluster/transit/shard placement.
 type scaleWorld struct {
-	cfg      ScaleConfig
+	cfg ScaleConfig
+	// clusters is the regular stub cluster count (scaleClusters): node
+	// placement puts regular clusters at 0..clusters-1 and the relay
+	// clusters after them.
+	clusters int
 	graph    *asgraph.Graph
 	prefixes []core.PrefixOrigin
-	// cluster/transit/relay placement per node index.
-	clusterOf []int // node index -> cluster (regular 0..C-1, relay C..C+R-1)
-	addrOf    []transport.Addr
-	rejoinOf  []transport.Addr // non-empty for leavers
-	ipOf      []string
+	addrOf   []transport.Addr
+	rejoinOf []transport.Addr // non-empty for leavers
+	ipOf     []string
 	// info resolves any bindable address for the latency fn and shardOf.
 	info map[transport.Addr]scaleAddrInfo
 	bs   transport.Addr
@@ -178,10 +156,10 @@ type scaleAddrInfo struct {
 
 // clusterTransit maps a cluster to its transit (-1 for relay clusters).
 func (w *scaleWorld) clusterTransit(c int) int {
-	if c >= w.cfg.Clusters {
+	if c >= w.clusters {
 		return -1
 	}
-	return c % w.cfg.Transits
+	return c % scaleTransits
 }
 
 // scaleHash is FNV-1a over the two address strings — the per-pair jitter
@@ -199,34 +177,33 @@ func scaleHash(a, b transport.Addr) uint64 {
 }
 
 // buildScaleWorld lays out the AS graph, prefixes and the full address
-// plan for cfg. Node i's cluster: the first RelayClusters indices seed
+// plan for cfg. Node i's cluster: the first scaleRelayClusters indices seed
 // the relay clusters (so they elect first and appear in everyone's close
 // set); the rest cycle through the regular clusters.
 func buildScaleWorld(cfg ScaleConfig) *scaleWorld {
-	cfg.defaults()
 	w := &scaleWorld{
-		cfg:       cfg,
-		clusterOf: make([]int, cfg.Nodes),
-		addrOf:    make([]transport.Addr, cfg.Nodes),
-		rejoinOf:  make([]transport.Addr, cfg.Nodes),
-		ipOf:      make([]string, cfg.Nodes),
-		info:      make(map[transport.Addr]scaleAddrInfo, cfg.Nodes+cfg.Leavers+1),
-		bs:        "bs",
+		cfg:      cfg,
+		clusters: scaleClusters(cfg.Nodes),
+		addrOf:   make([]transport.Addr, cfg.Nodes),
+		rejoinOf: make([]transport.Addr, cfg.Nodes),
+		ipOf:     make([]string, cfg.Nodes),
+		info:     make(map[transport.Addr]scaleAddrInfo, cfg.Nodes+cfg.Leavers+1),
+		bs:       "bs",
 	}
 	b := asgraph.NewBuilder()
 	b.AddNode(asgraph.Node{ASN: 1, Tier: asgraph.TierT1})
-	for t := 0; t < cfg.Transits; t++ {
+	for t := 0; t < scaleTransits; t++ {
 		b.AddNode(asgraph.Node{ASN: asgraph.ASN(10 + t), Tier: asgraph.TierTransit})
 		b.AddEdge(asgraph.ASN(10+t), 1, asgraph.RelC2P)
 	}
-	total := cfg.Clusters + cfg.RelayClusters
+	total := w.clusters + scaleRelayClusters
 	for c := 0; c < total; c++ {
 		asn := asgraph.ASN(100 + c)
 		b.AddNode(asgraph.Node{ASN: asn, Tier: asgraph.TierStub})
-		if c < cfg.Clusters {
-			b.AddEdge(asn, asgraph.ASN(10+c%cfg.Transits), asgraph.RelC2P)
+		if c < w.clusters {
+			b.AddEdge(asn, asgraph.ASN(10+c%scaleTransits), asgraph.RelC2P)
 		} else {
-			for t := 0; t < cfg.Transits; t++ {
+			for t := 0; t < scaleTransits; t++ {
 				b.AddEdge(asn, asgraph.ASN(10+t), asgraph.RelC2P)
 			}
 		}
@@ -239,15 +216,14 @@ func buildScaleWorld(cfg ScaleConfig) *scaleWorld {
 
 	rank := make([]int, total) // members placed so far per cluster
 	for i := 0; i < cfg.Nodes; i++ {
-		c := scaleClusterOfIndex(cfg, i)
-		w.clusterOf[i] = c
+		c := scaleClusterOfIndex(w.clusters, i)
 		addr := transport.Addr(fmt.Sprintf("n%07d", i))
 		w.addrOf[i] = addr
 		w.ipOf[i] = scaleMemberIP(c, rank[c])
 		rank[c]++
 		w.info[addr] = scaleAddrInfo{cluster: c, transit: w.clusterTransit(c), shard: c % cfg.Shards}
 	}
-	for _, idx := range scaleLeavers(cfg) {
+	for _, idx := range scaleLeavers(cfg, w.clusters) {
 		re := transport.Addr(fmt.Sprintf("n%07d.r", idx))
 		w.rejoinOf[idx] = re
 		w.info[re] = w.info[w.addrOf[idx]]
@@ -260,11 +236,11 @@ func buildScaleWorld(cfg ScaleConfig) *scaleWorld {
 // calls). Every fourth pick is a cluster's founding member — its
 // surrogate — to exercise lease expiry and member re-election. Shared by
 // the world builder (rejoin addresses) and the planner (timetable).
-func scaleLeavers(cfg ScaleConfig) []int {
+func scaleLeavers(cfg ScaleConfig, clusters int) []int {
 	if cfg.Leavers <= 0 {
 		return nil
 	}
-	stride := (cfg.Nodes - cfg.RelayClusters) / cfg.Leavers
+	stride := (cfg.Nodes - scaleRelayClusters) / cfg.Leavers
 	if stride < 1 {
 		stride = 1
 	}
@@ -273,9 +249,9 @@ func scaleLeavers(cfg ScaleConfig) []int {
 	for j := 0; len(out) < cfg.Leavers && j < 4*cfg.Leavers; j++ {
 		var idx int
 		if j%4 == 0 {
-			idx = cfg.RelayClusters + (j/4)%cfg.Clusters // a surrogate
+			idx = scaleRelayClusters + (j/4)%clusters // a surrogate
 		} else {
-			idx = cfg.RelayClusters + (j*stride+7)%(cfg.Nodes-cfg.RelayClusters)
+			idx = scaleRelayClusters + (j*stride+7)%(cfg.Nodes-scaleRelayClusters)
 		}
 		if seen[idx] {
 			continue
@@ -286,11 +262,11 @@ func scaleLeavers(cfg ScaleConfig) []int {
 	return out
 }
 
-func scaleClusterOfIndex(cfg ScaleConfig, i int) int {
-	if i < cfg.RelayClusters {
-		return cfg.Clusters + i
+func scaleClusterOfIndex(clusters, i int) int {
+	if i < scaleRelayClusters {
+		return clusters + i
 	}
-	return (i - cfg.RelayClusters) % cfg.Clusters
+	return (i - scaleRelayClusters) % clusters
 }
 
 // scaleClusterPrefix gives cluster c a private /16, one per cluster, so a
@@ -356,7 +332,7 @@ const (
 )
 
 func planScale(w *scaleWorld) *scalePlan {
-	cfg := w.cfg
+	cfg, clusters := w.cfg, w.clusters
 	p := &scalePlan{joinAt: make([]time.Duration, cfg.Nodes)}
 	for i := 0; i < cfg.Nodes; i++ {
 		p.joinAt[i] = 10*time.Millisecond + time.Duration(i)*scaleJoinStep
@@ -364,7 +340,7 @@ func planScale(w *scaleWorld) *scalePlan {
 	p.joinEnd = p.joinAt[cfg.Nodes-1] + 500*time.Millisecond // worst join ~2 RPCs at 15 ms legs + slack
 	workStart := p.joinEnd + 100*time.Millisecond
 
-	p.leavers = scaleLeavers(cfg)
+	p.leavers = scaleLeavers(cfg, clusters)
 	leaverSet := make(map[int]bool, len(p.leavers))
 	for j, idx := range p.leavers {
 		leaverSet[idx] = true
@@ -373,16 +349,16 @@ func planScale(w *scaleWorld) *scalePlan {
 	}
 
 	// Calls: caller from cluster ca, callee from cluster cb; k%4 == 0 is
-	// same-transit (direct-quality; cluster offset Transits keeps the
-	// transit class because Clusters is a transit multiple), the rest
-	// cross-transit (latent; the offset is never a multiple of Transits,
-	// so the transit class always changes). memberAt(c, r) =
-	// RelayClusters + c + r*Clusters is the r-th non-founding member of
+	// same-transit (direct-quality; cluster offset scaleTransits keeps
+	// the transit class because clusters is a transit multiple), the rest
+	// cross-transit (latent; the offset is never a multiple of
+	// scaleTransits, so the transit class always changes). memberAt(c, r)
+	// = scaleRelayClusters + c + r*clusters is the r-th non-founding member of
 	// cluster c. Leavers never originate calls (their task could die
 	// mid-call); dead callees are fair game — a failed call is an
 	// outcome too.
-	memberAt := func(c, r int) int { return cfg.RelayClusters + c + r*cfg.Clusters }
-	maxRank := (cfg.Nodes - cfg.RelayClusters) / cfg.Clusters
+	memberAt := func(c, r int) int { return scaleRelayClusters + c + r*clusters }
+	maxRank := (cfg.Nodes - scaleRelayClusters) / clusters
 	liveMember := func(c, r int) int {
 		for tries := 0; tries < maxRank; tries++ {
 			idx := memberAt(c, 1+(r-1+tries)%maxRank)
@@ -393,20 +369,20 @@ func planScale(w *scaleWorld) *scalePlan {
 		return -1
 	}
 	for k := 0; k < cfg.Calls; k++ {
-		ca := k % cfg.Clusters
+		ca := k % clusters
 		var cb int
 		if k%4 == 0 {
-			cb = (ca + cfg.Transits) % cfg.Clusters
+			cb = (ca + scaleTransits) % clusters
 		} else {
-			span := cfg.Clusters/cfg.Transits - 1
+			span := clusters/scaleTransits - 1
 			if span < 1 {
 				span = 1
 			}
-			off := 1 + k%(cfg.Transits-1) + cfg.Transits*((k/7)%span)
-			cb = (ca + off) % cfg.Clusters
+			off := 1 + k%(scaleTransits-1) + scaleTransits*((k/7)%span)
+			cb = (ca + off) % clusters
 		}
-		caller := liveMember(ca, 1+(k/cfg.Clusters)%maxRank)
-		callee := memberAt(cb, 1+(k/cfg.Clusters+1)%maxRank)
+		caller := liveMember(ca, 1+(k/clusters)%maxRank)
+		callee := memberAt(cb, 1+(k/clusters+1)%maxRank)
 		if callee >= cfg.Nodes {
 			callee = memberAt(cb, 1)
 		}
@@ -430,7 +406,7 @@ func planScale(w *scaleWorld) *scalePlan {
 	}
 	// Generous drain margin: retries, re-elections and lease expiry end
 	// well inside it (10^5 nodes: last call at 1.7 s, horizon 8.4 s).
-	p.horizon = end + cfg.LeaseTTL + 5*time.Second
+	p.horizon = end + scaleLeaseTTL + 5*time.Second
 	return p
 }
 
@@ -451,16 +427,10 @@ type scaleOutcome struct {
 // golden contract: for a fixed config-minus-Shards and seed, Outcomes is
 // byte-identical at every shard count.
 func RunScale(cfg ScaleConfig) (*ScaleReport, error) {
-	cfg.defaults()
-	if cfg.Nodes < cfg.RelayClusters+2*cfg.Clusters {
+	cfg.Shards = max(cfg.Shards, 1)
+	if clusters := scaleClusters(cfg.Nodes); cfg.Nodes < scaleRelayClusters+2*clusters {
 		return nil, fmt.Errorf("eval: scale needs >= %d nodes for %d clusters (got %d)",
-			cfg.RelayClusters+2*cfg.Clusters, cfg.Clusters, cfg.Nodes)
-	}
-	if cfg.Transits < 2 {
-		return nil, fmt.Errorf("eval: scale needs >= 2 transits for cross-transit calls (got %d)", cfg.Transits)
-	}
-	if cfg.Clusters <= cfg.Transits {
-		return nil, fmt.Errorf("eval: scale needs clusters > transits (%d <= %d)", cfg.Clusters, cfg.Transits)
+			scaleRelayClusters+2*clusters, clusters, cfg.Nodes)
 	}
 	w := buildScaleWorld(cfg)
 	plan := planScale(w)
@@ -487,7 +457,7 @@ func RunScale(cfg ScaleConfig) (*ScaleReport, error) {
 			Graph:    w.graph,
 			Prefixes: w.prefixes,
 			K:        params.K,
-			LeaseTTL: cfg.LeaseTTL,
+			LeaseTTL: scaleLeaseTTL,
 			Sched:    bsClock,
 		})
 	})
@@ -563,7 +533,7 @@ func RunScale(cfg ScaleConfig) (*ScaleReport, error) {
 	rep := &ScaleReport{
 		Nodes:    cfg.Nodes,
 		Shards:   cfg.Shards,
-		Clusters: cfg.Clusters,
+		Clusters: w.clusters,
 		Events:   runner.Executed(),
 		Horizon:  plan.horizon,
 		Calls:    len(plan.calls),

@@ -3,7 +3,6 @@ package eval
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // scaleTestConfig is the shared small deployment: big enough to exercise
@@ -15,12 +14,8 @@ func scaleTestConfig(shards int) ScaleConfig {
 	return ScaleConfig{
 		Nodes:          240,
 		Shards:         shards,
-		Clusters:       8,
-		Transits:       4,
-		RelayClusters:  2,
 		Calls:          28,
 		Leavers:        6,
-		LeaseTTL:       time.Second,
 		Seed:           7,
 		RecordOutcomes: true,
 	}

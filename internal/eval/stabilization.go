@@ -34,24 +34,27 @@ type PathGround struct {
 	Loss  float64
 }
 
+const (
+	// stabilizationHorizon bounds every stabilization run.
+	stabilizationHorizon = 5 * time.Minute
+	// stabilizationTolerance is the MOS recovery band.
+	stabilizationTolerance float64 = 0.2
+	// baselineProbeInterval is the Skype-like arm's quality-check
+	// cadence (without keepalives this bounds its detection delay).
+	baselineProbeInterval = 5 * time.Second
+)
+
 // StabilizationConfig parameterizes one stabilization run.
 type StabilizationConfig struct {
 	// Paths holds the candidate paths; Paths[0] is the initial active
 	// path (the relay that will die), the rest are backups in
 	// setup-estimate order.
 	Paths []PathGround
-	// FailAt is the virtual time the active relay dies.
+	// FailAt is the virtual time the active relay dies, before the
+	// run's five-minute horizon.
 	FailAt time.Duration
-	// Horizon bounds the run.
-	Horizon time.Duration
-	// Tolerance is the MOS recovery band (default 0.2).
-	Tolerance float64
 	// Session tunes the ASAP arm's monitor loop.
 	Session session.Config
-	// BaselineProbeInterval is the Skype-like arm's quality-check
-	// cadence (default 5s; without keepalives this bounds its detection
-	// delay).
-	BaselineProbeInterval time.Duration
 	// Seed drives the baseline's random exploration.
 	Seed int64
 }
@@ -60,13 +63,10 @@ type StabilizationConfig struct {
 // given paths.
 func DefaultStabilizationConfig(paths []PathGround) StabilizationConfig {
 	return StabilizationConfig{
-		Paths:                 paths,
-		FailAt:                20 * time.Second,
-		Horizon:               5 * time.Minute,
-		Tolerance:             0.2,
-		Session:               session.DefaultConfig(),
-		BaselineProbeInterval: 5 * time.Second,
-		Seed:                  1,
+		Paths:   paths,
+		FailAt:  20 * time.Second,
+		Session: session.DefaultConfig(),
+		Seed:    1,
 	}
 }
 
@@ -79,7 +79,7 @@ type ArmResult struct {
 	// active path as gone (-1 = never detected within the horizon).
 	DetectAfter time.Duration
 	// RecoverAfter is how long past FailAt the active-path MOS returned
-	// to within Tolerance of PreMOS (-1 = never within the horizon).
+	// to within 0.2 of PreMOS (-1 = never within the horizon).
 	RecoverAfter time.Duration
 	// Switches counts path changes after the failure (failovers
 	// included) — the bounce metric.
@@ -141,14 +141,8 @@ func (c StabilizationConfig) validate() error {
 	if len(c.Paths) < 2 {
 		return fmt.Errorf("eval: stabilization needs an active path and at least one backup")
 	}
-	if c.FailAt <= 0 || c.Horizon <= c.FailAt {
-		return fmt.Errorf("eval: need 0 < FailAt < Horizon")
-	}
-	if c.Tolerance <= 0 {
-		return fmt.Errorf("eval: Tolerance must be > 0")
-	}
-	if c.BaselineProbeInterval <= 0 {
-		return fmt.Errorf("eval: BaselineProbeInterval must be > 0")
+	if c.FailAt <= 0 || c.FailAt >= stabilizationHorizon {
+		return fmt.Errorf("eval: need 0 < FailAt < %v", stabilizationHorizon)
 	}
 	return c.Session.Validate()
 }
@@ -207,12 +201,12 @@ func runSessionArm(cfg StabilizationConfig) (ArmResult, error) {
 	res.PreMOS = mosOfGround(cfg.Paths[0])
 	// Step the clock event by event so recovery is timed at the probe
 	// that achieved it, not at a coarse sampling boundary.
-	for clk.Now() < cfg.Horizon {
+	for clk.Now() < stabilizationHorizon {
 		if !clk.Step() {
 			break
 		}
 		if clk.Now() > cfg.FailAt && res.RecoverAfter < 0 {
-			if mos := sess.LastMOS(); res.PreMOS-mos <= cfg.Tolerance && mos > 1 {
+			if mos := sess.LastMOS(); res.PreMOS-mos <= stabilizationTolerance && mos > 1 {
 				// LastMOS reflects the current active path only after a
 				// post-failover probe; a dead active path scores 1.
 				if sess.State() == session.StateActive || sess.State() == session.StateDegraded {
@@ -227,7 +221,7 @@ func runSessionArm(cfg StabilizationConfig) (ArmResult, error) {
 }
 
 // runBaselineArm models the Skype-like client of Section 5: quality is
-// checked every BaselineProbeInterval with no keepalives, probes are
+// checked every baselineProbeInterval with no keepalives, probes are
 // noisy King-style estimates, and the client switches on the first
 // noisy comparison that favours a freshly probed random candidate — no
 // margin, no consecutive-probe discipline. The noise plus the missing
@@ -251,7 +245,7 @@ func runBaselineArm(cfg StabilizationConfig) ArmResult {
 		return mosOfGround(cfg.Paths[i])
 	}
 
-	for now := cfg.BaselineProbeInterval; now <= cfg.Horizon; now += cfg.BaselineProbeInterval {
+	for now := baselineProbeInterval; now <= stabilizationHorizon; now += baselineProbeInterval {
 		cur := trueMOS(activeIdx, now)
 		if activeIdx == 0 && !alive(0, now) && res.DetectAfter < 0 {
 			res.DetectAfter = now - cfg.FailAt
@@ -273,7 +267,7 @@ func runBaselineArm(cfg StabilizationConfig) ArmResult {
 			}
 		}
 		if now > cfg.FailAt && res.RecoverAfter < 0 && alive(activeIdx, now) &&
-			res.PreMOS-cur <= cfg.Tolerance {
+			res.PreMOS-cur <= stabilizationTolerance {
 			res.RecoverAfter = now - cfg.FailAt
 		}
 		res.FinalMOS = cur

@@ -47,8 +47,8 @@ func TestStabilizationASAPRecoversFastAndClean(t *testing.T) {
 	if a.Switches != 1 {
 		t.Errorf("ASAP made %d path changes, want exactly 1 (single failover, no bounce)", a.Switches)
 	}
-	if a.PreMOS-a.FinalMOS > cfg.Tolerance {
-		t.Errorf("ASAP final MOS %.2f not within %.1f of pre-failure %.2f", a.FinalMOS, cfg.Tolerance, a.PreMOS)
+	if a.PreMOS-a.FinalMOS > stabilizationTolerance {
+		t.Errorf("ASAP final MOS %.2f not within %.1f of pre-failure %.2f", a.FinalMOS, stabilizationTolerance, a.PreMOS)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestStabilizationBaselineIsSlowerAndBouncy(t *testing.T) {
 		} else {
 			// Never recovering within the horizon is the paper's worst
 			// case; count it at the horizon bound.
-			recoverSum += cfg.Horizon - cfg.FailAt
+			recoverSum += stabilizationHorizon - cfg.FailAt
 		}
 		switchSum += b.Switches
 		if b.Switches >= 2 {
@@ -112,11 +112,9 @@ func TestStabilizationConfigValidation(t *testing.T) {
 		DefaultStabilizationConfig(nil),
 		DefaultStabilizationConfig(good[:1]),
 		func() StabilizationConfig { c := DefaultStabilizationConfig(good); c.FailAt = 0; return c }(),
-		func() StabilizationConfig { c := DefaultStabilizationConfig(good); c.Horizon = c.FailAt; return c }(),
-		func() StabilizationConfig { c := DefaultStabilizationConfig(good); c.Tolerance = 0; return c }(),
 		func() StabilizationConfig {
 			c := DefaultStabilizationConfig(good)
-			c.BaselineProbeInterval = 0
+			c.FailAt = stabilizationHorizon
 			return c
 		}(),
 		func() StabilizationConfig {

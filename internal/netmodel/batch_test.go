@@ -183,8 +183,8 @@ func TestHostStatsMatchesRTTAndLoss(t *testing.T) {
 
 // ClusterRTT measures delegate-to-delegate RTT between clusters.
 func (p *Prober) ClusterRTT(a, b cluster.ClusterID) (time.Duration, bool) {
-	p.counters.Add("probe.cluster_rtt", p.MessagesPerProbe)
-	if !p.rng.Bool(p.ResponseProb) {
+	p.counters.Add("probe.cluster_rtt", p.cfg.MessagesPerProbe)
+	if !p.rng.Bool(p.cfg.ResponseProb) {
 		return 0, false
 	}
 	rtt, ok := p.m.ClusterRTT(a, b)
@@ -197,8 +197,8 @@ func (p *Prober) ClusterRTT(a, b cluster.ClusterID) (time.Duration, bool) {
 // ClusterLoss samples the loss rate between two clusters with a short
 // ping train.
 func (p *Prober) ClusterLoss(a, b cluster.ClusterID) (float64, bool) {
-	p.counters.Add("probe.cluster_loss", p.MessagesPerProbe)
-	if !p.rng.Bool(p.ResponseProb) {
+	p.counters.Add("probe.cluster_loss", p.cfg.MessagesPerProbe)
+	if !p.rng.Bool(p.cfg.ResponseProb) {
 		return 0, false
 	}
 	return p.m.ClusterLoss(a, b)

@@ -116,7 +116,7 @@ func TestModelConcurrentLookups(t *testing.T) {
 	probes := make([]ClusterProbe, len(targets))
 	exact.ProbeClusterSet(owner, targets, time.Hour, probes)
 	for i, tc := range targets {
-		want := PairStat{RTT: 2 * m.cfg.IntraASOneWay, OK: true}
+		want := PairStat{RTT: 2 * intraASOneWay, OK: true}
 		if tc != owner {
 			st := m.refASPath(pop.Cluster(owner).AS, pop.Cluster(tc).AS)
 			want = PairStat{RTT: st.rtt, Loss: st.loss, OK: st.ok}
@@ -163,7 +163,7 @@ func TestProberConcurrentCallers(t *testing.T) {
 	wg.Wait()
 
 	for w, ctr := range ctrs {
-		want := int64(probesPer) * p.MessagesPerProbe
+		want := int64(probesPer) * p.cfg.MessagesPerProbe
 		if got := ctr.Get("probe.host_rtt"); got != want {
 			t.Fatalf("worker %d: probe accounting = %d, want %d", w, got, want)
 		}

@@ -32,82 +32,63 @@ type Condition struct {
 	LossRate float64
 }
 
-// Config parameterizes the latency/loss model.
-type Config struct {
-	// PropagationKmPerMs converts fiber distance to delay; ~200 km/ms.
-	PropagationKmPerMs float64
-	// PerHopOneWay is per-AS-hop processing/queueing delay.
-	PerHopOneWay time.Duration
-	// IntraASOneWay is the delay inside an endpoint or transit AS.
-	IntraASOneWay time.Duration
-	// BaseLossRate is the per-AS-hop background loss rate.
-	BaseLossRate float64
+// The latency/loss model's calibration (DESIGN.md §2): the synthetic
+// stand-in for the King RTTs and the 2005 loss rates.
+const (
+	// propagationKmPerMs converts fiber distance to delay; ~200 km/ms.
+	propagationKmPerMs float64 = 200
+	// perHopOneWay is per-AS-hop processing/queueing delay.
+	perHopOneWay = 800 * time.Microsecond
+	// intraASOneWay is the delay inside an endpoint or transit AS.
+	intraASOneWay = 600 * time.Microsecond
+	// baseLossRate is the per-AS-hop background loss rate.
+	baseLossRate float64 = 0.0002
 
+	// congestedMin/MaxOneWay bound the moderate extra one-way delay.
+	congestedMinOneWay, congestedMaxOneWay = 30 * time.Millisecond, 250 * time.Millisecond
+	// severeMin/MaxOneWay bound the severe extra one-way delay.
+	severeMinOneWay, severeMaxOneWay = 500 * time.Millisecond, 2800 * time.Millisecond
+	// congestedLossMax bounds extra loss on congested ASes.
+	congestedLossMax float64 = 0.04
+
+	// tivSpread controls per-link circuitousness: each AS link's latency
+	// is inflated by a deterministic factor in [1, 1+tivSpread], skewed
+	// toward 1. Real inter-AS links do not follow geodesics (undersea
+	// cable detours, sparse peering), producing the triangle-inequality
+	// violations that make one-hop relays beat direct routing for ~60%
+	// of sessions in Figure 2(b).
+	tivSpread float64 = 1.8
+	// tivMinKm restricts circuitousness to long-haul links: short
+	// intra-region links are laid close to geodesics, while undersea and
+	// transcontinental segments detour. Keeping short links clean also
+	// makes the RTT distribution scale-invariant — path hop count grows
+	// with world size, but the number of long-haul segments per path
+	// does not.
+	tivMinKm float64 = 700
+)
+
+// Config sets how much of the transit tier is impaired.
+type Config struct {
 	// CongestedFrac is the fraction of transit ASes with moderate
 	// congestion; SevereFrac the fraction with severe (multi-second)
 	// impairment — these produce the paper's Fig. 2(a) tail, including
 	// the ~10 sessions above 5 s RTT.
 	CongestedFrac float64
 	SevereFrac    float64
-	// CongestedOneWay bounds the moderate extra one-way delay.
-	CongestedMinOneWay, CongestedMaxOneWay time.Duration
-	// SevereOneWay bounds the severe extra one-way delay.
-	SevereMinOneWay, SevereMaxOneWay time.Duration
-	// CongestedLossMax bounds extra loss on congested ASes.
-	CongestedLossMax float64
-
-	// TIVSpread controls per-link circuitousness: each AS link's latency
-	// is inflated by a deterministic factor in [1, 1+TIVSpread], skewed
-	// toward 1. Real inter-AS links do not follow geodesics (undersea
-	// cable detours, sparse peering), producing the triangle-inequality
-	// violations that make one-hop relays beat direct routing for ~60%
-	// of sessions in Figure 2(b).
-	TIVSpread float64
-	// TIVMinKm restricts circuitousness to long-haul links: short
-	// intra-region links are laid close to geodesics, while undersea and
-	// transcontinental segments detour. Keeping short links clean also
-	// makes the RTT distribution scale-invariant — path hop count grows
-	// with world size, but the number of long-haul segments per path
-	// does not.
-	TIVMinKm float64
 }
 
 // DefaultConfig returns the calibrated defaults used by the evaluation.
 func DefaultConfig() Config {
 	return Config{
-		PropagationKmPerMs: 200,
-		PerHopOneWay:       800 * time.Microsecond,
-		IntraASOneWay:      600 * time.Microsecond,
-		BaseLossRate:       0.0002,
-		CongestedFrac:      0.012,
-		SevereFrac:         0.004,
-		CongestedMinOneWay: 30 * time.Millisecond,
-		CongestedMaxOneWay: 250 * time.Millisecond,
-		SevereMinOneWay:    500 * time.Millisecond,
-		SevereMaxOneWay:    2800 * time.Millisecond,
-		CongestedLossMax:   0.04,
-		TIVSpread:          1.8,
-		TIVMinKm:           700,
+		CongestedFrac: 0.012,
+		SevereFrac:    0.004,
 	}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	switch {
-	case c.PropagationKmPerMs <= 0:
-		return fmt.Errorf("netmodel: PropagationKmPerMs must be > 0")
-	case c.BaseLossRate < 0 || c.BaseLossRate >= 1:
-		return fmt.Errorf("netmodel: BaseLossRate must be in [0,1)")
-	case c.CongestedFrac < 0 || c.CongestedFrac > 1 || c.SevereFrac < 0 || c.SevereFrac > 1:
+	if c.CongestedFrac < 0 || c.CongestedFrac > 1 || c.SevereFrac < 0 || c.SevereFrac > 1 {
 		return fmt.Errorf("netmodel: congestion fractions must be in [0,1]")
-	case c.CongestedMinOneWay > c.CongestedMaxOneWay:
-		return fmt.Errorf("netmodel: congested delay bounds inverted")
-	case c.SevereMinOneWay > c.SevereMaxOneWay:
-		return fmt.Errorf("netmodel: severe delay bounds inverted")
-	case c.TIVSpread < 0:
-		return fmt.Errorf("netmodel: TIVSpread must be >= 0")
-	case c.TIVMinKm < 0:
-		return fmt.Errorf("netmodel: TIVMinKm must be >= 0")
 	}
 	return nil
 }
@@ -135,7 +116,6 @@ type rttShard struct {
 // condMu; SetCondition/ResetConditions take it, then drop each shard in
 // turn.
 type Model struct {
-	cfg    Config
 	g      *asgraph.Graph
 	router *asgraph.Router
 	pop    *cluster.Population
@@ -239,7 +219,6 @@ func New(g *asgraph.Graph, router *asgraph.Router, pop *cluster.Population, cfg 
 		return nil, err
 	}
 	m := &Model{
-		cfg:     cfg,
 		g:       g,
 		router:  router,
 		pop:     pop,
@@ -285,10 +264,10 @@ func New(g *asgraph.Graph, router *asgraph.Router, pop *cluster.Population, cfg 
 			if rng.Bool(cfg.CongestedFrac) {
 				conds[i] = Condition{
 					ExtraOneWay: time.Duration(rng.Uniform(
-						float64(cfg.CongestedMinOneWay),
-						float64(cfg.CongestedMinOneWay)+
-							(float64(cfg.CongestedMaxOneWay)-float64(cfg.CongestedMinOneWay))/4)),
-					LossRate: rng.Uniform(0, cfg.CongestedLossMax/2),
+						float64(congestedMinOneWay),
+						float64(congestedMinOneWay)+
+							(float64(congestedMaxOneWay)-float64(congestedMinOneWay))/4)),
+					LossRate: rng.Uniform(0, congestedLossMax/2),
 				}
 			}
 			continue
@@ -297,14 +276,14 @@ func New(g *asgraph.Graph, router *asgraph.Router, pop *cluster.Population, cfg 
 		case rng.Bool(cfg.SevereFrac):
 			conds[i] = Condition{
 				ExtraOneWay: time.Duration(rng.Uniform(
-					float64(cfg.SevereMinOneWay), float64(cfg.SevereMaxOneWay))),
+					float64(severeMinOneWay), float64(severeMaxOneWay))),
 				LossRate: rng.Uniform(0.02, 0.15),
 			}
 		case rng.Bool(cfg.CongestedFrac):
 			conds[i] = Condition{
 				ExtraOneWay: time.Duration(rng.Uniform(
-					float64(cfg.CongestedMinOneWay), float64(cfg.CongestedMaxOneWay))),
-				LossRate: rng.Uniform(0, cfg.CongestedLossMax),
+					float64(congestedMinOneWay), float64(congestedMaxOneWay))),
+				LossRate: rng.Uniform(0, congestedLossMax),
 			}
 		}
 	}
@@ -321,7 +300,6 @@ func New(g *asgraph.Graph, router *asgraph.Router, pop *cluster.Population, cfg 
 // copy.
 func (m *Model) WithPopulation(pop *cluster.Population) *Model {
 	cp := &Model{
-		cfg:       m.cfg,
 		g:         m.g,
 		router:    m.router,
 		pop:       pop,
@@ -402,12 +380,9 @@ func (m *Model) Router() *asgraph.Router { return m.router }
 func (m *Model) Population() *cluster.Population { return m.pop }
 
 // linkTIV returns the deterministic circuitousness multiplier of the
-// undirected link a-b: 1 + TIVSpread * u^3 for a per-link uniform u, so
+// undirected link a-b: 1 + tivSpread * u^3 for a per-link uniform u, so
 // most links are near-geodesic and a tail is strongly detoured.
 func (m *Model) linkTIV(a, b asgraph.ASN) float64 {
-	if m.cfg.TIVSpread == 0 {
-		return 1
-	}
 	if a > b {
 		a, b = b, a
 	}
@@ -423,7 +398,7 @@ func (m *Model) linkTIV(a, b asgraph.ASN) float64 {
 	mix(uint64(a))
 	mix(uint64(b))
 	u := float64(h>>11) / float64(1<<53)
-	return 1 + m.cfg.TIVSpread*u*u*u
+	return 1 + tivSpread*u*u*u
 }
 
 // linkOneWay is the one-way delay of the link a-b: propagation over the
@@ -434,11 +409,11 @@ func (m *Model) linkOneWay(a, b asgraph.ASN) time.Duration {
 	dx, dy := na.X-nb.X, na.Y-nb.Y
 	km := math.Sqrt(dx*dx + dy*dy)
 	mult := 1.0
-	if km > m.cfg.TIVMinKm {
+	if km > tivMinKm {
 		mult = m.linkTIV(a, b)
 	}
-	prop := time.Duration(km / m.cfg.PropagationKmPerMs * mult * float64(time.Millisecond))
-	return prop + m.cfg.PerHopOneWay
+	prop := time.Duration(km / propagationKmPerMs * mult * float64(time.Millisecond))
+	return prop + perHopOneWay
 }
 
 func pairKey(a, b cluster.ClusterID) uint64 {
@@ -495,7 +470,7 @@ func (m *Model) asPath(a, b asgraph.ASN) pathStats {
 	case okA && okB:
 		return m.indexPath(ia, ib)
 	case a == b:
-		return pathStats{rtt: 2 * m.cfg.IntraASOneWay, ok: true}
+		return pathStats{rtt: 2 * intraASOneWay, ok: true}
 	default:
 		return pathStats{}
 	}
@@ -506,7 +481,7 @@ func (m *Model) asPath(a, b asgraph.ASN) pathStats {
 func (m *Model) indexPath(ia, ib int32) pathStats {
 	conds := *m.conds.Load()
 	if ia == ib {
-		oneWay := m.cfg.IntraASOneWay + conds[ia].ExtraOneWay
+		oneWay := intraASOneWay + conds[ia].ExtraOneWay
 		return pathStats{rtt: 2 * oneWay, loss: conds[ia].LossRate, hops: 0, ok: true}
 	}
 	dst, src := min(ia, ib), max(ia, ib)
@@ -520,14 +495,14 @@ func (m *Model) indexPath(ia, ib int32) pathStats {
 			return pathStats{}
 		}
 		d += m.linkDelay[e]
-		success *= 1 - m.cfg.BaseLossRate
+		success *= 1 - baseLossRate
 		d += conds[i].ExtraOneWay
 		success *= 1 - conds[i].LossRate
 		i = next
 	}
 	d += conds[dst].ExtraOneWay
 	success *= 1 - conds[dst].LossRate
-	d += m.cfg.IntraASOneWay * time.Duration(hops+1)
+	d += intraASOneWay * time.Duration(hops+1)
 	return pathStats{rtt: 2 * d, loss: 1 - success, hops: hops, ok: true}
 }
 
@@ -567,7 +542,7 @@ func (m *Model) HostRTT(h1, h2 cluster.HostID) (time.Duration, bool) {
 // between two clusters.
 func (m *Model) clusterStats(c1, c2 cluster.ClusterID) PairStat {
 	if c1 == c2 {
-		return PairStat{RTT: 2 * m.cfg.IntraASOneWay, OK: true}
+		return PairStat{RTT: 2 * intraASOneWay, OK: true}
 	}
 	st := m.clusterPath(c1, c2)
 	return PairStat{RTT: st.rtt, Loss: st.loss, OK: st.ok}
@@ -579,7 +554,7 @@ func (m *Model) clusterStats(c1, c2 cluster.ClusterID) PairStat {
 // cost a miss lookup, an insert and a shard write lock (DESIGN.md §9).
 func (m *Model) clusterStatsUncached(c1, c2 cluster.ClusterID) PairStat {
 	if c1 == c2 {
-		return PairStat{RTT: 2 * m.cfg.IntraASOneWay, OK: true}
+		return PairStat{RTT: 2 * intraASOneWay, OK: true}
 	}
 	st := m.indexPath(m.clusterAS[c1], m.clusterAS[c2])
 	return PairStat{RTT: st.rtt, Loss: st.loss, OK: st.ok}

@@ -256,16 +256,7 @@ func TestConfigValidation(t *testing.T) {
 	rng := sim.NewRNG(1)
 	g, _ := asgraph.Generate(asgraph.DefaultGenConfig(50), rng)
 	bad := []Config{
-		{},
-		func() Config { c := DefaultConfig(); c.BaseLossRate = 1; return c }(),
 		func() Config { c := DefaultConfig(); c.CongestedFrac = -0.1; return c }(),
-		func() Config {
-			c := DefaultConfig()
-			c.CongestedMinOneWay = time.Second
-			c.CongestedMaxOneWay = 0
-			return c
-		}(),
-		func() Config { c := DefaultConfig(); c.SevereMinOneWay = time.Second; c.SevereMaxOneWay = 0; return c }(),
 	}
 	for i, cfg := range bad {
 		if _, err := New(g, asgraph.NewRouter(g, 0), nil, cfg, rng); err == nil {

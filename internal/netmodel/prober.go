@@ -37,7 +37,14 @@ func (p *proberRNG) Bool(prob float64) bool {
 // For deterministic parallel measurement, derive per-work-unit probers
 // with WithRNG.
 type Prober struct {
-	m *Model
+	m        *Model
+	cfg      ProberConfig
+	rng      *proberRNG
+	counters *sim.Counters
+}
+
+// ProberConfig configures a Prober.
+type ProberConfig struct {
 	// NoiseFrac is the relative RTT measurement error (King reports ~10%
 	// typical error against direct measurement).
 	NoiseFrac float64
@@ -46,16 +53,6 @@ type Prober struct {
 	ResponseProb float64
 	// MessagesPerProbe is the message cost charged per measurement
 	// (a King estimate costs a pair of recursive DNS queries).
-	MessagesPerProbe int64
-
-	rng      *proberRNG
-	counters *sim.Counters
-}
-
-// ProberConfig configures a Prober.
-type ProberConfig struct {
-	NoiseFrac        float64
-	ResponseProb     float64
 	MessagesPerProbe int64
 }
 
@@ -83,14 +80,7 @@ func NewProber(m *Model, cfg ProberConfig, rng *sim.RNG, counters *sim.Counters)
 	if counters == nil {
 		counters = sim.NewCounters()
 	}
-	return &Prober{
-		m:                m,
-		NoiseFrac:        cfg.NoiseFrac,
-		ResponseProb:     cfg.ResponseProb,
-		MessagesPerProbe: cfg.MessagesPerProbe,
-		rng:              &proberRNG{rng: rng},
-		counters:         counters,
-	}, nil
+	return &Prober{m: m, cfg: cfg, rng: &proberRNG{rng: rng}, counters: counters}, nil
 }
 
 // Counters exposes the prober's message accounting.
@@ -126,10 +116,10 @@ func (p *Prober) noisy(rtt time.Duration) time.Duration {
 // noisyFrom applies one draw of measurement noise from g, whose lock the
 // caller holds.
 func (p *Prober) noisyFrom(g *sim.RNG, rtt time.Duration) time.Duration {
-	if p.NoiseFrac == 0 {
+	if p.cfg.NoiseFrac == 0 {
 		return rtt
 	}
-	f := 1 + g.Normal(0, p.NoiseFrac)
+	f := 1 + g.Normal(0, p.cfg.NoiseFrac)
 	if f < 0.1 {
 		f = 0.1
 	}
@@ -139,8 +129,8 @@ func (p *Prober) noisyFrom(g *sim.RNG, rtt time.Duration) time.Duration {
 // HostRTT measures the RTT between two hosts. ok is false when the
 // measurement got no response (the probe is still charged).
 func (p *Prober) HostRTT(a, b cluster.HostID) (time.Duration, bool) {
-	p.counters.Add("probe.host_rtt", p.MessagesPerProbe)
-	if !p.rng.Bool(p.ResponseProb) {
+	p.counters.Add("probe.host_rtt", p.cfg.MessagesPerProbe)
+	if !p.rng.Bool(p.cfg.ResponseProb) {
 		return 0, false
 	}
 	rtt, ok := p.m.HostRTT(a, b)
@@ -192,13 +182,13 @@ func (p *Prober) ProbeClusterSet(owner cluster.ClusterID, targets []cluster.Clus
 			}
 		}
 		pr := ClusterProbe{}
-		if g.Bool(p.ResponseProb) && st.OK {
+		if g.Bool(p.cfg.ResponseProb) && st.OK {
 			pr.RTT = p.noisyFrom(g, st.RTT)
 			pr.RTTOK = true
 		}
 		if pr.RTTOK && pr.RTT < latT {
 			nLoss++
-			if g.Bool(p.ResponseProb) {
+			if g.Bool(p.cfg.ResponseProb) {
 				pr.Loss = st.Loss
 				pr.LossOK = true
 			}
@@ -206,7 +196,7 @@ func (p *Prober) ProbeClusterSet(owner cluster.ClusterID, targets []cluster.Clus
 		out[i] = pr
 	}
 	p.rng.mu.Unlock()
-	rttMsgs, lossMsgs := int64(len(targets))*p.MessagesPerProbe, nLoss*p.MessagesPerProbe
+	rttMsgs, lossMsgs := int64(len(targets))*p.cfg.MessagesPerProbe, nLoss*p.cfg.MessagesPerProbe
 	p.counters.Add("probe.cluster_rtt", rttMsgs)
 	if nLoss > 0 {
 		p.counters.Add("probe.cluster_loss", lossMsgs)

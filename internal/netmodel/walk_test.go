@@ -16,7 +16,7 @@ import (
 // link's delay and looking up each AS's condition on the way.
 func (m *Model) refASPath(a, b asgraph.ASN) pathStats {
 	if a == b {
-		oneWay := m.cfg.IntraASOneWay
+		oneWay := intraASOneWay
 		var loss float64
 		if c, ok := m.Condition(a); ok {
 			oneWay += c.ExtraOneWay
@@ -43,12 +43,12 @@ func (m *Model) refASPath(a, b asgraph.ASN) pathStats {
 // refPathOneWay computes one-way delay and loss along an AS path,
 // applying the conditions of every AS on it, endpoints included.
 func (m *Model) refPathOneWay(path []asgraph.ASN) (time.Duration, float64) {
-	d := m.cfg.IntraASOneWay * time.Duration(len(path))
+	d := intraASOneWay * time.Duration(len(path))
 	success := 1.0
 	for i, asn := range path {
 		if i+1 < len(path) {
 			d += m.linkOneWay(asn, path[i+1])
-			success *= 1 - m.cfg.BaseLossRate
+			success *= 1 - baseLossRate
 		}
 		if c, ok := m.Condition(asn); ok {
 			d += c.ExtraOneWay

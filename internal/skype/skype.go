@@ -58,6 +58,24 @@ type Trace struct {
 	DirectRTT time.Duration
 }
 
+// The client's fixed probing and voice behaviour, after the supernode
+// behaviour Baset & Schulzrinne measured.
+const (
+	// probesPerRound is how many new supernodes each round probes.
+	probesPerRound = 2
+	// directThreshold: below this measured direct RTT the client prefers
+	// the direct path.
+	directThreshold = 140 * time.Millisecond
+	// packetsPerSecond is the voice packet rate on the active path.
+	packetsPerSecond = 33 // 30 ms frames
+	// stableAfter is how long without a path switch the client considers
+	// itself stabilized; new-node probing then backs off to every
+	// stableProbeEvery-th round (the paper still observed 3-6 probed
+	// nodes after stabilization — Fig. 7(c)).
+	stableAfter      = 30 * time.Second
+	stableProbeEvery = 6
+)
+
 // Config parameterizes the Skype-like client.
 type Config struct {
 	// SupernodePool is the number of known supernodes a client may probe.
@@ -66,28 +84,15 @@ type Config struct {
 	InitialBurst int
 	// ProbeInterval is the background probing cadence.
 	ProbeInterval time.Duration
-	// ProbesPerRound is how many new supernodes each round probes.
-	ProbesPerRound int
 	// SwitchMargin is the relative RTT improvement a candidate needs to
 	// displace the active path (greedy switching = relay bounce).
 	SwitchMargin float64
-	// DirectThreshold: below this measured direct RTT the client prefers
-	// the direct path.
-	DirectThreshold time.Duration
 	// CallDuration is the simulated call length.
 	CallDuration time.Duration
-	// PacketsPerSecond is the voice packet rate on the active path.
-	PacketsPerSecond int
 	// JitterFrac is the per-measurement jitter the client sees on top of
 	// prober noise; re-measuring the same path gives different values,
 	// which is what keeps the client switching.
 	JitterFrac float64
-	// StableAfter is how long without a path switch the client considers
-	// itself stabilized; new-node probing then backs off to every
-	// StableProbeEvery-th round (the paper still observed 3-6 probed
-	// nodes after stabilization — Fig. 7(c)).
-	StableAfter      time.Duration
-	StableProbeEvery int
 }
 
 // DefaultConfig mirrors the measured behaviour: bursts of early probes,
@@ -95,17 +100,12 @@ type Config struct {
 // switching for minutes in session 10).
 func DefaultConfig() Config {
 	return Config{
-		SupernodePool:    400,
-		InitialBurst:     5,
-		ProbeInterval:    5 * time.Second,
-		ProbesPerRound:   2,
-		SwitchMargin:     0.07,
-		DirectThreshold:  140 * time.Millisecond,
-		CallDuration:     6 * time.Minute,
-		PacketsPerSecond: 33, // 30 ms frames
-		JitterFrac:       0.10,
-		StableAfter:      30 * time.Second,
-		StableProbeEvery: 6,
+		SupernodePool: 400,
+		InitialBurst:  5,
+		ProbeInterval: 5 * time.Second,
+		SwitchMargin:  0.07,
+		CallDuration:  6 * time.Minute,
+		JitterFrac:    0.10,
 	}
 }
 
@@ -118,20 +118,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("skype: InitialBurst must be >= 1")
 	case c.ProbeInterval <= 0:
 		return fmt.Errorf("skype: ProbeInterval must be > 0")
-	case c.ProbesPerRound < 0:
-		return fmt.Errorf("skype: ProbesPerRound must be >= 0")
 	case c.SwitchMargin < 0:
 		return fmt.Errorf("skype: SwitchMargin must be >= 0")
 	case c.CallDuration <= 0:
 		return fmt.Errorf("skype: CallDuration must be > 0")
-	case c.PacketsPerSecond < 1:
-		return fmt.Errorf("skype: PacketsPerSecond must be >= 1")
 	case c.JitterFrac < 0 || c.JitterFrac >= 1:
 		return fmt.Errorf("skype: JitterFrac must be in [0,1)")
-	case c.StableAfter < 0:
-		return fmt.Errorf("skype: StableAfter must be >= 0")
-	case c.StableProbeEvery < 1:
-		return fmt.Errorf("skype: StableProbeEvery must be >= 1")
 	}
 	return nil
 }
@@ -251,7 +243,7 @@ func (c *Client) Call(sessionID int, caller, callee cluster.HostID) (*Trace, err
 	// Call start: measure direct, then the initial supernode burst.
 	if rtt, ok := c.measurePath(caller, callee, -1); ok {
 		record(EventProbe, -1, rtt, 0)
-		if rtt < c.cfg.DirectThreshold {
+		if rtt < directThreshold {
 			active = pathState{relay: -1, lastRTT: rtt}
 			record(EventSwitch, -1, rtt, 0)
 		} else {
@@ -266,9 +258,9 @@ func (c *Client) Call(sessionID int, caller, callee cluster.HostID) (*Trace, err
 	var round func()
 	round = func() {
 		roundNo++
-		stable := clock.Now()-lastSwitch > c.cfg.StableAfter
-		if !stable || roundNo%c.cfg.StableProbeEvery == 0 {
-			for i := 0; i < c.cfg.ProbesPerRound; i++ {
+		stable := clock.Now()-lastSwitch > stableAfter
+		if !stable || roundNo%stableProbeEvery == 0 {
+			for i := 0; i < probesPerRound; i++ {
 				probeOne(c.supernodes[c.rng.Intn(len(c.supernodes))])
 			}
 		}
@@ -298,7 +290,7 @@ func (c *Client) Call(sessionID int, caller, callee cluster.HostID) (*Trace, err
 	// Voice packets: one batch per second on whatever path is active.
 	var pump func()
 	pump = func() {
-		record(EventPacket, active.relay, active.lastRTT, c.cfg.PacketsPerSecond)
+		record(EventPacket, active.relay, active.lastRTT, packetsPerSecond)
 		if clock.Now()+time.Second < c.cfg.CallDuration {
 			clock.After(time.Second, pump)
 		}

@@ -73,10 +73,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.SupernodePool = 0 },
 		func(c *Config) { c.InitialBurst = 0 },
 		func(c *Config) { c.ProbeInterval = 0 },
-		func(c *Config) { c.ProbesPerRound = -1 },
 		func(c *Config) { c.SwitchMargin = -0.1 },
 		func(c *Config) { c.CallDuration = 0 },
-		func(c *Config) { c.PacketsPerSecond = 0 },
 		func(c *Config) { c.JitterFrac = 1 },
 	}
 	for i, mut := range mutations {

@@ -234,9 +234,9 @@ type Message struct {
 	// the ladder falls through to its relay rung (MsgMediaSetup).
 	MediaToken uint32
 	// MediaRelay is the voice-relay media address both endpoints should
-	// bind on the ladder's last rung (MsgMediaSetup) — the media plane of
-	// the relay the session monitor switched to. Empty means each side's
-	// configured relay.
+	// bind on the ladder's last rung (MsgMediaSetup): the caller's
+	// configured relay, or the media plane of the relay the session
+	// monitor switched to. Empty means the ladder has no relay rung.
 	MediaRelay Addr
 	// MediaEpoch orders the handshake rounds of one media flow
 	// (MsgMediaSetup; 0 is the call's first): the callee acts once per

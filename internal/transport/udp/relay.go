@@ -32,10 +32,13 @@ import (
 //     The control plane mints the secret and hands the proof to the two
 //     call endpoints, so a third party that merely observes (or guesses)
 //     the 32-bit token cannot bind it. Bad proofs answer PTRelayReject.
-//   - Per-source quotas: one source host may hold at most
-//     MaxFlowsPerSource live flows; binds past the quota answer
-//     PTRelayReject so the binder abandons the rung instead of retrying
-//     into a stone wall.
+//   - Quotas: one source host may hold at most MaxFlowsPerSource live
+//     flows, and the relay as a whole creates no flow past
+//     maxRelayFlows, so even an open relay's table is bounded; binds
+//     past either quota answer PTRelayReject so the binder abandons the
+//     rung instead of retrying into a stone wall. A second party
+//     pairing an existing flow creates no entry and is never refused by
+//     the relay-wide cap.
 //   - Keepalive expiry: every bind, voice or keepalive packet refreshes
 //     its flow's expiry clock; a sweep on the injected sim.Scheduler
 //     evicts flows idle longer than FlowTTL (endpoint death, NAT rebind,
@@ -62,8 +65,9 @@ type RelayServer struct {
 	onEvent   func(RelayEvent)
 }
 
-// RelayConfig tunes the relay's lifecycle defenses. The zero value is a
-// fully open relay: no auth, no quota, no expiry.
+// RelayConfig tunes the relay's lifecycle defenses. The zero value is an
+// open relay: no auth, no per-source quota, no expiry — only the
+// relay-wide maxRelayFlows cap bounds its table.
 type RelayConfig struct {
 	// FlowTTL evicts flows that carried no packet for this long
 	// (0 = never expire); the expiry sweep runs every FlowTTL/2.
@@ -97,6 +101,11 @@ type relayFlow struct {
 	bound    bool
 	lastSeen time.Duration
 }
+
+// maxRelayFlows caps the relay's flow table: a bind that would create
+// one more flow is refused as a quota rejection. It matches the
+// control-plane relay table's cap in core.
+const maxRelayFlows = 65536
 
 // relayProofLen is the truncated HMAC-SHA256 length carried in
 // PTRelayBind payloads — 16 bytes keeps the bind datagram small while
@@ -210,7 +219,7 @@ func (r *RelayServer) Expired() int64 {
 }
 
 // QuotaRejections reports binds refused for exceeding the per-source
-// flow quota.
+// flow quota or the relay-wide flow cap.
 func (r *RelayServer) QuotaRejections() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -343,7 +352,7 @@ func (r *RelayServer) proofOK(p Packet) bool {
 	return hmac.Equal(p.Payload, mac[:relayProofLen])
 }
 
-// handleBind runs the bind admission pipeline: proof, then quota, then
+// handleBind runs the bind admission pipeline: proof, then quotas, then
 // pairing. Rejections answer PTRelayReject so the binder can abandon
 // the relay rung immediately.
 func (r *RelayServer) handleBind(from transport.Addr, p Packet) {
@@ -360,7 +369,8 @@ func (r *RelayServer) handleBind(from transport.Addr, p Packet) {
 	f := r.flows[p.SSRC]
 	newFlow := f == nil
 	rebinding := !newFlow && (f.a == from || f.b == from)
-	if !rebinding && r.cfg.MaxFlowsPerSource > 0 && r.bySource[sourceHost(from)] >= r.cfg.MaxFlowsPerSource {
+	if (newFlow && len(r.flows) >= maxRelayFlows) ||
+		(!rebinding && r.cfg.MaxFlowsPerSource > 0 && r.bySource[sourceHost(from)] >= r.cfg.MaxFlowsPerSource) {
 		r.quotaRej++
 		r.eventLocked("quota-reject", p.SSRC, from)
 		r.mu.Unlock()

@@ -307,6 +307,73 @@ func TestRelayAuthRejectAbandonsLadderFast(t *testing.T) {
 	}
 }
 
+func TestRelayFlowCap(t *testing.T) {
+	// An open relay (no secret, no per-source quota, no TTL) must still
+	// bound its table: one stranger binding fresh tokens fills it to
+	// maxRelayFlows, the next new token is refused as a quota rejection,
+	// and a second party pairing an existing token still binds.
+	clk := sim.NewClock()
+	m := transport.NewMem()
+	m.Sched = clk
+	t.Cleanup(func() { _ = m.Close() })
+	relay, err := NewRelayServerWith(m, "relay:1", clk, RelayConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quotaEvents := 0
+	relay.SetEventLog(func(e RelayEvent) {
+		if e.Kind == "quota-reject" {
+			quotaEvents++
+		}
+	})
+	var rejects, bounds []uint32
+	listen := func(addr transport.Addr) transport.PacketConn {
+		c, err := m.ListenPacket(addr, func(_ transport.Addr, data []byte) {
+			p, err := Parse(data)
+			switch {
+			case err != nil:
+			case p.Type == PTRelayReject:
+				rejects = append(rejects, p.SSRC)
+			case p.Type == PTRelayBound:
+				bounds = append(bounds, p.SSRC)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	flood, peer := listen("stranger:7000"), listen("peer:7001")
+	bind := func(c transport.PacketConn, token uint32) {
+		if err := writePacket(c, relay.Addr(), Packet{Type: PTRelayBind, Seq: 1, SSRC: token}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.RunTask(func() {
+		for token := uint32(1); token <= maxRelayFlows+1; token++ {
+			bind(flood, token)
+			if token%4096 == 0 {
+				clk.Sleep(time.Millisecond)
+			}
+		}
+		clk.Sleep(10 * time.Millisecond)
+		bind(peer, 1) // pairs an existing flow: no new entry
+		clk.Sleep(10 * time.Millisecond)
+	})
+	if got := relay.LiveFlows(); got != maxRelayFlows {
+		t.Errorf("live flows = %d, want the cap %d", got, maxRelayFlows)
+	}
+	if got := relay.QuotaRejections(); got != 1 || quotaEvents != 1 {
+		t.Errorf("quota rejections = %d (%d events), want 1", got, quotaEvents)
+	}
+	if len(rejects) != 1 || rejects[0] != maxRelayFlows+1 {
+		t.Errorf("rejected tokens %v, want only %d", rejects, maxRelayFlows+1)
+	}
+	if len(bounds) != 2 || bounds[0] != 1 || bounds[1] != 1 {
+		t.Errorf("bound confirmations %v, want token 1 to both parties", bounds)
+	}
+}
+
 func TestRelayTTLExpiryAndKeepaliveRefresh(t *testing.T) {
 	// An idle flow ages out on the scheduler-driven sweep; a flow whose
 	// endpoints beacon PTKeepalive stays bound indefinitely.
