@@ -206,15 +206,18 @@ scale-gate:
 # that juggle keepalive timers, re-establishment and relay expiry
 # concurrently — then stresses the TCP transport's connection hand-off
 # (Call, the park list, Close) twenty times over, and System's scratch
-# free list, which close-set builds and selections share, and the
-# virtual clock's Waiter/Timer hand-off (a Wake or Stop against a
-# firing deadline) ten times over each: their races are between a
-# handful of goroutines and one pass rarely lines them up.
+# free list, which close-set builds and selections share, the virtual
+# clock's Waiter/Timer hand-off (a Wake or Stop against a firing
+# deadline) and the graph's route-build scratch free list, which
+# concurrent misses for different destinations pass from build to
+# build, ten times over each: their races are between a handful of
+# goroutines and one pass rarely lines them up.
 race-dataplane:
 	$(GO) test -race -count=1 ./internal/transport/... ./internal/nat/... ./internal/session/...
 	$(GO) test -race -count=20 -run 'TCP' ./internal/transport/
 	$(GO) test -race -count=10 -run 'TestCloseSet|TestSelectCloseRelayConcurrent' ./internal/core/
 	$(GO) test -race -count=10 -run 'Waiter|Timer|Clock' ./internal/sim/
+	$(GO) test -race -count=10 -run 'Router|RouteTable' ./internal/asgraph/
 
 # test-experiments runs the virtual-time experiment suite with a tight
 # timeout: everything in internal/eval runs on the simulated clock, so

@@ -14,6 +14,9 @@ package asgraph
 import (
 	"fmt"
 	"sort"
+	"sync"
+
+	"asap/internal/sim"
 )
 
 // ASN identifies an Autonomous System.
@@ -108,8 +111,9 @@ type Node struct {
 	X, Y float64
 }
 
-// Graph is an annotated AS-level topology. It is immutable after Build and
-// therefore safe for concurrent readers.
+// Graph is an annotated AS-level topology. Its topology is immutable after
+// Build and therefore safe for concurrent readers; the one thing a reader
+// changes is the free list of route-build scratches, behind its own lock.
 //
 // Nodes live in one dense index space [0, NumNodes), ascending by ASN, and
 // the adjacency is one compressed sparse row: node i's half-edges are
@@ -128,6 +132,11 @@ type Graph struct {
 	// that runs back along the same link.
 	nbr []int32
 	rev []int32
+
+	// scratchMu guards scratch, the idle route-table build scratches
+	// (route.go), at most maxRouteScratches.
+	scratchMu sync.Mutex
+	scratch   sim.FreeList[*routeScratch]
 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph.

@@ -35,7 +35,8 @@ const (
 )
 
 // RouteTable holds, for one destination AS, the policy route from every
-// source AS that can reach it.
+// source AS that can reach it, as next hops: a route's length and class
+// matter only while the table is built, and its readers walk via.
 type RouteTable struct {
 	g      *Graph
 	dst    ASN
@@ -43,24 +44,33 @@ type RouteTable struct {
 	// via[i] is the half-edge g.asns[i]'s route leaves by (its head is the
 	// next AS toward dst), or -1 when unreachable (or i is dst).
 	via []int32
-	// hops[i] is the AS-path length (edge count) from g.asns[i] to dst;
-	// -1 when unreachable.
-	hops []int32
-	// class[i] is the route class at g.asns[i].
-	class []routeClass
 }
 
 // Dst returns the table's destination AS.
 func (t *RouteTable) Dst() ASN { return t.dst }
 
 // Hops returns the policy AS-path length from src to the destination and
-// whether a route exists. The destination itself is 0 hops away.
+// whether a route exists, by walking the route. The destination itself is
+// 0 hops away.
 func (t *RouteTable) Hops(src ASN) (int, bool) {
 	i, ok := t.g.idx[src]
-	if !ok || t.hops[i] < 0 {
+	if !ok {
 		return 0, false
 	}
-	return int(t.hops[i]), true
+	return t.hopsFrom(i)
+}
+
+// hopsFrom is Hops from the AS at dense index i.
+func (t *RouteTable) hopsFrom(i int32) (int, bool) {
+	h := 0
+	for ; i != t.dstIdx; h++ {
+		_, next, ok := t.Step(i)
+		if !ok {
+			return 0, false
+		}
+		i = next
+	}
+	return h, true
 }
 
 // Step is one hop of the route from the AS at dense index i: the
@@ -76,20 +86,21 @@ func (t *RouteTable) Step(i int32) (edge, next int32, ok bool) {
 }
 
 // Path returns the full policy AS path from src to the destination,
-// inclusive of both endpoints, and whether a route exists.
+// inclusive of both endpoints, and whether a route exists. It walks the
+// route twice: once for its length, so the path is one allocation.
 func (t *RouteTable) Path(src ASN) ([]ASN, bool) {
 	i, ok := t.g.idx[src]
-	if !ok || t.hops[i] < 0 {
+	if !ok {
 		return nil, false
 	}
-	path := make([]ASN, 0, t.hops[i]+1)
+	h, ok := t.hopsFrom(i)
+	if !ok {
+		return nil, false
+	}
+	path := make([]ASN, 0, h+1)
 	path = append(path, t.g.asns[i])
 	for i != t.dstIdx {
-		_, next, ok := t.Step(i)
-		if !ok {
-			return nil, false // corrupt table; treat as unreachable
-		}
-		i = next
+		_, i, _ = t.Step(i)
 		path = append(path, t.g.asns[i])
 	}
 	return path, true
@@ -165,39 +176,90 @@ func (h routeHeap) down(i, n int) {
 	}
 }
 
+// routeScratch is what one table build works in and does not return:
+// each AS's route length and class, the BFS queue, the heap and the
+// settled marks. Its arrays are sized to the graph, and a build resets
+// what it reads before reading it.
+type routeScratch struct {
+	hops    []int32      // hops[i] is g.asns[i]'s route length to dst; -1 when unreachable
+	class   []routeClass // class[i] is g.asns[i]'s route class
+	queue   []int32
+	pq      routeHeap
+	settled []bool
+}
+
+// maxRouteScratches bounds the graph's idle build scratches: one per
+// build running at once, up to a handful; a burst beyond that leaves its
+// extras to the collector.
+const maxRouteScratches = 8
+
+func (g *Graph) popRouteScratch() *routeScratch {
+	g.scratchMu.Lock()
+	sc, ok := g.scratch.Get()
+	g.scratchMu.Unlock()
+	if ok {
+		return sc
+	}
+	n := len(g.asns)
+	return &routeScratch{
+		hops:    make([]int32, n),
+		class:   make([]routeClass, n),
+		queue:   make([]int32, 0, n),
+		pq:      make(routeHeap, 0, n),
+		settled: make([]bool, n),
+	}
+}
+
+func (g *Graph) pushRouteScratch(sc *routeScratch) {
+	g.scratchMu.Lock()
+	g.scratch.Put(sc, maxRouteScratches)
+	g.scratchMu.Unlock()
+}
+
 // BuildRouteTable computes the policy routing table toward dst. It returns
-// nil if dst is not in the graph. Its allocations do not depend on the
-// graph's size: the BFS queue and the heap each get one slice of NumNodes
-// entries, enough because every AS enters each at most once (heap entries
-// are pushed in non-decreasing hop order, so no route is improved twice).
+// nil if dst is not in the graph. It allocates only what it returns, the
+// table and its next hops: the build's working arrays come from a scratch
+// the graph keeps for reuse, allocated on the first build (and on one
+// that overlaps every kept scratch) and sized to the graph. The BFS queue
+// and the heap each hold NumNodes entries, enough because every AS enters
+// each at most once (heap entries are pushed in non-decreasing hop order,
+// so no route is improved twice).
 func (g *Graph) BuildRouteTable(dst ASN) *RouteTable {
 	dstIdx, ok := g.idx[dst]
 	if !ok {
 		return nil
 	}
+	sc := g.popRouteScratch()
+	t := g.buildRouteTable(dstIdx, sc)
+	g.pushRouteScratch(sc)
+	return t
+}
+
+// buildRouteTable builds the table toward the AS at dense index dstIdx,
+// working in sc. Each route's length and class stay in sc until its next
+// build.
+func (g *Graph) buildRouteTable(dstIdx int32, sc *routeScratch) *RouteTable {
 	n := len(g.asns)
 	t := &RouteTable{
 		g:      g,
-		dst:    dst,
+		dst:    g.asns[dstIdx],
 		dstIdx: dstIdx,
 		via:    make([]int32, n),
-		hops:   make([]int32, n),
-		class:  make([]routeClass, n),
 	}
+	via, hops, class := t.via, sc.hops, sc.class
 	for i := 0; i < n; i++ {
-		t.via[i] = -1
-		t.hops[i] = -1
-		t.class[i] = classNone
+		via[i] = -1
+		hops[i] = -1
+		class[i] = classNone
 	}
-	t.hops[dstIdx] = 0
-	t.class[dstIdx] = classCustomer
+	hops[dstIdx] = 0
+	class[dstIdx] = classCustomer
 
 	// Stage 1: customer routes — BFS from dst climbing provider and
 	// sibling edges. A node u on the frontier advertises to its providers
 	// and siblings; their route to dst descends through u, leaving by the
 	// reverse of the half-edge u reached them on.
-	queue := make([]int32, 1, n)
-	queue[0] = dstIdx
+	queue := append(sc.queue[:0], dstIdx)
 	for head := 0; head < len(queue); head++ {
 		ui := queue[head]
 		for k := g.off[ui]; k < g.off[ui+1]; k++ {
@@ -205,22 +267,23 @@ func (g *Graph) BuildRouteTable(dst ASN) *RouteTable {
 				continue
 			}
 			vi := g.nbr[k]
-			if t.class[vi] == classCustomer {
+			if class[vi] == classCustomer {
 				continue
 			}
-			t.class[vi] = classCustomer
-			t.hops[vi] = t.hops[ui] + 1
-			t.via[vi] = g.rev[k]
+			class[vi] = classCustomer
+			hops[vi] = hops[ui] + 1
+			via[vi] = g.rev[k]
 			queue = append(queue, vi)
 		}
 	}
+	sc.queue = queue[:0]
 
 	// Stage 2: peer routes — one peer edge into a customer route. Only
 	// customer-route ASes advertise and a peer route never becomes one, so
 	// a peer route cannot feed another; among a node's offers the first
 	// shortest one (in index order) wins.
 	for ui := int32(0); ui < int32(n); ui++ {
-		if t.class[ui] != classCustomer {
+		if class[ui] != classCustomer {
 			continue
 		}
 		for k := g.off[ui]; k < g.off[ui+1]; k++ {
@@ -228,34 +291,35 @@ func (g *Graph) BuildRouteTable(dst ASN) *RouteTable {
 				continue
 			}
 			vi := g.nbr[k]
-			if t.class[vi] == classCustomer {
+			if class[vi] == classCustomer {
 				continue
 			}
-			h := t.hops[ui] + 1
-			if t.class[vi] == classPeer && t.hops[vi] <= h {
+			h := hops[ui] + 1
+			if class[vi] == classPeer && hops[vi] <= h {
 				continue
 			}
-			t.class[vi] = classPeer
-			t.hops[vi] = h
-			t.via[vi] = g.rev[k]
+			class[vi] = classPeer
+			hops[vi] = h
+			via[vi] = g.rev[k]
 		}
 	}
 
 	// Stage 3: provider routes — Dijkstra in increasing chosen-route
 	// length. Every node with a customer or peer route is a seed; settling
 	// a node relaxes its customers (and siblings without any route).
-	pq := make(routeHeap, 0, n)
+	pq := sc.pq[:0]
 	for i := 0; i < n; i++ {
-		if t.class[i] != classNone {
-			pq = append(pq, routeItem{node: int32(i), class: t.class[i], hops: t.hops[i]})
+		if class[i] != classNone {
+			pq = append(pq, routeItem{node: int32(i), class: class[i], hops: hops[i]})
 		}
 	}
 	pq.init()
-	settled := make([]bool, n)
+	settled := sc.settled
+	clear(settled)
 	for len(pq) > 0 {
 		it := pq.pop()
 		ui := it.node
-		if settled[ui] || t.hops[ui] != it.hops || t.class[ui] != it.class {
+		if settled[ui] || hops[ui] != it.hops || class[ui] != it.class {
 			continue // stale entry
 		}
 		settled[ui] = true
@@ -267,19 +331,20 @@ func (g *Graph) BuildRouteTable(dst ASN) *RouteTable {
 			}
 			vi := g.nbr[k]
 			// Customer/peer routes always beat provider routes.
-			if t.class[vi] == classCustomer || t.class[vi] == classPeer {
+			if class[vi] == classCustomer || class[vi] == classPeer {
 				continue
 			}
-			h := t.hops[ui] + 1
-			if t.class[vi] == classProvider && t.hops[vi] <= h {
+			h := hops[ui] + 1
+			if class[vi] == classProvider && hops[vi] <= h {
 				continue
 			}
-			t.class[vi] = classProvider
-			t.hops[vi] = h
-			t.via[vi] = g.rev[k]
+			class[vi] = classProvider
+			hops[vi] = h
+			via[vi] = g.rev[k]
 			pq.push(routeItem{node: vi, class: classProvider, hops: h})
 		}
 	}
+	sc.pq = pq[:0]
 	return t
 }
 

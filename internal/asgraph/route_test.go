@@ -2,6 +2,7 @@ package asgraph
 
 import (
 	"container/heap"
+	"runtime"
 	"testing"
 
 	"asap/internal/sim"
@@ -325,37 +326,48 @@ func buildRouteTableRef(g *Graph, dst ASN) refTable {
 // TestBuildRouteTableMatchesHeapReference requires the CSR build to
 // reproduce the reference table for every destination of the tiny and
 // small evaluation worlds' topologies (each world's generator draws first
-// from its seed): the same next hop, hop count and class at every AS.
+// from its seed): the same next hop, hop count and class at every AS. The
+// hop count is Hops, the walk over the table's next hops; the class is the
+// one the build left in its scratch, read through the builder that
+// BuildRouteTable calls.
 func TestBuildRouteTableMatchesHeapReference(t *testing.T) {
 	for _, ases := range []int{200, 2000} {
 		g, err := Generate(DefaultGenConfig(ases), sim.NewRNG(1))
 		if err != nil {
 			t.Fatal(err)
 		}
+		sc := g.popRouteScratch()
 		for _, dst := range g.ASNs() {
-			got, want := g.BuildRouteTable(dst), buildRouteTableRef(g, dst)
+			got, want := g.buildRouteTable(g.idx[dst], sc), buildRouteTableRef(g, dst)
 			for i := range want.hops {
 				nh := int32(-1)
 				if _, next, ok := got.Step(int32(i)); ok {
 					nh = next
 				}
-				if nh != want.nextHop[i] || got.hops[i] != want.hops[i] || got.class[i] != want.class[i] {
+				hops := int32(-1)
+				if h, ok := got.Hops(g.asns[i]); ok {
+					hops = int32(h)
+				}
+				if nh != want.nextHop[i] || hops != want.hops[i] || sc.class[i] != want.class[i] {
 					t.Fatalf("%d ASes, dst %d, src %d: (next %d, hops %d, class %d), reference (%d, %d, %d)",
-						ases, dst, g.asns[i], nh, got.hops[i], got.class[i], want.nextHop[i], want.hops[i], want.class[i])
+						ases, dst, g.asns[i], nh, hops, sc.class[i], want.nextHop[i], want.hops[i], want.class[i])
 				}
 			}
 		}
+		g.pushRouteScratch(sc)
 	}
 }
 
-// TestBuildRouteTableAllocs pins BuildRouteTable's allocations: the table
-// and its three arrays, the BFS queue, the heap and the settled marks —
-// the same count at every graph size, so nothing grows on the way.
+// TestBuildRouteTableAllocs pins BuildRouteTable's allocations with a
+// warm scratch: the table and its next hops, the same count at every
+// graph size, so nothing grows on the way. It also pins what a kept table
+// costs: the heap that retained tables hold after a collection, per AS
+// per table, is the 4-byte next hop and a share of the struct.
 func TestBuildRouteTableAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	const want = 7
+	const want = 2
 	for _, ases := range []int{200, 2000} {
 		g, err := Generate(DefaultGenConfig(ases), sim.NewRNG(1))
 		if err != nil {
@@ -368,6 +380,24 @@ func TestBuildRouteTableAllocs(t *testing.T) {
 			i += 37
 		}); n != want {
 			t.Errorf("%d ASes: BuildRouteTable allocates %.1f per table, want %d", ases, n, want)
+		}
+		if ases != 2000 {
+			continue
+		}
+		const tables, maxBytesPerAS = 64, 5
+		kept := make([]*RouteTable, tables)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for k := range kept {
+			kept[k] = g.BuildRouteTable(asns[k*31%len(asns)])
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perAS := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(tables*len(asns))
+		runtime.KeepAlive(kept)
+		if perAS > maxBytesPerAS {
+			t.Errorf("%d ASes: a kept table holds %.2f B per AS, want at most %d", ases, perAS, maxBytesPerAS)
 		}
 	}
 }

@@ -23,7 +23,7 @@ func (m *Model) ClusterLoss(c1, c2 cluster.ClusterID) (float64, bool) {
 		return 0, true
 	}
 	st := m.clusterPath(c1, c2)
-	return st.loss, st.ok
+	return st.loss, st.ok()
 }
 
 // HostLoss returns the ground-truth end-to-end loss rate between hosts.
@@ -36,7 +36,7 @@ func (m *Model) HostLoss(h1, h2 cluster.HostID) (float64, bool) {
 		return 0, true
 	}
 	st := m.clusterPath(a.Cluster, b.Cluster)
-	if !st.ok {
+	if !st.ok() {
 		return 0, false
 	}
 	return st.loss, true

@@ -103,7 +103,7 @@ const cacheShards = 64
 // rttShard is one stripe of the cluster-pair cache.
 type rttShard struct {
 	mu sync.RWMutex
-	m  map[uint64]pathStats
+	m  map[uint64]pairEntry
 }
 
 // Model is the omniscient ground-truth network. All methods are safe for
@@ -150,6 +150,7 @@ type Model struct {
 	shards [cacheShards]rttShard // cluster-pair cache
 }
 
+// pathStats is one AS-path walk's result.
 type pathStats struct {
 	rtt  time.Duration
 	loss float64
@@ -157,13 +158,32 @@ type pathStats struct {
 	ok   bool
 }
 
+// pairEntry is one cluster-pair cache entry: what the cache's readers
+// read of a walk, 16 bytes. An unreachable pair is stored as a negative
+// rtt; a reachable one is never below 2*intraASOneWay.
+type pairEntry struct {
+	rtt  time.Duration
+	loss float64
+}
+
+// entryOf is the cache entry of a walk's result.
+func entryOf(st pathStats) pairEntry {
+	if !st.ok {
+		return pairEntry{rtt: -1}
+	}
+	return pairEntry{rtt: st.rtt, loss: st.loss}
+}
+
+// ok reports whether the pair has a route.
+func (e pairEntry) ok() bool { return e.rtt >= 0 }
+
 func (m *Model) shard(key uint64) *rttShard {
 	return &m.shards[(key^key>>32)%cacheShards]
 }
 
 func (m *Model) initShards() {
 	for i := range m.shards {
-		m.shards[i].m = make(map[uint64]pathStats)
+		m.shards[i].m = make(map[uint64]pairEntry)
 	}
 }
 
@@ -207,7 +227,7 @@ func (m *Model) dropCacheLocked() {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		sh.m = make(map[uint64]pathStats)
+		sh.m = make(map[uint64]pairEntry)
 		sh.mu.Unlock()
 	}
 }
@@ -423,10 +443,10 @@ func pairKey(a, b cluster.ClusterID) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-// clusterPath returns the AS-level stats between two clusters, caching by
-// cluster pair (property 1 of Section 6: intra-cluster latency spread is
-// negligible next to inter-cluster latency).
-func (m *Model) clusterPath(c1, c2 cluster.ClusterID) pathStats {
+// clusterPath returns the AS-level RTT and loss between two clusters,
+// caching by cluster pair (property 1 of Section 6: intra-cluster latency
+// spread is negligible next to inter-cluster latency).
+func (m *Model) clusterPath(c1, c2 cluster.ClusterID) pairEntry {
 	key := pairKey(c1, c2)
 	sh := m.shard(key)
 	sh.mu.RLock()
@@ -440,7 +460,7 @@ func (m *Model) clusterPath(c1, c2 cluster.ClusterID) pathStats {
 	// duplicate work but arrive at identical values (asPath is a pure
 	// function of the route tables and the condition snapshot).
 	gen := m.condGen.Load()
-	st = m.indexPath(m.clusterAS[c1], m.clusterAS[c2])
+	st = entryOf(m.indexPath(m.clusterAS[c1], m.clusterAS[c2]))
 
 	sh.mu.Lock()
 	// Store only if no condition mutation raced with the fill: SetCondition
@@ -526,7 +546,7 @@ func (m *Model) HostStats(h1, h2 cluster.HostID) PairStat {
 		return PairStat{RTT: access, OK: true}
 	}
 	st := m.clusterPath(a.Cluster, b.Cluster)
-	if !st.ok {
+	if !st.ok() {
 		return PairStat{}
 	}
 	return PairStat{RTT: st.rtt + access, Loss: st.loss, OK: true}
@@ -545,7 +565,10 @@ func (m *Model) clusterStats(c1, c2 cluster.ClusterID) PairStat {
 		return PairStat{RTT: 2 * intraASOneWay, OK: true}
 	}
 	st := m.clusterPath(c1, c2)
-	return PairStat{RTT: st.rtt, Loss: st.loss, OK: st.ok}
+	if !st.ok() {
+		return PairStat{}
+	}
+	return PairStat{RTT: st.rtt, Loss: st.loss, OK: true}
 }
 
 // clusterStatsUncached is clusterStats without the pair cache: one walk,

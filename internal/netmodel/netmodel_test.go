@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"asap/internal/asgraph"
 	"asap/internal/bgp"
@@ -249,6 +250,60 @@ func TestRTTStableAcrossCacheReset(t *testing.T) {
 		if !ok || rtt != p.rtt {
 			t.Fatalf("RTT(%d,%d) changed across cache reset: %v -> %v", p.a, p.b, p.rtt, rtt)
 		}
+	}
+}
+
+// TestUnreachablePairSentinel pins the pair cache's unreachable entry:
+// a cluster pair with no policy route reads not-OK from ClusterRTT and
+// HostStats whether the call fills the cache or reads it, and again once
+// ResetConditions has dropped it, while a reachable pair beside it reads
+// OK. The entry is 16 bytes; a field added to it is a declared choice.
+func TestUnreachablePairSentinel(t *testing.T) {
+	if n := unsafe.Sizeof(pairEntry{}); n != 16 {
+		t.Errorf("pair-cache entry is %d bytes, want 16", n)
+	}
+	// Two components: AS 1 over stubs 2 and 3, AS 10 over stub 11.
+	b := asgraph.NewBuilder()
+	b.AddEdge(1, 2, asgraph.RelP2C)
+	b.AddEdge(1, 3, asgraph.RelP2C)
+	b.AddEdge(10, 11, asgraph.RelP2C)
+	g := b.Build()
+	rng := sim.NewRNG(95)
+	alloc, err := bgp.Allocate(g, bgp.DefaultAllocConfig(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := cluster.Generate(alloc, cluster.GenConfig{NumHosts: 200, PopulatedFrac: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(g, asgraph.NewRouter(g, 0), pop, Config{}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, c3, c11 := pop.ClustersInAS(2)[0], pop.ClustersInAS(3)[0], pop.ClustersInAS(11)[0]
+	h2, h11 := pop.Cluster(c2).Hosts[0], pop.Cluster(c11).Hosts[0]
+
+	// notOK checks one read of the pair and the cache's size after it: a
+	// filling read stores the pair, a cached one stores nothing.
+	notOK := func(read string, ok bool, wantCached int) {
+		t.Helper()
+		if ok {
+			t.Errorf("%s: unreachable pair reads OK", read)
+		}
+		if n := cachedPairs(m); n != wantCached {
+			t.Errorf("%s: %d cached pairs, want %d", read, n, wantCached)
+		}
+	}
+	_, ok := m.ClusterRTT(c2, c11)
+	notOK("ClusterRTT, filling", ok, 1)
+	notOK("HostStats, cached", m.HostStats(h2, h11).OK, 1)
+	m.ResetConditions()
+	notOK("HostStats after ResetConditions, filling", m.HostStats(h2, h11).OK, 1)
+	_, ok = m.ClusterRTT(c2, c11)
+	notOK("ClusterRTT after ResetConditions, cached", ok, 1)
+	if rtt, ok := m.ClusterRTT(c2, c3); !ok || rtt <= 0 {
+		t.Errorf("reachable pair beside it reads %v,%v", rtt, ok)
 	}
 }
 

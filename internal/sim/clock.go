@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -39,8 +40,11 @@ import (
 // (Sleep, Join, Waiter.Wait) must come from scheduler tasks; calling
 // them from an untracked goroutine panics rather than deadlocking.
 type Clock struct {
-	mu       sync.Mutex
-	now      time.Duration
+	mu sync.Mutex
+	// now is the virtual time, written only under mu (passLocked and
+	// RunUntil) and read without it by Now: the voice path asks for the
+	// time several times per packet.
+	now      atomic.Int64
 	events   eventStore // pending events; nil until first use (zero value)
 	live     int        // pending events not canceled — Pending() in O(1)
 	nextID   uint64
@@ -139,11 +143,7 @@ func (q *eventQueue) Pop() interface{} {
 }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
 // scheduleLocked enqueues a recyclable event at absolute time at and
 // returns it for the caller to set the payload. The event comes from the
@@ -161,8 +161,8 @@ func (c *Clock) scheduleLocked(at time.Duration) *event {
 // pushLocked enqueues e, whose payload the caller sets, at absolute time
 // at.
 func (c *Clock) pushLocked(e *event, at time.Duration) {
-	if at < c.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, c.now))
+	if now := c.Now(); at < now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, now))
 	}
 	c.nextID++
 	e.at, e.id = at, c.nextID
@@ -199,7 +199,7 @@ func (c *Clock) After(d time.Duration, fn func()) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.startLocked(c.now+d, fn)
+	c.startLocked(c.Now()+d, fn)
 }
 
 // AfterFunc implements Scheduler: After with a cancelable handle. The
@@ -212,7 +212,7 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) Timer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tasks++
-	c.pushLocked(&t.e, c.now+d)
+	c.pushLocked(&t.e, c.Now()+d)
 	return t
 }
 
@@ -238,7 +238,7 @@ func (t *clockTimer) Stop() bool {
 func (c *Clock) Go(fn func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.startLocked(c.now, fn)
+	c.startLocked(c.Now(), fn)
 }
 
 // workerLocked returns a worker for body fn: the most recently parked
@@ -358,7 +358,7 @@ func (c *Clock) passLocked(self *task) *task {
 		}
 		r.left--
 		r.fired++
-		c.now = e.at
+		c.now.Store(int64(e.at))
 		c.live--
 		c.executed++
 		fn, t, w := e.fn, e.t, e.w
@@ -429,7 +429,7 @@ func (c *Clock) Sleep(d time.Duration) {
 	}
 	c.mu.Lock()
 	t := c.mustCurrentLocked("Sleep")
-	c.scheduleLocked(c.now + d).t = t
+	c.scheduleLocked(c.Now() + d).t = t
 	c.yieldLocked(t)
 }
 
@@ -510,7 +510,7 @@ func (w *clockWaiter) Wake() {
 		c.cancelLocked(&w.dl)
 		w.armed = false
 	}
-	c.scheduleLocked(c.now).t = t
+	c.scheduleLocked(c.Now()).t = t
 }
 
 func (w *clockWaiter) Wait(timeout time.Duration) bool {
@@ -528,7 +528,7 @@ func (w *clockWaiter) Wait(timeout time.Duration) bool {
 	w.waiting = t
 	if timeout >= 0 {
 		w.dl.w, w.dl.held = w, true
-		c.pushLocked(&w.dl, c.now+timeout)
+		c.pushLocked(&w.dl, c.Now()+timeout)
 		w.armed = true
 	}
 	c.yieldLocked(t)
@@ -589,8 +589,8 @@ func (c *Clock) RunUntil(deadline time.Duration) int {
 	defer c.endDrive()
 	n := c.drive(driveRule{left: -1, bounded: true, until: deadline})
 	c.mu.Lock()
-	if c.now < deadline {
-		c.now = deadline
+	if c.Now() < deadline {
+		c.now.Store(int64(deadline))
 	}
 	c.mu.Unlock()
 	return n
