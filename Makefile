@@ -157,13 +157,21 @@ bench-gate:
 # repetitions make them independent of -seconds). Two commits that print
 # the same lines behave byte-identically on the benchmark's inputs. With
 # BENCH_JSON=<file> it reads a summary that already exists (the CI bench
-# job's BENCH.json, one group per run) instead of running the benchmark.
+# job's BENCH.json, one group per run) instead of running the benchmark;
+# every run of the set must read the same, and the set prints once. A
+# reading that differs between runs names itself and fails the target.
 digests:
 	@$(if $(BENCH_JSON),cat $(BENCH_JSON),bash bench/run.sh -seed 1 -seconds 1 -trace 0) | awk ' \
+		function keep(k, v) { \
+			if (!(k in val)) { val[k] = v; order[++n] = k } \
+			else if (val[k] != v) { bad = bad "\n  " k ": " val[k] " vs " v } } \
 		/"workload":/ { gsub(/[",]/, ""); w = $$2 } \
 		/"(msgs_per_call|setup_virtual_ms_p50|setup_virtual_ms_p99|rescued_ratio)": \{/ { \
-			gsub(/[":{]/, ""); k = $$1; getline; gsub(/,/, ""); print w, k, $$2 } \
-		/"outcome_digest":/ { gsub(/[",:]/, ""); print w, $$1, $$2 }'
+			gsub(/[":{]/, ""); k = $$1; getline; gsub(/,/, ""); keep(w " " k, $$2) } \
+		/"outcome_digest":/ { gsub(/[",:]/, ""); keep(w " " $$1, $$2) } \
+		END { \
+			if (bad != "") { print "digests: the runs of the set disagree:" bad > "/dev/stderr"; exit 1 } \
+			for (i = 1; i <= n; i++) print order[i], val[order[i]] }'
 
 # bench-scale climbs the million-node deployment ladder (DESIGN.md §14):
 # 10^4, 10^5 and 10^6 live protocol nodes joining, churning and calling
@@ -208,16 +216,19 @@ scale-gate:
 # (Call, the park list, Close) twenty times over, and System's scratch
 # free list, which close-set builds and selections share, the virtual
 # clock's Waiter/Timer hand-off (a Wake or Stop against a firing
-# deadline) and the graph's route-build scratch free list, which
-# concurrent misses for different destinations pass from build to
-# build, ten times over each: their races are between a handful of
-# goroutines and one pass rarely lines them up.
+# deadline, a re-armed waiter) and the graph's route-build scratch free
+# list, which concurrent misses for different destinations pass from
+# build to build, ten times over each: their races are between a
+# handful of goroutines and one pass rarely lines them up. The route
+# build's single-goroutine reference test races nothing, so it runs
+# once.
 race-dataplane:
 	$(GO) test -race -count=1 ./internal/transport/... ./internal/nat/... ./internal/session/...
 	$(GO) test -race -count=20 -run 'TCP' ./internal/transport/
 	$(GO) test -race -count=10 -run 'TestCloseSet|TestSelectCloseRelayConcurrent' ./internal/core/
 	$(GO) test -race -count=10 -run 'Waiter|Timer|Clock' ./internal/sim/
-	$(GO) test -race -count=10 -run 'Router|RouteTable' ./internal/asgraph/
+	$(GO) test -race -count=10 -run 'Router|^TestRouteTable' ./internal/asgraph/
+	$(GO) test -race -count=1 -run 'TestBuildRouteTableMatchesHeapReference' ./internal/asgraph/
 
 # test-experiments runs the virtual-time experiment suite with a tight
 # timeout: everything in internal/eval runs on the simulated clock, so

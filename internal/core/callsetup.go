@@ -71,9 +71,10 @@ func (n *Node) SetupCall(callee transport.Addr) (*RelayChoice, error) {
 		choice.Degraded = true
 		return choice, nil
 	}
-	resp, err := n.retryCall(callee, &transport.Message{
-		Type: transport.MsgGetCloseSet, From: n.addr,
-	})
+	req := transport.AcquireMessage()
+	req.Type, req.From = transport.MsgGetCloseSet, n.addr
+	resp, err := n.retryCall(callee, req)
+	transport.ReleaseMessage(req)
 	if err != nil {
 		// The callee answers pings but not setup (flaky path): degrade.
 		choice.Degraded = true
@@ -97,6 +98,7 @@ func (n *Node) SetupCall(callee transport.Addr) (*RelayChoice, error) {
 		choice.Relay, choice.EstRTT = choice.Ranked[0].Relay, choice.Ranked[0].Est
 		choice.Degraded = false
 	}
+	transport.ReleaseMessage(resp) // the merge has read its set
 	return choice, nil
 }
 

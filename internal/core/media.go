@@ -66,6 +66,9 @@ func (n *Node) EnableMedia(cfg MediaConfig) error {
 	if cfg.ListenHost == "" {
 		return fmt.Errorf("core: media needs a listen host")
 	}
+	if cfg.BasePort < 0 || cfg.BasePort > maxMediaPort {
+		return fmt.Errorf("core: media base port %d outside 0..%d", cfg.BasePort, maxMediaPort)
+	}
 	ep, err := udp.NewEndpoint(cfg.Net, n.sched, udp.DefaultConfig())
 	if err != nil {
 		return err
@@ -83,17 +86,43 @@ func (n *Node) EnableMedia(cfg MediaConfig) error {
 	return nil
 }
 
-// nextMediaAddr allocates the next media socket address.
+// nextMediaAddr allocates the next media socket address: ports run
+// sequentially from BasePort to 65535, then from BasePort again, past
+// the ports this node's live calls still hold.
 func (n *Node) nextMediaAddr() transport.Addr {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.mediaCfg.BasePort == 0 {
-		return transport.Addr(n.mediaCfg.ListenHost + ":0")
+	cfg := n.mediaCfg
+	if cfg.BasePort == 0 {
+		return transport.Addr(cfg.ListenHost + ":0")
 	}
-	port := n.mediaCfg.BasePort + n.mediaPorts
-	n.mediaPorts++
+	span := maxMediaPort - cfg.BasePort + 1
 	var buf [32]byte
-	return transport.Addr(strconv.AppendInt(append(append(buf[:0], n.mediaCfg.ListenHost...), ':'), int64(port), 10))
+	for tries := 1; ; tries++ {
+		off := n.mediaPorts % span
+		n.mediaPorts++
+		addr := transport.Addr(strconv.AppendInt(append(append(buf[:0], cfg.ListenHost...), ':'), int64(cfg.BasePort+off), 10))
+		// Before the first wrap no port can be held; when every one is,
+		// the packet network refuses the bind.
+		if n.mediaPorts <= span || tries == span || !n.mediaAddrHeldLocked(addr) {
+			return addr
+		}
+	}
+}
+
+// maxMediaPort is the last media port before the allocation wraps.
+const maxMediaPort = 65535
+
+// mediaAddrHeldLocked reports whether a live media call's flow is bound
+// to addr. Only a node whose ports have wrapped asks. Called with n.mu
+// held.
+func (n *Node) mediaAddrHeldLocked(addr transport.Addr) bool {
+	for _, mc := range n.mediaCalls {
+		if mc.flow.LocalAddr() == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // newMediaToken derives a call token unique across this node's calls and
@@ -244,7 +273,7 @@ func (n *Node) openMediaCall(token uint32, peer transport.Addr, isCaller bool) (
 		return nil, fmt.Errorf("core: media socket: %w", err)
 	}
 	if len(cfg.RelayKey) > 0 {
-		flow.SetRelayAuth(udp.RelayProof(cfg.RelayKey, token))
+		flow.SetRelayKey(cfg.RelayKey) // the token is the flow's SSRC
 	}
 	if _, err := flow.Discover(cfg.STUN); err != nil {
 		_ = flow.Close()
@@ -300,15 +329,18 @@ func (mc *MediaCall) negotiate(relay transport.Addr) (udp.PathKind, error) {
 	if err != nil {
 		return udp.PathNone, err
 	}
-	resp, err := mc.node.retryCall(mc.peer, &transport.Message{
-		Type: transport.MsgMediaSetup, From: mc.node.addr,
-		MediaAddr: ext, MediaToken: mc.flow.SSRC(),
-		MediaRelay: relay, MediaEpoch: epoch,
-	})
+	req := transport.AcquireMessage()
+	req.Type, req.From = transport.MsgMediaSetup, mc.node.addr
+	req.MediaAddr, req.MediaToken = ext, mc.flow.SSRC()
+	req.MediaRelay, req.MediaEpoch = relay, epoch
+	resp, err := mc.node.retryCall(mc.peer, req)
+	transport.ReleaseMessage(req)
 	if err != nil {
 		return udp.PathNone, fmt.Errorf("core: media setup: %w", err)
 	}
-	return mc.climb(resp.MediaAddr, relay)
+	peerExt := resp.MediaAddr
+	transport.ReleaseMessage(resp)
+	return mc.climb(peerExt, relay)
 }
 
 // climb runs this side's half of the current round's ladder against
@@ -391,5 +423,7 @@ func (n *Node) handleMediaSetup(from transport.Addr, req *transport.Message) (*t
 			})
 		}
 	}
-	return &transport.Message{Type: transport.MsgMediaSetupReply, MediaAddr: ext}, nil
+	resp := transport.AcquireMessage()
+	resp.Type, resp.MediaAddr = transport.MsgMediaSetupReply, ext
+	return resp, nil
 }

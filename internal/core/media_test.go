@@ -382,3 +382,137 @@ func TestMediaPathAgreesWithFlow(t *testing.T) {
 		}
 	})
 }
+
+// TestMediaPortsWrap: a node's media ports run from BasePort to 65535,
+// then from BasePort again, past the ports its live calls still hold;
+// a base port outside the range is refused.
+func TestMediaPortsWrap(t *testing.T) {
+	w := newMediaWorld(t)
+	w.clk.RunTask(func() {
+		w.boot(t)
+		caller := w.node(t, "c", "10.100.0.1", 1)
+		callee := w.node(t, "d", "10.200.0.1", 2)
+		defer caller.Close()
+		defer callee.Close()
+		if err := caller.EnableMedia(MediaConfig{Net: w.pub, ListenHost: "10.0.0.2", BasePort: 65536, STUN: w.stun.Addr()}); err == nil {
+			t.Error("EnableMedia took base port 65536")
+		}
+		for i, n := range []*Node{caller, callee} {
+			if err := n.EnableMedia(MediaConfig{
+				Net: w.pub, ListenHost: []string{"10.0.0.2", "10.0.0.3"}[i], BasePort: []int{65534, 6000}[i],
+				STUN: w.stun.Addr(),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []transport.Addr
+		for i := range 4 {
+			mc, err := caller.SetupMedia(callee.Addr())
+			if err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+			got = append(got, mc.Flow().LocalAddr())
+			if i > 0 { // the first call holds 65534 throughout
+				_ = mc.Close()
+			}
+		}
+		want := []transport.Addr{"10.0.0.2:65534", "10.0.0.2:65535", "10.0.0.2:65535", "10.0.0.2:65535"}
+		if !slices.Equal(got, want) {
+			t.Errorf("media sockets %v, want %v", got, want)
+		}
+	})
+}
+
+// TestPlacedCallAllocs gates one whole warm call on the media harness,
+// placed the way call_sim places one: SetupCall; SetupMedia across two
+// symmetric NATs, so the ladder climbs direct, punched and relayed
+// rungs with a keyed relay proof; a talk-spurt under a session monitor
+// with one probe tick; teardown. The call allocates what it keeps or
+// hands out: its RelayChoice and probe results; on each side a
+// MediaCall, a Flow with its bound packet handler and its one waiter, a
+// media address and a learned external one, a NAT socket, and per NAT
+// mapping an external address and the packet network's socket for it;
+// the relay's flow entry; the Manager and its two loop functions, and
+// the hysteresis maps and samples its session keeps from the scored
+// tick; the media poll; the callee's ladder task.
+func TestPlacedCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w := newMediaWorld(t)
+	boxA := nat.New(nat.Symmetric, w.pub, "203.0.113.1", 40000)
+	boxB := nat.New(nat.Symmetric, w.pub, "198.51.100.1", 41000)
+	defer func() { _ = boxA.Close(); _ = boxB.Close() }()
+	cfg := session.DefaultConfig()
+	cfg.Backups = 1
+	cfg.ProbeInterval = 100 * time.Millisecond
+	cfg.KeepaliveInterval = 250 * time.Millisecond
+	payload := make([]byte, 20)
+	var allocs float64
+	heard, relayed := 0, 0
+	w.clk.RunTask(func() {
+		w.boot(t)
+		caller := w.node(t, "c", "10.100.0.1", 1)
+		callee := w.node(t, "d", "10.200.0.1", 2)
+		defer caller.Close()
+		defer callee.Close()
+		for i, n := range []*Node{caller, callee} {
+			if err := n.EnableMedia(MediaConfig{
+				Net: []*nat.Box{boxA, boxB}[i], ListenHost: []string{"10.0.0.2", "192.168.1.2"}[i], BasePort: 5000,
+				STUN: w.stun.Addr(), Relay: w.rly.Addr(), RelayKey: []byte("relay-secret"),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		onVoice := func(udp.Packet, transport.Addr) { heard++ }
+		call := func() {
+			choice, err := caller.SetupCall(callee.Addr())
+			if err != nil {
+				t.Fatalf("setup call: %v", err)
+			}
+			mc, err := caller.SetupMedia(callee.Addr())
+			if err != nil {
+				t.Fatalf("setup media: %v", err)
+			}
+			if mc.Path() == udp.PathRelayed {
+				relayed++
+			}
+			cmc := callee.MediaCallWith(caller.Addr())
+			if _, err := cmc.WaitEstablished(10 * time.Second); err != nil {
+				t.Fatalf("callee establish: %v", err)
+			}
+			mgr, err := session.NewManager(cfg, w.clk, caller, session.WithFlowOpener(caller.EnsureFlow))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := mgr.Open(callee.Addr(), session.Candidate{Relay: choice.Relay, Est: choice.EstRTT}, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.AttachMedia(cmc.MediaSource())
+			mgr.Start()
+			cmc.Flow().SetVoiceHandler(onVoice)
+			for range 8 {
+				if err := mc.Flow().SendVoice(payload); err != nil {
+					t.Fatalf("send voice: %v", err)
+				}
+				w.clk.Sleep(20 * time.Millisecond)
+			}
+			mgr.Close()
+			w.clk.Sleep(time.Second)
+			_ = mc.Close()
+			_ = cmc.Close()
+			w.clk.Sleep(100 * time.Millisecond)
+		}
+		for range 5 {
+			call()
+		}
+		allocs = testing.AllocsPerRun(50, call)
+	})
+	if relayed != 56 || heard != 56*8 {
+		t.Fatalf("%d of 56 calls relayed, %d of %d voice packets heard", relayed, heard, 56*8)
+	}
+	if allocs > 40 {
+		t.Errorf("a warm placed call: %.0f allocs, want at most 40", allocs)
+	}
+}

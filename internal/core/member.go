@@ -87,6 +87,7 @@ type Node struct {
 	mediaPorts int
 	mediaCalls map[uint32]*MediaCall
 	mediaSeq   uint32
+	fan        *fan // the idle fan-out scratch (ProbePaths, MsgProbeBatch)
 }
 
 // relayKey identifies a relay flow by who opened it and where it forwards.
@@ -148,7 +149,9 @@ func (n *Node) handleRelayOpen(from transport.Addr, req *transport.Message) (*tr
 		n.flowIdx[key] = id
 	}
 	n.flows[id] = relayFlow{relayKey: key, lastSeen: now}
-	return &transport.Message{Type: transport.MsgRelayOpenReply, FlowID: id}, nil
+	resp := transport.AcquireMessage()
+	resp.Type, resp.FlowID = transport.MsgRelayOpenReply, id
+	return resp, nil
 }
 
 // touchFlow refreshes a relay flow's idle clock and returns where it
@@ -477,16 +480,26 @@ func (n *Node) handleGetCloseSet(req *transport.Message) (*transport.Message, er
 			return nil, fmt.Errorf("core: %s does not hold the lease of cluster %s", n.addr, req.ClusterKey)
 		}
 	case !isSurro:
-		resp, err := n.tr.Call(sur, &transport.Message{
-			Type: transport.MsgGetCloseSet, From: n.addr, ClusterKey: key,
-		})
+		fwd := transport.AcquireMessage()
+		fwd.Type, fwd.From, fwd.ClusterKey = transport.MsgGetCloseSet, n.addr, key
+		resp, err := n.tr.Call(sur, fwd)
+		transport.ReleaseMessage(fwd)
 		if err != nil {
 			n.asyncReelect()
-			return &transport.Message{Type: transport.MsgGetCloseSetReply, Degraded: true}, nil
+			return closeSetReply(nil, true), nil
 		}
 		set = resp.CloseSet
+		transport.ReleaseMessage(resp) // drops the reference, not the set
 	}
-	return &transport.Message{Type: transport.MsgGetCloseSetReply, CloseSet: set}, nil
+	return closeSetReply(set, false), nil
+}
+
+// closeSetReply is a MsgGetCloseSetReply from the envelope pool; the
+// node that asked releases it.
+func closeSetReply(set []transport.CloseEntry, degraded bool) *transport.Message {
+	resp := transport.AcquireMessage()
+	resp.Type, resp.CloseSet, resp.Degraded = transport.MsgGetCloseSetReply, set, degraded
+	return resp
 }
 
 func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.Message, error) {
@@ -530,24 +543,8 @@ func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.M
 		if len(req.ProbeDsts) > maxProbeBatch {
 			return nil, fmt.Errorf("core: probe batch of %d destinations exceeds the limit of %d", len(req.ProbeDsts), maxProbeBatch)
 		}
-		rtts := make([]time.Duration, len(req.ProbeDsts))
-		fns := make([]func(), 0, len(req.ProbeDsts))
-		for i, dst := range req.ProbeDsts {
-			if dst == "" {
-				continue
-			}
-			i, dst := i, dst
-			fns = append(fns, func() {
-				rtt, err := n.Ping(dst)
-				if err != nil {
-					rtt = -1
-				}
-				rtts[i] = rtt
-			})
-		}
-		if len(fns) > 0 {
-			n.sched.Join(0, fns...)
-		}
+		rtts := make([]time.Duration, len(req.ProbeDsts)) // the reply keeps it
+		n.pingLegs(req.ProbeDsts, rtts)
 		resp := transport.AcquireMessage()
 		resp.Type = transport.MsgProbeBatchReply
 		resp.ProbeRTTs = rtts

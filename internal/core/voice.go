@@ -25,19 +25,22 @@ func (n *Node) EnsureFlow(relay, callee transport.Addr) (uint64, error) {
 	if ok && !f.dropped {
 		return f.id, nil
 	}
-	open, err := n.retryCall(relay, &transport.Message{
-		Type: transport.MsgRelayOpen, From: n.addr, Dst: callee, FlowID: f.id,
-	})
+	req := transport.AcquireMessage()
+	req.Type, req.From, req.Dst, req.FlowID = transport.MsgRelayOpen, n.addr, callee, f.id
+	open, err := n.retryCall(relay, req)
+	transport.ReleaseMessage(req)
 	if err != nil {
 		return 0, fmt.Errorf("core: relay open: %w", err)
 	}
+	id := open.FlowID
+	transport.ReleaseMessage(open)
 	n.mu.Lock()
 	if n.outFlows == nil {
 		n.outFlows = make(map[flowKey]outFlow)
 	}
-	n.outFlows[key] = outFlow{id: open.FlowID}
+	n.outFlows[key] = outFlow{id: id}
 	n.mu.Unlock()
-	return open.FlowID, nil
+	return id, nil
 }
 
 // DropFlow gives up the cached flow on relay toward callee (after a
@@ -120,18 +123,20 @@ func probeRoute(r session.PathRequest) (target, dst transport.Addr) {
 // and each group's legs are in first-seen order, so the wire schedule
 // is deterministic. A tick names a handful of destinations, so groups
 // and legs are found by scanning flat slices, and every group's legs
-// are a window of one shared slice.
+// are a window of one shared slice. Both live on a fan-out scratch, so
+// a warm tick allocates only the results it returns.
 func (n *Node) ProbePaths(reqs []session.PathRequest) []session.PathResult {
 	out := make([]session.PathResult, len(reqs))
-	var buf [4]probeGroup
-	groups := buf[:0]
+	f := n.takeFan()
+	defer n.putFan(f)
+	groups := f.groups[:0]
 	for _, r := range reqs {
 		target, _ := probeRoute(r)
 		if !slices.ContainsFunc(groups, func(g probeGroup) bool { return g.target == target }) {
 			groups = append(groups, probeGroup{target: target})
 		}
 	}
-	dsts := make([]transport.Addr, 0, len(reqs))
+	dsts := f.dsts[:0]
 	for gi := range groups {
 		g := &groups[gi]
 		lo := len(dsts)
@@ -142,19 +147,117 @@ func (n *Node) ProbePaths(reqs []session.PathRequest) []session.PathResult {
 		}
 		g.dsts = dsts[lo:len(dsts):len(dsts)]
 	}
+	f.groups, f.dsts = groups, dsts
 	switch len(groups) {
 	case 0:
 	case 1:
 		n.runProbeGroup(&groups[0], reqs, out)
 	default:
-		shared := slices.Clone(groups) // the tasks escape; buf stays on the stack for one group
-		fns := make([]func(), len(shared))
-		for gi := range shared {
-			fns[gi] = func() { n.runProbeGroup(&shared[gi], reqs, out) }
-		}
-		n.sched.Join(0, fns...)
+		f.reqs, f.out = reqs, out
+		n.sched.Join(0, f.tasks(len(groups))...)
 	}
 	return out
+}
+
+// fan is the working set of one concurrent fan-out on a node, and the
+// tasks that run it: a probe tick's groups and their legs (ProbePaths),
+// or the far legs a MsgProbeBatch asks for. A task is bound to its fan
+// and slot once, when the fan first grows that far. The node keeps one
+// fan between fan-outs; one that overlaps another (two sessions' ticks,
+// or a tick and a batch it answers) makes its own.
+type fan struct {
+	n     *Node
+	bound []func() // bound[k] runs item(k)
+	dsts  []transport.Addr
+
+	// ProbePaths: the tick and its groups, whose legs are windows of
+	// dsts.
+	reqs   []session.PathRequest
+	out    []session.PathResult
+	groups []probeGroup
+
+	// MsgProbeBatch: dsts are the legs to ping, slot[k] is where leg k's
+	// RTT goes in rtts, the reply's.
+	slot []int
+	rtts []time.Duration
+}
+
+// takeFan returns the node's idle fan, or a new one.
+func (n *Node) takeFan() *fan {
+	n.mu.Lock()
+	f := n.fan
+	n.fan = nil
+	n.mu.Unlock()
+	if f == nil {
+		f = &fan{n: n}
+	}
+	return f
+}
+
+// putFan clears what f references and keeps it as the node's idle fan.
+func (n *Node) putFan(f *fan) {
+	clear(f.groups)
+	clear(f.dsts)
+	f.reqs, f.out, f.rtts = nil, nil, nil
+	n.mu.Lock()
+	n.fan = f
+	n.mu.Unlock()
+}
+
+// tasks returns the tasks that run items 0..k-1 of the fan-out.
+func (f *fan) tasks(k int) []func() {
+	for i := len(f.bound); i < k; i++ {
+		f.bound = append(f.bound, func() { f.item(i) })
+	}
+	return f.bound[:k]
+}
+
+// item runs item k of the fan-out in progress: for a MsgProbeBatch
+// (rtts set), leg k's round trip; for a ProbePaths tick, group k's.
+func (f *fan) item(k int) {
+	if f.rtts == nil {
+		f.n.runProbeGroup(&f.groups[k], f.reqs, f.out)
+		return
+	}
+	f.rtts[f.slot[k]] = f.n.legRTT(f.dsts[k])
+}
+
+// pingLegs answers a MsgProbeBatch's legs: rtts[i] is the round trip to
+// dsts[i], -1 when it does not answer, and nothing is sent for an empty
+// destination. The legs are pinged concurrently; a batch with one far
+// leg (each of call_sim's) pings it inline, more fan out from the
+// node's scratch.
+func (n *Node) pingLegs(dsts []transport.Addr, rtts []time.Duration) {
+	legs, last := 0, 0
+	for i, dst := range dsts {
+		if dst != "" {
+			legs, last = legs+1, i
+		}
+	}
+	switch legs {
+	case 0:
+	case 1:
+		rtts[last] = n.legRTT(dsts[last])
+	default:
+		f := n.takeFan()
+		f.dsts, f.slot, f.rtts = f.dsts[:0], f.slot[:0], rtts
+		for i, dst := range dsts {
+			if dst != "" {
+				f.dsts, f.slot = append(f.dsts, dst), append(f.slot, i)
+			}
+		}
+		n.sched.Join(0, f.tasks(legs)...)
+		n.putFan(f)
+	}
+}
+
+// legRTT pings one far leg of a probe batch: its round trip, or -1.
+func (n *Node) legRTT(dst transport.Addr) time.Duration {
+	rtt, err := n.Ping(dst)
+	if err != nil {
+		return -1
+	}
+	return rtt
 }
 
 // runProbeGroup sends g's MsgProbeBatch and fans its reply out into the

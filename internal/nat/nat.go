@@ -13,9 +13,10 @@
 //
 // composed into the four familiar behaviours — FullCone, AddrRestricted,
 // PortRestricted, Symmetric. External ports are allocated sequentially,
-// so a given program order yields identical mappings on every run: the
-// emulator is fully deterministic, which the two-run byte-identical
-// traversal tests rely on.
+// wrapping within [basePort, 65535] past ports still bound, so a given
+// program order yields identical mappings on every run: the emulator is
+// fully deterministic, which the two-run byte-identical traversal tests
+// rely on.
 package nat
 
 import (
@@ -25,6 +26,7 @@ import (
 	"strings"
 	"sync"
 
+	"asap/internal/sim"
 	"asap/internal/transport"
 )
 
@@ -92,32 +94,49 @@ type Box struct {
 	extHost string
 
 	mu       sync.Mutex
+	basePort int
 	nextPort int
+	wrapped  bool                  // nextPort has passed maxPort once: ports may be bound
 	conns    map[*boxConn]struct{} // open private sockets
+	free     sim.FreeList[*mapping]
 	closed   bool
 }
 
+// maxPort is the last external port; allocation wraps back to basePort.
+const maxPort = 65535
+
+// maxFreeMappings bounds the released mappings a box keeps for reuse:
+// as many as one closing socket usually holds (STUN, peer, relay).
+const maxFreeMappings = 3
+
 // mapping is one external port owned by one private socket (for one
-// destination, when symmetric).
+// destination, when symmetric). A released mapping goes to its box's
+// free list with recv, its inbound handler, still bound to it.
 type mapping struct {
+	box   *Box
 	owner *boxConn
 	ext   transport.PacketConn
+	recv  transport.PacketHandler
 	// sent is the send history the inbound filter reads: each distinct
 	// destination once, in first-send order, searched most-recent-first.
 	// A mapping sends to a handful (STUN, relay, peer), so the first
-	// few live in sentBuf.
+	// few live in sentBuf. A symmetric mapping sends to one: sent[0] is
+	// the destination it serves.
 	sent    []transport.Addr
 	sentBuf [4]transport.Addr
+	port    int32
 }
 
 // New builds a NAT box of behaviour typ in front of outer. extHost is
 // the box's public IP; external mappings bind extHost:port on outer with
-// ports allocated sequentially from basePort.
+// ports allocated sequentially from basePort up to 65535, then from
+// basePort again, past the ports still bound.
 func New(typ Type, outer transport.PacketNetwork, extHost string, basePort int) *Box {
 	return &Box{
 		typ:      typ,
 		outer:    outer,
 		extHost:  extHost,
+		basePort: basePort,
 		nextPort: basePort,
 		conns:    make(map[*boxConn]struct{}),
 	}
@@ -140,6 +159,7 @@ func (b *Box) ListenPacket(addr transport.Addr, h transport.PacketHandler) (tran
 		return nil, fmt.Errorf("nat: box closed")
 	}
 	c := &boxConn{box: b, local: addr, h: h}
+	c.perDst = c.dstBuf[:0]
 	b.conns[c] = struct{}{}
 	return c, nil
 }
@@ -195,20 +215,19 @@ func (b *Box) mappingFor(c *boxConn, dst transport.Addr) (*mapping, error) {
 		m.noteSent(dst)
 		return m, nil
 	}
-	port := b.nextPort
-	b.nextPort++
+	port, ok := b.takePortLocked()
+	if !ok {
+		return nil, fmt.Errorf("nat: no free external port on %s", b.extHost)
+	}
 	var buf [32]byte
 	extAddr := transport.Addr(strconv.AppendInt(append(append(buf[:0], b.extHost...), ':'), int64(port), 10))
-	m := &mapping{owner: c}
-	m.sent = m.sentBuf[:0]
+	m := b.newMappingLocked(c, port)
 	// Bind the external socket on the outer network. Its handler is the
 	// inbound half of the NAT: filter, then deliver to the private
 	// socket. ListenPacket on Mem/Live does no blocking I/O, but drop
 	// the lock anyway — the outer network may be another Box.
 	b.mu.Unlock()
-	ext, err := b.outer.ListenPacket(extAddr, func(from transport.Addr, data []byte) {
-		b.inbound(m, from, data)
-	})
+	ext, err := b.outer.ListenPacket(extAddr, m.recv)
 	b.mu.Lock()
 	if err != nil {
 		return nil, fmt.Errorf("nat: bind external %s: %w", extAddr, err)
@@ -224,10 +243,7 @@ func (b *Box) mappingFor(c *boxConn, dst transport.Addr) (*mapping, error) {
 			return prior, nil
 		}
 		if b.typ == Symmetric {
-			if c.perDst == nil {
-				c.perDst = make(map[transport.Addr]*mapping)
-			}
-			c.perDst[dst] = m
+			c.perDst = append(c.perDst, m)
 		} else {
 			c.cone = m
 		}
@@ -236,12 +252,75 @@ func (b *Box) mappingFor(c *boxConn, dst transport.Addr) (*mapping, error) {
 	return m, nil
 }
 
+// takePortLocked returns the next external port: sequential up to
+// maxPort, then from basePort again, skipping the ports live mappings
+// still hold. It reports false when every port of the range is bound.
+// Called with b.mu held.
+func (b *Box) takePortLocked() (int, bool) {
+	for range maxPort - b.basePort + 1 {
+		port := b.nextPort
+		if b.nextPort++; b.nextPort > maxPort {
+			b.nextPort, b.wrapped = b.basePort, true
+		}
+		if !b.wrapped || !b.portBoundLocked(port) {
+			return port, true
+		}
+	}
+	return 0, false
+}
+
+// portBoundLocked reports whether a live mapping holds port. Before the
+// first wrap no port can be, so only a wrapped box asks. Called with
+// b.mu held.
+func (b *Box) portBoundLocked(port int) bool {
+	for c := range b.conns {
+		if c.cone != nil && int(c.cone.port) == port {
+			return true
+		}
+		for _, m := range c.perDst {
+			if int(m.port) == port {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// newMappingLocked returns a mapping for c on port: a released one from
+// the free list, its inbound handler already bound, or a fresh one.
+// Called with b.mu held.
+func (b *Box) newMappingLocked(c *boxConn, port int) *mapping {
+	m, ok := b.free.Get()
+	if !ok {
+		m = &mapping{box: b}
+		m.recv = m.inbound
+	}
+	m.owner, m.port = c, int32(port)
+	m.sent = m.sentBuf[:0]
+	return m
+}
+
+// releaseMappingsLocked puts the mappings of a closed socket on the free list.
+// The caller has closed their external sockets, so the outer network
+// no longer hands their handlers a datagram. Called with b.mu held.
+func (b *Box) releaseMappingsLocked(ms []*mapping) {
+	for _, m := range ms {
+		*m = mapping{box: m.box, recv: m.recv}
+		b.free.Put(m, maxFreeMappings)
+	}
+}
+
 // lookupLocked returns the mapping c uses toward dst, or nil: cone NATs
 // reuse one mapping for every destination, symmetric NATs keep one per
 // destination. Called with b.mu held.
 func (b *Box) lookupLocked(c *boxConn, dst transport.Addr) *mapping {
 	if b.typ == Symmetric {
-		return c.perDst[dst]
+		for _, m := range c.perDst {
+			if m.sent[0] == dst {
+				return m
+			}
+		}
+		return nil
 	}
 	return c.cone
 }
@@ -282,11 +361,13 @@ func (b *Box) admit(m *mapping, src transport.Addr) bool {
 	}
 }
 
-// inbound is the external socket's handler: filter per behaviour, then
-// hand the datagram to the private socket with the public source intact.
-func (b *Box) inbound(m *mapping, from transport.Addr, data []byte) {
+// inbound is the external socket's handler (recv): filter per
+// behaviour, then hand the datagram to the private socket with the
+// public source intact.
+func (m *mapping) inbound(from transport.Addr, data []byte) {
+	b := m.box
 	b.mu.Lock()
-	if b.closed || m.owner.closed {
+	if b.closed || m.owner == nil || m.owner.closed {
 		b.mu.Unlock()
 		return
 	}
@@ -314,8 +395,9 @@ type boxConn struct {
 	box    *Box
 	local  transport.Addr
 	h      transport.PacketHandler
-	cone   *mapping                    // a cone NAT's one mapping
-	perDst map[transport.Addr]*mapping // a symmetric NAT's, per destination
+	cone   *mapping   // a cone NAT's one mapping
+	perDst []*mapping // a symmetric NAT's, one per destination, in creation order
+	dstBuf [4]*mapping
 	closed bool
 }
 
@@ -327,6 +409,14 @@ func (c *boxConn) releaseLocked(exts []transport.PacketConn) []transport.PacketC
 	}
 	c.closed = true
 	return c.extsLocked(exts)
+}
+
+// mappingsLocked appends c's mappings to ms.
+func (c *boxConn) mappingsLocked(ms []*mapping) []*mapping {
+	if c.cone != nil {
+		ms = append(ms, c.cone)
+	}
+	return append(ms, c.perDst...)
 }
 
 // extsLocked appends the external conns of c's mappings to exts, in
@@ -368,16 +458,28 @@ func (c *boxConn) WriteTo(to transport.Addr, data []byte) error {
 // how a flow learns its external one.
 func (c *boxConn) LocalAddr() transport.Addr { return c.local }
 
-// Close releases the private socket and its external mappings.
+// Close releases the private socket and its external mappings, which
+// go to the box's free list once their external sockets are closed.
 func (c *boxConn) Close() error {
-	c.box.mu.Lock()
-	delete(c.box.conns, c)
+	b := c.box
+	b.mu.Lock()
+	if c.closed {
+		b.mu.Unlock()
+		return nil
+	}
+	delete(b.conns, c)
 	var buf [4]transport.PacketConn // a socket holds a handful of mappings
 	exts := c.releaseLocked(buf[:0])
-	c.box.mu.Unlock()
+	var mbuf [4]*mapping
+	ms := c.mappingsLocked(mbuf[:0])
+	c.cone, c.perDst = nil, nil
+	b.mu.Unlock()
 	for _, e := range exts {
 		_ = e.Close()
 	}
+	b.mu.Lock()
+	b.releaseMappingsLocked(ms)
+	b.mu.Unlock()
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package nat
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -304,5 +306,145 @@ func TestConnCloseReleasesMappings(t *testing.T) {
 	}
 	if n := len(r.box.Mappings()); n != 0 {
 		t.Errorf("mappings = %d after close, want 0", n)
+	}
+}
+
+// stubOuter is an outer network whose binds deliver nothing: what is
+// left to count is the box's own work. Its sockets come from a ring, so
+// a bind allocates nothing. With record set it also keeps every address
+// bound, in order, and refuses one that is still bound.
+type stubOuter struct {
+	record bool
+	bound  []transport.Addr
+	live   map[transport.Addr]bool
+	open   int
+	ring   [16]stubConn
+	next   int
+}
+
+type stubConn struct {
+	o    *stubOuter
+	addr transport.Addr
+}
+
+func (o *stubOuter) ListenPacket(addr transport.Addr, _ transport.PacketHandler) (transport.PacketConn, error) {
+	if o.record {
+		if o.live[addr] {
+			return nil, fmt.Errorf("stub: %s already bound", addr)
+		}
+		o.live[addr] = true
+		o.bound = append(o.bound, addr)
+	}
+	o.open++
+	c := &o.ring[o.next%len(o.ring)]
+	o.next++
+	*c = stubConn{o: o, addr: addr}
+	return c, nil
+}
+
+func (c *stubConn) WriteTo(transport.Addr, []byte) error { return nil }
+func (c *stubConn) LocalAddr() transport.Addr            { return c.addr }
+func (c *stubConn) Close() error {
+	c.o.open--
+	if c.o.record {
+		delete(c.o.live, c.addr)
+	}
+	return nil
+}
+
+// TestMappingChurnAllocs: once a box has released mappings to reuse,
+// opening a mapping and releasing it again — a call's socket sending to
+// its destinations, then closing — allocates only each mapping's
+// external address: the mapping and its inbound handler come off the
+// box's free list, and a symmetric socket's per-destination table is
+// inline.
+func TestMappingChurnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	dsts := []transport.Addr{"stun:1", "peer:1", "relay:1"}
+	for _, tc := range []struct {
+		typ  Type
+		want uint64 // external addresses per churn
+	}{{FullCone, 1}, {PortRestricted, 1}, {Symmetric, 3}} {
+		o := &stubOuter{}
+		box := New(tc.typ, o, "1.2.3.4", 40000)
+		var before, after runtime.MemStats
+		var total uint64
+		const rounds = 200
+		for i := range rounds + 10 {
+			c, err := box.ListenPacket("10.0.0.2:5000", func(transport.Addr, []byte) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			for _, d := range dsts {
+				if err := c.WriteTo(d, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_ = c.Close()
+			runtime.ReadMemStats(&after)
+			if i >= 10 { // the first rounds fill the free list
+				total += after.Mallocs - before.Mallocs
+			}
+		}
+		// Whole allocations per churn, as testing.AllocsPerRun counts
+		// them: a stray runtime allocation in the window does not count.
+		if got := total / rounds; got != tc.want {
+			t.Errorf("%v: %d allocs per churn, want %d (the external addresses)", tc.typ, got, tc.want)
+		}
+		if o.open != 0 {
+			t.Errorf("%v: %d external sockets still bound after every close", tc.typ, o.open)
+		}
+	}
+}
+
+// TestPortsWrapPastBound: a box's external ports run from basePort to
+// 65535, then from basePort again, skipping the ports a live mapping
+// still holds; with every port held, a new mapping fails instead of
+// binding past 65535.
+func TestPortsWrapPastBound(t *testing.T) {
+	o := &stubOuter{record: true, live: map[transport.Addr]bool{}}
+	box := New(FullCone, o, "1.2.3.4", 65533)
+	open := func() transport.PacketConn {
+		c, err := box.ListenPacket("10.0.0.2:1", func(transport.Addr, []byte) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	held := open() // keeps 65533 for the whole test
+	if err := held.WriteTo("server:1", nil); err != nil {
+		t.Fatal(err)
+	}
+	for range 5 { // 65534, 65535, then 65534, 65535, 65534: 65533 stays held
+		c := open()
+		if err := c.WriteTo("server:1", nil); err != nil {
+			t.Fatal(err)
+		}
+		_ = c.Close()
+	}
+	want := "1.2.3.4:65533 1.2.3.4:65534 1.2.3.4:65535 1.2.3.4:65534 1.2.3.4:65535 1.2.3.4:65534"
+	if got := fmt.Sprint(o.bound); got != "["+want+"]" {
+		t.Errorf("bound %v, want [%s]", got, want)
+	}
+	a, b := open(), open()
+	if err := a.WriteTo("server:1", nil); err != nil { // takes 65535
+		t.Fatal(err)
+	}
+	if err := b.WriteTo("server:1", nil); err != nil { // takes 65534
+		t.Fatal(err)
+	}
+	if err := open().WriteTo("server:1", nil); err == nil {
+		t.Error("a mapping was made with every port of the range held")
+	}
+	_ = a.Close()
+	c := open()
+	if err := c.WriteTo("server:1", nil); err != nil {
+		t.Fatalf("a released port was not handed out again: %v", err)
+	}
+	if last := o.bound[len(o.bound)-1]; last != "1.2.3.4:65535" {
+		t.Errorf("after the release, bound %s, want 1.2.3.4:65535", last)
 	}
 }

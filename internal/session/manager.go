@@ -159,18 +159,31 @@ type Manager struct {
 	probeFn, keepaliveFn func()
 
 	mu       sync.Mutex
-	sessions map[uint64]*Session
+	sessions []*Session // in ID order: Open appends, and IDs only grow
 	nextID   uint64
 	started  bool
 	closed   bool
-	order    []*Session // sortedLocked's buffer, reused under mu
 
 	// Tick scratch, owned by the running tick. Ticks never overlap: Start
 	// arms each loop once and a tick arms its successor only after its
-	// commit, so one buffer per loop suffices.
+	// commit, so one buffer per loop suffices. Every plan's paths are a
+	// window of paths.
 	plans   []probePlan
+	paths   []pathProbe
 	reqs    []PathRequest
 	kaPlans []kaPlan
+
+	// Inline room for the one call a Manager usually monitors: its
+	// session, the slices above for one session with up to three
+	// backups, and its final report. A second session, or more backups,
+	// grows onto the heap.
+	first     Session
+	sessBuf   [1]*Session
+	planBuf   [1]probePlan
+	pathBuf   [4]pathProbe
+	reqBuf    [4]PathRequest
+	kaBuf     [1]kaPlan
+	reportBuf [1]Report
 }
 
 // NewManager builds a session manager over the given scheduler and
@@ -183,7 +196,9 @@ func NewManager(cfg Config, clk sim.Scheduler, drv Driver, opts ...Option) (*Man
 	if clk == nil || drv == nil {
 		return nil, fmt.Errorf("session: Manager needs a scheduler and a driver")
 	}
-	m := &Manager{cfg: cfg, clk: clk, drv: drv, sessions: make(map[uint64]*Session)}
+	m := &Manager{cfg: cfg, clk: clk, drv: drv}
+	m.sessions, m.plans, m.paths = m.sessBuf[:0], m.planBuf[:0], m.pathBuf[:0]
+	m.reqs, m.kaPlans = m.reqBuf[:0], m.kaBuf[:0]
 	m.probeFn, m.keepaliveFn = m.probeTick, m.keepaliveTick
 	for _, o := range opts {
 		o(m)
@@ -202,7 +217,11 @@ func (m *Manager) Open(callee transport.Addr, active Candidate, backups []Candid
 		return nil, fmt.Errorf("session: manager closed")
 	}
 	m.nextID++
-	s := &Session{
+	s := &m.first
+	if m.nextID > 1 {
+		s = new(Session)
+	}
+	*s = Session{
 		mgr:      m,
 		id:       m.nextID,
 		callee:   callee,
@@ -211,13 +230,14 @@ func (m *Manager) Open(callee transport.Addr, active Candidate, backups []Candid
 		active:   active,
 		openedAt: m.clk.Now(),
 	}
+	s.backups = s.backupBuf[:0]
 	for _, b := range backups {
 		if b.Relay == active.Relay {
 			continue
 		}
 		s.backups = append(s.backups, b)
 	}
-	m.sessions[s.id] = s
+	m.sessions = append(m.sessions, s)
 	if m.onEvent != nil {
 		m.event(s, "open", active.Relay, fmt.Sprintf("via %s (%d backups)", pathName(active.Relay), len(s.backups)))
 	}
@@ -243,7 +263,7 @@ func (m *Manager) Snapshot() []Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []Status
-	for _, s := range m.sortedLocked() {
+	for _, s := range m.sessions {
 		out = append(out, s.statusLocked())
 	}
 	return out
@@ -259,9 +279,14 @@ func (m *Manager) Close() []Report {
 	}
 	m.closed = true
 	var reports []Report
-	for _, s := range m.sortedLocked() {
+	if len(m.sessions) > 0 {
+		reports = m.reportBuf[:0] // returned once: a closed Manager never writes it again
+	}
+	for _, s := range m.sessions {
 		reports = append(reports, m.closeLocked(s))
 	}
+	clear(m.sessions)
+	m.sessions = m.sessions[:0]
 	return reports
 }
 
@@ -271,21 +296,16 @@ func (m *Manager) closeLocked(s *Session) Report {
 		s.closedAt = m.clk.Now()
 		m.event(s, "closed", s.active.Relay, "")
 	}
-	delete(m.sessions, s.id)
 	return s.reportLocked(s.closedAt)
 }
 
-// sortedLocked returns the open sessions in ID order. The slice is the
-// manager's own buffer: it is valid only while m.mu stays held, and only
-// until the next call.
-func (m *Manager) sortedLocked() []*Session {
-	clear(m.order) // drop the previous call's pointers
-	m.order = m.order[:0]
-	for _, s := range m.sessions {
-		m.order = append(m.order, s)
+// sessionLocked returns the open session id, or nil.
+func (m *Manager) sessionLocked(id uint64) *Session {
+	i, ok := slices.BinarySearchFunc(m.sessions, id, func(s *Session, id uint64) int { return cmp.Compare(s.id, id) })
+	if !ok {
+		return nil
 	}
-	slices.SortFunc(m.order, func(a, b *Session) int { return cmp.Compare(a.id, b.id) })
-	return m.order
+	return m.sessions[i]
 }
 
 func (m *Manager) event(s *Session, kind string, relay transport.Addr, detail string) {
@@ -319,6 +339,7 @@ type pathProbe struct {
 type probePlan struct {
 	id     uint64
 	callee transport.Addr
+	lo     int // where paths starts in the tick's shared slice
 	paths  []pathProbe
 	media  MediaSource
 	mstats MediaStats
@@ -335,8 +356,8 @@ func (m *Manager) probeTick() {
 		m.mu.Unlock()
 		return
 	}
-	plans := slices.Grow(m.plans[:0], len(m.sessions))
-	for _, s := range m.sortedLocked() {
+	plans, paths := m.plans[:0], m.paths[:0]
+	for _, s := range m.sessions {
 		if s.state == StateClosed {
 			continue
 		}
@@ -344,13 +365,18 @@ func (m *Manager) probeTick() {
 		if limit > len(s.backups) {
 			limit = len(s.backups)
 		}
-		plans = plans[:len(plans)+1] // room is there: sized to the sessions above
-		p := &plans[len(plans)-1]
-		*p = probePlan{id: s.id, callee: s.callee, media: s.media, paths: slices.Grow(p.paths[:0], 1+limit)}
-		p.paths = append(p.paths, pathProbe{cand: s.active})
+		plans = append(plans, probePlan{id: s.id, callee: s.callee, media: s.media, lo: len(paths)})
+		paths = append(paths, pathProbe{cand: s.active})
 		for i := 0; i < limit; i++ {
-			p.paths = append(p.paths, pathProbe{cand: s.backups[i]})
+			paths = append(paths, pathProbe{cand: s.backups[i]})
 		}
+	}
+	for i := range plans { // paths has stopped moving
+		hi := len(paths)
+		if i+1 < len(plans) {
+			hi = plans[i+1].lo
+		}
+		plans[i].paths = paths[plans[i].lo:hi:hi]
 	}
 	m.mu.Unlock()
 
@@ -380,14 +406,14 @@ func (m *Manager) probeTick() {
 		now := m.clk.Now()
 		for i := range plans { // already in session-ID order
 			p := &plans[i]
-			if s, ok := m.sessions[p.id]; ok && s.state != StateClosed {
+			if s := m.sessionLocked(p.id); s != nil && s.state != StateClosed {
 				m.commitProbesLocked(s, p, now)
 			}
 		}
 	}
 	closed := m.closed
 	m.mu.Unlock()
-	m.plans = plans
+	m.plans, m.paths = plans, paths
 	if closed {
 		return
 	}
@@ -574,7 +600,7 @@ func (m *Manager) keepaliveTick() {
 		return
 	}
 	plans := m.kaPlans[:0]
-	for _, s := range m.sortedLocked() {
+	for _, s := range m.sessions {
 		if s.state == StateClosed || s.retryPending {
 			continue
 		}
@@ -599,7 +625,7 @@ func (m *Manager) keepaliveTick() {
 	if !m.closed {
 		for i := range plans {
 			p := &plans[i]
-			if s, ok := m.sessions[p.id]; ok && s.state != StateClosed && !s.retryPending {
+			if s := m.sessionLocked(p.id); s != nil && s.state != StateClosed && !s.retryPending {
 				m.commitKeepaliveLocked(s, p)
 			}
 		}
@@ -657,8 +683,8 @@ func (m *Manager) commitKeepaliveLocked(s *Session, p *kaPlan) {
 // driver call outside the lock, commit the verdict.
 func (m *Manager) retryKeepalive(id uint64) {
 	m.mu.Lock()
-	s, ok := m.sessions[id]
-	if !ok || m.closed {
+	s := m.sessionLocked(id)
+	if s == nil || m.closed {
 		m.mu.Unlock()
 		return
 	}
@@ -677,8 +703,8 @@ func (m *Manager) retryKeepalive(id uint64) {
 	if m.closed {
 		return
 	}
-	s, ok = m.sessions[id]
-	if !ok || s.state == StateClosed || s.retryPending {
+	s = m.sessionLocked(id)
+	if s == nil || s.state == StateClosed || s.retryPending {
 		return
 	}
 	m.commitKeepaliveLocked(s, &p)

@@ -94,11 +94,12 @@ type Session struct {
 	callee transport.Addr
 	flowID uint64
 
-	state    State
-	active   Candidate
-	backups  []Candidate
-	openedAt time.Duration
-	closedAt time.Duration
+	state     State
+	active    Candidate
+	backups   []Candidate
+	backupBuf [4]Candidate // backs backups for a call's handful
+	openedAt  time.Duration
+	closedAt  time.Duration
 
 	// Keepalive failure detection.
 	kaMisses     int

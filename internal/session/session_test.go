@@ -136,6 +136,72 @@ func TestManagerTickAllocs(t *testing.T) {
 	}
 }
 
+// batchTickDriver is a BatchDriver serving constant measurements from a
+// buffer it keeps, so a test counts the monitor's allocations alone.
+type batchTickDriver struct {
+	constTickDriver
+	res   []PathResult
+	ticks int
+}
+
+func (d *batchTickDriver) ProbePaths(reqs []PathRequest) []PathResult {
+	d.ticks++
+	d.res = d.res[:0]
+	for _, r := range reqs {
+		rtt, loss, err := d.ProbePath(r.Relay, r.Callee)
+		d.res = append(d.res, PathResult{RTT: rtt, Loss: loss, Err: err})
+	}
+	return d.res
+}
+
+// TestManagerCallAllocs gates one call's monitor, as call_sim runs it:
+// NewManager, Open with a backup, Start, one probe tick through a
+// BatchDriver, Close, and the armed ticks running down. The session,
+// its backups, the tick's plans, paths and requests and the final
+// report live inline in the Manager, so the call costs the Manager and
+// its two loop functions, bound once, and what the session keeps from
+// its first measured tick: its two hysteresis maps, their entries and
+// the first samples of its history.
+func TestManagerCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	cfg := DefaultConfig()
+	cfg.Backups = 1
+	cfg.ProbeInterval = 100 * time.Millisecond
+	cfg.KeepaliveInterval = 250 * time.Millisecond
+	clk := sim.NewClock()
+	drv := &batchTickDriver{}
+	backups := []Candidate{{Relay: "fast1", Est: 120 * time.Millisecond}}
+	reports := 0
+	call := func() {
+		m, err := NewManager(cfg, clk, drv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Open("callee", Candidate{Relay: "slow", Est: 350 * time.Millisecond}, backups, 1); err != nil {
+			t.Fatal(err)
+		}
+		m.Start()
+		clk.Sleep(150 * time.Millisecond) // one probe tick
+		reports += len(m.Close())
+		clk.Sleep(time.Second) // the armed ticks find the manager closed
+	}
+	var allocs float64
+	clk.RunTask(func() {
+		for range 20 {
+			call()
+		}
+		allocs = testing.AllocsPerRun(200, call)
+	})
+	if drv.ticks != 221 || reports != 221 {
+		t.Fatalf("%d probe ticks and %d reports over 221 calls, want one each per call", drv.ticks, reports)
+	}
+	if allocs != 9 {
+		t.Errorf("one monitored call: %.2f allocs, want 9 (the Manager and its two loop functions; the first tick's hysteresis maps, entries and samples)", allocs)
+	}
+}
+
 // TestFailoverOnRelayDeath is the acceptance scenario: kill the active
 // relay mid-call; the manager must detect death via missed keepalives
 // within the configured detection window, fail over to a backup, and

@@ -84,30 +84,54 @@ const (
 
 // NewClock returns a virtual clock at time zero, backed by the
 // hierarchical timer-wheel event store (wheel.go).
-func NewClock() *Clock { return &Clock{events: newWheelStore()} }
+func NewClock() *Clock {
+	c := &Clock{}
+	c.events = c.newStore()
+	return c
+}
+
+// newStore returns the default wheel, handing every canceled event it
+// discards back to the clock.
+func (c *Clock) newStore() eventStore {
+	w := newWheelStore()
+	w.discard = c.discardLocked
+	return w
+}
 
 // storeLocked returns the event store, initializing the default wheel
 // for zero-value Clocks. Called with c.mu held.
 func (c *Clock) storeLocked() eventStore {
 	if c.events == nil {
-		c.events = newWheelStore()
+		c.events = c.newStore()
 	}
 	return c.events
+}
+
+// discardLocked takes back a canceled event the store has dropped: a
+// recyclable one (a woken waiter's deadline) goes to the free list, a
+// held one stays its handle's. Called with c.mu held.
+func (c *Clock) discardLocked(e *event) {
+	if !e.held {
+		*e = event{}
+		c.free.Put(e, maxFreeEvents)
+	}
 }
 
 // task is one worker goroutine. A task that passes the CPU to another
 // sends on the other's wake channel ("you run now"); it has room for one
 // token, so the sender never waits for the receiver. fn is the next
-// body, set under c.mu by whoever hands the worker its body.
+// body, and join the waiter of the Join waiting for it (nil for none),
+// both set under c.mu by whoever hands the worker its body.
 type task struct {
 	wake chan struct{}
 	fn   func()
+	join *clockWaiter
 }
 
 // event is one scheduled action of the clock. Its payload is a
-// field, not a closure: a task body to start (fn), a parked task to
-// resume (t), or a waiter whose deadline this is (w) — exactly one is
-// set.
+// field, not a closure: a task body to start (fn, with w the waiter of
+// the Join waiting for it, if any), a parked task to resume (t), or a
+// waiter whose deadline this is (w alone).
 type event struct {
 	at       time.Duration
 	id       uint64 // tie-break so equal-time events run in schedule order
@@ -116,9 +140,9 @@ type event struct {
 	w        *clockWaiter
 	canceled bool
 	fired    bool
-	// held marks an event embedded in a Timer or Waiter: it may be asked
-	// about (Stop after fire, Wake after timeout) long after it ran, and
-	// its memory is the handle's, so it is never recycled.
+	// held marks an event embedded in a Timer: it may be asked about
+	// (Stop after fire) long after it ran, and its memory is the
+	// handle's, so it is never recycled.
 	held bool
 }
 
@@ -241,15 +265,16 @@ func (c *Clock) Go(fn func()) {
 	c.startLocked(c.Now(), fn)
 }
 
-// workerLocked returns a worker for body fn: the most recently parked
-// idle one, or a fresh one whose goroutine the caller starts (fresh) once
-// it has released c.mu. Called with c.mu held.
-func (c *Clock) workerLocked(fn func()) (t *task, fresh bool) {
+// workerLocked returns a worker for body fn, which the Join of waiter j
+// (nil for none) waits for: the most recently parked idle one, or a
+// fresh one whose goroutine the caller starts (fresh) once it has
+// released c.mu. Called with c.mu held.
+func (c *Clock) workerLocked(fn func(), j *clockWaiter) (t *task, fresh bool) {
 	t, ok := c.idle.Get()
 	if !ok {
 		t, fresh = &task{wake: make(chan struct{}, 1)}, true
 	}
-	t.fn = fn
+	t.fn, t.join = fn, j
 	return t, fresh
 }
 
@@ -267,11 +292,14 @@ func (c *Clock) work(t *task) {
 // goroutine (runtime.Goexit, i.e. t.Fatal) must still pass the CPU on,
 // and is not parked for reuse.
 func (c *Clock) run(t *task) (again bool) {
-	fn := t.fn
-	t.fn = nil
+	fn, j := t.fn, t.join
+	t.fn, t.join = nil, nil
 	returned := false
 	defer func() {
 		c.mu.Lock()
+		if j != nil {
+			j.joinDoneLocked() // also when fn exited its goroutine
+		}
 		c.current = nil
 		c.tasks--
 		parked := returned && c.idle.Put(t, maxIdleWorkers)
@@ -364,23 +392,23 @@ func (c *Clock) passLocked(self *task) *task {
 		fn, t, w := e.fn, e.t, e.w
 		if e.held {
 			e.fired = true
-			e.fn, e.t, e.w = nil, nil, nil // the handle outlives the payload; do not pin it
+			e.fn = nil // the handle outlives the payload; do not pin it
 		} else {
 			*e = event{}
 			c.free.Put(e, maxFreeEvents)
 		}
-		if w != nil {
+		fresh := false
+		switch {
+		case fn != nil:
+			t, fresh = c.workerLocked(fn, w)
+		case w != nil:
 			// The waiter's deadline: it lost to no earlier Wake, which
-			// would have canceled it.
+			// would have canceled it and detached it from the waiter.
 			t = w.waiting
-			w.waiting, w.timedOut, w.armed = nil, true, false
+			w.waiting, w.timedOut, w.dl = nil, true, nil
 			if t == nil {
 				continue
 			}
-		}
-		fresh := false
-		if fn != nil {
-			t, fresh = c.workerLocked(fn)
 		}
 		c.current = t
 		c.mu.Unlock()
@@ -446,7 +474,9 @@ func (c *Clock) SleepCtx(ctx context.Context, d time.Duration) error {
 
 // Join implements Scheduler: each fn runs as a task (serially, in
 // argument order — virtual tasks never overlap) and Join returns when
-// the last one finishes. limit is ignored under the virtual clock.
+// the last one finishes. limit is ignored under the virtual clock. The
+// tasks' events carry the caller's waiter, which counts them down, so
+// it is the one allocation.
 func (c *Clock) Join(_ int, fns ...func()) {
 	switch len(fns) {
 	case 0:
@@ -455,48 +485,55 @@ func (c *Clock) Join(_ int, fns ...func()) {
 		fns[0]()
 		return
 	}
-	w := c.NewWaiter()
-	var mu sync.Mutex
-	remaining := len(fns)
-	done := func() {
-		mu.Lock()
-		remaining--
-		last := remaining == 0
-		mu.Unlock()
-		if last {
-			w.Wake()
-		}
-	}
+	w := &clockWaiter{c: c, joining: len(fns)}
+	c.mu.Lock()
 	for _, fn := range fns {
-		fn := fn
-		c.Go(func() {
-			defer done() // also when fn exits its goroutine
-			fn()
-		})
+		c.tasks++
+		e := c.scheduleLocked(c.Now())
+		e.fn, e.w = fn, w
 	}
+	c.mu.Unlock()
 	w.Wait(-1)
+}
+
+// joinDoneLocked counts down one finished task of w's Join; the last
+// wakes the caller. Called with c.mu held.
+func (w *clockWaiter) joinDoneLocked() {
+	if w.joining--; w.joining == 0 {
+		w.wakeLocked()
+	}
 }
 
 // NewWaiter implements Scheduler.
 func (c *Clock) NewWaiter() Waiter { return &clockWaiter{c: c} }
 
 // clockWaiter parks one task until woken or timed out; the first of
-// (Wake, deadline) wins deterministically by event order. A waiter parks
-// at most once — a Wait after Wake or timeout returns at once — so the
-// embedded deadline event is scheduled at most once and never reused.
+// (Wake, deadline) wins deterministically by event order. Its deadline
+// is an ordinary recycled event that the waiter holds only while it is
+// pending: the deadline detaches it as it fires, and Wake as it cancels
+// it. The store drops a canceled event lazily, so a Wake leaves the old
+// deadline in the store until its time comes; detached, it can neither
+// fire into a re-armed Wait nor be scheduled twice, and the store hands
+// it back to the free list when it drops it (discardLocked).
 type clockWaiter struct {
 	c        *Clock
 	woken    bool
 	timedOut bool
 	waiting  *task
-	armed    bool  // dl is pending in the store
-	dl       event // the Wait(timeout) deadline, held
+	dl       *event // the pending Wait(timeout) deadline, nil when none
+	joining  int    // a Join's waiter: tasks of the Join still running
 }
 
 func (w *clockWaiter) Wake() {
 	c := w.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	w.wakeLocked()
+}
+
+// wakeLocked is Wake with c.mu held.
+func (w *clockWaiter) wakeLocked() {
+	c := w.c
 	if w.woken || w.timedOut {
 		return
 	}
@@ -506,9 +543,9 @@ func (w *clockWaiter) Wake() {
 	if t == nil {
 		return // Wake before Wait: remembered by the woken flag
 	}
-	if w.armed {
-		c.cancelLocked(&w.dl)
-		w.armed = false
+	if w.dl != nil {
+		c.cancelLocked(w.dl)
+		w.dl = nil
 	}
 	c.scheduleLocked(c.Now()).t = t
 }
@@ -527,14 +564,23 @@ func (w *clockWaiter) Wait(timeout time.Duration) bool {
 	t := c.mustCurrentLocked("Waiter.Wait")
 	w.waiting = t
 	if timeout >= 0 {
-		w.dl.w, w.dl.held = w, true
-		c.pushLocked(&w.dl, c.Now()+timeout)
-		w.armed = true
+		w.dl = c.scheduleLocked(c.Now() + timeout)
+		w.dl.w = w
 	}
 	c.yieldLocked(t)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return w.woken
+}
+
+func (w *clockWaiter) Rearm() {
+	c := w.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w.waiting != nil {
+		panic("sim: Waiter.Rearm while a task is parked in Wait")
+	}
+	w.woken, w.timedOut = false, false
 }
 
 // Step runs the earliest pending event, advancing the clock to its time

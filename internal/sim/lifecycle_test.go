@@ -261,11 +261,12 @@ func TestClockAllocs(t *testing.T) {
 	}
 }
 
-// TestWaiterAllocs gates the handles that keep their event: a
-// Wait(timeout) costs the waiter and nothing else, whether the deadline
-// fires or a Wake beats it, and an AfterFunc timer is one allocation
-// whether it fires or is stopped — the held event lives inside the
-// handle.
+// TestWaiterAllocs gates the blocking handles: a Wait(timeout) costs the
+// waiter and nothing else, whether the deadline fires or a Wake beats
+// it, and a re-armed waiter's next round costs nothing; an AfterFunc
+// timer is one allocation whether it fires or is stopped — the held
+// event lives inside the handle; a Join is one allocation for all its
+// tasks.
 func TestWaiterAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -274,8 +275,10 @@ func TestWaiterAllocs(t *testing.T) {
 	var cur Waiter
 	wake := func() { cur.Wake() }
 	body := func() {}
-	var timedOut, woken, stopped, fired float64
+	var timedOut, woken, stopped, fired, rearmTimedOut, rearmWoken, joined float64
 	okTimeout, okWoken := true, true
+	own := c.NewWaiter()
+	twoBodies := []func(){body, body}
 	c.RunTask(func() {
 		for i := 0; i < 100; i++ { // warm the worker, the free list and the wheel
 			cur = c.NewWaiter()
@@ -307,21 +310,43 @@ func TestWaiterAllocs(t *testing.T) {
 			c.AfterFunc(time.Millisecond, body)
 			c.Sleep(2 * time.Millisecond)
 		})
+		rearmTimedOut = testing.AllocsPerRun(2000, func() {
+			own.Rearm()
+			if own.Wait(time.Millisecond) {
+				okTimeout = false
+			}
+		})
+		cur = own
+		rearmWoken = testing.AllocsPerRun(2000, func() {
+			own.Rearm()
+			c.After(time.Microsecond, wake)
+			if !own.Wait(time.Millisecond) {
+				okWoken = false
+			}
+			c.Sleep(2 * time.Millisecond) // the store drops the canceled deadline
+		})
+		joined = testing.AllocsPerRun(2000, func() { c.Join(0, twoBodies...) })
 	})
 	if !okTimeout || !okWoken {
 		t.Fatalf("Wait outcomes: timeout case reported woken %v, wake case reported timeout %v", !okTimeout, !okWoken)
 	}
 	for _, tc := range []struct {
-		name string
-		got  float64
+		name      string
+		got, want float64
 	}{
-		{"Wait(timeout) that times out", timedOut},
-		{"Wait(timeout) that is woken", woken},
-		{"AfterFunc + Stop", stopped},
-		{"AfterFunc that fires", fired},
+		{"Wait(timeout) that times out", timedOut, 1},
+		{"Wait(timeout) that is woken", woken, 1},
+		{"AfterFunc + Stop", stopped, 1},
+		{"AfterFunc that fires", fired, 1},
+		// A re-armed waiter is the handle already paid for, and a woken
+		// round's canceled deadline returns to the free list when the
+		// store drops it.
+		{"Rearm + Wait(timeout) that times out", rearmTimedOut, 0},
+		{"Rearm + Wait(timeout) that is woken", rearmWoken, 0},
+		{"Join of two tasks", joined, 1},
 	} {
-		if tc.got != 1 {
-			t.Errorf("%s: %.2f allocs, want 1 (the handle)", tc.name, tc.got)
+		if tc.got != tc.want {
+			t.Errorf("%s: %.2f allocs, want %.0f", tc.name, tc.got, tc.want)
 		}
 	}
 }

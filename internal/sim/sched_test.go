@@ -183,9 +183,101 @@ func TestClockWaiterWakeBeforeWait(t *testing.T) {
 	}
 }
 
+// TestClockWaiterRearm: one waiter serves round after round. A timed-out
+// round and a woken one each re-arm; a Wake that beat its deadline leaves
+// that deadline canceled in the store, and a re-armed Wait that outlasts
+// it must neither be woken by it nor lose its own deadline; a Wake before
+// Wait is remembered within its round only; Rearm under a parked Wait
+// panics.
+func TestClockWaiterRearm(t *testing.T) {
+	const ms = time.Millisecond
+	c := NewClock()
+	type round struct {
+		woken bool
+		took  time.Duration
+	}
+	var got []round
+	wait := func(w Waiter, timeout time.Duration) {
+		start := c.Now()
+		woken := w.Wait(timeout)
+		got = append(got, round{woken, c.Now() - start})
+	}
+	var rearmPanic any
+	c.RunTask(func() {
+		w := c.NewWaiter()
+		wait(w, 10*ms) // 1: times out
+		w.Wake()       // after the outcome: a no-op
+		wait(w, 10*ms) // 2: the same round, answered at once
+		w.Rearm()
+		c.After(5*ms, w.Wake)
+		wait(w, 100*ms) // 3: woken; its deadline stays in the store, canceled
+		w.Rearm()
+		wait(w, 200*ms) // 4: outlasts 3's deadline and times out at its own
+		w.Rearm()
+		c.After(5*ms, w.Wake)
+		wait(w, 100*ms) // 5: woken again
+		w.Rearm()
+		wait(w, 20*ms) // 6: ends long before 5's canceled deadline
+		w.Rearm()
+		w.Wake()
+		wait(w, 50*ms) // 7: the Wake before Wait is remembered
+		w.Rearm()
+		c.After(ms, func() {
+			defer func() { rearmPanic = recover() }()
+			w.Rearm()
+		})
+		wait(w, 10*ms) // 8: Rearm from another task while parked panics
+	})
+	want := []round{
+		{false, 10 * ms}, {false, 0}, {true, 5 * ms}, {false, 200 * ms},
+		{true, 5 * ms}, {false, 20 * ms}, {true, 0}, {false, 10 * ms},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("rounds (woken, took):\n got %v\nwant %v", got, want)
+	}
+	if rearmPanic == nil {
+		t.Error("Rearm under a parked Wait did not panic")
+	}
+	if p := c.Pending(); p != 0 {
+		t.Errorf("Pending() = %d after the rounds, want 0", p)
+	}
+	c.Run() // the store drops the canceled deadlines still in it
+	if n := c.free.Len(); n == 0 {
+		t.Error("no event came back to the free list")
+	}
+}
+
+// TestWallWaiterRearm is TestClockWaiterRearm's contract on the real-time
+// adapter: outcomes stay within their round, a Wake after a timeout is
+// forgotten by Rearm, and a re-armed waiter is woken again.
+func TestWallWaiterRearm(t *testing.T) {
+	w := NewWall().NewWaiter()
+	w.Wake()
+	if !w.Wait(-1) || !w.Wait(0) {
+		t.Fatal("a woken round did not answer woken")
+	}
+	w.Rearm()
+	if w.Wait(time.Millisecond) {
+		t.Fatal("re-armed round woken with no Wake")
+	}
+	w.Wake() // after the timeout: a no-op
+	if w.Wait(time.Second) {
+		t.Fatal("a Wake after the timeout changed the round's outcome")
+	}
+	w.Rearm()
+	go w.Wake()
+	if !w.Wait(time.Minute) {
+		t.Fatal("re-armed round missed its Wake")
+	}
+	w.Rearm()
+	if w.Wait(0) {
+		t.Fatal("Rearm kept the previous round's Wake")
+	}
+}
+
 // TestClockWaiterWakeRacesDeadline: Wake and Stop from a goroutine
-// outside the clock race the event loop firing the same handles'
-// embedded events. Every waiter resumes exactly once, with nothing left
+// outside the clock race the event loop firing the same waiters'
+// deadlines and timers' embedded events. Every waiter resumes exactly once, with nothing left
 // pending, and every timer either fires or is stopped, never both.
 func TestClockWaiterWakeRacesDeadline(t *testing.T) {
 	const n = 300

@@ -61,9 +61,9 @@ type Scheduler interface {
 	// fn may run inline on the caller.
 	Join(limit int, fns ...func())
 
-	// NewWaiter returns a one-shot wakeup cell for first-of races
-	// (result vs timeout). Wake before Wait is remembered, extra Wakes
-	// are no-ops.
+	// NewWaiter returns a wakeup cell for first-of races (result vs
+	// timeout). Wake before Wait is remembered, extra Wakes are no-ops,
+	// and Rearm readies it for the next race.
 	NewWaiter() Waiter
 }
 
@@ -74,13 +74,23 @@ type Timer interface {
 	Stop() bool
 }
 
-// Waiter is a one-shot rendezvous: one task Waits, any task Wakes.
+// Waiter is a rendezvous: one task Waits, any task Wakes. Each round
+// has one outcome, woken or timed out; Rearm starts the next round, so
+// a loop that waits again and again (a retransmit ladder) needs one
+// Waiter, not one per wait.
 type Waiter interface {
 	// Wake unparks the waiter. A Wake that arrives before Wait is not
-	// lost; Wakes after the first (or after a timeout) are no-ops.
+	// lost; Wakes after the first (or after a timeout) are no-ops until
+	// the next Rearm.
 	Wake()
 	// Wait parks the calling task until Wake or, when timeout >= 0, the
 	// deadline. It reports whether the waiter was woken (false = timed
-	// out). Wait may be called at most once.
+	// out). Within a round, a Wait after the outcome returns it at once.
 	Wait(timeout time.Duration) bool
+	// Rearm forgets the round's outcome, so the next Wait parks again
+	// and the next Wake wakes it. It must not race a Wait: the task that
+	// waits calls it before its next Wait, or whoever owns an idle
+	// waiter does. A deadline of the old round that is still pending
+	// never fires into the new one.
+	Rearm()
 }

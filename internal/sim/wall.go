@@ -104,18 +104,39 @@ func (w *Wall) Join(limit int, fns ...func()) {
 
 // NewWaiter implements Scheduler.
 func (w *Wall) NewWaiter() Waiter {
-	return &wallWaiter{ch: make(chan struct{})}
+	return &wallWaiter{ch: make(chan struct{}, 1)}
 }
 
+// wallWaiter's Wake leaves one token in ch, under mu, only in a round
+// that has no outcome yet, so the send never blocks. The flags answer
+// every later Wait of the round; Rearm drains a token no Wait took.
 type wallWaiter struct {
-	once sync.Once
-	ch   chan struct{}
+	mu       sync.Mutex
+	woken    bool
+	timedOut bool
+	ch       chan struct{}
 }
 
-func (w *wallWaiter) Wake() { w.once.Do(func() { close(w.ch) }) }
+func (w *wallWaiter) Wake() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.woken || w.timedOut {
+		return
+	}
+	w.woken = true
+	w.ch <- struct{}{}
+}
 
 func (w *wallWaiter) Wait(timeout time.Duration) bool {
-	if timeout < 0 {
+	w.mu.Lock()
+	woken, timedOut := w.woken, w.timedOut
+	w.mu.Unlock()
+	switch {
+	case woken:
+		return true
+	case timedOut:
+		return false
+	case timeout < 0:
 		<-w.ch
 		return true
 	}
@@ -125,14 +146,22 @@ func (w *wallWaiter) Wait(timeout time.Duration) bool {
 	case <-w.ch:
 		return true
 	case <-t.C:
-		// A Wake racing the deadline still counts as woken.
-		select {
-		case <-w.ch:
-			return true
-		default:
-			return false
-		}
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	// A Wake racing the deadline still counts as woken.
+	w.timedOut = !w.woken
+	return w.woken
+}
+
+func (w *wallWaiter) Rearm() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	select {
+	case <-w.ch:
+	default:
+	}
+	w.woken, w.timedOut = false, false
 }
 
 // Interface compliance.

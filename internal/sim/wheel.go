@@ -84,6 +84,9 @@ type wheelStore struct {
 	far eventQueue // (at, id) min-heap of events beyond the level-1 window
 
 	spare FreeList[[]*event] // emptied slabs of drained slots, at most wheelSpareSlabs
+
+	// discard, when set, takes each canceled event the store drops.
+	discard func(*event)
 }
 
 // takeSlab returns an empty slab for a slot that is filling, nil (append
@@ -203,8 +206,10 @@ func (w *wheelStore) findMin() (*event, *wheelBucket) {
 		}
 		// Drop canceled overflow heads so far[0] is always comparable.
 		for len(w.far) > 0 && w.far[0].canceled {
+			e := w.far[0]
 			w.popFar()
 			w.size--
+			w.dropped(e)
 		}
 		if s := scanBitmap(&w.l0map, w.l0pos); s >= 0 {
 			w.l0pos = s
@@ -214,9 +219,11 @@ func (w *wheelStore) findMin() (*event, *wheelBucket) {
 				b.sorted = true
 			}
 			for b.head < len(b.evs) && b.evs[b.head].canceled {
+				e := b.evs[b.head]
 				b.evs[b.head] = nil
 				b.head++
 				w.size--
+				w.dropped(e)
 			}
 			if b.head == len(b.evs) {
 				w.drained(b)
@@ -293,9 +300,17 @@ func (w *wheelStore) pop() *event {
 		}
 		w.size--
 		if e.canceled {
+			w.dropped(e)
 			continue
 		}
 		return e
+	}
+}
+
+// dropped hands a canceled event the store has let go of to discard.
+func (w *wheelStore) dropped(e *event) {
+	if w.discard != nil {
+		w.discard(e)
 	}
 }
 

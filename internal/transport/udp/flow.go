@@ -155,16 +155,23 @@ type Flow struct {
 	phase       PathKind       // ladder rung currently being attempted
 	peer        transport.Addr // voice destination (peer or relay)
 	relay       transport.Addr // the relay rung of the latest run
-	relayProof  []byte         // HMAC flow-token proof carried in PTRelayBind
-	relayReject bool           // relay refused our bind (quota or auth)
-	runErr      error          // how the latest finished run failed (nil: it landed)
-	estW        sim.Waiter     // armed by the phase loops, woken on establish
-	waiters     []sim.Waiter   // tasks parked in Wait for the ladder's outcome
-	waitBuf     [1]sim.Waiter  // backs waiters: one parked task allocates no slice
+	relayProof  []byte         // HMAC flow-token proof carried in PTRelayBind: nil, or proofBuf's
+	proofBuf    [relayProofLen]byte
+	relayReject bool          // relay refused our bind (quota or auth)
+	runErr      error         // how the latest finished run failed (nil: it landed)
+	estW        sim.Waiter    // armed by the phase loops, woken on establish
+	waiters     []sim.Waiter  // tasks parked in Wait for the ladder's outcome
+	waitBuf     [1]sim.Waiter // backs waiters: one parked task allocates no slice
 
-	stunW   sim.Waiter
-	stunSeq uint32
-	ext     transport.Addr // the latest STUN answer: this socket's external address
+	// w is the flow's own waiter, lent (wLent) to Discover or a phase loop
+	// and re-armed for each of their waits.
+	w     sim.Waiter
+	wLent bool
+
+	stunW    sim.Waiter // armed by Discover, woken by the answer
+	stunSeq  uint32
+	stunOpen bool           // an answer to stunSeq is still wanted
+	ext      transport.Addr // the latest STUN answer: this socket's external address
 
 	seq     uint32 // next voice sequence number
 	sent    int64
@@ -231,11 +238,19 @@ func (f *Flow) SetVoiceHandler(fn func(p Packet, from transport.Addr)) {
 // SetRelayAuth installs the HMAC flow-token proof (RelayProof) the flow
 // presents when binding an authenticated relay. The control plane mints
 // the relay secret and derives the proof per call; without one, binds to
-// a secret-bearing relay are rejected.
+// a secret-bearing relay are rejected. The flow keeps its own copy.
 func (f *Flow) SetRelayAuth(proof []byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.relayProof = append([]byte(nil), proof...)
+	f.relayProof = append(f.proofBuf[:0], proof...)
+}
+
+// SetRelayKey is SetRelayAuth with the proof derived here, from the
+// relay secret and the flow's SSRC (its token): RelayProof(secret,
+// SSRC()), without an intermediate slice.
+func (f *Flow) SetRelayKey(secret []byte) {
+	mac := relayMAC(secret, f.ssrc)
+	f.SetRelayAuth(mac[:relayProofLen])
 }
 
 // Reestablishments reports how many mid-call re-establishments the flow
@@ -262,17 +277,20 @@ func (f *Flow) Close() error {
 	if !f.climbing {
 		f.wakeWaitersLocked() // a run in progress wakes them as it ends
 	}
-	estW, stunW, ka := f.estW, f.stunW, f.kaTimer
+	// Woken under f.mu, like every Wake of a lent waiter: once its
+	// borrower returns it, nothing meant for that borrower reaches it.
+	if f.estW != nil {
+		f.estW.Wake()
+	}
+	if f.stunW != nil {
+		f.stunW.Wake()
+	}
+	ka := f.kaTimer
 	f.estW, f.stunW, f.kaTimer = nil, nil, nil
+	f.stunOpen = false
 	relay := f.relay
 	f.mu.Unlock()
 
-	if estW != nil {
-		estW.Wake()
-	}
-	if stunW != nil {
-		stunW.Wake()
-	}
 	if ka != nil {
 		ka.Stop()
 	}
@@ -298,12 +316,14 @@ func (f *Flow) sendUnbind(relay transport.Addr) {
 // per-socket (and, behind a symmetric NAT, per-destination — which is
 // exactly why punching fails there and the ladder needs its relay rung).
 func (f *Flow) Discover(stun transport.Addr) (transport.Addr, error) {
+	w := f.borrowWaiter()
+	defer f.returnWaiter(w)
 	for i := 0; i < f.cfg.StunTries; i++ {
 		f.mu.Lock()
 		f.stunSeq++
 		seq := f.stunSeq
-		w := f.sched.NewWaiter()
-		f.stunW = w
+		w.Rearm()
+		f.stunW, f.stunOpen = w, true
 		f.mu.Unlock()
 
 		err := writePacket(f.conn, stun, Packet{Type: PTStunReq, Seq: seq, TS: f.sched.Now(), SSRC: f.ssrc})
@@ -322,6 +342,39 @@ func (f *Flow) Discover(stun transport.Addr) (transport.Addr, error) {
 		}
 	}
 	return "", fmt.Errorf("udp: discovery via %s timed out after %d tries", stun, f.cfg.StunTries)
+}
+
+// borrowWaiter lends Discover or a phase loop the flow's own waiter. A
+// callee re-discovering while its previous climb still waits finds it
+// lent, and gets a fresh one.
+func (f *Flow) borrowWaiter() sim.Waiter {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.wLent {
+		return f.sched.NewWaiter()
+	}
+	if f.w == nil {
+		f.w = f.sched.NewWaiter()
+	}
+	f.wLent = true
+	return f.w
+}
+
+// returnWaiter ends a borrower's use of w: dispatch and Close stop
+// reaching it, so no Wake meant for this borrower lands in the next
+// one's wait, and the flow's own waiter is free to lend again.
+func (f *Flow) returnWaiter(w sim.Waiter) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.estW == w {
+		f.estW = nil
+	}
+	if f.stunW == w {
+		f.stunW = nil
+	}
+	if w == f.w {
+		f.wLent = false
+	}
 }
 
 // --- Establishment ladder ---
@@ -482,6 +535,9 @@ func (f *Flow) synLoop(phase PathKind, budget time.Duration, pt PacketType) bool
 	interval := f.cfg.PunchInterval
 	maxInterval := f.cfg.PunchInterval * 8
 	var attempt uint32
+	var proof [relayProofLen]byte
+	w := f.borrowWaiter()
+	defer f.returnWaiter(w)
 	for {
 		f.mu.Lock()
 		if f.established || f.closed {
@@ -496,13 +552,17 @@ func (f *Flow) synLoop(phase PathKind, budget time.Duration, pt PacketType) bool
 			return false
 		}
 		f.phase = phase
-		w := f.sched.NewWaiter()
+		w.Rearm()
 		f.estW = w
 		to := f.peer
 		var payload []byte
 		if pt == PTRelayBind {
 			to = f.relay
 			payload = f.relayProof // proof of token ownership, if minted
+			if len(payload) <= relayProofLen {
+				// SetRelayAuth rewrites proofBuf in place; send a copy.
+				payload = proof[:copy(proof[:], payload)]
+			}
 		}
 		f.mu.Unlock()
 
@@ -530,13 +590,15 @@ func (f *Flow) synLoop(phase PathKind, budget time.Duration, pt PacketType) bool
 // waitPhase parks the callee for one passive phase: established (woken
 // by dispatch) or budget exhausted.
 func (f *Flow) waitPhase(phase PathKind, budget time.Duration) bool {
+	w := f.borrowWaiter()
+	defer f.returnWaiter(w)
 	f.mu.Lock()
 	if f.established {
 		f.mu.Unlock()
 		return true
 	}
 	f.phase = phase
-	w := f.sched.NewWaiter()
+	w.Rearm()
 	f.estW = w
 	f.mu.Unlock()
 	w.Wait(budget)
@@ -685,10 +747,13 @@ func (f *Flow) dispatch(from transport.Addr, data []byte) {
 	switch p.Type {
 	case PTStunResp:
 		f.mu.Lock()
-		if p.Seq == f.stunSeq && f.stunW != nil {
+		if p.Seq == f.stunSeq && f.stunOpen {
 			f.ext = transport.Addr(p.Payload)
-			f.stunW.Wake()
-			f.stunW = nil
+			f.stunOpen = false
+			if f.stunW != nil {
+				f.stunW.Wake()
+				f.stunW = nil
+			}
 		}
 		f.mu.Unlock()
 
@@ -720,15 +785,14 @@ func (f *Flow) dispatch(from transport.Addr, data []byte) {
 
 	case PTRelayReject:
 		f.mu.Lock()
-		var w sim.Waiter
 		if f.phase == PathRelayed && !f.established {
 			f.relayReject = true
-			w, f.estW = f.estW, nil // abort the bind loop immediately
+			if f.estW != nil {
+				f.estW.Wake() // abort the bind loop immediately
+				f.estW = nil
+			}
 		}
 		f.mu.Unlock()
-		if w != nil {
-			w.Wake()
-		}
 
 	case PTKeepalive:
 		// Liveness already recorded above; nothing else to do.

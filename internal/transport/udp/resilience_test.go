@@ -76,7 +76,9 @@ func TestRelayProofMatchesHMAC(t *testing.T) {
 }
 
 // TestRelayProofAllocs: the relay verifies a bind's proof without
-// allocating, and minting one allocates only the returned slice.
+// allocating, minting one allocates only the returned slice, and a flow
+// takes a proof, or derives its own from the secret, into storage it
+// already has.
 func TestRelayProofAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -98,6 +100,17 @@ func TestRelayProofAllocs(t *testing.T) {
 	}
 	if mint := testing.AllocsPerRun(1000, func() { _ = RelayProof(secret, 42) }); mint != 1 {
 		t.Errorf("RelayProof: %.2f allocs, want 1 (the returned proof)", mint)
+	}
+	f := &Flow{ssrc: 42}
+	if n := testing.AllocsPerRun(1000, func() { f.SetRelayAuth(good.Payload) }); n != 0 {
+		t.Errorf("SetRelayAuth: %.2f allocs, want 0", n)
+	}
+	f.relayProof = nil
+	if n := testing.AllocsPerRun(1000, func() { f.SetRelayKey(secret) }); n != 0 {
+		t.Errorf("SetRelayKey: %.2f allocs, want 0", n)
+	}
+	if !bytes.Equal(f.relayProof, good.Payload) {
+		t.Errorf("SetRelayKey derived %x, want RelayProof's %x", f.relayProof, good.Payload)
 	}
 }
 

@@ -449,3 +449,65 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("nil network should be rejected")
 	}
 }
+
+// waiterCounter is a virtual clock that counts the waiters handed out.
+type waiterCounter struct {
+	*sim.Clock
+	waiters int
+}
+
+func (c *waiterCounter) NewWaiter() sim.Waiter {
+	c.waiters++
+	return c.Clock.NewWaiter()
+}
+
+// TestFlowLadderWaiterAllocs: a flow owns one waiter. Discover, the
+// caller's direct and punch retransmit ladders, the callee's passive
+// phase and a second climb on each flow all re-arm it, so two flows
+// that climb twice against a silent peer make two waiters however many
+// Syns they retransmit.
+func TestFlowLadderWaiterAllocs(t *testing.T) {
+	w := newWorld(t, 5*time.Millisecond)
+	clk := &waiterCounter{Clock: w.clk}
+	ep, err := NewEndpoint(w.net, clk, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	syns := 0
+	if _, err := w.net.ListenPacket("silent:1", func(_ transport.Addr, data []byte) {
+		if p, err := Parse(data); err == nil && p.Type == PTSyn {
+			syns++
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	caller, err := ep.Open("alice:5000", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	callee, err := ep.Open("bob:5000", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.clk.RunTask(func() {
+		for _, f := range []*Flow{caller, callee} {
+			if _, err := f.Discover(w.stun.Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 2 {
+			if _, err := caller.Establish("silent:1", "", true); err == nil {
+				t.Fatal("caller established against a silent peer")
+			}
+			if _, err := callee.Establish("silent:1", "", false); err == nil {
+				t.Fatal("callee established against a silent peer")
+			}
+		}
+	})
+	if syns < 20 {
+		t.Fatalf("the silent peer saw %d Syns: the ladders barely retransmitted", syns)
+	}
+	if clk.waiters != 2 {
+		t.Errorf("%d waiters for two flows over %d Syns, want 2 (one per flow)", clk.waiters, syns)
+	}
+}
