@@ -218,8 +218,10 @@ scale-gate:
 # clock's Waiter/Timer hand-off (a Wake or Stop against a firing
 # deadline, a re-armed waiter) and the graph's route-build scratch free
 # list, which concurrent misses for different destinations pass from
-# build to build, ten times over each: their races are between a
-# handful of goroutines and one pass rarely lines them up. The route
+# build to build, and the NAT box's warm reserve, which passes a bound
+# external socket from owner to owner under the box's lock, ten times
+# over each: their races are between a handful of goroutines and one
+# pass rarely lines them up. The route
 # build's single-goroutine reference test races nothing, so it runs
 # once.
 race-dataplane:
@@ -229,6 +231,7 @@ race-dataplane:
 	$(GO) test -race -count=10 -run 'Waiter|Timer|Clock' ./internal/sim/
 	$(GO) test -race -count=10 -run 'Router|^TestRouteTable' ./internal/asgraph/
 	$(GO) test -race -count=1 -run 'TestBuildRouteTableMatchesHeapReference' ./internal/asgraph/
+	$(GO) test -race -count=10 -run 'Mapping|Reserve|Ports|BoxClose' ./internal/nat/
 
 # test-experiments runs the virtual-time experiment suite with a tight
 # timeout: everything in internal/eval runs on the simulated clock, so

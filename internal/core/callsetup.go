@@ -85,14 +85,7 @@ func (n *Node) SetupCall(callee transport.Addr) (*RelayChoice, error) {
 		// empty set.
 		choice.Degraded = true
 	}
-	// System's one-hop merge, with no endpoint skip (no set holds its owner)
-	// and no two-hop (RelayChoice, EnsureFlow, session.Candidate: one relay).
-	ours := sortedByKey(mine)
-	mergeClose(ours, sortedByKey(resp.CloseSet), wireLeg, overlay.RelayRTT, max(n.cfg.Params.LatT, direct), func(i int, est time.Duration) {
-		choice.Ranked = append(choice.Ranked, RelayCandidate{Relay: ours[i].SurrogateAddr, Est: est})
-	})
-	// Emitted in key order, so a stable sort ranks by (estimate, key).
-	slices.SortStableFunc(choice.Ranked, func(a, b RelayCandidate) int { return cmp.Compare(a.Est, b.Est) })
+	choice.Ranked = rankedRelays(sortedByKey(mine), sortedByKey(resp.CloseSet), max(n.cfg.Params.LatT, direct))
 	choice.Candidates = len(choice.Ranked)
 	if len(choice.Ranked) > 0 {
 		choice.Relay, choice.EstRTT = choice.Ranked[0].Relay, choice.Ranked[0].Est
@@ -100,6 +93,28 @@ func (n *Node) SetupCall(callee transport.Addr) (*RelayChoice, error) {
 	}
 	transport.ReleaseMessage(resp) // the merge has read its set
 	return choice, nil
+}
+
+// rankedRelays is System's one-hop merge of our close set and the
+// callee's, each sorted by key, with no endpoint skip (no set holds its
+// owner) and no two-hop (RelayChoice, EnsureFlow, session.Candidate: one
+// relay): every shared relay whose estimate is under limit, ordered by
+// estimate, then key. The merge runs twice, counting, then filling, so
+// the result is allocated once at its final length; it is nil when no
+// relay is admitted.
+func rankedRelays(ours, theirs []transport.CloseEntry, limit time.Duration) []RelayCandidate {
+	n := 0
+	mergeClose(ours, theirs, wireLeg, overlay.RelayRTT, limit, func(int, time.Duration) { n++ })
+	if n == 0 {
+		return nil
+	}
+	ranked := make([]RelayCandidate, 0, n)
+	mergeClose(ours, theirs, wireLeg, overlay.RelayRTT, limit, func(i int, est time.Duration) {
+		ranked = append(ranked, RelayCandidate{Relay: ours[i].SurrogateAddr, Est: est})
+	})
+	// Emitted in key order, so a stable sort ranks by (estimate, key).
+	slices.SortStableFunc(ranked, func(a, b RelayCandidate) int { return cmp.Compare(a.Est, b.Est) })
+	return ranked
 }
 
 func wireLeg(e transport.CloseEntry) (string, time.Duration) { return e.ClusterKey, e.RTT }

@@ -317,3 +317,30 @@ func TestMergeCloseAllocs(t *testing.T) {
 		t.Errorf("merged %d System and %d wire entries, want 20 and 22", n, wn)
 	}
 }
+
+// TestRankedRelaysAllocs: SetupCall's ranking allocates its result once,
+// at its final length, and nothing when no relay is admitted; the
+// ranking is every shared key under the limit, by estimate, then key.
+func TestRankedRelaysAllocs(t *testing.T) {
+	var ours, theirs []transport.CloseEntry
+	for c := range 64 {
+		// Estimates fall in runs of equal value, so the key breaks ties.
+		ours = append(ours, transport.CloseEntry{ClusterKey: fmt.Sprintf("k%03d", 2*c), RTT: time.Duration(c%5) * ms, SurrogateAddr: transport.Addr(fmt.Sprintf("s%03d:1", 2*c))})
+		theirs = append(theirs, transport.CloseEntry{ClusterKey: fmt.Sprintf("k%03d", 3*c), RTT: time.Duration(c%3) * ms})
+	}
+	var ranked []RelayCandidate
+	if allocs := testing.AllocsPerRun(200, func() { ranked = rankedRelays(ours, theirs, time.Second) }); allocs != 1 {
+		t.Errorf("rankedRelays allocates %.1f per run, want 1 (the result)", allocs)
+	}
+	if len(ranked) != 22 || cap(ranked) != len(ranked) {
+		t.Errorf("ranked %d relays in a slice of cap %d, want 22 in 22", len(ranked), cap(ranked))
+	}
+	for i := 1; i < len(ranked); i++ {
+		if a, b := ranked[i-1], ranked[i]; a.Est > b.Est || a.Est == b.Est && a.Relay >= b.Relay {
+			t.Fatalf("ranked[%d:%d] = %v, %v: not by estimate, then key", i-1, i+1, a, b)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, func() { ranked = rankedRelays(ours, theirs, overlay.RelayRTT) }); allocs != 0 || ranked != nil {
+		t.Errorf("with no relay admitted: %.1f allocs, ranked %v; want 0 and nil", allocs, ranked)
+	}
+}

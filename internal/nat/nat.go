@@ -12,11 +12,12 @@
 //	           address-and-port-restricted
 //
 // composed into the four familiar behaviours — FullCone, AddrRestricted,
-// PortRestricted, Symmetric. External ports are allocated sequentially,
-// wrapping within [basePort, 65535] past ports still bound, so a given
-// program order yields identical mappings on every run: the emulator is
-// fully deterministic, which the two-run byte-identical traversal tests
-// rely on.
+// PortRestricted, Symmetric. A released external port stays bound in the
+// box's warm reserve and is the next one handed out; new ports are
+// allocated sequentially, wrapping within [basePort, 65535] past ports
+// still bound, so a given program order yields identical mappings on
+// every run: the emulator is fully deterministic, which the two-run
+// byte-identical traversal tests rely on.
 package nat
 
 import (
@@ -98,25 +99,30 @@ type Box struct {
 	nextPort int
 	wrapped  bool                  // nextPort has passed maxPort once: ports may be bound
 	conns    map[*boxConn]struct{} // open private sockets
-	free     sim.FreeList[*mapping]
-	closed   bool
+	// reserve is the box's warm reserve: mappings of closed private
+	// sockets, their external sockets still bound on their ports, handed
+	// to the next socket that needs a mapping. An idle one delivers
+	// nothing: its owner is nil.
+	reserve sim.FreeList[*mapping]
+	closed  bool
 }
 
 // maxPort is the last external port; allocation wraps back to basePort.
 const maxPort = 65535
 
-// maxFreeMappings bounds the released mappings a box keeps for reuse:
-// as many as one closing socket usually holds (STUN, peer, relay).
+// maxFreeMappings bounds a box's warm reserve: as many mappings as one
+// closing socket usually holds (STUN, peer, relay). A released mapping
+// the reserve refuses is unbound.
 const maxFreeMappings = 3
 
 // mapping is one external port owned by one private socket (for one
-// destination, when symmetric). A released mapping goes to its box's
-// free list with recv, its inbound handler, still bound to it.
+// destination, when symmetric), or idle in its box's reserve with no
+// owner. Its external socket stays bound from its first use until the
+// reserve refuses it or the box closes.
 type mapping struct {
 	box   *Box
 	owner *boxConn
 	ext   transport.PacketConn
-	recv  transport.PacketHandler
 	// sent is the send history the inbound filter reads: each distinct
 	// destination once, in first-send order, searched most-recent-first.
 	// A mapping sends to a handful (STUN, relay, peer), so the first
@@ -130,7 +136,8 @@ type mapping struct {
 // New builds a NAT box of behaviour typ in front of outer. extHost is
 // the box's public IP; external mappings bind extHost:port on outer with
 // ports allocated sequentially from basePort up to 65535, then from
-// basePort again, past the ports still bound.
+// basePort again, past the ports still bound. A port a closed socket
+// released is reused, still bound, before a new one is allocated.
 func New(typ Type, outer transport.PacketNetwork, extHost string, basePort int) *Box {
 	return &Box{
 		typ:      typ,
@@ -164,7 +171,8 @@ func (b *Box) ListenPacket(addr transport.Addr, h transport.PacketHandler) (tran
 	return c, nil
 }
 
-// Close tears down the box and every external mapping.
+// Close tears down the box and every external mapping, the reserve's
+// too.
 func (b *Box) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -176,6 +184,9 @@ func (b *Box) Close() error {
 	for c := range b.conns {
 		exts = c.releaseLocked(exts)
 	}
+	for m, ok := b.reserve.Get(); ok; m, ok = b.reserve.Get() {
+		exts = append(exts, m.ext)
+	}
 	// Deterministic teardown order, like everything else in the emulator.
 	slices.SortFunc(exts, byLocalAddr)
 	b.conns = nil
@@ -186,8 +197,9 @@ func (b *Box) Close() error {
 	return nil
 }
 
-// Mappings reports the box's live external addresses in sorted order —
-// a diagnostic for tests and the determinism harness.
+// Mappings reports the external addresses the box's open private
+// sockets hold, in sorted order — a diagnostic for tests and the
+// determinism harness. The idle ports of the reserve are not listed.
 func (b *Box) Mappings() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -215,46 +227,80 @@ func (b *Box) mappingFor(c *boxConn, dst transport.Addr) (*mapping, error) {
 		m.noteSent(dst)
 		return m, nil
 	}
+	if m, ok := b.reserve.Get(); ok {
+		// Still bound: nothing to do on the outer network.
+		b.attachLocked(c, m)
+		m.noteSent(dst)
+		return m, nil
+	}
 	port, ok := b.takePortLocked()
 	if !ok {
 		return nil, fmt.Errorf("nat: no free external port on %s", b.extHost)
 	}
 	var buf [32]byte
 	extAddr := transport.Addr(strconv.AppendInt(append(append(buf[:0], b.extHost...), ':'), int64(port), 10))
-	m := b.newMappingLocked(c, port)
+	m := &mapping{box: b, port: int32(port)}
 	// Bind the external socket on the outer network. Its handler is the
 	// inbound half of the NAT: filter, then deliver to the private
 	// socket. ListenPacket on Mem/Live does no blocking I/O, but drop
 	// the lock anyway — the outer network may be another Box.
 	b.mu.Unlock()
-	ext, err := b.outer.ListenPacket(extAddr, m.recv)
+	ext, err := b.outer.ListenPacket(extAddr, m.inbound)
 	b.mu.Lock()
 	if err != nil {
 		return nil, fmt.Errorf("nat: bind external %s: %w", extAddr, err)
 	}
 	m.ext = ext
-	if !c.closed {
-		if prior := b.lookupLocked(c, dst); prior != nil {
-			// Lost the re-bind race; keep the first mapping.
+	if prior := b.lookupLocked(c, dst); c.closed || prior != nil {
+		// m is not needed: the socket closed during the bind (as every
+		// socket does when the box closes), or a concurrent send to dst
+		// bound a mapping first.
+		if e := b.retireLocked(m); e != nil {
 			b.mu.Unlock()
-			_ = ext.Close()
+			_ = e.Close()
 			b.mu.Lock()
-			prior.noteSent(dst)
-			return prior, nil
 		}
-		if b.typ == Symmetric {
-			c.perDst = append(c.perDst, m)
-		} else {
-			c.cone = m
+		if c.closed {
+			return nil, transport.ErrPacketClosed
 		}
+		prior.noteSent(dst)
+		return prior, nil
 	}
+	b.attachLocked(c, m)
 	m.noteSent(dst)
 	return m, nil
 }
 
+// attachLocked makes m, bound and owned by no socket, c's mapping.
+// Called with b.mu held.
+func (b *Box) attachLocked(c *boxConn, m *mapping) {
+	m.owner = c
+	m.sent = m.sentBuf[:0]
+	if b.typ == Symmetric {
+		c.perDst = append(c.perDst, m)
+	} else {
+		c.cone = m
+	}
+}
+
+// retireLocked takes m from its owner, forgetting whom it sent to, and
+// keeps it bound in the reserve. It returns m's external socket when
+// the reserve refuses m (it is full, or the box closed), for the caller
+// to close once b.mu is released, and nil otherwise. Called with b.mu
+// held.
+func (b *Box) retireLocked(m *mapping) transport.PacketConn {
+	// Field by field: inbound reads m.box before it takes b.mu.
+	m.owner, m.sent, m.sentBuf = nil, nil, [len(m.sentBuf)]transport.Addr{}
+	if !b.closed && b.reserve.Put(m, maxFreeMappings) {
+		return nil
+	}
+	return m.ext
+}
+
 // takePortLocked returns the next external port: sequential up to
-// maxPort, then from basePort again, skipping the ports live mappings
-// still hold. It reports false when every port of the range is bound.
+// maxPort, then from basePort again, skipping the ports live and
+// reserved mappings still hold. It reports false when every port of
+// the range is bound.
 // Called with b.mu held.
 func (b *Box) takePortLocked() (int, bool) {
 	for range maxPort - b.basePort + 1 {
@@ -269,10 +315,13 @@ func (b *Box) takePortLocked() (int, bool) {
 	return 0, false
 }
 
-// portBoundLocked reports whether a live mapping holds port. Before the
-// first wrap no port can be, so only a wrapped box asks. Called with
-// b.mu held.
+// portBoundLocked reports whether a live or reserved mapping holds port.
+// Before the first wrap no port can be, so only a wrapped box asks.
+// Called with b.mu held.
 func (b *Box) portBoundLocked(port int) bool {
+	if b.reserve.Any(func(m *mapping) bool { return int(m.port) == port }) {
+		return true
+	}
 	for c := range b.conns {
 		if c.cone != nil && int(c.cone.port) == port {
 			return true
@@ -284,30 +333,6 @@ func (b *Box) portBoundLocked(port int) bool {
 		}
 	}
 	return false
-}
-
-// newMappingLocked returns a mapping for c on port: a released one from
-// the free list, its inbound handler already bound, or a fresh one.
-// Called with b.mu held.
-func (b *Box) newMappingLocked(c *boxConn, port int) *mapping {
-	m, ok := b.free.Get()
-	if !ok {
-		m = &mapping{box: b}
-		m.recv = m.inbound
-	}
-	m.owner, m.port = c, int32(port)
-	m.sent = m.sentBuf[:0]
-	return m
-}
-
-// releaseMappingsLocked puts the mappings of a closed socket on the free list.
-// The caller has closed their external sockets, so the outer network
-// no longer hands their handlers a datagram. Called with b.mu held.
-func (b *Box) releaseMappingsLocked(ms []*mapping) {
-	for _, m := range ms {
-		*m = mapping{box: m.box, recv: m.recv}
-		b.free.Put(m, maxFreeMappings)
-	}
 }
 
 // lookupLocked returns the mapping c uses toward dst, or nil: cone NATs
@@ -361,9 +386,9 @@ func (b *Box) admit(m *mapping, src transport.Addr) bool {
 	}
 }
 
-// inbound is the external socket's handler (recv): filter per
-// behaviour, then hand the datagram to the private socket with the
-// public source intact.
+// inbound is the external socket's handler: filter per behaviour, then
+// hand the datagram to the private socket with the public source
+// intact. A reserved mapping has no owner and drops everything.
 func (m *mapping) inbound(from transport.Addr, data []byte) {
 	b := m.box
 	b.mu.Lock()
@@ -411,14 +436,6 @@ func (c *boxConn) releaseLocked(exts []transport.PacketConn) []transport.PacketC
 	return c.extsLocked(exts)
 }
 
-// mappingsLocked appends c's mappings to ms.
-func (c *boxConn) mappingsLocked(ms []*mapping) []*mapping {
-	if c.cone != nil {
-		ms = append(ms, c.cone)
-	}
-	return append(ms, c.perDst...)
-}
-
 // extsLocked appends the external conns of c's mappings to exts, in
 // address order.
 func (c *boxConn) extsLocked(exts []transport.PacketConn) []transport.PacketConn {
@@ -458,8 +475,9 @@ func (c *boxConn) WriteTo(to transport.Addr, data []byte) error {
 // how a flow learns its external one.
 func (c *boxConn) LocalAddr() transport.Addr { return c.local }
 
-// Close releases the private socket and its external mappings, which
-// go to the box's free list once their external sockets are closed.
+// Close releases the private socket. Its mappings go to the box's
+// reserve, still bound, in creation order; those the reserve refuses
+// are unbound.
 func (c *boxConn) Close() error {
 	b := c.box
 	b.mu.Lock()
@@ -467,19 +485,25 @@ func (c *boxConn) Close() error {
 		b.mu.Unlock()
 		return nil
 	}
+	c.closed = true
 	delete(b.conns, c)
 	var buf [4]transport.PacketConn // a socket holds a handful of mappings
-	exts := c.releaseLocked(buf[:0])
-	var mbuf [4]*mapping
-	ms := c.mappingsLocked(mbuf[:0])
+	exts := buf[:0]
+	if c.cone != nil {
+		if e := b.retireLocked(c.cone); e != nil {
+			exts = append(exts, e)
+		}
+	}
+	for _, m := range c.perDst {
+		if e := b.retireLocked(m); e != nil {
+			exts = append(exts, e)
+		}
+	}
 	c.cone, c.perDst = nil, nil
 	b.mu.Unlock()
 	for _, e := range exts {
 		_ = e.Close()
 	}
-	b.mu.Lock()
-	b.releaseMappingsLocked(ms)
-	b.mu.Unlock()
 	return nil
 }
 

@@ -3,6 +3,9 @@ package nat
 import (
 	"fmt"
 	"runtime"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -318,7 +321,7 @@ type stubOuter struct {
 	bound  []transport.Addr
 	live   map[transport.Addr]bool
 	open   int
-	ring   [16]stubConn
+	ring   [32]stubConn
 	next   int
 }
 
@@ -352,23 +355,22 @@ func (c *stubConn) Close() error {
 	return nil
 }
 
-// TestMappingChurnAllocs: once a box has released mappings to reuse,
-// opening a mapping and releasing it again — a call's socket sending to
-// its destinations, then closing — allocates only each mapping's
-// external address: the mapping and its inbound handler come off the
-// box's free list, and a symmetric socket's per-destination table is
-// inline.
+// TestMappingChurnAllocs: once a box's reserve holds mappings, opening a
+// mapping and releasing it again — a call's socket sending to its
+// destinations, then closing — allocates nothing: each mapping comes
+// out of the reserve still bound, so nothing is bound on the outer
+// network and no address is formatted, and a symmetric socket's
+// per-destination table is inline. While the box lives it keeps at most
+// maxFreeMappings external sockets bound after every close; Box.Close
+// unbinds them all.
 func TestMappingChurnAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	dsts := []transport.Addr{"stun:1", "peer:1", "relay:1"}
-	for _, tc := range []struct {
-		typ  Type
-		want uint64 // external addresses per churn
-	}{{FullCone, 1}, {PortRestricted, 1}, {Symmetric, 3}} {
+	for _, typ := range []Type{FullCone, PortRestricted, Symmetric} {
 		o := &stubOuter{}
-		box := New(tc.typ, o, "1.2.3.4", 40000)
+		box := New(typ, o, "1.2.3.4", 40000)
 		var before, after runtime.MemStats
 		var total uint64
 		const rounds = 200
@@ -385,28 +387,33 @@ func TestMappingChurnAllocs(t *testing.T) {
 			}
 			_ = c.Close()
 			runtime.ReadMemStats(&after)
-			if i >= 10 { // the first rounds fill the free list
+			if i >= 10 { // the first rounds fill the reserve
 				total += after.Mallocs - before.Mallocs
+			}
+			if o.open > maxFreeMappings {
+				t.Fatalf("%v: %d external sockets bound after a close, want at most %d", typ, o.open, maxFreeMappings)
 			}
 		}
 		// Whole allocations per churn, as testing.AllocsPerRun counts
 		// them: a stray runtime allocation in the window does not count.
-		if got := total / rounds; got != tc.want {
-			t.Errorf("%v: %d allocs per churn, want %d (the external addresses)", tc.typ, got, tc.want)
+		if got := total / rounds; got != 0 {
+			t.Errorf("%v: %d allocs per churn, want 0", typ, got)
 		}
+		_ = box.Close()
 		if o.open != 0 {
-			t.Errorf("%v: %d external sockets still bound after every close", tc.typ, o.open)
+			t.Errorf("%v: %d external sockets still bound after Box.Close", typ, o.open)
 		}
 	}
 }
 
 // TestPortsWrapPastBound: a box's external ports run from basePort to
-// 65535, then from basePort again, skipping the ports a live mapping
-// still holds; with every port held, a new mapping fails instead of
-// binding past 65535.
+// 65535, then from basePort again, skipping the ports a live or
+// reserved mapping still holds; with every port held by a live mapping,
+// a new mapping fails instead of binding past 65535; a port released
+// past the reserve's bound is handed out again.
 func TestPortsWrapPastBound(t *testing.T) {
 	o := &stubOuter{record: true, live: map[transport.Addr]bool{}}
-	box := New(FullCone, o, "1.2.3.4", 65533)
+	box := New(Symmetric, o, "1.2.3.4", 65531) // five ports, 65531–65535
 	open := func() transport.PacketConn {
 		c, err := box.ListenPacket("10.0.0.2:1", func(transport.Addr, []byte) {})
 		if err != nil {
@@ -414,37 +421,231 @@ func TestPortsWrapPastBound(t *testing.T) {
 		}
 		return c
 	}
-	held := open() // keeps 65533 for the whole test
-	if err := held.WriteTo("server:1", nil); err != nil {
-		t.Fatal(err)
-	}
-	for range 5 { // 65534, 65535, then 65534, 65535, 65534: 65533 stays held
-		c := open()
-		if err := c.WriteTo("server:1", nil); err != nil {
-			t.Fatal(err)
+	send := func(c transport.PacketConn, dsts ...transport.Addr) {
+		t.Helper()
+		for _, d := range dsts {
+			if err := c.WriteTo(d, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-		_ = c.Close()
 	}
-	want := "1.2.3.4:65533 1.2.3.4:65534 1.2.3.4:65535 1.2.3.4:65534 1.2.3.4:65535 1.2.3.4:65534"
+	x, a := open(), open()
+	send(x, "s:1")                          // 65531
+	send(a, "d1:1", "d2:1", "d3:1", "d4:1") // 65532–65535
+	if err := open().WriteTo("s:1", nil); err == nil {
+		t.Error("a mapping was made with every port of the range held")
+	}
+	_ = a.Close() // 65532–65534 stay bound in the reserve; 65535 is unbound
+	_ = x.Close() // the reserve is full: 65531 is unbound
+	if o.open != maxFreeMappings {
+		t.Fatalf("%d external sockets bound, want the reserve's %d", o.open, maxFreeMappings)
+	}
+	b := open()
+	send(b, "d1:1", "d2:1", "d3:1") // 65534, 65533, 65532 from the reserve
+	send(b, "d4:1")                 // wraps to basePort: 65531, released by x
+	send(b, "d5:1")                 // 65532–65534 are b's: 65535
+	want := "1.2.3.4:65531 1.2.3.4:65532 1.2.3.4:65533 1.2.3.4:65534 1.2.3.4:65535 1.2.3.4:65531 1.2.3.4:65535"
 	if got := fmt.Sprint(o.bound); got != "["+want+"]" {
 		t.Errorf("bound %v, want [%s]", got, want)
 	}
-	a, b := open(), open()
-	if err := a.WriteTo("server:1", nil); err != nil { // takes 65535
-		t.Fatal(err)
+	// b's first three mappings go to the reserve; 65531 and 65535 are
+	// unbound. A mapping is always taken from the reserve before a port
+	// is, so ask the allocator directly: it must skip the reserved ports.
+	_ = b.Close()
+	box.mu.Lock()
+	p1, ok1 := box.takePortLocked()
+	p2, ok2 := box.takePortLocked()
+	box.mu.Unlock()
+	if !ok1 || !ok2 || p1 != 65531 || p2 != 65535 {
+		t.Errorf("with 65532–65534 reserved, took %d, %d (%v, %v); want 65531, 65535", p1, p2, ok1, ok2)
 	}
-	if err := b.WriteTo("server:1", nil); err != nil { // takes 65534
-		t.Fatal(err)
+}
+
+// TestReservedMappingFiltersByNewOwner: a datagram to an idle reserved
+// port reaches no one; once another socket reuses the port, the
+// restricted and symmetric boxes filter the previous owner's peer by
+// the new owner's send history, and a full-cone box admits it, as it
+// admits anyone.
+func TestReservedMappingFiltersByNewOwner(t *testing.T) {
+	for _, typ := range Types {
+		r := newRig(t, typ)
+		oldPeer, _ := r.public(t, "old:1")
+		_, toNew := r.public(t, "new:1")
+		var gotA, gotB []string
+		a, _ := r.box.ListenPacket("10.0.0.2:5000", func(from transport.Addr, data []byte) {
+			gotA = append(gotA, string(from)+"/"+string(data))
+		})
+		b, _ := r.box.ListenPacket("10.0.0.3:5000", func(from transport.Addr, data []byte) {
+			gotB = append(gotB, string(from)+"/"+string(data))
+		})
+		r.clk.RunTask(func() {
+			_ = a.WriteTo("old:1", []byte("a"))
+			r.clk.Sleep(10 * time.Millisecond)
+			_ = a.Close() // 1.2.3.4:40000 goes to the reserve
+			_ = oldPeer.WriteTo("1.2.3.4:40000", []byte("idle"))
+			r.clk.Sleep(10 * time.Millisecond)
+			_ = b.WriteTo("new:1", []byte("b")) // reuses 1.2.3.4:40000
+			r.clk.Sleep(10 * time.Millisecond)
+			_ = oldPeer.WriteTo("1.2.3.4:40000", []byte("stale"))
+			r.clk.Sleep(10 * time.Millisecond)
+		})
+		if len(gotA) != 0 {
+			t.Errorf("%v: the closed socket received %v", typ, gotA)
+		}
+		if len(*toNew) != 1 || (*toNew)[0] != "1.2.3.4:40000/b" {
+			t.Errorf("%v: new peer saw %v, want [1.2.3.4:40000/b]: the reserved port was not reused", typ, *toNew)
+		}
+		var want []string
+		if typ == FullCone {
+			want = []string{"old:1/stale"}
+		}
+		if fmt.Sprint(gotB) != fmt.Sprint(want) {
+			t.Errorf("%v: the reusing socket received %v, want %v", typ, gotB, want)
+		}
 	}
-	if err := open().WriteTo("server:1", nil); err == nil {
-		t.Error("a mapping was made with every port of the range held")
+}
+
+// TestReserveStaysBounded: after any sequence of sends and closes over
+// a few private sockets, a box holds at most maxFreeMappings idle
+// external sockets, every other bound one belongs to an open socket,
+// and Box.Close unbinds them all.
+func TestReserveStaysBounded(t *testing.T) {
+	for _, typ := range Types {
+		o := &stubOuter{}
+		box := New(typ, o, "1.2.3.4", 40000)
+		rng := uint32(7)
+		next := func(n int) int { rng = rng*1664525 + 1013904223; return int(rng>>16) % n }
+		var socks [4]transport.PacketConn
+		for step := range 2000 {
+			i := next(len(socks))
+			switch {
+			case socks[i] == nil:
+				c, err := box.ListenPacket("10.0.0.2:1", func(transport.Addr, []byte) {})
+				if err != nil {
+					t.Fatal(err)
+				}
+				socks[i] = c
+			case next(3) == 0:
+				_ = socks[i].Close()
+				socks[i] = nil
+			default:
+				if err := socks[i].WriteTo(transport.Addr("d"+strconv.Itoa(next(5))+":1"), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			box.mu.Lock()
+			idle := box.reserve.Len()
+			box.mu.Unlock()
+			if live := len(box.Mappings()); idle > maxFreeMappings || o.open != live+idle {
+				t.Fatalf("%v step %d: %d bound, %d live, %d idle (at most %d)", typ, step, o.open, live, idle, maxFreeMappings)
+			}
+		}
+		_ = box.Close()
+		if o.open != 0 {
+			t.Errorf("%v: %d external sockets bound after Box.Close", typ, o.open)
+		}
 	}
-	_ = a.Close()
-	c := open()
-	if err := c.WriteTo("server:1", nil); err != nil {
-		t.Fatalf("a released port was not handed out again: %v", err)
+}
+
+// handOuter is a goroutine-safe outer network that keeps each bound
+// socket's handler, so a test can deliver a datagram to whatever holds
+// an address at that moment.
+type handOuter struct {
+	mu sync.Mutex
+	h  map[transport.Addr]transport.PacketHandler
+}
+
+type handConn struct {
+	o    *handOuter
+	addr transport.Addr
+}
+
+func (o *handOuter) ListenPacket(addr transport.Addr, h transport.PacketHandler) (transport.PacketConn, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.h[addr] != nil {
+		return nil, fmt.Errorf("hand: %s already bound", addr)
 	}
-	if last := o.bound[len(o.bound)-1]; last != "1.2.3.4:65535" {
-		t.Errorf("after the release, bound %s, want 1.2.3.4:65535", last)
+	o.h[addr] = h
+	return &handConn{o: o, addr: addr}, nil
+}
+
+func (o *handOuter) deliver(to, from transport.Addr, data []byte) {
+	o.mu.Lock()
+	h := o.h[to]
+	o.mu.Unlock()
+	if h != nil {
+		h(from, data)
+	}
+}
+
+func (c *handConn) WriteTo(transport.Addr, []byte) error { return nil }
+func (c *handConn) LocalAddr() transport.Addr            { return c.addr }
+func (c *handConn) Close() error {
+	c.o.mu.Lock()
+	delete(c.o.h, c.addr)
+	c.o.mu.Unlock()
+	return nil
+}
+
+// TestReserveConcurrentChurn: sockets on several goroutines send to
+// their own peer and close, over and over, while every peer keeps
+// sending to the box's first ports. A bound socket passes from owner to
+// owner through the reserve, and a restricted box must still deliver to
+// each socket only what its own peer sent.
+func TestReserveConcurrentChurn(t *testing.T) {
+	const workers, rounds, ports = 4, 200, 8
+	for _, typ := range Types {
+		o := &handOuter{h: map[transport.Addr]transport.PacketHandler{}}
+		box := New(typ, o, "1.2.3.4", 40000)
+		var strays atomic.Int64
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		wg.Add(workers)
+		for w := range workers {
+			peer := transport.Addr("peer" + strconv.Itoa(w) + ":1")
+			go func() {
+				defer wg.Done()
+				for range rounds {
+					c, err := box.ListenPacket("10.0.0.2:1", func(from transport.Addr, _ []byte) {
+						if from != peer {
+							strays.Add(1)
+						}
+					})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					_ = c.WriteTo(peer, nil)
+					_ = c.Close()
+				}
+			}()
+		}
+		var senders sync.WaitGroup
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				to := transport.Addr("1.2.3.4:" + strconv.Itoa(40000+i%ports))
+				o.deliver(to, transport.Addr("peer"+strconv.Itoa(i%workers)+":1"), nil)
+			}
+		}()
+		wg.Wait()
+		close(stop)
+		senders.Wait()
+		if n := strays.Load(); typ != FullCone && n > 0 {
+			t.Errorf("%v: %d datagrams reached a socket that never sent to their source", typ, n)
+		}
+		_ = box.Close()
+		o.mu.Lock()
+		if n := len(o.h); n != 0 {
+			t.Errorf("%v: %d external sockets bound after Box.Close", typ, n)
+		}
+		o.mu.Unlock()
 	}
 }

@@ -48,3 +48,13 @@ func (l *FreeList[T]) Put(v T, bound int) bool {
 
 // Len returns how many values the list holds.
 func (l *FreeList[T]) Len() int { return len(l.items) }
+
+// Any reports whether f holds for a value the list holds.
+func (l *FreeList[T]) Any(f func(T) bool) bool {
+	for _, v := range l.items {
+		if f(v) {
+			return true
+		}
+	}
+	return false
+}

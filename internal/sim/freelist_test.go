@@ -3,8 +3,9 @@ package sim
 import "testing"
 
 // TestFreeList: values come back last in, first out; Put refuses a value
-// once the list holds its bound; Get zeroes the slot it vacates, so a
-// popped value is no longer reachable from the list.
+// once the list holds its bound; Any sees exactly the held values; Get
+// zeroes the slot it vacates, so a popped value is no longer reachable
+// from the list.
 func TestFreeList(t *testing.T) {
 	var l FreeList[*int]
 	a, b, c := new(int), new(int), new(int)
@@ -18,6 +19,9 @@ func TestFreeList(t *testing.T) {
 	}
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", l.Len())
+	}
+	if !l.Any(func(v *int) bool { return v == a }) || l.Any(func(v *int) bool { return v == c }) {
+		t.Fatal("Any does not match exactly the values the list holds")
 	}
 	for _, want := range []*int{b, a} {
 		got, ok := l.Get()

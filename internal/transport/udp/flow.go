@@ -101,6 +101,32 @@ type Endpoint struct {
 	pnet  transport.PacketNetwork
 	sched sim.Scheduler
 	cfg   Config
+
+	// learned holds the external addresses the endpoint's flows were
+	// told most recently, oldest overwritten first: behind a NAT the
+	// same few recur, as the box hands its released ports out again.
+	learnedMu   sync.Mutex
+	learned     [learnedAddrs]transport.Addr
+	learnedNext int
+}
+
+// learnedAddrs bounds the external addresses an Endpoint remembers.
+const learnedAddrs = 4
+
+// learnedAddr returns the address payload spells: an equal one the
+// endpoint learned recently, or a copy it now remembers.
+func (e *Endpoint) learnedAddr(payload []byte) transport.Addr {
+	e.learnedMu.Lock()
+	defer e.learnedMu.Unlock()
+	for _, a := range e.learned {
+		if string(a) == string(payload) {
+			return a
+		}
+	}
+	a := transport.Addr(payload)
+	e.learned[e.learnedNext] = a
+	e.learnedNext = (e.learnedNext + 1) % learnedAddrs
+	return a
 }
 
 // NewEndpoint builds a data-plane endpoint over pnet. sched is the
@@ -122,6 +148,7 @@ func NewEndpoint(pnet transport.PacketNetwork, sched sim.Scheduler, cfg Config) 
 // relay token when the ladder falls through to a relay).
 func (e *Endpoint) Open(local transport.Addr, ssrc uint32) (*Flow, error) {
 	f := &Flow{
+		ep:    e,
 		sched: e.sched,
 		cfg:   e.cfg,
 		ssrc:  ssrc,
@@ -141,6 +168,7 @@ func (e *Endpoint) Open(local transport.Addr, ssrc uint32) (*Flow, error) {
 // Establish, Wait and Discover block the calling scheduler task;
 // SendVoice never blocks.
 type Flow struct {
+	ep    *Endpoint
 	conn  transport.PacketConn
 	sched sim.Scheduler
 	cfg   Config
@@ -746,9 +774,10 @@ func (f *Flow) dispatch(from transport.Addr, data []byte) {
 	}
 	switch p.Type {
 	case PTStunResp:
+		ext := f.ep.learnedAddr(p.Payload)
 		f.mu.Lock()
 		if p.Seq == f.stunSeq && f.stunOpen {
-			f.ext = transport.Addr(p.Payload)
+			f.ext = ext
 			f.stunOpen = false
 			if f.stunW != nil {
 				f.stunW.Wake()

@@ -2,6 +2,7 @@ package udp
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -509,5 +510,47 @@ func TestFlowLadderWaiterAllocs(t *testing.T) {
 	}
 	if clk.waiters != 2 {
 		t.Errorf("%d waiters for two flows over %d Syns, want 2 (one per flow)", clk.waiters, syns)
+	}
+}
+
+// TestLearnedAddrAllocs: a STUN answer naming an external address the
+// endpoint learned recently reuses that address's string, so a warm
+// answer allocates nothing; one answer per address among more than the
+// endpoint remembers allocates one copy each.
+func TestLearnedAddrAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w := newWorld(t, 0)
+	f, err := w.endpoint(t).Open("alice:5000", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		addrs int
+		want  float64
+	}{{learnedAddrs, 0}, {learnedAddrs + 1, 1}} {
+		var answers [][]byte
+		for i := range tc.addrs {
+			p := Packet{Type: PTStunResp, Seq: 9, SSRC: 7, Payload: []byte("1.2.3.4:" + strconv.Itoa(40000+i))}
+			answers = append(answers, p.AppendTo(nil))
+		}
+		i := 0
+		answer := func() {
+			f.mu.Lock()
+			f.stunSeq, f.stunOpen = 9, true
+			f.mu.Unlock()
+			f.dispatch("stun:1", answers[i%len(answers)])
+			i++
+		}
+		for range tc.addrs {
+			answer()
+		}
+		if got := testing.AllocsPerRun(100, answer); got != tc.want {
+			t.Errorf("answers cycling %d addresses: %.2f allocs each, want %v", tc.addrs, got, tc.want)
+		}
+		if want := "1.2.3.4:" + strconv.Itoa(40000+(i-1)%tc.addrs); string(f.External()) != want {
+			t.Errorf("external address %s after the last answer, want %s", f.External(), want)
+		}
 	}
 }
