@@ -29,8 +29,9 @@ race-all:
 # FuzzReadFrame (the TCP frame reader a kept connection loops on), then
 # ten of FuzzVoicePacket (the voice datagram parser and the relay behind
 # it), then ten each of FuzzParseAddr and FuzzParsePrefix (the address
-# parsers a join's IP and the bootstrap's prefix table go through),
-# each over its corpus plus fresh mutations. Deep fuzzing is a
+# parsers a join's IP and the bootstrap's prefix table go through), then
+# ten of FuzzChaosApply (the asapd -chaos spec parser), each over its
+# corpus plus fresh mutations. Deep fuzzing is a
 # background activity; this gate just keeps the parsers honest against
 # the easy classes of malformed input.
 fuzz-smoke:
@@ -39,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzVoicePacket' -fuzztime 10s ./internal/transport/udp/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAddr$$' -fuzztime 10s ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrefix$$' -fuzztime 10s ./internal/bgp/
+	$(GO) test -run '^$$' -fuzz '^FuzzChaosApply$$' -fuzztime 10s ./internal/transport/
 
 vet:
 	$(GO) vet ./...

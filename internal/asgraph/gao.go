@@ -186,30 +186,6 @@ func InferRelationships(paths [][]ASN) []InferredEdge {
 	return out
 }
 
-// BuildInferredGraph assembles an annotated Graph from inferred edges,
-// copying node metadata (tier, coordinates) from ref when the AS exists
-// there. ref may be nil.
-func BuildInferredGraph(edges []InferredEdge, ref *Graph) *Graph {
-	b := NewBuilder()
-	add := func(asn ASN) {
-		if ref != nil {
-			if n := ref.Node(asn); n != nil {
-				b.AddNode(*n)
-				return
-			}
-		}
-		b.AddNode(Node{ASN: asn, Tier: TierStub})
-	}
-	for _, e := range edges {
-		add(e.A)
-		add(e.B)
-		// InferredEdge.Rel is A's relationship toward B. RelP2C means A is
-		// the provider, i.e. the half-edge A->B is p2c.
-		b.AddEdge(e.A, e.B, e.Rel)
-	}
-	return b.Build()
-}
-
 // CompareAnnotations measures inference accuracy against a ground-truth
 // graph: the fraction of inferred edges that exist in truth with the same
 // relationship. Edges absent from truth are counted as wrong.

@@ -133,29 +133,6 @@ func TestInferOnGeneratedTopology(t *testing.T) {
 		t.Errorf("inference accuracy = %.2f (%d/%d), want >= 0.80", acc, agree, total)
 	}
 
-	// The inferred graph must be buildable and route.
-	ig := BuildInferredGraph(edges, g)
-	if ig.NumNodes() == 0 || ig.NumEdges() == 0 {
-		t.Fatal("inferred graph is empty")
-	}
-	ir := NewRouter(ig, 16)
-	connected := 0
-	for i := 0; i < 50; i++ {
-		a := asns[vantages[i%len(vantages)]]
-		b := asns[dsts[i%len(dsts)]]
-		if a == b {
-			continue
-		}
-		if !ig.Has(a) || !ig.Has(b) {
-			continue
-		}
-		if _, ok := ir.Path(a, b); ok {
-			connected++
-		}
-	}
-	if connected < 25 {
-		t.Errorf("inferred graph routes only %d/50 sampled pairs", connected)
-	}
 }
 
 func relMap(edges []InferredEdge) map[edgeKey]Relationship {

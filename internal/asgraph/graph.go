@@ -8,7 +8,9 @@
 // The paper builds this graph from RouteViews/RIPE/CERNET BGP dumps of
 // 2005-09-26 (20,955 AS nodes, 56,907 links). Offline, the generator in
 // gen.go synthesizes a graph with the same structural properties at any
-// scale.
+// scale. Graphs live in memory only: a world or a bootstrap config is
+// handed a built *Graph, and Gao inference is scored against one
+// (CompareAnnotations) rather than turned into one.
 package asgraph
 
 import (

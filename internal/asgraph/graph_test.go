@@ -110,6 +110,26 @@ func TestTopDegreeASNs(t *testing.T) {
 	}
 }
 
+// IsValleyFree is the tests' valley-freeness oracle: it reports whether
+// the given AS path (a sequence of adjacent ASes) is valley-free in g.
+// Paths with unknown edges are not valley-free. A path of fewer than two
+// ASes is trivially valley-free.
+func (g *Graph) IsValleyFree(path []ASN) bool {
+	p := phaseUp
+	for i := 0; i+1 < len(path); i++ {
+		rel, ok := g.Rel(path[i], path[i+1])
+		if !ok {
+			return false
+		}
+		np, allowed := vfNext(p, rel)
+		if !allowed {
+			return false
+		}
+		p = np
+	}
+	return true
+}
+
 func TestIsValleyFree(t *testing.T) {
 	g := fixtureGraph(t)
 	cases := []struct {

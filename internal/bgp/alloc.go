@@ -2,7 +2,7 @@ package bgp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"asap/internal/asgraph"
 	"asap/internal/sim"
@@ -17,8 +17,6 @@ type Allocation struct {
 	Prefixes []Prefix
 	// Origin[i] is the AS originating Prefixes[i].
 	Origin []asgraph.ASN
-	// byAS maps each AS to the indexes of its prefixes.
-	byAS map[asgraph.ASN][]int
 }
 
 // AllocConfig controls synthetic prefix allocation.
@@ -51,7 +49,7 @@ func Allocate(g *asgraph.Graph, cfg AllocConfig, rng *sim.RNG) (*Allocation, err
 	if cfg.PrefixesPerStub <= 0 || cfg.PrefixesPerTransit <= 0 {
 		return nil, fmt.Errorf("bgp: prefix counts must be positive")
 	}
-	a := &Allocation{byAS: make(map[asgraph.ASN][]int)}
+	a := &Allocation{}
 	// Sequential carving: allocate each prefix at the next aligned
 	// address. Alignment to its own size guarantees non-overlap.
 	next := uint64(0x0A000000) // 10.0.0.0
@@ -83,7 +81,6 @@ func Allocate(g *asgraph.Graph, cfg AllocConfig, rng *sim.RNG) (*Allocation, err
 			if err != nil {
 				return nil, err
 			}
-			a.byAS[asn] = append(a.byAS[asn], len(a.Prefixes))
 			a.Prefixes = append(a.Prefixes, p)
 			a.Origin = append(a.Origin, asn)
 		}
@@ -94,31 +91,9 @@ func Allocate(g *asgraph.Graph, cfg AllocConfig, rng *sim.RNG) (*Allocation, err
 // NumPrefixes returns the number of allocated prefixes.
 func (a *Allocation) NumPrefixes() int { return len(a.Prefixes) }
 
-// OfAS returns the prefixes originated by asn, in allocation order.
-func (a *Allocation) OfAS(asn asgraph.ASN) []Prefix {
-	idx := a.byAS[asn]
-	out := make([]Prefix, len(idx))
-	for i, j := range idx {
-		out[i] = a.Prefixes[j]
-	}
-	return out
-}
-
 // ASes returns every AS that originates at least one prefix, ascending.
 func (a *Allocation) ASes() []asgraph.ASN {
-	out := make([]asgraph.ASN, 0, len(a.byAS))
-	for asn := range a.byAS {
-		out = append(out, asn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// BuildTrie builds a longest-prefix-match table over the allocation.
-func (a *Allocation) BuildTrie() *Trie {
-	var t Trie
-	for i, p := range a.Prefixes {
-		t.Insert(p, a.Origin[i])
-	}
-	return &t
+	out := slices.Clone(a.Origin)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

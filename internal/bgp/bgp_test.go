@@ -3,7 +3,6 @@ package bgp
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"asap/internal/asgraph"
 	"asap/internal/sim"
@@ -146,18 +145,6 @@ func TestPrefixNthPanicsOutOfRange(t *testing.T) {
 	p.Nth(4)
 }
 
-func TestPrefixOverlaps(t *testing.T) {
-	a, _ := ParsePrefix("10.0.0.0/8")
-	b, _ := ParsePrefix("10.5.0.0/16")
-	c, _ := ParsePrefix("11.0.0.0/8")
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("nested prefixes must overlap")
-	}
-	if a.Overlaps(c) {
-		t.Error("disjoint prefixes must not overlap")
-	}
-}
-
 func TestTrieLongestPrefixMatch(t *testing.T) {
 	var tr Trie
 	p8, _ := ParsePrefix("10.0.0.0/8")
@@ -187,25 +174,6 @@ func TestTrieLongestPrefixMatch(t *testing.T) {
 	a, _ := ParseAddr("11.0.0.1")
 	if _, _, ok := tr.Lookup(a); ok {
 		t.Error("Lookup outside all prefixes should miss")
-	}
-}
-
-func TestTrieRemove(t *testing.T) {
-	var tr Trie
-	p16, _ := ParsePrefix("10.1.0.0/16")
-	p24, _ := ParsePrefix("10.1.2.0/24")
-	tr.Insert(p16, 200)
-	tr.Insert(p24, 300)
-	if !tr.Remove(p24) {
-		t.Fatal("Remove existing failed")
-	}
-	if tr.Remove(p24) {
-		t.Error("double Remove should report false")
-	}
-	a, _ := ParseAddr("10.1.2.3")
-	_, origin, ok := tr.Lookup(a)
-	if !ok || origin != 200 {
-		t.Errorf("after removal Lookup = %d,%v, want fallback 200", origin, ok)
 	}
 }
 
@@ -305,20 +273,28 @@ func TestAllocate(t *testing.T) {
 	if alloc.NumPrefixes() < g.NumNodes() {
 		t.Fatalf("prefixes %d < ASes %d: every AS needs one", alloc.NumPrefixes(), g.NumNodes())
 	}
-	// No overlap.
+	// No overlap: prefixes are in address order, so checking neighbours
+	// suffices.
 	for i := 1; i < len(alloc.Prefixes); i++ {
-		if alloc.Prefixes[i-1].Overlaps(alloc.Prefixes[i]) {
-			t.Fatalf("overlapping prefixes %s %s", alloc.Prefixes[i-1], alloc.Prefixes[i])
+		if p, q := alloc.Prefixes[i-1], alloc.Prefixes[i]; p.Contains(q.Addr) || q.Contains(p.Addr) {
+			t.Fatalf("overlapping prefixes %s %s", p, q)
 		}
 	}
 	// Every AS covered.
+	covered := make(map[asgraph.ASN]bool, g.NumNodes())
+	for _, asn := range alloc.Origin {
+		covered[asn] = true
+	}
 	for _, asn := range g.ASNs() {
-		if len(alloc.OfAS(asn)) == 0 {
+		if !covered[asn] {
 			t.Fatalf("AS%d has no prefix", asn)
 		}
 	}
 	// Trie round trip.
-	tr := alloc.BuildTrie()
+	var tr Trie
+	for i, p := range alloc.Prefixes {
+		tr.Insert(p, alloc.Origin[i])
+	}
 	for i, p := range alloc.Prefixes {
 		_, origin, ok := tr.Lookup(p.Nth(0))
 		if !ok || origin != alloc.Origin[i] {
@@ -371,38 +347,21 @@ func TestSynthesizeRIBAndOriginTable(t *testing.T) {
 		}
 	}
 
-	ot := BuildOriginTable(rib)
-	if ot.Len() == 0 {
-		t.Fatal("empty origin table")
-	}
-	hits := 0
+	// Every entry's path ends at the prefix's allocated origin, and the
+	// two vantages together see nearly every prefix.
+	originOf := make(map[Prefix]asgraph.ASN, len(alloc.Prefixes))
 	for i, p := range alloc.Prefixes {
-		_, origin, ok := ot.OriginOf(p.Nth(1))
-		if ok && origin == alloc.Origin[i] {
-			hits++
+		originOf[p] = alloc.Origin[i]
+	}
+	seen := make(map[Prefix]bool, len(alloc.Prefixes))
+	for _, e := range rib {
+		if got, want := e.Origin(), originOf[e.Prefix]; got != want {
+			t.Fatalf("RIB entry for %s ends at AS%d, want its origin AS%d", e.Prefix, got, want)
 		}
+		seen[e.Prefix] = true
 	}
-	if frac := float64(hits) / float64(len(alloc.Prefixes)); frac < 0.9 {
-		t.Errorf("origin table resolves only %.2f of prefixes", frac)
-	}
-
-	// Updates: withdraw then re-announce with a different origin.
-	p := alloc.Prefixes[0]
-	if err := ot.Apply(Update{At: time.Second, Kind: UpdateWithdraw, Prefix: p}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ot.Apply(Update{At: 2 * time.Second, Kind: UpdateAnnounce, Prefix: p, Path: []asgraph.ASN{9, 8, 7}}); err != nil {
-		t.Fatal(err)
-	}
-	_, origin, ok := ot.OriginOf(p.Nth(0))
-	if !ok || origin != 7 {
-		t.Errorf("after re-announce origin = %d,%v, want 7", origin, ok)
-	}
-	if err := ot.Apply(Update{Kind: UpdateAnnounce, Prefix: p}); err == nil {
-		t.Error("announce without path should fail")
-	}
-	if err := ot.Apply(Update{Kind: UpdateKind(99), Prefix: p}); err == nil {
-		t.Error("unknown update kind should fail")
+	if frac := float64(len(seen)) / float64(len(alloc.Prefixes)); frac < 0.9 {
+		t.Errorf("RIB covers only %.2f of prefixes", frac)
 	}
 
 	if got := Paths(rib); len(got) == 0 {

@@ -1,9 +1,9 @@
 // Package bgp models the pieces of BGP the paper's measurement pipeline
 // consumes: IPv4 prefixes, a radix trie for longest-prefix matching, a
-// synthetic prefix allocation to ASes, RIB (routing table) synthesis from
-// vantage points, and an update stream applier. ASAP's bootstrap nodes use
-// these to build the IP-prefix -> origin-AS and IP-prefix -> surrogate
-// mapping tables described in Section 6.1.
+// synthetic prefix allocation to ASes, and RIB (routing table) synthesis
+// from vantage points. ASAP's bootstrap builds its IP-prefix -> origin-AS
+// mapping table (Section 6.1) once, as a Trie over its configured
+// prefixes; cmd/asgen feeds synthesized RIB paths to Gao's inference.
 package bgp
 
 import (
@@ -143,11 +143,6 @@ func (p Prefix) Nth(i uint32) Addr {
 	return p.Addr + Addr(i)
 }
 
-// Overlaps reports whether the two prefixes share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.Contains(q.Addr) || q.Contains(p.Addr)
-}
-
 // Trie is a binary radix trie mapping prefixes to origin ASes, supporting
 // longest-prefix-match lookup — the operation behind the paper's "group
 // IPs with the same longest matched prefix into one cluster". The zero
@@ -204,23 +199,6 @@ func (t *Trie) Lookup(a Addr) (Prefix, asgraph.ASN, bool) {
 		return Prefix{}, 0, false
 	}
 	return best.prefix, best.origin, true
-}
-
-// Remove deletes the exact route for p, reporting whether it existed.
-// Interior nodes are left in place; the trie is rebuilt wholesale by the
-// bootstrap on table refresh, so lazy deletion is fine.
-func (t *Trie) Remove(p Prefix) bool {
-	n := t.root
-	for depth := uint8(0); n != nil && depth < p.Len; depth++ {
-		bit := (uint32(p.Addr) >> (31 - depth)) & 1
-		n = n.child[bit]
-	}
-	if n == nil || !n.set || n.prefix != p {
-		return false
-	}
-	n.set = false
-	t.size--
-	return true
 }
 
 // Len returns the number of routes in the trie.

@@ -1,11 +1,6 @@
 package bgp
 
-import (
-	"fmt"
-	"time"
-
-	"asap/internal/asgraph"
-)
+import "asap/internal/asgraph"
 
 // RIBEntry is one row of a BGP routing table dump: a prefix and the AS
 // path a vantage point observed toward its origin, exactly the shape of a
@@ -44,69 +39,6 @@ func SynthesizeRIB(r *asgraph.Router, alloc *Allocation, vantages []asgraph.ASN)
 	}
 	return out
 }
-
-// UpdateKind distinguishes BGP announce and withdraw messages.
-type UpdateKind int8
-
-// Update kinds.
-const (
-	// UpdateAnnounce advertises (or re-advertises) a prefix with a path.
-	UpdateAnnounce UpdateKind = iota + 1
-	// UpdateWithdraw retracts a prefix.
-	UpdateWithdraw
-)
-
-// Update is one timestamped BGP update message.
-type Update struct {
-	At     time.Duration
-	Kind   UpdateKind
-	Prefix Prefix
-	// Path is set for announcements only.
-	Path []asgraph.ASN
-}
-
-// OriginTable maps IP addresses to origin ASes via longest-prefix match.
-// ASAP bootstraps keep one, built from RIB dumps and maintained by
-// updates ("Build an IP prefix to AS number (ASN) mapping table").
-type OriginTable struct {
-	trie Trie
-}
-
-// BuildOriginTable constructs the table from RIB entries. Conflicting
-// origins for the same prefix resolve to the last entry, as a collector
-// overwrites on re-announce.
-func BuildOriginTable(entries []RIBEntry) *OriginTable {
-	t := &OriginTable{}
-	for _, e := range entries {
-		t.trie.Insert(e.Prefix, e.Origin())
-	}
-	return t
-}
-
-// Apply folds a BGP update into the table.
-func (t *OriginTable) Apply(u Update) error {
-	switch u.Kind {
-	case UpdateAnnounce:
-		if len(u.Path) == 0 {
-			return fmt.Errorf("bgp: announce for %s without path", u.Prefix)
-		}
-		t.trie.Insert(u.Prefix, u.Path[len(u.Path)-1])
-		return nil
-	case UpdateWithdraw:
-		t.trie.Remove(u.Prefix)
-		return nil
-	default:
-		return fmt.Errorf("bgp: unknown update kind %d", u.Kind)
-	}
-}
-
-// OriginOf returns the matched prefix and origin AS for an address.
-func (t *OriginTable) OriginOf(a Addr) (Prefix, asgraph.ASN, bool) {
-	return t.trie.Lookup(a)
-}
-
-// Len returns the number of routed prefixes.
-func (t *OriginTable) Len() int { return t.trie.Len() }
 
 // Paths extracts the AS paths of a RIB dump, the input shape Gao's
 // inference algorithm wants.

@@ -162,6 +162,10 @@ func TestBootstrapRestartRejoin(t *testing.T) {
 //
 // One-way delays: A<->B 30ms (direct RTT 60ms >= LatT 55ms); A<->C and
 // B<->C 2ms (relay estimate 4+4+40 = 48ms < LatT); everything else 1ms.
+//
+// With a nil clk the world runs on wall time. With a clock, the
+// bootstrap and nodes run on it and newChurnWorld must be called inside
+// one of its tasks; the caller sets the transports' Sched.
 type churnWorld struct {
 	mem                *transport.Mem
 	bs                 *Bootstrap
@@ -169,7 +173,7 @@ type churnWorld struct {
 	nodes              []*Node
 }
 
-func newChurnWorld(t *testing.T, tr transport.Transport, mem *transport.Mem, leaseTTL time.Duration) *churnWorld {
+func newChurnWorld(t *testing.T, tr transport.Transport, mem *transport.Mem, clk *sim.Clock, leaseTTL time.Duration) *churnWorld {
 	t.Helper()
 	clusterOf := func(a transport.Addr) byte {
 		if len(a) != 2 { // "bs", "probe", ...
@@ -192,6 +196,11 @@ func newChurnWorld(t *testing.T, tr transport.Transport, mem *transport.Mem, lea
 	}
 	cfg := actorBootstrapConfig()
 	cfg.LeaseTTL = leaseTTL
+	var sched sim.Scheduler // nil: wall time
+	if clk != nil {
+		sched = clk
+	}
+	cfg.Sched = sched
 	bs, err := NewBootstrap(tr, "bs", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +211,7 @@ func newChurnWorld(t *testing.T, tr transport.Transport, mem *transport.Mem, lea
 	mk := func(addr transport.Addr, ip string) *Node {
 		n, err := NewNode(tr, addr, NodeConfig{
 			IP: ip, Bootstrap: bs.Addr(), Params: params, Retry: fastNodeRetry(),
+			Sched: sched, Seed: 1,
 		})
 		if err != nil {
 			t.Fatalf("node %s: %v", addr, err)
@@ -234,13 +244,21 @@ func (w *churnWorld) kill(n *Node) {
 	w.mem.Unbind(n.Addr())
 }
 
+// ReceivedBytesFrom reports how many voice payload bytes this node has
+// accepted from one sending peer.
+func (n *Node) ReceivedBytesFrom(peer transport.Addr) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.received[peer]
+}
+
 // TestSurrogateDeathReelection kills cluster B's surrogate mid-service:
 // calls toward B degrade to direct, b1 re-elects itself once the lease
 // expires, and relayed call setup then succeeds through c0 again.
 func TestSurrogateDeathReelection(t *testing.T) {
 	mem := transport.NewMem()
 	defer func() { _ = mem.Close() }()
-	w := newChurnWorld(t, mem, mem, 80*time.Millisecond)
+	w := newChurnWorld(t, mem, mem, nil, 80*time.Millisecond)
 	defer w.close()
 
 	// Healthy baseline: a1 -> b1 relays through c0, bytes attributed to a1.
@@ -293,7 +311,7 @@ func TestSurrogateDeathReelection(t *testing.T) {
 func TestVoiceAccountingPerSender(t *testing.T) {
 	mem := transport.NewMem()
 	defer func() { _ = mem.Close() }()
-	w := newChurnWorld(t, mem, mem, 0)
+	w := newChurnWorld(t, mem, mem, nil, 0)
 	defer w.close()
 
 	for i, caller := range []*Node{w.a0, w.a1} {
@@ -330,7 +348,7 @@ func TestChaosSoak(t *testing.T) {
 
 	mem := transport.NewMem()
 	chaos := transport.NewChaos(mem, 42)
-	w := newChurnWorld(t, chaos, mem, 100*time.Millisecond)
+	w := newChurnWorld(t, chaos, mem, nil, 100*time.Millisecond)
 
 	chaos.DropDefault(0.05)
 
@@ -395,6 +413,148 @@ func TestChaosSoak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutines leaked: %d now vs %d at start", runtime.NumGoroutine(), baseline)
+}
+
+// The churn workload: calls placed one after another from a1 to b1 while
+// a seeded fault schedule runs — 2% background drop, a bootstrap outage
+// at call churnOutageAt, and b0 (B's surrogate) killed before call
+// churnKillAt.
+const (
+	churnCalls     = 20
+	churnOutageAt  = 3
+	churnOutage    = 150 * time.Millisecond
+	churnKillAt    = 7
+	churnCallGap   = 5 * time.Millisecond
+	churnLeaseTTL  = 120 * time.Millisecond
+	churnDrop      = 0.02
+	churnChaosSeed = 1
+)
+
+// churnArm is what one lease policy delivered over the churn workload.
+type churnArm struct {
+	// Completed counts calls that delivered voice (relayed, direct or
+	// degraded-direct); Degraded those that fell back to direct on a
+	// control-plane or voice-path failure.
+	Completed, Degraded int
+	// Relayed counts calls that delivered voice through a relay;
+	// RelayedAfterKill those placed after the kill — the recovery signal.
+	Relayed, RelayedAfterKill int
+	// Reelected reports whether b1 took over cluster B within the
+	// workload; ReelectLatency is the time from the kill to the first
+	// observation of it.
+	Reelected      bool
+	ReelectLatency time.Duration
+}
+
+func (a churnArm) successRate() float64 { return float64(a.Completed) / churnCalls }
+
+// runChurnArm runs the churn workload with surrogate lease leaseTTL (0:
+// registrations never expire) entirely on a virtual clock, so the arm's
+// measurements are a function of the seed.
+func runChurnArm(t *testing.T, leaseTTL time.Duration) churnArm {
+	t.Helper()
+	clk := sim.NewClock()
+	mem := transport.NewMem()
+	mem.Sched = clk
+	defer func() { _ = mem.Close() }()
+	chaos := transport.NewChaos(mem, churnChaosSeed)
+	chaos.Sched = clk
+	chaos.DropDefault(churnDrop)
+
+	var arm churnArm
+	clk.RunTask(func() {
+		w := newChurnWorld(t, chaos, mem, clk, leaseTTL)
+		defer w.close()
+		const notKilled = time.Duration(-1)
+		killedAt := notKilled
+		observe := func() {
+			if killedAt != notKilled && !arm.Reelected && w.b1.IsSurrogate() {
+				arm.Reelected, arm.ReelectLatency = true, clk.Now()-killedAt
+			}
+		}
+		payload := []byte("churn-voice-frames")
+		for i := 0; i < churnCalls; i++ {
+			switch i {
+			case churnOutageAt:
+				chaos.OutageFor(w.bs.Addr(), churnOutage)
+			case churnKillAt:
+				w.kill(w.b0)
+				killedAt = clk.Now()
+			}
+			if choice, err := w.a1.SetupCall(w.b1.Addr()); err == nil {
+				if err := w.a1.SendVoice(choice, w.b1.Addr(), payload, uint32(i)); err != nil {
+					// Voice path faulted mid-call: drop the dead relay flow and
+					// retry once on the direct path.
+					w.a1.DropFlow(choice.Relay, w.b1.Addr())
+					if err := w.a1.SendVoice(&RelayChoice{}, w.b1.Addr(), payload, uint32(i)); err == nil {
+						arm.Completed++
+						arm.Degraded++
+					}
+				} else {
+					arm.Completed++
+					switch {
+					case choice.Relay != "":
+						arm.Relayed++
+						if killedAt != notKilled {
+							arm.RelayedAfterKill++
+						}
+					case choice.Degraded:
+						arm.Degraded++
+					}
+				}
+			}
+			observe()
+			clk.Sleep(churnCallGap)
+		}
+		observe() // a re-election after the last call still counts
+	})
+	return arm
+}
+
+// TestChurnLeaseVsNoLease runs the churn workload under both lease
+// policies: with a lease, cluster B re-elects b1 after the kill and
+// relayed call setup recovers; without one, the bootstrap hands out the
+// dead b0 forever. Both arms must keep completing calls (degradation,
+// not failure).
+func TestChurnLeaseVsNoLease(t *testing.T) {
+	lease, nolease := runChurnArm(t, churnLeaseTTL), runChurnArm(t, 0)
+	t.Logf("lease(%s): %+v", churnLeaseTTL, lease)
+	t.Logf("no-lease: %+v", nolease)
+
+	if !lease.Reelected {
+		t.Error("lease arm never re-elected a surrogate")
+	}
+	if lease.Reelected && lease.ReelectLatency <= 0 {
+		t.Error("lease arm re-elected with non-positive latency")
+	}
+	if lease.RelayedAfterKill == 0 {
+		t.Error("lease arm never recovered relayed call setup after the kill")
+	}
+	if nolease.Reelected {
+		t.Error("no-lease arm re-elected — expiry should be impossible with TTL 0")
+	}
+	if nolease.RelayedAfterKill != 0 {
+		t.Error("no-lease arm relayed after the kill despite the dead incumbent")
+	}
+	if got := lease.successRate(); got < 0.8 {
+		t.Errorf("lease arm success rate %.2f, want >= 0.8", got)
+	}
+	if got := nolease.successRate(); got < 0.8 {
+		t.Errorf("no-lease arm success rate %.2f (degradation must keep calls alive), want >= 0.8", got)
+	}
+}
+
+// TestChurnVirtualTimeDeterministic reruns both churn arms: on the
+// virtual clock a seed fixes the transport latency, chaos windows,
+// leases, retries and every measurement, so reruns must agree exactly.
+func TestChurnVirtualTimeDeterministic(t *testing.T) {
+	run := func() [2]churnArm { return [2]churnArm{runChurnArm(t, churnLeaseTTL), runChurnArm(t, 0)} }
+	golden := run()
+	for i := 0; i < 2; i++ {
+		if got := run(); got != golden {
+			t.Fatalf("churn rerun %d diverged:\ngolden %+v\nrerun  %+v", i, golden, got)
+		}
+	}
 }
 
 // restartWorld is the demo deployment on the virtual clock with a 30 s

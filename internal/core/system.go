@@ -211,25 +211,6 @@ func (s *System) FailHost(id cluster.HostID) {
 	}
 }
 
-// ReviveHost brings a host back online and lets it publish nodal
-// information; it may displace the current surrogate if more capable.
-func (s *System) ReviveHost(id cluster.HostID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.failed, id)
-	cid := s.pop.Host(id).Cluster
-	cur := s.surrogates[cid]
-	if cur < 0 {
-		s.surrogates[cid] = id
-		delete(s.closeSets, cid)
-		return
-	}
-	if s.pop.Host(id).NodalScore() > s.pop.Host(cur).NodalScore() {
-		s.surrogates[cid] = id
-		delete(s.closeSets, cid)
-	}
-}
-
 // Alive reports whether a host is online.
 func (s *System) Alive(id cluster.HostID) bool {
 	s.mu.RLock()

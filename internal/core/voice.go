@@ -330,11 +330,3 @@ func (n *Node) ReceivedBytes() int {
 	}
 	return total
 }
-
-// ReceivedBytesFrom reports how many voice payload bytes this node has
-// accepted from one sending peer.
-func (n *Node) ReceivedBytesFrom(peer transport.Addr) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.received[peer]
-}

@@ -73,16 +73,6 @@ func (t Type) String() string {
 	}
 }
 
-// ParseType parses a behaviour name as printed by String.
-func ParseType(s string) (Type, error) {
-	for _, t := range Types {
-		if t.String() == s {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("nat: unknown type %q", s)
-}
-
 // Box emulates one NAT device. Private sockets bind through
 // ListenPacket; their datagrams egress onto the outer network from
 // sequentially allocated external addresses, and inbound datagrams are

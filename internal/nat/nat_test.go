@@ -45,18 +45,6 @@ func (r *rig) public(t *testing.T, addr transport.Addr) (transport.PacketConn, *
 	return c, &seen
 }
 
-func TestParseType(t *testing.T) {
-	for _, typ := range Types {
-		got, err := ParseType(typ.String())
-		if err != nil || got != typ {
-			t.Errorf("ParseType(%q) = %v, %v", typ.String(), got, err)
-		}
-	}
-	if _, err := ParseType("carrier-grade"); err == nil {
-		t.Error("unknown type should fail to parse")
-	}
-}
-
 func TestOutboundTranslation(t *testing.T) {
 	// Outbound datagrams appear to come from the box's external address,
 	// not the private one; external ports allocate sequentially.

@@ -347,16 +347,6 @@ func (m *Model) SetCondition(asn asgraph.ASN, c Condition) {
 	m.publishLocked(conds)
 }
 
-// ResetConditions removes every injected impairment and drops the
-// cluster-pair cache, returning the model to its post-New baseline minus
-// the randomly injected congestion. Used by tests that interleave cache
-// drops with concurrent lookups.
-func (m *Model) ResetConditions() {
-	m.condMu.Lock()
-	defer m.condMu.Unlock()
-	m.publishLocked(make([]Condition, m.g.NumNodes()))
-}
-
 // publishLocked makes conds the condition snapshot and invalidates the
 // cache. Callers hold condMu. The snapshot goes out before the generation
 // moves: a fill that read the old generation is discarded at its store,

@@ -34,6 +34,16 @@ func testModel(t testing.TB, ases, hosts int, seed int64, cfg Config) (*Model, *
 	return m, rng
 }
 
+// ResetConditions removes every injected impairment and drops the
+// cluster-pair cache, returning the model to its post-New baseline minus
+// the randomly injected congestion. Used by tests that interleave cache
+// drops with concurrent lookups.
+func (m *Model) ResetConditions() {
+	m.condMu.Lock()
+	defer m.condMu.Unlock()
+	m.publishLocked(make([]Condition, m.g.NumNodes()))
+}
+
 func TestHostRTTProperties(t *testing.T) {
 	m, rng := testModel(t, 300, 2000, 60, DefaultConfig())
 	pop := m.Population()

@@ -642,13 +642,6 @@ func (c *Clock) RunUntil(deadline time.Duration) int {
 	return n
 }
 
-// Pending returns the number of scheduled events not yet run.
-func (c *Clock) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.live
-}
-
 // Executed returns the total number of events this clock has run — the
 // scale harness's events/sec numerator.
 func (c *Clock) Executed() uint64 {

@@ -102,9 +102,6 @@ func (t ZipfTable) Sample(g *RNG) int {
 	return min(sort.SearchFloat64s(t, g.r.Float64()*t[n-1])+1, n)
 }
 
-// Zipf returns one sample of NewZipfTable(n, s).
-func (g *RNG) Zipf(n int, s float64) int { return NewZipfTable(n, s).Sample(g) }
-
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 

@@ -1,14 +1,14 @@
 // Package stats provides the small statistical toolkit the evaluation
-// harness needs to regenerate the paper's figures: empirical CDFs and CCDFs,
-// percentiles, histograms, and summary statistics. Everything operates on
-// float64 slices and never mutates its input.
+// harness needs to regenerate the paper's figures: empirical CDF values
+// (FractionAtMost, FractionAbove), percentiles, histograms, and summary
+// statistics. Everything operates on float64 slices and never mutates its
+// input.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary holds the usual five-number summary plus mean and count.
@@ -87,42 +87,6 @@ func quantileSorted(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// CDFPoint is one (x, F(x)) point of an empirical distribution function.
-type CDFPoint struct {
-	X float64
-	F float64 // fraction of samples <= X, in (0, 1]
-}
-
-// CDF returns the empirical CDF of xs as a sequence of points, one per
-// distinct value. The result is sorted by X ascending.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := sortedCopy(xs)
-	n := float64(len(s))
-	out := make([]CDFPoint, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		// Emit only the last occurrence of each distinct value so F is the
-		// proper right-continuous step height.
-		if i+1 < len(s) && s[i+1] == s[i] {
-			continue
-		}
-		out = append(out, CDFPoint{X: s[i], F: float64(i+1) / n})
-	}
-	return out
-}
-
-// CCDF returns the empirical complementary CDF: fraction of samples > X.
-func CCDF(xs []float64) []CDFPoint {
-	cdf := CDF(xs)
-	out := make([]CDFPoint, len(cdf))
-	for i, p := range cdf {
-		out[i] = CDFPoint{X: p.X, F: 1 - p.F}
-	}
-	return out
-}
-
 // FractionAtMost returns the fraction of samples <= x.
 func FractionAtMost(xs []float64, x float64) float64 {
 	if len(xs) == 0 {
@@ -193,17 +157,6 @@ func NewHistogram(xs []float64, bins int) Histogram {
 	return h
 }
 
-// FormatCDFTable renders a CDF as a fixed set of probe points for textual
-// figure output: at each requested x value it prints F(x).
-func FormatCDFTable(name string, xs []float64, probes []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (n=%d)\n", name, len(xs))
-	for _, p := range probes {
-		fmt.Fprintf(&b, "  F(%.0f) = %.4f\n", p, FractionAtMost(xs, p))
-	}
-	return b.String()
-}
-
 // Mean returns the arithmetic mean of xs, or NaN for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -214,19 +167,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation of xs, or NaN when
-// len(xs) < 2.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
 }

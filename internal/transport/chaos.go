@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -223,7 +224,11 @@ func (c *Chaos) FailNext(addr Addr, n int) {
 // the bootstrap-outage-window fault of the churn experiments. Under a
 // virtual clock the window closes at a deterministic virtual instant.
 func (c *Chaos) OutageFor(addr Addr, d time.Duration) {
-	end := sim.OrWall(c.Sched).Now() + d
+	now := sim.OrWall(c.Sched).Now()
+	end := now + d
+	if d > 0 && end < now { // overflow: the window never closes
+		end = math.MaxInt64
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.outage[addr] = end
@@ -256,10 +261,13 @@ func (c *Chaos) Apply(spec string) error {
 		}
 		key, val, hasVal := strings.Cut(tok, "=")
 		kind, addr, hasAddr := strings.Cut(key, "@")
+		if hasAddr && addr == "" {
+			return fmt.Errorf("transport: chaos spec %q: empty address after @", tok)
+		}
 		switch kind {
 		case "drop":
 			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || !hasVal || p < 0 || p >= 1 {
+			if err != nil || !hasVal || !(p >= 0 && p < 1) { // NaN fails both
 				return fmt.Errorf("transport: chaos spec %q: want drop probability in [0,1)", tok)
 			}
 			if hasAddr {

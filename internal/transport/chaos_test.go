@@ -193,6 +193,21 @@ func TestChaosApplySpec(t *testing.T) {
 	}
 }
 
+// TestChaosApplyRejectsNaNAndEmptyAddr covers specs that parse but name
+// nothing real: a NaN probability is neither below 0 nor at least 1, so
+// a plain range check passed it and the fault silently injected nothing;
+// an empty address after @ keys a table entry no send ever matches.
+func TestChaosApplyRejectsNaNAndEmptyAddr(t *testing.T) {
+	for _, bad := range []string{
+		"drop=NaN", "drop=nan", "drop@a=NaN", "drop@=0.5", "blackhole@",
+		"lat@=1ms", "fail@=2", "outage@=1s",
+	} {
+		if err := NewChaos(NewMem(), 1).Apply(bad); err == nil {
+			t.Errorf("Apply(%q) accepted an invalid spec", bad)
+		}
+	}
+}
+
 func TestChaosApplyEmptyTokensOK(t *testing.T) {
 	if err := NewChaos(NewMem(), 1).Apply(" , drop=0.1, "); err != nil {
 		t.Fatalf("Apply with empty tokens: %v", err)

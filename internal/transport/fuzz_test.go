@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"time"
+
+	"asap/internal/sim"
 )
 
 // FuzzMessageCodec feeds arbitrary bytes to the binary decoder and
@@ -124,6 +127,68 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("frame round trip changed the message:\n first %x\nsecond %x", enc, enc2)
 			}
 			ReleaseMessage(m2)
+		}
+	})
+}
+
+// FuzzChaosApply feeds arbitrary -chaos specs to Chaos.Apply. A spec it
+// accepts must leave every drop probability in [0,1), every added
+// latency at least 0, every outage window ending no earlier than when
+// it was applied, and no fault table entry keyed by the empty address.
+func FuzzChaosApply(f *testing.F) {
+	for _, seed := range []string{
+		"drop=0.05,lat=20ms,blackhole@127.0.0.1:7001,outage@127.0.0.1:7000=5s",
+		"drop@a=0.5, lat@a=2ms, fail@a=3", " , drop=0.1, ",
+		"drop=NaN", "drop=-0", "drop@=0.5", "blackhole@", "lat=-1ms",
+		"outage@a=2562047h47m16.854775807s", "fail@a=9223372036854775807",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		c := NewChaos(NewMem(), 1) // wall time, so an outage starts past 0
+		applied := sim.OrWall(nil).Now()
+		if err := c.Apply(spec); err != nil {
+			return
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		probs := []float64{c.dropAll}
+		for a, p := range c.drop {
+			probs = append(probs, p)
+			if a == "" {
+				t.Errorf("Apply(%q) keyed a drop on the empty address", spec)
+			}
+		}
+		for _, p := range probs {
+			if !(p >= 0 && p < 1) {
+				t.Errorf("Apply(%q) left drop probability %v", spec, p)
+			}
+		}
+		durs := []time.Duration{c.latAll}
+		for a, d := range c.lat {
+			durs = append(durs, d)
+			if a == "" {
+				t.Errorf("Apply(%q) keyed a latency on the empty address", spec)
+			}
+		}
+		for _, d := range durs {
+			if d < 0 {
+				t.Errorf("Apply(%q) left added latency %v", spec, d)
+			}
+		}
+		for a, end := range c.outage {
+			if end < applied {
+				t.Errorf("Apply(%q) left an outage ending at %v, before it was applied at %v", spec, end, applied)
+			}
+			if a == "" {
+				t.Errorf("Apply(%q) keyed an outage on the empty address", spec)
+			}
+		}
+		if c.black[""] {
+			t.Errorf("Apply(%q) blackholed the empty address", spec)
+		}
+		if _, ok := c.failNext[""]; ok {
+			t.Errorf("Apply(%q) set a fail budget on the empty address", spec)
 		}
 	})
 }

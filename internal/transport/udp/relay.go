@@ -59,7 +59,6 @@ type RelayServer struct {
 	flows     map[uint32]*relayFlow
 	bySource  map[string]int // live flows per binder host (quota accounting)
 	forwarded int64
-	expired   int64
 	quotaRej  int64
 	authRej   int64
 	onEvent   func(RelayEvent)
@@ -211,13 +210,6 @@ func (r *RelayServer) LiveFlows() int {
 	return len(r.flows)
 }
 
-// Expired reports how many idle flows the TTL sweep has evicted.
-func (r *RelayServer) Expired() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.expired
-}
-
 // QuotaRejections reports binds refused for exceeding the per-source
 // flow quota or the relay-wide flow cap.
 func (r *RelayServer) QuotaRejections() int64 {
@@ -252,7 +244,6 @@ func (r *RelayServer) sweep() {
 	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
 	for _, tok := range dead {
 		r.dropLocked(tok, "expire", r.flows[tok].a)
-		r.expired++
 	}
 	r.mu.Unlock()
 	r.sched.After(r.cfg.FlowTTL/2, r.sweep)
