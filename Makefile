@@ -157,13 +157,16 @@ bench-gate:
 # seed alone: the outcome digest plus msgs_per_call, setup_virtual_ms_p50
 # and _p99 and rescued_ratio where the workload has them (the pinned
 # repetitions make them independent of -seconds). Two commits that print
-# the same lines behave byte-identically on the benchmark's inputs. With
-# BENCH_JSON=<file> it reads a summary that already exists (the CI bench
-# job's BENCH.json, one group per run) instead of running the benchmark;
-# every run of the set must read the same, and the set prints once. A
-# reading that differs between runs names itself and fails the target.
+# the same lines behave byte-identically on the benchmark's inputs.
+# SEED=<n> picks the seed (default 1); results/digests.seed<n>.txt tracks
+# seeds 1 and 7. With BENCH_JSON=<file> it reads a summary that already
+# exists (the CI bench job's BENCH.json, one group per run) instead of
+# running the benchmark; every run of the set must read the same, and the
+# set prints once. A reading that differs between runs names itself and
+# fails the target.
+SEED ?= 1
 digests:
-	@$(if $(BENCH_JSON),cat $(BENCH_JSON),bash bench/run.sh -seed 1 -seconds 1 -trace 0) | awk ' \
+	@$(if $(BENCH_JSON),cat $(BENCH_JSON),bash bench/run.sh -seed $(SEED) -seconds 1 -trace 0) | awk ' \
 		function keep(k, v) { \
 			if (!(k in val)) { val[k] = v; order[++n] = k } \
 			else if (val[k] != v) { bad = bad "\n  " k ": " val[k] " vs " v } } \

@@ -2,13 +2,16 @@ package asap_test
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
-	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"asap/internal/lint/loader"
 )
 
 // stdInterfaceMethods are method names that standard-library code calls
@@ -28,26 +31,29 @@ var stdInterfaceMethods = map[string]bool{
 	"UnmarshalText": true, "MarshalBinary": true, "UnmarshalBinary": true,
 }
 
-// exportedDecl is an exported function or method declared in a non-test
-// file under internal/.
-type exportedDecl struct {
-	dir, name, where string
-}
-
 // TestInternalExportsHaveCallers fails on any exported function or
-// method under internal/ that only its own package's tests name: no
+// method under internal/ that only its own package's tests use: no
 // non-test file in the module (bench/, cmd/ and examples/ included)
 // and no test file in another directory. Such a function is either dead
 // code or a test oracle, and belongs in the package's _test.go files.
-// Names are matched by identifier, so a name any caller uses for
-// anything counts as named.
+//
+// Uses are resolved by type: every package is type-checked through
+// internal/lint/loader, its test files on top of it, so a field or
+// another declaration that shares a function's name does not count as
+// a call. A generic method's instantiations count for its declaration,
+// and a method counts as used when a used interface method names it and
+// its type satisfies that interface. bench/ is a module of its own, but
+// it imports only this module and the standard library, so the loader
+// checks it like any other directory.
 func TestInternalExportsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	var decls []exportedDecl
-	inCode := map[string]bool{}             // identifiers named by non-test files
-	inTests := map[string]map[string]bool{} // identifier -> test directories naming it
-
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	modName, root, err := loader.FindModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := loader.New(loader.Config{ModName: modName, ModDir: root})
+	codeDirs := map[string]bool{}      // directories with non-test Go files
+	testFiles := map[string][]string{} // directory -> its test files
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -60,68 +66,147 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
+		dir := filepath.Dir(path)
+		if !strings.HasSuffix(path, "_test.go") {
+			codeDirs[dir] = true
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, d.Name()); err != nil || !ok {
 			return err
 		}
-		dir, isTest := filepath.Dir(path), strings.HasSuffix(path, "_test.go")
-		declNames := map[*ast.Ident]bool{}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declNames[fn.Name] = true
-			if isTest || !fn.Name.IsExported() || !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-				continue
-			}
-			if fn.Recv != nil && stdInterfaceMethods[fn.Name.Name] {
-				continue
-			}
-			decls = append(decls, exportedDecl{dir, fn.Name.Name, fset.Position(fn.Pos()).String()})
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || declNames[id] {
-				return true
-			}
-			if !isTest {
-				inCode[id.Name] = true
-			} else {
-				if inTests[id.Name] == nil {
-					inTests[id.Name] = map[string]bool{}
-				}
-				inTests[id.Name][dir] = true
-			}
-			return true
-		})
+		testFiles[dir] = append(testFiles[dir], path)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	var decls []*types.Func        // exported functions and methods under internal/
+	used := map[*types.Func]bool{} // declarations some use resolves to
+	var ifaceUsed []*types.Func    // interface methods used anywhere
+	// record marks what info's uses resolve to, except in package from.
+	record := func(info *types.Info, from string) {
+		for _, obj := range info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() == from {
+				continue
+			}
+			fn = fn.Origin()
+			used[fn] = true
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceUsed = append(ifaceUsed, fn)
+			}
+		}
+	}
+	pkgs := map[string]*loader.Package{} // directory -> its package
+	for _, dir := range sortedKeys(codeDirs) {
+		p, err := l.LoadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs[dir] = p
+		record(p.Info, "") // a package's own code counts as a caller
+		if !strings.HasPrefix(filepath.ToSlash(dir), "internal/") {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() || (fn.Recv != nil && stdInterfaceMethods[fn.Name.Name]) {
+					continue
+				}
+				decls = append(decls, p.Info.Defs[fn.Name].(*types.Func))
+			}
+		}
+	}
 	if len(decls) == 0 {
 		t.Fatal("found no exported declarations under internal/; is the test running from the module root?")
 	}
 
-	var orphans []string
-	for _, d := range decls {
-		if inCode[d.name] {
-			continue
+	// Test files are checked on top of their package: the in-package ones
+	// with its files, the external ones against the package as the loader
+	// built it, which every other package they import also sees. A use
+	// counts only when it leaves the test's own package.
+	for _, dir := range sortedKeys(testFiles) {
+		self := pkgs[dir]
+		path := modName
+		if dir != "." {
+			path += "/" + filepath.ToSlash(dir)
 		}
-		named := false
-		for dir := range inTests[d.name] {
-			if dir != d.dir {
-				named = true
-				break
+		var internal, external []*ast.File
+		if self != nil {
+			internal = append(internal, self.Files...)
+		}
+		for _, name := range testFiles[dir] {
+			f, err := parser.ParseFile(l.Fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasSuffix(f.Name.Name, "_test") {
+				external = append(external, f)
+			} else {
+				internal = append(internal, f)
 			}
 		}
-		if !named {
-			orphans = append(orphans, d.where+": "+d.name)
+		if len(internal) > 0 && (self == nil || len(internal) > len(self.Files)) {
+			record(checkFiles(t, l, path, internal), path)
 		}
+		if len(external) > 0 {
+			record(checkFiles(t, l, path+"_test", external), path)
+		}
+	}
+
+	var orphans []string
+	for _, fn := range decls {
+		if used[fn] || satisfiesUsed(fn, ifaceUsed) {
+			continue
+		}
+		orphans = append(orphans, l.Fset.Position(fn.Pos()).String()+": "+fn.FullName())
 	}
 	sort.Strings(orphans)
 	for _, o := range orphans {
-		t.Errorf("%s is named only by its own package's tests: delete it, or move it into a _test.go file", o)
+		t.Errorf("%s is used only by its own package's tests: delete it, or move it into a _test.go file", o)
 	}
+}
+
+// checkFiles type-checks files as package path and returns their uses.
+func checkFiles(t *testing.T, l *loader.Loader, path string, files []*ast.File) *types.Info {
+	t.Helper()
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	if _, err := (&types.Config{Importer: l}).Check(path, l.Fset, files, info); err != nil {
+		t.Fatalf("type-check %s: %v", path, err)
+	}
+	return info
+}
+
+// satisfiesUsed reports whether method fn's receiver type satisfies the
+// interface of a used interface method of the same name.
+func satisfiesUsed(fn *types.Func, ifaceUsed []*types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	typ := recv.Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	for _, m := range ifaceUsed {
+		if m.Name() != fn.Name() {
+			continue
+		}
+		iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if types.Implements(typ, iface) || types.Implements(types.NewPointer(typ), iface) {
+			return true
+		}
+	}
+	return false
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -46,21 +46,8 @@ type RouteTable struct {
 	via []int32
 }
 
-// Dst returns the table's destination AS.
-func (t *RouteTable) Dst() ASN { return t.dst }
-
-// Hops returns the policy AS-path length from src to the destination and
-// whether a route exists, by walking the route. The destination itself is
-// 0 hops away.
-func (t *RouteTable) Hops(src ASN) (int, bool) {
-	i, ok := t.g.idx[src]
-	if !ok {
-		return 0, false
-	}
-	return t.hopsFrom(i)
-}
-
-// hopsFrom is Hops from the AS at dense index i.
+// hopsFrom returns the policy AS-path length from the AS at dense index
+// i to the destination, and whether a route exists.
 func (t *RouteTable) hopsFrom(i int32) (int, bool) {
 	h := 0
 	for ; i != t.dstIdx; h++ {
@@ -465,13 +452,4 @@ func (r *Router) Path(src, dst ASN) ([]ASN, bool) {
 		}
 	}
 	return p, true
-}
-
-// Hops returns the policy AS-path length between src and dst.
-func (r *Router) Hops(src, dst ASN) (int, bool) {
-	p, ok := r.Path(src, dst)
-	if !ok {
-		return 0, false
-	}
-	return len(p) - 1, true
 }

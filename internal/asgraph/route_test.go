@@ -8,6 +8,26 @@ import (
 	"asap/internal/sim"
 )
 
+// Hops returns the policy AS-path length from src to the destination and
+// whether a route exists, by walking the route. The destination itself is
+// 0 hops away.
+func (t *RouteTable) Hops(src ASN) (int, bool) {
+	i, ok := t.g.idx[src]
+	if !ok {
+		return 0, false
+	}
+	return t.hopsFrom(i)
+}
+
+// Hops returns the policy AS-path length between src and dst.
+func (r *Router) Hops(src, dst ASN) (int, bool) {
+	p, ok := r.Path(src, dst)
+	if !ok {
+		return 0, false
+	}
+	return len(p) - 1, true
+}
+
 func TestRouteTableCustomerPreference(t *testing.T) {
 	// A destination reachable both through a short provider route and a
 	// longer customer route must be reached via the customer route:

@@ -98,9 +98,6 @@ func NewDedi(pop *cluster.Population, m *netmodel.Model, prober *netmodel.Prober
 // Name implements Selector.
 func (d *Dedi) Name() string { return d.name }
 
-// Nodes returns the dedicated relay set.
-func (d *Dedi) Nodes() []cluster.HostID { return d.nodes }
-
 // Select implements Selector: probe every dedicated node.
 func (d *Dedi) Select(h1, h2 cluster.HostID, rng *sim.RNG) (*Result, error) {
 	ctr := sim.NewCounters()

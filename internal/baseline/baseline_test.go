@@ -59,7 +59,7 @@ func TestDediPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := d.Nodes()
+	nodes := d.nodes
 	if len(nodes) != 20 {
 		t.Fatalf("placed %d nodes, want 20", len(nodes))
 	}

@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"fmt"
-	"slices"
 
 	"asap/internal/asgraph"
 	"asap/internal/sim"
@@ -90,10 +89,3 @@ func Allocate(g *asgraph.Graph, cfg AllocConfig, rng *sim.RNG) (*Allocation, err
 
 // NumPrefixes returns the number of allocated prefixes.
 func (a *Allocation) NumPrefixes() int { return len(a.Prefixes) }
-
-// ASes returns every AS that originates at least one prefix, ascending.
-func (a *Allocation) ASes() []asgraph.ASN {
-	out := slices.Clone(a.Origin)
-	slices.Sort(out)
-	return slices.Compact(out)
-}

@@ -8,6 +8,24 @@ import (
 	"asap/internal/sim"
 )
 
+// Walk visits every route in the trie in address order.
+func (t *Trie) Walk(fn func(Prefix, asgraph.ASN) bool) {
+	var rec func(n *trieNode) bool
+	rec = func(n *trieNode) bool {
+		if n == nil {
+			return true
+		}
+		if n.set && !fn(n.prefix, n.origin) {
+			return false
+		}
+		if !rec(n.child[0]) {
+			return false
+		}
+		return rec(n.child[1])
+	}
+	rec(t.root)
+}
+
 func TestAddrRoundTrip(t *testing.T) {
 	cases := []string{"0.0.0.0", "10.1.2.3", "255.255.255.255", "192.168.0.1"}
 	for _, s := range cases {
@@ -301,8 +319,12 @@ func TestAllocate(t *testing.T) {
 			t.Fatalf("trie lookup of %s = %d,%v, want %d", p, origin, ok, alloc.Origin[i])
 		}
 	}
-	if len(alloc.ASes()) != g.NumNodes() {
-		t.Errorf("ASes() = %d, want %d", len(alloc.ASes()), g.NumNodes())
+	origins := map[asgraph.ASN]bool{}
+	for _, asn := range alloc.Origin {
+		origins[asn] = true
+	}
+	if len(origins) != g.NumNodes() {
+		t.Errorf("%d ASes originate a prefix, want %d", len(origins), g.NumNodes())
 	}
 }
 
@@ -355,7 +377,7 @@ func TestSynthesizeRIBAndOriginTable(t *testing.T) {
 	}
 	seen := make(map[Prefix]bool, len(alloc.Prefixes))
 	for _, e := range rib {
-		if got, want := e.Origin(), originOf[e.Prefix]; got != want {
+		if got, want := e.Path[len(e.Path)-1], originOf[e.Prefix]; got != want {
 			t.Fatalf("RIB entry for %s ends at AS%d, want its origin AS%d", e.Prefix, got, want)
 		}
 		seen[e.Prefix] = true

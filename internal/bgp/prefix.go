@@ -203,21 +203,3 @@ func (t *Trie) Lookup(a Addr) (Prefix, asgraph.ASN, bool) {
 
 // Len returns the number of routes in the trie.
 func (t *Trie) Len() int { return t.size }
-
-// Walk visits every route in the trie in address order.
-func (t *Trie) Walk(fn func(Prefix, asgraph.ASN) bool) {
-	var rec func(n *trieNode) bool
-	rec = func(n *trieNode) bool {
-		if n == nil {
-			return true
-		}
-		if n.set && !fn(n.prefix, n.origin) {
-			return false
-		}
-		if !rec(n.child[0]) {
-			return false
-		}
-		return rec(n.child[1])
-	}
-	rec(t.root)
-}

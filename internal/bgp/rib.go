@@ -11,11 +11,6 @@ type RIBEntry struct {
 	Path []asgraph.ASN
 }
 
-// Origin returns the path's final AS.
-func (e RIBEntry) Origin() asgraph.ASN {
-	return e.Path[len(e.Path)-1]
-}
-
 // SynthesizeRIB produces the routing-table view of each vantage AS over
 // the allocated prefixes, using policy routing over the ground-truth
 // graph. This is the offline stand-in for downloading RouteViews, RIPE

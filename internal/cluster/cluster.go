@@ -212,9 +212,6 @@ func (p *Population) Host(id HostID) *Host { return &p.hosts[id] }
 // Cluster returns the cluster with the given ID.
 func (p *Population) Cluster(id ClusterID) *Cluster { return &p.clusters[id] }
 
-// Hosts returns all hosts. Callers must not mutate the slice.
-func (p *Population) Hosts() []Host { return p.hosts }
-
 // Clusters returns all clusters. Callers must not mutate the slice.
 func (p *Population) Clusters() []Cluster { return p.clusters }
 

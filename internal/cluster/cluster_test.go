@@ -39,7 +39,7 @@ func TestGeneratePopulationInvariants(t *testing.T) {
 	}
 
 	seenAddr := make(map[bgp.Addr]bool)
-	for _, h := range pop.Hosts() {
+	for _, h := range pop.hosts {
 		if seenAddr[h.Addr] {
 			t.Fatalf("duplicate address %s", h.Addr)
 		}
@@ -86,7 +86,7 @@ func TestGeneratePopulationInvariants(t *testing.T) {
 // popDigest hashes a population host by host and cluster by cluster.
 func popDigest(p *Population) string {
 	h := sha256.New()
-	for _, x := range p.Hosts() {
+	for _, x := range p.hosts {
 		fmt.Fprintf(h, "%+v\n", x)
 	}
 	for _, c := range p.Clusters() {
@@ -162,8 +162,8 @@ func TestClusterSizesHeavyTailed(t *testing.T) {
 func TestByAddrAndASIndexes(t *testing.T) {
 	_, _, pop := testWorld(t, 200, 1000, 55)
 	byAddr := func(a bgp.Addr) (*Host, bool) {
-		for i := range pop.Hosts() {
-			if h := &pop.Hosts()[i]; h.Addr == a {
+		for i := range pop.hosts {
+			if h := &pop.hosts[i]; h.Addr == a {
 				return h, true
 			}
 		}
@@ -178,7 +178,7 @@ func TestByAddrAndASIndexes(t *testing.T) {
 		t.Error("host lookup on an unknown address should miss")
 	}
 	seen := make(map[bgp.Addr]HostID, pop.NumHosts())
-	for _, h := range pop.Hosts() {
+	for _, h := range pop.hosts {
 		if prev, dup := seen[h.Addr]; dup {
 			t.Fatalf("hosts %d and %d share address %s", prev, h.ID, h.Addr)
 		}

@@ -49,7 +49,7 @@ func buildWorld(t testing.TB, ases, hosts int, seed int64) *world {
 
 func newSystem(t testing.TB, w *world, params Params) *System {
 	t.Helper()
-	s, err := NewSystem(w.model, w.prober, params)
+	s, err := NewSystemSeeded(w.model, w.prober, params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSelectCloseRelayBasics(t *testing.T) {
 			}
 		}
 		for _, oc := range sel.OneHop {
-			if oc.EstRTT >= s.Params().LatT {
+			if oc.EstRTT >= s.params.LatT {
 				t.Fatalf("one-hop candidate over latT: %v", oc.EstRTT)
 			}
 			if oc.Cluster == w.pop.Host(h1).Cluster || oc.Cluster == w.pop.Host(h2).Cluster {
@@ -181,7 +181,7 @@ func TestSelectCloseRelayBasics(t *testing.T) {
 			}
 		}
 		for _, tc := range sel.TwoHop {
-			if tc.EstRTT >= s.Params().LatT {
+			if tc.EstRTT >= s.params.LatT {
 				t.Fatalf("two-hop candidate over latT: %v", tc.EstRTT)
 			}
 		}
@@ -354,7 +354,7 @@ func TestSelectedRelaysAreActuallyGood(t *testing.T) {
 			continue
 		}
 		// Allow measurement noise: 1.5x of latT.
-		if p.RTT < 3*s.Params().LatT/2 {
+		if p.RTT < 3*s.params.LatT/2 {
 			within++
 		}
 	}

@@ -154,9 +154,6 @@ type MediaCall struct {
 // Flow exposes the call's voice flow (send, stats, voice handler).
 func (mc *MediaCall) Flow() *udp.Flow { return mc.flow }
 
-// Peer returns the control-plane address of the call's other endpoint.
-func (mc *MediaCall) Peer() transport.Addr { return mc.peer }
-
 // External returns our discovered external media address (re-discovered
 // on every re-establishment round).
 func (mc *MediaCall) External() transport.Addr { return mc.flow.External() }

@@ -23,7 +23,7 @@ import (
 // two-hop walks every winner's set the same way, and sort.Slice ranks
 // the lot. It is kept verbatim, reading the sorted sets back into maps, as
 // the reference TestSelectCloseRelayMatchesMapWalk holds the kernel to.
-func selectMapWalk(s *core.System, h1, h2 cluster.HostID, prober *netmodel.Prober) (*core.Selection, error) {
+func selectMapWalk(s *core.System, pop *cluster.Population, params core.Params, h1, h2 cluster.HostID, prober *netmodel.Prober) (*core.Selection, error) {
 	latOf := func(cs *core.CloseSet) map[cluster.ClusterID]time.Duration {
 		m := make(map[cluster.ClusterID]time.Duration, len(cs.Clusters))
 		for _, e := range cs.Clusters {
@@ -31,7 +31,6 @@ func selectMapWalk(s *core.System, h1, h2 cluster.HostID, prober *netmodel.Probe
 		}
 		return m
 	}
-	pop, params := s.Population(), s.Params()
 	if h1 == h2 {
 		return nil, fmt.Errorf("core: session endpoints are the same host %d", h1)
 	}
@@ -151,7 +150,7 @@ func TestSelectCloseRelayMatchesMapWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			name := fmt.Sprintf("%s/SizeT=%d", tc.profile.Name, sizeT)
-			got := matchMapWalk(t, name, w, tc.profile.Seed, s, sessions)
+			got := matchMapWalk(t, name, w, tc.profile.Seed, s, params, sessions)
 			crossed, twoHop := 0, 0
 			for i, ss := range sessions {
 				if got[i] == nil {
@@ -196,7 +195,7 @@ func TestSelectCloseRelayMatchesMapWalk(t *testing.T) {
 			}
 			name += "/dead-winners"
 			skipped := 0
-			for _, sel := range matchMapWalk(t, name, w, tc.profile.Seed, s, sessions) {
+			for _, sel := range matchMapWalk(t, name, w, tc.profile.Seed, s, params, sessions) {
 				if sel == nil || sel.OneHopHosts >= sizeT {
 					continue
 				}
@@ -216,12 +215,12 @@ func TestSelectCloseRelayMatchesMapWalk(t *testing.T) {
 // walk, each with the session's own sub-seeded prober, fails the test on
 // the first difference, and returns the selections (nil where both
 // errored).
-func matchMapWalk(t *testing.T, name string, w *eval.World, seed int64, s *core.System, sessions []eval.Session) []*core.Selection {
+func matchMapWalk(t *testing.T, name string, w *eval.World, seed int64, s *core.System, params core.Params, sessions []eval.Session) []*core.Selection {
 	t.Helper()
 	out := make([]*core.Selection, len(sessions))
 	for i, ss := range sessions {
 		prober := func() *netmodel.Prober { return w.Prober.WithRNG(sim.NewRNG(sim.SubSeed(seed, uint64(i)))) }
-		want, werr := selectMapWalk(s, ss.A, ss.B, prober())
+		want, werr := selectMapWalk(s, w.Pop, params, ss.A, ss.B, prober())
 		got, gerr := s.SelectCloseRelayWith(ss.A, ss.B, prober())
 		if (werr != nil) != (gerr != nil) {
 			t.Fatalf("%s session %d: error %v, map walk %v", name, i, gerr, werr)

@@ -114,18 +114,12 @@ type closeSetCall struct {
 	err  error
 }
 
-// NewSystem assembles an ASAP system over the world. The prober is the
-// measurement interface surrogates use while constructing close sets.
-// Close-set probe noise derives from seed 1; use NewSystemSeeded to tie it
-// to an experiment seed.
-func NewSystem(model *netmodel.Model, prober *netmodel.Prober, params Params) (*System, error) {
-	return NewSystemSeeded(model, prober, params, 1)
-}
-
-// NewSystemSeeded is NewSystem with an explicit root seed for close-set
-// probe noise. Each cluster's construction draws from a private stream
-// sub-seeded by (seed, cluster ID), so sets are identical no matter which
-// goroutine builds them or in what order.
+// NewSystemSeeded assembles an ASAP system over the world. The prober is
+// the measurement interface surrogates use while constructing close sets.
+// seed is the root seed for close-set probe noise: each cluster's
+// construction draws from a private stream sub-seeded by (seed, cluster
+// ID), so sets are identical no matter which goroutine builds them or in
+// what order.
 func NewSystemSeeded(model *netmodel.Model, prober *netmodel.Prober, params Params, seed int64) (*System, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -157,15 +151,6 @@ func NewSystemSeeded(model *netmodel.Model, prober *netmodel.Prober, params Para
 	}
 	return s, nil
 }
-
-// Params returns the system's protocol parameters.
-func (s *System) Params() Params { return s.params }
-
-// Population returns the underlying population.
-func (s *System) Population() *cluster.Population { return s.pop }
-
-// Model returns the ground-truth model the system was built over.
-func (s *System) Model() *netmodel.Model { return s.model }
 
 // Prober returns the system's measurement prober. Callers running parallel
 // selections derive per-session probers from it with WithRNG.

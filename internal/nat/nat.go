@@ -139,9 +139,6 @@ func New(typ Type, outer transport.PacketNetwork, extHost string, basePort int) 
 	}
 }
 
-// Type returns the box's behaviour.
-func (b *Box) Type() Type { return b.typ }
-
 // ListenPacket implements transport.PacketNetwork for the private side.
 // addr is the private address ("" or host:0 auto-assigns); h receives
 // datagrams that survive the box's inbound filter, with the sender's

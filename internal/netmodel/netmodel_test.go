@@ -468,8 +468,8 @@ func TestProberNonResponse(t *testing.T) {
 	if fails < 120 || fails > 280 {
 		t.Errorf("non-response count %d/400, want ~200", fails)
 	}
-	if p.Counters().Get("probe.cluster_rtt") != 800 {
-		t.Errorf("failed probes must still be charged: %d", p.Counters().Get("probe.cluster_rtt"))
+	if p.counters.Get("probe.cluster_rtt") != 800 {
+		t.Errorf("failed probes must still be charged: %d", p.counters.Get("probe.cluster_rtt"))
 	}
 }
 

@@ -83,9 +83,6 @@ func NewProber(m *Model, cfg ProberConfig, rng *sim.RNG, counters *sim.Counters)
 	return &Prober{m: m, cfg: cfg, rng: &proberRNG{rng: rng}, counters: counters}, nil
 }
 
-// Counters exposes the prober's message accounting.
-func (p *Prober) Counters() *sim.Counters { return p.counters }
-
 // WithCounters returns a prober sharing this one's model, noise model and
 // random stream but charging messages to ctr — used to attribute probe
 // cost to a session or surrogate; a nil ctr discards the charge, for a

@@ -82,9 +82,6 @@ type Engine struct {
 // NewEngine returns an Engine over m.
 func NewEngine(m *netmodel.Model) *Engine { return &Engine{m: m} }
 
-// Model returns the underlying ground truth.
-func (e *Engine) Model() *netmodel.Model { return e.m }
-
 // Direct returns the direct IP path between two hosts.
 func (e *Engine) Direct(a, b cluster.HostID) (Path, bool) {
 	st := e.m.HostStats(a, b)

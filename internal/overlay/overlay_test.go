@@ -34,7 +34,7 @@ func testEngine(t testing.TB, ases, hosts int, seed int64) (*Engine, *sim.RNG) {
 }
 
 func randHosts(e *Engine, rng *sim.RNG) (cluster.HostID, cluster.HostID) {
-	pop := e.Model().Population()
+	pop := e.m.Population()
 	for {
 		a := cluster.HostID(rng.Intn(pop.NumHosts()))
 		b := cluster.HostID(rng.Intn(pop.NumHosts()))
@@ -46,7 +46,7 @@ func randHosts(e *Engine, rng *sim.RNG) (cluster.HostID, cluster.HostID) {
 
 func TestOneHopAddsRelayDelay(t *testing.T) {
 	e, rng := testEngine(t, 300, 2000, 70)
-	m := e.Model()
+	m := e.m
 	for i := 0; i < 50; i++ {
 		a, b := randHosts(e, rng)
 		r := cluster.HostID(rng.Intn(m.Population().NumHosts()))
@@ -70,7 +70,7 @@ func TestOneHopAddsRelayDelay(t *testing.T) {
 
 func TestTwoHopAddsTwoRelayDelays(t *testing.T) {
 	e, rng := testEngine(t, 300, 2000, 71)
-	m := e.Model()
+	m := e.m
 	a, b := randHosts(e, rng)
 	r1 := cluster.HostID(rng.Intn(m.Population().NumHosts()))
 	r2 := cluster.HostID(rng.Intn(m.Population().NumHosts()))
@@ -120,7 +120,7 @@ func TestOptimalNeverWorseThanDirect(t *testing.T) {
 
 func TestOptimalOneHopMatchesBruteForce(t *testing.T) {
 	e, rng := testEngine(t, 200, 600, 73)
-	pop := e.Model().Population()
+	pop := e.m.Population()
 	a, b := randHosts(e, rng)
 	got, ok := e.OptimalOneHop(a, b)
 	if !ok {
@@ -197,7 +197,7 @@ func TestKindString(t *testing.T) {
 // of: one Relays slice per connected path and nothing else.
 func TestOneHopBatchAllocs(t *testing.T) {
 	e, rng := testEngine(t, 200, 1500, 74)
-	pop := e.Model().Population()
+	pop := e.m.Population()
 	a, b := randHosts(e, rng)
 	relays := make([]cluster.HostID, 40)
 	for i := range relays {

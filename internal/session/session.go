@@ -144,9 +144,6 @@ func (s *Session) OnPathChange(fn func(newRelay transport.Addr)) {
 // ID returns the session's manager-scoped identifier.
 func (s *Session) ID() uint64 { return s.id }
 
-// Callee returns the remote endpoint.
-func (s *Session) Callee() transport.Addr { return s.callee }
-
 // State returns the current monitor state.
 func (s *Session) State() State {
 	s.mgr.mu.Lock()
@@ -207,13 +204,6 @@ type Report struct {
 func (r Report) String() string {
 	return fmt.Sprintf("session %d -> %s: %v, %d switches, %d failovers, mean MOS %.2f, %s",
 		r.ID, r.Callee, r.Duration.Round(time.Millisecond), r.Switches, r.Failovers, r.MeanMOS, r.FinalState)
-}
-
-// Report summarizes the session so far.
-func (s *Session) Report() Report {
-	s.mgr.mu.Lock()
-	defer s.mgr.mu.Unlock()
-	return s.reportLocked(s.mgr.clk.Now())
 }
 
 func (s *Session) reportLocked(now time.Duration) Report {

@@ -46,7 +46,6 @@ type Clock struct {
 	// time several times per packet.
 	now      atomic.Int64
 	events   eventStore // pending events; nil until first use (zero value)
-	live     int        // pending events not canceled — Pending() in O(1)
 	nextID   uint64
 	executed uint64
 	current  *task // task holding the virtual CPU (nil between tasks and drives)
@@ -82,27 +81,15 @@ const (
 	maxFreeEvents = 1024
 )
 
-// NewClock returns a virtual clock at time zero, backed by the
-// hierarchical timer-wheel event store (wheel.go).
-func NewClock() *Clock {
-	c := &Clock{}
-	c.events = c.newStore()
-	return c
-}
+// NewClock returns a virtual clock at time zero.
+func NewClock() *Clock { return &Clock{} }
 
-// newStore returns the default wheel, handing every canceled event it
-// discards back to the clock.
-func (c *Clock) newStore() eventStore {
-	w := newWheelStore()
-	w.discard = c.discardLocked
-	return w
-}
-
-// storeLocked returns the event store, initializing the default wheel
-// for zero-value Clocks. Called with c.mu held.
+// storeLocked returns the event store, making the event heap on first
+// use; the heap hands every canceled event it drops back to the clock.
+// Called with c.mu held.
 func (c *Clock) storeLocked() eventStore {
 	if c.events == nil {
-		c.events = c.newStore()
+		c.events = &eventHeap{discard: c.discardLocked}
 	}
 	return c.events
 }
@@ -146,26 +133,6 @@ type event struct {
 	held bool
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].id < q[j].id
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
@@ -191,20 +158,12 @@ func (c *Clock) pushLocked(e *event, at time.Duration) {
 	c.nextID++
 	e.at, e.id = at, c.nextID
 	c.storeLocked().push(e)
-	c.live++
 }
 
 // startLocked schedules body fn to start as a task at absolute time at.
 func (c *Clock) startLocked(at time.Duration, fn func()) {
 	c.tasks++
 	c.scheduleLocked(at).fn = fn
-}
-
-// cancelLocked marks a pending event canceled; the store discards it
-// lazily. Called with c.mu held.
-func (c *Clock) cancelLocked(e *event) {
-	e.canceled = true
-	c.live--
 }
 
 // At schedules fn to run at absolute virtual time at. The callback runs
@@ -252,8 +211,8 @@ func (t *clockTimer) Stop() bool {
 	if t.e.canceled || t.e.fired {
 		return false
 	}
-	t.c.cancelLocked(&t.e)
-	t.c.tasks-- // the task will never start
+	t.e.canceled = true // the store drops it lazily
+	t.c.tasks--         // the task will never start
 	return true
 }
 
@@ -387,7 +346,6 @@ func (c *Clock) passLocked(self *task) *task {
 		r.left--
 		r.fired++
 		c.now.Store(int64(e.at))
-		c.live--
 		c.executed++
 		fn, t, w := e.fn, e.t, e.w
 		if e.held {
@@ -544,7 +502,7 @@ func (w *clockWaiter) wakeLocked() {
 		return // Wake before Wait: remembered by the woken flag
 	}
 	if w.dl != nil {
-		c.cancelLocked(w.dl)
+		w.dl.canceled = true
 		w.dl = nil
 	}
 	c.scheduleLocked(c.Now()).t = t

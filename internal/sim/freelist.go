@@ -1,9 +1,8 @@
 package sim
 
 // FreeList is a bounded LIFO stack of values kept for reuse. The clock's
-// fired events and idle workers, the timer wheel's slabs, core.System's
-// scratches, transport's in-flight datagram records and udp's encode
-// buffers each live on one.
+// fired events and idle workers, core.System's scratches, transport's
+// in-flight datagram records and udp's encode buffers each live on one.
 //
 // It is not a sync.Pool, for two reasons. A collection empties a Pool,
 // so the first Gets after every GC allocate again, and the benchmark

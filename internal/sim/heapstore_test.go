@@ -5,14 +5,32 @@ import (
 	"time"
 )
 
-// heapStore is the reference event store: one binary heap ordered by
-// (at, id). Correct at any scale, but every operation costs O(log n) in
-// the total pending-event count — the bottleneck the timer wheel removes
-// for million-node deployments. It lives in the tests because it is the
-// executable specification the wheel is differentially tested against
-// (wheel_test.go), and nothing else.
+// heapStore is the reference event store: container/heap over an
+// eventQueue ordered by (at, id). It lives in the tests because it is the
+// executable specification the clock's eventHeap is differentially tested
+// against (store_test.go), and nothing else.
 type heapStore struct {
 	q eventQueue
+}
+
+type eventQueue []*event
+
+func (q eventQueue) Len() int { return len(q) }
+func (q eventQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].id < q[j].id
+}
+func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
+func (q *eventQueue) Pop() interface{} {
+	old := *q
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*q = old[:n-1]
+	return e
 }
 
 func (h *heapStore) push(e *event) { heap.Push(&h.q, e) }

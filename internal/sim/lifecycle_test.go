@@ -90,8 +90,8 @@ func TestIdleWorkersAreBounded(t *testing.T) {
 func TestShardRunnerReleasesWorkers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	r := NewShardRunner(3, 10*time.Millisecond)
-	ran := make([]int, r.Shards()) // one counter per shard goroutine
-	for s := 0; s < r.Shards(); s++ {
+	ran := make([]int, len(r.clocks)) // one counter per shard goroutine
+	for s := 0; s < len(r.clocks); s++ {
 		s, c := s, r.Clock(s)
 		for k := 0; k < 50; k++ {
 			c.After(time.Duration(k)*7*time.Millisecond, func() {
@@ -184,14 +184,13 @@ func TestHandlesSurviveRecycling(t *testing.T) {
 	c.Run()
 }
 
-// TestWheelReleasesFiredEvents: the wheel must not keep a fired event —
-// and through it the body and whatever the body captured — reachable
-// from a drained slot. 10^5 one-shot events that each pin 1 KiB are
-// ~100 MB if retained; after the drain the heap must be back near where
-// it started. What legitimately stays is the wheel's working set, kept
-// for the next turn by design: here ~600 KiB, mostly the spare slabs the
-// 4096 level-1 slots handed back (16 pointers each), plus the event free
-// list.
+// TestWheelReleasesFiredEvents: the event heap must not keep a fired
+// event — and through it the body and whatever the body captured —
+// reachable from a vacated slot. 10^5 one-shot events that each pin
+// 1 KiB are ~100 MB if retained; after the drain the process heap must
+// be back near where it started. The drained event heap lets its
+// 10^5-entry backing array go (~3 MB), so what legitimately stays is the
+// event free list.
 func TestWheelReleasesFiredEvents(t *testing.T) {
 	heap := func() uint64 {
 		runtime.GC()
@@ -202,14 +201,14 @@ func TestWheelReleasesFiredEvents(t *testing.T) {
 	}
 	c := NewClock()
 	c.After(0, func() {})
-	c.Run() // the wheel itself is allocated on first use
+	c.Run() // the event heap itself is allocated on first use
 	before := heap()
 
 	const n = 100_000
 	fired := 0
 	for i := 0; i < n; i++ {
 		buf := make([]byte, 1024)
-		// Spread over level 0, level 1 and the overflow heap.
+		// All pending at once: the heap grows to 10^5 entries.
 		c.After(time.Duration(i)*300*time.Microsecond, func() { fired += len(buf) / 1024 })
 	}
 	c.Run()
@@ -228,7 +227,7 @@ func TestWheelReleasesFiredEvents(t *testing.T) {
 // TestClockAllocs gates the steady-state cost of the two things a
 // virtual-clock run does all day: After → fire → body finishes, and
 // Sleep → resume. Both must allocate nothing once the worker, the event
-// records and the wheel slots are warm.
+// records and the event heap's backing array are warm.
 func TestClockAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -238,8 +237,7 @@ func TestClockAllocs(t *testing.T) {
 	body := func() { ran++ }
 	var after, sleep float64
 	c.RunTask(func() {
-		// Warm the worker, the event free list and the wheel's spare
-		// slabs.
+		// Warm the worker, the event free list and the event heap.
 		for i := 0; i < 100; i++ {
 			c.After(time.Millisecond, body)
 			c.Sleep(time.Millisecond)
@@ -280,7 +278,7 @@ func TestWaiterAllocs(t *testing.T) {
 	own := c.NewWaiter()
 	twoBodies := []func(){body, body}
 	c.RunTask(func() {
-		for i := 0; i < 100; i++ { // warm the worker, the free list and the wheel
+		for i := 0; i < 100; i++ { // warm the worker, the free list and the event heap
 			cur = c.NewWaiter()
 			c.After(time.Microsecond, wake)
 			cur.Wait(time.Millisecond)

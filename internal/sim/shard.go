@@ -68,9 +68,6 @@ func NewShardRunner(n int, lookahead time.Duration) *ShardRunner {
 	return r
 }
 
-// Shards returns the shard count.
-func (r *ShardRunner) Shards() int { return len(r.clocks) }
-
 // Clock returns shard i's clock. Deployment setup schedules each node's
 // tasks directly on its owning shard's clock.
 func (r *ShardRunner) Clock(i int) *Clock { return r.clocks[i] }

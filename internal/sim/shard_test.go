@@ -148,7 +148,7 @@ func TestShardRunnerIdleSkip(t *testing.T) {
 	if n := r.Executed(); n != 2 {
 		t.Fatalf("executed = %d events, want 2 (idle windows must be skipped)", n)
 	}
-	for i := 0; i < r.Shards(); i++ {
+	for i := 0; i < len(r.clocks); i++ {
 		if now := r.Clock(i).Now(); now != 10*time.Minute {
 			t.Fatalf("shard %d at %v, want 10m", i, now)
 		}

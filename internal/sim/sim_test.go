@@ -10,11 +10,22 @@ import (
 )
 
 // Pending returns the number of scheduled events not yet run, for tests
-// that check what a drive left behind.
+// that check what a drive left behind: the event heap's entries that are
+// not canceled.
 func (c *Clock) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.live
+	h, _ := c.events.(*eventHeap)
+	if h == nil {
+		return 0
+	}
+	n := 0
+	for _, x := range h.q {
+		if !x.e.canceled {
+			n++
+		}
+	}
+	return n
 }
 
 func TestRNGDeterminism(t *testing.T) {

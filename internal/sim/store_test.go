@@ -7,12 +7,12 @@ import (
 	"time"
 )
 
-// The timer wheel is only correct if it is indistinguishable from the
-// reference heap: for any schedule, both stores (and both clocks built
-// on them) must produce byte-identical event orders. These tests push a
-// million randomized schedules through the pair — including same-tick
-// AfterFunc chains, cancellations, and RunUntil window fast-forwards —
-// and fail on the first divergence.
+// The clock's eventHeap is only correct if it is indistinguishable from
+// the reference heapStore: for any schedule, both stores (and both
+// clocks built on them) must produce byte-identical event orders. These
+// tests push a million randomized schedules through the pair —
+// including same-time AfterFunc chains, cancellations, and pushes behind
+// the last pop as after a RunUntil — and fail on the first divergence.
 
 // diffSize returns the schedule count: a full million normally, scaled
 // down under -short so tier-1 `go test ./...` stays fast.
@@ -23,21 +23,39 @@ func diffSize(full int) int {
 	return full
 }
 
-// TestStoreDifferential drives heapStore and wheelStore with one
-// identical randomized op stream — pushes across all three residency
-// classes (level 0, level 1, overflow), pops, peeks, and cancellations —
-// and requires identical pop sequences event-for-event.
+// discardLog is an eventHeap's discard hook for the store tests: it
+// fails on an event handed over twice or handed over uncanceled.
+type discardLog map[*event]bool
+
+func (l discardLog) hook(t *testing.T) func(*event) {
+	return func(e *event) {
+		if !e.canceled || l[e] {
+			t.Fatalf("discard got %v: canceled %v, already discarded %v", evString(e), e.canceled, l[e])
+		}
+		l[e] = true
+	}
+}
+
+// TestStoreDifferential drives heapStore and eventHeap with one
+// identical randomized op stream — pushes from exact ties to minutes
+// out, pops, peeks, and cancellations — and requires identical pop
+// sequences event-for-event. The slot a pop vacates must be cleared,
+// every canceled event must reach the heap's discard hook exactly once
+// by the end, and the drained heap must have let its burst-sized backing
+// array go.
 func TestStoreDifferential(t *testing.T) {
 	const seed = 8
 	pushes := diffSize(1_000_000)
 	rng := rand.New(rand.NewSource(seed))
 
 	ref := &heapStore{}
-	wheel := newWheelStore()
+	discarded := discardLog{}
+	h := &eventHeap{discard: discarded.hook(t)}
 	// Both stores hold pointers to the same event objects: neither store
 	// writes to an event, so sharing keeps cancellation atomic across the
 	// pair and lets pops be compared by identity.
 	var pending []*event
+	canceled := 0
 
 	var id uint64
 	var now time.Duration // time of the last popped event
@@ -45,29 +63,32 @@ func TestStoreDifferential(t *testing.T) {
 		id++
 		e := &event{at: at, id: id}
 		ref.push(e)
-		wheel.push(e)
+		h.push(e)
 		pending = append(pending, e)
 	}
 	popBoth := func() bool {
-		a, b := ref.pop(), wheel.pop()
+		a, b := ref.pop(), h.pop()
 		if a != b {
-			t.Fatalf("pop diverged after %d ids: heap=%v wheel=%v", id, evString(a), evString(b))
+			t.Fatalf("pop diverged after %d ids: reference=%v heap=%v", id, evString(a), evString(b))
 		}
 		if a == nil {
 			return false
 		}
+		a.fired = true // neither store reads it; a later cancel is a no-op
+		if n := len(h.q); n < cap(h.q) && h.q[:n+1][n].e != nil {
+			t.Fatalf("the slot the heap vacated still holds %v", evString(h.q[:n+1][n].e))
+		}
 		// The op stream may push duplicates of already-popped times, so
-		// pops are not globally monotone; the heap is the order oracle.
-		// Track the frontier for the push-time distribution only.
+		// pops are not globally monotone; the reference is the order
+		// oracle. Track the frontier for the push-time distribution only.
 		if a.at > now {
 			now = a.at
 		}
 		return true
 	}
 
-	// Spread pushes across the wheel's residency classes relative to the
-	// current pop frontier: same-tick ties, level-0 (<4 ms), level-1
-	// (<17 s), and far overflow (minutes out).
+	// Spread pushes relative to the current pop frontier: exact ties,
+	// the next few milliseconds, the next seconds, and minutes out.
 	randomAt := func() time.Duration {
 		switch rng.Intn(10) {
 		case 0, 1, 2:
@@ -97,19 +118,28 @@ func TestStoreDifferential(t *testing.T) {
 		case op < 9: // cancel a random pending event
 			if len(pending) > 0 {
 				i := rng.Intn(len(pending))
+				if !pending[i].fired {
+					canceled++
+				}
 				pending[i].canceled = true
 				pending[i] = pending[len(pending)-1]
 				pending = pending[:len(pending)-1]
 			}
 		default: // peek
 			at1, ok1 := ref.next()
-			at2, ok2 := wheel.next()
+			at2, ok2 := h.next()
 			if at1 != at2 || ok1 != ok2 {
-				t.Fatalf("next diverged: heap=(%v,%v) wheel=(%v,%v)", at1, ok1, at2, ok2)
+				t.Fatalf("next diverged: reference=(%v,%v) heap=(%v,%v)", at1, ok1, at2, ok2)
 			}
 		}
 	}
 	for popBoth() {
+	}
+	if len(discarded) != canceled {
+		t.Fatalf("discard got %d of %d canceled events", len(discarded), canceled)
+	}
+	if h.q != nil {
+		t.Fatalf("drained heap keeps a backing array of %d entries", cap(h.q))
 	}
 }
 
@@ -120,43 +150,40 @@ func evString(e *event) string {
 	return fmt.Sprintf("(at=%v id=%d)", e.at, e.id)
 }
 
-// TestStoreDifferentialBehindWindow reproduces the RunUntil
-// fast-forward hazard directly: drain the stores far into the future so
-// the wheel's windows advance, then push events that land behind the
-// current level-1 window. The wheel must still pop them in global
-// (time, id) order via the overflow-heap comparison.
+// TestStoreDifferentialBehindWindow pushes events behind the last pop,
+// as happens after a RunUntil has advanced the clock past a drained
+// stretch and a later schedule lands earlier than the far event that
+// was popped. They must still pop in global (time, id) order, interleaved
+// correctly with a later event.
 func TestStoreDifferentialBehindWindow(t *testing.T) {
 	ref := &heapStore{}
-	wheel := newWheelStore()
+	h := &eventHeap{discard: discardLog{}.hook(t)}
 	var id uint64
 	push := func(at time.Duration) *event {
 		id++
 		e := &event{at: at, id: id}
 		ref.push(e)
-		wheel.push(e)
+		h.push(e)
 		return e
 	}
 	popBoth := func() *event {
-		a, b := ref.pop(), wheel.pop()
+		a, b := ref.pop(), h.pop()
 		if a != b {
-			t.Fatalf("pop diverged: heap=%v wheel=%v", evString(a), evString(b))
+			t.Fatalf("pop diverged: reference=%v heap=%v", evString(a), evString(b))
 		}
 		return a
 	}
 
-	// A far event forces the wheel to re-seed its windows at ~1 hour
-	// when popped.
 	push(time.Hour)
 	if e := popBoth(); e == nil || e.at != time.Hour {
 		t.Fatalf("expected the far event, got %v", evString(e))
 	}
-	// These land whole windows behind the wheel's current anchor: they
-	// must come back earliest-first anyway, interleaved correctly with
-	// an in-window event.
+	// These land behind the last pop: they must come back earliest-first
+	// anyway, interleaved correctly with a later event.
 	early := push(time.Minute)
 	mid := push(30 * time.Minute)
-	inWin := push(time.Hour + time.Millisecond)
-	for _, want := range []*event{early, mid, inWin} {
+	later := push(time.Hour + time.Millisecond)
+	for _, want := range []*event{early, mid, later} {
 		if got := popBoth(); got != want {
 			t.Fatalf("order diverged: got %v want %v", evString(got), evString(want))
 		}
@@ -168,9 +195,9 @@ func TestStoreDifferentialBehindWindow(t *testing.T) {
 
 // clockScript drives one Clock through a seeded workload exercising
 // every scheduler entry point — AfterFunc chains that re-arm at the
-// same tick, Timer.Stop cancellations, Sleep/Waiter parking, and
-// RunUntil fast-forwards that strand the wheel's windows ahead of later
-// pushes — and returns the execution trace. Two clocks given the same
+// same time, Timer.Stop cancellations, Sleep/Waiter parking, and
+// RunUntil hops followed by pushes behind the events already run — and
+// returns the execution trace. Two clocks given the same
 // seed must return byte-identical traces.
 func clockScript(c *Clock, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
@@ -186,8 +213,8 @@ func clockScript(c *Clock, seed int64) []string {
 		if step >= 5 {
 			return
 		}
-		// One in three re-arms at delay zero: a same-tick AfterFunc
-		// chain, the classic wheel-bucket ordering hazard.
+		// One in three re-arms at delay zero: a same-time AfterFunc
+		// chain, ordered by schedule id alone.
 		var d time.Duration
 		switch rng.Intn(3) {
 		case 0:
@@ -234,8 +261,7 @@ func clockScript(c *Clock, seed int64) []string {
 	}
 
 	// Drain in RunUntil hops with growing gaps, pushing fresh events
-	// after each hop — some land behind wherever the wheel's windows
-	// ended up.
+	// after each hop — some land behind events the hop already ran.
 	var deadline time.Duration
 	for hop := 0; deadline < 2*time.Minute; hop++ {
 		deadline += time.Duration(rng.Int63n(int64(20 * time.Second)))
@@ -248,20 +274,20 @@ func clockScript(c *Clock, seed int64) []string {
 	return trace
 }
 
-// TestClockDifferential runs the full scheduler workload on the wheel
-// clock and the reference heap clock and requires byte-identical
+// TestClockDifferential runs the full scheduler workload on NewClock's
+// event heap and on the reference clock and requires byte-identical
 // execution traces — the end-to-end version of the store test, through
 // every Clock entry point.
 func TestClockDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		wheel := clockScript(NewClock(), seed)
+		got := clockScript(NewClock(), seed)
 		ref := clockScript(NewReferenceClock(), seed)
-		if len(wheel) != len(ref) {
-			t.Fatalf("seed %d: trace lengths diverged: wheel=%d ref=%d", seed, len(wheel), len(ref))
+		if len(got) != len(ref) {
+			t.Fatalf("seed %d: trace lengths diverged: heap=%d ref=%d", seed, len(got), len(ref))
 		}
-		for i := range wheel {
-			if wheel[i] != ref[i] {
-				t.Fatalf("seed %d: traces diverged at %d:\n  wheel: %s\n  ref:   %s", seed, i, wheel[i], ref[i])
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("seed %d: traces diverged at %d:\n  heap: %s\n  ref:  %s", seed, i, got[i], ref[i])
 			}
 		}
 	}
@@ -275,8 +301,8 @@ func BenchmarkStorePushPop(b *testing.B) {
 		name string
 		mk   func() eventStore
 	}{
-		{"wheel", func() eventStore { return newWheelStore() }},
-		{"heap", func() eventStore { return &heapStore{} }},
+		{"heap", func() eventStore { return &eventHeap{} }},
+		{"reference", func() eventStore { return &heapStore{} }},
 	} {
 		b.Run(impl.name, func(b *testing.B) {
 			const n = 100_000

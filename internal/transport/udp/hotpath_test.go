@@ -273,8 +273,8 @@ func TestVoicePacketAllocs(t *testing.T) {
 			}
 			w.clk.Sleep(20 * time.Millisecond) // the delivery runs while the sender is parked
 		}
-		// Warm the worker, the event free list, the wheel's spare slabs
-		// and the buffer pools.
+		// Warm the worker, the event free list, the event heap and the
+		// buffer pools.
 		for i := 0; i < 100; i++ {
 			one()
 		}
