@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate digests bench-scale scale-gate race-dataplane test-experiments goldens examples profile chaos check print-staticcheck-version print-govulncheck-version
+.PHONY: build loc test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate digests bench-scale scale-gate race-dataplane test-experiments goldens examples profile profile-scale chaos check print-staticcheck-version print-govulncheck-version
 
 build:
 	$(GO) build ./...
@@ -269,6 +269,13 @@ examples:
 # heap profiling enabled; inspect with `go tool pprof cpu.prof`.
 profile:
 	$(GO) run ./cmd/asapsim -profile small -figs 11,13,15,18 -cpuprofile cpu.prof -memprofile mem.prof
+
+# profile-scale profiles the deployment ladder's 10^4 rung (joins, close
+# sets, lease churn and calls on the sharded virtual clock) the same way;
+# inspect with `go tool pprof scale_cpu.prof`. It writes BENCH_scale.json
+# too, like bench-scale.
+profile-scale:
+	$(GO) run ./cmd/asapsim -scale -nodes 10000 -parallel 4 -cpuprofile scale_cpu.prof -memprofile scale_mem.prof
 
 # chaos runs the seeded fault-injection soak under the race detector:
 # drop probability, a bootstrap outage, a surrogate kill and a relay

@@ -86,10 +86,9 @@ func run(args []string) error {
 		if *parallel < 1 || *parallel > 256 {
 			return fmt.Errorf("-parallel %d is not a usable shard count; pick 1..256 (outcomes are byte-identical for any value, so match your core count)", *parallel)
 		}
-		return runScaleLadder(*nodesFlag, *parallel, *benchOut)
 	}
 	for _, name := range []string{"nodes", "benchout"} {
-		if set[name] {
+		if set[name] && !*scaleMode {
 			return fmt.Errorf("-%s only applies to the deployment ladder; add -scale to run it", name)
 		}
 	}
@@ -97,6 +96,7 @@ func run(args []string) error {
 		return fmt.Errorf("-parallel %d: need at least one measurement worker", *parallel)
 	}
 
+	// Both modes honour the profile flags.
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -121,6 +121,9 @@ func run(args []string) error {
 				fmt.Fprintln(os.Stderr, "asapsim: memprofile:", err)
 			}
 		}()
+	}
+	if *scaleMode {
+		return runScaleLadder(*nodesFlag, *parallel, *benchOut)
 	}
 
 	profile, err := eval.ProfileByName(*profileName)

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"asap/internal/sim"
 	"asap/internal/transport"
 )
 
@@ -257,6 +260,104 @@ func TestRefreshCloseSetOnlyOnSurrogate(t *testing.T) {
 	}
 }
 
+// pingTap wraps a node's transport and counts the pings that pass
+// between the node and peer: those it sends there, and those its own
+// handler is handed from there.
+type pingTap struct {
+	transport.Transport
+	peer         transport.Addr
+	sent, served atomic.Int64
+}
+
+func (p *pingTap) Call(to transport.Addr, req *transport.Message) (*transport.Message, error) {
+	if to == p.peer && req.Type == transport.MsgPing {
+		p.sent.Add(1)
+	}
+	return p.Transport.Call(to, req)
+}
+
+func (p *pingTap) Serve(addr transport.Addr, h transport.Handler) (transport.Addr, error) {
+	return p.Transport.Serve(addr, func(from transport.Addr, req *transport.Message) (*transport.Message, error) {
+		if from == p.peer && req.Type == transport.MsgPing {
+			p.served.Add(1)
+		}
+		return h(from, req)
+	})
+}
+
+// TestCloseSetPingBudget: a close-set ping carries a budget of twice
+// LatT, and a candidate surrogate whose one-way latency is that budget
+// never sees the ping. RefreshCloseSet returns exactly when the budget
+// runs out, leaves that candidate out, and leaves no task behind: once
+// RunTask returns, the goroutine count is back to where it started.
+func TestCloseSetPingBudget(t *testing.T) {
+	const bsOneWay, fastOneWay = 5 * time.Millisecond, 20 * time.Millisecond
+	params := testParams()
+	budget := 2 * params.LatT
+	clk := sim.NewClock()
+	mem := transport.NewMem()
+	mem.Sched = clk
+	mem.Latency = func(from, to transport.Addr) time.Duration {
+		switch {
+		case from == "bs" || to == "bs":
+			return bsOneWay
+		case from+to == "h1h3" || from+to == "h3h1":
+			return budget
+		}
+		return fastOneWay
+	}
+	defer func() { _ = mem.Close() }()
+	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1Tap := &pingTap{Transport: mem, peer: "h3"}
+	h3Tap := &pingTap{Transport: mem, peer: "h1"}
+	base := runtime.NumGoroutine()
+	clk.RunTask(func() {
+		mk := func(tr transport.Transport, addr transport.Addr, ip string) *Node {
+			n, err := NewNode(tr, addr, NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: params, Sched: clk, Seed: 1})
+			if err != nil {
+				t.Fatalf("node %s: %v", addr, err)
+			}
+			return n
+		}
+		mk(h3Tap, "h3", "10.30.0.1")
+		mk(mem, "h2", "10.10.0.1")
+		h1 := mk(h1Tap, "h1", "10.100.0.1")
+		h1Tap.sent.Store(0)
+		start := clk.Now()
+		if err := h1.RefreshCloseSet(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := clk.Now()-start, 2*bsOneWay+budget; got != want {
+			t.Errorf("RefreshCloseSet took %v of virtual time, want %v (the bootstrap round trip, then the ping budget)", got, want)
+		}
+		if h1Tap.sent.Load() != 1 {
+			t.Fatalf("h1 pinged h3 %d times in its refresh, want once: the slow candidate was never tried", h1Tap.sent.Load())
+		}
+		set, _ := h1.CloseSet()
+		var keys []string
+		for _, e := range set {
+			keys = append(keys, e.ClusterKey)
+		}
+		if !slices.Equal(keys, []string{"10.10.0.0/16"}) {
+			t.Errorf("h1's close set holds %v, want h2's cluster alone", keys)
+		}
+	})
+	if n := h3Tap.served.Load(); n != 0 {
+		t.Errorf("h3's handler ran %d pings from h1, want 0: a ping past its budget is dropped in transit", n)
+	}
+	n := runtime.NumGoroutine()
+	for i := 0; i < 2000 && n > base; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Errorf("goroutines: %d before RunTask, %d after: a ping task outlived its budget", base, n)
+	}
+}
+
 func TestActorDirectCallWhenFast(t *testing.T) {
 	mem := transport.NewMem()
 	defer func() { _ = mem.Close() }()
@@ -322,7 +423,7 @@ func TestActorOverTCP(t *testing.T) {
 		t.Errorf("callee received %d bytes", nodes[1].ReceivedBytes())
 	}
 	// Ping RTT over loopback must be tiny but positive.
-	rtt, err := nodes[0].Ping(nodes[2].Addr())
+	rtt, err := nodes[0].ping(nodes[2].Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ type RelayChoice struct {
 func (n *Node) SetupCall(callee transport.Addr) (*RelayChoice, error) {
 	var direct time.Duration
 	err := n.retry.Do(n.ctx, n.sched, n.jitter, func() error {
-		d, err := n.ping(callee, 0)
+		d, err := n.ping(callee, 0, 0)
 		if err != nil {
 			return err
 		}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"asap/internal/transport"
@@ -15,23 +13,21 @@ import (
 // Fig. 9, by live pinging) and answers members' close-set fetches; members
 // fall back to re-election when their surrogate stops answering.
 
-// Ping measures the RTT to another node over the transport. Timestamps
-// come from the node's scheduler, so the measurement is virtual-time
-// exact in simulation.
-func (n *Node) Ping(to transport.Addr) (time.Duration, error) { return n.ping(to, 0) }
-
-// ping is the one MsgPing/MsgPong exchange: Ping measures with it, and
-// Keepalive names a relay flow in it (flowID nonzero). It returns the
-// round trip on the node's scheduler.
+// ping is the one MsgPing/MsgPong exchange: it measures the round trip
+// on the node's scheduler (virtual-time exact in simulation), Keepalive
+// names a relay flow in it (flowID nonzero), and the close-set build
+// bounds it by a budget (nonzero: the transport gives up at send +
+// budget with an error wrapping context.DeadlineExceeded).
 //
 //lint:errclass transport.Call errors pass through unwrapped (IsTransient sees them); the only local error is a fresh fmt.Errorf for a mis-typed reply, terminal by construction
-func (n *Node) ping(to transport.Addr, flowID uint64) (time.Duration, error) {
+func (n *Node) ping(to transport.Addr, flowID uint64, budget time.Duration) (time.Duration, error) {
 	start := n.sched.Now()
 	req := transport.AcquireMessage()
 	req.Type = transport.MsgPing
 	req.From = n.addr
 	req.FlowID = flowID
 	req.SentAt = start
+	req.Timeout = budget
 	resp, err := n.tr.Call(to, req)
 	transport.ReleaseMessage(req)
 	if err != nil {
@@ -45,36 +41,6 @@ func (n *Node) ping(to transport.Addr, flowID uint64) (time.Duration, error) {
 	return n.sched.Now() - start, nil
 }
 
-// pingWithTimeout bounds a close-set probe ping so one stalled surrogate
-// cannot stall the whole rebuild. The ping runs as its own scheduler
-// task; the caller waits for first-of(result, deadline) on a Waiter —
-// under the virtual clock the winner is decided by event order, not by a
-// racing wall timer.
-func (n *Node) pingWithTimeout(to transport.Addr) (time.Duration, error) {
-	var (
-		mu  sync.Mutex
-		rtt time.Duration
-		err error
-	)
-	w := n.sched.NewWaiter()
-	n.sched.Go(func() {
-		r, e := n.Ping(to)
-		mu.Lock()
-		rtt, err = r, e
-		mu.Unlock()
-		w.Wake()
-	})
-	// A surrogate slower than twice LatT is no close-set candidate anyway.
-	if !w.Wait(2 * n.cfg.Params.LatT) {
-		// The stalled ping task is abandoned; it resolves into a dead
-		// Waiter whenever the transport finally answers.
-		return 0, fmt.Errorf("core: ping %s: %w", to, context.DeadlineExceeded)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	return rtt, err
-}
-
 // closeSetPingWorkers bounds the close-set probe worker pool.
 const closeSetPingWorkers = 8
 
@@ -82,8 +48,10 @@ const closeSetPingWorkers = 8
 // for surrogates within K valley-free AS hops and pinging each
 // (construct-close-cluster-set with the latency threshold; loss
 // thresholding needs multi-packet trains and is left to the algorithmic
-// layer). Pings run through a bounded worker pool with a per-ping
-// timeout, so one slow surrogate delays — not serializes — the rebuild.
+// layer). Pings run through a bounded worker pool, each carrying a
+// budget of twice LatT — a surrogate slower than that is no close-set
+// candidate anyway — so one slow surrogate delays, not serializes, the
+// rebuild, and a ping past its budget leaves nothing running.
 // Only the lease holder builds one: a plain member's close set is its
 // surrogate's, which CloseSet fetches, so on a member it returns nil
 // without sending anything.
@@ -112,7 +80,7 @@ func (n *Node) RefreshCloseSet() error {
 	probes := make([]func(), len(cands))
 	for i := range cands {
 		probes[i] = func() {
-			rtt, err := n.pingWithTimeout(cands[i].SurrogateAddr)
+			rtt, err := n.ping(cands[i].SurrogateAddr, 0, 2*n.cfg.Params.LatT)
 			if err != nil || rtt >= n.cfg.Params.LatT {
 				rtt = -1
 			}

@@ -513,7 +513,7 @@ func (n *Node) handle(from transport.Addr, req *transport.Message) (*transport.M
 			}
 		}
 		// The hot-path acks (pong, voice) come from the envelope pool;
-		// the caller-side helpers (Ping, Keepalive, SendVoice) release
+		// the caller-side helpers (ping, Keepalive, SendVoice) release
 		// them.
 		resp := transport.AcquireMessage()
 		resp.Type = transport.MsgPong

@@ -253,7 +253,7 @@ func (n *Node) pingLegs(dsts []transport.Addr, rtts []time.Duration) {
 
 // legRTT pings one far leg of a probe batch: its round trip, or -1.
 func (n *Node) legRTT(dst transport.Addr) time.Duration {
-	rtt, err := n.Ping(dst)
+	rtt, err := n.ping(dst, 0, 0)
 	if err != nil {
 		return -1
 	}
@@ -315,7 +315,7 @@ func (n *Node) runProbeGroup(g *probeGroup, reqs []session.PathRequest, out []se
 // direct path) is alive and, when flowID is nonzero, still holds the
 // relay flow: one ping that names the flow. Implements session.Driver.
 func (n *Node) Keepalive(target transport.Addr, flowID uint64) error {
-	_, err := n.ping(target, flowID)
+	_, err := n.ping(target, flowID, 0)
 	return err
 }
 

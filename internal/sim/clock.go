@@ -52,8 +52,11 @@ type Clock struct {
 	tasks    int   // live tasks: started (or queued to start) and not finished
 
 	free    FreeList[*event] // fired recyclable events, at most maxFreeEvents
-	idle    FreeList[*task]  // workers parked between bodies, at most maxIdleWorkers
+	idle    FreeList[*task]  // workers parked between bodies, at most max(maxIdleWorkers, widest)
 	driving int              // nesting depth of drive calls; idle workers exit at 0
+	// widest is the most bodies one Join of this drive started at once;
+	// that many workers may park, stacks grown, for the next Join.
+	widest int
 
 	rule driveRule     // stopping rule of the drive in progress
 	done chan struct{} // the drive is over; sent by the task that ended it
@@ -71,10 +74,11 @@ type driveRule struct {
 }
 
 const (
-	// maxIdleWorkers bounds the workers kept parked between bodies. A
-	// join burst can have tens of thousands of tasks asleep at once; when
-	// they finish, all but this many exit instead of pinning their stacks
-	// for the rest of the drive.
+	// maxIdleWorkers bounds the workers kept parked between bodies,
+	// unless a Join of the drive was wider (widest). A burst of Go calls
+	// can have tens of thousands of tasks asleep at once; when they
+	// finish, all but this many exit instead of pinning their stacks for
+	// the rest of the drive.
 	maxIdleWorkers = 64
 	// maxFreeEvents bounds the event free list the same way: a drained
 	// burst of pending events is garbage, not a permanent reserve.
@@ -261,7 +265,7 @@ func (c *Clock) run(t *task) (again bool) {
 		}
 		c.current = nil
 		c.tasks--
-		parked := returned && c.idle.Put(t, maxIdleWorkers)
+		parked := returned && c.idle.Put(t, max(maxIdleWorkers, c.widest))
 		if c.passLocked(t) != t && parked {
 			<-t.wake
 		}
@@ -289,6 +293,7 @@ func (c *Clock) endDrive() {
 	if c.driving > 0 {
 		return
 	}
+	c.widest = 0
 	// Closing a channel never blocks, so the list drains in place and
 	// keeps its backing array for the next drive.
 	for t, ok := c.idle.Get(); ok; t, ok = c.idle.Get() {
@@ -434,7 +439,8 @@ func (c *Clock) SleepCtx(ctx context.Context, d time.Duration) error {
 // argument order — virtual tasks never overlap) and Join returns when
 // the last one finishes. limit is ignored under the virtual clock. The
 // tasks' events carry the caller's waiter, which counts them down, so
-// it is the one allocation.
+// it is the one allocation. Its workers park for the drive's next Join
+// (Clock.widest).
 func (c *Clock) Join(_ int, fns ...func()) {
 	switch len(fns) {
 	case 0:
@@ -445,6 +451,7 @@ func (c *Clock) Join(_ int, fns ...func()) {
 	}
 	w := &clockWaiter{c: c, joining: len(fns)}
 	c.mu.Lock()
+	c.widest = max(c.widest, len(fns))
 	for _, fn := range fns {
 		c.tasks++
 		e := c.scheduleLocked(c.Now())

@@ -85,6 +85,53 @@ func TestIdleWorkersAreBounded(t *testing.T) {
 	}
 }
 
+// TestClockJoinReusesWorkers: a Join's bodies all start at once, so a
+// Join wider than maxIdleWorkers parks every one of its workers when they
+// finish, and the next Join of the drive runs on them without starting
+// a goroutine. endDrive still lets them all go.
+func TestClockJoinReusesWorkers(t *testing.T) {
+	const width = 500
+	base := runtime.NumGoroutine()
+	c := NewClock()
+	join := func() map[*task]bool {
+		ran := make(map[*task]bool, width)
+		bodies := make([]func(), width)
+		for i := range bodies {
+			bodies[i] = func() {
+				c.mu.Lock()
+				ran[c.current] = true
+				c.mu.Unlock()
+				c.Sleep(time.Duration(i+1) * time.Microsecond)
+			}
+		}
+		c.Join(0, bodies...)
+		return ran
+	}
+	var first, second map[*task]bool
+	var idle int
+	c.RunTask(func() {
+		first = join()
+		c.mu.Lock()
+		idle = c.idle.Len()
+		c.mu.Unlock()
+		second = join()
+	})
+	if len(first) != width || len(second) != width {
+		t.Fatalf("the Joins ran on %d and %d workers, want %d each", len(first), len(second), width)
+	}
+	if idle != width {
+		t.Fatalf("idle list holds %d workers after a %d-body Join, want all of them", idle, width)
+	}
+	for w := range second {
+		if !first[w] {
+			t.Fatal("the second Join started a fresh worker; every body should reuse one the first Join parked")
+		}
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Fatalf("goroutines: %d before, %d after RunTask returned", base, n)
+	}
+}
+
 // TestShardRunnerReleasesWorkers: the sharded runner drives its clocks
 // window by window; workers must survive the windows and exit with Run.
 func TestShardRunnerReleasesWorkers(t *testing.T) {

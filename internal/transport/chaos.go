@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -143,7 +144,8 @@ func (c *Chaos) decide(to Addr, packet bool) (fault string, p float64, extra tim
 
 // Call implements Transport: it consults the fault tables and either
 // fails with ErrUnreachable, delays, or passes through to the inner
-// transport.
+// transport. The added delay is spent from the request's Timeout: the
+// call fails at the deadline if nothing is left for the inner one.
 func (c *Chaos) Call(to Addr, req *Message) (*Message, error) {
 	fault, p, extra := c.decide(to, false)
 	switch fault {
@@ -153,8 +155,16 @@ func (c *Chaos) Call(to Addr, req *Message) (*Message, error) {
 	default:
 		return nil, fmt.Errorf("%w: %s (chaos: %s)", ErrUnreachable, to, fault)
 	}
-	if extra > 0 {
+	if budget := req.Timeout; extra > 0 {
+		if budget > 0 && extra >= budget {
+			sim.OrWall(c.Sched).Sleep(budget)
+			return nil, fmt.Errorf("transport: %s: chaos latency %v exceeds the %v budget: %w", to, extra, budget, context.DeadlineExceeded)
+		}
 		sim.OrWall(c.Sched).Sleep(extra)
+		if budget > 0 {
+			req.Timeout -= extra
+			defer func() { req.Timeout = budget }()
+		}
 	}
 	return c.inner.Call(to, req)
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -159,6 +160,41 @@ func TestChaosAddedLatency(t *testing.T) {
 	}
 	if got := time.Since(start); got < 30*time.Millisecond {
 		t.Fatalf("latency fault not applied: call took %v", got)
+	}
+}
+
+// TestChaosLatencyChargesBudget: injected latency is spent from the
+// request's Timeout. A delay that uses the whole budget fails the call
+// at the deadline; a shorter one leaves the inner transport only the
+// rest, so a reply that fits the full budget but not the rest is late.
+// The caller's request keeps its budget either way.
+func TestChaosLatencyChargesBudget(t *testing.T) {
+	clk := sim.NewClock()
+	mem := echoMem(t, "a")
+	mem.Sched = clk
+	mem.Latency = func(from, to Addr) time.Duration { return 3 * time.Millisecond }
+	c := NewChaos(mem, 1)
+	c.Sched = clk
+	for _, tc := range []struct {
+		extra, budget, doneAt time.Duration
+		expired               bool
+	}{
+		{extra: 4 * time.Millisecond, budget: 4 * time.Millisecond, doneAt: 4 * time.Millisecond, expired: true},
+		{extra: 2 * time.Millisecond, budget: 7 * time.Millisecond, doneAt: 7 * time.Millisecond, expired: true},
+		{extra: 2 * time.Millisecond, budget: 9 * time.Millisecond, doneAt: 8 * time.Millisecond, expired: false},
+	} {
+		c.LatencyTo("a", tc.extra)
+		clk.RunTask(func() {
+			start := clk.Now()
+			req := &Message{Type: MsgPing, From: "x", Timeout: tc.budget}
+			_, err := c.Call("a", req)
+			if got := clk.Now() - start; got != tc.doneAt || errors.Is(err, context.DeadlineExceeded) != tc.expired {
+				t.Errorf("latency %v, budget %v: returned after %v with err %v, want %v (deadline %v)", tc.extra, tc.budget, got, err, tc.doneAt, tc.expired)
+			}
+			if req.Timeout != tc.budget {
+				t.Errorf("the request's budget reads %v after the call, want %v", req.Timeout, tc.budget)
+			}
+		})
 	}
 }
 

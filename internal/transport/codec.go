@@ -11,7 +11,7 @@ import (
 
 // Binary wire codec for Message (DESIGN.md §15). The format is a
 // versioned tagged union, tuned for the envelope's access pattern: most
-// messages set three or four of the 23 fields, so zero fields cost
+// messages set three or four of the 24 fields, so zero fields cost
 // nothing on the wire and the encoder touches only what is set.
 //
 // Layout:
@@ -36,9 +36,9 @@ import (
 // version moves whenever the MsgType or field numbering does (2:
 // renumbered compactly; 3: the quality report and its three fields
 // left; 4: call setup folded into the close-set request and the
-// keepalive into the ping), so an old frame is rejected at byte 0, not
-// misdispatched.
-const CodecVersion = 4
+// keepalive into the ping; 5: the caller's budget, Timeout), so an old
+// frame is rejected at byte 0, not misdispatched.
+const CodecVersion = 5
 
 // Field ids. Append only within a version — reusing an id changes the
 // meaning of old frames. The order is also the canonical encode order.
@@ -66,6 +66,7 @@ const (
 	fldMediaEpoch
 	fldProbeDsts
 	fldProbeRTTs
+	fldTimeout
 	fldLimit // one past the last valid id
 )
 
@@ -84,10 +85,7 @@ func AppendMessage(dst []byte, m *Message) []byte {
 	dst = appendStringField(dst, fldVia, string(m.Via))
 	dst = appendStringField(dst, fldError, m.Error)
 	dst = appendStringField(dst, fldIP, m.IP)
-	if m.ASN != 0 {
-		dst = append(dst, fldASN)
-		dst = binary.AppendUvarint(dst, uint64(m.ASN))
-	}
+	dst = appendUvarintField(dst, fldASN, uint64(m.ASN))
 	dst = appendStringField(dst, fldClusterKey, m.ClusterKey)
 	dst = appendStringField(dst, fldSurrogateAddr, string(m.SurrogateAddr))
 	if len(m.ASNs) > 0 {
@@ -113,41 +111,23 @@ func AppendMessage(dst []byte, m *Message) []byte {
 		dst = binary.AppendVarint(dst, int64(m.Nodal.OnlineFor))
 		dst = appendFloat(dst, m.Nodal.CPUScore)
 	}
-	if m.SentAt != 0 {
-		dst = append(dst, fldSentAt)
-		dst = binary.AppendVarint(dst, int64(m.SentAt))
-	}
+	dst = appendDurationField(dst, fldSentAt, m.SentAt)
 	dst = appendStringField(dst, fldDst, string(m.Dst))
-	if m.FlowID != 0 {
-		dst = append(dst, fldFlowID)
-		dst = binary.AppendUvarint(dst, m.FlowID)
-	}
-	if m.Seq != 0 {
-		dst = append(dst, fldSeq)
-		dst = binary.AppendUvarint(dst, uint64(m.Seq))
-	}
+	dst = appendUvarintField(dst, fldFlowID, m.FlowID)
+	dst = appendUvarintField(dst, fldSeq, uint64(m.Seq))
 	if len(m.Frames) > 0 {
 		dst = append(dst, fldFrames)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Frames)))
 		dst = append(dst, m.Frames...)
 	}
-	if m.LeaseTTL != 0 {
-		dst = append(dst, fldLeaseTTL)
-		dst = binary.AppendVarint(dst, int64(m.LeaseTTL))
-	}
+	dst = appendDurationField(dst, fldLeaseTTL, m.LeaseTTL)
 	if m.Degraded {
 		dst = append(dst, fldDegraded)
 	}
 	dst = appendStringField(dst, fldMediaAddr, string(m.MediaAddr))
-	if m.MediaToken != 0 {
-		dst = append(dst, fldMediaToken)
-		dst = binary.AppendUvarint(dst, uint64(m.MediaToken))
-	}
+	dst = appendUvarintField(dst, fldMediaToken, uint64(m.MediaToken))
 	dst = appendStringField(dst, fldMediaRelay, string(m.MediaRelay))
-	if m.MediaEpoch != 0 {
-		dst = append(dst, fldMediaEpoch)
-		dst = binary.AppendUvarint(dst, uint64(m.MediaEpoch))
-	}
+	dst = appendUvarintField(dst, fldMediaEpoch, uint64(m.MediaEpoch))
 	if len(m.ProbeDsts) > 0 {
 		dst = append(dst, fldProbeDsts)
 		dst = binary.AppendUvarint(dst, uint64(len(m.ProbeDsts)))
@@ -162,6 +142,7 @@ func AppendMessage(dst []byte, m *Message) []byte {
 			dst = binary.AppendVarint(dst, int64(d))
 		}
 	}
+	dst = appendDurationField(dst, fldTimeout, m.Timeout)
 	return dst
 }
 
@@ -201,40 +182,22 @@ func DecodeMessage(data []byte, m *Message) error {
 		seen[id] = true
 		switch id {
 		case fldFrom:
-			var b []byte
-			if b, d, err = readBytes(d); err == nil {
-				m.From = Addr(internString(b))
-			}
+			m.From, d, err = readAddr(d)
 		case fldVia:
-			var b []byte
-			if b, d, err = readBytes(d); err == nil {
-				m.Via = Addr(internString(b))
-			}
+			m.Via, d, err = readAddr(d)
 		case fldError:
 			var b []byte
 			if b, d, err = readBytes(d); err == nil {
 				m.Error = string(b) // free text: not worth interning
 			}
 		case fldIP:
-			var b []byte
-			if b, d, err = readBytes(d); err == nil {
-				m.IP = internString(b)
-			}
+			m.IP, d, err = readString(d)
 		case fldASN:
-			var v uint64
-			if v, d, err = readUvarint(d); err == nil {
-				m.ASN = uint32(v)
-			}
+			m.ASN, d, err = readUint32(d)
 		case fldClusterKey:
-			var b []byte
-			if b, d, err = readBytes(d); err == nil {
-				m.ClusterKey = internString(b)
-			}
+			m.ClusterKey, d, err = readString(d)
 		case fldSurrogateAddr:
-			var b []byte
-			if b, d, err = readBytes(d); err == nil {
-				m.SurrogateAddr = Addr(internString(b))
-			}
+			m.SurrogateAddr, d, err = readAddr(d)
 		case fldASNs:
 			var n uint64
 			if n, d, err = readCount(d); err != nil {
@@ -242,9 +205,9 @@ func DecodeMessage(data []byte, m *Message) error {
 			}
 			m.ASNs = make([]uint32, 0, n)
 			for i := uint64(0); i < n && err == nil; i++ {
-				var v uint64
-				if v, d, err = readUvarint(d); err == nil {
-					m.ASNs = append(m.ASNs, uint32(v))
+				var v uint32
+				if v, d, err = readUint32(d); err == nil {
+					m.ASNs = append(m.ASNs, v)
 				}
 			}
 		case fldCloseSet:
@@ -255,81 +218,50 @@ func DecodeMessage(data []byte, m *Message) error {
 			m.CloseSet = make([]CloseEntry, 0, n)
 			for i := uint64(0); i < n && err == nil; i++ {
 				var e CloseEntry
-				var b []byte
-				if b, d, err = readBytes(d); err != nil {
+				if e.ClusterKey, d, err = readString(d); err != nil {
 					break
 				}
-				e.ClusterKey = internString(b)
-				if b, d, err = readBytes(d); err != nil {
+				if e.SurrogateAddr, d, err = readAddr(d); err != nil {
 					break
 				}
-				e.SurrogateAddr = Addr(internString(b))
-				var v int64
-				if v, d, err = readSvarint(d); err != nil {
+				if e.RTT, d, err = readDuration(d); err != nil {
 					break
 				}
-				e.RTT = time.Duration(v)
 				m.CloseSet = append(m.CloseSet, e)
 			}
 		case fldNodal:
 			if m.Nodal.BandwidthKbps, d, err = readFloat(d); err != nil {
 				break
 			}
-			var v int64
-			if v, d, err = readSvarint(d); err != nil {
+			if m.Nodal.OnlineFor, d, err = readDuration(d); err != nil {
 				break
 			}
-			m.Nodal.OnlineFor = time.Duration(v)
 			m.Nodal.CPUScore, d, err = readFloat(d)
 		case fldSentAt:
-			var v int64
-			if v, d, err = readSvarint(d); err == nil {
-				m.SentAt = time.Duration(v)
-			}
+			m.SentAt, d, err = readDuration(d)
 		case fldDst:
-			var b []byte
-			if b, d, err = readBytes(d); err == nil {
-				m.Dst = Addr(internString(b))
-			}
+			m.Dst, d, err = readAddr(d)
 		case fldFlowID:
 			m.FlowID, d, err = readUvarint(d)
 		case fldSeq:
-			var v uint64
-			if v, d, err = readUvarint(d); err == nil {
-				m.Seq = uint32(v)
-			}
+			m.Seq, d, err = readUint32(d)
 		case fldFrames:
 			var b []byte
 			if b, d, err = readBytes(d); err == nil {
 				m.Frames = append(m.Frames[:0], b...)
 			}
 		case fldLeaseTTL:
-			var v int64
-			if v, d, err = readSvarint(d); err == nil {
-				m.LeaseTTL = time.Duration(v)
-			}
+			m.LeaseTTL, d, err = readDuration(d)
 		case fldDegraded:
 			m.Degraded = true
 		case fldMediaAddr:
-			var b []byte
-			if b, d, err = readBytes(d); err == nil {
-				m.MediaAddr = Addr(internString(b))
-			}
+			m.MediaAddr, d, err = readAddr(d)
 		case fldMediaToken:
-			var v uint64
-			if v, d, err = readUvarint(d); err == nil {
-				m.MediaToken = uint32(v)
-			}
+			m.MediaToken, d, err = readUint32(d)
 		case fldMediaRelay:
-			var b []byte
-			if b, d, err = readBytes(d); err == nil {
-				m.MediaRelay = Addr(internString(b))
-			}
+			m.MediaRelay, d, err = readAddr(d)
 		case fldMediaEpoch:
-			var v uint64
-			if v, d, err = readUvarint(d); err == nil {
-				m.MediaEpoch = uint32(v)
-			}
+			m.MediaEpoch, d, err = readUint32(d)
 		case fldProbeDsts:
 			var n uint64
 			if n, d, err = readCount(d); err != nil {
@@ -337,9 +269,9 @@ func DecodeMessage(data []byte, m *Message) error {
 			}
 			m.ProbeDsts = make([]Addr, 0, n)
 			for i := uint64(0); i < n && err == nil; i++ {
-				var b []byte
-				if b, d, err = readBytes(d); err == nil {
-					m.ProbeDsts = append(m.ProbeDsts, Addr(internString(b)))
+				var a Addr
+				if a, d, err = readAddr(d); err == nil {
+					m.ProbeDsts = append(m.ProbeDsts, a)
 				}
 			}
 		case fldProbeRTTs:
@@ -349,11 +281,13 @@ func DecodeMessage(data []byte, m *Message) error {
 			}
 			m.ProbeRTTs = make([]time.Duration, 0, n)
 			for i := uint64(0); i < n && err == nil; i++ {
-				var v int64
-				if v, d, err = readSvarint(d); err == nil {
-					m.ProbeRTTs = append(m.ProbeRTTs, time.Duration(v))
+				var v time.Duration
+				if v, d, err = readDuration(d); err == nil {
+					m.ProbeRTTs = append(m.ProbeRTTs, v)
 				}
 			}
+		case fldTimeout:
+			m.Timeout, d, err = readDuration(d)
 		}
 		if err != nil {
 			return err
@@ -370,6 +304,22 @@ func appendStringField(dst []byte, id byte, s string) []byte {
 	}
 	dst = append(dst, id)
 	return appendBytes(dst, s)
+}
+
+// appendUvarintField and appendDurationField write an integer section,
+// skipping zero values entirely.
+func appendUvarintField(dst []byte, id byte, v uint64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return binary.AppendUvarint(append(dst, id), v)
+}
+
+func appendDurationField(dst []byte, id byte, d time.Duration) []byte {
+	if d == 0 {
+		return dst
+	}
+	return binary.AppendVarint(append(dst, id), int64(d))
 }
 
 func appendBytes(dst []byte, s string) []byte {
@@ -390,6 +340,28 @@ func readBytes(d []byte) ([]byte, []byte, error) {
 		return nil, d, errTruncated
 	}
 	return d[k : k+int(n)], d[k+int(n):], nil
+}
+
+// readString reads a length-prefixed identity string (a cluster key,
+// an IP), interned; readAddr reads an address the same way.
+func readString(d []byte) (string, []byte, error) {
+	b, rest, err := readBytes(d)
+	return internString(b), rest, err
+}
+
+func readAddr(d []byte) (Addr, []byte, error) {
+	s, rest, err := readString(d)
+	return Addr(s), rest, err
+}
+
+func readUint32(d []byte) (uint32, []byte, error) {
+	v, rest, err := readUvarint(d)
+	return uint32(v), rest, err
+}
+
+func readDuration(d []byte) (time.Duration, []byte, error) {
+	v, rest, err := readSvarint(d)
+	return time.Duration(v), rest, err
 }
 
 func readUvarint(d []byte) (uint64, []byte, error) {

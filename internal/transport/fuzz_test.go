@@ -60,6 +60,11 @@ func FuzzMessageCodec(f *testing.F) {
 	f.Add(AppendMessage(nil, &Message{Type: MsgGetCloseSetReply, Degraded: true}))
 	f.Add(AppendMessage(nil, &Message{Type: MsgPing, From: "a", FlowID: 42}))
 	f.Add([]byte{3, 12, fldFrom, 6, 'c', 'a', 'l', 'l', 'e', 'r'})
+	// Version 5's budget: a close-set ping carrying its 300 ms, and the
+	// same ping as a version-4 frame, which knows no field id 24.
+	budgeted := AppendMessage(nil, &Message{Type: MsgPing, From: "s1", SentAt: time.Second, Timeout: 300 * time.Millisecond})
+	f.Add(budgeted)
+	f.Add(append([]byte{4}, budgeted[1:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := AcquireMessage()
 		defer ReleaseMessage(m)

@@ -95,6 +95,7 @@ func sampleMessages() []*Message {
 			Frames: []byte{0}, LeaseTTL: time.Duration(1<<63 - 1), Degraded: true,
 			MediaAddr: "ma", MediaToken: 1<<32 - 1, MediaRelay: "mr", MediaEpoch: 2,
 			ProbeDsts: []Addr{"x"}, ProbeRTTs: []time.Duration{0},
+			Timeout: -time.Millisecond,
 		},
 	}
 }

@@ -250,4 +250,8 @@ type Message struct {
 	// index-for-index with the request's ProbeDsts; -1 marks a
 	// destination that did not answer.
 	ProbeRTTs []time.Duration
+	// Timeout is the caller's remaining budget for the exchange (zero:
+	// none), a duration so that it needs no clock shared with the
+	// receiver. Mem, Chaos and TCP each give up when it runs out.
+	Timeout time.Duration
 }

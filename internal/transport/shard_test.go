@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -81,6 +83,89 @@ func TestMemShardedCallEquivalence(t *testing.T) {
 	}
 	if sharded != inline {
 		t.Fatalf("sharded timing %+v diverges from inline %+v", sharded, inline)
+	}
+}
+
+// TestMemCallBudgetDeterministic drives one budgeted call through the
+// inline path (one clock), the same-shard path and the cross-shard path
+// of the sharded runner, in each budget case: the one-way latency uses
+// the whole budget (dropped in transit, no handler), the reply would
+// land after or exactly at the deadline (handler runs, reply dropped),
+// and the reply lands in time. The caller must return at the same
+// virtual instant with the same outcome on every path, and a dropped
+// one at exactly send + budget with context.DeadlineExceeded.
+func TestMemCallBudgetDeterministic(t *testing.T) {
+	const oneWay = 3 * time.Millisecond
+	type outcome struct {
+		handled bool
+		doneAt  time.Duration
+		expired bool
+	}
+	serve := func(m *Mem, now func() time.Duration, o *outcome) {
+		if _, err := m.Serve("b", func(from Addr, req *Message) (*Message, error) {
+			if now() != oneWay {
+				t.Errorf("handler ran at %v, want %v", now(), oneWay)
+			}
+			o.handled = true
+			return &Message{Type: MsgPong}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call := func(m *Mem, now func() time.Duration, o *outcome, budget time.Duration) {
+		_, err := m.Call("b", &Message{Type: MsgPing, From: "a", Timeout: budget})
+		o.doneAt, o.expired = now(), errors.Is(err, context.DeadlineExceeded)
+		if err != nil && !o.expired {
+			t.Errorf("budget %v: err = %v, want nil or a deadline", budget, err)
+		}
+	}
+	inline := func(budget time.Duration) outcome {
+		clk := sim.NewClock()
+		m := NewMem()
+		defer func() { _ = m.Close() }()
+		m.Sched = clk
+		m.Latency = func(from, to Addr) time.Duration { return oneWay }
+		var o outcome
+		serve(m, clk.Now, &o)
+		clk.RunTask(func() { call(m, clk.Now, &o, budget) })
+		return o
+	}
+	sharded := func(budget time.Duration, bShard int) outcome {
+		r := sim.NewShardRunner(2, oneWay)
+		m := NewMem()
+		defer func() { _ = m.Close() }()
+		m.Latency = func(from, to Addr) time.Duration { return oneWay }
+		m.EnableSharding(r, func(a Addr) int {
+			if a == "a" {
+				return 0
+			}
+			return bShard
+		})
+		var o outcome
+		serve(m, r.Clock(bShard).Now, &o)
+		r.Clock(0).At(0, func() { call(m, r.Clock(0).Now, &o, budget) })
+		r.Run(time.Second)
+		return o
+	}
+	for _, tc := range []struct {
+		name   string
+		budget time.Duration
+		want   outcome
+	}{
+		{"latency uses the budget", oneWay, outcome{handled: false, doneAt: oneWay, expired: true}},
+		{"reply late", oneWay + time.Millisecond, outcome{handled: true, doneAt: oneWay + time.Millisecond, expired: true}},
+		{"reply at the deadline", 2 * oneWay, outcome{handled: true, doneAt: 2 * oneWay, expired: true}},
+		{"in time", 2*oneWay + time.Millisecond, outcome{handled: true, doneAt: 2 * oneWay, expired: false}},
+	} {
+		if got := inline(tc.budget); got != tc.want {
+			t.Errorf("%s, inline: %+v, want %+v", tc.name, got, tc.want)
+		}
+		if got := sharded(tc.budget, 0); got != tc.want {
+			t.Errorf("%s, same shard: %+v, want %+v", tc.name, got, tc.want)
+		}
+		if got := sharded(tc.budget, 1); got != tc.want {
+			t.Errorf("%s, cross-shard: %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -125,7 +125,13 @@ func (m *Mem) EnableSharding(r *sim.ShardRunner, shardOf func(Addr) int) {
 
 // Call implements Transport. With latency emulation the handler runs
 // one-way latency after the send and the response lands one-way latency
-// after the handler returns — symmetric legs, as on a real link.
+// after the handler returns — symmetric legs, as on a real link. With a
+// Timeout budget, a request whose one-way latency is not below it is
+// dropped in transit (no handler runs), and so is a reply that would
+// land at or after send + budget; the caller returns at send + budget
+// with an error wrapping context.DeadlineExceeded. Handlers run on the
+// caller's task, so that is exact only for a handler that does not
+// block; MsgPing's, the one budgeted request, never does.
 func (m *Mem) Call(to Addr, req *Message) (*Message, error) {
 	m.mu.RLock()
 	h := m.handlers[to]
@@ -148,34 +154,32 @@ func (m *Mem) Call(to Addr, req *Message) (*Message, error) {
 		d = lat(src, to)
 	}
 	sched := sim.OrWall(m.Sched)
+	sFrom, sTo := 0, 0
 	if sh != nil {
-		sFrom, sTo := sh.shardOf(src), sh.shardOf(to)
-		if sFrom != sTo {
-			return m.callCrossShard(sh, sFrom, sTo, to, req, d)
-		}
-		// Same-shard call under the sharded runner: the caller runs as a
-		// task on its own shard's clock, so that clock — not the global
-		// Sched — must charge the latency legs.
+		// Under the sharded runner the caller runs as a task on its own
+		// shard's clock, so that clock — not the global Sched — charges
+		// the latency legs and the budget.
+		sFrom, sTo = sh.shardOf(src), sh.shardOf(to)
 		sched = sh.runner.Clock(sFrom)
 	}
+	budget := req.Timeout
+	if budget > 0 && d >= budget {
+		sched.Sleep(budget) // the request is still in flight when the budget runs out
+		return nil, budgetExceeded(to, budget)
+	}
+	if sFrom != sTo {
+		return m.callCrossShard(sh, sFrom, sTo, to, req, d)
+	}
+	start := sched.Now()
 	if d > 0 {
 		sched.Sleep(d)
 	}
-	// Re-check reachability at delivery time, exactly as the cross-shard
-	// path does in its delivery event: an unbind while the request was in
-	// flight is an unreachable peer, not a delivery to a stale handler
-	// snapshot — and the two paths must agree or sharded runs would
-	// diverge from sequential ones whenever churn races a call.
-	m.mu.RLock()
-	h = m.handlers[to]
-	closed = m.closed
-	m.mu.RUnlock()
-	var resp *Message
-	var err error
-	if closed || h == nil {
-		err = fmt.Errorf("%w: %s", ErrUnreachable, to)
-	} else {
-		resp, err = h(req.From, req)
+	resp, err := m.deliver(to, req)
+	if budget > 0 && sched.Now()+d >= start+budget { // the reply is dropped
+		if rest := start + budget - sched.Now(); rest > 0 {
+			sched.Sleep(rest)
+		}
+		return nil, budgetExceeded(to, budget)
 	}
 	if d > 0 {
 		sched.Sleep(d)
@@ -186,10 +190,31 @@ func (m *Mem) Call(to Addr, req *Message) (*Message, error) {
 	return resp, nil
 }
 
+// deliver hands req to to's handler as it arrives. Both Call paths
+// re-check reachability at delivery time: an unbind while the request
+// was in flight is an unreachable peer, not a delivery to a stale
+// handler snapshot, and the paths must agree or sharded runs would
+// diverge from sequential ones whenever churn races a call.
+func (m *Mem) deliver(to Addr, req *Message) (*Message, error) {
+	m.mu.RLock()
+	h, closed := m.handlers[to], m.closed
+	m.mu.RUnlock()
+	if closed || h == nil {
+		return nil, fmt.Errorf("%w: %s", ErrUnreachable, to)
+	}
+	return h(req.From, req)
+}
+
+// budgetExceeded is the error of a Mem call whose Timeout ran out.
+func budgetExceeded(to Addr, budget time.Duration) error {
+	return fmt.Errorf("transport: %s: no reply within %v: %w", to, budget, context.DeadlineExceeded)
+}
+
 // callCrossShard is the sharded Call path: request and response travel
 // as cross-shard events through the runner's barrier, and the handler
 // executes as a task on the target shard's clock at exactly the same
-// virtual instant the inline path would have run it.
+// virtual instant the inline path would have run it. A reply that
+// lands after the caller's budget finds its waiter timed out.
 func (m *Mem) callCrossShard(sh *memSharding, sFrom, sTo int, to Addr, req *Message, d time.Duration) (*Message, error) {
 	if d < sh.runner.Lookahead() {
 		panic(fmt.Sprintf("transport: cross-shard latency %v (%s -> %s) below the runner's %v lookahead bound", d, req.From, to, sh.runner.Lookahead()))
@@ -199,26 +224,25 @@ func (m *Mem) callCrossShard(sh *memSharding, sFrom, sTo int, to Addr, req *Mess
 	w := src.NewWaiter()
 	var resp *Message
 	var callErr error
+	budget := req.Timeout
+	if budget > 0 {
+		// The caller may give up and recycle its request while the other
+		// shard's goroutine still reads it: send a copy.
+		cp := *req
+		req = &cp
+	} else {
+		budget = -1 // no deadline
+	}
 	sh.runner.Post(sFrom, sTo, src.Now()+d, func() {
-		// Re-check reachability on delivery: an unbind while the request
-		// was in flight means an unreachable peer, as on a real network.
-		m.mu.RLock()
-		h := m.handlers[to]
-		closed := m.closed
-		m.mu.RUnlock()
-		var r *Message
-		var err error
-		if closed || h == nil {
-			err = fmt.Errorf("%w: %s", ErrUnreachable, to)
-		} else {
-			r, err = h(req.From, req)
-		}
+		r, err := m.deliver(to, req)
 		sh.runner.Post(sTo, sFrom, dst.Now()+d, func() {
 			resp, callErr = r, err
 			w.Wake()
 		})
 	})
-	w.Wait(-1)
+	if !w.Wait(budget) {
+		return nil, budgetExceeded(to, budget)
+	}
 	return resp, callErr
 }
 
@@ -298,11 +322,16 @@ func NewTCP() *TCP {
 	return &TCP{DialTimeout: 5 * time.Second, CallTimeout: 10 * time.Second}
 }
 
-// arm gives conn CallTimeout from now for whatever comes next.
-func (t *TCP) arm(conn net.Conn) {
-	if t.CallTimeout > 0 {
+// arm gives conn CallTimeout from now for whatever comes next, or the
+// request budget when that is set and shorter.
+func (t *TCP) arm(conn net.Conn, budget time.Duration) {
+	limit := t.CallTimeout
+	if budget > 0 && (limit <= 0 || budget < limit) {
+		limit = budget
+	}
+	if limit > 0 {
 		//lint:allow schedtime net.Conn deadlines are absolute wall-clock instants; the Scheduler's relative clock cannot express them
-		_ = conn.SetDeadline(time.Now().Add(t.CallTimeout))
+		_ = conn.SetDeadline(time.Now().Add(limit))
 	}
 }
 
@@ -363,7 +392,7 @@ func (t *TCP) serveConn(conn net.Conn, h Handler) {
 		t.mu.Unlock()
 	}()
 	for {
-		t.arm(conn)
+		t.arm(conn, 0)
 		req, err := readFrame(conn)
 		if err != nil {
 			return
@@ -373,7 +402,7 @@ func (t *TCP) serveConn(conn net.Conn, h Handler) {
 			resp = errorReply(err)
 		}
 		// The wait for the request must not eat into the reply's time.
-		t.arm(conn)
+		t.arm(conn, 0)
 		err = writeFrame(conn, resp)
 		// The request envelope came from the pool (readFrame) and
 		// handlers never retain it; the response is recycled too
@@ -421,13 +450,14 @@ func (t *TCP) Call(to Addr, req *Message) (*Message, error) {
 }
 
 // exchange runs one request/response exchange on conn, which the caller
-// holds exclusively, within CallTimeout. A connection that carried a
-// complete reply is parked; after any failure it is closed, never parked
-// dirty. stale reports a failure that a connection closed by the peer
-// while it was parked would produce — anything but a deadline timeout or
-// an oversize request — which on a reused connection earns one redial.
+// holds exclusively, within CallTimeout or the request's Timeout budget,
+// whichever is shorter. A connection that carried a complete reply is
+// parked; after any failure it is closed, never parked dirty. stale
+// reports a failure that a connection closed by the peer while it was
+// parked would produce — anything but a deadline timeout or an oversize
+// request — which on a reused connection earns one redial.
 func (t *TCP) exchange(conn net.Conn, to Addr, req *Message) (resp *Message, stale bool, err error) {
-	t.arm(conn)
+	t.arm(conn, req.Timeout)
 	err = writeFrame(conn, req)
 	if errors.Is(err, ErrFrameTooLarge) {
 		// Re-sending the same message can never fit, so this surfaces
@@ -443,8 +473,10 @@ func (t *TCP) exchange(conn net.Conn, to Addr, req *Message) (resp *Message, sta
 		// count as unreachable: the control-plane retry layer treats them
 		// as transient.
 		_ = conn.Close()
-		stale = !errors.Is(err, os.ErrDeadlineExceeded)
-		return nil, stale, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return nil, false, fmt.Errorf("%w: %s: %v (%w)", ErrUnreachable, to, err, context.DeadlineExceeded)
+		}
+		return nil, true, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
 	}
 	t.park(to, conn)
 	if resp.Type == MsgError {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -529,6 +530,59 @@ func TestTCPTimedOutCallLeavesNoLateReply(t *testing.T) {
 		if err := pingSentAt(cli, addr, v); err != nil {
 			t.Fatalf("call after the timeout: %v", err)
 		}
+	}
+}
+
+// TestTCPCallBudget: a request's Timeout shortens the exchange's
+// deadline below CallTimeout. Against a server that stalls past the
+// budget, the call fails with context.DeadlineExceeded once the budget
+// is spent, long before CallTimeout; the request is not resent, and the
+// connection, whose late reply nobody will read, is closed, not parked.
+func TestTCPCallBudget(t *testing.T) {
+	const budget = 50 * time.Millisecond
+	srv, cli := NewTCP(), NewTCP()
+	defer func() { _ = srv.Close() }()
+	defer func() { _ = cli.Close() }()
+	release := make(chan struct{})
+	var mu sync.Mutex
+	slowSeen := 0
+	addr, err := srv.Serve("127.0.0.1:0", func(from Addr, req *Message) (*Message, error) {
+		if req.SentAt == 1 {
+			mu.Lock()
+			slowSeen++
+			mu.Unlock()
+			<-release // past the caller's budget
+		}
+		return sentAtHandler(from, req)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer close(release)
+	if err := pingSentAt(cli, addr, 0); err != nil { // park a connection first
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = cli.Call(addr, &Message{Type: MsgPing, From: "cli", SentAt: 1, Timeout: budget})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) || !IsTransient(err) {
+		t.Fatalf("stalled server: err = %v, want a transient context.DeadlineExceeded", err)
+	}
+	if elapsed < budget || elapsed > cli.CallTimeout/4 {
+		t.Errorf("call gave up after %v, want the %v budget, not the %v CallTimeout", elapsed, budget, cli.CallTimeout)
+	}
+	if idle, _ := connState(cli); len(idle) != 0 {
+		t.Errorf("%d connections parked after the budget ran out, want 0", len(idle))
+	}
+	mu.Lock()
+	seen := slowSeen
+	mu.Unlock()
+	if seen != 1 {
+		t.Errorf("the server saw the budgeted request %d times, want once: a deadline is not a stale connection", seen)
+	}
+	// Without a budget the next call gets a fresh connection and its own reply.
+	if err := pingSentAt(cli, addr, 2); err != nil {
+		t.Fatalf("call after the budget ran out: %v", err)
 	}
 }
 
