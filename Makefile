@@ -221,18 +221,18 @@ scale-gate:
 # (Call, the park list, Close) twenty times over, and System's scratch
 # free list, which close-set builds and selections share, the virtual
 # clock's Waiter/Timer hand-off (a Wake or Stop against a firing
-# deadline, a re-armed waiter) and the graph's route-build scratch free
-# list, which concurrent misses for different destinations pass from
-# build to build, and the NAT box's warm reserve, which passes a bound
-# external socket from owner to owner under the box's lock, ten times
-# over each: their races are between a handful of goroutines and one
-# pass rarely lines them up. The route
-# build's single-goroutine reference test races nothing, so it runs
-# once.
+# deadline, a re-armed waiter), the bootstrap's valley-free walk, which
+# concurrent MsgGetSurrogates share under its lock, the graph's
+# route-build scratch free list, which concurrent misses for different
+# destinations pass from build to build, and the NAT box's warm reserve,
+# which passes a bound external socket from owner to owner under the
+# box's lock, ten times over each: their races are between a handful of
+# goroutines and one pass rarely lines them up. The route build's
+# single-goroutine reference test races nothing, so it runs once.
 race-dataplane:
 	$(GO) test -race -count=1 ./internal/transport/... ./internal/nat/... ./internal/session/...
 	$(GO) test -race -count=20 -run 'TCP' ./internal/transport/
-	$(GO) test -race -count=10 -run 'TestCloseSet|TestSelectCloseRelayConcurrent' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestCloseSet|TestSelectCloseRelayConcurrent|TestBootstrapConcurrentGetSurrogates' ./internal/core/
 	$(GO) test -race -count=10 -run 'Waiter|Timer|Clock' ./internal/sim/
 	$(GO) test -race -count=10 -run 'Router|^TestRouteTable' ./internal/asgraph/
 	$(GO) test -race -count=1 -run 'TestBuildRouteTableMatchesHeapReference' ./internal/asgraph/

@@ -15,6 +15,7 @@ package asgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -123,6 +124,8 @@ type Node struct {
 // Half-edges are numbered by that flat position, so walking ASNs() and each
 // Edges(asn) in order visits half-edge 0, 1, 2, ... — the numbering
 // RouteTable.Step reports and per-link tables (netmodel's delays) index.
+// An AS has at most maxDegree links, so a half-edge's position within its
+// AS's run fits in 16 bits (a route table's next hop).
 type Graph struct {
 	nodes []Node // nodes[i] is the AS at index i
 	asns  []ASN  // asns[i] == nodes[i].ASN, for callers that want the list
@@ -130,10 +133,13 @@ type Graph struct {
 	idx   map[ASN]int32
 	off   []int32 // len NumNodes+1
 	edges []Edge
-	// nbr[k] is the dense index of edges[k].To; rev[k] is the half-edge
-	// that runs back along the same link.
+	// nbr[k] is the dense index of edges[k].To.
 	nbr []int32
-	rev []int32
+	// links[linkOff[numStages*i+s]:linkOff[numStages*i+s+1]] are the links
+	// stage s of a route-table build crosses out of AS i, in adjacency
+	// order (see stageLinks in route.go).
+	links   []stageLink
+	linkOff []int32
 
 	// scratchMu guards scratch, the idle route-table build scratches
 	// (route.go), at most maxRouteScratches.
@@ -184,8 +190,14 @@ func (b *Builder) AddEdge(a, c ASN, rel Relationship) {
 	b.adj[c] = append(b.adj[c], Edge{To: a, Rel: rel.Invert()})
 }
 
+// maxDegree is the most links an AS may have: a route table names a next
+// hop by its 16-bit position in the AS's adjacency, positions run from 0
+// to maxDegree-1, and noRoute (= maxDegree) means no route.
+const maxDegree = noRoute
+
 // Build freezes the builder into an immutable Graph. The builder must not
-// be used afterwards.
+// be used afterwards. It panics, naming the AS, when an AS has more than
+// maxDegree links.
 func (b *Builder) Build() *Graph {
 	n := len(b.nodes)
 	g := &Graph{
@@ -198,10 +210,19 @@ func (b *Builder) Build() *Graph {
 		g.asns = append(g.asns, asn)
 	}
 	sort.Slice(g.asns, func(i, j int) bool { return g.asns[i] < g.asns[j] })
-	half := 0
+	half, links := 0, 0
 	for i, asn := range g.asns {
 		g.idx[asn] = int32(i)
 		g.nodes = append(g.nodes, *b.nodes[asn])
+		if d := len(b.adj[asn]); d > maxDegree {
+			panic(fmt.Sprintf("asgraph: AS %d has %d links, more than the %d a route table can address", asn, d, maxDegree))
+		}
+		for _, e := range b.adj[asn] {
+			links++
+			if e.Rel == RelS2S { // climbed by stage 1 and descended by stage 3
+				links++
+			}
+		}
 		half += len(b.adj[asn])
 	}
 	g.edges = make([]Edge, 0, half)
@@ -215,13 +236,19 @@ func (b *Builder) Build() *Graph {
 		}
 		g.off = append(g.off, int32(len(g.edges)))
 	}
-	g.rev = make([]int32, half)
+	g.links = make([]stageLink, 0, links)
+	g.linkOff = make([]int32, 1, numStages*n+1)
 	for u := range g.asns {
-		for k := g.off[u]; k < g.off[u+1]; k++ {
-			v := g.nbr[k]
-			run := g.nbr[g.off[v]:g.off[v+1]]
-			j := sort.Search(len(run), func(j int) bool { return run[j] >= int32(u) })
-			g.rev[k] = g.off[v] + int32(j)
+		for s := 0; s < numStages; s++ {
+			for k := g.off[u]; k < g.off[u+1]; k++ {
+				if !stageCrosses(s, g.edges[k].Rel) {
+					continue
+				}
+				v := g.nbr[k]
+				back, _ := slices.BinarySearch(g.nbr[g.off[v]:g.off[v+1]], int32(u))
+				g.links = append(g.links, stageLink{nbr: v, back: uint16(back)})
+			}
+			g.linkOff = append(g.linkOff, int32(len(g.links)))
 		}
 	}
 	b.nodes = nil

@@ -41,10 +41,15 @@ type RouteTable struct {
 	g      *Graph
 	dst    ASN
 	dstIdx int32
-	// via[i] is the half-edge g.asns[i]'s route leaves by (its head is the
-	// next AS toward dst), or -1 when unreachable (or i is dst).
-	via []int32
+	// via[i] is the position, within g.asns[i]'s run of half-edges
+	// off[i]:off[i+1], of the half-edge its route leaves by (its head is
+	// the next AS toward dst), or noRoute when unreachable (or i is dst).
+	via []uint16
 }
+
+// noRoute is a next hop that names no half-edge: the AS has no route, or
+// it is the destination.
+const noRoute = 0xFFFF
 
 // hopsFrom returns the policy AS-path length from the AS at dense index
 // i to the destination, and whether a route exists.
@@ -65,10 +70,11 @@ func (t *RouteTable) hopsFrom(i int32) (int, bool) {
 // ok is false at the destination and where no route exists. Walking Step
 // from a source to the destination visits Path's ASes without building it.
 func (t *RouteTable) Step(i int32) (edge, next int32, ok bool) {
-	e := t.via[i]
-	if e < 0 {
+	p := t.via[i]
+	if p == noRoute {
 		return 0, 0, false
 	}
+	e := t.g.off[i] + int32(p)
 	return e, t.g.nbr[e], true
 }
 
@@ -93,25 +99,54 @@ func (t *RouteTable) Path(src ASN) ([]ASN, bool) {
 	return path, true
 }
 
-// routeItem is a priority-queue entry for the provider-route Dijkstra.
-type routeItem struct {
-	node  int32
-	class routeClass
-	hops  int32
+// The stages of a table build, in the order it runs them. Each crosses
+// its own kind of link out of an AS that has a route (see stageCrosses),
+// and the graph lays those links out per AS and stage (stageLinks).
+const (
+	stageUp   = iota // customer routes: climb c2p and s2s links
+	stagePeer        // peer routes: cross p2p links
+	stageDown        // provider routes: descend p2c and s2s links
+	numStages
+)
+
+// stageCrosses reports whether stage s crosses a link of relationship
+// rel, seen from the AS whose route is advertised over it.
+func stageCrosses(s int, rel Relationship) bool {
+	switch s {
+	case stageUp:
+		return rel == RelC2P || rel == RelS2S
+	case stagePeer:
+		return rel == RelP2P
+	default:
+		return rel == RelP2C || rel == RelS2S
+	}
 }
 
-// routeHeap is a binary min-heap on hops. Its init, push and pop are
-// container/heap's Init, Push and Pop with the interface calls inlined:
-// the same sift steps, so equal-hop entries leave in the same order and
-// nextHop ties resolve as they always have.
-type routeHeap []routeItem
-
-func (h routeHeap) less(i, j int) bool {
-	// Settle in increasing hop count; class is fixed per node before
-	// insertion so hops ordering is sufficient for correctness of the
-	// relaxation (a provider's chosen route length only grows downstream).
-	return h[i].hops < h[j].hops
+// stageLink is one link a build stage crosses: the neighbour's dense
+// index, and back, the position in the neighbour's adjacency of the
+// half-edge that returns along the link — the neighbour's next hop when
+// it learns its route over this link.
+type stageLink struct {
+	nbr  int32
+	back uint16
 }
+
+// stageLinks returns the links stage s crosses out of the AS at dense
+// index i, in adjacency order.
+func (g *Graph) stageLinks(i int32, s int) []stageLink {
+	o := numStages*int(i) + s
+	return g.links[g.linkOff[o]:g.linkOff[o+1]]
+}
+
+// routeHeap is the provider-route Dijkstra's binary min-heap. An entry is
+// hops<<32 | node, ordered on hops alone. Its init, push and pop are
+// container/heap's Init, Push and Pop with the interface calls inlined
+// and each sift moving a hole rather than swapping: the same comparisons
+// in the same order, so equal-hop entries leave in the same order and
+// next-hop ties resolve as they always have.
+type routeHeap []uint64
+
+func routeEntry(node, hops int32) uint64 { return uint64(hops)<<32 | uint64(uint32(node)) }
 
 func (h routeHeap) init() {
 	n := len(h)
@@ -120,59 +155,65 @@ func (h routeHeap) init() {
 	}
 }
 
-func (h *routeHeap) push(it routeItem) {
-	*h = append(*h, it)
+func (h *routeHeap) push(x uint64) {
+	*h = append(*h, x)
 	h.up(len(*h) - 1)
 }
 
-func (h *routeHeap) pop() routeItem {
+func (h *routeHeap) pop() uint64 {
 	q := *h
 	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
+	top := q[0]
+	q[0] = q[n]
 	q.down(0, n)
 	*h = q[:n]
-	return q[n]
+	return top
 }
 
+// up sifts h[j] toward the root while it has fewer hops than its parent.
 func (h routeHeap) up(j int) {
-	for {
+	x := h[j]
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
+		if x>>32 >= h[i]>>32 {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[j] = h[i]
 		j = i
 	}
+	h[j] = x
 }
 
+// down sifts h[i] toward the leaves of h[:n] while a child has fewer
+// hops, taking the right child only when it has fewer than the left.
 func (h routeHeap) down(i, n int) {
+	x := h[i]
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+		j := 2*i + 1 // left child
+		if j >= n {
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+		if j2 := j + 1; j2 < n && h[j2]>>32 < h[j]>>32 {
 			j = j2 // right child
 		}
-		if !h.less(j, i) {
+		if h[j]>>32 >= x>>32 {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
+	h[i] = x
 }
 
 // routeScratch is what one table build works in and does not return:
-// each AS's route length and class, the BFS queue, the heap and the
-// settled marks. Its arrays are sized to the graph, and a build resets
+// each AS's route class and customer or peer route length, the BFS queue
+// and the heap. Its arrays are sized to the graph, and a build resets
 // what it reads before reading it.
 type routeScratch struct {
-	hops    []int32      // hops[i] is g.asns[i]'s route length to dst; -1 when unreachable
-	class   []routeClass // class[i] is g.asns[i]'s route class
-	queue   []int32
-	pq      routeHeap
-	settled []bool
+	hops  []int32      // hops[i] is g.asns[i]'s route length, once it has a customer or peer route
+	class []routeClass // class[i] is g.asns[i]'s route class
+	queue []int32
+	pq    routeHeap
 }
 
 // maxRouteScratches bounds the graph's idle build scratches: one per
@@ -189,11 +230,10 @@ func (g *Graph) popRouteScratch() *routeScratch {
 	}
 	n := len(g.asns)
 	return &routeScratch{
-		hops:    make([]int32, n),
-		class:   make([]routeClass, n),
-		queue:   make([]int32, 0, n),
-		pq:      make(routeHeap, 0, n),
-		settled: make([]bool, n),
+		hops:  make([]int32, n),
+		class: make([]routeClass, n),
+		queue: make([]int32, 0, n),
+		pq:    make(routeHeap, 0, n),
 	}
 }
 
@@ -209,8 +249,7 @@ func (g *Graph) pushRouteScratch(sc *routeScratch) {
 // the graph keeps for reuse, allocated on the first build (and on one
 // that overlaps every kept scratch) and sized to the graph. The BFS queue
 // and the heap each hold NumNodes entries, enough because every AS enters
-// each at most once (heap entries are pushed in non-decreasing hop order,
-// so no route is improved twice).
+// each at most once.
 func (g *Graph) BuildRouteTable(dst ASN) *RouteTable {
 	dstIdx, ok := g.idx[dst]
 	if !ok {
@@ -223,20 +262,20 @@ func (g *Graph) BuildRouteTable(dst ASN) *RouteTable {
 }
 
 // buildRouteTable builds the table toward the AS at dense index dstIdx,
-// working in sc. Each route's length and class stay in sc until its next
-// build.
+// working in sc. Each route's class stays in sc until its next build.
 func (g *Graph) buildRouteTable(dstIdx int32, sc *routeScratch) *RouteTable {
 	n := len(g.asns)
 	t := &RouteTable{
 		g:      g,
 		dst:    g.asns[dstIdx],
 		dstIdx: dstIdx,
-		via:    make([]int32, n),
+		via:    make([]uint16, n),
 	}
 	via, hops, class := t.via, sc.hops, sc.class
-	for i := 0; i < n; i++ {
-		via[i] = -1
-		hops[i] = -1
+	for i := range via {
+		via[i] = noRoute
+	}
+	for i := range class {
 		class[i] = classNone
 	}
 	hops[dstIdx] = 0
@@ -245,21 +284,18 @@ func (g *Graph) buildRouteTable(dstIdx int32, sc *routeScratch) *RouteTable {
 	// Stage 1: customer routes — BFS from dst climbing provider and
 	// sibling edges. A node u on the frontier advertises to its providers
 	// and siblings; their route to dst descends through u, leaving by the
-	// reverse of the half-edge u reached them on.
+	// reverse of the link u reached them on.
 	queue := append(sc.queue[:0], dstIdx)
 	for head := 0; head < len(queue); head++ {
 		ui := queue[head]
-		for k := g.off[ui]; k < g.off[ui+1]; k++ {
-			if rel := g.edges[k].Rel; rel != RelC2P && rel != RelS2S {
-				continue
-			}
-			vi := g.nbr[k]
+		for _, l := range g.stageLinks(ui, stageUp) {
+			vi := l.nbr
 			if class[vi] == classCustomer {
 				continue
 			}
 			class[vi] = classCustomer
 			hops[vi] = hops[ui] + 1
-			via[vi] = g.rev[k]
+			via[vi] = l.back
 			queue = append(queue, vi)
 		}
 	}
@@ -273,62 +309,44 @@ func (g *Graph) buildRouteTable(dstIdx int32, sc *routeScratch) *RouteTable {
 		if class[ui] != classCustomer {
 			continue
 		}
-		for k := g.off[ui]; k < g.off[ui+1]; k++ {
-			if g.edges[k].Rel != RelP2P {
-				continue
-			}
-			vi := g.nbr[k]
-			if class[vi] == classCustomer {
-				continue
-			}
-			h := hops[ui] + 1
-			if class[vi] == classPeer && hops[vi] <= h {
+		h := hops[ui] + 1
+		for _, l := range g.stageLinks(ui, stagePeer) {
+			vi := l.nbr
+			if class[vi] == classCustomer || class[vi] == classPeer && hops[vi] <= h {
 				continue
 			}
 			class[vi] = classPeer
 			hops[vi] = h
-			via[vi] = g.rev[k]
+			via[vi] = l.back
 		}
 	}
 
 	// Stage 3: provider routes — Dijkstra in increasing chosen-route
 	// length. Every node with a customer or peer route is a seed; settling
-	// a node relaxes its customers (and siblings without any route).
+	// a node hands its route, whatever its class, to its customers and
+	// siblings that have none yet. Every push is at the popped route's
+	// length + 1, so pops never decrease: the first offer an AS gets is its
+	// shortest, each AS enters the heap at most once and no entry is stale.
 	pq := sc.pq[:0]
-	for i := 0; i < n; i++ {
+	for i := int32(0); i < int32(n); i++ {
 		if class[i] != classNone {
-			pq = append(pq, routeItem{node: int32(i), class: class[i], hops: hops[i]})
+			pq = append(pq, routeEntry(i, hops[i]))
 		}
 	}
 	pq.init()
-	settled := sc.settled
-	clear(settled)
 	for len(pq) > 0 {
 		it := pq.pop()
-		ui := it.node
-		if settled[ui] || hops[ui] != it.hops || class[ui] != it.class {
-			continue // stale entry
-		}
-		settled[ui] = true
-		for k := g.off[ui]; k < g.off[ui+1]; k++ {
-			// u advertises its chosen route to its customers regardless of
-			// the route's class, and to siblings lacking better routes.
-			if rel := g.edges[k].Rel; rel != RelP2C && rel != RelS2S {
-				continue
-			}
-			vi := g.nbr[k]
-			// Customer/peer routes always beat provider routes.
-			if class[vi] == classCustomer || class[vi] == classPeer {
-				continue
-			}
-			h := hops[ui] + 1
-			if class[vi] == classProvider && hops[vi] <= h {
+		ui, h := int32(uint32(it)), int32(it>>32)+1
+		for _, l := range g.stageLinks(ui, stageDown) {
+			vi := l.nbr
+			// Customer and peer routes beat provider routes, and a
+			// provider route already offered is no longer than this one.
+			if class[vi] != classNone {
 				continue
 			}
 			class[vi] = classProvider
-			hops[vi] = h
-			via[vi] = g.rev[k]
-			pq.push(routeItem{node: vi, class: classProvider, hops: h})
+			via[vi] = l.back
+			pq.push(routeEntry(vi, h))
 		}
 	}
 	sc.pq = pq[:0]

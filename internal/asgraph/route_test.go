@@ -2,7 +2,9 @@ package asgraph
 
 import (
 	"container/heap"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"asap/internal/sim"
@@ -222,11 +224,19 @@ func equalPath(a, b []ASN) bool {
 
 // refTable is the reference route table: the three-stage construction
 // over the per-ASN adjacency, with its provider-route Dijkstra on
-// container/heap. BuildRouteTable's typed heap copies container/heap's
-// sift steps, so the two must agree on every next hop, tie included.
+// container/heap, stale-entry checks included. BuildRouteTable's typed
+// heap copies container/heap's sift steps, so the two must agree on every
+// next hop, tie included.
 type refTable struct {
 	nextHop, hops []int32
 	class         []routeClass
+}
+
+// routeItem is a reference heap entry.
+type routeItem struct {
+	node  int32
+	class routeClass
+	hops  int32
 }
 
 type routePQ []routeItem
@@ -346,18 +356,21 @@ func buildRouteTableRef(g *Graph, dst ASN) refTable {
 // TestBuildRouteTableMatchesHeapReference requires the CSR build to
 // reproduce the reference table for every destination of the tiny and
 // small evaluation worlds' topologies (each world's generator draws first
-// from its seed): the same next hop, hop count and class at every AS. The
-// hop count is Hops, the walk over the table's next hops; the class is the
-// one the build left in its scratch, read through the builder that
-// BuildRouteTable calls.
+// from its seed), and for every 128th destination of the paper-size one
+// (21,322 ASes, up to 216 links each): the same next hop, hop count and
+// class at every AS. The hop count is Hops, the walk over the table's
+// next hops; the class is the one the build left in its scratch, read
+// through the builder that BuildRouteTable calls.
 func TestBuildRouteTableMatchesHeapReference(t *testing.T) {
-	for _, ases := range []int{200, 2000} {
-		g, err := Generate(DefaultGenConfig(ases), sim.NewRNG(1))
+	for _, c := range []struct{ ases, every int }{{200, 1}, {2000, 1}, {20955, 128}} {
+		g, err := Generate(DefaultGenConfig(c.ases), sim.NewRNG(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc := g.popRouteScratch()
-		for _, dst := range g.ASNs() {
+		asns := g.ASNs()
+		for d := 0; d < len(asns); d += c.every {
+			dst := asns[d]
 			got, want := g.buildRouteTable(g.idx[dst], sc), buildRouteTableRef(g, dst)
 			for i := range want.hops {
 				nh := int32(-1)
@@ -370,7 +383,7 @@ func TestBuildRouteTableMatchesHeapReference(t *testing.T) {
 				}
 				if nh != want.nextHop[i] || hops != want.hops[i] || sc.class[i] != want.class[i] {
 					t.Fatalf("%d ASes, dst %d, src %d: (next %d, hops %d, class %d), reference (%d, %d, %d)",
-						ases, dst, g.asns[i], nh, hops, sc.class[i], want.nextHop[i], want.hops[i], want.class[i])
+						c.ases, dst, g.asns[i], nh, hops, sc.class[i], want.nextHop[i], want.hops[i], want.class[i])
 				}
 			}
 		}
@@ -378,11 +391,82 @@ func TestBuildRouteTableMatchesHeapReference(t *testing.T) {
 	}
 }
 
+// TestBuildDegreeLimit: a next hop is a 16-bit position in its AS's
+// adjacency and 0xFFFF means no route, so Build refuses an AS with
+// 65,536 links and names it, and still builds one with 65,535. The hub
+// (AS 1) is a customer of 65,535 providers (ASes 2, 3, ...), so the
+// provider at position j is the hub's only way to it: the table toward
+// it has the hub leave by position j. The test takes positions 0, 1,
+// 255 and 256 (either side of 8 bits), 65,533 and 65,534 (the last below
+// the sentinel) and every 509th between; toward the hub, every provider
+// routes down its own link.
+func TestBuildDegreeLimit(t *testing.T) {
+	const hub = 1
+	star := func(links int) *Builder {
+		b := NewBuilder()
+		for j := 0; j < links; j++ {
+			// AddEdge scans its first AS's links for a duplicate: the leaf's.
+			b.AddEdge(ASN(2+j), hub, RelP2C)
+		}
+		return b
+	}
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if want := fmt.Sprintf("AS %d has %d links", hub, maxDegree+1); !strings.Contains(msg, want) {
+				t.Errorf("Build panicked with %q, want it to say %q", msg, want)
+			}
+		}()
+		star(maxDegree + 1).Build()
+	}()
+
+	g := star(maxDegree).Build()
+	hi, _ := g.Index(hub)
+	positions := []int{0, 1, 255, 256, maxDegree - 2, maxDegree - 1}
+	for j := 2; j < maxDegree-2; j += 509 {
+		positions = append(positions, j)
+	}
+	for _, j := range positions {
+		leaf := ASN(2 + j)
+		rt := g.BuildRouteTable(leaf)
+		e, next, ok := rt.Step(hi)
+		if !ok || e != g.off[hi]+int32(j) || g.asns[next] != leaf {
+			t.Fatalf("toward AS %d: hub steps (%d, AS %d, %v), want (%d, AS %d, true)",
+				leaf, e, g.asns[next], ok, g.off[hi]+int32(j), leaf)
+		}
+		if p, ok := rt.Path(hub); !ok || !equalPath(p, []ASN{hub, leaf}) {
+			t.Fatalf("toward AS %d: hub's path %v, %v", leaf, p, ok)
+		}
+	}
+	// Toward the hub every provider has a customer route down its link.
+	rt := g.BuildRouteTable(hub)
+	for _, leaf := range g.ASNs()[1:] {
+		if p, ok := rt.Path(leaf); !ok || !equalPath(p, []ASN{leaf, hub}) {
+			t.Fatalf("AS %d's path to the hub: %v, %v", leaf, p, ok)
+		}
+	}
+}
+
+// BenchmarkBuildRouteTable is one table build with a warm scratch,
+// cycling the destinations of the small evaluation world's topology.
+func BenchmarkBuildRouteTable(b *testing.B) {
+	g, err := Generate(DefaultGenConfig(2000), sim.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	asns := g.ASNs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.BuildRouteTable(asns[i%len(asns)])
+	}
+}
+
 // TestBuildRouteTableAllocs pins BuildRouteTable's allocations with a
 // warm scratch: the table and its next hops, the same count at every
 // graph size, so nothing grows on the way. It also pins what a kept table
 // costs: the heap that retained tables hold after a collection, per AS
-// per table, is the 4-byte next hop and a share of the struct.
+// per table, is the 2-byte next hop and a share of the struct.
 func TestBuildRouteTableAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -404,7 +488,7 @@ func TestBuildRouteTableAllocs(t *testing.T) {
 		if ases != 2000 {
 			continue
 		}
-		const tables, maxBytesPerAS = 64, 5
+		const tables, maxBytesPerAS = 64, 3
 		kept := make([]*RouteTable, tables)
 		var before, after runtime.MemStats
 		runtime.GC()

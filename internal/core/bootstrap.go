@@ -125,6 +125,9 @@ type Bootstrap struct {
 	// string (in its JoinReply, Node.clusterKey and the lease table).
 	// Like the trie, it is never written after NewBootstrap.
 	keys map[bgp.Prefix]string
+	// walk is MsgGetSurrogates' valley-free BFS, kept between requests so
+	// its arrays are sized to the graph once; mu guards it.
+	walk asgraph.VFWalk
 }
 
 // NewBootstrap builds and serves a bootstrap node on addr.
@@ -249,11 +252,11 @@ func (b *Bootstrap) handle(from transport.Addr, req *transport.Message) (*transp
 			return nil, fmt.Errorf("core: GetSurrogates wants exactly one source AS")
 		}
 		src := asgraph.ASN(req.ASNs[0])
-		reach := b.cfg.Graph.ValleyFreeBFS(src, b.cfg.K)
+		g := b.cfg.Graph
 		var entries []transport.CloseEntry
 		b.mu.Lock()
-		for asn := range reach.Hops {
-			for _, key := range b.byAS[asn] {
+		b.walk.Traverse(g, src, b.cfg.K, func(ai int32, _ int) bool {
+			for _, key := range b.byAS[g.ByIndex(ai)] {
 				if sur, ok := b.liveSurrogateLocked(key); ok {
 					entries = append(entries, transport.CloseEntry{
 						ClusterKey:    key,
@@ -261,7 +264,8 @@ func (b *Bootstrap) handle(from transport.Addr, req *transport.Message) (*transp
 					})
 				}
 			}
-		}
+			return true
+		})
 		b.mu.Unlock()
 		// Close sets travel in this key order from here on (DESIGN.md §15).
 		sort.Slice(entries, func(i, j int) bool { return entries[i].ClusterKey < entries[j].ClusterKey })

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
+	"asap/internal/asgraph"
 	"asap/internal/bgp"
+	"asap/internal/sim"
 	"asap/internal/transport"
 )
 
@@ -76,4 +81,76 @@ func TestJoinKeyShared(t *testing.T) {
 	if unsafe.StringData(keys[0]) != unsafe.StringData(keys[1]) {
 		t.Error("two joiners of one cluster hold private copies of its key")
 	}
+}
+
+// TestBootstrapConcurrentGetSurrogates races MsgGetSurrogates for
+// different source ASes through one bootstrap, whose handlers run on the
+// callers' goroutines over Mem: the requests share the bootstrap's kept
+// valley-free walk, so every reply must still equal the one a lone
+// request for its source got.
+func TestBootstrapConcurrentGetSurrogates(t *testing.T) {
+	g, err := asgraph.Generate(asgraph.DefaultGenConfig(200), sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	asns := g.ASNs()
+	cfg := BootstrapConfig{Graph: g, K: 3}
+	for i, asn := range asns {
+		cfg.Prefixes = append(cfg.Prefixes, PrefixOrigin{Prefix: fmt.Sprintf("10.%d.%d.0/24", i>>8, i&0xff), ASN: asn})
+	}
+	mem := transport.NewMem()
+	defer func() { _ = mem.Close() }()
+	bs, err := NewBootstrap(mem, "bs", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, po := range cfg.Prefixes {
+		if _, err := mem.Call(bs.Addr(), &transport.Message{
+			Type: transport.MsgSurrogateHeartbeat, ClusterKey: po.Prefix, SurrogateAddr: transport.Addr(fmt.Sprintf("s%d", i)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(src asgraph.ASN) ([]transport.CloseEntry, error) {
+		resp, err := mem.Call(bs.Addr(), &transport.Message{
+			Type: transport.MsgGetSurrogates, From: "probe", ASNs: []uint32{uint32(src)},
+		})
+		if err != nil {
+			return nil, err
+		}
+		return resp.CloseSet, nil
+	}
+	lone := make([][]transport.CloseEntry, len(asns))
+	sizes := map[int]bool{}
+	for i, asn := range asns {
+		if lone[i], err = get(asn); err != nil {
+			t.Fatal(err)
+		}
+		sizes[len(lone[i])] = true
+	}
+	if len(sizes) < 2 {
+		t.Fatal("every source gets a reply of one size: the test proves nothing")
+	}
+
+	const workers, rounds = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (w*53 + r*7) % len(asns)
+				got, err := get(asns[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, lone[i]) {
+					t.Errorf("worker %d: AS %d's reply has %d entries, a lone request's %d", w, asns[i], len(got), len(lone[i]))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
