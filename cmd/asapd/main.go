@@ -274,7 +274,7 @@ func run(args []string) error {
 					return fmt.Errorf("media setup: %w", err)
 				}
 				fmt.Printf("  media path: %s (external %s, peer %s)\n",
-					mc.Path(), mc.External(), mc.Flow().Peer())
+					mc.Path(), mc.Flow().External(), mc.Flow().Peer())
 			}
 			if !*monitored {
 				if mc != nil {
@@ -413,12 +413,12 @@ func runMonitoredCall(node *core.Node, callee transport.Addr, choice *core.Relay
 		// the session relay, re-run the traversal ladder mid-call so the
 		// voice path recovers too — same flow, same SSRC, stats continue.
 		sess.OnPathChange(func(transport.Addr) {
-			k, err := mc.Reestablish(mc.Relay())
+			k, err := mc.Reestablish(mc.Flow().Relay())
 			if err != nil {
 				fmt.Printf("  media re-establish failed: %v\n", err)
 				return
 			}
-			fmt.Printf("  media re-established: %s (external %s)\n", k, mc.External())
+			fmt.Printf("  media re-established: %s (external %s)\n", k, mc.Flow().External())
 		})
 		stopStream := make(chan struct{})
 		defer close(stopStream)
@@ -498,7 +498,7 @@ func printMediaStats(mc *core.MediaCall) {
 	st := mc.Flow().Stats()
 	fmt.Printf("  media %s: sent %d, received %d (%d bytes), lost %d (%.1f%%), reordered %d, jitter %v, reestablished %d\n",
 		mc.Path(), mc.Flow().Sent(), st.Packets, st.Bytes, st.Lost, 100*st.Loss(), st.Reordered,
-		st.Jitter.Round(time.Microsecond), mc.Reestablishments())
+		st.Jitter.Round(time.Microsecond), mc.Flow().Reestablishments())
 }
 
 func printReports(reports []session.Report) {

@@ -84,28 +84,31 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	var decls []*types.Func        // exported functions and methods under internal/
 	used := map[*types.Func]bool{} // declarations some use resolves to
 	var ifaceUsed []*types.Func    // interface methods used anywhere
-	// record marks what info's uses resolve to, except in package from.
-	record := func(info *types.Info, from string) {
+	// record marks what info's uses resolve to, except in package from;
+	// imp maps a use into a package it checked again to the loader's
+	// declaration.
+	record := func(info *types.Info, from string, imp *withTested) {
 		for _, obj := range info.Uses {
 			fn, ok := obj.(*types.Func)
 			if !ok || fn.Pkg() == nil || fn.Pkg().Path() == from {
 				continue
 			}
-			fn = fn.Origin()
+			fn = imp.original(fn.Origin())
 			used[fn] = true
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
 				ifaceUsed = append(ifaceUsed, fn)
 			}
 		}
 	}
-	pkgs := map[string]*loader.Package{} // directory -> its package
+	pkgs := map[string]*loader.Package{}   // directory -> its package
+	byPath := map[string]*loader.Package{} // import path -> its package
 	for _, dir := range sortedKeys(codeDirs) {
 		p, err := l.LoadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkgs[dir] = p
-		record(p.Info, "") // a package's own code counts as a caller
+		pkgs[dir], byPath[p.ImportPath] = p, p
+		record(p.Info, "", nil) // a package's own code counts as a caller
 		if !strings.HasPrefix(filepath.ToSlash(dir), "internal/") {
 			continue
 		}
@@ -124,9 +127,10 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 
 	// Test files are checked on top of their package: the in-package ones
-	// with its files, the external ones against the package as the loader
-	// built it, which every other package they import also sees. A use
-	// counts only when it leaves the test's own package.
+	// with its files, the external ones against the package together with
+	// its in-package test files, as go test builds them, so a helper an
+	// export_test.go-style file declares resolves. A use counts only when
+	// it leaves the test's own package.
 	for _, dir := range sortedKeys(testFiles) {
 		self := pkgs[dir]
 		path := modName
@@ -148,11 +152,15 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 				internal = append(internal, f)
 			}
 		}
+		imp := &withTested{Loader: l, byPath: byPath}
 		if len(internal) > 0 && (self == nil || len(internal) > len(self.Files)) {
-			record(checkFiles(t, l, path, internal), path)
+			tested, info := checkFiles(t, imp, path, internal)
+			record(info, path, nil)
+			imp = &withTested{Loader: l, byPath: byPath, tested: tested}
 		}
 		if len(external) > 0 {
-			record(checkFiles(t, l, path+"_test", external), path)
+			_, info := checkFiles(t, imp, path+"_test", external)
+			record(info, path, imp)
 		}
 	}
 
@@ -169,14 +177,96 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 }
 
-// checkFiles type-checks files as package path and returns their uses.
-func checkFiles(t *testing.T, l *loader.Loader, path string, files []*ast.File) *types.Info {
+// checkFiles type-checks files as package path and returns the package
+// and its uses.
+func checkFiles(t *testing.T, imp *withTested, path string, files []*ast.File) (*types.Package, *types.Info) {
 	t.Helper()
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	if _, err := (&types.Config{Importer: l}).Check(path, l.Fset, files, info); err != nil {
+	pkg, err := (&types.Config{Importer: imp}).Check(path, imp.Fset, files, info)
+	if err != nil {
 		t.Fatalf("type-check %s: %v", path, err)
 	}
-	return info
+	return pkg, info
+}
+
+// withTested is the importer a directory's external tests are checked
+// with, the way go test builds them: the package under test is tested,
+// its in-package test files included, and every module package that
+// imports it, directly or not, is checked again on top of that, so the
+// two agree on its types. Every other path, and every path when tested
+// is nil, resolves through the loader.
+type withTested struct {
+	*loader.Loader
+	byPath map[string]*loader.Package // the loader's module packages
+	tested *types.Package
+	copies map[string]*types.Package         // import path -> checked again
+	orig   map[*types.Package]*types.Package // and back to the loader's
+}
+
+func (w *withTested) Import(path string) (*types.Package, error) {
+	if w.tested == nil {
+		return w.Loader.Import(path)
+	}
+	if path == w.tested.Path() {
+		return w.tested, nil
+	}
+	if c, ok := w.copies[path]; ok {
+		return c, nil
+	}
+	pkg, err := w.Loader.Import(path)
+	src := w.byPath[path] // nil for the standard library, which imports no module package
+	if err != nil || src == nil || !imports(pkg, w.tested.Path(), map[*types.Package]bool{}) {
+		return pkg, err
+	}
+	c, err := (&types.Config{Importer: w}).Check(path, w.Fset, src.Files, nil)
+	if err != nil {
+		return nil, err
+	}
+	if w.copies == nil {
+		w.copies, w.orig = map[string]*types.Package{}, map[*types.Package]*types.Package{}
+	}
+	w.copies[path], w.orig[c] = c, pkg
+	return c, nil
+}
+
+// original maps a function or method of a package Import checked again
+// to the loader's declaration of it; any other fn is its own.
+func (w *withTested) original(fn *types.Func) *types.Func {
+	if w == nil || w.orig[fn.Pkg()] == nil {
+		return fn
+	}
+	pkg := w.orig[fn.Pkg()]
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return pkg.Scope().Lookup(fn.Name()).(*types.Func)
+	}
+	typ := recv.Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	if named, ok := typ.(*types.Named); ok {
+		if tn := pkg.Scope().Lookup(named.Obj().Name()); tn != nil {
+			obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, fn.Name())
+			if m, ok := obj.(*types.Func); ok {
+				return m
+			}
+		}
+	}
+	return fn
+}
+
+// imports reports whether pkg imports path, directly or not.
+func imports(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	if seen[pkg] {
+		return false
+	}
+	seen[pkg] = true
+	for _, p := range pkg.Imports() {
+		if p.Path() == path || imports(p, path, seen) {
+			return true
+		}
+	}
+	return false
 }
 
 // satisfiesUsed reports whether method fn's receiver type satisfies the

@@ -39,7 +39,6 @@ const (
 // matter only while the table is built, and its readers walk via.
 type RouteTable struct {
 	g      *Graph
-	dst    ASN
 	dstIdx int32
 	// via[i] is the position, within g.asns[i]'s run of half-edges
 	// off[i]:off[i+1], of the half-edge its route leaves by (its head is
@@ -267,7 +266,6 @@ func (g *Graph) buildRouteTable(dstIdx int32, sc *routeScratch) *RouteTable {
 	n := len(g.asns)
 	t := &RouteTable{
 		g:      g,
-		dst:    g.asns[dstIdx],
 		dstIdx: dstIdx,
 		via:    make([]uint16, n),
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -59,19 +60,8 @@ func testParams() Params {
 }
 
 func TestActorJoinAndSurrogacy(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	n1, err := NewNode(mem, "h1", NodeConfig{
-		IP: "10.100.0.1", Bootstrap: bs.Addr(), Params: testParams(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Deploy(t, DeployConfig{Hosts: []DeployHost{{Addr: "h1", IP: "10.100.0.1"}, {Addr: "h2", IP: "10.100.0.2"}}})
+	n1, n2 := d.Nodes[0], d.Nodes[1]
 	if !n1.IsSurrogate() {
 		t.Error("first node in cluster must volunteer as surrogate")
 	}
@@ -80,12 +70,6 @@ func TestActorJoinAndSurrogacy(t *testing.T) {
 	}
 
 	// Second member of the same cluster is not surrogate.
-	n2, err := NewNode(mem, "h2", NodeConfig{
-		IP: "10.100.0.2", Bootstrap: bs.Addr(), Params: testParams(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if n2.IsSurrogate() {
 		t.Error("second member must not displace the surrogate")
 	}
@@ -100,12 +84,8 @@ func TestActorJoinAndSurrogacy(t *testing.T) {
 }
 
 func TestActorJoinErrors(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Deploy(t, DeployConfig{})
+	mem, bs := d.Mem, d.Bootstrap
 	if _, err := NewNode(mem, "hx", NodeConfig{
 		IP: "99.99.99.99", Bootstrap: bs.Addr(), Params: testParams(),
 	}); err == nil {
@@ -127,35 +107,13 @@ func TestActorJoinErrors(t *testing.T) {
 // join, build close sets by pinging, a slow-direct call selects the
 // multi-homed middle cluster as relay, and voice flows through it.
 func TestActorEndToEndRelayCall(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
 	addrAS := map[transport.Addr]int{"bs": 0, "h1": 100, "h2": 200, "h3": 300}
-	mem.Latency = latencyFor(addrAS)
-
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(addr transport.Addr, ip string) *Node {
-		n, err := NewNode(mem, addr, NodeConfig{
-			IP: ip, Bootstrap: bs.Addr(), Params: testParams(),
-		})
-		if err != nil {
-			t.Fatalf("node %s: %v", addr, err)
-		}
-		return n
-	}
-	h3 := mk("h3", "10.30.0.1") // relay cluster first so others see it
-	h1 := mk("h1", "10.100.0.1")
-	h2 := mk("h2", "10.200.0.1")
-
-	// Refresh h1/h2 close sets now that every surrogate is registered.
-	if err := h1.RefreshCloseSet(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h2.RefreshCloseSet(); err != nil {
-		t.Fatal(err)
-	}
+	// The relay cluster joins first so the others see it; every close set
+	// is rebuilt once every surrogate is registered.
+	d := Deploy(t, DeployConfig{Latency: latencyFor(addrAS), Refresh: true, Hosts: []DeployHost{
+		{Addr: "h3", IP: "10.30.0.1"}, {Addr: "h1", IP: "10.100.0.1"}, {Addr: "h2", IP: "10.200.0.1"},
+	}})
+	h3, h1, h2 := d.Nodes[0], d.Nodes[1], d.Nodes[2]
 
 	choice, err := h1.SetupCall(h2.Addr())
 	if err != nil {
@@ -185,15 +143,29 @@ func TestActorEndToEndRelayCall(t *testing.T) {
 	}
 }
 
-// countingTransport counts the requests sent through it.
+// countingTransport counts the requests sent through it, by sender.
 type countingTransport struct {
 	transport.Transport
-	calls atomic.Int64
+	mu   sync.Mutex
+	sent map[transport.Addr]int64
 }
 
 func (c *countingTransport) Call(to transport.Addr, req *transport.Message) (*transport.Message, error) {
-	c.calls.Add(1)
+	c.mu.Lock()
+	c.sent[req.From]++
+	c.mu.Unlock()
 	return c.Transport.Call(to, req)
+}
+
+// sentDuring runs f and returns how many requests from sent meanwhile.
+func (c *countingTransport) sentDuring(from transport.Addr, f func()) int64 {
+	c.mu.Lock()
+	before := c.sent[from]
+	c.mu.Unlock()
+	f()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sent[from] - before
 }
 
 // TestRefreshCloseSetOnlyOnSurrogate: a surrogate's refresh costs one
@@ -201,30 +173,21 @@ func (c *countingTransport) Call(to transport.Addr, req *transport.Message) (*tr
 // plain member's close set is its surrogate's, so its refresh sends
 // nothing.
 func TestRefreshCloseSetOnlyOnSurrogate(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(addr transport.Addr, ip string) (*Node, *countingTransport) {
-		tr := &countingTransport{Transport: mem}
-		n, err := NewNode(tr, addr, NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: testParams()})
-		if err != nil {
-			t.Fatalf("node %s: %v", addr, err)
-		}
-		return n, tr
-	}
-	mk("h3", "10.30.0.1")
-	mk("h2", "10.200.0.1")
-	sur, surTr := mk("h1", "10.100.0.1")
-	member, memberTr := mk("h1b", "10.100.0.2")
+	ct := &countingTransport{sent: map[transport.Addr]int64{}}
+	d := Deploy(t, DeployConfig{
+		Wrap: func(tr transport.Transport) transport.Transport { ct.Transport = tr; return ct },
+		Hosts: []DeployHost{
+			{Addr: "h3", IP: "10.30.0.1"}, {Addr: "h2", IP: "10.200.0.1"},
+			{Addr: "h1", IP: "10.100.0.1"}, {Addr: "h1b", IP: "10.100.0.2"},
+		},
+	})
+	sur, member := d.Nodes[2], d.Nodes[3]
 	if !sur.IsSurrogate() || member.IsSurrogate() {
 		t.Fatalf("roles: h1 surrogate=%v, h1b surrogate=%v", sur.IsSurrogate(), member.IsSurrogate())
 	}
 
 	// The other surrogates the bootstrap names for h1's AS.
-	resp, err := mem.Call(bs.Addr(), &transport.Message{
+	resp, err := d.Mem.Call(d.Bootstrap.Addr(), &transport.Message{
 		Type: transport.MsgGetSurrogates, From: "probe", ASNs: []uint32{100},
 	})
 	if err != nil {
@@ -240,18 +203,17 @@ func TestRefreshCloseSetOnlyOnSurrogate(t *testing.T) {
 		t.Fatal("bootstrap names no other surrogate: the test proves nothing")
 	}
 
-	memberTr.calls.Store(0)
-	if err := member.RefreshCloseSet(); err != nil {
-		t.Fatal(err)
+	refresh := func(n *Node) func() {
+		return func() {
+			if err := n.RefreshCloseSet(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if got := memberTr.calls.Load(); got != 0 {
+	if got := ct.sentDuring(member.Addr(), refresh(member)); got != 0 {
 		t.Errorf("member refresh sent %d messages, want 0", got)
 	}
-	surTr.calls.Store(0)
-	if err := sur.RefreshCloseSet(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := surTr.calls.Load(), int64(1+others); got != want {
+	if got, want := ct.sentDuring(sur.Addr(), refresh(sur)), int64(1+others); got != want {
 		t.Errorf("surrogate refresh sent %d messages, want %d (1 + %d pings)", got, want, others)
 	}
 	// The member still reads the surrogate's set.
@@ -260,25 +222,27 @@ func TestRefreshCloseSetOnlyOnSurrogate(t *testing.T) {
 	}
 }
 
-// pingTap wraps a node's transport and counts the pings that pass
-// between the node and peer: those it sends there, and those its own
-// handler is handed from there.
+// pingTap wraps a transport and counts the pings from one node to
+// another: those sent, and those the receiver's handler is handed.
 type pingTap struct {
 	transport.Transport
-	peer         transport.Addr
+	from, to     transport.Addr
 	sent, served atomic.Int64
 }
 
 func (p *pingTap) Call(to transport.Addr, req *transport.Message) (*transport.Message, error) {
-	if to == p.peer && req.Type == transport.MsgPing {
+	if req.From == p.from && to == p.to && req.Type == transport.MsgPing {
 		p.sent.Add(1)
 	}
 	return p.Transport.Call(to, req)
 }
 
 func (p *pingTap) Serve(addr transport.Addr, h transport.Handler) (transport.Addr, error) {
+	if addr != p.to {
+		return p.Transport.Serve(addr, h)
+	}
 	return p.Transport.Serve(addr, func(from transport.Addr, req *transport.Message) (*transport.Message, error) {
-		if from == p.peer && req.Type == transport.MsgPing {
+		if from == p.from && req.Type == transport.MsgPing {
 			p.served.Add(1)
 		}
 		return h(from, req)
@@ -295,37 +259,26 @@ func TestCloseSetPingBudget(t *testing.T) {
 	params := testParams()
 	budget := 2 * params.LatT
 	clk := sim.NewClock()
-	mem := transport.NewMem()
-	mem.Sched = clk
-	mem.Latency = func(from, to transport.Addr) time.Duration {
-		switch {
-		case from == "bs" || to == "bs":
-			return bsOneWay
-		case from+to == "h1h3" || from+to == "h3h1":
-			return budget
-		}
-		return fastOneWay
-	}
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1Tap := &pingTap{Transport: mem, peer: "h3"}
-	h3Tap := &pingTap{Transport: mem, peer: "h1"}
+	tap := &pingTap{from: "h1", to: "h3"}
 	base := runtime.NumGoroutine()
 	clk.RunTask(func() {
-		mk := func(tr transport.Transport, addr transport.Addr, ip string) *Node {
-			n, err := NewNode(tr, addr, NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: params, Sched: clk, Seed: 1})
-			if err != nil {
-				t.Fatalf("node %s: %v", addr, err)
-			}
-			return n
-		}
-		mk(h3Tap, "h3", "10.30.0.1")
-		mk(mem, "h2", "10.10.0.1")
-		h1 := mk(h1Tap, "h1", "10.100.0.1")
-		h1Tap.sent.Store(0)
+		d := Deploy(t, DeployConfig{
+			Clock: clk,
+			Latency: func(from, to transport.Addr) time.Duration {
+				switch {
+				case from == "bs" || to == "bs":
+					return bsOneWay
+				case from+to == "h1h3" || from+to == "h3h1":
+					return budget
+				}
+				return fastOneWay
+			},
+			Wrap:   func(tr transport.Transport) transport.Transport { tap.Transport = tr; return tap },
+			Params: params,
+			Hosts:  []DeployHost{{Addr: "h3", IP: "10.30.0.1"}, {Addr: "h2", IP: "10.10.0.1"}, {Addr: "h1", IP: "10.100.0.1"}},
+		})
+		h1 := d.Nodes[2]
+		tap.sent.Store(0)
 		start := clk.Now()
 		if err := h1.RefreshCloseSet(); err != nil {
 			t.Fatal(err)
@@ -333,8 +286,8 @@ func TestCloseSetPingBudget(t *testing.T) {
 		if got, want := clk.Now()-start, 2*bsOneWay+budget; got != want {
 			t.Errorf("RefreshCloseSet took %v of virtual time, want %v (the bootstrap round trip, then the ping budget)", got, want)
 		}
-		if h1Tap.sent.Load() != 1 {
-			t.Fatalf("h1 pinged h3 %d times in its refresh, want once: the slow candidate was never tried", h1Tap.sent.Load())
+		if tap.sent.Load() != 1 {
+			t.Fatalf("h1 pinged h3 %d times in its refresh, want once: the slow candidate was never tried", tap.sent.Load())
 		}
 		set, _ := h1.CloseSet()
 		var keys []string
@@ -345,7 +298,7 @@ func TestCloseSetPingBudget(t *testing.T) {
 			t.Errorf("h1's close set holds %v, want h2's cluster alone", keys)
 		}
 	})
-	if n := h3Tap.served.Load(); n != 0 {
+	if n := tap.served.Load(); n != 0 {
 		t.Errorf("h3's handler ran %d pings from h1, want 0: a ping past its budget is dropped in transit", n)
 	}
 	n := runtime.NumGoroutine()
@@ -359,20 +312,8 @@ func TestCloseSetPingBudget(t *testing.T) {
 }
 
 func TestActorDirectCallWhenFast(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, err := NewNode(mem, "h1", NodeConfig{IP: "10.100.0.1", Bootstrap: bs.Addr(), Params: testParams()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := NewNode(mem, "h2", NodeConfig{IP: "10.200.0.1", Bootstrap: bs.Addr(), Params: testParams()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Deploy(t, DeployConfig{Hosts: []DeployHost{{Addr: "h1", IP: "10.100.0.1"}, {Addr: "h2", IP: "10.200.0.1"}}})
+	h1, h2 := d.Nodes[0], d.Nodes[1]
 	choice, err := h1.SetupCall(h2.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -446,12 +387,8 @@ func TestBootstrapValidation(t *testing.T) {
 }
 
 func TestBootstrapRejectsUnknownMessages(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Deploy(t, DeployConfig{})
+	mem, bs := d.Mem, d.Bootstrap
 	if _, err := mem.Call(bs.Addr(), &transport.Message{Type: transport.MsgVoice}); err == nil {
 		t.Error("bootstrap should reject voice messages")
 	}
@@ -463,27 +400,13 @@ func TestBootstrapRejectsUnknownMessages(t *testing.T) {
 }
 
 func TestManyNodesJoinOverMem(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
+	var hosts []DeployHost
+	for i := 0; i < 30; i++ {
+		prefix := []string{"10.100", "10.200", "10.30"}[i%3]
+		hosts = append(hosts, DeployHost{Addr: transport.Addr(fmt.Sprintf("n%d", i)), IP: fmt.Sprintf("%s.0.%d", prefix, i+1)})
 	}
 	surrogates := 0
-	for i := 0; i < 30; i++ {
-		ip := fmt.Sprintf("10.100.0.%d", i+1)
-		if i%3 == 1 {
-			ip = fmt.Sprintf("10.200.0.%d", i+1)
-		}
-		if i%3 == 2 {
-			ip = fmt.Sprintf("10.30.0.%d", i+1)
-		}
-		n, err := NewNode(mem, transport.Addr(fmt.Sprintf("n%d", i)), NodeConfig{
-			IP: ip, Bootstrap: bs.Addr(), Params: testParams(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, n := range Deploy(t, DeployConfig{Hosts: hosts}).Nodes {
 		if n.IsSurrogate() {
 			surrogates++
 		}
@@ -501,23 +424,11 @@ func TestManyNodesJoinOverMem(t *testing.T) {
 // here concurrently with the rebuilds, for the race detector), and the
 // fetches leave the surrogate's set as it was.
 func TestCloseSetIsPublishedNotCopied(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	join := func(addr transport.Addr, ip string) *Node {
-		t.Helper()
-		n, err := NewNode(mem, addr, NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: testParams()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	join("h3", "10.30.0.1")
-	sur := join("h1", "10.100.0.1") // joins after h3, so its set holds h3's cluster
-	member := join("h2", "10.100.0.2")
+	// h1 joins after h3, so its set holds h3's cluster.
+	d := Deploy(t, DeployConfig{Hosts: []DeployHost{
+		{Addr: "h3", IP: "10.30.0.1"}, {Addr: "h1", IP: "10.100.0.1"}, {Addr: "h2", IP: "10.100.0.2"},
+	}})
+	sur, member := d.Nodes[1], d.Nodes[2]
 
 	own, err := sur.CloseSet()
 	if err != nil || len(own) != 1 {
@@ -528,7 +439,7 @@ func TestCloseSetIsPublishedNotCopied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := mem.Call(sur.Addr(), &transport.Message{Type: transport.MsgGetCloseSet, From: "probe"})
+	resp, err := d.Mem.Call(sur.Addr(), &transport.Message{Type: transport.MsgGetCloseSet, From: "probe"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +454,7 @@ func TestCloseSetIsPublishedNotCopied(t *testing.T) {
 
 	// A second close cluster appears and the surrogate rebuilds while the
 	// fetched slices are being read.
-	join("h4", "10.10.0.1")
+	d.Join(t, DeployHost{Addr: "h4", IP: "10.10.0.1"})
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 20; i++ {

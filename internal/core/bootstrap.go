@@ -112,7 +112,6 @@ type surrogateLease struct {
 type Bootstrap struct {
 	cfg   BootstrapConfig
 	trie  bgp.Trie
-	tr    transport.Transport
 	addr  transport.Addr
 	sched sim.Scheduler
 	mu    sync.Mutex
@@ -143,7 +142,6 @@ func NewBootstrap(tr transport.Transport, addr transport.Addr, cfg BootstrapConf
 	}
 	b := &Bootstrap{
 		cfg:   cfg,
-		tr:    tr,
 		sched: sim.OrWall(cfg.Sched),
 		surro: make(map[string]surrogateLease),
 		byAS:  make(map[asgraph.ASN][]string),

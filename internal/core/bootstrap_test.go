@@ -23,14 +23,7 @@ func TestJoinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations and drops pooled envelopes")
 	}
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	cfg := actorBootstrapConfig()
-	cfg.LeaseTTL = time.Minute
-	bs, err := NewBootstrap(mem, "bs", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := Deploy(t, DeployConfig{Bootstrap: BootstrapConfig{LeaseTTL: time.Minute}}).Bootstrap
 	reqs := []*transport.Message{
 		{Type: transport.MsgJoin, From: "h1", IP: "10.100.7.9"},
 		{Type: transport.MsgSurrogateHeartbeat, From: "h1", ClusterKey: "10.100.0.0/16", SurrogateAddr: "h1"},
@@ -55,20 +48,10 @@ func TestJoinAllocs(t *testing.T) {
 // retain a few thousand keys rather than a million copies, and that the
 // key is the matched prefix in CIDR notation.
 func TestJoinKeyShared(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var keys [2]string
-	for i, ip := range []string{"10.100.0.1", "10.100.255.254"} {
-		n, err := NewNode(mem, transport.Addr("h"+ip), NodeConfig{
-			IP: ip, Bootstrap: bs.Addr(), Params: testParams(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, n := range Deploy(t, DeployConfig{Hosts: []DeployHost{
+		{Addr: "h10.100.0.1", IP: "10.100.0.1"}, {Addr: "h10.100.255.254", IP: "10.100.255.254"},
+	}}).Nodes {
 		keys[i] = n.ClusterKey()
 	}
 	p, err := bgp.ParsePrefix("10.100.0.0/16")
@@ -98,12 +81,8 @@ func TestBootstrapConcurrentGetSurrogates(t *testing.T) {
 	for i, asn := range asns {
 		cfg.Prefixes = append(cfg.Prefixes, PrefixOrigin{Prefix: fmt.Sprintf("10.%d.%d.0/24", i>>8, i&0xff), ASN: asn})
 	}
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Deploy(t, DeployConfig{Bootstrap: cfg})
+	mem, bs := d.Mem, d.Bootstrap
 	for i, po := range cfg.Prefixes {
 		if _, err := mem.Call(bs.Addr(), &transport.Message{
 			Type: transport.MsgSurrogateHeartbeat, ClusterKey: po.Prefix, SurrogateAddr: transport.Addr(fmt.Sprintf("s%d", i)),

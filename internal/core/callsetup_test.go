@@ -19,7 +19,7 @@ import (
 
 const ms = time.Millisecond
 
-// relayKeys are the three relay clusters of setupWorld, in key order, and
+// relayKeys are the three relay clusters of setupDeploy, in key order, and
 // their surrogates.
 var relayKeys = []struct {
 	key  string
@@ -31,57 +31,33 @@ var relayKeys = []struct {
 	{"10.30.0.0/16", "r30", "10.30.0.1"},
 }
 
-// setupWorld joins caller "c" (10.100/16), callee "d" (10.200/16) and the
-// three relay surrogates on a virtual clock, with a 400 ms direct RTT and
-// LatT 300 ms. callerRTT and calleeRTT give each end's round trip to each
-// relay, in relayKeys order; bootstrap links are free. Both ends rebuild
-// their close sets once every relay has joined.
-func setupWorld(t *testing.T, callerRTT, calleeRTT [3]time.Duration) (*sim.Clock, *transport.Mem, *Node, *Node) {
-	t.Helper()
-	clk := sim.NewClock()
-	mem := transport.NewMem()
-	mem.Sched = clk
-	t.Cleanup(func() { _ = mem.Close() })
+// setupDeploy joins the three relay surrogates, then caller "c"
+// (10.100/16) and callee "d" (10.200/16), on a virtual clock, with a
+// 400 ms direct RTT and LatT 300 ms. callerRTT and calleeRTT give each
+// end's round trip to each relay, in relayKeys order; bootstrap links are
+// free. Every surrogate rebuilds its close set once all have joined.
+func setupDeploy(t *testing.T, callerRTT, calleeRTT [3]time.Duration) *Deployment {
 	oneWay := map[[2]transport.Addr]time.Duration{{"c", "d"}: 200 * ms}
+	hosts := make([]DeployHost, 0, len(relayKeys)+2)
 	for i, r := range relayKeys {
 		oneWay[[2]transport.Addr{"c", r.addr}] = callerRTT[i] / 2
 		oneWay[[2]transport.Addr{"d", r.addr}] = calleeRTT[i] / 2
-	}
-	mem.Latency = func(from, to transport.Addr) time.Duration {
-		if d, ok := oneWay[[2]transport.Addr{from, to}]; ok {
-			return d
-		}
-		return oneWay[[2]transport.Addr{to, from}]
-	}
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
+		hosts = append(hosts, DeployHost{Addr: r.addr, IP: r.ip})
 	}
 	params := testParams()
 	params.LatT = 300 * ms
-	var caller, callee *Node
-	clk.RunTask(func() {
-		join := func(addr transport.Addr, ip string) *Node {
-			n, err := NewNode(mem, addr, NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: params, Sched: clk, Seed: 1})
-			if err != nil {
-				t.Fatalf("node %s: %v", addr, err)
+	return deployTask(t, DeployConfig{
+		Clock: sim.NewClock(),
+		Latency: func(from, to transport.Addr) time.Duration {
+			if d, ok := oneWay[[2]transport.Addr{from, to}]; ok {
+				return d
 			}
-			return n
-		}
-		for _, r := range relayKeys {
-			join(r.addr, r.ip)
-		}
-		caller, callee = join("c", "10.100.0.1"), join("d", "10.200.0.1")
-		for _, n := range []*Node{caller, callee} {
-			if err := n.RefreshCloseSet(); err != nil {
-				t.Fatal(err)
-			}
-		}
+			return oneWay[[2]transport.Addr{to, from}]
+		},
+		Params:  params,
+		Hosts:   append(hosts, DeployHost{Addr: "c", IP: "10.100.0.1"}, DeployHost{Addr: "d", IP: "10.200.0.1"}),
+		Refresh: true,
 	})
-	if t.Failed() {
-		t.FailNow()
-	}
-	return clk, mem, caller, callee
 }
 
 // TestSetupCallAdmissionIsOrderIndependent pins the admission rule: with
@@ -110,10 +86,11 @@ func TestSetupCallAdmissionIsOrderIndependent(t *testing.T) {
 			if overlay.RelayRTT != 40*ms {
 				t.Fatalf("the estimates assume a 40 ms relay delay, not %v", overlay.RelayRTT)
 			}
-			clk, _, caller, callee := setupWorld(t, tc.callerRTT, tc.calleeRTT)
+			d := setupDeploy(t, tc.callerRTT, tc.calleeRTT)
+			caller, callee := d.Nodes[3], d.Nodes[4]
 			var choice *RelayChoice
 			var err error
-			clk.RunTask(func() { choice, err = caller.SetupCall(callee.Addr()) })
+			d.Clock.RunTask(func() { choice, err = caller.SetupCall(callee.Addr()) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +118,8 @@ func TestSetupCallAdmissionIsOrderIndependent(t *testing.T) {
 // callee publishes (read here concurrently, for the race detector).
 func TestSetupCallMergesAnUnsortedReplySorted(t *testing.T) {
 	calleeRTT := [3]time.Duration{160 * ms, 170 * ms, 140 * ms}
-	clk, mem, caller, _ := setupWorld(t, [3]time.Duration{150 * ms, 170 * ms, 140 * ms}, calleeRTT)
+	d := setupDeploy(t, [3]time.Duration{150 * ms, 170 * ms, 140 * ms}, calleeRTT)
+	mem, caller := d.Mem, d.Nodes[3]
 	var sorted []transport.CloseEntry
 	for i, r := range relayKeys {
 		sorted = append(sorted, transport.CloseEntry{ClusterKey: r.key, SurrogateAddr: r.addr, RTT: calleeRTT[i]})
@@ -192,7 +170,7 @@ func TestSetupCallMergesAnUnsortedReplySorted(t *testing.T) {
 	}()
 	var want, got *RelayChoice
 	var err1, err2 error
-	clk.RunTask(func() {
+	d.Clock.RunTask(func() {
 		want, err1 = caller.SetupCall("sorted")
 		got, err2 = caller.SetupCall("messy")
 	})
@@ -236,26 +214,21 @@ func servedSorted(set []transport.CloseEntry) bool {
 // walking a map, so only its sort puts them in order.
 func TestCloseSetsTravelSortedByKey(t *testing.T) {
 	clk := sim.NewClock()
-	mem := transport.NewMem()
-	mem.Sched = clk
-	mem.Latency = func(from, to transport.Addr) time.Duration { return 5 * ms }
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	clk.RunTask(func() {
-		var surrogates []*Node
-		for i, ip := range []string{"10.30.0.1", "10.200.0.1", "10.10.0.1", "10.100.0.1", "10.20.0.1", "10.100.0.2"} {
-			n, err := NewNode(mem, transport.Addr(ip), NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: testParams(), Sched: clk, Seed: int64(i + 1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n.IsSurrogate() {
-				surrogates = append(surrogates, n)
-			}
+		var hosts []DeployHost
+		for _, ip := range []string{"10.30.0.1", "10.200.0.1", "10.10.0.1", "10.100.0.1", "10.20.0.1", "10.100.0.2"} {
+			hosts = append(hosts, DeployHost{Addr: transport.Addr(ip), IP: ip})
 		}
-		for _, s := range surrogates {
+		d := Deploy(t, DeployConfig{
+			Clock:   clk,
+			Latency: func(from, to transport.Addr) time.Duration { return 5 * ms },
+			Hosts:   hosts,
+		})
+		mem := d.Mem
+		for _, s := range d.Nodes {
+			if !s.IsSurrogate() {
+				continue
+			}
 			if err := s.RefreshCloseSet(); err != nil {
 				t.Fatal(err)
 			}

@@ -39,14 +39,8 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 // compare-and-swap registration must elect exactly one surrogate, and
 // every loser must converge on following the winner. Run with -race.
 func TestConcurrentJoinSurrogateRace(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	cfg := actorBootstrapConfig()
-	cfg.LeaseTTL = 200 * time.Millisecond
-	bs, err := NewBootstrap(mem, "bs", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Deploy(t, DeployConfig{Bootstrap: BootstrapConfig{LeaseTTL: 200 * time.Millisecond}})
+	mem, bs := d.Mem, d.Bootstrap
 
 	const N = 8
 	nodes := make([]*Node, N)
@@ -96,27 +90,13 @@ func TestConcurrentJoinSurrogateRace(t *testing.T) {
 // table) and checks that the incumbent's heartbeat re-acquires the lease,
 // so later joiners adopt it instead of forking the cluster.
 func TestBootstrapRestartRejoin(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
 	cfg := actorBootstrapConfig()
 	cfg.LeaseTTL = 90 * time.Millisecond
-	bs, err := NewBootstrap(mem, "bs", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(addr transport.Addr, ip string) *Node {
-		n, err := NewNode(mem, addr, NodeConfig{
-			IP: ip, Bootstrap: bs.Addr(), Params: testParams(), Retry: fastNodeRetry(),
-		})
-		if err != nil {
-			t.Fatalf("node %s: %v", addr, err)
-		}
-		return n
-	}
-	h1 := mk("h1", "10.100.0.1")
-	h2 := mk("h2", "10.100.0.2")
-	defer h1.Close()
-	defer h2.Close()
+	d := Deploy(t, DeployConfig{Bootstrap: cfg, Retry: fastNodeRetry(), Hosts: []DeployHost{
+		{Addr: "h1", IP: "10.100.0.1"}, {Addr: "h2", IP: "10.100.0.2"},
+	}})
+	defer d.Close()
+	mem, h1, h2 := d.Mem, d.Nodes[0], d.Nodes[1]
 	if !h1.IsSurrogate() || h2.IsSurrogate() {
 		t.Fatal("want h1 surrogate, h2 member")
 	}
@@ -134,15 +114,12 @@ func TestBootstrapRestartRejoin(t *testing.T) {
 	}
 	// The next heartbeat re-acquires the lease on the fresh bootstrap.
 	waitUntil(t, 2*time.Second, "lease re-acquisition", func() bool {
-		resp, err := mem.Call("bs", &transport.Message{
-			Type: transport.MsgJoin, From: "probe", IP: "10.100.0.200",
-		})
-		return err == nil && resp.SurrogateAddr == h1.Addr()
+		holder, err := d.holder("10.100.0.200")
+		return err == nil && holder == h1.Addr()
 	})
 
 	// A post-restart joiner adopts the incumbent.
-	h3 := mk("h3", "10.100.0.3")
-	defer h3.Close()
+	h3 := d.Join(t, DeployHost{Addr: "h3", IP: "10.100.0.3"})
 	if h3.IsSurrogate() {
 		t.Error("post-restart joiner displaced the re-registered incumbent")
 	}
@@ -154,94 +131,59 @@ func TestBootstrapRestartRejoin(t *testing.T) {
 	}
 }
 
-// churnWorld builds the three-cluster deployment the re-election and soak
+// churnConfig is the three-cluster deployment the re-election and soak
 // tests share: clusters A and B are far apart (direct calls exceed LatT),
 // cluster C is close to both, so relayed calls go through C's surrogate.
 //
 //	A: a0 (surrogate), a1    B: b0 (surrogate), b1    C: c0
 //
-// One-way delays: A<->B 30ms (direct RTT 60ms >= LatT 55ms); A<->C and
-// B<->C 2ms (relay estimate 4+4+40 = 48ms < LatT); everything else 1ms.
-//
-// With a nil clk the world runs on wall time. With a clock, the
-// bootstrap and nodes run on it and newChurnWorld must be called inside
-// one of its tasks; the caller sets the transports' Sched.
-type churnWorld struct {
-	mem                *transport.Mem
-	bs                 *Bootstrap
-	a0, a1, b0, b1, c0 *Node
-	nodes              []*Node
+// The relay cluster joins first so A and B see it, and every surrogate
+// rebuilds its close set after the joins. Nodes holds abcHosts' nodes in
+// their order. A nil clk runs it on wall time; wrap decorates its
+// transport.
+func churnConfig(clk *sim.Clock, leaseTTL time.Duration, wrap func(transport.Transport) transport.Transport) DeployConfig {
+	params := testParams()
+	params.LatT = 55 * time.Millisecond
+	return DeployConfig{
+		Clock: clk, Latency: abcLatency, Wrap: wrap,
+		Bootstrap: BootstrapConfig{LeaseTTL: leaseTTL},
+		Params:    params, Retry: fastNodeRetry(),
+		Hosts:   abcHosts(),
+		Refresh: true,
+	}
 }
 
-func newChurnWorld(t *testing.T, tr transport.Transport, mem *transport.Mem, clk *sim.Clock, leaseTTL time.Duration) *churnWorld {
-	t.Helper()
+// abcHosts are the churn deployment's hosts in join order: c0, a0, a1,
+// b0, b1.
+func abcHosts() []DeployHost {
+	return []DeployHost{
+		{Addr: "c0", IP: "10.30.0.1"}, {Addr: "a0", IP: "10.100.0.1"}, {Addr: "a1", IP: "10.100.0.2"},
+		{Addr: "b0", IP: "10.200.0.1"}, {Addr: "b1", IP: "10.200.0.2"},
+	}
+}
+
+// abcLatency is the one-way delay between nodes named by cluster letter
+// and number: A<->B 30ms (direct RTT 60ms >= LatT 55ms); A<->C and B<->C
+// 2ms (relay estimate 4+4+40 = 48ms < LatT); 1ms for everything else,
+// the bootstrap and any address not two characters long included.
+func abcLatency(from, to transport.Addr) time.Duration {
 	clusterOf := func(a transport.Addr) byte {
 		if len(a) != 2 { // "bs", "probe", ...
 			return 'z'
 		}
 		return a[0]
 	}
-	mem.Latency = func(from, to transport.Addr) time.Duration {
-		cf, ct := clusterOf(from), clusterOf(to)
-		if cf > ct {
-			cf, ct = ct, cf
-		}
-		if cf == 'a' && ct == 'b' {
-			return 30 * time.Millisecond
-		}
-		if (cf == 'a' || cf == 'b') && ct == 'c' {
-			return 2 * time.Millisecond
-		}
-		return time.Millisecond
+	cf, ct := clusterOf(from), clusterOf(to)
+	if cf > ct {
+		cf, ct = ct, cf
 	}
-	cfg := actorBootstrapConfig()
-	cfg.LeaseTTL = leaseTTL
-	var sched sim.Scheduler // nil: wall time
-	if clk != nil {
-		sched = clk
+	if cf == 'a' && ct == 'b' {
+		return 30 * time.Millisecond
 	}
-	cfg.Sched = sched
-	bs, err := NewBootstrap(tr, "bs", cfg)
-	if err != nil {
-		t.Fatal(err)
+	if (cf == 'a' || cf == 'b') && ct == 'c' {
+		return 2 * time.Millisecond
 	}
-	w := &churnWorld{mem: mem, bs: bs}
-	params := testParams()
-	params.LatT = 55 * time.Millisecond
-	mk := func(addr transport.Addr, ip string) *Node {
-		n, err := NewNode(tr, addr, NodeConfig{
-			IP: ip, Bootstrap: bs.Addr(), Params: params, Retry: fastNodeRetry(),
-			Sched: sched, Seed: 1,
-		})
-		if err != nil {
-			t.Fatalf("node %s: %v", addr, err)
-		}
-		w.nodes = append(w.nodes, n)
-		return n
-	}
-	w.c0 = mk("c0", "10.30.0.1") // relay cluster first so A/B see it
-	w.a0 = mk("a0", "10.100.0.1")
-	w.a1 = mk("a1", "10.100.0.2")
-	w.b0 = mk("b0", "10.200.0.1")
-	w.b1 = mk("b1", "10.200.0.2")
-	for _, n := range []*Node{w.c0, w.a0, w.b0} {
-		if err := n.RefreshCloseSet(); err != nil {
-			t.Fatalf("refresh %s: %v", n.Addr(), err)
-		}
-	}
-	return w
-}
-
-func (w *churnWorld) close() {
-	for _, n := range w.nodes {
-		n.Close()
-	}
-}
-
-// kill simulates a crash: stop the node's loops and unbind its address.
-func (w *churnWorld) kill(n *Node) {
-	n.Close()
-	w.mem.Unbind(n.Addr())
+	return time.Millisecond
 }
 
 // ReceivedBytesFrom reports how many voice payload bytes this node has
@@ -256,52 +198,51 @@ func (n *Node) ReceivedBytesFrom(peer transport.Addr) int {
 // calls toward B degrade to direct, b1 re-elects itself once the lease
 // expires, and relayed call setup then succeeds through c0 again.
 func TestSurrogateDeathReelection(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	w := newChurnWorld(t, mem, mem, nil, 80*time.Millisecond)
-	defer w.close()
+	d := Deploy(t, churnConfig(nil, 80*time.Millisecond, nil))
+	defer d.Close()
+	c0, a1, b0, b1 := d.Nodes[0], d.Nodes[2], d.Nodes[3], d.Nodes[4]
 
 	// Healthy baseline: a1 -> b1 relays through c0, bytes attributed to a1.
-	choice, err := w.a1.SetupCall(w.b1.Addr())
+	choice, err := a1.SetupCall(b1.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if choice.Relay != w.c0.Addr() || choice.Degraded {
+	if choice.Relay != c0.Addr() || choice.Degraded {
 		t.Fatalf("healthy call: relay %q degraded=%v, want relay c0", choice.Relay, choice.Degraded)
 	}
 	payload := []byte("pre-failure-frames")
-	if err := w.a1.SendVoice(choice, w.b1.Addr(), payload, 1); err != nil {
+	if err := a1.SendVoice(choice, b1.Addr(), payload, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.b1.ReceivedBytesFrom(w.a1.Addr()); got != len(payload) {
+	if got := b1.ReceivedBytesFrom(a1.Addr()); got != len(payload) {
 		t.Fatalf("callee attributed %d bytes to a1, want %d", got, len(payload))
 	}
-	if w.c0.ReceivedBytes() != 0 {
+	if c0.ReceivedBytes() != 0 {
 		t.Fatal("relay must forward, not consume, voice payloads")
 	}
 
 	// Kill B's surrogate and let the lease expire.
-	w.kill(w.b0)
+	d.Kill(b0)
 	time.Sleep(100 * time.Millisecond)
 
 	// The first call finds b1's surrogate dead: setup still succeeds,
 	// degraded to direct, and triggers b1's background re-election.
-	choice, err = w.a1.SetupCall(w.b1.Addr())
+	choice, err = a1.SetupCall(b1.Addr())
 	if err != nil {
 		t.Fatalf("call setup must degrade, not fail, after surrogate death: %v", err)
 	}
 	if choice.Relay != "" || !choice.Degraded {
 		t.Fatalf("post-death call: relay %q degraded=%v, want direct degraded", choice.Relay, choice.Degraded)
 	}
-	if err := w.a1.SendVoice(choice, w.b1.Addr(), []byte("degraded"), 2); err != nil {
+	if err := a1.SendVoice(choice, b1.Addr(), []byte("degraded"), 2); err != nil {
 		t.Fatalf("degraded direct voice: %v", err)
 	}
 
 	// b1 re-elects and rebuilds the close set; relayed setup recovers.
-	waitUntil(t, 3*time.Second, "b1 re-election", func() bool { return w.b1.IsSurrogate() })
+	waitUntil(t, 3*time.Second, "b1 re-election", func() bool { return b1.IsSurrogate() })
 	waitUntil(t, 3*time.Second, "relayed setup recovery", func() bool {
-		c, err := w.a1.SetupCall(w.b1.Addr())
-		return err == nil && c.Relay == w.c0.Addr() && !c.Degraded
+		c, err := a1.SetupCall(b1.Addr())
+		return err == nil && c.Relay == c0.Addr() && !c.Degraded
 	})
 }
 
@@ -309,31 +250,30 @@ func TestSurrogateDeathReelection(t *testing.T) {
 // the same relay: the callee must attribute bytes per speaker even though
 // every terminal hop arrives with FlowID 0.
 func TestVoiceAccountingPerSender(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	w := newChurnWorld(t, mem, mem, nil, 0)
-	defer w.close()
+	d := Deploy(t, churnConfig(nil, 0, nil))
+	defer d.Close()
+	c0, a0, a1, b1 := d.Nodes[0], d.Nodes[1], d.Nodes[2], d.Nodes[4]
 
-	for i, caller := range []*Node{w.a0, w.a1} {
-		choice, err := caller.SetupCall(w.b1.Addr())
+	for i, caller := range []*Node{a0, a1} {
+		choice, err := caller.SetupCall(b1.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if choice.Relay != w.c0.Addr() {
+		if choice.Relay != c0.Addr() {
 			t.Fatalf("caller %s: relay %q, want c0", caller.Addr(), choice.Relay)
 		}
 		payload := make([]byte, 10*(i+1))
-		if err := caller.SendVoice(choice, w.b1.Addr(), payload, 1); err != nil {
+		if err := caller.SendVoice(choice, b1.Addr(), payload, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := w.b1.ReceivedBytesFrom(w.a0.Addr()); got != 10 {
+	if got := b1.ReceivedBytesFrom(a0.Addr()); got != 10 {
 		t.Errorf("bytes from a0 = %d, want 10", got)
 	}
-	if got := w.b1.ReceivedBytesFrom(w.a1.Addr()); got != 20 {
+	if got := b1.ReceivedBytesFrom(a1.Addr()); got != 20 {
 		t.Errorf("bytes from a1 = %d, want 20", got)
 	}
-	if got := w.b1.ReceivedBytes(); got != 30 {
+	if got := b1.ReceivedBytes(); got != 30 {
 		t.Errorf("total bytes = %d, want 30", got)
 	}
 }
@@ -346,9 +286,12 @@ func TestVoiceAccountingPerSender(t *testing.T) {
 func TestChaosSoak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	mem := transport.NewMem()
-	chaos := transport.NewChaos(mem, 42)
-	w := newChurnWorld(t, chaos, mem, nil, 100*time.Millisecond)
+	var chaos *transport.Chaos
+	d := Deploy(t, churnConfig(nil, 100*time.Millisecond, func(tr transport.Transport) transport.Transport {
+		chaos = transport.NewChaos(tr, 42)
+		return chaos
+	}))
+	c0, a1, b0, b1 := d.Nodes[0], d.Nodes[2], d.Nodes[3], d.Nodes[4]
 
 	chaos.DropDefault(0.05)
 
@@ -357,22 +300,22 @@ func TestChaosSoak(t *testing.T) {
 	for i := 0; i < calls; i++ {
 		switch i {
 		case 10:
-			chaos.OutageFor(w.bs.Addr(), 300*time.Millisecond)
+			chaos.OutageFor(d.Bootstrap.Addr(), 300*time.Millisecond)
 		case 14:
-			w.kill(w.b0)
+			d.Kill(b0)
 		case 25:
-			chaos.FailNext(w.c0.Addr(), 3)
+			chaos.FailNext(c0.Addr(), 3)
 		}
-		choice, err := w.a1.SetupCall(w.b1.Addr())
+		choice, err := a1.SetupCall(b1.Addr())
 		if err != nil {
 			continue // callee unreachable this round
 		}
 		payload := []byte("soak-voice-frames")
-		if err := w.a1.SendVoice(choice, w.b1.Addr(), payload, uint32(i)); err != nil {
+		if err := a1.SendVoice(choice, b1.Addr(), payload, uint32(i)); err != nil {
 			// Voice path faulted: fall back to direct, once.
-			w.a1.DropFlow(choice.Relay, w.b1.Addr())
+			a1.DropFlow(choice.Relay, b1.Addr())
 			direct := &RelayChoice{Relay: "", Degraded: true}
-			if err := w.a1.SendVoice(direct, w.b1.Addr(), payload, uint32(i)); err != nil {
+			if err := a1.SendVoice(direct, b1.Addr(), payload, uint32(i)); err != nil {
 				continue
 			}
 			degraded++
@@ -392,7 +335,7 @@ func TestChaosSoak(t *testing.T) {
 	if relayed == 0 {
 		t.Error("soak never used a relay — topology or chaos config is off")
 	}
-	if got := w.b1.ReceivedBytesFrom(w.a1.Addr()); got == 0 {
+	if got := b1.ReceivedBytesFrom(a1.Addr()); got == 0 {
 		t.Error("callee accounted zero voice bytes from the caller")
 	}
 	st := chaos.Stats()
@@ -403,8 +346,8 @@ func TestChaosSoak(t *testing.T) {
 		completed, calls, relayed, degraded, st)
 
 	// Shut everything down and verify the goroutines drain.
-	w.close()
-	_ = mem.Close()
+	d.Close()
+	_ = d.Mem.Close()
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= baseline+2 {
@@ -454,21 +397,21 @@ func (a churnArm) successRate() float64 { return float64(a.Completed) / churnCal
 func runChurnArm(t *testing.T, leaseTTL time.Duration) churnArm {
 	t.Helper()
 	clk := sim.NewClock()
-	mem := transport.NewMem()
-	mem.Sched = clk
-	defer func() { _ = mem.Close() }()
-	chaos := transport.NewChaos(mem, churnChaosSeed)
-	chaos.Sched = clk
-	chaos.DropDefault(churnDrop)
-
+	var chaos *transport.Chaos
 	var arm churnArm
 	clk.RunTask(func() {
-		w := newChurnWorld(t, chaos, mem, clk, leaseTTL)
-		defer w.close()
+		d := Deploy(t, churnConfig(clk, leaseTTL, func(tr transport.Transport) transport.Transport {
+			chaos = transport.NewChaos(tr, churnChaosSeed)
+			chaos.Sched = clk
+			chaos.DropDefault(churnDrop)
+			return chaos
+		}))
+		defer d.Close()
+		a1, b0, b1 := d.Nodes[2], d.Nodes[3], d.Nodes[4]
 		const notKilled = time.Duration(-1)
 		killedAt := notKilled
 		observe := func() {
-			if killedAt != notKilled && !arm.Reelected && w.b1.IsSurrogate() {
+			if killedAt != notKilled && !arm.Reelected && b1.IsSurrogate() {
 				arm.Reelected, arm.ReelectLatency = true, clk.Now()-killedAt
 			}
 		}
@@ -476,17 +419,17 @@ func runChurnArm(t *testing.T, leaseTTL time.Duration) churnArm {
 		for i := 0; i < churnCalls; i++ {
 			switch i {
 			case churnOutageAt:
-				chaos.OutageFor(w.bs.Addr(), churnOutage)
+				chaos.OutageFor(d.Bootstrap.Addr(), churnOutage)
 			case churnKillAt:
-				w.kill(w.b0)
+				d.Kill(b0)
 				killedAt = clk.Now()
 			}
-			if choice, err := w.a1.SetupCall(w.b1.Addr()); err == nil {
-				if err := w.a1.SendVoice(choice, w.b1.Addr(), payload, uint32(i)); err != nil {
+			if choice, err := a1.SetupCall(b1.Addr()); err == nil {
+				if err := a1.SendVoice(choice, b1.Addr(), payload, uint32(i)); err != nil {
 					// Voice path faulted mid-call: drop the dead relay flow and
 					// retry once on the direct path.
-					w.a1.DropFlow(choice.Relay, w.b1.Addr())
-					if err := w.a1.SendVoice(&RelayChoice{}, w.b1.Addr(), payload, uint32(i)); err == nil {
+					a1.DropFlow(choice.Relay, b1.Addr())
+					if err := a1.SendVoice(&RelayChoice{}, b1.Addr(), payload, uint32(i)); err == nil {
 						arm.Completed++
 						arm.Degraded++
 					}
@@ -546,10 +489,19 @@ func TestChurnLeaseVsNoLease(t *testing.T) {
 
 // TestChurnVirtualTimeDeterministic reruns both churn arms: on the
 // virtual clock a seed fixes the transport latency, chaos windows,
-// leases, retries and every measurement, so reruns must agree exactly.
+// leases, retries and every measurement, so reruns must agree exactly,
+// and with the readings pinned here: a change that shifts any timing of
+// the workload moves them.
 func TestChurnVirtualTimeDeterministic(t *testing.T) {
 	run := func() [2]churnArm { return [2]churnArm{runChurnArm(t, churnLeaseTTL), runChurnArm(t, 0)} }
 	golden := run()
+	pinned := [2]churnArm{
+		{Completed: 20, Degraded: 2, Relayed: 18, RelayedAfterKill: 11, Reelected: true, ReelectLatency: 182 * time.Millisecond},
+		{Completed: 19, Degraded: 12, Relayed: 7},
+	}
+	if golden != pinned {
+		t.Errorf("churn arms (lease, no lease):\ngot    %+v\npinned %+v", golden, pinned)
+	}
 	for i := 0; i < 2; i++ {
 		if got := run(); got != golden {
 			t.Fatalf("churn rerun %d diverged:\ngolden %+v\nrerun  %+v", i, golden, got)
@@ -557,39 +509,12 @@ func TestChurnVirtualTimeDeterministic(t *testing.T) {
 	}
 }
 
-// restartWorld is the demo deployment on the virtual clock with a 30 s
-// lease, for the restart tests below. Inside clk.RunTask a t.Fatal would
-// end the root task without ending the drive loop (renewal timers keep it
-// fed), so mk reports a failed join with t.Error and a nil node.
-func restartWorld(t *testing.T, clk *sim.Clock, mem *transport.Mem) (mk func(addr transport.Addr, ip string) *Node, holder func() transport.Addr) {
-	t.Helper()
+// restartConfig is the demo deployment on clk with a 30 s lease, for the
+// restart tests below: a0, the first member of cluster A, joins alone.
+func restartConfig(clk *sim.Clock) DeployConfig {
 	cfg := DemoBootstrapConfig()
 	cfg.LeaseTTL = restartLeaseTTL
-	cfg.Sched = clk
-	bs, err := NewBootstrap(mem, "bs", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk = func(addr transport.Addr, ip string) *Node {
-		n, err := NewNode(mem, addr, NodeConfig{
-			IP: ip, Bootstrap: bs.Addr(), Params: testParams(), Sched: clk, Seed: 1,
-		})
-		if err != nil {
-			t.Errorf("node %s: %v", addr, err)
-			return nil
-		}
-		return n
-	}
-	// holder asks the bootstrap who holds cluster A's lease right now.
-	holder = func() transport.Addr {
-		resp, err := mem.Call(bs.Addr(), &transport.Message{Type: transport.MsgJoin, From: "probe", IP: "10.100.0.200"})
-		if err != nil {
-			t.Errorf("lease probe: %v", err)
-			return ""
-		}
-		return resp.SurrogateAddr
-	}
-	return mk, holder
+	return DeployConfig{Clock: clk, Bootstrap: cfg, Hosts: []DeployHost{{Addr: "a0", IP: "10.100.0.1"}}}
 }
 
 const restartLeaseTTL = 30 * time.Second
@@ -602,37 +527,26 @@ const restartLeaseTTL = 30 * time.Second
 // with no relays, which nothing would ever correct.
 func TestSurrogateRestartInPlace(t *testing.T) {
 	clk := sim.NewClock()
-	mem := transport.NewMem()
-	mem.Sched = clk
-	defer func() { _ = mem.Close() }()
-	mk, holder := restartWorld(t, clk, mem)
-
 	clk.RunTask(func() {
-		first := mk("a0", "10.100.0.1")
-		if first == nil {
-			return
-		}
+		d := Deploy(t, restartConfig(clk))
+		defer d.Close()
+		first := d.Nodes[0]
 		if !first.IsSurrogate() {
 			t.Error("a0 is cluster A's first member and must serve it")
 		}
-		first.Close()
-		mem.Unbind("a0")
+		d.Kill(first)
 		clk.Sleep(time.Second)
 
-		a0, c0 := mk("a0", "10.100.0.1"), mk("c0", "10.30.0.1")
-		if a0 == nil || c0 == nil {
-			return
-		}
-		defer a0.Close()
-		defer c0.Close()
+		a0 := d.Join(t, DeployHost{Addr: "a0", IP: "10.100.0.1"})
+		d.Join(t, DeployHost{Addr: "c0", IP: "10.30.0.1"})
 		if !a0.IsSurrogate() {
 			t.Errorf("restarted a0 follows %q as a plain member; it holds the lease and must serve", a0.Surrogate())
 		}
 
 		// Only a running renewal keeps the lease past its TTL.
 		clk.Sleep(2 * restartLeaseTTL)
-		if got := holder(); got != a0.Addr() {
-			t.Errorf("lease holder after 2 x TTL is %q, want the restarted a0: its renewal is not running", got)
+		if got, err := d.holder("10.100.0.200"); err != nil || got != a0.Addr() {
+			t.Errorf("lease holder after 2 x TTL is %q (err %v), want the restarted a0: its renewal is not running", got, err)
 		}
 		if a0.IsSurrogate() {
 			if err := a0.RefreshCloseSet(); err != nil {
@@ -650,25 +564,12 @@ func TestSurrogateRestartInPlace(t *testing.T) {
 // member of a1, and a1 keeps the lease.
 func TestRestartUnderLiveIncumbent(t *testing.T) {
 	clk := sim.NewClock()
-	mem := transport.NewMem()
-	mem.Sched = clk
-	defer func() { _ = mem.Close() }()
-	mk, holder := restartWorld(t, clk, mem)
-
 	clk.RunTask(func() {
-		first := mk("a0", "10.100.0.1")
-		if first == nil {
-			return
-		}
-		first.Close()
-		mem.Unbind("a0")
+		d := Deploy(t, restartConfig(clk))
+		defer d.Close()
+		d.Kill(d.Nodes[0])
 		clk.Sleep(restartLeaseTTL + time.Second)
-		a1, a0 := mk("a1", "10.100.0.2"), mk("a0", "10.100.0.1")
-		if a1 == nil || a0 == nil {
-			return
-		}
-		defer a1.Close()
-		defer a0.Close()
+		a1, a0 := d.Join(t, DeployHost{Addr: "a1", IP: "10.100.0.2"}), d.Join(t, DeployHost{Addr: "a0", IP: "10.100.0.1"})
 		if !a1.IsSurrogate() {
 			t.Error("a1 joined a vacant cluster and must serve it")
 		}
@@ -676,8 +577,8 @@ func TestRestartUnderLiveIncumbent(t *testing.T) {
 			t.Errorf("restarted a0: surrogate=%v following %q, want a member of a1", a0.IsSurrogate(), a0.Surrogate())
 		}
 		clk.Sleep(2 * restartLeaseTTL)
-		if got := holder(); got != a1.Addr() {
-			t.Errorf("lease holder after 2 x TTL is %q, want the incumbent a1", got)
+		if got, err := d.holder("10.100.0.200"); err != nil || got != a1.Addr() {
+			t.Errorf("lease holder after 2 x TTL is %q (err %v), want the incumbent a1", got, err)
 		}
 		if !a1.IsSurrogate() || a0.IsSurrogate() {
 			t.Errorf("roles after 2 x TTL: a1 surrogate=%v, a0 surrogate=%v", a1.IsSurrogate(), a0.IsSurrogate())
@@ -694,46 +595,28 @@ func TestRestartUnderLiveIncumbent(t *testing.T) {
 // and D), and a call set up toward member a2 is refused a0's old set —
 // answered degraded while a2 re-elects, then from a3.
 func TestDemotedSurrogateStopsServingItsCloseSet(t *testing.T) {
-	clk := sim.NewClock()
-	mem := transport.NewMem()
-	mem.Sched = clk
-	mem.Latency = func(from, to transport.Addr) time.Duration { return time.Millisecond }
-	defer func() { _ = mem.Close() }()
-	cfg := actorBootstrapConfig()
-	cfg.LeaseTTL = restartLeaseTTL
-	cfg.Sched = clk
-	bs, err := NewBootstrap(mem, "bs", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nodes []*Node
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	mk := func(addr transport.Addr, ip string) *Node {
-		n, err := NewNode(mem, addr, NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: testParams(), Sched: clk, Seed: 1})
-		if err != nil {
-			t.Fatalf("node %s: %v", addr, err)
-		}
-		nodes = append(nodes, n)
-		return n
-	}
 	const keyA = "10.100.0.0/16"
-	callSetup := func(callee transport.Addr) *transport.Message {
-		resp, err := mem.Call(callee, &transport.Message{Type: transport.MsgGetCloseSet, From: "caller"})
-		if err != nil {
-			t.Fatalf("call setup toward %s: %v", callee, err)
-		}
-		return resp
-	}
-
+	clk := sim.NewClock()
 	clk.RunTask(func() {
-		mk("c0", "10.30.0.1")
-		a0 := mk("a0", "10.100.0.1")
-		a1, a2 := mk("a1", "10.100.0.2"), mk("a2", "10.100.0.3")
-		mk("d0", "10.10.0.1")
+		d := Deploy(t, DeployConfig{
+			Clock:     clk,
+			Latency:   func(from, to transport.Addr) time.Duration { return time.Millisecond },
+			Bootstrap: BootstrapConfig{LeaseTTL: restartLeaseTTL},
+			Hosts: []DeployHost{
+				{Addr: "c0", IP: "10.30.0.1"}, {Addr: "a0", IP: "10.100.0.1"}, {Addr: "a1", IP: "10.100.0.2"},
+				{Addr: "a2", IP: "10.100.0.3"}, {Addr: "d0", IP: "10.10.0.1"},
+			},
+		})
+		defer d.Close()
+		mem, bs := d.Mem, d.Bootstrap
+		a0, a1, a2 := d.Nodes[1], d.Nodes[2], d.Nodes[3]
+		callSetup := func(callee transport.Addr) *transport.Message {
+			resp, err := mem.Call(callee, &transport.Message{Type: transport.MsgGetCloseSet, From: "caller"})
+			if err != nil {
+				t.Fatalf("call setup toward %s: %v", callee, err)
+			}
+			return resp
+		}
 		old, err := a0.CloseSet()
 		if err != nil || len(old) != 1 || old[0].ClusterKey != "10.30.0.0/16" {
 			t.Fatalf("a0 built %v (err %v), want cluster C alone", old, err)
@@ -747,7 +630,7 @@ func TestDemotedSurrogateStopsServingItsCloseSet(t *testing.T) {
 		if _, err := mem.Serve(bs.Addr(), bs.handle); err != nil {
 			t.Fatal(err)
 		}
-		a3 := mk("a3", "10.100.0.4")
+		a3 := d.Join(t, DeployHost{Addr: "a3", IP: "10.100.0.4"})
 		if !a3.IsSurrogate() {
 			t.Fatal("a3 joined a cluster whose lease lapsed and must claim it")
 		}

@@ -76,89 +76,49 @@ type demoLifeOutcome struct {
 }
 
 // demoLife runs the demo deployment end to end on the virtual clock over
-// wrap(Mem): five joins (three lease claims, two nodal publishes), two
-// lease renewals, close-set builds, a relayed SetupCall, EnsureFlow and a
-// voice batch, SetupMedia between symmetric NATs plus one Reestablish,
-// control and media keepalives, a probe tick, teardown. It calls no verb
-// that lacks a caller outside tests, and it sends every request type
+// wrap(Mem), with the hosts and links of churnConfig: five joins (three
+// lease claims, two nodal publishes), two lease renewals, close-set
+// builds, a relayed SetupCall, EnsureFlow and a voice batch, SetupMedia
+// between symmetric NATs plus one Reestablish, control and media
+// keepalives, a probe tick, teardown. It calls no verb that lacks a
+// caller outside tests, and it sends every request type
 // (TestDeploymentSendsEveryRequestType).
-// Failures inside the task are t.Error + return, from when a t.Fatal in a
-// task left the drive loop waiting on it forever; it now ends RunTask
-// (sim.TestTaskThatExitsItsGoroutine).
 func demoLife(t *testing.T, wrap func(transport.Transport) transport.Transport) (out demoLifeOutcome) {
 	t.Helper()
 	clk := sim.NewClock()
-	mem := transport.NewMem()
-	mem.Sched = clk
-	pub := transport.NewMem()
-	pub.Sched = clk
-	pub.Latency = func(from, to transport.Addr) time.Duration { return 5 * time.Millisecond }
-	defer func() { _ = mem.Close(); _ = pub.Close() }()
-	// Clusters A and B are far apart (direct RTT 60 ms >= LatT 55 ms), C
-	// is close to both (4 + 4 + 40 ms relay estimate), as in churnWorld.
-	mem.Latency = func(from, to transport.Addr) time.Duration {
-		cf, ct := from[0], to[0]
-		if cf > ct {
-			cf, ct = ct, cf
-		}
-		switch {
-		case len(from) != 2 || len(to) != 2: // "bs"
-			return time.Millisecond
-		case cf == 'a' && ct == 'b':
-			return 30 * time.Millisecond
-		case ct == 'c' && cf != 'c':
-			return 2 * time.Millisecond
-		}
-		return time.Millisecond
-	}
-	tr := wrap(mem)
-	boxA := nat.New(nat.Symmetric, pub, "203.0.113.1", 40000)
-	boxB := nat.New(nat.Symmetric, pub, "198.51.100.1", 41000)
-	defer func() { _ = boxA.Close(); _ = boxB.Close() }()
-
 	const leaseTTL = 30 * time.Second
 	clk.RunTask(func() {
-		var stunRequests atomic.Int64
-		defer func() { out.stunRequests = stunRequests.Load() }()
-		stun, err := udp.NewSTUNServer(countingNet{pub, &stunRequests}, "stun.example:3478")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		rly, err := udp.NewRelayServerWith(pub, "relay.example:5000", clk, udp.RelayConfig{})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cfg := DemoBootstrapConfig()
-		cfg.LeaseTTL = leaseTTL
-		cfg.Sched = clk
-		bs, err := NewBootstrap(tr, "bs", cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		// The churn deployment's hosts and links on the demo graph, a1 and
+		// b1 media-enabled behind symmetric NATs.
+		bc := DemoBootstrapConfig()
+		bc.LeaseTTL = leaseTTL
 		params := testParams()
 		params.LatT = 55 * time.Millisecond
-		nodes := make(map[transport.Addr]*Node)
-		for i, j := range []struct {
-			addr transport.Addr
-			ip   string
-		}{{"c0", "10.30.0.1"}, {"a0", "10.100.0.1"}, {"a1", "10.100.0.2"}, {"b0", "10.200.0.1"}, {"b1", "10.200.0.2"}} {
-			n, err := NewNode(tr, j.addr, NodeConfig{
-				IP: j.ip, Bootstrap: bs.Addr(), Params: params, Sched: clk, Seed: int64(i + 1),
-			})
-			if err != nil {
-				t.Errorf("node %s: %v", j.addr, err)
-				return
-			}
-			defer n.Close()
-			nodes[j.addr] = n
+		hosts := abcHosts()
+		media := &MediaConfig{
+			ListenHost: "10.0.0.2", BasePort: 5000, STUN: "stun.example:3478", Relay: "relay.example:5000",
+			KeepaliveInterval: 50 * time.Millisecond, KeepaliveMisses: 200,
 		}
-		c0, a1, b1 := nodes["c0"], nodes["a1"], nodes["b1"]
+		hosts[2].Media, hosts[2].Public, hosts[2].NAT = media, "203.0.113.1", nat.Symmetric
+		hosts[4].Media, hosts[4].Public, hosts[4].NAT = media, "198.51.100.1", nat.Symmetric
+		d := Deploy(t, DeployConfig{
+			Clock: clk, Latency: mediaLatency(abcLatency), Wrap: wrap,
+			Bootstrap: bc, Params: params, Hosts: hosts,
+		})
+		defer d.Close()
+		var stunRequests atomic.Int64
+		defer func() { out.stunRequests = stunRequests.Load() }()
+		if _, err := udp.NewSTUNServer(countingNet{d.Mem, &stunRequests}, "stun.example:3478"); err != nil {
+			t.Fatal(err)
+		}
+		rly, err := udp.NewRelayServerWith(d.Mem, "relay.example:5000", clk, udp.RelayConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c0, a0, a1, b0, b1 := d.Nodes[0], d.Nodes[1], d.Nodes[2], d.Nodes[3], d.Nodes[4]
 
 		clk.Sleep(2*leaseTTL/3 + time.Second) // two renewals each
-		for _, s := range []*Node{c0, nodes["a0"], nodes["b0"]} {
+		for _, s := range []*Node{c0, a0, b0} {
 			if err := s.RefreshCloseSet(); err != nil {
 				t.Errorf("refresh %s: %v", s.Addr(), err)
 				return
@@ -180,16 +140,6 @@ func demoLife(t *testing.T, wrap func(transport.Transport) transport.Transport) 
 			t.Errorf("voice: %v", err)
 		}
 
-		for n, box := range map[*Node]*nat.Box{a1: boxA, b1: boxB} {
-			if err := n.EnableMedia(MediaConfig{
-				Net: box, ListenHost: "10.0.0.2", BasePort: 5000,
-				STUN: stun.Addr(), Relay: rly.Addr(),
-				KeepaliveInterval: 50 * time.Millisecond, KeepaliveMisses: 200,
-			}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
 		mc, err := a1.SetupMedia(b1.Addr())
 		if err != nil {
 			t.Errorf("setup media: %v", err)
@@ -211,7 +161,7 @@ func demoLife(t *testing.T, wrap func(transport.Transport) transport.Transport) 
 		}
 		clk.Sleep(time.Second) // media keepalives beat
 		out.mediaPath = mc.Path()
-		out.callerReest, out.calleeReest = mc.Reestablishments(), cmc.Reestablishments()
+		out.callerReest, out.calleeReest = mc.Flow().Reestablishments(), cmc.Flow().Reestablishments()
 		out.liveFlowsInUse = rly.LiveFlows()
 		b1.mu.Lock()
 		out.calleeCalls = len(b1.mediaCalls)
@@ -230,16 +180,16 @@ func demoLife(t *testing.T, wrap func(transport.Transport) transport.Transport) 
 
 		out.holders = make(map[string]int)
 		out.leases = make(map[string]transport.Addr)
-		for _, n := range nodes {
+		for _, n := range d.Nodes {
 			if n.IsSurrogate() {
 				out.holders[n.ClusterKey()]++
 			}
-			resp, err := mem.Call(bs.Addr(), &transport.Message{Type: transport.MsgJoin, From: "probe", IP: n.cfg.IP})
+			holder, err := d.holder(n.cfg.IP)
 			if err != nil {
 				t.Errorf("lease probe: %v", err)
 				return
 			}
-			out.leases[n.ClusterKey()] = resp.SurrogateAddr
+			out.leases[n.ClusterKey()] = holder
 		}
 		c0.mu.Lock()
 		out.relayFlows = len(c0.flows)

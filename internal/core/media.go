@@ -154,18 +154,6 @@ type MediaCall struct {
 // Flow exposes the call's voice flow (send, stats, voice handler).
 func (mc *MediaCall) Flow() *udp.Flow { return mc.flow }
 
-// External returns our discovered external media address (re-discovered
-// on every re-establishment round).
-func (mc *MediaCall) External() transport.Addr { return mc.flow.External() }
-
-// Relay returns the voice relay of the call's latest ladder run (empty
-// when it had no relay rung).
-func (mc *MediaCall) Relay() transport.Addr { return mc.flow.Relay() }
-
-// Reestablishments reports how many mid-call re-establishments the
-// call's flow has completed.
-func (mc *MediaCall) Reestablishments() int64 { return mc.flow.Reestablishments() }
-
 // Path returns the rung the call's flow is established on (PathNone
 // while it climbs).
 func (mc *MediaCall) Path() udp.PathKind { return mc.flow.Path() }
@@ -299,7 +287,7 @@ func (n *Node) openMediaCall(token uint32, peer transport.Addr, isCaller bool) (
 // failure that forced the round may have been a NAT rebind.
 func (mc *MediaCall) offerAddr(epoch uint32) (transport.Addr, error) {
 	if epoch == 0 {
-		return mc.External(), nil
+		return mc.flow.External(), nil
 	}
 	ext, err := mc.flow.Discover(mc.cfg.STUN)
 	if err != nil {
@@ -374,7 +362,7 @@ func (mc *MediaCall) armKeepalive() {
 			}
 			n.sched.Go(func() {
 				defer n.bgDone()
-				_, _ = mc.Reestablish(mc.Relay())
+				_, _ = mc.Reestablish(mc.flow.Relay())
 			})
 		}
 	}
@@ -402,7 +390,7 @@ func (n *Node) handleMediaSetup(from transport.Addr, req *transport.Message) (*t
 			return nil, err
 		}
 	}
-	ext := mc.External()
+	ext := mc.flow.External()
 	mc.mu.Lock()
 	begun := req.MediaEpoch < mc.rounds
 	mc.rounds = max(mc.rounds, req.MediaEpoch+1)

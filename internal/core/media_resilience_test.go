@@ -9,6 +9,7 @@ import (
 
 	"asap/internal/nat"
 	"asap/internal/session"
+	"asap/internal/sim"
 	"asap/internal/transport"
 	"asap/internal/transport/udp"
 )
@@ -17,7 +18,7 @@ import (
 // (DESIGN.md §13): kill the active voice relay mid-call and assert the
 // session monitor's failover re-establishes the media path onto the
 // backup relay with zero call teardown — same flow, same SSRC,
-// continuous RFC 3550 receive stats — byte-identically per seed.
+// continuous RFC 3550 receive stats — byte-identically from run to run.
 
 // scriptedDriver is a session.Driver whose relays die on command: the
 // control-plane view of the outage, decoupled from the media plane so
@@ -55,65 +56,42 @@ func (d *scriptedDriver) Keepalive(target transport.Addr, _ uint64) error {
 }
 
 // relayKillScenario runs the whole mid-call relay-kill story once and
-// returns a serialized trace of everything observable. Two runs with the
-// same seed must produce identical bytes.
-func relayKillScenario(t *testing.T, seed int64) string {
+// returns a serialized trace of everything observable. Two runs must
+// produce identical bytes.
+func relayKillScenario(t *testing.T) string {
 	t.Helper()
 	var trace strings.Builder
-	w := newMediaWorld(t)
-
+	clk := sim.NewClock()
 	secret := []byte("deployment-relay-key")
-	rly1, err := udp.NewRelayServerWith(w.pub, "relay1.example:5000", w.clk, udp.RelayConfig{
-		FlowTTL: 10 * time.Second, Secret: secret,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rly2, err := udp.NewRelayServerWith(w.pub, "relay2.example:5000", w.clk, udp.RelayConfig{
-		FlowTTL: 10 * time.Second, Secret: secret,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Symmetric NATs on both sides force the relay rung — the paper's
-	// worst case, and the one where relay death kills the call.
-	boxA := nat.New(nat.Symmetric, w.pub, "203.0.113.1", 40000)
-	boxB := nat.New(nat.Symmetric, w.pub, "198.51.100.1", 41000)
-	defer func() { _ = boxA.Close(); _ = boxB.Close() }()
-
-	w.clk.RunTask(func() {
-		var berr error
-		if w.stun, berr = udp.NewSTUNServer(w.pub, "stun.example:3478"); berr != nil {
-			t.Fatal(berr)
-		}
-		if w.bs, berr = NewBootstrap(w.ctrl, "bs", actorBootstrapConfig()); berr != nil {
-			t.Fatal(berr)
-		}
-		caller := w.node(t, "c", "10.100.0.1", seed)
-		callee := w.node(t, "d", "10.200.0.1", seed+1)
-		defer caller.Close()
-		defer callee.Close()
-		for n, box := range map[*Node]*nat.Box{caller: boxA, callee: boxB} {
-			host := "10.0.0.2"
-			if n == callee {
-				host = "192.168.1.2"
-			}
-			if err := n.EnableMedia(MediaConfig{
-				Net: box, ListenHost: host, BasePort: 5000,
-				STUN: w.stun.Addr(), Relay: rly1.Addr(), RelayKey: secret,
+	clk.RunTask(func() {
+		// Symmetric NATs on both sides force the relay rung — the paper's
+		// worst case, and the one where relay death kills the call.
+		media := func(listen string) *MediaConfig {
+			return &MediaConfig{
+				ListenHost: listen, BasePort: 5000, STUN: stunAddr, Relay: "relay1.example:5000", RelayKey: secret,
 				KeepaliveInterval: 50 * time.Millisecond, KeepaliveMisses: 200,
-			}); err != nil {
+			}
+		}
+		d, _ := mediaPair(t, clk,
+			DeployHost{Public: "203.0.113.1", NAT: nat.Symmetric, Media: media("10.0.0.2")},
+			DeployHost{Public: "198.51.100.1", NAT: nat.Symmetric, Media: media("192.168.1.2")})
+		defer d.Close()
+		caller, callee := d.Nodes[0], d.Nodes[1]
+		relay := func(addr transport.Addr) *udp.RelayServer {
+			r, err := udp.NewRelayServerWith(d.Mem, addr, clk, udp.RelayConfig{FlowTTL: 10 * time.Second, Secret: secret})
+			if err != nil {
 				t.Fatal(err)
 			}
+			return r
 		}
+		rly1, rly2 := relay("relay1.example:5000"), relay("relay2.example:5000")
 
 		mc, err := caller.SetupMedia(callee.Addr())
 		if err != nil {
 			t.Fatalf("setup media: %v", err)
 		}
-		if mc.Path() != udp.PathRelayed || mc.Relay() != rly1.Addr() {
-			t.Fatalf("setup path = %v via %s, want relayed via relay1", mc.Path(), mc.Relay())
+		if mc.Path() != udp.PathRelayed || mc.Flow().Relay() != rly1.Addr() {
+			t.Fatalf("setup path = %v via %s, want relayed via relay1", mc.Path(), mc.Flow().Relay())
 		}
 		cmc := callee.MediaCallWith(caller.Addr())
 		if cmc == nil {
@@ -131,7 +109,7 @@ func relayKillScenario(t *testing.T, seed int64) string {
 			"ctrl-rly2": rly2.Addr(),
 		}
 		drv := &scriptedDriver{}
-		mgr, err := session.NewManager(session.DefaultConfig(), w.clk, drv,
+		mgr, err := session.NewManager(session.DefaultConfig(), clk, drv,
 			session.WithEventLog(func(e session.Event) {
 				fmt.Fprintf(&trace, "session %v\n", e)
 			}))
@@ -160,9 +138,9 @@ func relayKillScenario(t *testing.T, seed int64) string {
 				if err := cmc.Flow().SendVoice([]byte("frame")); err != nil {
 					t.Fatalf("send voice: %v", err)
 				}
-				w.clk.Sleep(20 * time.Millisecond)
+				clk.Sleep(20 * time.Millisecond)
 			}
-			w.clk.Sleep(200 * time.Millisecond)
+			clk.Sleep(200 * time.Millisecond)
 		}
 		stream(20) // healthy call through relay1
 
@@ -170,11 +148,11 @@ func relayKillScenario(t *testing.T, seed int64) string {
 		// (probes and keepalives fail) together.
 		_ = rly1.Close()
 		drv.kill("ctrl-rly1")
-		fmt.Fprintf(&trace, "killed relay1 at %v\n", w.clk.Now().Round(time.Millisecond))
+		fmt.Fprintf(&trace, "killed relay1 at %v\n", clk.Now().Round(time.Millisecond))
 
 		// Keepalive misses -> failover -> OnPathChange -> media ladder
 		// re-runs against relay2. Give it the misses + backoff + ladder.
-		w.clk.Sleep(15 * time.Second)
+		clk.Sleep(15 * time.Second)
 
 		if got := s.Failovers(); got != 1 {
 			t.Errorf("failovers = %d, want 1", got)
@@ -182,13 +160,13 @@ func relayKillScenario(t *testing.T, seed int64) string {
 		if s.State() == session.StateClosed {
 			t.Error("call was torn down; resilience means zero teardown")
 		}
-		if mc.Path() != udp.PathRelayed || mc.Relay() != rly2.Addr() {
-			t.Errorf("post-kill path = %v via %s, want relayed via relay2", mc.Path(), mc.Relay())
+		if mc.Path() != udp.PathRelayed || mc.Flow().Relay() != rly2.Addr() {
+			t.Errorf("post-kill path = %v via %s, want relayed via relay2", mc.Path(), mc.Flow().Relay())
 		}
 		if mc.Flow() != flowBefore || mc.Flow().SSRC() != ssrcBefore {
 			t.Error("flow identity changed across re-establishment")
 		}
-		if got := mc.Reestablishments(); got != 1 {
+		if got := mc.Flow().Reestablishments(); got != 1 {
 			t.Errorf("reestablishments = %d, want 1", got)
 		}
 		if k, err := cmc.WaitEstablished(5 * time.Second); err != nil || k != udp.PathRelayed {
@@ -208,7 +186,7 @@ func relayKillScenario(t *testing.T, seed int64) string {
 			t.Errorf("relay2 forwarded %d packets, want >= 20", fwd)
 		}
 		fmt.Fprintf(&trace, "final: path=%v relay=%s reest=%d packets=%d lost=%d jitter=%v failovers=%d\n",
-			mc.Path(), mc.Relay(), mc.Reestablishments(), st.Packets, st.Lost, st.Jitter, s.Failovers())
+			mc.Path(), mc.Flow().Relay(), mc.Flow().Reestablishments(), st.Packets, st.Lost, st.Jitter, s.Failovers())
 		for _, r := range mgr.Close() {
 			fmt.Fprintf(&trace, "report %v\n", r)
 		}
@@ -217,7 +195,7 @@ func relayKillScenario(t *testing.T, seed int64) string {
 }
 
 func TestMediaSurvivesRelayKill(t *testing.T) {
-	trace := relayKillScenario(t, 1)
+	trace := relayKillScenario(t)
 	if !strings.Contains(trace, "failover") {
 		t.Errorf("trace records no failover:\n%s", trace)
 	}
@@ -227,10 +205,10 @@ func TestMediaSurvivesRelayKill(t *testing.T) {
 }
 
 func TestMediaRelayKillDeterministic(t *testing.T) {
-	a := relayKillScenario(t, 7)
-	b := relayKillScenario(t, 7)
+	a := relayKillScenario(t)
+	b := relayKillScenario(t)
 	if a != b {
-		t.Errorf("same seed, different traces:\n--- run 1:\n%s\n--- run 2:\n%s", a, b)
+		t.Errorf("same scenario, different traces:\n--- run 1:\n%s\n--- run 2:\n%s", a, b)
 	}
 }
 
@@ -239,29 +217,18 @@ func TestMediaRelayKillDeterministic(t *testing.T) {
 // the media path died (here: both directions blackholed) and the caller
 // re-runs the ladder onto its configured relay automatically.
 func TestMediaSilenceAutoReestablish(t *testing.T) {
-	w := newMediaWorld(t)
+	clk := sim.NewClock()
 	ch := transport.NewChaos(nil, 3)
-	ch.Sched = w.clk
-	pub := ch.PacketNetwork(w.pub)
-	w.clk.RunTask(func() {
-		var err error
-		if w.stun, err = udp.NewSTUNServer(w.pub, "stun.example:3478"); err != nil {
-			t.Fatal(err)
-		}
-		if w.rly, err = udp.NewRelayServerWith(w.pub, "relay.example:5000", w.clk, udp.RelayConfig{}); err != nil {
-			t.Fatal(err)
-		}
-		if w.bs, err = NewBootstrap(w.ctrl, "bs", actorBootstrapConfig()); err != nil {
-			t.Fatal(err)
-		}
-		caller := w.node(t, "c", "10.100.0.1", 1)
-		callee := w.node(t, "d", "10.200.0.1", 2)
-		defer caller.Close()
-		defer callee.Close()
+	ch.Sched = clk
+	clk.RunTask(func() {
+		d, _ := mediaPair(t, clk, DeployHost{}, DeployHost{})
+		defer d.Close()
+		caller, callee := d.Nodes[0], d.Nodes[1]
+		pub := ch.PacketNetwork(d.Mem)
 		for i, n := range []*Node{caller, callee} {
 			if err := n.EnableMedia(MediaConfig{
 				Net: pub, ListenHost: fmt.Sprintf("10.0.%d.2", i), BasePort: 6000,
-				STUN: w.stun.Addr(), Relay: w.rly.Addr(),
+				STUN: stunAddr, Relay: relayAddr,
 				KeepaliveInterval: 50 * time.Millisecond, KeepaliveMisses: 4,
 			}); err != nil {
 				t.Fatal(err)
@@ -283,12 +250,12 @@ func TestMediaSilenceAutoReestablish(t *testing.T) {
 		// must fire on the caller and the ladder must land on the relay.
 		ch.Blackhole(mc.Flow().LocalAddr())
 		ch.Blackhole(cmc.Flow().LocalAddr())
-		w.clk.Sleep(10 * time.Second)
+		clk.Sleep(10 * time.Second)
 
 		if mc.Path() != udp.PathRelayed {
 			t.Errorf("path after silence = %v, want relayed", mc.Path())
 		}
-		if mc.Reestablishments() < 1 {
+		if mc.Flow().Reestablishments() < 1 {
 			t.Error("no automatic re-establishment after silence")
 		}
 		// Voice flows again, relayed end to end.
@@ -297,9 +264,9 @@ func TestMediaSilenceAutoReestablish(t *testing.T) {
 			if err := cmc.Flow().SendVoice([]byte("frame")); err != nil {
 				t.Fatal(err)
 			}
-			w.clk.Sleep(20 * time.Millisecond)
+			clk.Sleep(20 * time.Millisecond)
 		}
-		w.clk.Sleep(200 * time.Millisecond)
+		clk.Sleep(200 * time.Millisecond)
 		if got := mc.Flow().Stats().Packets - before; got != 10 {
 			t.Errorf("heard %d/10 packets after auto re-establish", got)
 		}

@@ -12,62 +12,36 @@ import (
 	"asap/internal/transport/udp"
 )
 
-// These tests close the loop the ISSUE calls for: call setup escalates
+// These tests close the loop from set-up to score: call setup escalates
 // the media path through the control plane (MsgMediaSetup), the
 // traversal ladder lands where the NAT pairing dictates, and the voice
 // receiver's own loss/jitter accounting reaches the session monitor's
 // MOS — all deterministically under the virtual clock.
 
-// mediaWorld is one virtual-clock world: a control-plane Mem for the
-// ASAP messages and a separate public packet Mem for the data plane,
-// with STUN and a voice relay on the public side.
-type mediaWorld struct {
-	clk  *sim.Clock
-	ctrl *transport.Mem
-	pub  *transport.Mem
-	stun *udp.STUNServer
-	rly  *udp.RelayServer
-	bs   *Bootstrap
-}
+// The media tests' STUN server and voice relay, on the deployment's Mem.
+const (
+	stunAddr  transport.Addr = "stun.example:3478"
+	relayAddr transport.Addr = "relay.example:5000"
+)
 
-func newMediaWorld(t *testing.T) *mediaWorld {
+// mediaPair deploys caller "c" (10.100.0.1) and callee "d" (10.200.0.1)
+// on clk, with free control links, 5 ms media links, a STUN server at
+// stunAddr and a voice relay at relayAddr. caller and callee give each
+// host's media plane; their Addr and IP are set here. Must run inside a
+// task of clk.
+func mediaPair(t *testing.T, clk *sim.Clock, caller, callee DeployHost) (*Deployment, *udp.RelayServer) {
 	t.Helper()
-	w := &mediaWorld{clk: sim.NewClock()}
-	w.ctrl = transport.NewMem()
-	w.ctrl.Sched = w.clk
-	w.pub = transport.NewMem()
-	w.pub.Sched = w.clk
-	w.pub.Latency = func(from, to transport.Addr) time.Duration { return 5 * time.Millisecond }
-	t.Cleanup(func() { _ = w.ctrl.Close(); _ = w.pub.Close() })
-	return w
-}
-
-// boot starts the bootstrap and the data-plane services inside a
-// scheduler task (both bind synchronously).
-func (w *mediaWorld) boot(t *testing.T) {
-	t.Helper()
-	var err error
-	if w.stun, err = udp.NewSTUNServer(w.pub, "stun.example:3478"); err != nil {
+	caller.Addr, caller.IP = "c", "10.100.0.1"
+	callee.Addr, callee.IP = "d", "10.200.0.1"
+	d := Deploy(t, DeployConfig{Clock: clk, Latency: mediaLatency(nil), Hosts: []DeployHost{caller, callee}})
+	if _, err := udp.NewSTUNServer(d.Mem, stunAddr); err != nil {
 		t.Fatal(err)
 	}
-	if w.rly, err = udp.NewRelayServerWith(w.pub, "relay.example:5000", w.clk, udp.RelayConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if w.bs, err = NewBootstrap(w.ctrl, "bs", actorBootstrapConfig()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func (w *mediaWorld) node(t *testing.T, addr transport.Addr, ip string, seed int64) *Node {
-	t.Helper()
-	n, err := NewNode(w.ctrl, addr, NodeConfig{
-		IP: ip, Bootstrap: w.bs.Addr(), Params: testParams(),
-		Sched: w.clk, Seed: seed,
-	})
+	rly, err := udp.NewRelayServerWith(d.Mem, relayAddr, clk, udp.RelayConfig{})
 	if err != nil {
-		t.Fatalf("node %s: %v", addr, err)
+		t.Fatal(err)
 	}
-	return n
+	return d, rly
 }
 
 // TestMediaEscalation: two nodes behind emulated NATs set up a call's
@@ -90,31 +64,21 @@ func TestMediaEscalation(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			w := newMediaWorld(t)
-			boxA := nat.New(tc.ta, w.pub, "203.0.113.1", 40000)
-			boxB := nat.New(tc.tb, w.pub, "198.51.100.1", 41000)
-			defer func() { _ = boxA.Close(); _ = boxB.Close() }()
-			w.clk.RunTask(func() {
-				w.boot(t)
-				caller := w.node(t, "c", "10.100.0.1", 1)
-				callee := w.node(t, "d", "10.200.0.1", 2)
-				defer caller.Close()
-				defer callee.Close()
-				for n, box := range map[*Node]*nat.Box{caller: boxA, callee: boxB} {
-					host, relay := "10.0.0.2", w.rly.Addr()
-					if n == callee {
-						host = "192.168.1.2"
-						if tc.calleeNoRelay {
-							relay = ""
-						}
-					}
-					if err := n.EnableMedia(MediaConfig{
-						Net: box, ListenHost: host, BasePort: 5000,
-						STUN: w.stun.Addr(), Relay: relay,
-					}); err != nil {
-						t.Fatal(err)
-					}
+			clk := sim.NewClock()
+			clk.RunTask(func() {
+				calleeRelay := relayAddr
+				if tc.calleeNoRelay {
+					calleeRelay = ""
 				}
+				d, rly := mediaPair(t, clk,
+					DeployHost{Public: "203.0.113.1", NAT: tc.ta, Media: &MediaConfig{
+						ListenHost: "10.0.0.2", BasePort: 5000, STUN: stunAddr, Relay: relayAddr,
+					}},
+					DeployHost{Public: "198.51.100.1", NAT: tc.tb, Media: &MediaConfig{
+						ListenHost: "192.168.1.2", BasePort: 5000, STUN: stunAddr, Relay: calleeRelay,
+					}})
+				defer d.Close()
+				caller, callee := d.Nodes[0], d.Nodes[1]
 
 				mc, err := caller.SetupMedia(callee.Addr())
 				if err != nil {
@@ -142,9 +106,9 @@ func TestMediaEscalation(t *testing.T) {
 					if err := cmc.Flow().SendVoice([]byte("frame")); err != nil {
 						t.Fatalf("send voice: %v", err)
 					}
-					w.clk.Sleep(20 * time.Millisecond)
+					clk.Sleep(20 * time.Millisecond)
 				}
-				w.clk.Sleep(100 * time.Millisecond)
+				clk.Sleep(100 * time.Millisecond)
 				if heard != 20 {
 					t.Errorf("caller heard %d/20 voice packets", heard)
 				}
@@ -152,7 +116,7 @@ func TestMediaEscalation(t *testing.T) {
 				if tc.want == udp.PathRelayed {
 					wantFwd = 20
 				}
-				if got := w.rly.Forwarded(); got != wantFwd {
+				if got := rly.Forwarded(); got != wantFwd {
 					t.Errorf("relay forwarded %d packets, want %d", got, wantFwd)
 				}
 			})
@@ -165,22 +129,14 @@ func TestMediaEscalation(t *testing.T) {
 // through the MediaCall -> session.MediaSource wiring, and recover when
 // the loss clears.
 func TestMediaLossFeedsSessionMOS(t *testing.T) {
-	w := newMediaWorld(t)
+	clk := sim.NewClock()
 	ch := transport.NewChaos(nil, 7)
-	calleeNet := ch.PacketNetwork(w.pub)
-	w.clk.RunTask(func() {
-		w.boot(t)
-		caller := w.node(t, "c", "10.100.0.1", 1)
-		callee := w.node(t, "d", "10.200.0.1", 2)
-		defer caller.Close()
-		defer callee.Close()
-		if err := caller.EnableMedia(MediaConfig{
-			Net: w.pub, ListenHost: "10.0.0.2", BasePort: 6000, STUN: w.stun.Addr(),
-		}); err != nil {
-			t.Fatal(err)
-		}
+	clk.RunTask(func() {
+		d, _ := mediaPair(t, clk, DeployHost{Media: &MediaConfig{ListenHost: "10.0.0.2", BasePort: 6000, STUN: stunAddr}}, DeployHost{})
+		defer d.Close()
+		caller, callee := d.Nodes[0], d.Nodes[1]
 		if err := callee.EnableMedia(MediaConfig{
-			Net: calleeNet, ListenHost: "10.0.0.3", BasePort: 6000, STUN: w.stun.Addr(),
+			Net: ch.PacketNetwork(d.Mem), ListenHost: "10.0.0.3", BasePort: 6000, STUN: stunAddr,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +154,7 @@ func TestMediaLossFeedsSessionMOS(t *testing.T) {
 		}
 
 		cfg := session.DefaultConfig()
-		mgr, err := session.NewManager(cfg, w.clk, caller, session.WithFlowOpener(caller.EnsureFlow))
+		mgr, err := session.NewManager(cfg, clk, caller, session.WithFlowOpener(caller.EnsureFlow))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,9 +173,9 @@ func TestMediaLossFeedsSessionMOS(t *testing.T) {
 				if err := cmc.Flow().SendVoice([]byte("frame")); err != nil {
 					t.Fatalf("send voice: %v", err)
 				}
-				w.clk.Sleep(20 * time.Millisecond)
+				clk.Sleep(20 * time.Millisecond)
 			}
-			w.clk.Sleep(120 * time.Millisecond)
+			clk.Sleep(120 * time.Millisecond)
 		}
 
 		stream() // tick 1: media baseline only
@@ -252,31 +208,33 @@ func TestMediaLossFeedsSessionMOS(t *testing.T) {
 	})
 }
 
-// plainMediaPair boots w and returns a caller and a callee whose media
-// sockets bind on pub with no NAT between them, and a relay rung. Must
-// run inside a task.
-func plainMediaPair(t *testing.T, w *mediaWorld, pub transport.PacketNetwork) (caller, callee *Node) {
+// plainMediaPair is mediaPair with both media sockets bound on net(Mem),
+// or the Mem itself when net is nil: no NAT between them, and a relay
+// rung. Must run inside a task of clk.
+func plainMediaPair(t *testing.T, clk *sim.Clock, net func(transport.PacketNetwork) transport.PacketNetwork) *Deployment {
 	t.Helper()
-	w.boot(t)
-	caller = w.node(t, "c", "10.100.0.1", 1)
-	callee = w.node(t, "d", "10.200.0.1", 2)
-	for i, n := range []*Node{caller, callee} {
+	d, _ := mediaPair(t, clk, DeployHost{}, DeployHost{})
+	var pn transport.PacketNetwork = d.Mem
+	if net != nil {
+		pn = net(d.Mem)
+	}
+	for i, n := range d.Nodes {
 		if err := n.EnableMedia(MediaConfig{
-			Net: pub, ListenHost: []string{"10.0.0.2", "10.0.0.3"}[i], BasePort: 6000,
-			STUN: w.stun.Addr(), Relay: w.rly.Addr(),
+			Net: pn, ListenHost: []string{"10.0.0.2", "10.0.0.3"}[i], BasePort: 6000,
+			STUN: stunAddr, Relay: relayAddr,
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return caller, callee
+	return d
 }
 
 // calleeCallDuringSetup starts caller.SetupMedia in its own task and
 // returns the callee's half of the call as soon as it exists, while its
 // ladder is still climbing.
-func calleeCallDuringSetup(t *testing.T, w *mediaWorld, caller, callee *Node) *MediaCall {
+func calleeCallDuringSetup(t *testing.T, clk *sim.Clock, caller, callee *Node) *MediaCall {
 	t.Helper()
-	w.clk.Go(func() {
+	clk.Go(func() {
 		if _, err := caller.SetupMedia(callee.Addr()); err != nil {
 			t.Errorf("setup media: %v", err)
 		}
@@ -285,7 +243,7 @@ func calleeCallDuringSetup(t *testing.T, w *mediaWorld, caller, callee *Node) *M
 		if cmc := callee.MediaCallWith(caller.Addr()); cmc != nil {
 			return cmc
 		}
-		w.clk.Sleep(time.Millisecond)
+		clk.Sleep(time.Millisecond)
 	}
 	t.Fatal("callee never opened its half of the call")
 	return nil
@@ -294,12 +252,11 @@ func calleeCallDuringSetup(t *testing.T, w *mediaWorld, caller, callee *Node) *M
 // TestMediaWaitAfterTimeout: a WaitEstablished that timed out does not
 // spoil the next one, which returns the rung the ladder lands on.
 func TestMediaWaitAfterTimeout(t *testing.T) {
-	w := newMediaWorld(t)
-	w.clk.RunTask(func() {
-		caller, callee := plainMediaPair(t, w, w.pub)
-		defer caller.Close()
-		defer callee.Close()
-		cmc := calleeCallDuringSetup(t, w, caller, callee)
+	clk := sim.NewClock()
+	clk.RunTask(func() {
+		d := plainMediaPair(t, clk, nil)
+		defer d.Close()
+		cmc := calleeCallDuringSetup(t, clk, d.Nodes[0], d.Nodes[1])
 		if k, err := cmc.WaitEstablished(time.Millisecond); err == nil {
 			t.Fatalf("1 ms wait = %v, want a time-out while the ladder climbs", k)
 		}
@@ -312,23 +269,22 @@ func TestMediaWaitAfterTimeout(t *testing.T) {
 // TestMediaWaitWakesEveryWaiter: two tasks waiting on one call both wake
 // when the ladder lands, at that instant.
 func TestMediaWaitWakesEveryWaiter(t *testing.T) {
-	w := newMediaWorld(t)
-	w.clk.RunTask(func() {
-		caller, callee := plainMediaPair(t, w, w.pub)
-		defer caller.Close()
-		defer callee.Close()
-		cmc := calleeCallDuringSetup(t, w, caller, callee)
-		start := w.clk.Now()
+	clk := sim.NewClock()
+	clk.RunTask(func() {
+		d := plainMediaPair(t, clk, nil)
+		defer d.Close()
+		cmc := calleeCallDuringSetup(t, clk, d.Nodes[0], d.Nodes[1])
+		start := clk.Now()
 		var woke []time.Duration
 		for i := 0; i < 2; i++ {
-			w.clk.Go(func() {
+			clk.Go(func() {
 				if k, err := cmc.WaitEstablished(5 * time.Second); err != nil || k != udp.PathDirect {
 					t.Errorf("waiter %d = %v/%v, want direct", i, k, err)
 				}
-				woke = append(woke, w.clk.Now()-start)
+				woke = append(woke, clk.Now()-start)
 			})
 		}
-		w.clk.Sleep(6 * time.Second)
+		clk.Sleep(6 * time.Second)
 		if len(woke) != 2 || woke[0] != woke[1] || woke[0] >= time.Second {
 			t.Errorf("waiters woke after %v, want both at once when the ladder lands", woke)
 		}
@@ -339,25 +295,25 @@ func TestMediaWaitWakesEveryWaiter(t *testing.T) {
 // its flow reports — none until the new rung lands, then that rung —
 // because the flow is the one holder of the ladder's state.
 func TestMediaPathAgreesWithFlow(t *testing.T) {
-	w := newMediaWorld(t)
+	clk := sim.NewClock()
 	ch := transport.NewChaos(nil, 5)
-	ch.Sched = w.clk
-	w.clk.RunTask(func() {
-		caller, callee := plainMediaPair(t, w, ch.PacketNetwork(w.pub))
-		defer caller.Close()
-		defer callee.Close()
+	ch.Sched = clk
+	clk.RunTask(func() {
+		d := plainMediaPair(t, clk, ch.PacketNetwork)
+		defer d.Close()
+		caller, callee := d.Nodes[0], d.Nodes[1]
 		mc, err := caller.SetupMedia(callee.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		cmc := callee.MediaCallWith(caller.Addr())
 		// Sever the direct path: the next round can only land on the relay.
-		w.clk.Sleep(100 * time.Millisecond)
+		clk.Sleep(100 * time.Millisecond)
 		ch.Blackhole(mc.Flow().LocalAddr())
 		ch.Blackhole(cmc.Flow().LocalAddr())
 		done := false
-		w.clk.Go(func() {
-			if k, err := mc.Reestablish(w.rly.Addr()); err != nil {
+		clk.Go(func() {
+			if k, err := mc.Reestablish(relayAddr); err != nil {
 				t.Errorf("reestablish = %v/%v", k, err)
 			}
 			done = true
@@ -365,7 +321,7 @@ func TestMediaPathAgreesWithFlow(t *testing.T) {
 		// The rungs the call reports, each run of equal reads counted once.
 		steps := []udp.PathKind{mc.Path()}
 		for !done {
-			w.clk.Sleep(10 * time.Millisecond)
+			clk.Sleep(10 * time.Millisecond)
 			k := mc.Path()
 			if fk := mc.Flow().Path(); k != fk {
 				t.Fatalf("call path %v, flow path %v: they must agree", k, fk)
@@ -377,8 +333,8 @@ func TestMediaPathAgreesWithFlow(t *testing.T) {
 		if want := []udp.PathKind{udp.PathDirect, udp.PathNone, udp.PathRelayed}; !slices.Equal(steps, want) {
 			t.Errorf("path steps %v, want %v", steps, want)
 		}
-		if mc.Relay() != w.rly.Addr() || mc.Reestablishments() != 1 {
-			t.Errorf("relay %q, reestablishments %d: want the relay and 1", mc.Relay(), mc.Reestablishments())
+		if mc.Flow().Relay() != relayAddr || mc.Flow().Reestablishments() != 1 {
+			t.Errorf("relay %q, reestablishments %d: want the relay and 1", mc.Flow().Relay(), mc.Flow().Reestablishments())
 		}
 	})
 }
@@ -387,20 +343,18 @@ func TestMediaPathAgreesWithFlow(t *testing.T) {
 // then from BasePort again, past the ports its live calls still hold;
 // a base port outside the range is refused.
 func TestMediaPortsWrap(t *testing.T) {
-	w := newMediaWorld(t)
-	w.clk.RunTask(func() {
-		w.boot(t)
-		caller := w.node(t, "c", "10.100.0.1", 1)
-		callee := w.node(t, "d", "10.200.0.1", 2)
-		defer caller.Close()
-		defer callee.Close()
-		if err := caller.EnableMedia(MediaConfig{Net: w.pub, ListenHost: "10.0.0.2", BasePort: 65536, STUN: w.stun.Addr()}); err == nil {
+	clk := sim.NewClock()
+	clk.RunTask(func() {
+		d, _ := mediaPair(t, clk, DeployHost{}, DeployHost{})
+		defer d.Close()
+		caller, callee := d.Nodes[0], d.Nodes[1]
+		if err := caller.EnableMedia(MediaConfig{Net: d.Mem, ListenHost: "10.0.0.2", BasePort: 65536, STUN: stunAddr}); err == nil {
 			t.Error("EnableMedia took base port 65536")
 		}
 		for i, n := range []*Node{caller, callee} {
 			if err := n.EnableMedia(MediaConfig{
-				Net: w.pub, ListenHost: []string{"10.0.0.2", "10.0.0.3"}[i], BasePort: []int{65534, 6000}[i],
-				STUN: w.stun.Addr(),
+				Net: d.Mem, ListenHost: []string{"10.0.0.2", "10.0.0.3"}[i], BasePort: []int{65534, 6000}[i],
+				STUN: stunAddr,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -441,10 +395,7 @@ func TestPlacedCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	w := newMediaWorld(t)
-	boxA := nat.New(nat.Symmetric, w.pub, "203.0.113.1", 40000)
-	boxB := nat.New(nat.Symmetric, w.pub, "198.51.100.1", 41000)
-	defer func() { _ = boxA.Close(); _ = boxB.Close() }()
+	clk := sim.NewClock()
 	cfg := session.DefaultConfig()
 	cfg.Backups = 1
 	cfg.ProbeInterval = 100 * time.Millisecond
@@ -452,20 +403,15 @@ func TestPlacedCallAllocs(t *testing.T) {
 	payload := make([]byte, 20)
 	var allocs float64
 	heard, relayed := 0, 0
-	w.clk.RunTask(func() {
-		w.boot(t)
-		caller := w.node(t, "c", "10.100.0.1", 1)
-		callee := w.node(t, "d", "10.200.0.1", 2)
-		defer caller.Close()
-		defer callee.Close()
-		for i, n := range []*Node{caller, callee} {
-			if err := n.EnableMedia(MediaConfig{
-				Net: []*nat.Box{boxA, boxB}[i], ListenHost: []string{"10.0.0.2", "192.168.1.2"}[i], BasePort: 5000,
-				STUN: w.stun.Addr(), Relay: w.rly.Addr(), RelayKey: []byte("relay-secret"),
-			}); err != nil {
-				t.Fatal(err)
-			}
+	clk.RunTask(func() {
+		media := func(listen string) *MediaConfig {
+			return &MediaConfig{ListenHost: listen, BasePort: 5000, STUN: stunAddr, Relay: relayAddr, RelayKey: []byte("relay-secret")}
 		}
+		d, _ := mediaPair(t, clk,
+			DeployHost{Public: "203.0.113.1", NAT: nat.Symmetric, Media: media("10.0.0.2")},
+			DeployHost{Public: "198.51.100.1", NAT: nat.Symmetric, Media: media("192.168.1.2")})
+		defer d.Close()
+		caller, callee := d.Nodes[0], d.Nodes[1]
 		onVoice := func(udp.Packet, transport.Addr) { heard++ }
 		call := func() {
 			choice, err := caller.SetupCall(callee.Addr())
@@ -483,7 +429,7 @@ func TestPlacedCallAllocs(t *testing.T) {
 			if _, err := cmc.WaitEstablished(10 * time.Second); err != nil {
 				t.Fatalf("callee establish: %v", err)
 			}
-			mgr, err := session.NewManager(cfg, w.clk, caller, session.WithFlowOpener(caller.EnsureFlow))
+			mgr, err := session.NewManager(cfg, clk, caller, session.WithFlowOpener(caller.EnsureFlow))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -498,13 +444,13 @@ func TestPlacedCallAllocs(t *testing.T) {
 				if err := mc.Flow().SendVoice(payload); err != nil {
 					t.Fatalf("send voice: %v", err)
 				}
-				w.clk.Sleep(20 * time.Millisecond)
+				clk.Sleep(20 * time.Millisecond)
 			}
 			mgr.Close()
-			w.clk.Sleep(time.Second)
+			clk.Sleep(time.Second)
 			_ = mc.Close()
 			_ = cmc.Close()
-			w.clk.Sleep(100 * time.Millisecond)
+			clk.Sleep(100 * time.Millisecond)
 		}
 		for range 5 {
 			call()

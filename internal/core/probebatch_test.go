@@ -17,12 +17,10 @@ import (
 // failing the whole batch, and an oversized batch must be refused
 // before the relay pings anyone.
 
-// probeBatchWorld builds a latency-emulated Mem deployment on a virtual
-// clock: a bootstrap, two relays, a caller and two callees. Bootstrap
-// links are free so node construction can run outside clock tasks.
-func probeBatchWorld(t *testing.T) (*sim.Clock, *transport.Mem, map[string]*Node) {
-	t.Helper()
-	clk := &sim.Clock{}
+// probeDeploy deploys, on a virtual clock, caller "c", relays "r1" and
+// "r2" and callees "d1" and "d2", with the one-way latencies below on
+// their links and free bootstrap links.
+func probeDeploy(t *testing.T) *Deployment {
 	lat := map[[2]transport.Addr]time.Duration{
 		{"c", "r1"}:  10 * time.Millisecond,
 		{"c", "r2"}:  25 * time.Millisecond,
@@ -31,56 +29,26 @@ func probeBatchWorld(t *testing.T) (*sim.Clock, *transport.Mem, map[string]*Node
 		{"r1", "d2"}: 30 * time.Millisecond,
 		{"r2", "d1"}: 5 * time.Millisecond,
 	}
-	mem := transport.NewMem()
-	mem.Sched = clk
-	t.Cleanup(func() { _ = mem.Close() })
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make(map[string]*Node)
-	// Joining pings peer surrogates with clock waiters, so construction
-	// runs as a clock task.
-	ips := map[string]string{
-		"c": "10.100.0.1", "r1": "10.30.0.1", "r2": "10.10.0.1",
-		"d1": "10.200.0.1", "d2": "10.20.0.1",
-	}
-	clk.RunTask(func() {
-		for _, name := range []string{"c", "r1", "r2", "d1", "d2"} {
-			n, err := NewNode(mem, transport.Addr(name), NodeConfig{
-				IP:        ips[name],
-				Bootstrap: bs.Addr(),
-				Params:    testParams(),
-				Sched:     clk,
-			})
-			if err != nil {
-				t.Errorf("node %s: %v", name, err)
-				return
+	return deployTask(t, DeployConfig{
+		Clock: &sim.Clock{},
+		Latency: func(from, to transport.Addr) time.Duration {
+			if d, ok := lat[[2]transport.Addr{from, to}]; ok {
+				return d
 			}
-			nodes[name] = n
-		}
+			return lat[[2]transport.Addr{to, from}]
+		},
+		Hosts: []DeployHost{
+			{Addr: "c", IP: "10.100.0.1"}, {Addr: "r1", IP: "10.30.0.1"}, {Addr: "r2", IP: "10.10.0.1"},
+			{Addr: "d1", IP: "10.200.0.1"}, {Addr: "d2", IP: "10.20.0.1"},
+		},
 	})
-	if t.Failed() {
-		t.FailNow()
-	}
-	// Latency goes live only after the joins settle: construction runs on
-	// free links outside clock tasks, the probes under test pay the
-	// emulated delays inside RunTask. Nothing is in flight here (no
-	// leases, no background timers), so the plain assignment is safe.
-	mem.Latency = func(from, to transport.Addr) time.Duration {
-		if d, ok := lat[[2]transport.Addr{from, to}]; ok {
-			return d
-		}
-		return lat[[2]transport.Addr{to, from}]
-	}
-	return clk, mem, nodes
 }
 
 func TestProbePathsMeasuresOwnPlusFarLeg(t *testing.T) {
-	clk, _, nodes := probeBatchWorld(t)
-	caller := nodes["c"]
+	d := probeDeploy(t)
+	caller := d.Nodes[0]
 
-	// Each want is 2 x own leg + 2 x far leg from probeBatchWorld's table.
+	// Each want is 2 x own leg + 2 x far leg from probeDeploy's table.
 	const ms = time.Millisecond
 	cases := []struct {
 		req     session.PathRequest
@@ -97,7 +65,7 @@ func TestProbePathsMeasuresOwnPlusFarLeg(t *testing.T) {
 		reqs[i] = c.req
 	}
 	var got []session.PathResult
-	clk.RunTask(func() { got = caller.ProbePaths(reqs) })
+	d.Clock.RunTask(func() { got = caller.ProbePaths(reqs) })
 
 	for i, c := range cases {
 		if got[i].Err != nil {
@@ -113,8 +81,8 @@ func TestProbePathsMeasuresOwnPlusFarLeg(t *testing.T) {
 }
 
 func TestProbePathsUnreachableLegDegradesAlone(t *testing.T) {
-	clk, _, nodes := probeBatchWorld(t)
-	caller := nodes["c"]
+	d := probeDeploy(t)
+	caller := d.Nodes[0]
 
 	reqs := []session.PathRequest{
 		{Relay: "r1", Callee: "d1"},
@@ -122,7 +90,7 @@ func TestProbePathsUnreachableLegDegradesAlone(t *testing.T) {
 		{Relay: "", Callee: "ghost"},   // the wire target itself is dead
 	}
 	var got []session.PathResult
-	clk.RunTask(func() { got = caller.ProbePaths(reqs) })
+	d.Clock.RunTask(func() { got = caller.ProbePaths(reqs) })
 
 	if got[0].Err != nil {
 		t.Fatalf("healthy path failed alongside dead legs: %v", got[0].Err)
@@ -142,7 +110,8 @@ func TestProbePathsUnreachableLegDegradesAlone(t *testing.T) {
 // through a relay: the largest allowed batch pings every destination;
 // with one destination more the relay refuses the request and pings none.
 func TestProbeBatchOverCapRefused(t *testing.T) {
-	clk, mem, _ := probeBatchWorld(t)
+	d := probeDeploy(t)
+	mem := d.Mem
 	pings := 0 // written only by clock tasks, which run one at a time
 	if _, err := mem.Serve("sink", func(_ transport.Addr, m *transport.Message) (*transport.Message, error) {
 		pings++
@@ -157,7 +126,7 @@ func TestProbeBatchOverCapRefused(t *testing.T) {
 		}
 		var resp *transport.Message
 		var err error
-		clk.RunTask(func() {
+		d.Clock.RunTask(func() {
 			resp, err = mem.Call("r1", &transport.Message{Type: transport.MsgProbeBatch, From: "c", ProbeDsts: dsts})
 		})
 		return resp, err

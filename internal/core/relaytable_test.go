@@ -18,30 +18,10 @@ import (
 // the one flow a caller kept refreshing survives the sweep.
 func TestRelayTableIsBounded(t *testing.T) {
 	clk := sim.NewClock()
-	mem := transport.NewMem()
-	mem.Sched = clk
-	defer func() { _ = mem.Close() }()
-
 	clk.RunTask(func() {
-		bs, err := NewBootstrap(mem, "bs", DemoBootstrapConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		mk := func(addr transport.Addr, ip string, seed int64) *Node {
-			n, err := NewNode(mem, addr, NodeConfig{
-				IP: ip, Bootstrap: bs.Addr(), Params: testParams(), Sched: clk, Seed: seed,
-			})
-			if err != nil {
-				t.Fatalf("node %s: %v", addr, err)
-			}
-			return n
-		}
-		relay := mk("r", "10.30.0.1", 1)
-		caller := mk("c", "10.100.0.1", 2)
-		callee := mk("d", "10.200.0.1", 3)
-		defer relay.Close()
-		defer caller.Close()
-		defer callee.Close()
+		d := Deploy(t, DeployConfig{Clock: clk, Bootstrap: DemoBootstrapConfig(), Hosts: relayCallerCallee})
+		defer d.Close()
+		mem, relay, caller, callee := d.Mem, d.Nodes[0], d.Nodes[1], d.Nodes[2]
 		tableSize := func() (int, uint64) {
 			relay.mu.Lock()
 			defer relay.mu.Unlock()
@@ -118,22 +98,10 @@ func TestRelayTableIsBounded(t *testing.T) {
 // and so does a caller that names its flow as dropped.
 func TestRelayOpenIsIdempotent(t *testing.T) {
 	clk := sim.NewClock()
-	mem := transport.NewMem()
-	mem.Sched = clk
-	defer func() { _ = mem.Close() }()
-
 	clk.RunTask(func() {
-		bs, err := NewBootstrap(mem, "bs", DemoBootstrapConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		relay, err := NewNode(mem, "r", NodeConfig{
-			IP: "10.30.0.1", Bootstrap: bs.Addr(), Params: testParams(), Sched: clk, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer relay.Close()
+		d := Deploy(t, DeployConfig{Clock: clk, Bootstrap: DemoBootstrapConfig(), Hosts: relayCallerCallee[:1]})
+		defer d.Close()
+		mem, relay := d.Mem, d.Nodes[0]
 		replace := func(from, dst transport.Addr, dropped uint64) uint64 {
 			resp, err := mem.Call(relay.Addr(), &transport.Message{Type: transport.MsgRelayOpen, From: from, Dst: dst, FlowID: dropped})
 			if err != nil {

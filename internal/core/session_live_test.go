@@ -18,28 +18,13 @@ import (
 // and — end to end over the in-memory transport — a live relay death
 // followed by failover to the best backup.
 
-// keepaliveWorld is a caller and a relay node over Mem, on real time.
-func keepaliveWorld(t *testing.T) (caller, relay *Node) {
-	t.Helper()
-	mem := transport.NewMem()
-	t.Cleanup(func() { _ = mem.Close() })
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	relay, err = NewNode(mem, "r", NodeConfig{IP: "10.30.0.1", Bootstrap: bs.Addr(), Params: testParams()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	caller, err = NewNode(mem, "c", NodeConfig{IP: "10.100.0.1", Bootstrap: bs.Addr(), Params: testParams()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return caller, relay
-}
+// relayCallerCallee are a relay "r" (AS300), a caller "c" (AS100) and a
+// callee "d" (AS200), in join order.
+var relayCallerCallee = []DeployHost{{Addr: "r", IP: "10.30.0.1"}, {Addr: "c", IP: "10.100.0.1"}, {Addr: "d", IP: "10.200.0.1"}}
 
 func TestNodeKeepaliveHandler(t *testing.T) {
-	caller, relay := keepaliveWorld(t)
+	d := Deploy(t, DeployConfig{Hosts: relayCallerCallee[:2]})
+	relay, caller := d.Nodes[0], d.Nodes[1]
 
 	// Plain liveness (flow ID 0) works against any node.
 	if err := caller.Keepalive(relay.Addr(), 0); err != nil {
@@ -66,7 +51,8 @@ func TestKeepaliveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	caller, relay := keepaliveWorld(t)
+	d := Deploy(t, DeployConfig{Hosts: relayCallerCallee[:2]})
+	relay, caller := d.Nodes[0], d.Nodes[1]
 	id, err := caller.EnsureFlow(relay.Addr(), "somewhere")
 	if err != nil {
 		t.Fatal(err)
@@ -84,22 +70,8 @@ func TestKeepaliveAllocs(t *testing.T) {
 
 // The name outlives the quality report, which has left the wire; the probe half is what remains.
 func TestNodeProbePathAndQualityReport(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(addr transport.Addr, ip string) *Node {
-		n, err := NewNode(mem, addr, NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: testParams()})
-		if err != nil {
-			t.Fatalf("node %s: %v", addr, err)
-		}
-		return n
-	}
-	relay := mk("r", "10.30.0.1")
-	caller := mk("c", "10.100.0.1")
-	callee := mk("d", "10.200.0.1")
+	d := Deploy(t, DeployConfig{Hosts: relayCallerCallee})
+	relay, caller, callee := d.Nodes[0], d.Nodes[1], d.Nodes[2]
 
 	// Direct probe: positive RTT, and no loss: a probe measures delay only.
 	rtt, loss, err := caller.ProbePath("", callee.Addr())
@@ -124,20 +96,8 @@ func TestNodeProbePathAndQualityReport(t *testing.T) {
 }
 
 func TestEnsureFlowCachesAndDrops(t *testing.T) {
-	mem := transport.NewMem()
-	defer func() { _ = mem.Close() }()
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	relay, err := NewNode(mem, "r", NodeConfig{IP: "10.30.0.1", Bootstrap: bs.Addr(), Params: testParams()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	caller, err := NewNode(mem, "c", NodeConfig{IP: "10.100.0.1", Bootstrap: bs.Addr(), Params: testParams()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Deploy(t, DeployConfig{Hosts: relayCallerCallee[:2]})
+	relay, caller := d.Nodes[0], d.Nodes[1]
 	id1, err := caller.EnsureFlow(relay.Addr(), "x")
 	if err != nil {
 		t.Fatal(err)
@@ -168,12 +128,11 @@ func TestEnsureFlowCachesAndDrops(t *testing.T) {
 	}
 }
 
-// sessionWorld builds a 4-cluster deployment with two viable relays:
-// the direct h1<->h2 path is slow, r1 (AS300) is the best relay and r2
-// (AS10) a somewhat slower second choice.
-func sessionWorld(t *testing.T) (*transport.Mem, *Node, *Node, *Node, *Node) {
-	t.Helper()
-	mem := transport.NewMem()
+// sessionConfig is a 4-cluster deployment with two viable relays, on
+// wall time: the direct h1<->h2 path is slow, r1 (AS300) is the best
+// relay and r2 (AS10) a somewhat slower second choice. Nodes holds r1,
+// r2, h1 and h2 in that order.
+func sessionConfig() DeployConfig {
 	addrAS := map[transport.Addr]int{"bs": 0, "h1": 100, "h2": 200, "r1": 300, "r2": 10}
 	oneWay := map[[2]int]time.Duration{
 		{100, 200}: 100 * time.Millisecond, // slow direct
@@ -182,43 +141,28 @@ func sessionWorld(t *testing.T) (*transport.Mem, *Node, *Node, *Node, *Node) {
 		{10, 100}:  20 * time.Millisecond,
 		{10, 200}:  20 * time.Millisecond,
 	}
-	mem.Latency = func(from, to transport.Addr) time.Duration {
-		a, b := addrAS[from], addrAS[to]
-		if a > b {
-			a, b = b, a
-		}
-		if d, ok := oneWay[[2]int{a, b}]; ok {
-			return d
-		}
-		return time.Millisecond
+	return DeployConfig{
+		Latency: func(from, to transport.Addr) time.Duration {
+			a, b := addrAS[from], addrAS[to]
+			if a > b {
+				a, b = b, a
+			}
+			if d, ok := oneWay[[2]int{a, b}]; ok {
+				return d
+			}
+			return time.Millisecond
+		},
+		Hosts: []DeployHost{
+			{Addr: "r1", IP: "10.30.0.1"}, {Addr: "r2", IP: "10.10.0.1"},
+			{Addr: "h1", IP: "10.100.0.1"}, {Addr: "h2", IP: "10.200.0.1"},
+		},
+		Refresh: true,
 	}
-	bs, err := NewBootstrap(mem, "bs", actorBootstrapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(addr transport.Addr, ip string) *Node {
-		n, err := NewNode(mem, addr, NodeConfig{IP: ip, Bootstrap: bs.Addr(), Params: testParams()})
-		if err != nil {
-			t.Fatalf("node %s: %v", addr, err)
-		}
-		return n
-	}
-	r1 := mk("r1", "10.30.0.1")
-	r2 := mk("r2", "10.10.0.1")
-	h1 := mk("h1", "10.100.0.1")
-	h2 := mk("h2", "10.200.0.1")
-	if err := h1.RefreshCloseSet(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h2.RefreshCloseSet(); err != nil {
-		t.Fatal(err)
-	}
-	return mem, h1, h2, r1, r2
 }
 
 func TestSetupCallRankedCandidates(t *testing.T) {
-	mem, h1, h2, r1, r2 := sessionWorld(t)
-	defer func() { _ = mem.Close() }()
+	d := Deploy(t, sessionConfig())
+	r1, r2, h1, h2 := d.Nodes[0], d.Nodes[1], d.Nodes[2], d.Nodes[3]
 
 	choice, err := h1.SetupCall(h2.Addr())
 	if err != nil {
@@ -249,8 +193,8 @@ func TestSetupCallRankedCandidates(t *testing.T) {
 // including re-opening a relay flow there so post-failover keepalives
 // assert the new relay's flow rather than the dead one's.
 func TestLiveSessionFailover(t *testing.T) {
-	mem, h1, h2, r1, r2 := sessionWorld(t)
-	defer func() { _ = mem.Close() }()
+	d := Deploy(t, sessionConfig())
+	mem, r1, r2, h1, h2 := d.Mem, d.Nodes[0], d.Nodes[1], d.Nodes[2], d.Nodes[3]
 
 	choice, err := h1.SetupCall(h2.Addr())
 	if err != nil {
@@ -358,8 +302,8 @@ func TestLiveSessionFailover(t *testing.T) {
 // missed keepalive (transient, under the miss limit) does not tear the
 // call down.
 func TestLiveSessionKeepaliveSurvivesTransientError(t *testing.T) {
-	mem, h1, h2, r1, _ := sessionWorld(t)
-	defer func() { _ = mem.Close() }()
+	d := Deploy(t, sessionConfig())
+	mem, r1, h1, h2 := d.Mem, d.Nodes[0], d.Nodes[2], d.Nodes[3]
 
 	choice, err := h1.SetupCall(h2.Addr())
 	if err != nil {
@@ -409,9 +353,9 @@ func relayHandlerOf(t *testing.T, n *Node) transport.Handler {
 }
 
 func TestKeepaliveErrorsSurfaceUnreachable(t *testing.T) {
-	mem, h1, _, r1, _ := sessionWorld(t)
-	defer func() { _ = mem.Close() }()
-	mem.Unbind(r1.Addr())
+	d := Deploy(t, sessionConfig())
+	r1, h1 := d.Nodes[0], d.Nodes[2]
+	d.Mem.Unbind(r1.Addr())
 	err := h1.Keepalive(r1.Addr(), 0)
 	if !errors.Is(err, transport.ErrUnreachable) {
 		t.Errorf("keepalive to dead relay: err = %v, want ErrUnreachable", err)

@@ -183,7 +183,7 @@ func TestHostStatsMatchesRTTAndLoss(t *testing.T) {
 
 // ClusterRTT measures delegate-to-delegate RTT between clusters.
 func (p *Prober) ClusterRTT(a, b cluster.ClusterID) (time.Duration, bool) {
-	p.counters.Add("probe.cluster_rtt", p.cfg.MessagesPerProbe)
+	p.counters.Add(p.cfg.MessagesPerProbe)
 	if !p.rng.Bool(p.cfg.ResponseProb) {
 		return 0, false
 	}
@@ -197,7 +197,7 @@ func (p *Prober) ClusterRTT(a, b cluster.ClusterID) (time.Duration, bool) {
 // ClusterLoss samples the loss rate between two clusters with a short
 // ping train.
 func (p *Prober) ClusterLoss(a, b cluster.ClusterID) (float64, bool) {
-	p.counters.Add("probe.cluster_loss", p.cfg.MessagesPerProbe)
+	p.counters.Add(p.cfg.MessagesPerProbe)
 	if !p.rng.Bool(p.cfg.ResponseProb) {
 		return 0, false
 	}

@@ -164,7 +164,7 @@ func TestProberConcurrentCallers(t *testing.T) {
 
 	for w, ctr := range ctrs {
 		want := int64(probesPer) * p.cfg.MessagesPerProbe
-		if got := ctr.Get("probe.host_rtt"); got != want {
+		if got := ctr.Total(); got != want {
 			t.Fatalf("worker %d: probe accounting = %d, want %d", w, got, want)
 		}
 	}

@@ -414,8 +414,8 @@ func TestProberNoiseAndAccounting(t *testing.T) {
 	if n < 100 {
 		t.Fatalf("only %d measurements succeeded", n)
 	}
-	if ctr.Get("probe.host_rtt") != 400 {
-		t.Errorf("probe accounting = %d, want 400 (2 msgs x 200 probes)", ctr.Get("probe.host_rtt"))
+	if ctr.Total() != 400 {
+		t.Errorf("probe accounting = %d, want 400 (2 msgs x 200 probes)", ctr.Total())
 	}
 	if ratio := measured / truth; ratio < 0.9 || ratio > 1.1 {
 		t.Errorf("aggregate measurement bias %.3f; noise should be unbiased", ratio)
@@ -468,8 +468,8 @@ func TestProberNonResponse(t *testing.T) {
 	if fails < 120 || fails > 280 {
 		t.Errorf("non-response count %d/400, want ~200", fails)
 	}
-	if p.counters.Get("probe.cluster_rtt") != 800 {
-		t.Errorf("failed probes must still be charged: %d", p.counters.Get("probe.cluster_rtt"))
+	if p.counters.Total() != 800 {
+		t.Errorf("failed probes must still be charged: %d", p.counters.Total())
 	}
 }
 

@@ -126,7 +126,7 @@ func (p *Prober) noisyFrom(g *sim.RNG, rtt time.Duration) time.Duration {
 // HostRTT measures the RTT between two hosts. ok is false when the
 // measurement got no response (the probe is still charged).
 func (p *Prober) HostRTT(a, b cluster.HostID) (time.Duration, bool) {
-	p.counters.Add("probe.host_rtt", p.cfg.MessagesPerProbe)
+	p.counters.Add(p.cfg.MessagesPerProbe)
 	if !p.rng.Bool(p.cfg.ResponseProb) {
 		return 0, false
 	}
@@ -161,7 +161,7 @@ type ClusterProbe struct {
 // consecutive targets in one AS share one walk; a round of one AS's
 // clusters walks once. out must be at least len(targets) long. It
 // returns the messages it charged, so a caller probing through
-// WithCounters(nil) can account for them without a counter map.
+// WithCounters(nil) can account for them without a counter.
 func (p *Prober) ProbeClusterSet(owner cluster.ClusterID, targets []cluster.ClusterID, latT time.Duration, out []ClusterProbe) int64 {
 	var (
 		nLoss int64
@@ -194,9 +194,9 @@ func (p *Prober) ProbeClusterSet(owner cluster.ClusterID, targets []cluster.Clus
 	}
 	p.rng.mu.Unlock()
 	rttMsgs, lossMsgs := int64(len(targets))*p.cfg.MessagesPerProbe, nLoss*p.cfg.MessagesPerProbe
-	p.counters.Add("probe.cluster_rtt", rttMsgs)
+	p.counters.Add(rttMsgs)
 	if nLoss > 0 {
-		p.counters.Add("probe.cluster_loss", lossMsgs)
+		p.counters.Add(lossMsgs)
 	}
 	return rttMsgs + lossMsgs
 }
