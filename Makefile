@@ -28,7 +28,8 @@ race-all:
 # of FuzzMessageCodec (the control-plane wire codec), then ten of
 # FuzzReadFrame (the TCP frame reader a kept connection loops on), then
 # ten of FuzzVoicePacket (the voice datagram parser and the relay behind
-# it), then ten each of FuzzParseAddr and FuzzParsePrefix (the address
+# it), then ten of FuzzSTUN (the STUN server and a flow waiting in
+# discovery), then ten each of FuzzParseAddr and FuzzParsePrefix (the address
 # parsers a join's IP and the bootstrap's prefix table go through), then
 # ten of FuzzChaosApply (the asapd -chaos spec parser), each over its
 # corpus plus fresh mutations. Deep fuzzing is a
@@ -38,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzMessageCodec' -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz 'FuzzVoicePacket' -fuzztime 10s ./internal/transport/udp/
+	$(GO) test -run '^$$' -fuzz '^FuzzSTUN$$' -fuzztime 10s ./internal/transport/udp/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAddr$$' -fuzztime 10s ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrefix$$' -fuzztime 10s ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz '^FuzzChaosApply$$' -fuzztime 10s ./internal/transport/

@@ -27,48 +27,6 @@ import (
 	"asap/internal/transport"
 )
 
-// path is a candidate voice path's ground truth for the scripted driver.
-type path struct {
-	rtt  time.Duration
-	loss float64
-}
-
-// demoDriver serves scripted measurements to the session manager: the
-// relay named by dead is unreachable from failAt, and flap (if set)
-// overrides a path's loss as a function of virtual time.
-type demoDriver struct {
-	clk    *sim.Clock
-	paths  map[transport.Addr]path
-	dead   transport.Addr
-	failAt time.Duration
-	flap   func(relay transport.Addr, at time.Duration) (float64, bool)
-}
-
-func (d *demoDriver) down(target transport.Addr) bool {
-	return target == d.dead && d.clk.Now() >= d.failAt
-}
-
-func (d *demoDriver) ProbePath(relay, callee transport.Addr) (time.Duration, float64, error) {
-	if d.down(relay) {
-		return 0, 0, fmt.Errorf("relay %s unreachable", relay)
-	}
-	p := d.paths[relay]
-	loss := p.loss
-	if d.flap != nil {
-		if l, ok := d.flap(relay, d.clk.Now()); ok {
-			loss = l
-		}
-	}
-	return p.rtt, loss, nil
-}
-
-func (d *demoDriver) Keepalive(target transport.Addr, flowID uint64) error {
-	if d.down(target) {
-		return fmt.Errorf("relay %s unreachable", target)
-	}
-	return nil
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "failover:", err)
@@ -91,16 +49,11 @@ func run() error {
 func failoverTimeline() error {
 	fmt.Println("=== 1. relay death and failover ===")
 	clk := &sim.Clock{}
-	drv := &demoDriver{
-		clk: clk,
-		paths: map[transport.Addr]path{
-			"relay-a": {rtt: 120 * time.Millisecond, loss: 0.005},
-			"relay-b": {rtt: 150 * time.Millisecond, loss: 0.010},
-			"relay-c": {rtt: 240 * time.Millisecond, loss: 0.030},
-		},
-		dead:   "relay-a",
-		failAt: 10 * time.Second,
-	}
+	drv := eval.NewGroundDriver(clk, []eval.PathGround{
+		{Relay: "relay-a", RTT: 120 * time.Millisecond, Loss: 0.005},
+		{Relay: "relay-b", RTT: 150 * time.Millisecond, Loss: 0.010},
+		{Relay: "relay-c", RTT: 240 * time.Millisecond, Loss: 0.030},
+	}, "relay-a", 10*time.Second, nil)
 	cfg := session.DefaultConfig()
 	mgr, err := session.NewManager(cfg, clk, drv,
 		session.WithEventLog(func(e session.Event) { fmt.Println("  ", e) }))
@@ -132,24 +85,21 @@ func hysteresisVsNaive() error {
 	fmt.Println("=== 2. relay bounce: hysteresis vs naive ===")
 	run := func(margin float64, consecutive int) (int, error) {
 		clk := &sim.Clock{}
-		drv := &demoDriver{
-			clk: clk,
-			paths: map[transport.Addr]path{
-				"steady": {rtt: 150 * time.Millisecond, loss: 0.02},
-				"flappy": {rtt: 140 * time.Millisecond, loss: 0.02},
-			},
-			// The backup alternates each probe round between pristine
-			// (briefly better than the active path) and badly lossy.
-			flap: func(relay transport.Addr, at time.Duration) (float64, bool) {
-				if relay != "flappy" {
-					return 0, false
-				}
-				if (at/(2*time.Second))%2 == 0 {
-					return 0.0, true
-				}
-				return 0.10, true
-			},
+		// The backup alternates each probe round between pristine
+		// (briefly better than the active path) and badly lossy.
+		flap := func(relay transport.Addr, at time.Duration) (float64, bool) {
+			if relay != "flappy" {
+				return 0, false
+			}
+			if (at/(2*time.Second))%2 == 0 {
+				return 0.0, true
+			}
+			return 0.10, true
 		}
+		drv := eval.NewGroundDriver(clk, []eval.PathGround{
+			{Relay: "steady", RTT: 150 * time.Millisecond, Loss: 0.02},
+			{Relay: "flappy", RTT: 140 * time.Millisecond, Loss: 0.02},
+		}, "", 0, flap)
 		cfg := session.DefaultConfig()
 		cfg.SwitchMargin = margin
 		cfg.SwitchConsecutive = consecutive

@@ -94,20 +94,37 @@ type StabilizationResult struct {
 	Baseline ArmResult
 }
 
-// groundDriver exposes the ground-truth paths as a session.Driver; the
-// active relay (Paths[0]) is unreachable from FailAt on.
-type groundDriver struct {
+// GroundDriver is a session.Driver that answers from scripted ground
+// truth: each relay's RTT and loss, and one relay unreachable from an
+// instant on. It is also a session.BatchDriver, so a manager over it
+// runs the batched probe flow a live core.Node drives.
+type GroundDriver struct {
 	clk    *sim.Clock
 	byAddr map[transport.Addr]PathGround
 	dead   transport.Addr
 	failAt time.Duration
+	lossAt func(relay transport.Addr, at time.Duration) (float64, bool)
 }
 
-func (d *groundDriver) isDead(target transport.Addr) bool {
+// NewGroundDriver answers for paths on clk; relay dead is unreachable
+// from failAt on ("" for none). lossAt, when not nil, overrides a
+// relay's loss at a virtual instant wherever it returns true.
+func NewGroundDriver(clk *sim.Clock, paths []PathGround, dead transport.Addr, failAt time.Duration,
+	lossAt func(relay transport.Addr, at time.Duration) (float64, bool)) *GroundDriver {
+	d := &GroundDriver{clk: clk, dead: dead, failAt: failAt, lossAt: lossAt,
+		byAddr: make(map[transport.Addr]PathGround, len(paths))}
+	for _, p := range paths {
+		d.byAddr[p.Relay] = p
+	}
+	return d
+}
+
+func (d *GroundDriver) isDead(target transport.Addr) bool {
 	return target == d.dead && d.clk.Now() >= d.failAt
 }
 
-func (d *groundDriver) ProbePath(relay, callee transport.Addr) (time.Duration, float64, error) {
+// ProbePath implements session.Driver.
+func (d *GroundDriver) ProbePath(relay, callee transport.Addr) (time.Duration, float64, error) {
 	if d.isDead(relay) {
 		return 0, 0, fmt.Errorf("eval: relay %s unreachable", relay)
 	}
@@ -115,14 +132,18 @@ func (d *groundDriver) ProbePath(relay, callee transport.Addr) (time.Duration, f
 	if !ok {
 		return 0, 0, fmt.Errorf("eval: unknown path via %q", relay)
 	}
+	if d.lossAt != nil {
+		if l, ok := d.lossAt(relay, d.clk.Now()); ok {
+			p.Loss = l
+		}
+	}
 	return p.RTT, p.Loss, nil
 }
 
-// ProbePaths implements session.BatchDriver, so the stabilization arm
-// exercises the manager's batched probe flow — the same code path a
-// live core.Node drives. Ground-truth lookups cost no virtual time, so
-// answering sequentially measures exactly what per-path probes would.
-func (d *groundDriver) ProbePaths(reqs []session.PathRequest) []session.PathResult {
+// ProbePaths implements session.BatchDriver. Ground-truth lookups cost
+// no virtual time, so answering sequentially measures exactly what
+// per-path probes would.
+func (d *GroundDriver) ProbePaths(reqs []session.PathRequest) []session.PathResult {
 	out := make([]session.PathResult, len(reqs))
 	for i, r := range reqs {
 		out[i].RTT, out[i].Loss, out[i].Err = d.ProbePath(r.Relay, r.Callee)
@@ -130,7 +151,8 @@ func (d *groundDriver) ProbePaths(reqs []session.PathRequest) []session.PathResu
 	return out
 }
 
-func (d *groundDriver) Keepalive(target transport.Addr, flowID uint64) error {
+// Keepalive implements session.Driver.
+func (d *GroundDriver) Keepalive(target transport.Addr, flowID uint64) error {
 	if d.isDead(target) {
 		return fmt.Errorf("eval: relay %s unreachable", target)
 	}
@@ -165,15 +187,7 @@ func mosOfGround(p PathGround) float64 {
 
 func runSessionArm(cfg StabilizationConfig) (ArmResult, error) {
 	clk := &sim.Clock{}
-	drv := &groundDriver{
-		clk:    clk,
-		byAddr: make(map[transport.Addr]PathGround, len(cfg.Paths)),
-		dead:   cfg.Paths[0].Relay,
-		failAt: cfg.FailAt,
-	}
-	for _, p := range cfg.Paths {
-		drv.byAddr[p.Relay] = p
-	}
+	drv := NewGroundDriver(clk, cfg.Paths, cfg.Paths[0].Relay, cfg.FailAt, nil)
 
 	res := ArmResult{Method: "ASAP+sessions", DetectAfter: -1, RecoverAfter: -1}
 	mgr, err := session.NewManager(cfg.Session, clk, drv, session.WithEventLog(func(e session.Event) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"asap/internal/sim"
 	"asap/internal/transport"
 	"asap/internal/transport/udp"
 )
@@ -33,96 +32,21 @@ func chaosLadderConfig() udp.Config {
 // on clean failure) plus the serialized trace.
 func chaosTraversalOutcome(t *testing.T, ta, tb Type, loss float64, seed int64) (udp.PathKind, string) {
 	t.Helper()
-	clk := sim.NewClock()
-	pub := transport.NewMem()
-	pub.Sched = clk
-	defer func() { _ = pub.Close() }()
-	rng := sim.NewRNG(seed)
-	lats := map[string]time.Duration{}
-	pub.Latency = func(from, to transport.Addr) time.Duration {
-		key := string(from) + "→" + string(to)
-		if d, ok := lats[key]; ok {
-			return d
-		}
-		d := time.Duration(rng.Uniform(2e6, 12e6)) // ns
-		lats[key] = d
-		return d
-	}
-
 	chaos := transport.NewChaos(nil, seed)
-	chaos.Sched = clk
 	chaos.DropDefault(loss)
-	lossy := chaos.PacketNetwork(pub)
-
-	stun, err := udp.NewSTUNServer(lossy, "stun.example:3478")
-	if err != nil {
-		t.Fatal(err)
-	}
-	relay, err := udp.NewRelayServerWith(lossy, "relay.example:5000", clk, udp.RelayConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boxA := New(ta, lossy, "203.0.113.1", 40000)
-	boxB := New(tb, lossy, "198.51.100.1", 41000)
-	defer func() { _ = boxA.Close() }()
-	defer func() { _ = boxB.Close() }()
-
-	cfg := chaosLadderConfig()
-	epA, err := udp.NewEndpoint(boxA, clk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epB, err := udp.NewEndpoint(boxB, clk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const token = 1
-	fa, err := epA.Open("10.0.0.2:5000", token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := epB.Open("192.168.1.2:5000", token)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	r := newTraversal(t, ta, tb, seededLatency(seed), chaos, chaosLadderConfig())
 	var trace strings.Builder
-	var ka, kb udp.PathKind
-	clk.RunTask(func() {
-		extA, err := fa.Discover(stun.Addr())
-		if err != nil {
-			fmt.Fprintf(&trace, "discover caller failed: %v\n", err)
+	var l ladder
+	r.clk.RunTask(func() {
+		var err error
+		if l, err = r.climb(nil); err != nil {
+			fmt.Fprintf(&trace, "%v\n", err)
 			return
 		}
-		extB, err := fb.Discover(stun.Addr())
-		if err != nil {
-			fmt.Fprintf(&trace, "discover callee failed: %v\n", err)
-			return
-		}
-		fmt.Fprintf(&trace, "ext caller=%s callee=%s\n", extA, extB)
-		done := 0
-		dw := clk.NewWaiter()
-		clk.Go(func() {
-			k, err := fa.Establish(extB, relay.Addr(), true)
-			ka = k
-			fmt.Fprintf(&trace, "caller path=%v err=%v\n", k, err)
-			if done++; done == 2 {
-				dw.Wake()
-			}
-		})
-		clk.Go(func() {
-			k, err := fb.Establish(extA, relay.Addr(), false)
-			kb = k
-			fmt.Fprintf(&trace, "callee path=%v err=%v\n", k, err)
-			if done++; done == 2 {
-				dw.Wake()
-			}
-		})
-		dw.Wait(-1)
-		fmt.Fprintf(&trace, "landed caller=%v callee=%v at=%v\n", ka, kb, clk.Now())
+		fmt.Fprintf(&trace, "ext caller=%s callee=%s\n%slanded caller=%v callee=%v at=%v\n",
+			l.extA, l.extB, l.log, l.ka, l.kb, r.clk.Now())
 	})
-	_ = kb
-	return ka, trace.String()
+	return l.ka, trace.String()
 }
 
 // TestChaosTraversalMatrix sweeps loss × the full 4×4 NAT matrix. Under
@@ -157,6 +81,7 @@ func TestChaosTraversalMatrix(t *testing.T) {
 // the clean ones — drops come from the seeded RNG, so two runs with one
 // seed serialize identical traces.
 func TestChaosTraversalDeterministic(t *testing.T) {
+	var traces []string
 	for _, loss := range []float64{0.15, 0.30} {
 		for _, ta := range Types {
 			for _, tb := range Types {
@@ -166,9 +91,11 @@ func TestChaosTraversalDeterministic(t *testing.T) {
 					t.Errorf("loss %.2f %v→%v: runs diverged:\n--- run 1\n%s--- run 2\n%s",
 						loss, ta, tb, one, two)
 				}
+				traces = append(traces, one)
 			}
 		}
 	}
+	checkTraces(t, traces, chaosTraceSHA)
 }
 
 // TestOutageOverPunchFallsToRelay: an outage window blanketing both
@@ -178,93 +105,49 @@ func TestChaosTraversalDeterministic(t *testing.T) {
 // and clean. Byte-identical per seed.
 func TestOutageOverPunchFallsToRelay(t *testing.T) {
 	run := func(seed int64) string {
-		clk := sim.NewClock()
-		pub := transport.NewMem()
-		pub.Sched = clk
-		defer func() { _ = pub.Close() }()
-		pub.Latency = func(from, to transport.Addr) time.Duration { return 5 * time.Millisecond }
-
 		chaos := transport.NewChaos(nil, seed)
-		chaos.Sched = clk
-		lossy := chaos.PacketNetwork(pub)
-		stun, err := udp.NewSTUNServer(lossy, "stun.example:3478")
-		if err != nil {
-			t.Fatal(err)
-		}
-		relay, err := udp.NewRelayServerWith(lossy, "relay.example:5000", clk, udp.RelayConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Port-restricted on both sides: a pairing that always punches on
 		// a clean network (see wantPath), so landing on the relay here is
 		// attributable to the outage alone.
-		boxA := New(PortRestricted, lossy, "203.0.113.1", 40000)
-		boxB := New(PortRestricted, lossy, "198.51.100.1", 41000)
-		defer func() { _ = boxA.Close() }()
-		defer func() { _ = boxB.Close() }()
-		cfg := udp.DefaultConfig()
-		epA, _ := udp.NewEndpoint(boxA, clk, cfg)
-		epB, _ := udp.NewEndpoint(boxB, clk, cfg)
-		const token = 1
-		fa, _ := epA.Open("10.0.0.2:5000", token)
-		fb, _ := epB.Open("192.168.1.2:5000", token)
-
+		r := newTraversal(t, PortRestricted, PortRestricted,
+			func(from, to transport.Addr) time.Duration { return 5 * time.Millisecond },
+			chaos, udp.DefaultConfig())
 		var trace strings.Builder
-		clk.RunTask(func() {
-			extA, err := fa.Discover(stun.Addr())
+		r.clk.RunTask(func() {
+			l, err := r.climb(func(extA, extB transport.Addr) {
+				// The outage outlives direct (400ms) + punch (1600ms): every
+				// Syn toward either external address vanishes mid-retry. The
+				// relay rung starts at 2.0s still inside the outage — its
+				// *bind* goes to the relay (reachable), but the PTRelayBound
+				// confirmations toward the ext addrs are swallowed until the
+				// window lifts and the bind retries get through.
+				chaos.OutageFor(extA, 2200*time.Millisecond)
+				chaos.OutageFor(extB, 2200*time.Millisecond)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			extB, err := fb.Discover(stun.Addr())
-			if err != nil {
-				t.Fatal(err)
+			if l.ea != nil || l.eb != nil {
+				t.Errorf("establish errors under outage: %v / %v", l.ea, l.eb)
 			}
-			// The outage outlives direct (400ms) + punch (1600ms): every
-			// Syn toward either external address vanishes mid-retry. The
-			// relay rung starts at 2.0s still inside the outage — its
-			// *bind* goes to the relay (reachable), but the PTRelayBound
-			// confirmations toward the ext addrs are swallowed until the
-			// window lifts and the bind retries get through.
-			chaos.OutageFor(extA, 2200*time.Millisecond)
-			chaos.OutageFor(extB, 2200*time.Millisecond)
-			var ka, kb udp.PathKind
-			var ea, eb error
-			done := 0
-			dw := clk.NewWaiter()
-			clk.Go(func() {
-				ka, ea = fa.Establish(extB, relay.Addr(), true)
-				if done++; done == 2 {
-					dw.Wake()
-				}
-			})
-			clk.Go(func() {
-				kb, eb = fb.Establish(extA, relay.Addr(), false)
-				if done++; done == 2 {
-					dw.Wake()
-				}
-			})
-			dw.Wait(-1)
-			if ea != nil || eb != nil {
-				t.Errorf("establish errors under outage: %v / %v", ea, eb)
+			if l.ka != udp.PathRelayed || l.kb != udp.PathRelayed {
+				t.Errorf("paths = %v/%v, want relayed/relayed (outage must defeat punching)", l.ka, l.kb)
 			}
-			if ka != udp.PathRelayed || kb != udp.PathRelayed {
-				t.Errorf("paths = %v/%v, want relayed/relayed (outage must defeat punching)", ka, kb)
-			}
-			fmt.Fprintf(&trace, "paths %v/%v at=%v outaged=%d\n", ka, kb, clk.Now(), chaos.Stats().Outaged)
+			fmt.Fprintf(&trace, "paths %v/%v at=%v outaged=%d\n", l.ka, l.kb, r.clk.Now(), chaos.Stats().Outaged)
 			// Voice flows once established, through the relay.
 			var heard int
-			fb.SetVoiceHandler(func(udp.Packet, transport.Addr) { heard++ })
+			r.fb.SetVoiceHandler(func(udp.Packet, transport.Addr) { heard++ })
 			for i := 0; i < 10; i++ {
-				if err := fa.SendVoice([]byte("frame")); err != nil {
+				if err := r.fa.SendVoice([]byte("frame")); err != nil {
 					t.Fatal(err)
 				}
-				clk.Sleep(20 * time.Millisecond)
+				r.clk.Sleep(20 * time.Millisecond)
 			}
-			clk.Sleep(100 * time.Millisecond)
+			r.clk.Sleep(100 * time.Millisecond)
 			if heard != 10 {
 				t.Errorf("heard %d/10 voice packets after outage fallback", heard)
 			}
-			fmt.Fprintf(&trace, "heard=%d relay=%d\n", heard, relay.Forwarded())
+			fmt.Fprintf(&trace, "heard=%d relay=%d\n", heard, r.relay.Forwarded())
 		})
 		return trace.String()
 	}
@@ -276,4 +159,5 @@ func TestOutageOverPunchFallsToRelay(t *testing.T) {
 	if !strings.Contains(one, "paths relayed/relayed") {
 		t.Errorf("trace:\n%s", one)
 	}
+	checkTraces(t, []string{one}, outageTraceSHA)
 }

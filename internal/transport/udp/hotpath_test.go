@@ -244,7 +244,7 @@ func TestVoicePacketAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	w := newWorld(t, 10*time.Millisecond)
+	w := newWorld(t, 10*time.Millisecond, RelayConfig{})
 	ep := w.endpoint(t)
 	a, err := ep.Open("alice:5000", 7)
 	if err != nil {
@@ -260,11 +260,8 @@ func TestVoicePacketAllocs(t *testing.T) {
 	var allocs float64
 	var sendErr error
 	w.clk.RunTask(func() {
-		w.clk.Join(2,
-			func() { _, sendErr = a.Establish("bob:5000", "", true) },
-			func() { _, _ = b.Establish("alice:5000", "", false) },
-		)
-		if sendErr != nil {
+		climbPair(t, w.clk, a, b, "")
+		if t.Failed() {
 			return
 		}
 		one := func() {

@@ -87,29 +87,14 @@ func TestLiveLoopback(t *testing.T) {
 		}
 	})
 
-	// Two-sided establishment over real sockets: run both ladders on
-	// goroutines (wall scheduler tasks are plain goroutines).
-	type result struct {
-		kind PathKind
-		err  error
+	// Two-sided establishment over real sockets: the wall scheduler's
+	// Join runs both ladders on goroutines.
+	ka, kb := climbPair(t, sim.OrWall(nil), a, b, relay.Addr())
+	if t.Failed() {
+		t.FailNow()
 	}
-	results := make(chan result, 2)
-	go func() {
-		k, err := a.Establish(b.LocalAddr(), relay.Addr(), true)
-		results <- result{k, err}
-	}()
-	go func() {
-		k, err := b.Establish(a.LocalAddr(), relay.Addr(), false)
-		results <- result{k, err}
-	}()
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.err != nil {
-			t.Fatalf("establish over loopback: %v", r.err)
-		}
-		if r.kind != PathDirect {
-			t.Errorf("path = %v, want direct on loopback", r.kind)
-		}
+	if ka != PathDirect || kb != PathDirect {
+		t.Errorf("paths = %v/%v, want direct on loopback", ka, kb)
 	}
 
 	// Voice a → b.

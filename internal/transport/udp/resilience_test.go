@@ -117,20 +117,13 @@ func TestRelayProofAllocs(t *testing.T) {
 func TestFlowCloseUnbindsRelay(t *testing.T) {
 	// Closing a flow must send PTRelayUnbind so the relay reclaims the
 	// entry immediately — the leak fix independent of TTL expiry.
-	w := newWorld(t, time.Millisecond)
+	w := newWorld(t, time.Millisecond, RelayConfig{})
 	const token = 1
-	ep := w.endpoint(t)
-	chaos := transport.NewChaos(nil, 3)
-	chaos.Sched = w.clk
+	chaos, ep := w.lossy(t, 3, DefaultConfig())
 	chaos.Blackhole("alice:5000")
 	chaos.Blackhole("bob:5000")
-	cep, err := NewEndpoint(chaos.PacketNetwork(w.net), w.clk, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = ep
-	a, _ := cep.Open("alice:5000", token)
-	b, _ := cep.Open("bob:5000", token)
+	a, _ := ep.Open("alice:5000", token)
+	b, _ := ep.Open("bob:5000", token)
 	ka, kb := establishPair(t, w, a, b, w.relay.Addr())
 	if ka != PathRelayed || kb != PathRelayed {
 		t.Fatalf("paths = %v/%v, want relayed", ka, kb)
@@ -157,31 +150,14 @@ func TestRelaySoakChurnQuotaAndSpoof(t *testing.T) {
 	// The acceptance soak: 1,000 churned relayed calls leave the relay
 	// with zero live flows; a greedy source hits the per-source quota;
 	// spoofed-token binds bounce off the HMAC check.
-	clk := sim.NewClock()
-	m := transport.NewMem()
-	m.Sched = clk
-	t.Cleanup(func() { _ = m.Close() })
-	stun, err := NewSTUNServer(m, "stun:1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	secret := []byte("soak-secret")
-	relay, err := NewRelayServerWith(m, "relay:1", clk, RelayConfig{
+	w := newWorld(t, 0, RelayConfig{
 		FlowTTL:           5 * time.Second,
 		MaxFlowsPerSource: 2,
 		Secret:            secret,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = stun
-
-	chaos := transport.NewChaos(nil, 11)
-	chaos.Sched = clk
-	ep, err := NewEndpoint(chaos.PacketNetwork(m), clk, churnConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	clk, relay := w.clk, w.relay
+	chaos, ep := w.lossy(t, 11, churnConfig())
 
 	const calls = 1000
 	clk.RunTask(func() {
@@ -201,25 +177,7 @@ func TestRelaySoakChurnQuotaAndSpoof(t *testing.T) {
 			}
 			a.SetRelayAuth(RelayProof(secret, token))
 			b.SetRelayAuth(RelayProof(secret, token))
-			done := 0
-			dw := clk.NewWaiter()
-			clk.Go(func() {
-				if _, err := a.Establish(bAddr, relay.Addr(), true); err != nil {
-					t.Errorf("call %d caller: %v", i, err)
-				}
-				if done++; done == 2 {
-					dw.Wake()
-				}
-			})
-			clk.Go(func() {
-				if _, err := b.Establish(aAddr, relay.Addr(), false); err != nil {
-					t.Errorf("call %d callee: %v", i, err)
-				}
-				if done++; done == 2 {
-					dw.Wake()
-				}
-			})
-			dw.Wait(-1)
+			climbPair(t, clk, a, b, relay.Addr())
 			if err := a.SendVoice([]byte("soak")); err != nil {
 				t.Fatalf("call %d voice: %v", i, err)
 			}
@@ -282,23 +240,11 @@ func TestRelaySoakChurnQuotaAndSpoof(t *testing.T) {
 func TestRelayAuthRejectAbandonsLadderFast(t *testing.T) {
 	// A binder without the proof must get PTRelayReject and abandon the
 	// relay rung immediately instead of burning the whole relay budget.
-	clk := sim.NewClock()
-	m := transport.NewMem()
-	m.Sched = clk
-	t.Cleanup(func() { _ = m.Close() })
-	relay, err := NewRelayServerWith(m, "relay:1", clk, RelayConfig{Secret: []byte("s3cret")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaos := transport.NewChaos(nil, 5)
-	chaos.Sched = clk
+	w := newWorld(t, 0, RelayConfig{Secret: []byte("s3cret")})
+	clk, relay, cfg := w.clk, w.relay, churnConfig()
+	chaos, ep := w.lossy(t, 5, cfg)
 	chaos.Blackhole("alice:5000")
 	chaos.Blackhole("bob:5000")
-	cfg := churnConfig()
-	ep, err := NewEndpoint(chaos.PacketNetwork(m), clk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	a, _ := ep.Open("alice:5000", 7)
 	clk.RunTask(func() {
 		start := clk.Now()
@@ -325,14 +271,8 @@ func TestRelayFlowCap(t *testing.T) {
 	// bound its table: one stranger binding fresh tokens fills it to
 	// maxRelayFlows, the next new token is refused as a quota rejection,
 	// and a second party pairing an existing token still binds.
-	clk := sim.NewClock()
-	m := transport.NewMem()
-	m.Sched = clk
-	t.Cleanup(func() { _ = m.Close() })
-	relay, err := NewRelayServerWith(m, "relay:1", clk, RelayConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWorld(t, 0, RelayConfig{})
+	clk, m, relay := w.clk, w.net, w.relay
 	quotaEvents := 0
 	relay.SetEventLog(func(e RelayEvent) {
 		if e.Kind == "quota-reject" {
@@ -390,48 +330,21 @@ func TestRelayFlowCap(t *testing.T) {
 func TestRelayTTLExpiryAndKeepaliveRefresh(t *testing.T) {
 	// An idle flow ages out on the scheduler-driven sweep; a flow whose
 	// endpoints beacon PTKeepalive stays bound indefinitely.
-	clk := sim.NewClock()
-	m := transport.NewMem()
-	m.Sched = clk
-	t.Cleanup(func() { _ = m.Close() })
-	relay, err := NewRelayServerWith(m, "relay:1", clk, RelayConfig{
-		FlowTTL: 500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWorld(t, 0, RelayConfig{FlowTTL: 500 * time.Millisecond})
+	clk, relay := w.clk, w.relay
 	var events []RelayEvent
 	relay.SetEventLog(func(e RelayEvent) { events = append(events, e) })
 
-	chaos := transport.NewChaos(nil, 9)
-	chaos.Sched = clk
+	chaos, ep := w.lossy(t, 9, churnConfig())
 	for _, a := range []transport.Addr{"idle-a:1", "idle-b:1", "live-a:1", "live-b:1"} {
 		chaos.Blackhole(a)
-	}
-	ep, err := NewEndpoint(chaos.PacketNetwork(m), clk, churnConfig())
-	if err != nil {
-		t.Fatal(err)
 	}
 	pair := func(aAddr, bAddr transport.Addr, token uint32) (*Flow, *Flow) {
 		a, _ := ep.Open(aAddr, token)
 		b, _ := ep.Open(bAddr, token)
-		done := 0
-		dw := clk.NewWaiter()
-		est := func(f *Flow, peer transport.Addr, caller bool) {
-			clk.Go(func() {
-				if k, err := f.Establish(peer, relay.Addr(), caller); err != nil || k != PathRelayed {
-					t.Errorf("establish = %v/%v", k, err)
-				}
-				if done++; done == 2 {
-					dw.Wake()
-				}
-			})
+		if ka, kb := establishPair(t, w, a, b, relay.Addr()); ka != PathRelayed || kb != PathRelayed {
+			t.Errorf("establish = %v/%v, want relayed", ka, kb)
 		}
-		clk.RunTask(func() {
-			est(a, bAddr, true)
-			est(b, aAddr, false)
-			dw.Wait(-1)
-		})
 		return a, b
 	}
 
@@ -470,14 +383,9 @@ func TestFlowReestablishContinuity(t *testing.T) {
 	// Mid-call re-establishment onto a relay: same flow, same SSRC, same
 	// sockets — the receiver's RFC 3550 accounting must span the switch
 	// as one continuous stream with no artificial loss.
-	w := newWorld(t, 5*time.Millisecond)
-	chaos := transport.NewChaos(nil, 21)
-	chaos.Sched = w.clk
+	w := newWorld(t, 5*time.Millisecond, RelayConfig{})
+	chaos, ep := w.lossy(t, 21, churnConfig())
 	const token = 1
-	ep, err := NewEndpoint(chaos.PacketNetwork(w.net), w.clk, churnConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	a, _ := ep.Open("alice:5000", token)
 	b, _ := ep.Open("bob:5000", token)
 	ka, kb := establishPair(t, w, a, b, w.relay.Addr())
@@ -501,25 +409,9 @@ func TestFlowReestablishContinuity(t *testing.T) {
 	chaos.Blackhole("alice:5000")
 	chaos.Blackhole("bob:5000")
 	w.clk.RunTask(func() {
-		done := 0
-		dw := w.clk.NewWaiter()
-		w.clk.Go(func() {
-			if k, err := a.Establish("bob:5000", w.relay.Addr(), true); err != nil || k != PathRelayed {
-				t.Errorf("caller reestablish = %v/%v, want relayed", k, err)
-			}
-			if done++; done == 2 {
-				dw.Wake()
-			}
-		})
-		w.clk.Go(func() {
-			if k, err := b.Establish("alice:5000", w.relay.Addr(), false); err != nil || k != PathRelayed {
-				t.Errorf("callee reestablish = %v/%v, want relayed", k, err)
-			}
-			if done++; done == 2 {
-				dw.Wake()
-			}
-		})
-		dw.Wait(-1)
+		if ka, kb := climbPair(t, w.clk, a, b, w.relay.Addr()); ka != PathRelayed || kb != PathRelayed {
+			t.Errorf("reestablish = %v/%v, want relayed", ka, kb)
+		}
 		stream(10)
 	})
 
@@ -542,7 +434,7 @@ func TestFlowReestablishContinuity(t *testing.T) {
 // ladder, and the flow's own state picks the case.
 func TestFlowEstablishOneEntry(t *testing.T) {
 	t.Run("early Syn returns at once", func(t *testing.T) {
-		w := newWorld(t, 5*time.Millisecond)
+		w := newWorld(t, 5*time.Millisecond, RelayConfig{})
 		ep := w.endpoint(t)
 		a, _ := ep.Open("alice:5000", 3)
 		b, _ := ep.Open("bob:5000", 3)
@@ -567,21 +459,16 @@ func TestFlowEstablishOneEntry(t *testing.T) {
 	})
 
 	t.Run("second call re-climbs in place", func(t *testing.T) {
-		w := newWorld(t, 5*time.Millisecond)
+		w := newWorld(t, 5*time.Millisecond, RelayConfig{})
 		relay2, err := NewRelayServerWith(w.net, "relay:2", w.clk, RelayConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var events []RelayEvent
 		w.relay.SetEventLog(func(e RelayEvent) { events = append(events, e) })
-		chaos := transport.NewChaos(nil, 4)
-		chaos.Sched = w.clk
+		chaos, ep := w.lossy(t, 4, churnConfig())
 		chaos.Blackhole("alice:5000") // the peers only ever meet on a relay
 		chaos.Blackhole("bob:5000")
-		ep, err := NewEndpoint(chaos.PacketNetwork(w.net), w.clk, churnConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
 		a, _ := ep.Open("alice:5000", 5)
 		b, _ := ep.Open("bob:5000", 5)
 		var seqs []uint32
@@ -637,7 +524,7 @@ func TestFlowEstablishOneEntry(t *testing.T) {
 	})
 
 	t.Run("concurrent call is refused", func(t *testing.T) {
-		w := newWorld(t, 5*time.Millisecond)
+		w := newWorld(t, 5*time.Millisecond, RelayConfig{})
 		ep := w.endpoint(t)
 		a, _ := ep.Open("alice:5000", 6)
 		w.clk.RunTask(func() {
@@ -654,13 +541,8 @@ func TestFlowEstablishOneEntry(t *testing.T) {
 	})
 
 	t.Run("path reads none for the whole re-climb", func(t *testing.T) {
-		w := newWorld(t, 5*time.Millisecond)
-		chaos := transport.NewChaos(nil, 8)
-		chaos.Sched = w.clk
-		ep, err := NewEndpoint(chaos.PacketNetwork(w.net), w.clk, churnConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := newWorld(t, 5*time.Millisecond, RelayConfig{})
+		chaos, ep := w.lossy(t, 8, churnConfig())
 		a, _ := ep.Open("alice:5000", 9)
 		b, _ := ep.Open("bob:5000", 9)
 		if ka, _ := establishPair(t, w, a, b, w.relay.Addr()); ka != PathDirect {
@@ -672,9 +554,8 @@ func TestFlowEstablishOneEntry(t *testing.T) {
 		var reads []PathKind
 		w.clk.RunTask(func() {
 			done := false
-			w.clk.Go(func() { _, _ = b.Establish(a.LocalAddr(), w.relay.Addr(), false) })
 			w.clk.Go(func() {
-				_, _ = a.Establish(b.LocalAddr(), w.relay.Addr(), true)
+				climbPair(t, w.clk, a, b, w.relay.Addr())
 				done = true
 			})
 			for !done {
@@ -700,13 +581,8 @@ func TestFlowEstablishOneEntry(t *testing.T) {
 func TestFlowKeepaliveSilenceEpisodes(t *testing.T) {
 	// Silence fires onSilent exactly once per episode; resumed traffic
 	// re-arms it.
-	w := newWorld(t, time.Millisecond)
-	chaos := transport.NewChaos(nil, 13)
-	chaos.Sched = w.clk
-	ep, err := NewEndpoint(chaos.PacketNetwork(w.net), w.clk, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWorld(t, time.Millisecond, RelayConfig{})
+	chaos, ep := w.lossy(t, 13, DefaultConfig())
 	a, _ := ep.Open("alice:5000", 99)
 	b, _ := ep.Open("bob:5000", 99)
 	establishPair(t, w, a, b, w.relay.Addr())

@@ -69,7 +69,9 @@ type world struct {
 	relay *RelayServer
 }
 
-func newWorld(t *testing.T, latency time.Duration) *world {
+// newWorld builds a world whose links all take latency one way (none
+// when 0) and whose relay runs with rc.
+func newWorld(t *testing.T, latency time.Duration, rc RelayConfig) *world {
 	t.Helper()
 	clk := sim.NewClock()
 	m := transport.NewMem()
@@ -81,7 +83,7 @@ func newWorld(t *testing.T, latency time.Duration) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, err := NewRelayServerWith(m, "relay:1", clk, RelayConfig{})
+	relay, err := NewRelayServerWith(m, "relay:1", clk, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +100,21 @@ func (w *world) endpoint(t *testing.T) *Endpoint {
 	return ep
 }
 
+// lossy returns an endpoint with cfg whose datagrams cross a Chaos
+// seeded with seed, and that Chaos, to script faults on.
+func (w *world) lossy(t *testing.T, seed int64, cfg Config) (*transport.Chaos, *Endpoint) {
+	t.Helper()
+	chaos := transport.NewChaos(nil, seed)
+	chaos.Sched = w.clk
+	ep, err := NewEndpoint(chaos.PacketNetwork(w.net), w.clk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chaos, ep
+}
+
 func TestDiscover(t *testing.T) {
-	w := newWorld(t, 5*time.Millisecond)
+	w := newWorld(t, 5*time.Millisecond, RelayConfig{})
 	ep := w.endpoint(t)
 	f, err := ep.Open("alice:5000", 1)
 	if err != nil {
@@ -119,15 +134,9 @@ func TestDiscover(t *testing.T) {
 
 func TestDiscoverSurvivesLoss(t *testing.T) {
 	// First two STUN requests are dropped; retries recover.
-	w := newWorld(t, 5*time.Millisecond)
-	chaos := transport.NewChaos(nil, 7)
-	chaos.Sched = w.clk
+	w := newWorld(t, 5*time.Millisecond, RelayConfig{})
+	chaos, ep := w.lossy(t, 7, DefaultConfig())
 	chaos.FailNext(w.stun.Addr(), 2)
-	pn := chaos.PacketNetwork(w.net)
-	ep, err := NewEndpoint(pn, w.clk, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	f, err := ep.Open("alice:5000", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +153,7 @@ func TestDiscoverSurvivesLoss(t *testing.T) {
 }
 
 func TestDiscoverTimesOut(t *testing.T) {
-	w := newWorld(t, 5*time.Millisecond)
+	w := newWorld(t, 5*time.Millisecond, RelayConfig{})
 	ep := w.endpoint(t)
 	f, err := ep.Open("alice:5000", 1)
 	if err != nil {
@@ -157,40 +166,30 @@ func TestDiscoverTimesOut(t *testing.T) {
 	})
 }
 
-// establishPair runs the two-sided ladder to completion and returns both
-// outcomes.
+// climbPair runs the two-sided ladder between a and b from one instant,
+// each toward the other's bound address with relay as the last rung,
+// and returns both landings. Call it inside a task of s.
+func climbPair(t *testing.T, s sim.Scheduler, a, b *Flow, relay transport.Addr) (ka, kb PathKind) {
+	t.Helper()
+	var ea, eb error
+	s.Join(2,
+		func() { ka, ea = a.Establish(b.LocalAddr(), relay, true) },
+		func() { kb, eb = b.Establish(a.LocalAddr(), relay, false) })
+	if ea != nil || eb != nil {
+		t.Errorf("establish: caller %v, callee %v", ea, eb)
+	}
+	return ka, kb
+}
+
+// establishPair runs climbPair to completion on w's clock.
 func establishPair(t *testing.T, w *world, a, b *Flow, relay transport.Addr) (ka, kb PathKind) {
 	t.Helper()
-	w.clk.RunTask(func() {
-		done := 0
-		dw := w.clk.NewWaiter()
-		w.clk.Go(func() {
-			k, err := a.Establish(b.LocalAddr(), relay, true)
-			if err != nil {
-				t.Errorf("caller establish: %v", err)
-			}
-			ka = k
-			if done++; done == 2 {
-				dw.Wake()
-			}
-		})
-		w.clk.Go(func() {
-			k, err := b.Establish(a.LocalAddr(), relay, false)
-			if err != nil {
-				t.Errorf("callee establish: %v", err)
-			}
-			kb = k
-			if done++; done == 2 {
-				dw.Wake()
-			}
-		})
-		dw.Wait(-1)
-	})
+	w.clk.RunTask(func() { ka, kb = climbPair(t, w.clk, a, b, relay) })
 	return ka, kb
 }
 
 func TestEstablishDirectNoNAT(t *testing.T) {
-	w := newWorld(t, 10*time.Millisecond)
+	w := newWorld(t, 10*time.Millisecond, RelayConfig{})
 	ep := w.endpoint(t)
 	a, err := ep.Open("alice:5000", 77)
 	if err != nil {
@@ -210,7 +209,7 @@ func TestEstablishDirectNoNAT(t *testing.T) {
 }
 
 func TestVoiceEndToEnd(t *testing.T) {
-	w := newWorld(t, 10*time.Millisecond)
+	w := newWorld(t, 10*time.Millisecond, RelayConfig{})
 	ep := w.endpoint(t)
 	a, _ := ep.Open("alice:5000", 77)
 	b, _ := ep.Open("bob:5000", 77)
@@ -241,14 +240,8 @@ func TestVoiceEndToEnd(t *testing.T) {
 func TestVoiceLossAndJitterAccounting(t *testing.T) {
 	// Voice over a lossy link: receiver-side accounting must see the
 	// loss; sender remains oblivious (datagram contract).
-	w := newWorld(t, 10*time.Millisecond)
-	chaos := transport.NewChaos(nil, 42)
-	chaos.Sched = w.clk
-	pn := chaos.PacketNetwork(w.net)
-	ep, err := NewEndpoint(pn, w.clk, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWorld(t, 10*time.Millisecond, RelayConfig{})
+	chaos, ep := w.lossy(t, 42, DefaultConfig())
 	a, _ := ep.Open("alice:5000", 77)
 	b, _ := ep.Open("bob:5000", 77)
 	establishPair(t, w, a, b, w.relay.Addr())
@@ -322,16 +315,10 @@ func TestRxAccountingReorderAndJitter(t *testing.T) {
 func TestRelayFallback(t *testing.T) {
 	// Peers whose Syns never reach each other (blackholed both ways)
 	// must land on the relay, and voice must flow through it.
-	w := newWorld(t, 10*time.Millisecond)
-	chaos := transport.NewChaos(nil, 1)
-	chaos.Sched = w.clk
+	w := newWorld(t, 10*time.Millisecond, RelayConfig{})
+	chaos, ep := w.lossy(t, 1, DefaultConfig())
 	chaos.Blackhole("alice:5000")
 	chaos.Blackhole("bob:5000")
-	pn := chaos.PacketNetwork(w.net)
-	ep, err := NewEndpoint(pn, w.clk, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	const token = 1
 	a, _ := ep.Open("alice:5000", token)
 	b, _ := ep.Open("bob:5000", token)
@@ -366,15 +353,9 @@ func TestRelayFallback(t *testing.T) {
 
 func TestEstablishFailsWithNothing(t *testing.T) {
 	// No reachable peer and no relay: the ladder must run out and fail.
-	w := newWorld(t, 10*time.Millisecond)
-	chaos := transport.NewChaos(nil, 1)
-	chaos.Sched = w.clk
+	w := newWorld(t, 10*time.Millisecond, RelayConfig{})
+	chaos, ep := w.lossy(t, 1, DefaultConfig())
 	chaos.Blackhole("bob:5000")
-	pn := chaos.PacketNetwork(w.net)
-	ep, err := NewEndpoint(pn, w.clk, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	a, _ := ep.Open("alice:5000", 1)
 	w.clk.RunTask(func() {
 		k, err := a.Establish("bob:5000", "", true)
@@ -390,7 +371,7 @@ func TestEstablishFailsWithNothing(t *testing.T) {
 func TestRelayImpostorIgnored(t *testing.T) {
 	// A third party binding an already-paired flow must not hijack it:
 	// forwarding keeps going to the original pair.
-	w := newWorld(t, time.Millisecond)
+	w := newWorld(t, time.Millisecond, RelayConfig{})
 	ep := w.endpoint(t)
 	const token = 1
 	a, _ := ep.Open("alice:5000", token)
@@ -468,7 +449,7 @@ func (c *waiterCounter) NewWaiter() sim.Waiter {
 // that climb twice against a silent peer make two waiters however many
 // Syns they retransmit.
 func TestFlowLadderWaiterAllocs(t *testing.T) {
-	w := newWorld(t, 5*time.Millisecond)
+	w := newWorld(t, 5*time.Millisecond, RelayConfig{})
 	clk := &waiterCounter{Clock: w.clk}
 	ep, err := NewEndpoint(w.net, clk, DefaultConfig())
 	if err != nil {
@@ -521,7 +502,7 @@ func TestLearnedAddrAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	w := newWorld(t, 0)
+	w := newWorld(t, 0, RelayConfig{})
 	f, err := w.endpoint(t).Open("alice:5000", 7)
 	if err != nil {
 		t.Fatal(err)
