@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate digests bench-scale scale-gate race-dataplane test-experiments goldens examples profile profile-scale chaos check print-staticcheck-version print-govulncheck-version
+.PHONY: build loc test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate digests bench-scale scale-gate race-dataplane determinism test-experiments goldens examples profile profile-scale chaos check print-staticcheck-version print-govulncheck-version
 
 build:
 	$(GO) build ./...
@@ -239,6 +239,18 @@ race-dataplane:
 	$(GO) test -race -count=10 -run 'Router|^TestRouteTable' ./internal/asgraph/
 	$(GO) test -race -count=1 -run 'TestBuildRouteTableMatchesHeapReference' ./internal/asgraph/
 	$(GO) test -race -count=10 -run 'Mapping|Reserve|Ports|BoxClose' ./internal/nat/
+
+# determinism runs the byte-identical and pinned-outcome tests at
+# GOMAXPROCS 1 and 4. The virtual CPU passes from worker goroutine to
+# worker goroutine instead of returning to the one that drives the
+# clock, so the P count is an axis of its own: at one P every pass
+# queues behind the passer, at four the woken task can start on another
+# thread.
+determinism:
+	for p in 1 4; do \
+		GOMAXPROCS=$$p $(GO) test -count=1 -run 'Deterministic|ByteIdentical|DriveModes' \
+			./internal/sim/ ./internal/eval/ ./internal/core/ ./internal/nat/ ./internal/transport/... || exit 1; \
+	done
 
 # test-experiments runs the virtual-time experiment suite with a tight
 # timeout: everything in internal/eval runs on the simulated clock, so

@@ -249,6 +249,68 @@ func (p *pingTap) Serve(addr transport.Addr, h transport.Handler) (transport.Add
 	})
 }
 
+// pingHold wraps a transport and holds every MsgPing for hold before
+// sending it, counting the pings in flight and the most ever at once.
+type pingHold struct {
+	transport.Transport
+	hold time.Duration
+
+	mu             sync.Mutex
+	inFlight, most int
+}
+
+func (p *pingHold) Call(to transport.Addr, req *transport.Message) (*transport.Message, error) {
+	if req.Type != transport.MsgPing {
+		return p.Transport.Call(to, req)
+	}
+	p.mu.Lock()
+	p.inFlight++
+	p.most = max(p.most, p.inFlight)
+	p.mu.Unlock()
+	time.Sleep(p.hold)
+	resp, err := p.Transport.Call(to, req)
+	p.mu.Lock()
+	p.inFlight--
+	p.mu.Unlock()
+	return resp, err
+}
+
+// TestCloseSetPingsBoundedOnWall: on the wall scheduler a close-set
+// build pings its candidates through at most closeSetPingWorkers
+// workers, and through more than one. Twelve clusters of AS300 each get
+// a surrogate, so the first one's refresh has eleven candidates. The
+// virtual clock ignores Join's limit, so only a wall run shows it.
+func TestCloseSetPingsBoundedOnWall(t *testing.T) {
+	bc := actorBootstrapConfig()
+	var hosts []DeployHost
+	for i := range 12 {
+		if i > 0 {
+			bc.Prefixes = append(bc.Prefixes, PrefixOrigin{Prefix: fmt.Sprintf("10.%d.0.0/16", 30+i), ASN: 300})
+		}
+		hosts = append(hosts, DeployHost{Addr: transport.Addr(fmt.Sprintf("s%d", i)), IP: fmt.Sprintf("10.%d.0.1", 30+i)})
+	}
+	hold := &pingHold{hold: 5 * time.Millisecond}
+	d := Deploy(t, DeployConfig{
+		Wrap:      func(tr transport.Transport) transport.Transport { hold.Transport = tr; return hold },
+		Bootstrap: bc, Hosts: hosts,
+	})
+	defer d.Close()
+	for _, n := range d.Nodes {
+		if !n.IsSurrogate() {
+			t.Fatalf("%s serves no cluster: every host should be its cluster's surrogate", n.Addr())
+		}
+	}
+	if err := d.Nodes[0].RefreshCloseSet(); err != nil {
+		t.Fatal(err)
+	}
+	if set, _ := d.Nodes[0].CloseSet(); len(set) != len(hosts)-1 {
+		t.Fatalf("close set of %d, want all %d other surrogates", len(set), len(hosts)-1)
+	}
+	if most := hold.most; most > closeSetPingWorkers || most < 2 {
+		t.Errorf("%d close-set pings in flight at most, want 2..%d", most, closeSetPingWorkers)
+	}
+}
+
 // TestCloseSetPingBudget: a close-set ping carries a budget of twice
 // LatT, and a candidate surrogate whose one-way latency is that budget
 // never sees the ping. RefreshCloseSet returns exactly when the budget

@@ -41,17 +41,21 @@ func (n *Node) ping(to transport.Addr, flowID uint64, budget time.Duration) (tim
 	return n.sched.Now() - start, nil
 }
 
-// closeSetPingWorkers bounds the close-set probe worker pool.
+// closeSetPingWorkers bounds the close-set probe worker pool on the wall
+// scheduler. sim.Clock's Join ignores the limit: its tasks hold one
+// virtual CPU in turn, so each probe is its own task there.
 const closeSetPingWorkers = 8
 
 // RefreshCloseSet rebuilds the close cluster set by asking the bootstrap
 // for surrogates within K valley-free AS hops and pinging each
 // (construct-close-cluster-set with the latency threshold; loss
 // thresholding needs multi-packet trains and is left to the algorithmic
-// layer). Pings run through a bounded worker pool, each carrying a
-// budget of twice LatT — a surrogate slower than that is no close-set
-// candidate anyway — so one slow surrogate delays, not serializes, the
-// rebuild, and a ping past its budget leaves nothing running.
+// layer). Pings run concurrently, at most closeSetPingWorkers at once on
+// the wall scheduler (the virtual clock ignores Join's limit), each
+// carrying a budget of twice LatT — a surrogate slower than that is no
+// close-set candidate anyway — so one slow surrogate delays, not
+// serializes, the rebuild, and a ping past its budget leaves nothing
+// running.
 // Only the lease holder builds one: a plain member's close set is its
 // surrogate's, which CloseSet fetches, so on a member it returns nil
 // without sending anything.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,17 +13,21 @@ import (
 
 // The test deployment. Every actor test that needs a bootstrap and nodes
 // builds them with Deploy: one in-memory transport for control and media,
-// a bootstrap at "bs", the hosts joined in order. Deploy is exported so
-// that package core_test files can call it; they may import eval, which
-// this package's own test files cannot without an import cycle.
+// a bootstrap at "bs", the hosts joined in order. A host has one address:
+// its control address is its name, and every media socket it owns, its
+// NAT box's external side included, is that name and a port. Deploy is
+// exported so that package core_test files can call it; they may import
+// eval, which this package's own test files cannot without an import
+// cycle.
 
 // DeployConfig describes one deployment.
 type DeployConfig struct {
 	// Clock runs the deployment in virtual time, and Deploy must then be
 	// called inside one of its tasks. Nil runs it on the wall clock.
 	Clock *sim.Clock
-	// Latency is the Mem's one-way delay, for control requests and media
-	// datagrams alike. Nil means none.
+	// Latency is the one-way delay between two hosts, for control
+	// requests and media datagrams alike: it sees host names, ports
+	// stripped. Nil means none.
 	Latency func(from, to transport.Addr) time.Duration
 	// Wrap, if set, decorates the Mem under the bootstrap and every node:
 	// a Chaos, or a counting or duplicating wrapper. Media sockets bind on
@@ -45,13 +50,12 @@ type DeployConfig struct {
 type DeployHost struct {
 	Addr transport.Addr
 	IP   string
-	// Media, if set, is the node's voice plane, enabled when it joins. A
-	// nil Media.Net binds the node's media sockets on the Mem: behind a
-	// NAT box of type NAT whose public address is Public when Public is
-	// set, directly otherwise.
-	Media  *MediaConfig
-	Public string
-	NAT    nat.Type
+	// Media, if set, is the node's voice plane, enabled when it joins,
+	// its sockets at Addr and a port. A nil Media.Net binds them on the
+	// Mem: behind a NAT box of type *NAT, whose external side is Addr and
+	// ports from 40000, when NAT is set, directly otherwise.
+	Media *MediaConfig
+	NAT   *nat.Type
 }
 
 // Deployment is what Deploy built. Nodes holds every joiner in join
@@ -73,7 +77,17 @@ func Deploy(t testing.TB, cfg DeployConfig) *Deployment {
 	t.Helper()
 	d := &Deployment{Clock: cfg.Clock, Mem: transport.NewMem(), cfg: cfg}
 	t.Cleanup(func() { _ = d.Mem.Close() })
-	d.Mem.Latency = cfg.Latency
+	if lat := cfg.Latency; lat != nil {
+		d.Mem.Latency = func(from, to transport.Addr) time.Duration {
+			if i := strings.LastIndexByte(string(from), ':'); i >= 0 {
+				from = from[:i]
+			}
+			if i := strings.LastIndexByte(string(to), ':'); i >= 0 {
+				to = to[:i]
+			}
+			return lat(from, to)
+		}
+	}
 	if cfg.Clock != nil {
 		d.Mem.Sched = cfg.Clock
 		d.cfg.Bootstrap.Sched = cfg.Clock
@@ -126,10 +140,11 @@ func (d *Deployment) Join(t testing.TB, h DeployHost) *Node {
 	d.Nodes = append(d.Nodes, n)
 	if h.Media != nil {
 		mc := *h.Media
+		mc.ListenHost = string(h.Addr)
 		if mc.Net == nil {
 			mc.Net = d.Mem
-			if h.Public != "" {
-				box := nat.New(h.NAT, d.Mem, h.Public, 40000)
+			if h.NAT != nil {
+				box := nat.New(*h.NAT, d.Mem, string(h.Addr), 40000)
 				t.Cleanup(func() { _ = box.Close() })
 				mc.Net = box
 			}
@@ -176,17 +191,57 @@ func deployTask(t *testing.T, cfg DeployConfig) *Deployment {
 	return d
 }
 
-// mediaLatency delays media datagrams 5 ms and control requests by ctrl
-// (nil: not at all). Media addresses are host:port; control addresses
-// carry no port.
-func mediaLatency(ctrl func(from, to transport.Addr) time.Duration) func(from, to transport.Addr) time.Duration {
-	return func(from, to transport.Addr) time.Duration {
-		switch {
-		case strings.IndexByte(string(to), ':') >= 0:
-			return 5 * time.Millisecond
-		case ctrl == nil:
-			return 0
-		}
-		return ctrl(from, to)
+// SetupMedia sets up the two-sided media call from caller to callee: the
+// caller's SetupMedia, then the callee's half of the call, waited on until
+// its ladder lands. Any error fails t. Under a Clock it must run inside a
+// task.
+func (d *Deployment) SetupMedia(t testing.TB, caller, callee *Node) (mc, cmc *MediaCall) {
+	t.Helper()
+	mc, err := caller.SetupMedia(callee.Addr())
+	if err != nil {
+		t.Fatalf("setup media %s -> %s: %v", caller.Addr(), callee.Addr(), err)
 	}
+	if cmc = callee.MediaCallWith(caller.Addr()); cmc == nil {
+		t.Fatalf("callee %s holds no media call", callee.Addr())
+	}
+	if _, err := cmc.WaitEstablished(10 * time.Second); err != nil {
+		t.Fatalf("callee ladder: %v", err)
+	}
+	return mc, cmc
+}
+
+// Codec is a Wrap that carries every control request and reply through
+// the wire codec, as a socket transport does: each is encoded with
+// AppendMessage and decoded into a fresh envelope with DecodeMessage.
+// RoundTrips counts the calls that crossed it both ways.
+type Codec struct {
+	transport.Transport
+	RoundTrips atomic.Int64
+}
+
+// Wrap decorates tr; pass it as DeployConfig.Wrap.
+func (c *Codec) Wrap(tr transport.Transport) transport.Transport {
+	c.Transport = tr
+	return c
+}
+
+func (c *Codec) Call(to transport.Addr, req *transport.Message) (*transport.Message, error) {
+	wire := transport.AcquireMessage()
+	defer transport.ReleaseMessage(wire)
+	if err := transport.DecodeMessage(transport.AppendMessage(nil, req), wire); err != nil {
+		return nil, err
+	}
+	resp, err := c.Transport.Call(to, wire)
+	if err != nil {
+		return nil, err
+	}
+	back := transport.AcquireMessage()
+	err = transport.DecodeMessage(transport.AppendMessage(nil, resp), back)
+	transport.ReleaseMessage(resp)
+	if err != nil {
+		transport.ReleaseMessage(back)
+		return nil, err
+	}
+	c.RoundTrips.Add(1)
+	return back, nil
 }

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -22,22 +21,31 @@ import (
 // STUN server and one voice relay, on links of Model.HostRTT/2. It places
 // one call that is latent by ground truth — SetupCall, SetupMedia, the
 // callee's ladder — and sends voice on the rung it lands on. The outcome
-// is pinned; a second deployment in the same run must reproduce it.
+// is pinned. A second deployment in the same run, its control carried
+// through the wire codec, must reproduce it in a pinned number of codec
+// round trips.
 func TestTinyDeploymentDeterministic(t *testing.T) {
 	w, err := eval.BuildWorld(eval.Tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const pinned = "450 nodes; call h408 -> h968: direct 304ms, relay h139 est 193ms of 16 candidates; media relayed/relayed, heard 20/20"
-	first := tinyCall(t, w)
+	const (
+		pinned      = "450 nodes; call h408 -> h968: direct 304ms, relay h139 est 193ms of 16 candidates; media relayed/relayed, heard 20/20"
+		pinnedTrips = 65525
+	)
+	first := tinyCall(t, w, nil)
 	if t.Failed() {
 		return
 	}
 	if first != pinned {
 		t.Errorf("outcome:\n got    %s\n pinned %s", first, pinned)
 	}
-	if again := tinyCall(t, w); again != first {
-		t.Errorf("a second deployment of the same world:\n got  %s\n first %s", again, first)
+	var codec core.Codec
+	if again := tinyCall(t, w, codec.Wrap); again != first {
+		t.Errorf("a second deployment of the same world, through the codec:\n got  %s\n first %s", again, first)
+	}
+	if got := codec.RoundTrips.Load(); got != pinnedTrips {
+		t.Errorf("%d codec round trips, pinned %d", got, pinnedTrips)
 	}
 }
 
@@ -51,11 +59,12 @@ const (
 	tinyVoice                   = 20
 )
 
-// tinyCall deploys w and places its call, returning the outcome line.
-func tinyCall(t *testing.T, w *eval.World) string {
+// tinyCall deploys w, its transport decorated by wrap when set, and
+// places its call, returning the outcome line.
+func tinyCall(t *testing.T, w *eval.World, wrap func(transport.Transport) transport.Transport) string {
 	params := core.DefaultParams()
 	pop := w.Pop
-	hostOf := map[string]cluster.HostID{} // control address or IP -> host
+	hostOf := map[transport.Addr]cluster.HostID{}
 	var hosts []core.DeployHost
 	var prefixes []core.PrefixOrigin
 	for _, c := range pop.Clusters() {
@@ -64,26 +73,17 @@ func tinyCall(t *testing.T, w *eval.World) string {
 		}
 		prefixes = append(prefixes, core.PrefixOrigin{Prefix: c.Prefix.String(), ASN: c.AS})
 		for _, h := range c.Hosts[:2] {
-			addr, ip := transport.Addr(fmt.Sprintf("h%d", h)), pop.Host(h).Addr.String()
-			hostOf[string(addr)], hostOf[ip] = h, h
+			addr := transport.Addr(fmt.Sprintf("h%d", h))
+			hostOf[addr] = h
 			hosts = append(hosts, core.DeployHost{
-				Addr: addr, IP: ip, Public: ip, NAT: nat.Types[len(hosts)%len(nat.Types)],
-				Media: &core.MediaConfig{ListenHost: "192.168.0.2", BasePort: 5000, STUN: tinySTUN, Relay: tinyRelay},
+				Addr: addr, IP: pop.Host(h).Addr.String(), NAT: &nat.Types[len(hosts)%len(nat.Types)],
+				Media: &core.MediaConfig{BasePort: 5000, STUN: tinySTUN, Relay: tinyRelay},
 			})
 		}
 	}
-	// A media address is the NAT box's public IP and a port.
-	host := func(a transport.Addr) (cluster.HostID, bool) {
-		s := string(a)
-		if i := strings.LastIndexByte(s, ':'); i >= 0 {
-			s = s[:i]
-		}
-		h, ok := hostOf[s]
-		return h, ok
-	}
 	latency := func(from, to transport.Addr) time.Duration {
-		a, okA := host(from)
-		b, okB := host(to)
+		a, okA := hostOf[from]
+		b, okB := hostOf[to]
 		if !okA || !okB {
 			return tinyInfraLeg
 		}
@@ -99,7 +99,7 @@ func tinyCall(t *testing.T, w *eval.World) string {
 	clk := sim.NewClock()
 	clk.RunTask(func() {
 		d := core.Deploy(t, core.DeployConfig{
-			Clock: clk, Latency: latency, Params: params, Hosts: hosts, Refresh: true,
+			Clock: clk, Latency: latency, Wrap: wrap, Params: params, Hosts: hosts, Refresh: true,
 			Bootstrap: core.BootstrapConfig{Graph: w.Graph, Prefixes: prefixes, K: params.K},
 		})
 		defer d.Close()
@@ -126,18 +126,7 @@ func tinyCall(t *testing.T, w *eval.World) string {
 				t.Errorf("relay %s is not a deployed surrogate", choice.Relay)
 			}
 		}
-		mc, err := a.SetupMedia(b.Addr())
-		if err != nil {
-			t.Fatalf("setup media: %v", err)
-		}
-		cmc := b.MediaCallWith(a.Addr())
-		if cmc == nil {
-			t.Fatal("callee holds no media call")
-		}
-		calleePath, err := cmc.WaitEstablished(10 * time.Second)
-		if err != nil {
-			t.Fatalf("callee ladder: %v", err)
-		}
+		mc, cmc := d.SetupMedia(t, a, b)
 		heard := 0
 		cmc.Flow().SetVoiceHandler(func(udp.Packet, transport.Addr) { heard++ })
 		for range tinyVoice {
@@ -152,7 +141,7 @@ func tinyCall(t *testing.T, w *eval.World) string {
 		}
 		line = fmt.Sprintf("%d nodes; call %s -> %s: direct %v, relay %s est %v of %d candidates; media %v/%v, heard %d/%d",
 			len(d.Nodes), a.Addr(), b.Addr(), choice.Direct.Round(time.Millisecond), choice.Relay,
-			choice.EstRTT.Round(time.Millisecond), choice.Candidates, mc.Path(), calleePath, heard, tinyVoice)
+			choice.EstRTT.Round(time.Millisecond), choice.Candidates, mc.Path(), cmc.Path(), heard, tinyVoice)
 	})
 	return line
 }
@@ -161,15 +150,15 @@ func tinyCall(t *testing.T, w *eval.World) string {
 // two clusters, in join order, whose direct RTT is at least latT while
 // some deployed surrogate (first joiner) relays them under latT, all by
 // ground truth. It returns their indexes in hosts, or -1, -1.
-func tinyLatentPair(w *eval.World, hosts []core.DeployHost, hostOf map[string]cluster.HostID, latT time.Duration) (int, int) {
+func tinyLatentPair(w *eval.World, hosts []core.DeployHost, hostOf map[transport.Addr]cluster.HostID, latT time.Duration) (int, int) {
 	var relays []cluster.HostID
 	for i := 0; i < len(hosts); i += 2 {
-		relays = append(relays, hostOf[string(hosts[i].Addr)])
+		relays = append(relays, hostOf[hosts[i].Addr])
 	}
 	paths := make([]overlay.Path, len(relays))
 	for i := 1; i < len(hosts); i += 2 {
 		for j := i + 2; j < len(hosts); j += 2 {
-			a, b := hostOf[string(hosts[i].Addr)], hostOf[string(hosts[j].Addr)]
+			a, b := hostOf[hosts[i].Addr], hostOf[hosts[j].Addr]
 			if rtt, ok := w.Model.HostRTT(a, b); !ok || rtt < latT {
 				continue
 			}

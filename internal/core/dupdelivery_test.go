@@ -96,13 +96,14 @@ func demoLife(t *testing.T, wrap func(transport.Transport) transport.Transport) 
 		params.LatT = 55 * time.Millisecond
 		hosts := abcHosts()
 		media := &MediaConfig{
-			ListenHost: "10.0.0.2", BasePort: 5000, STUN: "stun.example:3478", Relay: "relay.example:5000",
+			BasePort: 5000, STUN: "stun.example:3478", Relay: "relay.example:5000",
 			KeepaliveInterval: 50 * time.Millisecond, KeepaliveMisses: 200,
 		}
-		hosts[2].Media, hosts[2].Public, hosts[2].NAT = media, "203.0.113.1", nat.Symmetric
-		hosts[4].Media, hosts[4].Public, hosts[4].NAT = media, "198.51.100.1", nat.Symmetric
+		symmetric := nat.Symmetric
+		hosts[2].Media, hosts[2].NAT = media, &symmetric
+		hosts[4].Media, hosts[4].NAT = media, &symmetric
 		d := Deploy(t, DeployConfig{
-			Clock: clk, Latency: mediaLatency(abcLatency), Wrap: wrap,
+			Clock: clk, Latency: abcLatency, Wrap: wrap,
 			Bootstrap: bc, Params: params, Hosts: hosts,
 		})
 		defer d.Close()
@@ -140,19 +141,7 @@ func demoLife(t *testing.T, wrap func(transport.Transport) transport.Transport) 
 			t.Errorf("voice: %v", err)
 		}
 
-		mc, err := a1.SetupMedia(b1.Addr())
-		if err != nil {
-			t.Errorf("setup media: %v", err)
-			return
-		}
-		cmc := b1.MediaCallWith(a1.Addr())
-		if cmc == nil {
-			t.Error("callee holds no media call")
-			return
-		}
-		if _, err := cmc.WaitEstablished(5 * time.Second); err != nil {
-			t.Errorf("callee ladder: %v", err)
-		}
+		mc, cmc := d.SetupMedia(t, a1, b1)
 		if _, err := mc.Reestablish(rly.Addr()); err != nil {
 			t.Errorf("re-establish: %v", err)
 		}

@@ -66,15 +66,12 @@ func relayKillScenario(t *testing.T) string {
 	clk.RunTask(func() {
 		// Symmetric NATs on both sides force the relay rung — the paper's
 		// worst case, and the one where relay death kills the call.
-		media := func(listen string) *MediaConfig {
-			return &MediaConfig{
-				ListenHost: listen, BasePort: 5000, STUN: stunAddr, Relay: "relay1.example:5000", RelayKey: secret,
-				KeepaliveInterval: 50 * time.Millisecond, KeepaliveMisses: 200,
-			}
+		symmetric := nat.Symmetric
+		media := &MediaConfig{
+			BasePort: 5000, STUN: stunAddr, Relay: "relay1.example:5000", RelayKey: secret,
+			KeepaliveInterval: 50 * time.Millisecond, KeepaliveMisses: 200,
 		}
-		d, _ := mediaPair(t, clk,
-			DeployHost{Public: "203.0.113.1", NAT: nat.Symmetric, Media: media("10.0.0.2")},
-			DeployHost{Public: "198.51.100.1", NAT: nat.Symmetric, Media: media("192.168.1.2")})
+		d, _ := mediaPair(t, clk, DeployHost{NAT: &symmetric, Media: media}, DeployHost{NAT: &symmetric, Media: media})
 		defer d.Close()
 		caller, callee := d.Nodes[0], d.Nodes[1]
 		relay := func(addr transport.Addr) *udp.RelayServer {
@@ -86,19 +83,9 @@ func relayKillScenario(t *testing.T) string {
 		}
 		rly1, rly2 := relay("relay1.example:5000"), relay("relay2.example:5000")
 
-		mc, err := caller.SetupMedia(callee.Addr())
-		if err != nil {
-			t.Fatalf("setup media: %v", err)
-		}
+		mc, cmc := d.SetupMedia(t, caller, callee)
 		if mc.Path() != udp.PathRelayed || mc.Flow().Relay() != rly1.Addr() {
 			t.Fatalf("setup path = %v via %s, want relayed via relay1", mc.Path(), mc.Flow().Relay())
-		}
-		cmc := callee.MediaCallWith(caller.Addr())
-		if cmc == nil {
-			t.Fatal("callee holds no media call")
-		}
-		if _, err := cmc.WaitEstablished(5 * time.Second); err != nil {
-			t.Fatal(err)
 		}
 		flowBefore, ssrcBefore := mc.Flow(), mc.Flow().SSRC()
 
@@ -225,25 +212,18 @@ func TestMediaSilenceAutoReestablish(t *testing.T) {
 		defer d.Close()
 		caller, callee := d.Nodes[0], d.Nodes[1]
 		pub := ch.PacketNetwork(d.Mem)
-		for i, n := range []*Node{caller, callee} {
+		for _, n := range []*Node{caller, callee} {
 			if err := n.EnableMedia(MediaConfig{
-				Net: pub, ListenHost: fmt.Sprintf("10.0.%d.2", i), BasePort: 6000,
+				Net: pub, ListenHost: string(n.Addr()), BasePort: 6000,
 				STUN: stunAddr, Relay: relayAddr,
 				KeepaliveInterval: 50 * time.Millisecond, KeepaliveMisses: 4,
 			}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		mc, err := caller.SetupMedia(callee.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
+		mc, cmc := d.SetupMedia(t, caller, callee)
 		if mc.Path() != udp.PathDirect {
 			t.Fatalf("setup path = %v, want direct (no NATs)", mc.Path())
-		}
-		cmc := callee.MediaCallWith(caller.Addr())
-		if _, err := cmc.WaitEstablished(5 * time.Second); err != nil {
-			t.Fatal(err)
 		}
 
 		// Sever the direct path in both directions. Keepalive silence

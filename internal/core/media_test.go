@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,15 +26,18 @@ const (
 )
 
 // mediaPair deploys caller "c" (10.100.0.1) and callee "d" (10.200.0.1)
-// on clk, with free control links, 5 ms media links, a STUN server at
+// on clk, with 5 ms links for control and media alike, a STUN server at
 // stunAddr and a voice relay at relayAddr. caller and callee give each
-// host's media plane; their Addr and IP are set here. Must run inside a
-// task of clk.
+// host's media plane and NAT; their Addr and IP are set here. Must run
+// inside a task of clk.
 func mediaPair(t *testing.T, clk *sim.Clock, caller, callee DeployHost) (*Deployment, *udp.RelayServer) {
 	t.Helper()
 	caller.Addr, caller.IP = "c", "10.100.0.1"
 	callee.Addr, callee.IP = "d", "10.200.0.1"
-	d := Deploy(t, DeployConfig{Clock: clk, Latency: mediaLatency(nil), Hosts: []DeployHost{caller, callee}})
+	d := Deploy(t, DeployConfig{
+		Clock: clk, Latency: func(_, _ transport.Addr) time.Duration { return 5 * time.Millisecond },
+		Hosts: []DeployHost{caller, callee},
+	})
 	if _, err := udp.NewSTUNServer(d.Mem, stunAddr); err != nil {
 		t.Fatal(err)
 	}
@@ -71,31 +75,14 @@ func TestMediaEscalation(t *testing.T) {
 					calleeRelay = ""
 				}
 				d, rly := mediaPair(t, clk,
-					DeployHost{Public: "203.0.113.1", NAT: tc.ta, Media: &MediaConfig{
-						ListenHost: "10.0.0.2", BasePort: 5000, STUN: stunAddr, Relay: relayAddr,
-					}},
-					DeployHost{Public: "198.51.100.1", NAT: tc.tb, Media: &MediaConfig{
-						ListenHost: "192.168.1.2", BasePort: 5000, STUN: stunAddr, Relay: calleeRelay,
-					}})
+					DeployHost{NAT: &tc.ta, Media: &MediaConfig{BasePort: 5000, STUN: stunAddr, Relay: relayAddr}},
+					DeployHost{NAT: &tc.tb, Media: &MediaConfig{BasePort: 5000, STUN: stunAddr, Relay: calleeRelay}})
 				defer d.Close()
-				caller, callee := d.Nodes[0], d.Nodes[1]
-
-				mc, err := caller.SetupMedia(callee.Addr())
-				if err != nil {
-					t.Fatalf("setup media: %v", err)
-				}
+				mc, cmc := d.SetupMedia(t, d.Nodes[0], d.Nodes[1])
 				if got := mc.Path(); got != tc.want {
 					t.Errorf("caller path = %v, want %v", got, tc.want)
 				}
-				cmc := callee.MediaCallWith(caller.Addr())
-				if cmc == nil {
-					t.Fatal("callee holds no media call for the caller")
-				}
-				k, err := cmc.WaitEstablished(5 * time.Second)
-				if err != nil {
-					t.Fatalf("callee establish: %v", err)
-				}
-				if k != tc.want {
+				if k := cmc.Path(); k != tc.want {
 					t.Errorf("callee path = %v, want %v", k, tc.want)
 				}
 
@@ -132,26 +119,15 @@ func TestMediaLossFeedsSessionMOS(t *testing.T) {
 	clk := sim.NewClock()
 	ch := transport.NewChaos(nil, 7)
 	clk.RunTask(func() {
-		d, _ := mediaPair(t, clk, DeployHost{Media: &MediaConfig{ListenHost: "10.0.0.2", BasePort: 6000, STUN: stunAddr}}, DeployHost{})
+		d, _ := mediaPair(t, clk, DeployHost{Media: &MediaConfig{BasePort: 6000, STUN: stunAddr}}, DeployHost{})
 		defer d.Close()
 		caller, callee := d.Nodes[0], d.Nodes[1]
 		if err := callee.EnableMedia(MediaConfig{
-			Net: ch.PacketNetwork(d.Mem), ListenHost: "10.0.0.3", BasePort: 6000, STUN: stunAddr,
+			Net: ch.PacketNetwork(d.Mem), ListenHost: string(callee.Addr()), BasePort: 6000, STUN: stunAddr,
 		}); err != nil {
 			t.Fatal(err)
 		}
-
-		mc, err := caller.SetupMedia(callee.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cmc := callee.MediaCallWith(caller.Addr())
-		if cmc == nil {
-			t.Fatal("callee holds no media call")
-		}
-		if _, err := cmc.WaitEstablished(5 * time.Second); err != nil {
-			t.Fatal(err)
-		}
+		mc, cmc := d.SetupMedia(t, caller, callee)
 
 		cfg := session.DefaultConfig()
 		mgr, err := session.NewManager(cfg, clk, caller, session.WithFlowOpener(caller.EnsureFlow))
@@ -208,9 +184,9 @@ func TestMediaLossFeedsSessionMOS(t *testing.T) {
 	})
 }
 
-// plainMediaPair is mediaPair with both media sockets bound on net(Mem),
-// or the Mem itself when net is nil: no NAT between them, and a relay
-// rung. Must run inside a task of clk.
+// plainMediaPair is mediaPair with both media sockets bound at the
+// node's own address on net(Mem), or the Mem itself when net is nil: no
+// NAT between them, and a relay rung. Must run inside a task of clk.
 func plainMediaPair(t *testing.T, clk *sim.Clock, net func(transport.PacketNetwork) transport.PacketNetwork) *Deployment {
 	t.Helper()
 	d, _ := mediaPair(t, clk, DeployHost{}, DeployHost{})
@@ -218,9 +194,9 @@ func plainMediaPair(t *testing.T, clk *sim.Clock, net func(transport.PacketNetwo
 	if net != nil {
 		pn = net(d.Mem)
 	}
-	for i, n := range d.Nodes {
+	for _, n := range d.Nodes {
 		if err := n.EnableMedia(MediaConfig{
-			Net: pn, ListenHost: []string{"10.0.0.2", "10.0.0.3"}[i], BasePort: 6000,
+			Net: pn, ListenHost: string(n.Addr()), BasePort: 6000,
 			STUN: stunAddr, Relay: relayAddr,
 		}); err != nil {
 			t.Fatal(err)
@@ -301,12 +277,7 @@ func TestMediaPathAgreesWithFlow(t *testing.T) {
 	clk.RunTask(func() {
 		d := plainMediaPair(t, clk, ch.PacketNetwork)
 		defer d.Close()
-		caller, callee := d.Nodes[0], d.Nodes[1]
-		mc, err := caller.SetupMedia(callee.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cmc := callee.MediaCallWith(caller.Addr())
+		mc, cmc := d.SetupMedia(t, d.Nodes[0], d.Nodes[1])
 		// Sever the direct path: the next round can only land on the relay.
 		clk.Sleep(100 * time.Millisecond)
 		ch.Blackhole(mc.Flow().LocalAddr())
@@ -348,12 +319,12 @@ func TestMediaPortsWrap(t *testing.T) {
 		d, _ := mediaPair(t, clk, DeployHost{}, DeployHost{})
 		defer d.Close()
 		caller, callee := d.Nodes[0], d.Nodes[1]
-		if err := caller.EnableMedia(MediaConfig{Net: d.Mem, ListenHost: "10.0.0.2", BasePort: 65536, STUN: stunAddr}); err == nil {
+		if err := caller.EnableMedia(MediaConfig{Net: d.Mem, ListenHost: string(caller.Addr()), BasePort: 65536, STUN: stunAddr}); err == nil {
 			t.Error("EnableMedia took base port 65536")
 		}
 		for i, n := range []*Node{caller, callee} {
 			if err := n.EnableMedia(MediaConfig{
-				Net: d.Mem, ListenHost: []string{"10.0.0.2", "10.0.0.3"}[i], BasePort: []int{65534, 6000}[i],
+				Net: d.Mem, ListenHost: string(n.Addr()), BasePort: []int{65534, 6000}[i],
 				STUN: stunAddr,
 			}); err != nil {
 				t.Fatal(err)
@@ -370,9 +341,56 @@ func TestMediaPortsWrap(t *testing.T) {
 				_ = mc.Close()
 			}
 		}
-		want := []transport.Addr{"10.0.0.2:65534", "10.0.0.2:65535", "10.0.0.2:65535", "10.0.0.2:65535"}
+		want := []transport.Addr{"c:65534", "c:65535", "c:65535", "c:65535"}
 		if !slices.Equal(got, want) {
 			t.Errorf("media sockets %v, want %v", got, want)
+		}
+	})
+}
+
+// TestNodeCloseEndsMediaCalls: closing a node closes its media calls.
+// It holds none afterwards, its flow's address can be bound again, and
+// the peer's flow hears no further keepalive beacon from it.
+func TestNodeCloseEndsMediaCalls(t *testing.T) {
+	clk := sim.NewClock()
+	clk.RunTask(func() {
+		media := MediaConfig{BasePort: 6000, STUN: stunAddr, KeepaliveInterval: 50 * time.Millisecond}
+		d, _ := mediaPair(t, clk, DeployHost{Media: &media}, DeployHost{})
+		defer d.Close()
+		caller, callee := d.Nodes[0], d.Nodes[1]
+		var heard atomic.Int64 // datagrams delivered to the callee's sockets
+		media.Net, media.ListenHost = countingNet{d.Mem, &heard}, string(callee.Addr())
+		if err := callee.EnableMedia(media); err != nil {
+			t.Fatal(err)
+		}
+		mc, _ := d.SetupMedia(t, caller, callee)
+		addr := mc.Flow().LocalAddr()
+		if _, err := d.Mem.ListenPacket(addr, func(transport.Addr, []byte) {}); err == nil {
+			t.Fatalf("%s bound twice while the call is up", addr)
+		}
+		before := heard.Load()
+		clk.Sleep(time.Second)
+		if heard.Load() == before {
+			t.Fatal("the callee heard no beacon while the call was up")
+		}
+
+		caller.Close()
+		caller.mu.Lock()
+		held := len(caller.mediaCalls)
+		caller.mu.Unlock()
+		if held != 0 {
+			t.Errorf("a closed node holds %d media calls", held)
+		}
+		if conn, err := d.Mem.ListenPacket(addr, func(transport.Addr, []byte) {}); err != nil {
+			t.Errorf("after Close: %v", err)
+		} else {
+			_ = conn.Close()
+		}
+		clk.Sleep(100 * time.Millisecond) // datagrams in flight land
+		after := heard.Load()
+		clk.Sleep(time.Second)
+		if got := heard.Load() - after; got != 0 {
+			t.Errorf("the callee heard %d datagrams from a closed caller", got)
 		}
 	})
 }
@@ -404,12 +422,9 @@ func TestPlacedCallAllocs(t *testing.T) {
 	var allocs float64
 	heard, relayed := 0, 0
 	clk.RunTask(func() {
-		media := func(listen string) *MediaConfig {
-			return &MediaConfig{ListenHost: listen, BasePort: 5000, STUN: stunAddr, Relay: relayAddr, RelayKey: []byte("relay-secret")}
-		}
-		d, _ := mediaPair(t, clk,
-			DeployHost{Public: "203.0.113.1", NAT: nat.Symmetric, Media: media("10.0.0.2")},
-			DeployHost{Public: "198.51.100.1", NAT: nat.Symmetric, Media: media("192.168.1.2")})
+		symmetric := nat.Symmetric
+		media := &MediaConfig{BasePort: 5000, STUN: stunAddr, Relay: relayAddr, RelayKey: []byte("relay-secret")}
+		d, _ := mediaPair(t, clk, DeployHost{NAT: &symmetric, Media: media}, DeployHost{NAT: &symmetric, Media: media})
 		defer d.Close()
 		caller, callee := d.Nodes[0], d.Nodes[1]
 		onVoice := func(udp.Packet, transport.Addr) { heard++ }
@@ -418,16 +433,9 @@ func TestPlacedCallAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("setup call: %v", err)
 			}
-			mc, err := caller.SetupMedia(callee.Addr())
-			if err != nil {
-				t.Fatalf("setup media: %v", err)
-			}
+			mc, cmc := d.SetupMedia(t, caller, callee)
 			if mc.Path() == udp.PathRelayed {
 				relayed++
-			}
-			cmc := callee.MediaCallWith(caller.Addr())
-			if _, err := cmc.WaitEstablished(10 * time.Second); err != nil {
-				t.Fatalf("callee establish: %v", err)
 			}
 			mgr, err := session.NewManager(cfg, clk, caller, session.WithFlowOpener(caller.EnsureFlow))
 			if err != nil {

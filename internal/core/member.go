@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,10 +239,12 @@ func (n *Node) Surrogate() transport.Addr {
 }
 
 // Close stops the node's background loops (lease renewal, pending
-// re-elections) and cancels in-flight retries. The transport binding is
-// left to the transport's own Close. Draining waits on a scheduler
-// Waiter rather than a raw WaitGroup, so under the virtual clock the
-// caller's task parks and the background tasks can actually finish.
+// re-elections), closes its media calls, whose sockets and keepalive
+// beacons would otherwise outlive it, and cancels in-flight retries. The
+// transport binding is left to the transport's own Close. Draining waits
+// on a scheduler Waiter rather than a raw WaitGroup, so under the virtual
+// clock the caller's task parks and the background tasks can actually
+// finish.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -257,7 +261,17 @@ func (n *Node) Close() {
 		w = n.sched.NewWaiter()
 		n.closeW = w
 	}
+	calls := make([]*MediaCall, 0, len(n.mediaCalls))
+	for _, mc := range n.mediaCalls {
+		calls = append(calls, mc)
+	}
 	n.mu.Unlock()
+	// In token order, so that the unbinds are reproducible under the
+	// virtual clock. MediaCall.Close takes n.mu.
+	slices.SortFunc(calls, func(a, b *MediaCall) int { return cmp.Compare(a.flow.SSRC(), b.flow.SSRC()) })
+	for _, mc := range calls {
+		_ = mc.Close()
+	}
 	n.cancel()
 	if w != nil {
 		w.Wait(-1)
