@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate digests bench-scale scale-gate race-dataplane determinism test-experiments goldens examples profile profile-scale chaos check print-staticcheck-version print-govulncheck-version
+.PHONY: build loc test race race-all fuzz-smoke vet fmt staticcheck govulncheck lint allocgate bench-smoke bench bench-gate tests-list tests-floor digests bench-scale scale-gate race-dataplane determinism test-experiments goldens examples profile profile-scale chaos check print-staticcheck-version print-govulncheck-version
 
 build:
 	$(GO) build ./...
@@ -142,11 +142,18 @@ bench:
 # table. It fails only when an allocs_per_op or bytes_per_op row reads
 # `worse`: counted metrics repeat across machines, timed ones do not (a
 # 2-vCPU guest is bimodal), so timed and `unresolved` rows print without
-# failing. The outcome digests have their own gate (digests). A PR that
+# failing. It refuses (exit 2) a run set whose -seconds differ from the
+# baseline's: allocations and bytes per op include the per-repetition
+# fixed cost, which a shorter run spreads over fewer operations. The
+# outcome digests have their own gate (digests). A PR that
 # moves a counted metric on purpose re-tracks the baseline
 # (`bash bench/run.sh -seed 1 -runs 3 -out results/bench_baseline.seed1.json`).
 bench-gate:
 	@test -n "$(BENCH_JSON)" || { echo "bench-gate: usage: make bench-gate BENCH_JSON=<file>"; exit 2; }
+	@want=$$(jq .seconds results/bench_baseline.seed1.json) && got=$$(jq .seconds "$(BENCH_JSON)") || exit 2; \
+	if [ "$$want" != "$$got" ]; then \
+		echo "bench-gate: $(BENCH_JSON) ran $$got s per workload, the baseline $$want s; per-op counts depend on the run length, so compare runs of equal -seconds"; exit 2; \
+	fi
 	@out=$$(bash bench/run.sh -compare results/bench_baseline.seed1.json $(BENCH_JSON)); st=$$?; \
 	echo "$$out"; \
 	if [ $$st -gt 1 ]; then exit $$st; fi; \
@@ -154,6 +161,26 @@ bench-gate:
 		echo "bench-gate: a counted metric is worse than the baseline"; exit 1; \
 	fi; \
 	echo "bench-gate: counted metrics within their bounds"
+
+# tests-list prints one "package TestOrFuzzName" line per top-level test
+# and fuzz target of the root module, sorted; tests-floor fails, naming
+# each, when a line of the tracked results/tests_floor.txt no longer
+# prints. A test may move between a package and its _test package, and
+# tests may be added, but none is removed or renamed. A change that adds
+# tests re-tracks the floor with `make -s tests-list > results/tests_floor.txt`.
+TESTS_LIST = out=$$($(GO) test -list '^(Test|Fuzz)' ./...) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | awk '$$1 == "ok" { for (i = 1; i <= n; i++) print $$2, name[i]; n = 0; next } \
+		/^(Test|Fuzz)/ { name[++n] = $$1 }' | LC_ALL=C sort
+tests-list:
+	@$(TESTS_LIST)
+tests-floor:
+	@got=$$($(TESTS_LIST)) || { echo "$$got"; exit 1; }; \
+	missing=$$(echo "$$got" | LC_ALL=C comm -13 - results/tests_floor.txt); \
+	if [ -n "$$missing" ]; then \
+		echo "tests-floor: listed in results/tests_floor.txt but no longer in go test -list:"; \
+		echo "$$missing" | sed 's/^/  /'; exit 1; \
+	fi; \
+	echo "tests-floor: all $$(wc -l < results/tests_floor.txt) listed tests still list"
 
 # digests prints, per workload, the benchmark readings that depend on the
 # seed alone: the outcome digest plus msgs_per_call, setup_virtual_ms_p50

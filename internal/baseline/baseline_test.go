@@ -1,52 +1,27 @@
-package baseline
+package baseline_test
 
 import (
 	"testing"
 
-	"asap/internal/asgraph"
-	"asap/internal/bgp"
+	"asap/internal/baseline"
 	"asap/internal/cluster"
-	"asap/internal/netmodel"
-	"asap/internal/sim"
+	"asap/internal/eval"
 )
 
-type world struct {
-	pop    *cluster.Population
-	model  *netmodel.Model
-	prober *netmodel.Prober
-	rng    *sim.RNG
-}
-
-func buildWorld(t testing.TB, seed int64) *world {
+// buildWorld is eval.BuildWorld with 250 ASes and 1,500 hosts.
+func buildWorld(t testing.TB, seed int64) *eval.World {
 	t.Helper()
-	rng := sim.NewRNG(seed)
-	g, err := asgraph.Generate(asgraph.DefaultGenConfig(250), rng)
+	w, err := eval.BuildWorld(eval.Profile{ASes: 250, Hosts: 1500, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := bgp.Allocate(g, bgp.DefaultAllocConfig(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop, err := cluster.Generate(alloc, cluster.DefaultGenConfig(1500), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := netmodel.New(g, asgraph.NewRouter(g, 0), pop, netmodel.DefaultConfig(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := netmodel.NewProber(m, netmodel.DefaultProberConfig(), rng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &world{pop: pop, model: m, prober: p, rng: rng}
+	return w
 }
 
-func (w *world) pair() (cluster.HostID, cluster.HostID) {
+func pair(w *eval.World) (cluster.HostID, cluster.HostID) {
 	for {
-		a := cluster.HostID(w.rng.Intn(w.pop.NumHosts()))
-		b := cluster.HostID(w.rng.Intn(w.pop.NumHosts()))
+		a := cluster.HostID(w.RNG.Intn(w.Pop.NumHosts()))
+		b := cluster.HostID(w.RNG.Intn(w.Pop.NumHosts()))
 		if a != b {
 			return a, b
 		}
@@ -55,11 +30,11 @@ func (w *world) pair() (cluster.HostID, cluster.HostID) {
 
 func TestDediPlacement(t *testing.T) {
 	w := buildWorld(t, 90)
-	d, err := NewDedi(w.pop, w.model, w.prober, 20)
+	d, err := baseline.NewDedi(w.Pop, w.Model, w.Prober, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := d.nodes
+	nodes := baseline.DediNodes(d)
 	if len(nodes) != 20 {
 		t.Fatalf("placed %d nodes, want 20", len(nodes))
 	}
@@ -67,23 +42,23 @@ func TestDediPlacement(t *testing.T) {
 	seen := make(map[cluster.ClusterID]bool)
 	var minDeg int = 1 << 30
 	for _, n := range nodes {
-		h := w.pop.Host(n)
+		h := w.Pop.Host(n)
 		if seen[h.Cluster] {
 			t.Fatal("two dedicated nodes in one cluster")
 		}
 		seen[h.Cluster] = true
-		if w.pop.Cluster(h.Cluster).Delegate != n {
+		if w.Pop.Cluster(h.Cluster).Delegate != n {
 			t.Fatal("dedicated node is not the cluster delegate")
 		}
-		if deg := w.model.Graph().Degree(h.AS); deg < minDeg {
+		if deg := w.Model.Graph().Degree(h.AS); deg < minDeg {
 			minDeg = deg
 		}
 	}
 	// The chosen clusters should be in high-degree ASes: their minimum
 	// degree must be >= the population-wide median AS degree.
 	degs := make([]int, 0)
-	for _, asn := range w.pop.PopulatedASes() {
-		degs = append(degs, w.model.Graph().Degree(asn))
+	for _, asn := range w.Pop.PopulatedASes() {
+		degs = append(degs, w.Model.Graph().Degree(asn))
 	}
 	median := degs[len(degs)/2]
 	if minDeg < median {
@@ -93,11 +68,11 @@ func TestDediPlacement(t *testing.T) {
 
 func TestDediSelect(t *testing.T) {
 	w := buildWorld(t, 91)
-	d, err := NewDedi(w.pop, w.model, w.prober, 15)
+	d, err := baseline.NewDedi(w.Pop, w.Model, w.Prober, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, h2 := w.pair()
+	h1, h2 := pair(w)
 	res, err := d.Select(h1, h2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -124,11 +99,11 @@ func TestDediSelect(t *testing.T) {
 
 func TestRandSelect(t *testing.T) {
 	w := buildWorld(t, 92)
-	r, err := NewRand(w.pop, w.prober, w.rng, 50)
+	r, err := baseline.NewRand(w.Pop, w.Prober, w.RNG, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, h2 := w.pair()
+	h1, h2 := pair(w)
 	res, err := r.Select(h1, h2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -151,11 +126,11 @@ func TestRandSelect(t *testing.T) {
 
 func TestRandSpreadsAcrossSessions(t *testing.T) {
 	w := buildWorld(t, 93)
-	r, err := NewRand(w.pop, w.prober, w.rng, 30)
+	r, err := baseline.NewRand(w.Pop, w.Prober, w.RNG, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, h2 := w.pair()
+	h1, h2 := pair(w)
 	r1, _ := r.Select(h1, h2, nil)
 	r2, _ := r.Select(h1, h2, nil)
 	same := 0
@@ -175,14 +150,14 @@ func TestRandSpreadsAcrossSessions(t *testing.T) {
 
 func TestMixSelect(t *testing.T) {
 	w := buildWorld(t, 94)
-	m, err := NewMix(w.pop, w.model, w.prober, w.rng, 10, 30)
+	m, err := baseline.NewMix(w.Pop, w.Model, w.Prober, w.RNG, 10, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Name() != "MIX" {
 		t.Errorf("name = %q", m.Name())
 	}
-	h1, h2 := w.pair()
+	h1, h2 := pair(w)
 	res, err := m.Select(h1, h2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -197,13 +172,13 @@ func TestMixSelect(t *testing.T) {
 
 func TestConstructorValidation(t *testing.T) {
 	w := buildWorld(t, 95)
-	if _, err := NewDedi(w.pop, w.model, w.prober, 0); err == nil {
-		t.Error("NewDedi(0) should fail")
+	if _, err := baseline.NewDedi(w.Pop, w.Model, w.Prober, 0); err == nil {
+		t.Error("baseline.NewDedi(0) should fail")
 	}
-	if _, err := NewRand(w.pop, w.prober, w.rng, 0); err == nil {
-		t.Error("NewRand(0) should fail")
+	if _, err := baseline.NewRand(w.Pop, w.Prober, w.RNG, 0); err == nil {
+		t.Error("baseline.NewRand(0) should fail")
 	}
-	if _, err := NewMix(w.pop, w.model, w.prober, w.rng, 0, 10); err == nil {
+	if _, err := baseline.NewMix(w.Pop, w.Model, w.Prober, w.RNG, 0, 10); err == nil {
 		t.Error("NewMix with bad dedi count should fail")
 	}
 }

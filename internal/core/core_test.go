@@ -1,55 +1,30 @@
-package core
+package core_test
 
 import (
 	"testing"
 	"time"
 
-	"asap/internal/asgraph"
-	"asap/internal/bgp"
 	"asap/internal/cluster"
+	"asap/internal/core"
+	"asap/internal/eval"
 	"asap/internal/netmodel"
-	"asap/internal/overlay"
-	"asap/internal/sim"
 )
 
-// world bundles the common test fixtures.
-type world struct {
-	g      *asgraph.Graph
-	pop    *cluster.Population
-	model  *netmodel.Model
-	prober *netmodel.Prober
-	rng    *sim.RNG
+// buildWorld is eval.BuildWorld, failing t on an error.
+func buildWorld(t testing.TB, p eval.Profile) *eval.World {
+	t.Helper()
+	w, err := eval.BuildWorld(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
-func buildWorld(t testing.TB, ases, hosts int, seed int64) *world {
+// newSystem seeds its System with 1, the seed these tests were written
+// against, not with the world's seed as World.NewASAP does.
+func newSystem(t testing.TB, w *eval.World, params core.Params) *core.System {
 	t.Helper()
-	rng := sim.NewRNG(seed)
-	g, err := asgraph.Generate(asgraph.DefaultGenConfig(ases), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := bgp.Allocate(g, bgp.DefaultAllocConfig(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop, err := cluster.Generate(alloc, cluster.DefaultGenConfig(hosts), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := netmodel.New(g, asgraph.NewRouter(g, 0), pop, netmodel.DefaultConfig(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := netmodel.NewProber(m, netmodel.DefaultProberConfig(), rng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &world{g: g, pop: pop, model: m, prober: p, rng: rng}
-}
-
-func newSystem(t testing.TB, w *world, params Params) *System {
-	t.Helper()
-	s, err := NewSystemSeeded(w.model, w.prober, params, 1)
+	s, err := core.NewSystemSeeded(w.Model, w.Prober, params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +32,10 @@ func newSystem(t testing.TB, w *world, params Params) *System {
 }
 
 func TestParamsValidate(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
+	if err := core.DefaultParams().Validate(); err != nil {
 		t.Fatalf("default params invalid: %v", err)
 	}
-	bad := []Params{
+	bad := []core.Params{
 		{K: 0, LatT: time.Second, LossT: 0.1, SizeT: 1},
 		{K: 4, LatT: 0, LossT: 0.1, SizeT: 1},
 		{K: 4, LatT: time.Second, LossT: 0, SizeT: 1},
@@ -75,20 +50,20 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestNewSystemElectsSurrogates(t *testing.T) {
-	w := buildWorld(t, 250, 1500, 80)
-	s := newSystem(t, w, DefaultParams())
-	for _, c := range w.pop.Clusters() {
+	w := buildWorld(t, eval.Profile{ASes: 250, Hosts: 1500, Seed: 80})
+	s := newSystem(t, w, core.DefaultParams())
+	for _, c := range w.Pop.Clusters() {
 		sur, ok := s.Surrogate(c.ID)
 		if !ok {
 			t.Fatalf("cluster %d has no surrogate", c.ID)
 		}
-		if w.pop.Host(sur).Cluster != c.ID {
+		if w.Pop.Host(sur).Cluster != c.ID {
 			t.Fatalf("surrogate %d not a member of cluster %d", sur, c.ID)
 		}
 		// Must be the best-scoring member.
 		best := sur
 		for _, id := range c.Hosts {
-			if w.pop.Host(id).NodalScore() > w.pop.Host(best).NodalScore() {
+			if w.Pop.Host(id).NodalScore() > w.Pop.Host(best).NodalScore() {
 				best = id
 			}
 		}
@@ -99,10 +74,10 @@ func TestNewSystemElectsSurrogates(t *testing.T) {
 }
 
 func TestCloseSetRespectsThresholdsAndValleyFreedom(t *testing.T) {
-	w := buildWorld(t, 250, 1500, 81)
-	params := DefaultParams()
+	w := buildWorld(t, eval.Profile{ASes: 250, Hosts: 1500, Seed: 81})
+	params := core.DefaultParams()
 	s := newSystem(t, w, params)
-	cid := w.pop.Host(0).Cluster
+	cid := w.Pop.Host(0).Cluster
 	cs, err := s.CloseSet(cid)
 	if err != nil {
 		t.Fatal(err)
@@ -110,20 +85,20 @@ func TestCloseSetRespectsThresholdsAndValleyFreedom(t *testing.T) {
 	if cs.Owner != cid {
 		t.Errorf("owner = %d, want %d", cs.Owner, cid)
 	}
-	ownAS := w.pop.Cluster(cid).AS
-	reach := w.g.ValleyFreeBFS(ownAS, params.K)
+	ownAS := w.Pop.Cluster(cid).AS
+	reach := w.Graph.ValleyFreeBFS(ownAS, params.K)
 	for _, e := range cs.Clusters {
 		rc, lat := e.Cluster, e.RTT
 		if lat >= params.LatT {
 			t.Errorf("close cluster %d with RTT %v >= latT", rc, lat)
 		}
-		rcAS := w.pop.Cluster(rc).AS
+		rcAS := w.Pop.Cluster(rc).AS
 		if _, ok := reach.Hops[rcAS]; !ok {
 			t.Errorf("close cluster %d in AS%d outside the k=%d valley-free horizon",
 				rc, rcAS, params.K)
 		}
 		var gt [1]netmodel.PairStat
-		w.model.ClusterStatsBatch(cid, []cluster.ClusterID{rc}, gt[:])
+		w.Model.ClusterStatsBatch(cid, []cluster.ClusterID{rc}, gt[:])
 		if !gt[0].OK || gt[0].Loss >= 2*params.LossT {
 			// Measurements are noiseless for loss, so ground truth must be
 			// comfortably under the threshold.
@@ -148,14 +123,15 @@ func TestCloseSetRespectsThresholdsAndValleyFreedom(t *testing.T) {
 }
 
 func TestSelectCloseRelayBasics(t *testing.T) {
-	w := buildWorld(t, 250, 2000, 82)
-	s := newSystem(t, w, DefaultParams())
+	w := buildWorld(t, eval.Profile{ASes: 250, Hosts: 2000, Seed: 82})
+	params := core.DefaultParams()
+	s := newSystem(t, w, params)
 
 	var done int
 	for i := 0; i < 40 && done < 15; i++ {
-		h1 := cluster.HostID(w.rng.Intn(w.pop.NumHosts()))
-		h2 := cluster.HostID(w.rng.Intn(w.pop.NumHosts()))
-		if h1 == h2 || w.pop.Host(h1).Cluster == w.pop.Host(h2).Cluster {
+		h1 := cluster.HostID(w.RNG.Intn(w.Pop.NumHosts()))
+		h2 := cluster.HostID(w.RNG.Intn(w.Pop.NumHosts()))
+		if h1 == h2 || w.Pop.Host(h1).Cluster == w.Pop.Host(h2).Cluster {
 			continue
 		}
 		sel, err := s.SelectCloseRelay(h1, h2)
@@ -173,22 +149,22 @@ func TestSelectCloseRelayBasics(t *testing.T) {
 			}
 		}
 		for _, oc := range sel.OneHop {
-			if oc.EstRTT >= s.params.LatT {
+			if oc.EstRTT >= params.LatT {
 				t.Fatalf("one-hop candidate over latT: %v", oc.EstRTT)
 			}
-			if oc.Cluster == w.pop.Host(h1).Cluster || oc.Cluster == w.pop.Host(h2).Cluster {
+			if oc.Cluster == w.Pop.Host(h1).Cluster || oc.Cluster == w.Pop.Host(h2).Cluster {
 				t.Fatal("endpoint cluster used as relay")
 			}
 		}
 		for _, tc := range sel.TwoHop {
-			if tc.EstRTT >= s.params.LatT {
+			if tc.EstRTT >= params.LatT {
 				t.Fatalf("two-hop candidate over latT: %v", tc.EstRTT)
 			}
 		}
 		// Host-unit accounting.
 		var hosts int
 		for _, oc := range sel.OneHop {
-			hosts += len(w.pop.Cluster(oc.Cluster).Hosts)
+			hosts += len(w.Pop.Cluster(oc.Cluster).Hosts)
 		}
 		if hosts != sel.OneHopHosts {
 			t.Fatalf("OneHopHosts = %d, recomputed %d", sel.OneHopHosts, hosts)
@@ -203,14 +179,14 @@ func TestSelectCloseRelayBasics(t *testing.T) {
 }
 
 func TestSelectCloseRelayTwoHopOnlyWhenSmall(t *testing.T) {
-	w := buildWorld(t, 250, 2000, 83)
+	w := buildWorld(t, eval.Profile{ASes: 250, Hosts: 2000, Seed: 83})
 	// SizeT=0: two-hop must never trigger.
-	params := DefaultParams()
+	params := core.DefaultParams()
 	params.SizeT = 0
 	s := newSystem(t, w, params)
 	for i := 0; i < 20; i++ {
-		h1 := cluster.HostID(w.rng.Intn(w.pop.NumHosts()))
-		h2 := cluster.HostID(w.rng.Intn(w.pop.NumHosts()))
+		h1 := cluster.HostID(w.RNG.Intn(w.Pop.NumHosts()))
+		h2 := cluster.HostID(w.RNG.Intn(w.Pop.NumHosts()))
 		if h1 == h2 {
 			continue
 		}
@@ -228,8 +204,8 @@ func TestSelectCloseRelayTwoHopOnlyWhenSmall(t *testing.T) {
 }
 
 func TestSelectCloseRelayErrors(t *testing.T) {
-	w := buildWorld(t, 150, 600, 84)
-	s := newSystem(t, w, DefaultParams())
+	w := buildWorld(t, eval.Profile{ASes: 150, Hosts: 600, Seed: 84})
+	s := newSystem(t, w, core.DefaultParams())
 	if _, err := s.SelectCloseRelay(1, 1); err == nil {
 		t.Error("same-host session should fail")
 	}
@@ -240,11 +216,11 @@ func TestSelectCloseRelayErrors(t *testing.T) {
 }
 
 func TestSurrogateFailover(t *testing.T) {
-	w := buildWorld(t, 200, 1500, 85)
-	s := newSystem(t, w, DefaultParams())
+	w := buildWorld(t, eval.Profile{ASes: 200, Hosts: 1500, Seed: 85})
+	s := newSystem(t, w, core.DefaultParams())
 	// Find a cluster with at least 3 hosts.
 	var cid cluster.ClusterID = -1
-	for _, c := range w.pop.Clusters() {
+	for _, c := range w.Pop.Clusters() {
 		if len(c.Hosts) >= 3 {
 			cid = c.ID
 			break
@@ -273,7 +249,7 @@ func TestSurrogateFailover(t *testing.T) {
 	}
 
 	// Kill everything in the cluster: no surrogate, CloseSet errors.
-	for _, id := range w.pop.Cluster(cid).Hosts {
+	for _, id := range w.Pop.Cluster(cid).Hosts {
 		s.FailHost(id)
 	}
 	if _, ok := s.Surrogate(cid); ok {
@@ -286,11 +262,11 @@ func TestSurrogateFailover(t *testing.T) {
 }
 
 func TestPickRelays(t *testing.T) {
-	w := buildWorld(t, 250, 2000, 86)
-	s := newSystem(t, w, DefaultParams())
+	w := buildWorld(t, eval.Profile{ASes: 250, Hosts: 2000, Seed: 86})
+	s := newSystem(t, w, core.DefaultParams())
 	for i := 0; i < 30; i++ {
-		h1 := cluster.HostID(w.rng.Intn(w.pop.NumHosts()))
-		h2 := cluster.HostID(w.rng.Intn(w.pop.NumHosts()))
+		h1 := cluster.HostID(w.RNG.Intn(w.Pop.NumHosts()))
+		h2 := cluster.HostID(w.RNG.Intn(w.Pop.NumHosts()))
 		if h1 == h2 {
 			continue
 		}
@@ -327,16 +303,17 @@ func TestSelectedRelaysAreActuallyGood(t *testing.T) {
 	// The core promise: when direct routing is slow, the best ASAP
 	// candidate's ground-truth RTT should usually satisfy the 300 ms
 	// requirement, and estimates should track ground truth.
-	w := buildWorld(t, 300, 3000, 87)
-	s := newSystem(t, w, DefaultParams())
-	eng := overlay.NewEngine(w.model)
+	w := buildWorld(t, eval.Profile{ASes: 300, Hosts: 3000, Seed: 87})
+	params := core.DefaultParams()
+	s := newSystem(t, w, params)
+	eng := w.Engine
 
 	within := 0
 	total := 0
 	for i := 0; i < 200 && total < 30; i++ {
-		h1 := cluster.HostID(w.rng.Intn(w.pop.NumHosts()))
-		h2 := cluster.HostID(w.rng.Intn(w.pop.NumHosts()))
-		if h1 == h2 || w.pop.Host(h1).Cluster == w.pop.Host(h2).Cluster {
+		h1 := cluster.HostID(w.RNG.Intn(w.Pop.NumHosts()))
+		h2 := cluster.HostID(w.RNG.Intn(w.Pop.NumHosts()))
+		if h1 == h2 || w.Pop.Host(h1).Cluster == w.Pop.Host(h2).Cluster {
 			continue
 		}
 		sel, err := s.SelectCloseRelay(h1, h2)
@@ -354,7 +331,7 @@ func TestSelectedRelaysAreActuallyGood(t *testing.T) {
 			continue
 		}
 		// Allow measurement noise: 1.5x of latT.
-		if p.RTT < 3*s.params.LatT/2 {
+		if p.RTT < 3*params.LatT/2 {
 			within++
 		}
 	}

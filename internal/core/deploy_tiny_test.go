@@ -25,10 +25,7 @@ import (
 // through the wire codec, must reproduce it in a pinned number of codec
 // round trips.
 func TestTinyDeploymentDeterministic(t *testing.T) {
-	w, err := eval.BuildWorld(eval.Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := buildWorld(t, eval.Tiny)
 	const (
 		pinned      = "450 nodes; call h408 -> h968: direct 304ms, relay h139 est 193ms of 16 candidates; media relayed/relayed, heard 20/20"
 		pinnedTrips = 65525

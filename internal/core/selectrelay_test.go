@@ -137,10 +137,7 @@ func TestSelectCloseRelayMatchesMapWalk(t *testing.T) {
 		profile  eval.Profile
 		sessions int
 	}{{eval.Tiny, eval.Tiny.Sessions}, {eval.Small, 200}} {
-		w, err := eval.BuildWorld(tc.profile)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := buildWorld(t, tc.profile)
 		sessions := w.RandomSessions(tc.sessions)
 		for _, sizeT := range []int{0, 300} {
 			params := core.DefaultParams()
@@ -249,10 +246,7 @@ func holds(cs *core.CloseSet, c cluster.ClusterID) bool {
 // staged and ranked on the System's scratch, so a map, an append's
 // growth or a sort's buffer coming back fails it.
 func TestSelectCloseRelayAllocs(t *testing.T) {
-	w, err := eval.BuildWorld(eval.Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := buildWorld(t, eval.Tiny)
 	latent := w.LatentSessions(w.RandomSessions(eval.Tiny.Sessions), core.DefaultParams().LatT)
 	if len(latent) > 40 {
 		latent = latent[:40]
@@ -295,10 +289,7 @@ func TestSelectCloseRelayAllocs(t *testing.T) {
 // the builds nested in them pop and push others. Every selection must
 // equal what a sequential System returns for the same session.
 func TestSelectCloseRelayConcurrentMatchesSequential(t *testing.T) {
-	w, err := eval.BuildWorld(eval.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := buildWorld(t, eval.Small)
 	sessions := w.RandomSessions(200)
 	seq, err := w.NewASAP(core.DefaultParams())
 	if err != nil {

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"slices"
@@ -6,18 +6,20 @@ import (
 	"testing"
 
 	"asap/internal/cluster"
+	"asap/internal/core"
+	"asap/internal/eval"
 )
 
 // TestCloseSetConcurrentCallersConverge drives CloseSet from many
 // goroutines over a small cluster set: concurrent misses for the same
 // cluster must coalesce onto one construction (singleflight) and every
-// caller must see the identical *CloseSet instance.
+// caller must see the identical *core.CloseSet instance.
 func TestCloseSetConcurrentCallersConverge(t *testing.T) {
-	w := buildWorld(t, 200, 1200, 91)
-	s := newSystem(t, w, DefaultParams())
+	w := buildWorld(t, eval.Profile{ASes: 200, Hosts: 1200, Seed: 91})
+	s := newSystem(t, w, core.DefaultParams())
 
 	cids := make([]cluster.ClusterID, 0, 16)
-	for _, c := range w.pop.Clusters() {
+	for _, c := range w.Pop.Clusters() {
 		cids = append(cids, c.ID)
 		if len(cids) == 16 {
 			break
@@ -25,10 +27,10 @@ func TestCloseSetConcurrentCallersConverge(t *testing.T) {
 	}
 
 	const workers = 8
-	got := make([]map[cluster.ClusterID]*CloseSet, workers)
+	got := make([]map[cluster.ClusterID]*core.CloseSet, workers)
 	var wg sync.WaitGroup
 	for wkr := 0; wkr < workers; wkr++ {
-		got[wkr] = make(map[cluster.ClusterID]*CloseSet, len(cids))
+		got[wkr] = make(map[cluster.ClusterID]*core.CloseSet, len(cids))
 		wg.Add(1)
 		go func(wkr int) {
 			defer wg.Done()
@@ -69,20 +71,20 @@ func TestCloseSetConcurrentCallersConverge(t *testing.T) {
 // identical close sets even when the clusters are constructed in opposite
 // orders with unrelated probes interleaved.
 func TestCloseSetSeedIndependentOfBuildOrder(t *testing.T) {
-	w1 := buildWorld(t, 200, 1200, 92)
-	w2 := buildWorld(t, 200, 1200, 92)
-	s1 := newSystem(t, w1, DefaultParams())
-	s2 := newSystem(t, w2, DefaultParams())
+	w1 := buildWorld(t, eval.Profile{ASes: 200, Hosts: 1200, Seed: 92})
+	w2 := buildWorld(t, eval.Profile{ASes: 200, Hosts: 1200, Seed: 92})
+	s1 := newSystem(t, w1, core.DefaultParams())
+	s2 := newSystem(t, w2, core.DefaultParams())
 
 	cids := make([]cluster.ClusterID, 0, 12)
-	for _, c := range w1.pop.Clusters() {
+	for _, c := range w1.Pop.Clusters() {
 		cids = append(cids, c.ID)
 		if len(cids) == 12 {
 			break
 		}
 	}
 
-	sets1 := make(map[cluster.ClusterID]*CloseSet)
+	sets1 := make(map[cluster.ClusterID]*core.CloseSet)
 	for _, cid := range cids {
 		cs, err := s1.CloseSet(cid)
 		if err != nil {
@@ -114,15 +116,15 @@ func TestCloseSetSeedIndependentOfBuildOrder(t *testing.T) {
 // set and its build cost must equal what a sequential System builds over
 // the same world.
 func TestCloseSetConcurrentBuildsMatchSequential(t *testing.T) {
-	w := buildWorld(t, 200, 1200, 93)
-	seq := newSystem(t, w, DefaultParams())
-	par := newSystem(t, w, DefaultParams())
+	w := buildWorld(t, eval.Profile{ASes: 200, Hosts: 1200, Seed: 93})
+	seq := newSystem(t, w, core.DefaultParams())
+	par := newSystem(t, w, core.DefaultParams())
 
-	clusters := w.pop.Clusters()
+	clusters := w.Pop.Clusters()
 	if len(clusters) > 96 {
 		clusters = clusters[:96]
 	}
-	want := make([]*CloseSet, len(clusters))
+	want := make([]*core.CloseSet, len(clusters))
 	for i, c := range clusters {
 		cs, err := seq.CloseSet(c.ID)
 		if err != nil {
@@ -132,7 +134,7 @@ func TestCloseSetConcurrentBuildsMatchSequential(t *testing.T) {
 	}
 
 	const workers = 8
-	got := make([]*CloseSet, len(clusters))
+	got := make([]*core.CloseSet, len(clusters))
 	var wg sync.WaitGroup
 	for wkr := 0; wkr < workers; wkr++ {
 		wg.Add(1)
@@ -164,9 +166,7 @@ func TestCloseSetConcurrentBuildsMatchSequential(t *testing.T) {
 	if seq.BuildMessages() != par.BuildMessages() {
 		t.Errorf("cumulative build cost: concurrent %d, sequential %d", par.BuildMessages(), seq.BuildMessages())
 	}
-	par.scratchMu.Lock()
-	idle := par.scratch.Len()
-	par.scratchMu.Unlock()
+	idle := core.IdleScratches(par)
 	if idle < 1 || idle > workers {
 		t.Errorf("%d idle build scratches after %d workers finished, want 1..%d", idle, workers, workers)
 	}
@@ -179,12 +179,12 @@ func TestCloseSetConcurrentBuildsMatchSequential(t *testing.T) {
 // on the builds that grow the set cache's map.
 func TestCloseSetBuildAllocs(t *testing.T) {
 	const budget = 8
-	w := buildWorld(t, 200, 1200, 94)
-	for _, asn := range w.g.ASNs() {
-		w.model.Router().Table(asn) // route tables are the model's, not the build's
+	w := buildWorld(t, eval.Profile{ASes: 200, Hosts: 1200, Seed: 94})
+	for _, asn := range w.Graph.ASNs() {
+		w.Model.Router().Table(asn) // route tables are the model's, not the build's
 	}
-	s := newSystem(t, w, DefaultParams())
-	clusters := w.pop.Clusters()
+	s := newSystem(t, w, core.DefaultParams())
+	clusters := w.Pop.Clusters()
 	next := 0
 	build := func() {
 		if _, err := s.CloseSet(clusters[next].ID); err != nil {

@@ -5,64 +5,26 @@ import (
 	"testing"
 	"time"
 
-	"asap/internal/asgraph"
-	"asap/internal/bgp"
-	"asap/internal/cluster"
-	"asap/internal/netmodel"
-	"asap/internal/sim"
+	"asap/internal/eval"
 )
 
-type world struct {
-	g      *asgraph.Graph
-	pop    *cluster.Population
-	model  *netmodel.Model
-	prober *netmodel.Prober
-	rng    *sim.RNG
+// buildWorld is eval.BuildWorld at the given size and seed.
+func buildWorld(t testing.TB, ases, hosts int, seed int64) *eval.World {
+	t.Helper()
+	w, err := eval.BuildWorld(eval.Profile{ASes: ases, Hosts: hosts, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
-func buildWorld(t testing.TB, ases, hosts int, seed int64) *world {
+func newClient(t testing.TB, w *eval.World, cfg Config) *Client {
 	t.Helper()
-	rng := sim.NewRNG(seed)
-	g, err := asgraph.Generate(asgraph.DefaultGenConfig(ases), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := bgp.Allocate(g, bgp.DefaultAllocConfig(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop, err := cluster.Generate(alloc, cluster.DefaultGenConfig(hosts), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := netmodel.New(g, asgraph.NewRouter(g, 0), pop, netmodel.DefaultConfig(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := netmodel.NewProber(m, netmodel.DefaultProberConfig(), rng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &world{g: g, pop: pop, model: m, prober: p, rng: rng}
-}
-
-func newClient(t testing.TB, w *world, cfg Config) *Client {
-	t.Helper()
-	c, err := NewClient(w.model, w.prober, cfg, w.rng)
+	c, err := NewClient(w.Model, w.Prober, cfg, w.RNG)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
-}
-
-func sessionPair(w *world) (cluster.HostID, cluster.HostID) {
-	for {
-		a := cluster.HostID(w.rng.Intn(w.pop.NumHosts()))
-		b := cluster.HostID(w.rng.Intn(w.pop.NumHosts()))
-		if a != b && w.pop.Host(a).Cluster != w.pop.Host(b).Cluster {
-			return a, b
-		}
-	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -89,8 +51,8 @@ func TestConfigValidate(t *testing.T) {
 func TestCallProducesCoherentTrace(t *testing.T) {
 	w := buildWorld(t, 250, 2000, 100)
 	c := newClient(t, w, DefaultConfig())
-	a, b := sessionPair(w)
-	tr, err := c.Call(1, a, b)
+	s := w.RandomSessions(1)[0]
+	tr, err := c.Call(1, s.A, s.B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +93,8 @@ func TestCallDeterministic(t *testing.T) {
 	run := func() *Trace {
 		w := buildWorld(t, 250, 2000, 101)
 		c := newClient(t, w, DefaultConfig())
-		a, b := sessionPair(w)
-		tr, err := c.Call(1, a, b)
+		s := w.RandomSessions(1)[0]
+		tr, err := c.Call(1, s.A, s.B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +119,7 @@ func TestCallErrors(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.JitterFrac = 2
-	if _, err := NewClient(w.model, w.prober, cfg, w.rng); err == nil {
+	if _, err := NewClient(w.Model, w.Prober, cfg, w.RNG); err == nil {
 		t.Error("invalid config should fail")
 	}
 }
@@ -166,12 +128,12 @@ func TestAnalyzeMajorPathDominates(t *testing.T) {
 	w := buildWorld(t, 250, 2000, 103)
 	c := newClient(t, w, DefaultConfig())
 	for i := 0; i < 5; i++ {
-		a, b := sessionPair(w)
-		tr, err := c.Call(i+1, a, b)
+		s := w.RandomSessions(1)[0]
+		tr, err := c.Call(i+1, s.A, s.B)
 		if err != nil {
 			t.Fatal(err)
 		}
-		an := Analyze(tr, w.pop)
+		an := Analyze(tr, w.Pop)
 		if an.MajorPathShare <= 0 || an.MajorPathShare > 1 {
 			t.Fatalf("major path share = %v", an.MajorPathShare)
 		}
@@ -199,12 +161,12 @@ func TestAnalyzeDetectsRelayBounce(t *testing.T) {
 	c := newClient(t, w, cfg)
 	bounced := false
 	for i := 0; i < 6 && !bounced; i++ {
-		a, b := sessionPair(w)
-		tr, err := c.Call(i+1, a, b)
+		s := w.RandomSessions(1)[0]
+		tr, err := c.Call(i+1, s.A, s.B)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if an := Analyze(tr, w.pop); an.Switches >= 3 {
+		if an := Analyze(tr, w.Pop); an.Switches >= 3 {
 			bounced = true
 		}
 	}
@@ -223,12 +185,12 @@ func TestSameASProbingObserved(t *testing.T) {
 	c := newClient(t, w, cfg)
 	found := false
 	for i := 0; i < 8 && !found; i++ {
-		a, b := sessionPair(w)
-		tr, err := c.Call(i+1, a, b)
+		s := w.RandomSessions(1)[0]
+		tr, err := c.Call(i+1, s.A, s.B)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if an := Analyze(tr, w.pop); len(an.SameASPairs) > 0 {
+		if an := Analyze(tr, w.Pop); len(an.SameASPairs) > 0 {
 			found = true
 		}
 	}
@@ -239,7 +201,7 @@ func TestSameASProbingObserved(t *testing.T) {
 
 func TestBuildStudyLayoutAndRun(t *testing.T) {
 	w := buildWorld(t, 400, 5000, 106)
-	layout, err := BuildStudyLayout(w.pop, w.g, w.model, w.rng)
+	layout, err := BuildStudyLayout(w.Pop, w.Graph, w.Model, w.RNG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +222,7 @@ func TestBuildStudyLayoutAndRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CallDuration = 90 * time.Second // keep the test quick
 	c := newClient(t, w, cfg)
-	traces, analyses, err := RunStudy(c, layout, w.pop)
+	traces, analyses, err := RunStudy(c, layout, w.Pop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +251,8 @@ func TestBuildStudyLayoutAndRun(t *testing.T) {
 func TestTimeSeriesOnlyProbes(t *testing.T) {
 	w := buildWorld(t, 200, 1500, 107)
 	c := newClient(t, w, DefaultConfig())
-	a, b := sessionPair(w)
-	tr, err := c.Call(1, a, b)
+	s := w.RandomSessions(1)[0]
+	tr, err := c.Call(1, s.A, s.B)
 	if err != nil {
 		t.Fatal(err)
 	}
